@@ -1,9 +1,10 @@
 """Constant-size polynomial commitments with verifiable point openings.
 
 A trusted setup produces powers g1^(alpha^j); a commitment is the multi-
-exponentiation of those powers by the polynomial coefficients.  Opening at a
-point z ships the evaluation phi(z) plus a commitment to the quotient
-(phi(x) - phi(z)) / (x - z); the pairing check
+exponentiation of those powers by the polynomial coefficients, computed as
+one ``msm`` call on the group backend.  Opening at a point z ships the
+evaluation phi(z) plus a commitment to the quotient (phi(x) - phi(z)) /
+(x - z); the pairing check
 
     e(C, g2) == e(W, g2^(alpha - z)) * e(g1, g2)^phi(z)
 
@@ -99,12 +100,7 @@ def commit(pk: CommitPK, poly: QuantizedPoly) -> Commitment:
         raise ValueError("polynomial field does not match the commitment key")
     if poly.dim > pk.degree:
         raise ValueError(f"polynomial degree {poly.dim} exceeds key degree {pk.degree}")
-    backend = pk.backend
-    acc = backend.g1_identity
-    for c, pw in zip(poly.coeffs, pk.powers):
-        if c:
-            acc = backend.g1_add(acc, backend.g1_mul(pw, c))
-    return Commitment(acc)
+    return Commitment(pk.backend.msm(pk.powers, poly.coeffs))
 
 
 def combine(backend, commitments) -> Commitment:

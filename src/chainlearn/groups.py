@@ -19,9 +19,11 @@ signatures:
     Used for fast tests and large simulation runs, never where hiding
     matters.
 
-Both expose: ``order``, generators ``g1``/``g2``, group ops, ``pair``,
-target-group ops and canonical serialization.  Curve parameters were
-generated once by ``demos/generate_group_parameters.py`` and are frozen here.
+Both expose: ``order``, generators ``g1``/``g2``, group ops, multi-scalar
+multiplication ``msm(points, scalars)`` (on the curve ``g1_mul`` is its
+one-term case), ``pair``, target-group ops and canonical serialization.
+Curve parameters were generated once by
+``demos/generate_group_parameters.py`` and are frozen here.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 _P = 0x1000000000000000000000000000000000000000000000000000000000000019C000000000000000000000000000000000000000000000000000000000000A4C3
 _R = 0x800000000000000000000000000000000000000000000000000000000000005F
 _COFACTOR = (_P + 1) // _R
-_FINAL_EXP = (_P * _P - 1) // _R
+_FINAL_EXP_HARD = (_P + 1) // _R  # (p^2 - 1)/r = (p - 1) * this
 _R_BITS = bin(_R)[3:]  # left-to-right, leading bit dropped
 
 _G1_BYTES = 1 + 64  # flag byte + big-endian x
@@ -76,9 +78,9 @@ def _pt_add(P1, P2, p=_P):
     if x1 == x2:
         if (y1 + y2) % p == 0:
             return None
-        lam = (3 * x1 * x1 + 1) * pow(2 * y1, p - 2, p) % p
+        lam = (3 * x1 * x1 + 1) * pow(2 * y1, -1, p) % p
     else:
-        lam = (y2 - y1) * pow(x2 - x1, p - 2, p) % p
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
     x3 = (lam * lam - x1 - x2) % p
     return (x3, (lam * (x1 - x3) - y1) % p)
 
@@ -89,35 +91,16 @@ def _pt_neg(P, p=_P):
     return (P[0], (-P[1]) % p)
 
 
-def _pt_mul(P, k, p=_P):
-    """Scalar multiplication via Jacobian double-and-add."""
-    k %= _R
-    if P is None or k == 0:
-        return None
-    X, Y, Z = P[0], P[1], 1
-    started = False
-    for bit in bin(k)[2:]:
-        if started:
-            # doubling (a = 1 curve coefficient)
-            A = X * X % p
-            B = Y * Y % p
-            C = B * B % p
-            ZZ = Z * Z % p
-            D = 2 * ((X + B) * (X + B) - A - C) % p
-            E = (3 * A + ZZ * ZZ) % p
-            X3 = (E * E - 2 * D) % p
-            Y3 = (E * (D - X3) - 8 * C) % p
-            Z = 2 * Y * Z % p
-            X, Y = X3, Y3
-            if bit == "1":
-                X, Y, Z = _jac_madd(X, Y, Z, P[0], P[1], p)
-        else:
-            started = True
-    if Z == 0:
-        return None
-    zinv = pow(Z, p - 2, p)
-    z2 = zinv * zinv % p
-    return (X * z2 % p, Y * z2 % p * zinv % p)
+def _jac_dbl(X, Y, Z, p=_P):
+    """Jacobian doubling on the a = 1 curve."""
+    A = X * X % p
+    B = Y * Y % p
+    C = B * B % p
+    ZZ = Z * Z % p
+    D = 2 * ((X + B) * (X + B) - A - C) % p
+    E = (3 * A + ZZ * ZZ) % p
+    X3 = (E * E - 2 * D) % p
+    return X3, (E * (D - X3) - 8 * C) % p, 2 * Y * Z % p
 
 
 def _jac_madd(X1, Y1, Z1, x2, y2, p=_P):
@@ -130,15 +113,7 @@ def _jac_madd(X1, Y1, Z1, x2, y2, p=_P):
     if U2 == X1:
         if (S2 + Y1) % p == 0:
             return 0, 1, 0
-        # doubling fallback (rare path)
-        A = X1 * X1 % p
-        B = Y1 * Y1 % p
-        C = B * B % p
-        D = 2 * ((X1 + B) * (X1 + B) - A - C) % p
-        E = (3 * A + ZZ * ZZ) % p
-        X3 = (E * E - 2 * D) % p
-        Y3 = (E * (D - X3) - 8 * C) % p
-        return X3, Y3, 2 * Y1 * Z1 % p
+        return _jac_dbl(X1, Y1, Z1, p)  # rare path
     H = (U2 - X1) % p
     HH = H * H % p
     I = 4 * HH % p
@@ -149,6 +124,62 @@ def _jac_madd(X1, Y1, Z1, x2, y2, p=_P):
     Y3 = (r2 * (V - X3) - 2 * Y1 * J) % p
     Z3 = ((Z1 + H) * (Z1 + H) - ZZ - HH) % p
     return X3, Y3, Z3
+
+
+_WNAF_WIDTH = 5
+_WNAF_MOD = 1 << _WNAF_WIDTH
+_WNAF_TABLE = 1 << (_WNAF_WIDTH - 2)  # odd multiples P, 3P, ..., 15P
+
+
+def _wnaf(k):
+    """Width-5 NAF digits of k >= 0, least significant first: every nonzero
+    digit is odd with |digit| < 16, and at most one of any five consecutive
+    digits is nonzero."""
+    digits = []
+    while k:
+        d = 0
+        if k & 1:
+            d = k & (_WNAF_MOD - 1)
+            if d >= _WNAF_MOD // 2:
+                d -= _WNAF_MOD
+            k -= d
+        digits.append(d)
+        k >>= 1
+    return digits
+
+
+def _msm(points, scalars, p=_P):
+    """Sum of k_i * P_i for affine points and scalars k_i >= 0, unreduced.
+
+    Straus's interleaving: each base's odd multiples P, 3P, ..., 15P are
+    computed per call in affine form; one shared chain of Jacobian doublings
+    then adds, for every term, the multiple named by its wNAF digit, and a
+    single inversion returns the sum to affine coordinates.
+    """
+    tables, nafs = [], []
+    for P, k in zip(points, scalars):
+        if P is None or k == 0:
+            continue
+        P2 = _pt_add(P, P, p)
+        table = [P]
+        for _ in range(_WNAF_TABLE - 1):
+            table.append(_pt_add(table[-1], P2, p))
+        tables.append(table)
+        nafs.append(_wnaf(k))
+    X, Y, Z = 0, 1, 0
+    for i in range(max(map(len, nafs), default=0) - 1, -1, -1):
+        if Z:
+            X, Y, Z = _jac_dbl(X, Y, Z, p)
+        for table, naf in zip(tables, nafs):
+            if i < len(naf) and naf[i]:
+                d = naf[i]
+                x, y = table[abs(d) >> 1]
+                X, Y, Z = _jac_madd(X, Y, Z, x, y if d > 0 else p - y, p)
+    if Z == 0:
+        return None
+    zinv = pow(Z, -1, p)
+    z2 = zinv * zinv % p
+    return (X * z2 % p, Y * z2 % p * zinv % p)
 
 
 def _sqrt_mod_p(a, p=_P):
@@ -163,22 +194,26 @@ def _point_from_seed_x(x0, p=_P):
     while True:
         y = _sqrt_mod_p((x * x * x + x) % p)
         if y is not None:
-            P = _pt_mul_nomod((x, y), _COFACTOR, p)
+            # cofactor clearing must not reduce the scalar mod r
+            P = _msm([(x, y)], [_COFACTOR], p)
             if P is not None:
                 return P
         x += 1
 
 
-def _pt_mul_nomod(P, k, p=_P):
-    # cofactor multiplication must not reduce k mod r
-    out = None
-    Q = P
-    while k:
-        if k & 1:
-            out = _pt_add(out, Q, p)
-        Q = _pt_add(Q, Q, p)
-        k >>= 1
-    return out
+def _final_exp(f, p=_P):
+    """f^((p^2 - 1)/r), split as (f^(p-1))^((p+1)/r).
+
+    Frobenius on F_p2 is conjugation, so f^(p-1) = conj(f)/f =
+    conj(f)^2 / N(f) with the F_p norm N(f) = a^2 + b^2, nonzero unless f is.
+    """
+    a, b = f
+    norm = (a * a + b * b) % p
+    if norm == 0:
+        return (0, 0)
+    ninv = pow(norm, -1, p)
+    unitary = ((a + b) * (a - b) % p * ninv % p, -2 * a * b % p * ninv % p)
+    return _f2_pow(unitary, _FINAL_EXP_HARD, p)
 
 
 def _tate_pair(P, Q, p=_P):
@@ -229,7 +264,7 @@ def _tate_pair(P, Q, p=_P):
             imag = den * yq % p
             f = _f2_mul(f, (real, imag), p)
             X1, Y1, Z1 = _jac_madd(X1, Y1, Z1, xp_, yp_, p)
-    return _f2_pow(f, _FINAL_EXP, p)
+    return _final_exp(f, p)
 
 
 class PairingGroup:
@@ -251,7 +286,11 @@ class PairingGroup:
         return _pt_neg(a)
 
     def g1_mul(self, P, k: int):
-        return _pt_mul(P, k)
+        return _msm((P,), (k % _R,))
+
+    def msm(self, points, scalars):
+        """Sum of k_i * P_i over zip(points, scalars), scalars mod r."""
+        return _msm(points, [k % _R for k in scalars])
 
     g2_add = g1_add
     g2_neg = g1_neg
@@ -324,6 +363,13 @@ class ExponentGroup:
 
     def g1_mul(self, a, k: int):
         return a * (k % self.order) % self.order
+
+    def msm(self, points, scalars):
+        """Sum of k_i * a_i over zip(points, scalars)."""
+        acc = 0
+        for a, k in zip(points, scalars):
+            acc += a * (k % self.order)
+        return acc % self.order
 
     g2_add = g1_add
     g2_neg = g1_neg

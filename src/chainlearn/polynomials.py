@@ -56,7 +56,7 @@ def lagrange_interpolate(points: list[tuple[int, int]], p: int) -> list[int]:
                 continue
             num = _mul_linear(num, (-xj) % p, p)
             denom = denom * (xi - xj) % p
-        scale = yi * pow(denom, p - 2, p) % p
+        scale = yi * pow(denom, -1, p) % p
         for k in range(len(num)):
             coeffs[k] = (coeffs[k] + num[k] * scale) % p
     return coeffs

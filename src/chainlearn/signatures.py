@@ -52,6 +52,5 @@ def verify(backend, public, message: bytes, signature: bytes) -> bool:
     except ValueError:
         return False
     c = _challenge(backend, R, public, message)
-    lhs = backend.g1_mul(backend.g1, s)
-    rhs = backend.g1_add(R, backend.g1_mul(public, c))
-    return lhs == rhs
+    # s*g == R + c*PK, checked as one two-term multi-scalar multiplication
+    return backend.msm([backend.g1, public], [s, -c]) == R

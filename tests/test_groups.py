@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chainlearn.groups import get_backend
+from chainlearn.groups import _P, _R, _f2_pow, _final_exp, get_backend
 
 BACKENDS = ["exponent", "pairing"]
 
@@ -64,3 +66,86 @@ def test_neg_cancels(backend):
 def test_from_bytes_rejects_garbage(backend):
     with pytest.raises(ValueError):
         backend.g1_from_bytes(b"\xff" * (backend.element_size + 3))
+
+
+def ladder_mul(backend, P, k):
+    """Reference scalar multiplication: affine double-and-add over g1_add."""
+    out, k = backend.g1_identity, k % backend.order
+    while k:
+        if k & 1:
+            out = backend.g1_add(out, P)
+        P = backend.g1_add(P, P)
+        k >>= 1
+    return out
+
+
+def naive_msm(backend, points, scalars):
+    acc = backend.g1_identity
+    for P, k in zip(points, scalars):
+        acc = backend.g1_add(acc, backend.g1_mul(P, k))
+    return acc
+
+
+def point_pool(backend):
+    """Identity, P, -P and an unrelated Q: draws from it repeat and cancel bases."""
+    P = backend.g1_mul(backend.g1, 0xC0FFEE)
+    return [backend.g1_identity, P, backend.g1_neg(P), backend.g1_mul(backend.g1, 12345)]
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_g1_mul_matches_ladder_at_edge_scalars(name):
+    backend = get_backend(name)
+    _, P, _, _ = point_pool(backend)
+    r = backend.order
+    for k in [0, 1, r - 1, r, r + 1, -1, 0xDEADBEEF, r // 3]:
+        assert backend.g1_mul(P, k) == ladder_mul(backend, P, k), k
+    assert backend.g1_mul(P, r - 1) == backend.g1_neg(P)
+    assert backend.g1_mul(P, r + 1) == P
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_msm_edge_cases(name):
+    backend = get_backend(name)
+    O, P, negP, Q = point_pool(backend)
+    r = backend.order
+    k = 0x1234567890ABCDEF1234567890ABCDEF % r
+    cases = [
+        ([], []),
+        ([P, Q], [0, 0]),
+        ([O, O], [5, r - 2]),
+        ([P, P], [1, 1]),  # doubling fallback on the first addition
+        ([P, P], [k, k]),
+        ([P, negP], [1, 1]),  # cancellation to the identity
+        ([P, negP, Q], [k, k, 7]),
+        ([P, Q], [-1, r + 1]),
+        ([P, Q, P], [3 * r - 5, -k, r]),
+    ]
+    for points, scalars in cases:
+        assert backend.msm(points, scalars) == naive_msm(backend, points, scalars), scalars
+    assert backend.msm([], []) == backend.g1_identity
+    assert backend.msm([P, negP], [k, k]) == backend.g1_identity
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_msm_matches_naive_fold(name, data):
+    backend = get_backend(name)
+    pool = point_pool(backend)
+    r = backend.order
+    scalar = st.one_of(
+        st.integers(-3 * r, 3 * r),
+        st.sampled_from([0, 1, -1, r - 1, r, r + 1]),
+    )
+    terms = data.draw(st.lists(st.tuples(st.sampled_from(pool), scalar), max_size=4))
+    points = [P for P, _ in terms]
+    scalars = [k for _, k in terms]
+    assert backend.msm(points, scalars) == naive_msm(backend, points, scalars)
+
+
+def test_split_final_exponentiation_matches_direct_power():
+    rng = random.Random(7)
+    cases = [(rng.randrange(_P), rng.randrange(_P)) for _ in range(4)]
+    cases += [(rng.randrange(1, _P), 0), (0, rng.randrange(1, _P)), (1, 0), (0, 0)]
+    for f in cases:
+        assert _final_exp(f) == _f2_pow(f, (_P * _P - 1) // _R), f

@@ -25,6 +25,11 @@ from chainlearn.stake import build_ring
 
 from conftest import tiny_config
 
+# Tip hashes of two fixed runs. Any arithmetic rewrite that changes chain
+# bytes fails here, on both group backends.
+EXPONENT_TIP = "90797668f6771efacb4d9e1f9df986627e0651550160e3d6ce8f0850f47c6985"
+PAIRING_TIP = "860e948411a63d5c4320c023f66a72ce0b96c15cbd2665c143035faf0e0aa113"
+
 
 def make_sim(n_peers=10, iterations=5, seed=3, backend="exponent", features=3, **cfg_over):
     config = tiny_config(
@@ -59,6 +64,11 @@ def test_agreement_all_peers_share_one_tip(happy_run):
     tips = {peer.ledger.tip_hash() for peer in sim.peers.values()}
     assert len(tips) == 1
     assert result.forks == 0
+
+
+def test_exponent_tip_is_pinned(happy_run):
+    _, result = happy_run
+    assert result.final_ledger.tip_hash().hex() == EXPONENT_TIP
 
 
 def test_every_appended_block_revalidates(happy_run):
@@ -283,6 +293,7 @@ def test_full_protocol_on_pairing_backend():
     tips = {peer.ledger.tip_hash() for peer in sim.peers.values()}
     assert len(tips) == 1
     assert result.forks == 0
+    assert result.final_ledger.tip_hash().hex() == PAIRING_TIP
 
 
 def test_inject_churn_keeps_population_constant():

@@ -11,7 +11,7 @@ from chainlearn.committees import (
     noiser_seed,
     verify_vrf,
 )
-from chainlearn.encoding import sha256
+from chainlearn.encoding import ByteReader, ByteWriter, sha256
 from chainlearn.groups import get_backend
 from chainlearn.signatures import keygen, sign, verify
 from chainlearn.stake import KEYSPACE, build_ring, honest_stake_fraction, update_stake
@@ -19,12 +19,30 @@ from chainlearn.stake import KEYSPACE, build_ring, honest_stake_fraction, update
 BACKEND = get_backend("exponent")
 
 
-def test_signature_roundtrip():
-    kp = keygen(BACKEND, b"peer0")
-    sig = sign(BACKEND, kp, b"hello")
-    assert verify(BACKEND, kp.public, b"hello", sig)
-    assert not verify(BACKEND, kp.public, b"other", sig)
-    assert sig == sign(BACKEND, kp, b"hello"), "signatures must be deterministic"
+def _signature(backend, R_bytes: bytes, s: int) -> bytes:
+    return ByteWriter().bytes_lp(R_bytes).int_lp(s).getvalue()
+
+
+@pytest.mark.parametrize("name", ["exponent", "pairing"])
+def test_signature_roundtrip(name):
+    backend = get_backend(name)
+    kp = keygen(backend, b"peer0")
+    sig = sign(backend, kp, b"hello")
+    assert verify(backend, kp.public, b"hello", sig)
+    assert sig == sign(backend, kp, b"hello"), "signatures must be deterministic"
+
+    reader = ByteReader(sig)
+    R_bytes, s = reader.bytes_lp(), reader.int_lp()
+    # s and s + order are the same residue, so both verify
+    assert verify(backend, kp.public, b"hello", _signature(backend, R_bytes, s + backend.order))
+    # every tampered signature is rejected with False, never an exception
+    assert not verify(backend, kp.public, b"other", sig)
+    assert not verify(backend, keygen(backend, b"peer1").public, b"hello", sig)
+    assert not verify(backend, kp.public, b"hello", _signature(backend, R_bytes, s + 1))
+    identity = backend.g1_to_bytes(backend.g1_identity)
+    assert not verify(backend, kp.public, b"hello", _signature(backend, identity, s))
+    for cut in (0, 3, len(sig) - 1):
+        assert not verify(backend, kp.public, b"hello", sig[:cut])
 
 
 def test_single_peer_owns_ring():
