@@ -3,8 +3,6 @@
 Subcommands:
   run             execute a named experiment from a JSON config
   verify-chain    revalidate a persisted chain file block by block
-  invert          run the gradient-inversion batching study, emit PGMs + CSV
-  collusion-prob  Monte Carlo the zero-noise collusion attack over a grid
   krum-bench      cross-check the update filter against brute force and time it
 """
 
@@ -32,49 +30,25 @@ def main(argv=None) -> int:
     p_run.add_argument("--experiment", default=None, help="override the experiment name")
     p_run.add_argument("--seed", type=int, default=None, help="override the seed")
     p_run.add_argument("--out", type=Path, default=Path("out"), help="output directory")
+    p_run.set_defaults(handler=_cmd_run)
 
     p_verify = sub.add_parser("verify-chain", help="revalidate a chain file")
     p_verify.add_argument("chain", type=Path)
     p_verify.add_argument("--backend", default="exponent", choices=["exponent", "pairing"])
     p_verify.add_argument("--dump", action="store_true", help="print one line per block")
-
-    p_invert = sub.add_parser("invert", help="gradient inversion batching study")
-    p_invert.add_argument("--seed", type=int, default=0)
-    p_invert.add_argument("--out", type=Path, default=Path("out"))
-
-    p_coll = sub.add_parser("collusion-prob", help="zero-noise collusion Monte Carlo")
-    p_coll.add_argument("--trials", type=int, default=10_000)
-    p_coll.add_argument("--seed", type=int, default=0)
-    p_coll.add_argument("--noisers", type=int, nargs="+", default=[3, 5, 10])
-    p_coll.add_argument(
-        "--stake-fractions", type=float, nargs="+", default=[0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
-    )
-    p_coll.add_argument("--out", type=Path, default=None, help="optional CSV path")
+    p_verify.set_defaults(handler=_cmd_verify_chain)
 
     p_bench = sub.add_parser("krum-bench", help="filter oracle check and timing")
     p_bench.add_argument("--cases", type=int, default=1000)
     p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.set_defaults(handler=_cmd_krum_bench)
 
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        return args.handler(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def _dispatch(args) -> int:
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "verify-chain":
-        return _cmd_verify_chain(args)
-    if args.command == "invert":
-        return _cmd_invert(args)
-    if args.command == "collusion-prob":
-        return _cmd_collusion(args)
-    if args.command == "krum-bench":
-        return _cmd_krum_bench(args)
-    raise ValueError(f"unknown command {args.command}")
 
 
 def _cmd_run(args) -> int:
@@ -110,41 +84,6 @@ def _cmd_verify_chain(args) -> int:
         f"{args.chain}: OK, {ledger.height} blocks, tip iteration "
         f"{ledger.tip_iteration()}, tip {ledger.tip_hash().hex()[:16]}"
     )
-    return 0
-
-
-def _cmd_invert(args) -> int:
-    from .attacks import write_pgm
-    from .experiments import inversion_batching_experiment
-
-    args.out.mkdir(parents=True, exist_ok=True)
-    results, images = inversion_batching_experiment(seed=args.seed)
-    for count, image in images.items():
-        write_pgm(args.out / f"inverted_batch{count:02d}.pgm", image)
-    with open(args.out / "similarity.csv", "w", encoding="utf-8") as fh:
-        fh.write("batch_count,nearest_cosine\n")
-        for count, sim in results:
-            fh.write(f"{count},{sim:.6f}\n")
-    for count, sim in results:
-        print(f"batch {count:3d}: nearest-image cosine {sim:.3f}")
-    return 0
-
-
-def _cmd_collusion(args) -> int:
-    from .attacks import collusion_violation_probability
-
-    rows = []
-    for noisers in args.noisers:
-        for frac in args.stake_fractions:
-            p = collusion_violation_probability(frac, noisers, args.trials, args.seed)
-            rows.append((noisers, frac, p))
-            print(f"noisers={noisers:3d} malicious_stake={frac:.2f}: violation probability {p:.6f}")
-    if args.out:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("noisers,malicious_stake_fraction,violation_probability\n")
-            for noisers, frac, p in rows:
-                fh.write(f"{noisers},{frac},{p:.6f}\n")
     return 0
 
 

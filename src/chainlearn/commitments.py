@@ -73,6 +73,7 @@ class CommitPK:
         powers = [backend.g1_from_bytes(r.raw(size)) for _ in range(n)]
         g2 = backend.g2_from_bytes(r.raw(size))
         g2_alpha = backend.g2_from_bytes(r.raw(size))
+        r.done()
         return cls(backend, powers, g2, g2_alpha)
 
 

@@ -67,7 +67,7 @@ class ExperimentSpec:
     adversary: AdversaryConfig = field(default_factory=AdversaryConfig)
     # grid lists for the sweep experiments, e.g. {"collect_fraction": [0.5, 0.9],
     # "epsilon": [0.5, 2.0], "seeds": 3, "noisers": [3, 5, 10],
-    # "stake_fractions": [0.1, 0.3, 0.5]}
+    # "stake_fractions": [0.1, 0.3, 0.5], "trials": 10000}
     sweep: dict = field(default_factory=dict)
 
     # -- derived, reported in metadata ----------------------------------------

@@ -69,7 +69,7 @@ class ByteWriter:
 
 class ByteReader:
     """Reads back what ByteWriter wrote; raises ValueError with the byte
-    offset on truncation."""
+    offset on truncation, and from ``done`` on trailing bytes."""
 
     def __init__(self, data: bytes) -> None:
         self._data = data
@@ -107,12 +107,12 @@ class ByteReader:
         n = self.u32()
         return [self.f64() for _ in range(n)]
 
-    def done(self) -> bool:
-        return self._pos == len(self._data)
-
-    @property
-    def offset(self) -> int:
-        return self._pos
+    def done(self) -> None:
+        """Raise ValueError unless every byte has been read."""
+        if self._pos != len(self._data):
+            raise ValueError(
+                f"trailing input: {len(self._data) - self._pos} bytes after offset {self._pos}"
+            )
 
 
 def derive_scalars(seed: bytes, count: int, modulus: int, tag: bytes = b"") -> list[int]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import math
 import subprocess
@@ -36,7 +37,7 @@ from .bootstrap import build_genesis
 from .config import ExperimentSpec
 from .datasets import Dataset, make_dataset, partition
 from .encoding import sha256, u64
-from .ledger import Ledger
+from .ledger import Ledger, save_chain
 from .models import ModelParams, make_model, validation_error
 from .sgd import compute_local_update
 from .simnet import Simulation
@@ -354,112 +355,113 @@ def _write_summary(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _baseline(spec: ExperimentSpec, out_dir) -> dict:
+    run = run_protocol_experiment(spec)
+    run.metrics.to_csv(out_dir / "metrics.csv")
+    _save_chain(out_dir, run)
+    return {
+        "final_validation_error": run.metrics.final("validation_error"),
+        "blocks": run.metrics.final("blocks"),
+    }
+
+
+def _poisoning_comparison(spec: ExperimentSpec, out_dir) -> dict:
+    clean = dataclasses.replace(spec, adversary=dataclasses.replace(spec.adversary, fraction=0.0))
+    fl_clean = run_fl_baseline(clean)
+    fl_poisoned = run_fl_baseline(spec)
+    defended = run_protocol_experiment(spec)
+    fl_clean.metrics.to_csv(out_dir / "federated_clean.csv")
+    fl_poisoned.metrics.to_csv(out_dir / "federated_poisoned.csv")
+    defended.metrics.to_csv(out_dir / "protocol_poisoned.csv")
+    _save_chain(out_dir, defended)
+    return {
+        "federated_clean_final_error": fl_clean.metrics.final("validation_error"),
+        "federated_poisoned_max_attack": max(fl_poisoned.metrics.series("attack_rate")),
+        "protocol_final_attack": defended.metrics.final("attack_rate"),
+        "protocol_final_error": defended.metrics.final("validation_error"),
+        "honest_stake_final": defended.metrics.final("honest_stake_fraction"),
+    }
+
+
+def _sweep(key: str, field: str, values, csv_name, spec: ExperimentSpec, out_dir) -> dict:
+    """Run the protocol at each ``spec.sweep[key]`` value (default ``values``)
+    of spec field ``field`` for ``spec.sweep["seeds"]`` seeds each."""
+    rows = []
+    for value in spec.sweep.get(key, values):
+        for ds in range(spec.sweep.get("seeds", 3)):
+            point = dataclasses.replace(spec, seed=spec.seed + ds, **{field: value})
+            run = run_protocol_experiment(point)
+            run.metrics.to_csv(out_dir / csv_name(value, point.seed))
+            rows.append(
+                [value, point.seed, run.metrics.tail_mean("attack_rate"),
+                 run.metrics.final("validation_error")]
+            )
+    _write_summary(out_dir / "summary.csv", [key, "seed", "attack_rate", "validation_error"], rows)
+    return {"grid": rows}
+
+
+def _churn(spec: ExperimentSpec, out_dir) -> dict:
+    churned = run_protocol_experiment(spec)
+    still = run_protocol_experiment(dataclasses.replace(spec, churn_per_minute=0.0))
+    churned.metrics.to_csv(out_dir / "churned.csv")
+    still.metrics.to_csv(out_dir / "zero_churn.csv")
+    _save_chain(out_dir, churned)
+    return {
+        "churned_final_error": churned.metrics.final("validation_error"),
+        "zero_churn_final_error": still.metrics.final("validation_error"),
+        "churned_blocks": churned.metrics.final("blocks"),
+        "forks": churned.metrics.final("forks"),
+    }
+
+
+def _inversion(spec: ExperimentSpec, out_dir) -> dict:
+    results, images = inversion_batching_experiment(seed=spec.seed)
+    for count, image in images.items():
+        write_pgm(out_dir / f"inverted_batch{count:02d}.pgm", image)
+    _write_summary(out_dir / "similarity.csv", ["batch_count", "nearest_cosine"], results)
+    return {"similarity": results}
+
+
+def _collusion_grid(spec: ExperimentSpec, out_dir) -> dict:
+    rows = []
+    trials = spec.sweep.get("trials", 10_000)
+    for noisers in spec.sweep.get("noisers", [3, 5, 10]):
+        for frac in spec.sweep.get("stake_fractions", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]):
+            p = collusion_violation_probability(frac, noisers, trials, seed=spec.seed)
+            rows.append([noisers, frac, p])
+    _write_summary(out_dir / "collusion.csv", ["noisers", "malicious_stake_fraction", "violation_probability"], rows)
+    return {"grid": rows}
+
+
+# experiment name -> runner(spec, out_dir) returning its summary fields
+EXPERIMENTS = {
+    "baseline": _baseline,
+    "poisoning-comparison": _poisoning_comparison,
+    "sample-fraction-sweep": functools.partial(
+        _sweep, "collect_fraction", "collect_fraction", [0.5, 0.7, 0.9],
+        lambda v, seed: f"fraction_{int(v * 100)}_seed{seed}.csv",
+    ),
+    "epsilon-sweep": functools.partial(
+        _sweep, "epsilon", "privacy_budget_epsilon", [0.5, 1.0, 2.0],
+        lambda v, seed: f"epsilon_{v}_seed{seed}.csv",
+    ),
+    "churn": _churn,
+    "inversion": _inversion,
+    "collusion-grid": _collusion_grid,
+}
+
+
 def run_named_experiment(spec: ExperimentSpec, out_dir) -> dict:
-    """Dispatch on spec.name; writes CSVs (plus chain/PGM artifacts) into
-    out_dir and returns a summary dict."""
+    """Run the experiment named by spec.name; writes CSVs (plus chain/PGM
+    artifacts) and metadata.json into out_dir and returns a summary dict."""
+    runner = EXPERIMENTS.get(spec.name)
+    if runner is None:
+        raise ValueError(f"unknown experiment {spec.name!r}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    name = spec.name
-    summary: dict = {"experiment": name}
-
-    if name == "baseline":
-        run = run_protocol_experiment(spec)
-        run.metrics.to_csv(out_dir / "metrics.csv")
-        _save_chain(out_dir, run)
-        summary["final_validation_error"] = run.metrics.final("validation_error")
-        summary["blocks"] = run.metrics.final("blocks")
-
-    elif name == "poisoning-comparison":
-        poisoned = dataclasses.replace(spec, name="poisoning-comparison")
-        clean = dataclasses.replace(
-            spec, adversary=dataclasses.replace(spec.adversary, fraction=0.0)
-        )
-        fl_clean = run_fl_baseline(clean)
-        fl_poisoned = run_fl_baseline(poisoned)
-        defended = run_protocol_experiment(poisoned)
-        fl_clean.metrics.to_csv(out_dir / "federated_clean.csv")
-        fl_poisoned.metrics.to_csv(out_dir / "federated_poisoned.csv")
-        defended.metrics.to_csv(out_dir / "protocol_poisoned.csv")
-        _save_chain(out_dir, defended)
-        summary.update(
-            {
-                "federated_clean_final_error": fl_clean.metrics.final("validation_error"),
-                "federated_poisoned_max_attack": max(fl_poisoned.metrics.series("attack_rate")),
-                "protocol_final_attack": defended.metrics.final("attack_rate"),
-                "protocol_final_error": defended.metrics.final("validation_error"),
-                "honest_stake_final": defended.metrics.final("honest_stake_fraction"),
-            }
-        )
-
-    elif name == "sample-fraction-sweep":
-        rows = []
-        fractions = spec.sweep.get("collect_fraction", [0.5, 0.7, 0.9])
-        for fraction in fractions:
-            for ds in range(spec.sweep.get("seeds", 3)):
-                point = dataclasses.replace(spec, collect_fraction=fraction, seed=spec.seed + ds)
-                run = run_protocol_experiment(point)
-                run.metrics.to_csv(out_dir / f"fraction_{int(fraction * 100)}_seed{point.seed}.csv")
-                rows.append(
-                    [fraction, point.seed, run.metrics.tail_mean("attack_rate"),
-                     run.metrics.final("validation_error")]
-                )
-        _write_summary(out_dir / "summary.csv", ["collect_fraction", "seed", "attack_rate", "validation_error"], rows)
-        summary["grid"] = rows
-
-    elif name == "epsilon-sweep":
-        rows = []
-        for eps in spec.sweep.get("epsilon", [0.5, 1.0, 2.0]):
-            for ds in range(spec.sweep.get("seeds", 3)):
-                point = dataclasses.replace(
-                    spec, privacy_budget_epsilon=eps, seed=spec.seed + ds
-                )
-                run = run_protocol_experiment(point)
-                run.metrics.to_csv(out_dir / f"epsilon_{eps}_seed{point.seed}.csv")
-                rows.append(
-                    [eps, point.seed, run.metrics.tail_mean("attack_rate"),
-                     run.metrics.final("validation_error")]
-                )
-        _write_summary(out_dir / "summary.csv", ["epsilon", "seed", "attack_rate", "validation_error"], rows)
-        summary["grid"] = rows
-
-    elif name == "churn":
-        churned = run_protocol_experiment(spec)
-        still = run_protocol_experiment(dataclasses.replace(spec, churn_per_minute=0.0))
-        churned.metrics.to_csv(out_dir / "churned.csv")
-        still.metrics.to_csv(out_dir / "zero_churn.csv")
-        _save_chain(out_dir, churned)
-        summary.update(
-            {
-                "churned_final_error": churned.metrics.final("validation_error"),
-                "zero_churn_final_error": still.metrics.final("validation_error"),
-                "churned_blocks": churned.metrics.final("blocks"),
-                "forks": churned.metrics.final("forks"),
-            }
-        )
-
-    elif name == "inversion":
-        results, images = inversion_batching_experiment(seed=spec.seed)
-        for count, image in images.items():
-            write_pgm(out_dir / f"inverted_batch{count:02d}.pgm", image)
-        _write_summary(out_dir / "similarity.csv", ["batch_count", "nearest_cosine"], results)
-        summary["similarity"] = results
-
-    elif name == "collusion-grid":
-        rows = []
-        for noisers in spec.sweep.get("noisers", [3, 5, 10]):
-            for frac in spec.sweep.get("stake_fractions", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]):
-                p = collusion_violation_probability(frac, noisers, 10_000, seed=spec.seed)
-                rows.append([noisers, frac, p])
-        _write_summary(out_dir / "collusion.csv", ["noisers", "malicious_stake_fraction", "violation_probability"], rows)
-        summary["grid"] = rows
-
-    else:
-        raise ValueError(f"unknown experiment {name!r}")
-
+    summary = {"experiment": spec.name, **runner(spec, out_dir)}
     write_metadata(out_dir, spec, {"summary": summary})
     return summary
 
 
 def _save_chain(out_dir, run: ExperimentRun) -> None:
-    from .ledger import save_chain
-
     save_chain(out_dir / "chain.bin", run.result.final_ledger)

@@ -90,7 +90,8 @@ class ProtocolConfig:
         return w.getvalue()
 
     @classmethod
-    def from_reader(cls, r: ByteReader) -> "ProtocolConfig":
+    def from_bytes(cls, data: bytes) -> "ProtocolConfig":
+        r = ByteReader(data)
         backend_name = r.bytes_lp().decode()
         model_family = r.bytes_lp().decode()
         n_features = r.u32()
@@ -105,6 +106,7 @@ class ProtocolConfig:
         collect_fraction = r.f64()
         stake_reward = r.u32()
         train = TrainConfig(r.f64(), r.f64(), r.f64(), r.u32(), r.u32())
+        r.done()
         return cls(
             backend_name,
             model_family,
@@ -182,7 +184,8 @@ class GenesisBlock:
             stake[pid] = r.u64()
         stake_rule = r.bytes_lp().decode()
         global_key = r.bytes_lp()
-        config = ProtocolConfig.from_reader(ByteReader(r.bytes_lp()))
+        config = ProtocolConfig.from_bytes(r.bytes_lp())
+        r.done()
         return cls(
             initial_model,
             pk,
@@ -215,7 +218,7 @@ class Block:
     aggregator_sigs: tuple  # (aggregator_id, signature over content hash)
 
 
-def _poly_to_writer(w: ByteWriter, poly: QuantizedPoly, backend) -> None:
+def write_poly(w: ByteWriter, poly: QuantizedPoly, backend) -> None:
     width = (backend.order.bit_length() + 7) // 8
     w.u32(poly.scale_bits)
     w.u32(len(poly.coeffs))
@@ -223,7 +226,7 @@ def _poly_to_writer(w: ByteWriter, poly: QuantizedPoly, backend) -> None:
         w.raw(int(c).to_bytes(width, "little"))
 
 
-def _poly_from_reader(r: ByteReader, backend) -> QuantizedPoly:
+def read_poly(r: ByteReader, backend) -> QuantizedPoly:
     width = (backend.order.bit_length() + 7) // 8
     scale_bits = r.u32()
     n = r.u32()
@@ -231,31 +234,37 @@ def _poly_from_reader(r: ByteReader, backend) -> QuantizedPoly:
     return QuantizedPoly(coeffs, scale_bits, backend.order)
 
 
+def write_id_pairs(w: ByteWriter, pairs) -> None:
+    """A counted list of (peer id, byte string) pairs, e.g. signature lists."""
+    w.u32(len(pairs))
+    for pid, data in pairs:
+        w.u32(pid)
+        w.bytes_lp(data)
+
+
+def read_id_pairs(r: ByteReader) -> tuple:
+    return tuple((r.u32(), r.bytes_lp()) for _ in range(r.u32()))
+
+
 def block_content_bytes(block: Block, backend) -> bytes:
     """Canonical serialization minus the aggregator signatures (what they sign)."""
     w = ByteWriter()
     w.raw(block.prev_hash)
     w.u32(block.iteration)
-    _poly_to_writer(w, block.aggregate_poly, backend)
+    write_poly(w, block.aggregate_poly, backend)
     w.f64_vector(block.model_weights)
     w.u32(len(block.commitments))
     for entry in block.commitments:
         w.u32(entry.peer)
         w.raw(backend.g1_to_bytes(entry.commitment.value))
-        w.u32(len(entry.verifier_sigs))
-        for vid, sig in entry.verifier_sigs:
-            w.u32(vid)
-            w.bytes_lp(sig)
+        write_id_pairs(w, entry.verifier_sigs)
     return w.getvalue()
 
 
 def block_to_bytes(block: Block, backend) -> bytes:
     w = ByteWriter()
     w.raw(block_content_bytes(block, backend))
-    w.u32(len(block.aggregator_sigs))
-    for aid, sig in block.aggregator_sigs:
-        w.u32(aid)
-        w.bytes_lp(sig)
+    write_id_pairs(w, block.aggregator_sigs)
     return w.getvalue()
 
 
@@ -263,22 +272,16 @@ def block_from_bytes(data: bytes, backend) -> Block:
     r = ByteReader(data)
     prev_hash = r.raw(32)
     iteration = r.u32()
-    poly = _poly_from_reader(r, backend)
+    poly = read_poly(r, backend)
     weights = np.array(r.f64_vector())
     entries = []
     for _ in range(r.u32()):
         pid = r.u32()
         c = Commitment(backend.g1_from_bytes(r.raw(backend.element_size)))
-        sigs = []
-        for _ in range(r.u32()):
-            vid = r.u32()
-            sigs.append((vid, r.bytes_lp()))
-        entries.append(CommitmentEntry(pid, c, tuple(sigs)))
-    agg_sigs = []
-    for _ in range(r.u32()):
-        aid = r.u32()
-        agg_sigs.append((aid, r.bytes_lp()))
-    return Block(prev_hash, iteration, poly, weights, tuple(entries), tuple(agg_sigs))
+        entries.append(CommitmentEntry(pid, c, read_id_pairs(r)))
+    agg_sigs = read_id_pairs(r)
+    r.done()
+    return Block(prev_hash, iteration, poly, weights, tuple(entries), agg_sigs)
 
 
 def block_content_hash(block: Block, backend) -> bytes:
@@ -292,6 +295,28 @@ def block_hash(block: Block, backend) -> bytes:
 def verifier_sign_context(iteration: int, commitment: Commitment, backend) -> bytes:
     """Message a verifier signs to endorse one peer's update commitment."""
     return b"accept" + iteration.to_bytes(4, "little") + backend.g1_to_bytes(commitment.value)
+
+
+def entry_rejection(
+    entry: CommitmentEntry, iteration: int, verifiers, aggregators, pubkeys, backend
+) -> str:
+    """The block rule for one contribution to round ``iteration``: '' if it
+    may enter the block, else the rejection reason.  The contributor sits on
+    neither committee; every listed signature comes from a distinct verifier
+    of this round and is valid; and they form a strict majority."""
+    if entry.peer in verifiers or entry.peer in aggregators:
+        return "contributor-on-committee"
+    context = verifier_sign_context(iteration, entry.commitment, backend)
+    signed = set()
+    for vid, sig in entry.verifier_sigs:
+        if vid not in verifiers or vid in signed:
+            return "bad-verifier-signature"
+        if not signatures.verify(backend, pubkeys[vid], context, sig):
+            return "bad-verifier-signature"
+        signed.add(vid)
+    if len(signed) <= len(verifiers) // 2:
+        return "missing-verifier-majority"
+    return ""
 
 
 def round_committees(genesis: GenesisBlock, stake: dict, prev_hash: bytes, iteration: int):
@@ -352,26 +377,21 @@ class Ledger:
         verifiers, aggregators = round_committees(
             self.genesis, self.stake, block.prev_hash, block.iteration
         )
-        committee_members = set(verifiers.committee) | set(aggregators.committee)
-
         peers_seen = set()
-        majority = len(verifiers.committee) // 2 + 1
         for entry in block.commitments:
             if entry.peer in peers_seen:
                 return False, "duplicate-contributor"
             peers_seen.add(entry.peer)
-            if entry.peer in committee_members:
-                return False, "contributor-on-committee"
-            context = verifier_sign_context(block.iteration, entry.commitment, backend)
-            valid = set()
-            for vid, sig in entry.verifier_sigs:
-                if vid not in verifiers.committee or vid in valid:
-                    return False, "bad-verifier-signature"
-                if not signatures.verify(backend, self.genesis.peer_pubkeys[vid], context, sig):
-                    return False, "bad-verifier-signature"
-                valid.add(vid)
-            if len(valid) < majority:
-                return False, "missing-verifier-majority"
+            reason = entry_rejection(
+                entry,
+                block.iteration,
+                verifiers.committee,
+                aggregators.committee,
+                self.genesis.peer_pubkeys,
+                backend,
+            )
+            if reason:
+                return False, reason
 
         if not block.aggregator_sigs:
             return False, "no-aggregator-signature"

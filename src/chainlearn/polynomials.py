@@ -15,11 +15,6 @@ def poly_eval(coeffs: list[int], x: int, p: int) -> int:
     return acc
 
 
-def poly_add(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    return [((a[j] if j < len(a) else 0) + (b[j] if j < len(b) else 0)) % p for j in range(n)]
-
-
 def quotient_at(coeffs: list[int], z: int, p: int) -> tuple[list[int], int]:
     """Synthetic division by (x - z): returns (quotient, remainder).
 

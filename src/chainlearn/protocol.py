@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import signatures
-from .commitments import Commitment, commit
+from .commitments import Commitment, combine, commit
 from .committees import VrfOutput, draw_committee, noiser_seed, verify_vrf
 from .encoding import ByteWriter, sha256, u64
 from .krum import KrumConfig, max_tolerable_f, multi_krum_select
@@ -41,6 +41,8 @@ from .ledger import (
     block_content_hash,
     round_committees,
     verifier_sign_context,
+    write_id_pairs,
+    write_poly,
 )
 from .models import make_model
 from .noise import generate_noise, mask_update
@@ -125,16 +127,9 @@ class UpdateSubmission:
         w = ByteWriter()
         w.u32(self.iteration)
         w.u32(self.sender)
-        width = (backend.order.bit_length() + 7) // 8
-        w.u32(self.masked.scale_bits)
-        w.u32(len(self.masked.coeffs))
-        for c in self.masked.coeffs:
-            w.raw(int(c).to_bytes(width, "little"))
+        write_poly(w, self.masked, backend)
         w.raw(backend.g1_to_bytes(self.commitment.value))
-        w.u32(len(self.noise_commitments))
-        for nid, cbytes in self.noise_commitments:
-            w.u32(nid)
-            w.bytes_lp(cbytes)
+        write_id_pairs(w, self.noise_commitments)
         w.bytes_lp(self.noiser_vrf.proof)
         w.bytes_lp(self.noiser_vrf.seed)
         for member in self.noiser_vrf.committee:
@@ -240,7 +235,7 @@ def verify_masked_submission(sub: UpdateSubmission, genesis, stake: dict, prev_h
     if tuple(nid for nid, _ in sub.noise_commitments) != sub.noiser_vrf.committee:
         return False
     # listed noise commitments must be the genesis table entries
-    product = sub.commitment.value
+    noise = []
     for nid, cbytes in sub.noise_commitments:
         try:
             entry = genesis.noise_table.entry(nid, sub.iteration)
@@ -248,9 +243,10 @@ def verify_masked_submission(sub: UpdateSubmission, genesis, stake: dict, prev_h
             return False
         if backend.g1_to_bytes(entry.value) != cbytes:
             return False
-        product = backend.g1_add(product, entry.value)
+        noise.append(entry)
     # masking equality: commit(masked) == commit(update) * prod commit(noise)
-    return commit(genesis.commit_pk, sub.masked).value == product
+    product = combine(backend, [sub.commitment, *noise])
+    return commit(genesis.commit_pk, sub.masked).value == product.value
 
 
 def sample_for_krum(pool_ids, target: int, prev_hash: bytes, iteration: int) -> list[int]:
@@ -271,14 +267,12 @@ def sample_for_krum(pool_ids, target: int, prev_hash: bytes, iteration: int) -> 
 @dataclass
 class RoundState:
     iteration: int = 0
-    started_at: float = 0.0
     verifiers: tuple = ()
     aggregators: tuple = ()
     noiser_vrf: VrfOutput | None = None
     update_q: object = None
     commitment: Commitment | None = None
     noise_responses: dict = field(default_factory=dict)
-    submitted: bool = False
     grants: dict = field(default_factory=dict)
     dealt: bool = False
     # verifier side
@@ -310,7 +304,6 @@ class PeerNode:
         self.stage = Stage.IDLE
         self.round = RoundState()
         self.audit: list[str] = []
-        self.submissions_made = 0
 
     # -- helpers ---------------------------------------------------------------
 
@@ -350,7 +343,6 @@ class PeerNode:
         )
         self.round = RoundState(
             iteration=iteration,
-            started_at=now,
             verifiers=verifiers.committee,
             aggregators=aggregators.committee,
         )
@@ -484,8 +476,6 @@ class PeerNode:
         sub = UpdateSubmission(rs.iteration, self.id, masked, rs.commitment, listed, rs.noiser_vrf)
         sig = signatures.sign(backend, self.secrets.keypair, sub.payload_bytes(backend))
         sub = replace(sub, signature=sig)
-        rs.submitted = True
-        self.submissions_made += 1
         self.stage = Stage.AWAITING_SIGNATURES
         return [(vid, sub, None) for vid in rs.verifiers]
 
@@ -572,12 +562,14 @@ class PeerNode:
         if bundle.dealer != msg.sender or bundle.dealer in rs.accepted_bundles:
             self.audit.append(f"duplicate/forged bundle from {msg.sender}")
             return []
-        if bundle.dealer in rs.verifiers or bundle.dealer in rs.aggregators:
-            self.audit.append(f"committee member {msg.sender} dealt an update")
-            return []
-        committee_keys = {vid: self.genesis.peer_pubkeys[vid] for vid in rs.verifiers}
-        context = verifier_sign_context(rs.iteration, bundle.commitment, self.backend)
-        if not accept_bundle(bundle, committee_keys, self.genesis.commit_pk, context):
+        if not accept_bundle(
+            bundle,
+            rs.iteration,
+            rs.verifiers,
+            rs.aggregators,
+            self.genesis.peer_pubkeys,
+            self.genesis.commit_pk,
+        ):
             self.audit.append(f"r{rs.iteration}: bundle from {msg.sender} rejected")
             return []
         rs.accepted_bundles[bundle.dealer] = bundle
@@ -658,10 +650,7 @@ class PeerNode:
         backend = self.backend
         pk = self.genesis.commit_pk
         bundles = [rs.accepted_bundles[pid] for pid in rs.announce]
-        combined_value = backend.g1_identity
-        for b in bundles:
-            combined_value = backend.g1_add(combined_value, b.commitment.value)
-        combined = Commitment(combined_value)
+        combined = combine(backend, [b.commitment for b in bundles])
         all_shares = [s for shares in rs.agg_shares.values() for s in shares]
         try:
             aggregate = recover_aggregate(all_shares, pk, combined, self.config.scale_bits)

@@ -92,10 +92,6 @@ def decode(poly: QuantizedPoly) -> np.ndarray:
     return out
 
 
-def zero_poly(dim: int, modulus: int, scale_bits: int = DEFAULT_SCALE_BITS) -> QuantizedPoly:
-    return QuantizedPoly((0,) * (dim + 1), scale_bits, modulus)
-
-
 def sum_polys(polys) -> QuantizedPoly:
     polys = list(polys)
     if not polys:

@@ -49,6 +49,7 @@ def verify(backend, public, message: bytes, signature: bytes) -> bool:
         r = ByteReader(signature)
         R = backend.g1_from_bytes(r.bytes_lp())
         s = r.int_lp()
+        r.done()
     except ValueError:
         return False
     c = _challenge(backend, R, public, message)

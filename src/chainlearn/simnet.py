@@ -39,10 +39,8 @@ class SimResult:
     block_records: list  # (sim time, Block), chain order
     forks: int
     dropped_updates: dict  # round -> submissions that made no block
-    submissions: dict  # round -> distinct submitters
     final_ledger: object
     final_time: float
-    observer: int
     offline_at_end: set
     deadlocked: bool = False
 
@@ -62,7 +60,6 @@ class Simulation:
         supplies a new local partition when a peer rejoins."""
         self.genesis = genesis
         self.sim = sim
-        self.churn_per_minute = sim.churn_per_minute
         self.timeouts = timeouts
         self.fresh_shard = fresh_shard
         self.rng = np.random.default_rng(sim.seed)
@@ -108,13 +105,6 @@ class Simulation:
                 self._push(self.now + self._latency(), dest, payload)
 
     # -- churn --------------------------------------------------------------------
-
-    def inject_churn(self, rate: float) -> None:
-        """Set the fail/join cadence (events per simulated minute) before or
-        during a run; 0 stops churn after the next pending event."""
-        if rate < 0:
-            raise ValueError("churn rate must be non-negative")
-        self.churn_per_minute = rate
 
     def _schedule_churn(self, time: float, kind: str) -> None:
         self._push(time, -1, ("churn", kind))
@@ -164,8 +154,9 @@ class Simulation:
         time_cap = (cfg.total_iterations + 3) * budget
         for pid in sorted(self.peers):
             self._dispatch_actions(pid, self.peers[pid].start_round(1, 0.0))
-        if self.churn_per_minute > 0:
-            self._schedule_churn(60.0 / self.churn_per_minute, "fail")
+        churn = self.sim.churn_per_minute
+        if churn > 0:
+            self._schedule_churn(60.0 / churn, "fail")
         deadlocked = False
 
         while self.events:
@@ -179,9 +170,8 @@ class Simulation:
                     self._churn_fail()
                 else:
                     self._churn_join()
-                if self.churn_per_minute > 0:
-                    nxt = "join" if kind == "fail" else "fail"
-                    self._schedule_churn(self.now + 60.0 / self.churn_per_minute, nxt)
+                nxt = "join" if kind == "fail" else "fail"
+                self._schedule_churn(self.now + 60.0 / churn, nxt)
                 continue
             if not self.online[target]:
                 continue  # messages and timers to offline peers are lost
@@ -214,10 +204,8 @@ class Simulation:
             block_records=self.block_records,
             forks=self.forks,
             dropped_updates=dropped,
-            submissions={t: sorted(s) for t, s in self.submissions.items()},
             final_ledger=self.peers[observer].ledger,
             final_time=self.now,
-            observer=observer,
             offline_at_end={p for p, up in self.online.items() if not up},
             deadlocked=deadlocked,
         )
@@ -226,12 +214,4 @@ class Simulation:
         limit = self.genesis.config.total_iterations
         return all(
             self.peers[p].round.iteration > limit for p in self.peers if self.online[p]
-        )
-
-
-def detect_deadlock(result: SimResult) -> None:
-    if result.deadlocked:
-        raise RuntimeError(
-            "simulation deadlocked: no events left before the final round; "
-            f"chain height {result.final_ledger.height}, time {result.final_time:.1f}s"
         )

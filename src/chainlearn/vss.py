@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import signatures
 from .commitments import Commitment, CommitPK, Witness, commit, create_witness, verify_share
-from .encoding import ByteReader, ByteWriter
+from .ledger import CommitmentEntry, entry_rejection
 from .polynomials import lagrange_interpolate
 from .quantize import QuantizedPoly
 
@@ -84,22 +83,14 @@ def deal_shares(
 
 
 def accept_bundle(
-    bundle: ShareBundle,
-    verifier_committee: dict,
-    pk: CommitPK,
-    signed_context: bytes,
+    bundle: ShareBundle, iteration: int, verifiers, aggregators, pubkeys, pk: CommitPK
 ) -> bool:
-    """True iff a strict majority of the verifier committee signed this
-    commitment and every share opens it.  ``verifier_committee`` maps
-    verifier id -> public key; ``signed_context`` is the exact message the
-    verifiers signed."""
-    backend = pk.backend
-    valid_signers = set()
-    for verifier_id, sig in bundle.signatures:
-        if verifier_id in verifier_committee and verifier_id not in valid_signers:
-            if signatures.verify(backend, verifier_committee[verifier_id], signed_context, sig):
-                valid_signers.add(verifier_id)
-    if len(valid_signers) <= len(verifier_committee) // 2:
+    """True iff the dealer's entry passes the block rule for round
+    ``iteration`` (``ledger.entry_rejection``, against the round's verifier
+    and aggregator committees and the genesis ``pubkeys``) and every share
+    opens the commitment."""
+    entry = CommitmentEntry(bundle.dealer, bundle.commitment, bundle.signatures)
+    if entry_rejection(entry, iteration, verifiers, aggregators, pubkeys, pk.backend):
         return False
     return all(verify_share(pk, bundle.commitment, w) for w in bundle.shares)
 
@@ -164,39 +155,3 @@ def recover_aggregate(
     if commit(pk, poly).value != combined.value:
         raise ShareRecoveryError("interpolated polynomial does not match the combined commitment")
     return poly
-
-
-# --- wire format -------------------------------------------------------------
-
-
-def bundle_to_bytes(bundle: ShareBundle, backend) -> bytes:
-    w = ByteWriter()
-    w.u32(bundle.dealer)
-    w.bytes_lp(backend.g1_to_bytes(bundle.commitment.value))
-    w.u32(len(bundle.shares))
-    for share in bundle.shares:
-        w.int_lp(share.point)
-        w.int_lp(share.eval)
-        w.bytes_lp(backend.g1_to_bytes(share.value))
-    w.u32(len(bundle.signatures))
-    for verifier_id, sig in bundle.signatures:
-        w.u32(verifier_id)
-        w.bytes_lp(sig)
-    return w.getvalue()
-
-
-def bundle_from_bytes(data: bytes, backend) -> ShareBundle:
-    r = ByteReader(data)
-    dealer = r.u32()
-    commitment = Commitment(backend.g1_from_bytes(r.bytes_lp()))
-    shares = []
-    for _ in range(r.u32()):
-        point = r.int_lp()
-        eval_ = r.int_lp()
-        value = backend.g1_from_bytes(r.bytes_lp())
-        shares.append(Witness(value, point, eval_))
-    sigs = []
-    for _ in range(r.u32()):
-        vid = r.u32()
-        sigs.append((vid, r.bytes_lp()))
-    return ShareBundle(dealer, commitment, tuple(shares), tuple(sigs))

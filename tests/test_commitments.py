@@ -13,7 +13,7 @@ from chainlearn.commitments import (
     verify_share,
 )
 from chainlearn.groups import get_backend
-from chainlearn.quantize import QuantizedPoly, encode, sum_polys, zero_poly
+from chainlearn.quantize import QuantizedPoly, encode, sum_polys
 
 
 def make_pk(backend_name, degree, seed=b"ceremony"):
@@ -56,11 +56,14 @@ def test_pk_roundtrip():
     backend, pk = make_pk("pairing", 4)
     restored = CommitPK.from_bytes(backend, pk.to_bytes())
     assert restored.to_bytes() == pk.to_bytes()
+    with pytest.raises(ValueError):
+        CommitPK.from_bytes(backend, pk.to_bytes() + b"\x00")
 
 
 def test_commit_zero_is_identity(ctx):
     backend, pk, _ = ctx
-    assert commit(pk, zero_poly(8, backend.order)).value == backend.g1_identity
+    zero = QuantizedPoly((0,) * 9, 20, backend.order)
+    assert commit(pk, zero).value == backend.g1_identity
 
 
 def test_commit_inverse_cancels(ctx):

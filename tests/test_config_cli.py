@@ -99,13 +99,12 @@ def test_cli_bad_config_is_error(tmp_path, capsys):
 
 
 def test_cli_collusion_prob(tmp_path, capsys):
-    out = tmp_path / "grid.csv"
-    code = main([
-        "collusion-prob", "--trials", "500", "--noisers", "3",
-        "--stake-fractions", "0.0", "0.5", "--out", str(out),
-    ])
+    cfg = tmp_path / "cfg.json"
+    save_spec(cfg, small_spec(sweep={"trials": 500, "noisers": [3], "stake_fractions": [0.0, 0.5]}))
+    out = tmp_path / "grid"
+    code = main(["run", "--config", str(cfg), "--experiment", "collusion-grid", "--out", str(out)])
     assert code == 0
-    lines = out.read_text().splitlines()
+    lines = (out / "collusion.csv").read_text().splitlines()
     assert lines[0] == "noisers,malicious_stake_fraction,violation_probability"
     assert len(lines) == 3
 
@@ -118,7 +117,7 @@ def test_cli_krum_bench(capsys):
 
 def test_cli_invert(tmp_path, capsys):
     out = tmp_path / "inv"
-    assert main(["invert", "--seed", "3", "--out", str(out)]) == 0
+    assert main(["run", "--experiment", "inversion", "--seed", "3", "--out", str(out)]) == 0
     assert (out / "similarity.csv").exists()
     pgms = sorted(out.glob("*.pgm"))
     assert len(pgms) == 4

@@ -10,6 +10,7 @@ from chainlearn.ledger import (
     Block,
     GenesisBlock,
     Ledger,
+    ProtocolConfig,
     REJECTION_REASONS,
     block_from_bytes,
     block_hash,
@@ -36,6 +37,10 @@ def test_genesis_roundtrip_and_hash_stability(tiny_net):
     restored = GenesisBlock.from_bytes(data, BACKEND)
     assert restored.to_bytes() == data
     assert restored.hash() == genesis.hash()
+    with pytest.raises(ValueError):
+        GenesisBlock.from_bytes(data + b"\x00", BACKEND)
+    with pytest.raises(ValueError):
+        ProtocolConfig.from_bytes(genesis.config.to_bytes() + b"\x00")
     # rebuilding from the same master seed gives the same hash
     rebuilt, _ = build_genesis(tiny_config(), range(12), b"tiny-net-seed")
     assert rebuilt.hash() == genesis.hash()
@@ -59,6 +64,8 @@ def test_block_roundtrip(tiny_net):
     back = block_from_bytes(data, BACKEND)
     assert block_hash(back, BACKEND) == block_hash(block, BACKEND)
     assert np.array_equal(back.model_weights, block.model_weights)
+    with pytest.raises(ValueError):
+        block_from_bytes(data + b"\x00", BACKEND)
 
 
 def test_block_hash_changes_on_any_field(tiny_net):

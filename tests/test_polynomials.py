@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainlearn.polynomials import lagrange_interpolate, poly_add, poly_eval, quotient_at
+from chainlearn.polynomials import lagrange_interpolate, poly_eval, quotient_at
 
 P = (1 << 61) - 1
 
@@ -44,10 +44,6 @@ def test_interpolation_hand_example():
 def test_interpolation_requires_distinct_points():
     with pytest.raises(ValueError):
         lagrange_interpolate([(1, 5), (1, 6)], P)
-
-
-def test_poly_add():
-    assert poly_add([1, 2], [3], P) == [4, 2]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=P - 1), min_size=1, max_size=8), st.randoms())

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from chainlearn import protocol
 from chainlearn.bootstrap import build_genesis
 from chainlearn.commitments import commit
 from chainlearn.committees import draw_committee, noiser_seed
@@ -11,6 +12,8 @@ from chainlearn.encoding import sha256, u64
 from chainlearn.ledger import round_committees
 from chainlearn.noise import generate_noise, mask_update
 from chainlearn.protocol import (
+    AggShareMsg,
+    PeerNode,
     Stage,
     StageTimeouts,
     Timer,
@@ -29,9 +32,17 @@ from conftest import tiny_config
 # bytes fails here, on both group backends.
 EXPONENT_TIP = "90797668f6771efacb4d9e1f9df986627e0651550160e3d6ce8f0850f47c6985"
 PAIRING_TIP = "860e948411a63d5c4320c023f66a72ce0b96c15cbd2665c143035faf0e0aa113"
+# sha256 of the round-1 signed payloads of make_sim(), one message per sender
+# concatenated in sender order. These signatures never enter a block, so the
+# tip hashes above do not cover their encoding.
+SUBMISSION_PAYLOADS = "c94aeb4d669c930eb72e4234e04464d1fa1a66dd670278a7f353d72fd09ad647"
+AGGSHARE_PAYLOADS = "a9f868c202da5a1aaa52d690c33e5aa0074feb73c93eeb411cbfed253fdd7bdb"
 
 
-def make_sim(n_peers=10, iterations=5, seed=3, backend="exponent", features=3, **cfg_over):
+def make_sim(
+    n_peers=10, iterations=5, seed=3, backend="exponent", features=3, churn_per_minute=0.0,
+    **cfg_over,
+):
     config = tiny_config(
         total_iterations=iterations, n_features=features, backend_name=backend, **cfg_over
     )
@@ -43,7 +54,8 @@ def make_sim(n_peers=10, iterations=5, seed=3, backend="exponent", features=3, *
     )
     shards = partition(data, n_peers, seed=seed)
     datasets = {i: shards[i] for i in range(n_peers)}
-    return Simulation(genesis, secrets, datasets, StageTimeouts(), SimConfig(seed=seed))
+    sim_config = SimConfig(churn_per_minute=churn_per_minute, seed=seed)
+    return Simulation(genesis, secrets, datasets, StageTimeouts(), sim_config)
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +81,27 @@ def test_agreement_all_peers_share_one_tip(happy_run):
 def test_exponent_tip_is_pinned(happy_run):
     _, result = happy_run
     assert result.final_ledger.tip_hash().hex() == EXPONENT_TIP
+
+
+def test_signed_payloads_are_pinned(monkeypatch):
+    payloads = {UpdateSubmission: {}, AggShareMsg: {}}
+    handle = PeerNode.handle
+
+    def recording(peer, event, now):
+        actions = handle(peer, event, now)
+        for _, msg, _ in actions:
+            if type(msg) in payloads and msg.iteration == 1:
+                payloads[type(msg)][msg.sender] = msg.payload_bytes(peer.backend)
+        return actions
+
+    monkeypatch.setattr(PeerNode, "handle", recording)
+    make_sim().run()
+
+    def digest(by_sender):
+        return sha256(b"".join(by_sender[s] for s in sorted(by_sender))).hex()
+
+    assert digest(payloads[UpdateSubmission]) == SUBMISSION_PAYLOADS
+    assert digest(payloads[AggShareMsg]) == AGGSHARE_PAYLOADS
 
 
 def test_every_appended_block_revalidates(happy_run):
@@ -296,15 +329,44 @@ def test_full_protocol_on_pairing_backend():
     assert result.final_ledger.tip_hash().hex() == PAIRING_TIP
 
 
-def test_inject_churn_keeps_population_constant():
+def test_churn_keeps_population_constant():
     """Paired fail/join churn holds the online population within one of N."""
-    sim = make_sim(seed=12, iterations=12)
-    sim.inject_churn(30.0)  # aggressive: one event every 2 simulated seconds
+    # aggressive: one event every 2 simulated seconds
+    sim = make_sim(seed=12, iterations=12, churn_per_minute=30.0)
     result = sim.run()
     assert len(result.offline_at_end) <= 1
     assert result.final_ledger.height >= 4, "training must keep making progress"
     with pytest.raises(ValueError):
-        sim.inject_churn(-1.0)
+        SimConfig(churn_per_minute=-1)
+
+
+@pytest.mark.parametrize("padding", ["outsider", "duplicate"])
+def test_byzantine_dealer_is_left_out_and_rounds_seal(monkeypatch, padding):
+    """A dealer that pads its verifier-signature list with one bad pair is
+    refused by the aggregators under the block rule; its id appears in no
+    block and every round still seals."""
+    sim = make_sim()
+    byzantine = eligible_peer(sim)
+    deal_shares = protocol.deal_shares
+
+    def padded_deal(update_q, pk, aggregators, dealer, signatures_list):
+        if dealer == byzantine:
+            if padding == "outsider":
+                extra = (byzantine, b"\x00" * 8)
+            else:  # a listed verifier again, signing the wrong message
+                vid = signatures_list[0][0]
+                extra = (vid, sign(sim.peers[vid].backend, sim.peers[vid].secrets.keypair, b"x"))
+            signatures_list = tuple(signatures_list) + (extra,)
+        return deal_shares(
+            update_q, pk, aggregators, dealer=dealer, signatures_list=signatures_list
+        )
+
+    monkeypatch.setattr(protocol, "deal_shares", padded_deal)
+    result = sim.run()
+    # replicas, not the proposer's broadcasts: a minted block can still be refused
+    blocks = result.final_ledger.blocks
+    assert [b.iteration for b in blocks] == [1, 2, 3, 4, 5]
+    assert all(entry.peer != byzantine for block in blocks for entry in block.commitments)
 
 
 def test_protocol_trains_softmax_family():

@@ -43,6 +43,7 @@ def test_signature_roundtrip(name):
     assert not verify(backend, kp.public, b"hello", _signature(backend, identity, s))
     for cut in (0, 3, len(sig) - 1):
         assert not verify(backend, kp.public, b"hello", sig[:cut])
+    assert not verify(backend, kp.public, b"hello", sig + b"\x00")
 
 
 def test_single_peer_owns_ring():

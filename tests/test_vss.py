@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from chainlearn.commitments import combine, commit, trusted_setup
 from chainlearn.groups import get_backend
+from chainlearn.ledger import verifier_sign_context
 from chainlearn.quantize import decode, encode, sum_polys
 from chainlearn.signatures import keygen, sign
 from chainlearn.vss import (
@@ -11,8 +14,6 @@ from chainlearn.vss import (
     ShareRecoveryError,
     accept_bundle,
     assign_points,
-    bundle_from_bytes,
-    bundle_to_bytes,
     deal_shares,
     recover_aggregate,
     share_points,
@@ -67,41 +68,50 @@ def test_too_many_aggregators_rejected():
         deal_shares(q, pk, [0], dealer=0)
 
 
-def signed_bundle(pk, q, dealer, verifiers, context):
-    sigs = tuple(
-        (vid, sign(BACKEND, kp, context)) for vid, kp in verifiers.items()
-    )
-    return deal_shares(q, pk, [0, 1], dealer=dealer, signatures_list=sigs)
-
-
 def test_accept_bundle_majority_and_shares():
     rng = np.random.default_rng(1)
     pk = trusted_setup(BACKEND, 4, b"s")
     q = make_update(rng, 4)
-    verifiers = {i: keygen(BACKEND, bytes([i])) for i in range(3)}
-    committee = {i: kp.public for i, kp in verifiers.items()}
-    context = b"round-1-commit"
-    bundles = signed_bundle(pk, q, 5, verifiers, context)
-    assert accept_bundle(bundles[0], committee, pk, context)
+    keys = {i: keygen(BACKEND, bytes([i])) for i in range(5)}
+    pubkeys = {i: kp.public for i, kp in keys.items()}
+    verifiers, aggregators, dealer, iteration = (0, 1, 2), (3, 4), 7, 1
+    context = verifier_sign_context(iteration, commit(pk, q), BACKEND)
+    sigs = tuple((vid, sign(BACKEND, keys[vid], context)) for vid in verifiers)
+    bundle = deal_shares(q, pk, [0, 1], dealer=dealer, signatures_list=sigs)[0]
+
+    def accepts(b):
+        return accept_bundle(b, iteration, verifiers, aggregators, pubkeys, pk)
+
+    def with_sigs(signature_list):
+        return dataclasses.replace(bundle, signatures=signature_list)
+
+    assert accepts(bundle)
 
     # exactly half (1 of 3 -> floor majority boundary: 1 <= 1) is not enough
-    one_sig = ShareBundle(5, bundles[0].commitment, bundles[0].shares, bundles[0].signatures[:1])
-    assert not accept_bundle(one_sig, committee, pk, context)
+    assert not accepts(with_sigs(sigs[:1]))
 
     # forged eval fails share verification
-    bad_shares = list(bundles[0].shares)
+    bad_shares = list(bundle.shares)
     w = bad_shares[0]
     from chainlearn.commitments import Witness
 
     bad_shares[0] = Witness(w.value, w.point, (w.eval + 1) % MOD)
-    tampered = ShareBundle(5, bundles[0].commitment, tuple(bad_shares), bundles[0].signatures)
-    assert not accept_bundle(tampered, committee, pk, context)
+    assert not accepts(dataclasses.replace(bundle, shares=tuple(bad_shares)))
 
     # signature from outside the committee does not count
     outsider = keygen(BACKEND, b"outsider")
-    outsider_sigs = tuple((9, sign(BACKEND, outsider, context)) for _ in range(3))
-    forged = ShareBundle(5, bundles[0].commitment, bundles[0].shares, outsider_sigs)
-    assert not accept_bundle(forged, committee, pk, context)
+    pubkeys[9] = outsider.public
+    assert not accepts(with_sigs(tuple((9, sign(BACKEND, outsider, context)) for _ in range(3))))
+
+    # a valid majority padded with one bad pair fails the block rule, so the
+    # bundle is refused here rather than minted into a block replicas reject
+    assert not accepts(with_sigs(sigs + ((dealer, b"\x00" * 8),)))
+    assert not accepts(with_sigs(sigs + ((0, sign(BACKEND, keys[0], b"wrong message")),)))
+
+    # a committee member may not contribute
+    assert not accept_bundle(
+        dataclasses.replace(bundle, dealer=3), iteration, verifiers, aggregators, pubkeys, pk
+    )
 
 
 def test_sum_shares_hand_example():
@@ -215,15 +225,3 @@ def test_privacy_threshold_structure():
                 for coalition in combinations(range(m), size):
                     held = sum(len(assignment[a]) for a in coalition)
                     assert held < d + 1, (d, m, coalition)
-
-
-def test_bundle_wire_roundtrip():
-    rng = np.random.default_rng(7)
-    pk = trusted_setup(BACKEND, 4, b"s")
-    q = make_update(rng, 4)
-    kp = keygen(BACKEND, b"v")
-    sigs = ((3, sign(BACKEND, kp, b"ctx")),)
-    bundle = deal_shares(q, pk, [0, 1], dealer=2, signatures_list=sigs)[0]
-    data = bundle_to_bytes(bundle, BACKEND)
-    back = bundle_from_bytes(data, BACKEND)
-    assert back == bundle
