@@ -30,11 +30,11 @@ prev = sha256(b"block at the tip")
 seed = committee_seed(b"global-key", prev, ROLE_VERIFY, iteration=9)
 committee = draw_committee(ring, seed, k=3)
 print("verifier committee for this tip:", committee.committee)
-print("anyone can re-derive it:", verify_vrf(committee, seed, stake))
+print("anyone can re-derive it:", verify_vrf(committee, seed, ring))
 
 swapped = VrfOutput((committee.committee[0], 19, committee.committee[2]),
                     committee.proof, committee.seed)
-print("swapped member passes verification:", verify_vrf(swapped, seed, stake))
+print("swapped member passes verification:", verify_vrf(swapped, seed, ring))
 
 # keyed draws: bound to the drawing peer's key, unpredictable until revealed
 backend = get_backend("exponent")
@@ -43,7 +43,7 @@ nseed = noiser_seed(backend.g1_to_bytes(kp.public), prev, iteration=9)
 noisers = draw_committee(ring, nseed, k=2, backend=backend, signer=kp, exclude={3})
 print("peer 3's noiser set:", noisers.committee, "(proof: %d bytes)" % len(noisers.proof))
 print("verifies against peer 3's key:",
-      verify_vrf(noisers, nseed, stake, backend=backend, public_key=kp.public, exclude={3}))
+      verify_vrf(noisers, nseed, ring, backend=backend, public_key=kp.public, exclude={3}))
 other = keygen(backend, b"someone-else")
 print("verifies against another key:",
-      verify_vrf(noisers, nseed, stake, backend=backend, public_key=other.public, exclude={3}))
+      verify_vrf(noisers, nseed, ring, backend=backend, public_key=other.public, exclude={3}))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import signatures
 from .encoding import sha256, u64
-from .stake import StakeRing, build_ring
+from .stake import StakeRing
 
 ROLE_VERIFY = b"verify"
 ROLE_AGGREGATE = b"aggregate"
@@ -78,12 +78,12 @@ def draw_committee(
 def verify_vrf(
     output: VrfOutput,
     seed: bytes,
-    stake: dict,
+    ring: StakeRing,
     backend=None,
     public_key=None,
     exclude=frozenset(),
 ) -> bool:
-    """Recompute the draw from the seed and stake map and check the proof."""
+    """Recompute the draw from the seed and stake ring and check the proof."""
     if output.seed != seed:
         return False
     if output.proof:
@@ -93,8 +93,7 @@ def verify_vrf(
     else:
         start = sha256(seed)
     try:
-        ring = build_ring(stake)
         expected = _walk(ring, start, len(output.committee), exclude)
-    except (ValueError, KeyError):
+    except ValueError:
         return False
     return expected == output.committee

@@ -198,7 +198,12 @@ class GenesisBlock:
         )
 
     def hash(self) -> bytes:
-        return sha256(GENESIS_PREV_HASH + self.to_bytes())
+        # memoised: the encoding covers the whole N x T noise table
+        digest = self.__dict__.get("_digest")
+        if digest is None:
+            digest = sha256(GENESIS_PREV_HASH + self.to_bytes())
+            object.__setattr__(self, "_digest", digest)
+        return digest
 
 
 @dataclass(frozen=True)
@@ -261,11 +266,16 @@ def block_content_bytes(block: Block, backend) -> bytes:
     return w.getvalue()
 
 
-def block_to_bytes(block: Block, backend) -> bytes:
+def sealed_bytes(content: bytes, aggregator_sigs) -> bytes:
+    """A block's canonical serialization from its content bytes."""
     w = ByteWriter()
-    w.raw(block_content_bytes(block, backend))
-    write_id_pairs(w, block.aggregator_sigs)
+    w.raw(content)
+    write_id_pairs(w, aggregator_sigs)
     return w.getvalue()
+
+
+def block_to_bytes(block: Block, backend) -> bytes:
+    return sealed_bytes(block_content_bytes(block, backend), block.aggregator_sigs)
 
 
 def block_from_bytes(data: bytes, backend) -> Block:
@@ -319,9 +329,9 @@ def entry_rejection(
     return ""
 
 
-def round_committees(genesis: GenesisBlock, stake: dict, prev_hash: bytes, iteration: int):
-    """The (verifier, aggregator) committees every peer derives identically."""
-    ring = build_ring(stake)
+def round_committees(genesis: GenesisBlock, ring, prev_hash: bytes, iteration: int):
+    """The (verifier, aggregator) committees every peer derives identically,
+    from the stake ring ``build_ring(stake)``."""
     cfg = genesis.config
     v_seed = committee_seed(genesis.global_key, prev_hash, ROLE_VERIFY, iteration)
     a_seed = committee_seed(genesis.global_key, prev_hash, ROLE_AGGREGATE, iteration)
@@ -331,13 +341,25 @@ def round_committees(genesis: GenesisBlock, stake: dict, prev_hash: bytes, itera
 
 
 class Ledger:
-    """One peer's replica: genesis, the block list and the running stake."""
+    """One peer's replica: genesis, the block list and the running stake.
+
+    Every value a replica derives from its tip is computed once per tip: the
+    hash of each block is kept as it is appended, and the stake ring and the
+    committees of the next round are cached until the tip moves.
+    """
 
     def __init__(self, genesis: GenesisBlock):
         self.genesis = genesis
         self.backend = genesis.commit_pk.backend
         self.blocks: list[Block] = []
+        self.hashes: list[bytes] = []  # block_hash of each block
         self.stake = dict(genesis.initial_stake)
+        self._valid_hash = None  # block_hash of the last block validate_block passed
+        self._new_tip()
+
+    def _new_tip(self) -> None:
+        self._ring = None
+        self._committees = None  # (iteration, (verifiers, aggregators))
 
     # -- inspection ----------------------------------------------------------
 
@@ -346,9 +368,7 @@ class Ledger:
         return len(self.blocks)
 
     def tip_hash(self) -> bytes:
-        if self.blocks:
-            return block_hash(self.blocks[-1], self.backend)
-        return self.genesis.hash()
+        return self.hashes[-1] if self.hashes else self.genesis.hash()
 
     def tip_iteration(self) -> int:
         return self.blocks[-1].iteration if self.blocks else 0
@@ -358,9 +378,26 @@ class Ledger:
             return ModelParams(self.blocks[-1].model_weights.copy(), self.blocks[-1].iteration)
         return ModelParams(self.genesis.initial_model.copy(), 0)
 
+    def ring(self):
+        """``build_ring(self.stake)``, built once per tip."""
+        if self._ring is None:
+            self._ring = build_ring(self.stake)
+        return self._ring
+
+    def committees(self, iteration: int):
+        """The (verifier, aggregator) committees of round ``iteration`` on
+        this tip, drawn once per tip and round."""
+        if self._committees is None or self._committees[0] != iteration:
+            drawn = round_committees(self.genesis, self.ring(), self.tip_hash(), iteration)
+            self._committees = (iteration, drawn)
+        return self._committees[1]
+
     # -- validation ----------------------------------------------------------
 
     def validate_block(self, block: Block) -> tuple[bool, str]:
+        """Check ``block`` as the next block on this tip.  A block that passes
+        leaves its ``block_hash`` in ``_valid_hash``, which ``append`` (whose
+        first step is this check) stores, so that a block is serialized once."""
         backend = self.backend
         cfg = self.genesis.config
         if block.prev_hash != self.tip_hash():
@@ -374,9 +411,7 @@ class Ledger:
         ) != len(self.genesis.initial_model):
             return False, "bad-dimension"
 
-        verifiers, aggregators = round_committees(
-            self.genesis, self.stake, block.prev_hash, block.iteration
-        )
+        verifiers, aggregators = self.committees(block.iteration)
         peers_seen = set()
         for entry in block.commitments:
             if entry.peer in peers_seen:
@@ -395,11 +430,12 @@ class Ledger:
 
         if not block.aggregator_sigs:
             return False, "no-aggregator-signature"
-        content = block_content_hash(block, backend)
+        content = block_content_bytes(block, backend)
+        content_hash = sha256(content)
         for aid, sig in block.aggregator_sigs:
             if aid not in aggregators.committee:
                 return False, "bad-aggregator-signature"
-            if not signatures.verify(backend, self.genesis.peer_pubkeys[aid], content, sig):
+            if not signatures.verify(backend, self.genesis.peer_pubkeys[aid], content_hash, sig):
                 return False, "bad-aggregator-signature"
 
         combined = combine(backend, [e.commitment for e in block.commitments])
@@ -412,6 +448,8 @@ class Ledger:
         expected = prev_weights + decode(block.aggregate_poly)
         if not np.array_equal(expected, block.model_weights):
             return False, "model-arithmetic-mismatch"
+        # block_hash(block), from the content bytes already built
+        self._valid_hash = sha256(sealed_bytes(content, block.aggregator_sigs))
         return True, ""
 
     # -- mutation ------------------------------------------------------------
@@ -420,9 +458,7 @@ class Ledger:
         ok, reason = self.validate_block(block)
         if not ok:
             return False, reason
-        verifiers, aggregators = round_committees(
-            self.genesis, self.stake, block.prev_hash, block.iteration
-        )
+        verifiers, aggregators = self.committees(block.iteration)
         rewarded = (
             [e.peer for e in block.commitments]
             + list(verifiers.committee)
@@ -430,6 +466,8 @@ class Ledger:
         )
         self.stake = update_stake(self.stake, rewarded, self.genesis.config.stake_reward)
         self.blocks.append(block)
+        self.hashes.append(self._valid_hash)
+        self._new_tip()
         return True, ""
 
     def catch_up(self, remote_blocks) -> tuple[bool, str]:
@@ -440,8 +478,8 @@ class Ledger:
         remote_blocks = list(remote_blocks)
         if len(remote_blocks) <= self.height:
             return False, "remote-not-longer"
-        for mine, theirs in zip(self.blocks, remote_blocks):
-            if block_hash(mine, self.backend) != block_hash(theirs, self.backend):
+        for mine, theirs in zip(self.hashes, remote_blocks):
+            if mine != block_hash(theirs, self.backend):
                 return False, "prefix-mismatch"
         trial = Ledger(self.genesis)
         for b in remote_blocks:
@@ -449,7 +487,9 @@ class Ledger:
             if not ok:
                 return False, f"invalid-remote-block@{b.iteration}:{reason}"
         self.blocks = trial.blocks
+        self.hashes = trial.hashes
         self.stake = trial.stake
+        self._new_tip()
         return True, ""
 
 

@@ -39,7 +39,6 @@ from .ledger import (
     CommitmentEntry,
     Ledger,
     block_content_hash,
-    round_committees,
     verifier_sign_context,
     write_id_pairs,
     write_poly,
@@ -48,7 +47,6 @@ from .models import make_model
 from .noise import generate_noise, mask_update
 from .quantize import decode, encode
 from .sgd import compute_local_update
-from .stake import build_ring
 from .vss import (
     ShareRecoveryError,
     accept_bundle,
@@ -171,8 +169,10 @@ class AggShareMsg:
         w = ByteWriter()
         w.u32(self.iteration)
         w.u32(self.sender)
+        w.u32(len(self.contributors))
         for c in self.contributors:
             w.u32(c)
+        w.u32(len(self.shares))
         for s in self.shares:
             w.int_lp(s.point)
             w.int_lp(s.summed_eval)
@@ -210,8 +210,9 @@ class Timer:
 # --- standalone checks --------------------------------------------------------
 
 
-def verify_masked_submission(sub: UpdateSubmission, genesis, stake: dict, prev_hash: bytes) -> bool:
-    """All verifier-side structural checks for one masked update."""
+def verify_masked_submission(sub: UpdateSubmission, genesis, ring, prev_hash: bytes) -> bool:
+    """All verifier-side structural checks for one masked update; ``ring`` is
+    the stake ring of the tip ``prev_hash``."""
     backend = genesis.commit_pk.backend
     cfg = genesis.config
     if sub.sender not in genesis.peer_pubkeys:
@@ -226,7 +227,7 @@ def verify_masked_submission(sub: UpdateSubmission, genesis, stake: dict, prev_h
     if not verify_vrf(
         sub.noiser_vrf,
         expected_seed,
-        stake,
+        ring,
         backend=backend,
         public_key=pub,
         exclude={sub.sender},
@@ -303,6 +304,7 @@ class PeerNode:
         self.model = make_model(cfg.model_family, cfg.n_features, cfg.n_classes)
         self.stage = Stage.IDLE
         self.round = RoundState()
+        self.noise = None  # (iteration, quantized noise) last handed out
         self.audit: list[str] = []
 
     # -- helpers ---------------------------------------------------------------
@@ -338,9 +340,7 @@ class PeerNode:
             self.round = RoundState(iteration=iteration)  # marks this peer finished
             return []
         prev_hash = self.ledger.tip_hash()
-        verifiers, aggregators = round_committees(
-            self.genesis, self.ledger.stake, prev_hash, iteration
-        )
+        verifiers, aggregators = self.ledger.committees(iteration)
         self.round = RoundState(
             iteration=iteration,
             verifiers=verifiers.committee,
@@ -379,11 +379,10 @@ class PeerNode:
             update.delta, blinding % self.backend.order, self.backend.order, cfg.scale_bits
         )
         self.round.commitment = commit(self.genesis.commit_pk, self.round.update_q)
-        ring = build_ring(self.ledger.stake)
         seed_bytes = noiser_seed(self._pubkey_bytes(), prev_hash, t)
         try:
             self.round.noiser_vrf = draw_committee(
-                ring,
+                self.ledger.ring(),
                 seed_bytes,
                 cfg.num_noisers,
                 backend=self.backend,
@@ -432,20 +431,23 @@ class PeerNode:
         if not 1 <= msg.iteration <= cfg.total_iterations:
             self.audit.append(f"dropped noise request for round {msg.iteration}")
             return []
-        nv = generate_noise(
-            len(self.genesis.initial_model),
-            cfg.epsilon,
-            cfg.delta,
-            cfg.train.batch_size,
-            cfg.train.eta_at(msg.iteration),
-            self.secrets.noise_seed,
-            msg.iteration,
-            self.backend.order,
-            cfg.scale_bits,
-            owner=self.id,
-            zero=self.zero_noise,
-        )
-        return [(msg.sender, NoiseResponse(msg.iteration, self.id, nv.quantized), None)]
+        # a pure function of (noise seed, round): draw it once per round
+        if self.noise is None or self.noise[0] != msg.iteration:
+            nv = generate_noise(
+                len(self.genesis.initial_model),
+                cfg.epsilon,
+                cfg.delta,
+                cfg.train.batch_size,
+                cfg.train.eta_at(msg.iteration),
+                self.secrets.noise_seed,
+                msg.iteration,
+                self.backend.order,
+                cfg.scale_bits,
+                owner=self.id,
+                zero=self.zero_noise,
+            )
+            self.noise = (msg.iteration, nv.quantized)
+        return [(msg.sender, NoiseResponse(msg.iteration, self.id, self.noise[1]), None)]
 
     def _on_NoiseResponse(self, msg: NoiseResponse, now: float) -> list:
         rs = self.round
@@ -492,7 +494,7 @@ class PeerNode:
         if msg.sender in rs.verifiers or msg.sender in rs.aggregators:
             self.audit.append(f"committee member {msg.sender} tried to submit")
             return []
-        if not verify_masked_submission(msg, self.genesis, self.ledger.stake, self.ledger.tip_hash()):
+        if not verify_masked_submission(msg, self.genesis, self.ledger.ring(), self.ledger.tip_hash()):
             self.audit.append(f"r{rs.iteration}: masked submission from {msg.sender} rejected")
             return []
         rs.pool[msg.sender] = msg

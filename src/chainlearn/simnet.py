@@ -36,7 +36,7 @@ class SimConfig:
 
 @dataclass
 class SimResult:
-    block_records: list  # (sim time, Block), chain order
+    block_records: list  # (mint time, Block) of each block a replica appended, chain order
     forks: int
     dropped_updates: dict  # round -> submissions that made no block
     final_ledger: object
@@ -81,7 +81,8 @@ class Simulation:
         self.join_counts = {pid: 0 for pid in self.peers}
         # bookkeeping for metrics
         self.block_records = []
-        self.seen_block_hashes = {}
+        self.mint_times = {}  # block hash -> time its proposer broadcast it
+        self.appended = {}  # round -> hashes of its blocks some replica appended
         self.forks = 0
         self.submissions = {}
 
@@ -139,12 +140,20 @@ class Simulation:
                 break  # one submission counts once however many verifiers get it
             if isinstance(payload, BlockMsg):
                 h = block_hash(payload.block, self.genesis.commit_pk.backend)
-                t = payload.block.iteration
-                if t in self.seen_block_hashes and self.seen_block_hashes[t] != h:
-                    self.forks += 1
-                elif t not in self.seen_block_hashes:
-                    self.seen_block_hashes[t] = h
-                    self.block_records.append((self.now, payload.block))
+                self.mint_times.setdefault(h, self.now)
+
+    def _note_append(self, block, h: bytes) -> None:
+        """A replica appended ``block`` (hash ``h``) from a BlockMsg.  Only
+        appended blocks are recorded, at their mint time; each further block
+        appended for the same round is a fork."""
+        hashes = self.appended.setdefault(block.iteration, set())
+        if h in hashes:
+            return
+        if hashes:
+            self.forks += 1
+        else:
+            self.block_records.append((self.mint_times[h], block))
+        hashes.add(h)
 
     # -- main loop --------------------------------------------------------------------
 
@@ -176,10 +185,14 @@ class Simulation:
             if not self.online[target]:
                 continue  # messages and timers to offline peers are lost
             peer = self.peers[target]
+            height = peer.ledger.height
             actions = peer.handle(payload, self.now)
+            if isinstance(payload, BlockMsg) and peer.ledger.height > height:
+                self._note_append(payload.block, peer.ledger.tip_hash())
             self._note_outbound(target, actions)
             self._dispatch_actions(target, actions)
-            if self._all_done():
+            # only a peer that has just passed the last round can end the run
+            if peer.round.iteration > cfg.total_iterations and self._all_done():
                 break
         else:
             online_busy = [

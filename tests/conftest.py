@@ -15,6 +15,7 @@ from chainlearn.ledger import (
 from chainlearn.quantize import decode, encode, sum_polys
 from chainlearn.sgd import TrainConfig
 from chainlearn.signatures import sign
+from chainlearn.stake import build_ring
 
 
 def tiny_config(**overrides) -> ProtocolConfig:
@@ -51,7 +52,7 @@ def honest_block(genesis, secrets, ledger, seed=0, contributor_count=4):
     backend = genesis.commit_pk.backend
     t = ledger.tip_iteration() + 1
     prev = ledger.tip_hash()
-    verifiers, aggregators = round_committees(genesis, ledger.stake, prev, t)
+    verifiers, aggregators = round_committees(genesis, build_ring(ledger.stake), prev, t)
     committee = set(verifiers.committee) | set(aggregators.committee)
     eligible = [p for p in sorted(genesis.peer_pubkeys) if p not in committee]
     contributors = eligible[:contributor_count]
@@ -102,7 +103,9 @@ def resign_as_proposer(block, genesis, secrets, ledger):
     """Re-sign a (possibly tampered) block with the legitimate proposer's key,
     modelling a Byzantine aggregator endorsing bogus content."""
     backend = genesis.commit_pk.backend
-    _, aggregators = round_committees(genesis, ledger.stake, block.prev_hash, block.iteration)
+    _, aggregators = round_committees(
+        genesis, build_ring(ledger.stake), block.prev_hash, block.iteration
+    )
     proposer = aggregators.committee[0]
     sig = sign(backend, secrets[proposer].keypair, block_content_hash(block, backend))
     return Block(

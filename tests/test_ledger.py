@@ -19,7 +19,9 @@ from chainlearn.ledger import (
     round_committees,
     save_chain,
 )
+from chainlearn.encoding import sha256
 from chainlearn.quantize import QuantizedPoly
+from chainlearn.stake import build_ring
 
 from conftest import honest_block, resign_as_proposer, tiny_config
 
@@ -91,7 +93,9 @@ def test_honest_block_validates_and_appends(tiny_net):
     ok, _ = ledger.append(block)
     assert ok and ledger.height == 1
 
-    verifiers, aggregators = round_committees(genesis, stake_before, block.prev_hash, 1)
+    verifiers, aggregators = round_committees(
+        genesis, build_ring(stake_before), block.prev_hash, 1
+    )
     rewarded = set(e.peer for e in block.commitments) | set(verifiers.committee) | set(
         aggregators.committee
     )
@@ -180,7 +184,7 @@ def test_aggregator_signature_checked(tiny_net):
     from chainlearn.signatures import sign
     from chainlearn.ledger import block_content_hash
 
-    _, aggregators = round_committees(genesis, ledger.stake, block.prev_hash, 1)
+    _, aggregators = round_committees(genesis, build_ring(ledger.stake), block.prev_hash, 1)
     outsider = next(p for p in sorted(genesis.peer_pubkeys) if p not in aggregators.committee)
     sig = sign(BACKEND, secrets[outsider].keypair, block_content_hash(block, BACKEND))
     tampered = dataclasses.replace(block, aggregator_sigs=((outsider, sig),))
@@ -260,6 +264,59 @@ def test_chain_file_roundtrip_and_tamper(tiny_net, tmp_path):
     bad_path.write_bytes(bytes(data))
     with pytest.raises(ValueError, match="block 1"):
         load_chain(bad_path, BACKEND)
+
+
+def draw_tip_values(ledger):
+    """Fill the replica's per-tip caches, so that a later check sees whether
+    a mutation dropped them."""
+    ledger.ring()
+    ledger.committees(ledger.tip_iteration() + 1)
+
+
+def assert_tip_values_fresh(ledger):
+    genesis = ledger.genesis
+    assert genesis.hash() == sha256(GENESIS_PREV_HASH + genesis.to_bytes())
+    tip = block_hash(ledger.blocks[-1], BACKEND) if ledger.blocks else genesis.hash()
+    assert ledger.tip_hash() == tip
+    assert ledger.hashes == [block_hash(b, BACKEND) for b in ledger.blocks]
+    assert ledger.ring() == build_ring(ledger.stake)
+    t = ledger.tip_iteration() + 1
+    assert ledger.committees(t) == round_committees(genesis, build_ring(ledger.stake), tip, t)
+
+
+def test_tip_caches_follow_append_rejection_and_catch_up(tiny_net):
+    ledger, genesis, secrets = fresh_ledger(tiny_net)
+    assert_tip_values_fresh(ledger)
+    for i in range(3):
+        block = honest_block(genesis, secrets, ledger, seed=i)
+        draw_tip_values(ledger)
+        assert ledger.append(block)[0]
+        assert_tip_values_fresh(ledger)
+
+    # a refused block leaves the tip and everything derived from it
+    block = honest_block(genesis, secrets, ledger, seed=9)
+    bad = resign_as_proposer(
+        dataclasses.replace(block, model_weights=block.model_weights + 1.0),
+        genesis, secrets, ledger,
+    )
+    before = (ledger.tip_hash(), ledger.ring(), ledger.committees(4))
+    assert ledger.append(bad) == (False, "model-arithmetic-mismatch")
+    assert (ledger.tip_hash(), ledger.ring(), ledger.committees(4)) == before
+    assert_tip_values_fresh(ledger)
+
+    # a replica one block behind adopts the longer chain
+    late = Ledger(genesis)
+    assert late.append(ledger.blocks[0])[0]
+    draw_tip_values(late)
+    ok, reason = late.catch_up(ledger.blocks)
+    assert ok, reason
+    assert late.hashes == ledger.hashes
+    assert_tip_values_fresh(late)
+
+    # committees of a later round on the same tip (a voided round) are redrawn
+    assert late.committees(5) == round_committees(
+        genesis, build_ring(late.stake), late.tip_hash(), 5
+    )
 
 
 def test_genesis_prev_hash_constant():

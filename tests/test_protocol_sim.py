@@ -1,15 +1,16 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from chainlearn import protocol
+from chainlearn import ledger, protocol
 from chainlearn.bootstrap import build_genesis
 from chainlearn.commitments import commit
 from chainlearn.committees import draw_committee, noiser_seed
 from chainlearn.datasets import make_dataset, partition
 from chainlearn.encoding import sha256, u64
-from chainlearn.ledger import round_committees
+from chainlearn.ledger import block_content_hash, round_committees
 from chainlearn.noise import generate_noise, mask_update
 from chainlearn.protocol import (
     AggShareMsg,
@@ -34,9 +35,11 @@ EXPONENT_TIP = "90797668f6771efacb4d9e1f9df986627e0651550160e3d6ce8f0850f47c6985
 PAIRING_TIP = "860e948411a63d5c4320c023f66a72ce0b96c15cbd2665c143035faf0e0aa113"
 # sha256 of the round-1 signed payloads of make_sim(), one message per sender
 # concatenated in sender order. These signatures never enter a block, so the
-# tip hashes above do not cover their encoding.
+# tip hashes above do not cover their encoding. The aggregate-share payload
+# counts its contributor and share lists, so the signed bytes fix where each
+# list ends.
 SUBMISSION_PAYLOADS = "c94aeb4d669c930eb72e4234e04464d1fa1a66dd670278a7f353d72fd09ad647"
-AGGSHARE_PAYLOADS = "a9f868c202da5a1aaa52d690c33e5aa0074feb73c93eeb411cbfed253fdd7bdb"
+AGGSHARE_PAYLOADS = "cce619b4fdd2ccaeaa196436b3eb7f1511b6f0fc90679ddb1319d55a0764ecd0"
 
 
 def make_sim(
@@ -136,7 +139,7 @@ def test_determinism_same_seed_same_chain():
 def test_offline_verifier_round_still_completes():
     sim = make_sim(seed=4, iterations=3)
     verifiers, _ = round_committees(
-        sim.genesis, sim.genesis.initial_stake, sim.genesis.hash(), 1
+        sim.genesis, build_ring(sim.genesis.initial_stake), sim.genesis.hash(), 1
     )
     sim.online[verifiers.committee[1]] = False
     result = sim.run()
@@ -147,7 +150,7 @@ def test_offline_verifier_round_still_completes():
 def test_offline_proposer_voids_round_and_training_continues():
     sim = make_sim(seed=4, iterations=4)
     _, aggregators = round_committees(
-        sim.genesis, sim.genesis.initial_stake, sim.genesis.hash(), 1
+        sim.genesis, build_ring(sim.genesis.initial_stake), sim.genesis.hash(), 1
     )
     sim.online[aggregators.committee[0]] = False
     result = sim.run()
@@ -215,7 +218,7 @@ def make_submission(sim, peer_id, iteration=1, tamper=None):
 
 def eligible_peer(sim, iteration=1):
     verifiers, aggregators = round_committees(
-        sim.genesis, sim.genesis.initial_stake, sim.genesis.hash(), iteration
+        sim.genesis, build_ring(sim.genesis.initial_stake), sim.genesis.hash(), iteration
     )
     committee = set(verifiers.committee) | set(aggregators.committee)
     return next(p for p in sorted(sim.peers) if p not in committee)
@@ -224,7 +227,9 @@ def eligible_peer(sim, iteration=1):
 def test_honest_masked_submission_verifies():
     sim = make_sim(seed=6)
     sub = make_submission(sim, eligible_peer(sim))
-    assert verify_masked_submission(sub, sim.genesis, sim.genesis.initial_stake, sim.genesis.hash())
+    assert verify_masked_submission(
+        sub, sim.genesis, build_ring(sim.genesis.initial_stake), sim.genesis.hash()
+    )
 
 
 def test_non_genesis_noise_rejected():
@@ -232,7 +237,7 @@ def test_non_genesis_noise_rejected():
     sim = make_sim(seed=6)
     sub = make_submission(sim, eligible_peer(sim), tamper="non-genesis-noise")
     assert not verify_masked_submission(
-        sub, sim.genesis, sim.genesis.initial_stake, sim.genesis.hash()
+        sub, sim.genesis, build_ring(sim.genesis.initial_stake), sim.genesis.hash()
     )
 
 
@@ -240,7 +245,7 @@ def test_wrong_noiser_set_rejected_via_vrf():
     sim = make_sim(seed=6)
     sub = make_submission(sim, eligible_peer(sim), tamper="wrong-noisers")
     assert not verify_masked_submission(
-        sub, sim.genesis, sim.genesis.initial_stake, sim.genesis.hash()
+        sub, sim.genesis, build_ring(sim.genesis.initial_stake), sim.genesis.hash()
     )
 
 
@@ -248,7 +253,7 @@ def test_bad_submission_signature_rejected():
     sim = make_sim(seed=6)
     sub = make_submission(sim, eligible_peer(sim), tamper="bad-signature")
     assert not verify_masked_submission(
-        sub, sim.genesis, sim.genesis.initial_stake, sim.genesis.hash()
+        sub, sim.genesis, build_ring(sim.genesis.initial_stake), sim.genesis.hash()
     )
 
 
@@ -256,7 +261,7 @@ def test_late_submission_never_signed():
     """A verifier whose window has closed ignores further submissions."""
     sim = make_sim(seed=6)
     verifiers, _ = round_committees(
-        sim.genesis, sim.genesis.initial_stake, sim.genesis.hash(), 1
+        sim.genesis, build_ring(sim.genesis.initial_stake), sim.genesis.hash(), 1
     )
     verifier = sim.peers[verifiers.committee[0]]
     verifier.start_round(1, 0.0)
@@ -377,3 +382,81 @@ def test_protocol_trains_softmax_family():
     assert result.final_ledger.height == 3
     dim = 3 * (4 + 1)
     assert len(result.final_ledger.current_model().weights) == dim
+
+
+def test_block_every_replica_refuses_is_not_recorded(monkeypatch):
+    """A proposer that mints one invalid block (corrupted model weights,
+    re-signed with its own key) has it refused by every replica; the run's
+    records, fork count and metrics replay see only appended blocks."""
+    from chainlearn.config import DatasetSpec, ExperimentSpec
+    from chainlearn.experiments import run_protocol_experiment
+    from chainlearn.sgd import TrainConfig
+
+    mint = PeerNode._mint_block
+
+    def corrupt_round_2(peer, now):
+        actions = mint(peer, now)
+        if peer.round.iteration != 2:
+            return actions
+        out = []
+        for dest, msg, extra in actions:
+            block = dataclasses.replace(msg.block, model_weights=msg.block.model_weights + 1.0)
+            content = block_content_hash(block, peer.backend)
+            sig = sign(peer.backend, peer.secrets.keypair, content)
+            block = dataclasses.replace(block, aggregator_sigs=((peer.id, sig),))
+            out.append((dest, dataclasses.replace(msg, block=block), extra))
+        return out
+
+    monkeypatch.setattr(PeerNode, "_mint_block", corrupt_round_2)
+    spec = ExperimentSpec(
+        name="invalid-mint",
+        number_of_nodes=10,
+        total_iterations=4,
+        dataset=DatasetSpec(shard_size=80, validation_size=200),
+        train=TrainConfig(eta0=0.05, eta_decay=0.02, weight_decay=1e-4, batch_size=16),
+        seed=5,
+    )
+    run = run_protocol_experiment(spec)  # raised "metrics replay rejected block" before
+    result = run.result
+    chain = [b.iteration for b in result.final_ledger.blocks]
+    assert 2 not in chain and len(chain) >= 2
+    assert [b.iteration for _, b in result.block_records] == chain
+    assert result.forks == 0
+    assert run.metrics.final("blocks") == len(chain)
+
+
+def test_per_tip_values_are_derived_once(monkeypatch):
+    """Each replica builds one stake ring per tip, serialises each block about
+    once, and each noiser draws its noise once per round, however many peers
+    ask; the chain is the pinned one."""
+    counts = Counter()
+    draws = Counter()
+
+    def counted(module, name, record=None):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            if record:
+                record(*args, **kwargs)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    def noise_key(dim, eps, delta, batch, eta, seed, iteration, *rest, owner, **kwargs):
+        draws[owner, iteration] += 1
+
+    counted(ledger, "build_ring")
+    counted(ledger, "block_content_bytes")
+    counted(protocol, "generate_noise", noise_key)
+    sim = make_sim()
+    result = sim.run()
+    assert result.final_ledger.tip_hash().hex() == EXPONENT_TIP
+    height, peers = result.final_ledger.height, len(sim.peers)
+    # tips a replica holds: genesis and each block
+    assert counts["build_ring"] <= peers * (height + 1)
+    # one validation per replica, plus the proposer's signature and the
+    # simulator's record at mint time
+    assert counts["block_content_bytes"] <= height * (peers + 2)
+    assert draws and max(draws.values()) == 1
+    assert counts["generate_noise"] == len(draws)

@@ -137,7 +137,7 @@ def test_global_vrf_verifies():
     ring = build_ring(stake)
     seed = committee_seed(b"gpk", sha256(b"prev"), ROLE_VERIFY, 1)
     out = draw_committee(ring, seed, 3)
-    assert verify_vrf(out, seed, stake)
+    assert verify_vrf(out, seed, ring)
 
 
 def test_keyed_vrf_verifies_and_binds_to_key():
@@ -146,9 +146,9 @@ def test_keyed_vrf_verifies_and_binds_to_key():
     kp = keygen(BACKEND, b"drawer")
     seed = noiser_seed(b"drawerpk", sha256(b"prev"), 2)
     out = draw_committee(ring, seed, 3, backend=BACKEND, signer=kp, exclude={4})
-    assert verify_vrf(out, seed, stake, backend=BACKEND, public_key=kp.public, exclude={4})
+    assert verify_vrf(out, seed, ring, backend=BACKEND, public_key=kp.public, exclude={4})
     other = keygen(BACKEND, b"other")
-    assert not verify_vrf(out, seed, stake, backend=BACKEND, public_key=other.public, exclude={4})
+    assert not verify_vrf(out, seed, ring, backend=BACKEND, public_key=other.public, exclude={4})
 
 
 def test_vrf_rejects_member_swap():
@@ -160,7 +160,7 @@ def test_vrf_rejects_member_swap():
     swapped[0] = (swapped[0] + 1) % 12
     if swapped[0] in out.committee[1:]:
         swapped[0] = (swapped[0] + 1) % 12
-    assert not verify_vrf(VrfOutput(tuple(swapped), out.proof, out.seed), seed, stake)
+    assert not verify_vrf(VrfOutput(tuple(swapped), out.proof, out.seed), seed, ring)
 
 
 def test_vrf_rejects_stale_stake():
@@ -170,8 +170,8 @@ def test_vrf_rejects_stale_stake():
     out = draw_committee(ring, seed, 3)
     newer = dict(stake)
     newer[0] += 500
-    assert verify_vrf(out, seed, stake)
-    assert not verify_vrf(out, seed, newer)
+    assert verify_vrf(out, seed, ring)
+    assert not verify_vrf(out, seed, build_ring(newer))
 
 
 def test_update_stake():
