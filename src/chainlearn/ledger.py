@@ -11,12 +11,15 @@ majorities, the commitment-product identity
 
 and the model arithmetic w_t = w_{t-1} + decode(aggregate).
 
+A replica is its block list plus one immutable ``TipState``, everything it
+derives from its tip; the block rule is the pure ``advance(state, block)``.
 Rejections carry a machine-readable reason string from REJECTION_REASONS.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,9 +29,9 @@ from .committees import ROLE_AGGREGATE, ROLE_VERIFY, committee_seed, draw_commit
 from .encoding import ByteReader, ByteWriter, sha256
 from .models import ModelParams
 from .noise import NoiseTable
-from .quantize import QuantizedPoly, decode
+from .quantize import QuantizedPoly, admissible, decode
 from .sgd import TrainConfig
-from .stake import build_ring, update_stake
+from .stake import StakeRing, build_ring, update_stake
 
 GENESIS_PREV_HASH = b"\x00" * 32
 
@@ -37,6 +40,8 @@ REJECTION_REASONS = frozenset(
         "bad-prev-hash",
         "bad-iteration",
         "empty-commitment-list",
+        "bad-aggregate-encoding",
+        "unknown-contributor",
         "duplicate-contributor",
         "contributor-on-committee",
         "missing-verifier-majority",
@@ -205,6 +210,11 @@ class GenesisBlock:
             object.__setattr__(self, "_digest", digest)
         return digest
 
+    def admits(self, poly: QuantizedPoly) -> bool:
+        """``quantize.admissible`` in this network's field and scale, at model size."""
+        order, cfg = self.commit_pk.backend.order, self.config
+        return admissible(poly, order, cfg.scale_bits, len(self.initial_model))
+
 
 @dataclass(frozen=True)
 class CommitmentEntry:
@@ -236,7 +246,10 @@ def read_poly(r: ByteReader, backend) -> QuantizedPoly:
     scale_bits = r.u32()
     n = r.u32()
     coeffs = tuple(int.from_bytes(r.raw(width), "little") for _ in range(n))
-    return QuantizedPoly(coeffs, scale_bits, backend.order)
+    poly = QuantizedPoly(coeffs, scale_bits, backend.order)
+    if not admissible(poly, backend.order, scale_bits, n - 1):
+        raise ValueError("polynomial coefficient outside the field")
+    return poly
 
 
 def write_id_pairs(w: ByteWriter, pairs) -> None:
@@ -340,26 +353,96 @@ def round_committees(genesis: GenesisBlock, ring, prev_hash: bytes, iteration: i
     return verifiers, aggregators
 
 
-class Ledger:
-    """One peer's replica: genesis, the block list and the running stake.
+@dataclass(frozen=True, eq=False)
+class TipState:
+    """Everything a replica derives from its tip, each computed once: the tip's
+    hash, round and weights, the stake after it, that stake's ring and the
+    committees of each round drawn on it.  A new tip is a new state."""
 
-    Every value a replica derives from its tip is computed once per tip: the
-    hash of each block is kept as it is appended, and the stake ring and the
-    committees of the next round are cached until the tip moves.
-    """
+    genesis: GenesisBlock
+    tip_hash: bytes
+    iteration: int
+    weights: np.ndarray
+    stake: dict
+    drawn: dict = field(default_factory=dict, repr=False)  # round -> committees
+
+    @cached_property
+    def ring(self) -> StakeRing:
+        return build_ring(self.stake)
+
+    def committees(self, iteration: int):
+        """The (verifier, aggregator) committees of round ``iteration``."""
+        if iteration not in self.drawn:
+            self.drawn[iteration] = round_committees(self.genesis, self.ring, self.tip_hash, iteration)
+        return self.drawn[iteration]
+
+
+def advance(state: TipState, block: Block) -> tuple[TipState | None, str]:
+    """The block rule: ``(next state, "")`` if ``block`` is valid as the next
+    block on ``state``'s tip, else ``(None, reason)``."""
+    genesis = state.genesis
+    backend = genesis.commit_pk.backend
+    cfg = genesis.config
+    if block.prev_hash != state.tip_hash:
+        return None, "bad-prev-hash"
+    if not state.iteration < block.iteration <= cfg.total_iterations:
+        return None, "bad-iteration"
+    if len(block.commitments) == 0:
+        return None, "empty-commitment-list"
+    if not genesis.admits(block.aggregate_poly):
+        return None, "bad-aggregate-encoding"
+    if len(block.model_weights) != len(genesis.initial_model):
+        return None, "bad-dimension"
+
+    verifiers, aggregators = state.committees(block.iteration)
+    peers_seen = set()
+    for entry in block.commitments:
+        if entry.peer in peers_seen:
+            return None, "duplicate-contributor"
+        if entry.peer not in genesis.peer_pubkeys:
+            return None, "unknown-contributor"
+        peers_seen.add(entry.peer)
+        reason = entry_rejection(
+            entry, block.iteration, verifiers.committee, aggregators.committee,
+            genesis.peer_pubkeys, backend,
+        )
+        if reason:
+            return None, reason
+
+    if not block.aggregator_sigs:
+        return None, "no-aggregator-signature"
+    content = block_content_bytes(block, backend)
+    content_hash = sha256(content)
+    for aid, sig in block.aggregator_sigs:
+        if aid not in aggregators.committee:
+            return None, "bad-aggregator-signature"
+        if not signatures.verify(backend, genesis.peer_pubkeys[aid], content_hash, sig):
+            return None, "bad-aggregator-signature"
+
+    combined = combine(backend, [e.commitment for e in block.commitments])
+    if commit(genesis.commit_pk, block.aggregate_poly).value != combined.value:
+        return None, "commitment-product-mismatch"
+
+    expected = state.weights + decode(block.aggregate_poly)
+    if not np.array_equal(expected, block.model_weights):
+        return None, "model-arithmetic-mismatch"
+
+    rewarded = [*(e.peer for e in block.commitments), *verifiers.committee, *aggregators.committee]
+    stake = update_stake(state.stake, rewarded, cfg.stake_reward)
+    # block_hash(block), from the content bytes already built
+    tip_hash = sha256(sealed_bytes(content, block.aggregator_sigs))
+    return TipState(genesis, tip_hash, block.iteration, block.model_weights, stake), ""
+
+
+class Ledger:
+    """One peer's replica: genesis, the block list and the state of its tip."""
 
     def __init__(self, genesis: GenesisBlock):
         self.genesis = genesis
         self.backend = genesis.commit_pk.backend
         self.blocks: list[Block] = []
-        self.hashes: list[bytes] = []  # block_hash of each block
-        self.stake = dict(genesis.initial_stake)
-        self._valid_hash = None  # block_hash of the last block validate_block passed
-        self._new_tip()
-
-    def _new_tip(self) -> None:
-        self._ring = None
-        self._committees = None  # (iteration, (verifiers, aggregators))
+        stake = dict(genesis.initial_stake)
+        self.state = TipState(genesis, genesis.hash(), 0, genesis.initial_model, stake)
 
     # -- inspection ----------------------------------------------------------
 
@@ -367,129 +450,50 @@ class Ledger:
     def height(self) -> int:
         return len(self.blocks)
 
+    @property
+    def stake(self) -> dict:
+        return self.state.stake
+
     def tip_hash(self) -> bytes:
-        return self.hashes[-1] if self.hashes else self.genesis.hash()
+        return self.state.tip_hash
 
     def tip_iteration(self) -> int:
-        return self.blocks[-1].iteration if self.blocks else 0
+        return self.state.iteration
 
     def current_model(self) -> ModelParams:
-        if self.blocks:
-            return ModelParams(self.blocks[-1].model_weights.copy(), self.blocks[-1].iteration)
-        return ModelParams(self.genesis.initial_model.copy(), 0)
+        return ModelParams(self.state.weights.copy(), self.state.iteration)
 
-    def ring(self):
-        """``build_ring(self.stake)``, built once per tip."""
-        if self._ring is None:
-            self._ring = build_ring(self.stake)
-        return self._ring
+    # -- validation and mutation ---------------------------------------------
 
-    def committees(self, iteration: int):
-        """The (verifier, aggregator) committees of round ``iteration`` on
-        this tip, drawn once per tip and round."""
-        if self._committees is None or self._committees[0] != iteration:
-            drawn = round_committees(self.genesis, self.ring(), self.tip_hash(), iteration)
-            self._committees = (iteration, drawn)
-        return self._committees[1]
-
-    # -- validation ----------------------------------------------------------
-
-    def validate_block(self, block: Block) -> tuple[bool, str]:
-        """Check ``block`` as the next block on this tip.  A block that passes
-        leaves its ``block_hash`` in ``_valid_hash``, which ``append`` (whose
-        first step is this check) stores, so that a block is serialized once."""
-        backend = self.backend
-        cfg = self.genesis.config
-        if block.prev_hash != self.tip_hash():
-            return False, "bad-prev-hash"
-        if not self.tip_iteration() < block.iteration <= cfg.total_iterations:
-            return False, "bad-iteration"
-        if len(block.commitments) == 0:
-            return False, "empty-commitment-list"
-        if block.aggregate_poly.dim != len(self.genesis.initial_model) or len(
-            block.model_weights
-        ) != len(self.genesis.initial_model):
-            return False, "bad-dimension"
-
-        verifiers, aggregators = self.committees(block.iteration)
-        peers_seen = set()
-        for entry in block.commitments:
-            if entry.peer in peers_seen:
-                return False, "duplicate-contributor"
-            peers_seen.add(entry.peer)
-            reason = entry_rejection(
-                entry,
-                block.iteration,
-                verifiers.committee,
-                aggregators.committee,
-                self.genesis.peer_pubkeys,
-                backend,
-            )
-            if reason:
-                return False, reason
-
-        if not block.aggregator_sigs:
-            return False, "no-aggregator-signature"
-        content = block_content_bytes(block, backend)
-        content_hash = sha256(content)
-        for aid, sig in block.aggregator_sigs:
-            if aid not in aggregators.committee:
-                return False, "bad-aggregator-signature"
-            if not signatures.verify(backend, self.genesis.peer_pubkeys[aid], content_hash, sig):
-                return False, "bad-aggregator-signature"
-
-        combined = combine(backend, [e.commitment for e in block.commitments])
-        if commit(self.genesis.commit_pk, block.aggregate_poly).value != combined.value:
-            return False, "commitment-product-mismatch"
-
-        prev_weights = (
-            self.blocks[-1].model_weights if self.blocks else self.genesis.initial_model
-        )
-        expected = prev_weights + decode(block.aggregate_poly)
-        if not np.array_equal(expected, block.model_weights):
-            return False, "model-arithmetic-mismatch"
-        # block_hash(block), from the content bytes already built
-        self._valid_hash = sha256(sealed_bytes(content, block.aggregator_sigs))
-        return True, ""
-
-    # -- mutation ------------------------------------------------------------
+    def validate_block(self, block: Block) -> tuple[TipState | None, str]:
+        """``advance(self.state, block)``; the replica is left as it was."""
+        return advance(self.state, block)
 
     def append(self, block: Block) -> tuple[bool, str]:
-        ok, reason = self.validate_block(block)
-        if not ok:
+        state, reason = self.validate_block(block)
+        if state is None:
             return False, reason
-        verifiers, aggregators = self.committees(block.iteration)
-        rewarded = (
-            [e.peer for e in block.commitments]
-            + list(verifiers.committee)
-            + list(aggregators.committee)
-        )
-        self.stake = update_stake(self.stake, rewarded, self.genesis.config.stake_reward)
         self.blocks.append(block)
-        self.hashes.append(self._valid_hash)
-        self._new_tip()
+        self.state = state
         return True, ""
 
     def catch_up(self, remote_blocks) -> tuple[bool, str]:
         """Adopt a longer valid chain that extends ours; otherwise keep local.
-
         ``remote_blocks`` is the remote's full block list (genesis excluded).
-        """
-        remote_blocks = list(remote_blocks)
-        if len(remote_blocks) <= self.height:
+        Only its blocks past our tip are checked, from our tip state, and
+        adopted; the prefix stays our own, so the remote's copy is unused."""
+        suffix = list(remote_blocks)[self.height :]
+        if not suffix:
             return False, "remote-not-longer"
-        for mine, theirs in zip(self.hashes, remote_blocks):
-            if mine != block_hash(theirs, self.backend):
-                return False, "prefix-mismatch"
-        trial = Ledger(self.genesis)
-        for b in remote_blocks:
-            ok, reason = trial.append(b)
-            if not ok:
+        if suffix[0].prev_hash != self.state.tip_hash:
+            return False, "prefix-mismatch"
+        state = self.state
+        for b in suffix:
+            state, reason = advance(state, b)
+            if state is None:
                 return False, f"invalid-remote-block@{b.iteration}:{reason}"
-        self.blocks = trial.blocks
-        self.hashes = trial.hashes
-        self.stake = trial.stake
-        self._new_tip()
+        self.blocks = self.blocks + suffix
+        self.state = state
         return True, ""
 
 

@@ -215,7 +215,7 @@ def verify_masked_submission(sub: UpdateSubmission, genesis, ring, prev_hash: by
     the stake ring of the tip ``prev_hash``."""
     backend = genesis.commit_pk.backend
     cfg = genesis.config
-    if sub.sender not in genesis.peer_pubkeys:
+    if sub.sender not in genesis.peer_pubkeys or not genesis.admits(sub.masked):
         return False
     pub = genesis.peer_pubkeys[sub.sender]
     if not signatures.verify(backend, pub, sub.payload_bytes(backend), sub.signature):
@@ -340,7 +340,7 @@ class PeerNode:
             self.round = RoundState(iteration=iteration)  # marks this peer finished
             return []
         prev_hash = self.ledger.tip_hash()
-        verifiers, aggregators = self.ledger.committees(iteration)
+        verifiers, aggregators = self.ledger.state.committees(iteration)
         self.round = RoundState(
             iteration=iteration,
             verifiers=verifiers.committee,
@@ -382,7 +382,7 @@ class PeerNode:
         seed_bytes = noiser_seed(self._pubkey_bytes(), prev_hash, t)
         try:
             self.round.noiser_vrf = draw_committee(
-                self.ledger.ring(),
+                self.ledger.state.ring,
                 seed_bytes,
                 cfg.num_noisers,
                 backend=self.backend,
@@ -460,7 +460,10 @@ class PeerNode:
             self.audit.append(f"dropped stray noise response from {msg.sender}")
             return []
         expected = self.genesis.noise_table.entry(msg.sender, rs.iteration)
-        if commit(self.genesis.commit_pk, msg.quantized).value != expected.value:
+        if (
+            not self.genesis.admits(msg.quantized)
+            or commit(self.genesis.commit_pk, msg.quantized).value != expected.value
+        ):
             self.audit.append(f"r{rs.iteration}: noise from {msg.sender} mismatches genesis; voiding")
             self.stage = Stage.AWAITING_BLOCK
             return []
@@ -494,7 +497,7 @@ class PeerNode:
         if msg.sender in rs.verifiers or msg.sender in rs.aggregators:
             self.audit.append(f"committee member {msg.sender} tried to submit")
             return []
-        if not verify_masked_submission(msg, self.genesis, self.ledger.ring(), self.ledger.tip_hash()):
+        if not verify_masked_submission(msg, self.genesis, self.ledger.state.ring, self.ledger.tip_hash()):
             self.audit.append(f"r{rs.iteration}: masked submission from {msg.sender} rejected")
             return []
         rs.pool[msg.sender] = msg

@@ -81,6 +81,19 @@ def encode(
     return QuantizedPoly(tuple(coeffs), scale_bits, modulus)
 
 
+def admissible(poly: QuantizedPoly, modulus: int, scale_bits: int, dim: int) -> bool:
+    """Whether a polynomial received from another peer is a canonical
+    encoding here: field ``modulus``, scale ``scale_bits``, ``dim`` data slots
+    and every coefficient a residue in [0, modulus).  Commitments reduce
+    coefficients mod p and ignore the scale, so nothing else catches these."""
+    return (
+        poly.modulus == modulus
+        and poly.scale_bits == scale_bits
+        and poly.dim == dim
+        and all(0 <= c < modulus for c in poly.coeffs)
+    )
+
+
 def decode(poly: QuantizedPoly) -> np.ndarray:
     """Centered-residue decode of the data slots; the blinding slot is dropped."""
     p = poly.modulus

@@ -95,7 +95,7 @@ class Simulation:
     def _latency(self) -> float:
         return float(self.rng.uniform(self.sim.latency_min, self.sim.latency_max))
 
-    def _dispatch_actions(self, sender: int, actions) -> None:
+    def _dispatch_actions(self, actions) -> None:
         for dest, payload, delay in actions:
             if isinstance(payload, Timer):
                 self._push(self.now + delay, dest, payload)
@@ -133,7 +133,7 @@ class Simulation:
 
     # -- bookkeeping ----------------------------------------------------------------
 
-    def _note_outbound(self, sender: int, actions) -> None:
+    def _note_outbound(self, actions) -> None:
         for _, payload, _ in actions:
             if isinstance(payload, UpdateSubmission):
                 self.submissions.setdefault(payload.iteration, set()).add(payload.sender)
@@ -162,7 +162,7 @@ class Simulation:
         budget = self.timeouts.round_budget
         time_cap = (cfg.total_iterations + 3) * budget
         for pid in sorted(self.peers):
-            self._dispatch_actions(pid, self.peers[pid].start_round(1, 0.0))
+            self._dispatch_actions(self.peers[pid].start_round(1, 0.0))
         churn = self.sim.churn_per_minute
         if churn > 0:
             self._schedule_churn(60.0 / churn, "fail")
@@ -189,8 +189,8 @@ class Simulation:
             actions = peer.handle(payload, self.now)
             if isinstance(payload, BlockMsg) and peer.ledger.height > height:
                 self._note_append(payload.block, peer.ledger.tip_hash())
-            self._note_outbound(target, actions)
-            self._dispatch_actions(target, actions)
+            self._note_outbound(actions)
+            self._dispatch_actions(actions)
             # only a peer that has just passed the last round can end the run
             if peer.round.iteration > cfg.total_iterations and self._all_done():
                 break

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from chainlearn import ledger as ledger_module
 from chainlearn.bootstrap import build_genesis
 from chainlearn.groups import get_backend
 from chainlearn.ledger import (
@@ -20,7 +21,7 @@ from chainlearn.ledger import (
     save_chain,
 )
 from chainlearn.encoding import sha256
-from chainlearn.quantize import QuantizedPoly
+from chainlearn.quantize import QuantizedPoly, decode
 from chainlearn.stake import build_ring
 
 from conftest import honest_block, resign_as_proposer, tiny_config
@@ -122,8 +123,6 @@ def test_tampered_aggregate_rejected(tiny_net):
     poly = QuantizedPoly(tuple(coeffs), block.aggregate_poly.scale_bits, BACKEND.order)
     # keep the model consistent with the tampered polynomial so only Eq-style
     # commitment verification can catch it
-    from chainlearn.quantize import decode
-
     tampered = dataclasses.replace(
         block,
         aggregate_poly=poly,
@@ -195,6 +194,54 @@ def test_aggregator_signature_checked(tiny_net):
     assert not ok and reason == "no-aggregator-signature"
 
 
+def test_rescaled_aggregate_rejected(tiny_net):
+    """The commitment ignores scale_bits: an aggregate re-labelled from 20 to
+    10 bits commits to the same point and would move the model 2^10 times as
+    far."""
+    ledger, genesis, secrets = fresh_ledger(tiny_net)
+    block = honest_block(genesis, secrets, ledger)
+    poly = dataclasses.replace(block.aggregate_poly, scale_bits=10)
+    tampered = dataclasses.replace(
+        block, aggregate_poly=poly, model_weights=ledger.current_model().weights + decode(poly)
+    )
+    tampered = resign_as_proposer(tampered, genesis, secrets, ledger)
+    assert ledger.validate_block(tampered) == (None, "bad-aggregate-encoding")
+
+
+def test_coefficients_must_be_field_residues(tiny_net):
+    ledger, genesis, secrets = fresh_ledger(tiny_net)
+    block = honest_block(genesis, secrets, ledger)
+    coeffs = block.aggregate_poly.coeffs
+
+    def with_blinding(c0):
+        poly = dataclasses.replace(block.aggregate_poly, coeffs=(c0,) + coeffs[1:])
+        return dataclasses.replace(block, aggregate_poly=poly)
+
+    # c + order commits and decodes like c: the same block under a second hash
+    twin = resign_as_proposer(with_blinding(coeffs[0] + BACKEND.order), genesis, secrets, ledger)
+    assert block_hash(twin, BACKEND) != block_hash(block, BACKEND)
+    assert ledger.validate_block(twin) == (None, "bad-aggregate-encoding")
+    # a negative coefficient has no encoding at all
+    negative = with_blinding(coeffs[0] - BACKEND.order)
+    assert ledger.validate_block(negative) == (None, "bad-aggregate-encoding")
+    # and the decoder refuses a coefficient outside the field
+    with pytest.raises(ValueError):
+        block_from_bytes(block_to_bytes(twin, BACKEND), BACKEND)
+    assert ledger.append(block)[0]
+
+
+def test_unknown_contributor_rejected(tiny_net):
+    ledger, genesis, secrets = fresh_ledger(tiny_net)
+    block = honest_block(genesis, secrets, ledger)
+    outsider = max(genesis.peer_pubkeys) + 1
+    entry = dataclasses.replace(block.commitments[-1], peer=outsider)
+    tampered = dataclasses.replace(block, commitments=block.commitments[:-1] + (entry,))
+    tampered = resign_as_proposer(tampered, genesis, secrets, ledger)
+    assert ledger.validate_block(tampered) == (None, "unknown-contributor")
+    assert ledger.append(tampered) == (False, "unknown-contributor")
+    assert ledger.height == 0
+
+
 def test_append_rejects_and_preserves_state(tiny_net):
     ledger, genesis, secrets = fresh_ledger(tiny_net)
     block = honest_block(genesis, secrets, ledger)
@@ -236,6 +283,61 @@ def test_catch_up_rejects_tampered_remote(tiny_net):
     assert late.height == 0
 
 
+def chain_of(genesis, secrets, length):
+    ledger = Ledger(genesis)
+    for i in range(length):
+        assert ledger.append(honest_block(genesis, secrets, ledger, seed=i))[0]
+    return ledger
+
+
+@pytest.mark.parametrize("height", [0, 1, 2])
+def test_catch_up_checks_only_the_suffix(tiny_net, monkeypatch, height):
+    genesis, secrets = tiny_net
+    full = chain_of(genesis, secrets, 3)
+    late = Ledger(genesis)
+    for block in full.blocks[:height]:
+        assert late.append(block)[0]
+    checked = []
+    advance = ledger_module.advance
+
+    def counted(state, block):
+        checked.append(block.iteration)
+        return advance(state, block)
+
+    monkeypatch.setattr(ledger_module, "advance", counted)
+    ok, reason = late.catch_up(full.blocks)
+    assert ok, reason
+    assert checked == [b.iteration for b in full.blocks[height:]]
+    assert [block_hash(b, BACKEND) for b in late.blocks] == [
+        block_hash(b, BACKEND) for b in full.blocks
+    ]
+    assert late.tip_hash() == full.tip_hash()
+    assert late.stake == full.stake
+    assert late.state.committees(4) == full.state.committees(4)
+
+
+def test_catch_up_from_a_fork_is_refused(tiny_net):
+    genesis, secrets = tiny_net
+    full = chain_of(genesis, secrets, 3)
+    forked = Ledger(genesis)
+    assert forked.append(honest_block(genesis, secrets, forked, seed=7))[0]
+    before = forked.state
+    assert forked.catch_up(full.blocks) == (False, "prefix-mismatch")
+    assert forked.state is before and forked.height == 1
+
+
+def test_catch_up_refuses_a_tampered_suffix(tiny_net):
+    genesis, secrets = tiny_net
+    blocks = list(chain_of(genesis, secrets, 3).blocks)
+    blocks[2] = dataclasses.replace(blocks[2], model_weights=blocks[2].model_weights * 1.5)
+    late = Ledger(genesis)
+    assert late.append(blocks[0])[0]
+    before = late.state
+    ok, reason = late.catch_up(blocks)
+    assert not ok and reason.startswith("invalid-remote-block@3")
+    assert late.state is before and late.height == 1
+
+
 def test_replay_determinism(tiny_net):
     _, genesis, secrets = fresh_ledger(tiny_net)
     a = Ledger(genesis)
@@ -266,55 +368,59 @@ def test_chain_file_roundtrip_and_tamper(tiny_net, tmp_path):
         load_chain(bad_path, BACKEND)
 
 
-def draw_tip_values(ledger):
-    """Fill the replica's per-tip caches, so that a later check sees whether
-    a mutation dropped them."""
-    ledger.ring()
-    ledger.committees(ledger.tip_iteration() + 1)
-
-
-def assert_tip_values_fresh(ledger):
-    genesis = ledger.genesis
+def assert_tip_state_fresh(ledger):
+    """The replica's tip state equals what its block list gives from scratch."""
+    genesis, state = ledger.genesis, ledger.state
     assert genesis.hash() == sha256(GENESIS_PREV_HASH + genesis.to_bytes())
     tip = block_hash(ledger.blocks[-1], BACKEND) if ledger.blocks else genesis.hash()
-    assert ledger.tip_hash() == tip
-    assert ledger.hashes == [block_hash(b, BACKEND) for b in ledger.blocks]
-    assert ledger.ring() == build_ring(ledger.stake)
-    t = ledger.tip_iteration() + 1
-    assert ledger.committees(t) == round_committees(genesis, build_ring(ledger.stake), tip, t)
+    assert state.tip_hash == ledger.tip_hash() == tip
+    assert state.iteration == (ledger.blocks[-1].iteration if ledger.blocks else 0)
+    weights = ledger.blocks[-1].model_weights if ledger.blocks else genesis.initial_model
+    assert np.array_equal(state.weights, weights)
+    replay = Ledger(genesis)
+    for block in ledger.blocks:
+        assert replay.append(block)[0]
+    assert state.stake == replay.stake
+    assert state.ring == build_ring(replay.stake)
+    t = state.iteration + 1
+    assert state.committees(t) == round_committees(genesis, build_ring(replay.stake), tip, t)
 
 
 def test_tip_caches_follow_append_rejection_and_catch_up(tiny_net):
     ledger, genesis, secrets = fresh_ledger(tiny_net)
-    assert_tip_values_fresh(ledger)
+    assert_tip_state_fresh(ledger)
     for i in range(3):
         block = honest_block(genesis, secrets, ledger, seed=i)
-        draw_tip_values(ledger)
+        before = ledger.state
+        before.committees(before.iteration + 1)
         assert ledger.append(block)[0]
-        assert_tip_values_fresh(ledger)
+        assert ledger.state is not before
+        assert_tip_state_fresh(ledger)
 
-    # a refused block leaves the tip and everything derived from it
+    # a refused block, or one only validated, leaves the tip state as it was
     block = honest_block(genesis, secrets, ledger, seed=9)
     bad = resign_as_proposer(
         dataclasses.replace(block, model_weights=block.model_weights + 1.0),
         genesis, secrets, ledger,
     )
-    before = (ledger.tip_hash(), ledger.ring(), ledger.committees(4))
+    before = ledger.state
     assert ledger.append(bad) == (False, "model-arithmetic-mismatch")
-    assert (ledger.tip_hash(), ledger.ring(), ledger.committees(4)) == before
-    assert_tip_values_fresh(ledger)
+    state, reason = ledger.validate_block(block)
+    assert state is not None and state.tip_hash == block_hash(block, BACKEND), reason
+    assert ledger.state is before
+    assert_tip_state_fresh(ledger)
 
     # a replica one block behind adopts the longer chain
     late = Ledger(genesis)
     assert late.append(ledger.blocks[0])[0]
-    draw_tip_values(late)
+    late.state.committees(2)
     ok, reason = late.catch_up(ledger.blocks)
     assert ok, reason
-    assert late.hashes == ledger.hashes
-    assert_tip_values_fresh(late)
+    assert late.tip_hash() == ledger.tip_hash()
+    assert_tip_state_fresh(late)
 
     # committees of a later round on the same tip (a voided round) are redrawn
-    assert late.committees(5) == round_committees(
+    assert late.state.committees(5) == round_committees(
         genesis, build_ring(late.stake), late.tip_hash(), 5
     )
 

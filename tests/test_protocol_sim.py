@@ -204,6 +204,9 @@ def make_submission(sim, peer_id, iteration=1, tamper=None):
         ).quantized
         noises[0] = rogue
     masked = mask_update(update_q, noises)
+    if tamper == "rescaled":
+        # commit() ignores the scale, so the masking equality still holds
+        masked = dataclasses.replace(masked, scale_bits=masked.scale_bits + 10)
     listed = tuple(
         (nid, backend.g1_to_bytes(genesis.noise_table.entry(nid, iteration).value))
         for nid in noiser_ids
@@ -255,6 +258,47 @@ def test_bad_submission_signature_rejected():
     assert not verify_masked_submission(
         sub, sim.genesis, build_ring(sim.genesis.initial_stake), sim.genesis.hash()
     )
+
+
+def test_rescaled_submission_rejected():
+    """A re-signed submission whose masked update claims 10 more scale bits
+    looks 2^10 times smaller to Multi-KRUM; the aggregate would decode it at
+    the genesis scale."""
+    sim = make_sim(seed=6)
+    sub = make_submission(sim, eligible_peer(sim), tamper="rescaled")
+    assert not verify_masked_submission(
+        sub, sim.genesis, build_ring(sim.genesis.initial_stake), sim.genesis.hash()
+    )
+
+
+def test_noise_at_a_foreign_scale_voids_the_update(monkeypatch):
+    """Noise re-labelled with another scale still matches its genesis
+    commitment; the updater refuses it instead of failing to mask."""
+    respond = PeerNode._on_NoiseRequest
+    rogue = 0
+
+    def rescaled(peer, msg, now):
+        out = respond(peer, msg, now)
+        if peer.id != rogue:
+            return out
+        return [
+            (dest, dataclasses.replace(
+                reply, quantized=dataclasses.replace(
+                    reply.quantized, scale_bits=reply.quantized.scale_bits + 1
+                ),
+            ), extra)
+            for dest, reply, extra in out
+        ]
+
+    monkeypatch.setattr(PeerNode, "_on_NoiseRequest", rescaled)
+    sim = make_sim()
+    result = sim.run()
+    refused = [
+        line for peer in sim.peers.values() for line in peer.audit
+        if f"noise from {rogue} mismatches genesis" in line
+    ]
+    assert refused
+    assert result.final_ledger.height >= 1
 
 
 def test_late_submission_never_signed():
