@@ -31,6 +31,6 @@ from .quantize import QuantizedPoly, decode, encode
 from .sgd import TrainConfig, UpdateVector, apply_aggregate, compute_local_update
 from .simnet import SimConfig, Simulation
 from .stake import StakeRing, build_ring, update_stake
-from .vss import AggregateShare, ShareBundle, deal_shares, recover_aggregate, sum_shares, verify_aggregate_share
+from .vss import AggregateShare, ShareBundle, deal_shares, recover_aggregate, sum_shares
 
 __version__ = "0.1.0"

@@ -1,26 +1,37 @@
 """Constant-size polynomial commitments with verifiable point openings.
 
-A trusted setup produces powers g1^(alpha^j); a commitment is the multi-
-exponentiation of those powers by the polynomial coefficients, computed as
-one ``msm`` call on the group backend.  Opening at a point z ships the
-evaluation phi(z) plus a commitment to the quotient (phi(x) - phi(z)) /
-(x - z); the pairing check
+A trusted setup produces powers g1^(alpha^j); a commitment C is one ``msm``
+of those powers by the polynomial coefficients.  Opening at a point z ships
+y = phi(z) and a commitment W to the quotient (phi(x) - y) / (x - z).  It is
+valid exactly when e(C, g2) == e(W, g2^(alpha - z)) * e(g1, g2)^y, checked
+in the folded form e(C - y*g1 + z*W, g2) * e(-W, g2^alpha) == 1.
 
-    e(C, g2) == e(W, g2^(alpha - z)) * e(g1, g2)^phi(z)
+All openings of one commitment are checked as one product, each folded
+equation raised to a weight rho_i (Bellare-Garay-Rabin small exponents):
 
-accepts exactly when the share lies on the committed polynomial.  Commitments
-are homomorphic: the product of commitments commits to the coefficient-wise
-sum, which is what lets verifiers audit masked updates and block aggregates
-without seeing them.
+    e(sum(rho_i)*C - sum(rho_i*y_i)*g1 + sum(rho_i*z_i*W_i), g2)
+        * e(-sum(rho_i*W_i), g2^alpha) == 1
+
+The rho_i are 128-bit, drawn by SHA-256 from the commitment and every
+(point, eval, witness): a rerun draws the same weights, and a batch with a
+bad opening passes with probability 2^-128 (2^-61 on the exponent group).
+The pairing is symmetric, so the fixed g2 and g2^alpha drive the Miller
+loop.  Commitments are homomorphic: the product of commitments commits to
+the coefficient-wise sum, which is what lets verifiers audit masked updates
+and block aggregates without seeing them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import polynomials
-from .encoding import ByteReader, ByteWriter, derive_scalars
+from .encoding import ByteReader, ByteWriter, derive_scalars, sha256, u32
 from .quantize import QuantizedPoly
+
+
+_HALF = 1 << 128  # share-check weights are below this, and so is each half of a full-size scalar
 
 
 @dataclass(frozen=True)
@@ -49,8 +60,16 @@ class CommitPK:
         self.powers = list(powers)
         self.g2 = g2
         self.g2_alpha = g2_alpha
-        # pairing of the two generators, reused by every share check
-        self._e_g1_g2 = backend.pair(powers[0], g2)
+
+    @cached_property
+    def share_check_key(self):
+        """The fixed inputs of every share check, built at the first one:
+        ``g2`` and ``g2_alpha`` prepared as pairing arguments, and
+        2^128 * g1, which lets the check's multi-scalar multiplication split
+        its one full-size scalar in two 128-bit halves."""
+        b = self.backend
+        g1_high = b.g1_mul(self.powers[0], _HALF)
+        return b.prepare_pair(self.g2), b.prepare_pair(self.g2_alpha), g1_high
 
     @property
     def degree(self) -> int:
@@ -129,17 +148,36 @@ def create_witness(pk: CommitPK, poly: QuantizedPoly, z: int) -> Witness:
     return Witness(commit(pk, q_poly).value, z, remainder)
 
 
-def verify_share(pk: CommitPK, commitment: Commitment, witness: Witness) -> bool:
-    """Pairing check that (point, eval) lies on the committed polynomial."""
+def batch_weights(pk: CommitPK, commitment: Commitment, witnesses) -> list[int]:
+    """The 128-bit weights rho_i of a batched share check, one per witness,
+    hashed from the commitment and every (point, eval, witness)."""
     backend = pk.backend
-    z = witness.point % backend.order
-    if z == 0:
+    order = backend.order
+    width = (order.bit_length() + 7) // 8
+    parts = [b"share-batch", backend.g1_to_bytes(commitment.value)]
+    for w in witnesses:
+        parts += [(w.point % order).to_bytes(width, "big"), (w.eval % order).to_bytes(width, "big"),
+                  backend.g1_to_bytes(w.value)]
+    seed = sha256(b"".join(parts))
+    return [int.from_bytes(sha256(seed + u32(i))[:16], "big") for i in range(len(witnesses))]
+
+
+def verify_share(pk: CommitPK, commitment: Commitment, *witnesses: Witness) -> bool:
+    """True iff every (point, eval) lies on the committed polynomial: one
+    weighted pairing product for all the witnesses (see the module
+    docstring)."""
+    backend = pk.backend
+    if any(w.point % backend.order == 0 for w in witnesses):
         return False
-    # g2^(alpha - z)
-    shifted = backend.g2_add(pk.g2_alpha, backend.g2_mul(pk.g2, backend.order - z))
-    lhs = backend.pair(commitment.value, pk.g2)
-    rhs = backend.gt_mul(
-        backend.pair(witness.value, shifted),
-        backend.gt_pow(pk._e_g1_g2, witness.eval),
+    lines_g2, lines_g2_alpha, g1_high = pk.share_check_key
+    rho = batch_weights(pk, commitment, witnesses)
+    neg_eval = -sum(r * w.eval for r, w in zip(rho, witnesses)) % backend.order
+    quotients = [w.value for w in witnesses]
+    folded = backend.msm(
+        [commitment.value, pk.powers[0], g1_high, *quotients],
+        [sum(rho), neg_eval % _HALF, neg_eval // _HALF,
+         *(r * w.point for r, w in zip(rho, witnesses))],
     )
-    return backend.gt_eq(lhs, rhs)
+    weighted = backend.g1_neg(backend.msm(quotients, rho))
+    product = backend.multi_pair((lines_g2, lines_g2_alpha), (folded, weighted))
+    return backend.gt_eq(product, backend.gt_one)

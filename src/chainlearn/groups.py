@@ -21,7 +21,9 @@ signatures:
 
 Both expose: ``order``, generators ``g1``/``g2``, group ops, multi-scalar
 multiplication ``msm(points, scalars)`` (on the curve ``g1_mul`` is its
-one-term case), ``pair``, target-group ops and canonical serialization.
+one-term case), pairing products ``multi_pair(prepared, points)`` over first
+arguments prepared once by ``prepare_pair`` (``pair`` is the one-term case),
+target-group ops and canonical serialization.
 Curve parameters were generated once by
 ``demos/generate_group_parameters.py`` and are frozen here.
 """
@@ -68,21 +70,53 @@ def _f2_pow(x, e, p=_P):
 # --- affine/Jacobian arithmetic on y^2 = x^3 + x over F_p -------------------
 # Affine points are (x, y) tuples; None is the point at infinity.
 
+def _batch_inverse(values, p=_P):
+    """Inverses of nonzero values mod p with one modular inversion
+    (Montgomery's trick)."""
+    prefix, acc = [], 1
+    for v in values:
+        prefix.append(acc)
+        acc = acc * v % p
+    inv = pow(acc, -1, p)
+    out = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        out[i] = inv * prefix[i] % p
+        inv = inv * values[i] % p
+    return out
+
+
+def _pt_add_many(pairs, p=_P):
+    """[P + Q for P, Q in pairs] in affine form, all slopes sharing one
+    inversion."""
+    dens = []
+    for P, Q in pairs:
+        if P is None or Q is None or (P[0] == Q[0] and (P[1] + Q[1]) % p == 0):
+            dens.append(1)  # no slope
+        elif P[0] == Q[0]:
+            dens.append(2 * P[1])
+        else:
+            dens.append(Q[0] - P[0])
+    out = []
+    for (P, Q), inv in zip(pairs, _batch_inverse(dens, p)):
+        if P is None or Q is None:
+            out.append(Q if P is None else P)
+            continue
+        x1, y1 = P
+        x2, y2 = Q
+        if x1 == x2:
+            if (y1 + y2) % p == 0:
+                out.append(None)
+                continue
+            lam = (3 * x1 * x1 + 1) * inv % p
+        else:
+            lam = (y2 - y1) * inv % p
+        x3 = (lam * lam - x1 - x2) % p
+        out.append((x3, (lam * (x1 - x3) - y1) % p))
+    return out
+
+
 def _pt_add(P1, P2, p=_P):
-    if P1 is None:
-        return P2
-    if P2 is None:
-        return P1
-    x1, y1 = P1
-    x2, y2 = P2
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            return None
-        lam = (3 * x1 * x1 + 1) * pow(2 * y1, -1, p) % p
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-    x3 = (lam * lam - x1 - x2) % p
-    return (x3, (lam * (x1 - x3) - y1) % p)
+    return _pt_add_many([(P1, P2)], p)[0]
 
 
 def _pt_neg(P, p=_P):
@@ -152,20 +186,18 @@ def _msm(points, scalars, p=_P):
     """Sum of k_i * P_i for affine points and scalars k_i >= 0, unreduced.
 
     Straus's interleaving: each base's odd multiples P, 3P, ..., 15P are
-    computed per call in affine form; one shared chain of Jacobian doublings
-    then adds, for every term, the multiple named by its wNAF digit, and a
-    single inversion returns the sum to affine coordinates.
+    computed per call in affine form, one batched inversion per multiple for
+    all bases; one shared chain of Jacobian doublings then adds, for every
+    term, the multiple named by its wNAF digit, and a single inversion
+    returns the sum to affine coordinates.
     """
-    tables, nafs = [], []
-    for P, k in zip(points, scalars):
-        if P is None or k == 0:
-            continue
-        P2 = _pt_add(P, P, p)
-        table = [P]
-        for _ in range(_WNAF_TABLE - 1):
-            table.append(_pt_add(table[-1], P2, p))
-        tables.append(table)
-        nafs.append(_wnaf(k))
+    terms = [(P, k) for P, k in zip(points, scalars) if P is not None and k != 0]
+    tables = [[P] for P, _ in terms]
+    doubles = _pt_add_many([(P, P) for P, _ in terms], p)
+    for _ in range(_WNAF_TABLE - 1):
+        for table, Q in zip(tables, _pt_add_many([(t[-1], D) for t, D in zip(tables, doubles)], p)):
+            table.append(Q)
+    nafs = [_wnaf(k) for _, k in terms]
     X, Y, Z = 0, 1, 0
     for i in range(max(map(len, nafs), default=0) - 1, -1, -1):
         if Z:
@@ -216,55 +248,73 @@ def _final_exp(f, p=_P):
     return _f2_pow(unitary, _FINAL_EXP_HARD, p)
 
 
-def _tate_pair(P, Q, p=_P):
-    """Tate pairing e(P, psi(Q)) on E(F_p)[r] x E(F_p)[r] -> F_p2.
+# Miller's loop for r: one tangent line per bit, then a chord line for each
+# set bit.  Entry k of every line table belongs to step k; True marks the
+# steps that square the accumulator first.
+_MILLER_STEPS = [step for bit in _R_BITS for step in ((True, False) if bit == "1" else (True,))]
 
-    Line values are scaled by F_p factors, which the final exponentiation
-    (p^2 - 1)/r kills because (p - 1) divides it; vertical lines are dropped
-    for the same reason.
+
+def _miller_lines(P, p=_P):
+    """Line table of Miller's loop for r driven by the fixed point P.
+
+    Step k's line through the loop's running multiple S is stored as
+    (lam, c), with value ``c - lam * x`` at x plus the imaginary y-term, so
+    evaluating it at a variable point costs one multiplication.  Vertical
+    lines (the chord through S = -P that ends the loop) are F_p-rational and
+    stored as None.  The lines are built in Jacobian coordinates and made
+    affine with one batched inversion.
     """
-    if P is None or Q is None:
-        return (1, 0)
-    xq, yq = Q
-    xd = (-xq) % p  # x-coordinate of psi(Q); its y is i*yq
+    if P is None:
+        return None
     xp_, yp_ = P
     X1, Y1, Z1 = xp_, yp_, 1
-    f = (1, 0)
-    for bit in _R_BITS:
-        # tangent line at S, then S = 2S
+    nums, dens = [], []  # (lam, c) numerators and their common denominator
+    for square in _MILLER_STEPS:
         ZZ = Z1 * Z1 % p
-        Z13 = ZZ * Z1 % p
-        A = X1 * X1 % p
-        B = Y1 * Y1 % p
-        C = B * B % p
-        D = 2 * ((X1 + B) * (X1 + B) - A - C) % p
-        E = (3 * A + ZZ * ZZ) % p
-        X3 = (E * E - 2 * D) % p
-        Y3 = (E * (D - X3) - 8 * C) % p
-        Z3 = 2 * Y1 * Z1 % p
-        real = (-(Z3 * Y1) - E * Z1 * (ZZ * xd - X1)) % p
-        imag = Z3 * Z13 % p * yq % p
-        f = _f2_sqr(f, p)
-        f = _f2_mul(f, (real, imag), p)
-        X1, Y1, Z1 = X3, Y3, Z3
-        if bit == "1":
+        if square:
+            # tangent line at S, then S = 2S
+            E = (3 * X1 * X1 + ZZ * ZZ) % p
+            Z3 = 2 * Y1 * Z1 % p
+            nums.append((E * Z1 * ZZ % p, (E * Z1 * X1 - Z3 * Y1) % p))
+            dens.append(Z3 * ZZ * Z1 % p)
+            X1, Y1, Z1 = _jac_dbl(X1, Y1, Z1, p)
+        else:
             # chord line through S and P, then S = S + P
-            ZZ = Z1 * Z1 % p
-            Z13 = ZZ * Z1 % p
-            U2 = xp_ * ZZ % p
-            S2 = yp_ * Z13 % p
-            if U2 == X1 and (S2 + Y1) % p == 0:
-                # S = -P: vertical chord, F_p-rational, skipped
-                X1, Y1, Z1 = 0, 1, 0
-                continue
-            H = (U2 - X1) % p
-            num = (S2 - Y1) % p
-            den = H * Z1 % p
-            real = (-(den * yp_) - num * (xd - xp_)) % p
-            imag = den * yq % p
-            f = _f2_mul(f, (real, imag), p)
+            num = (yp_ * ZZ * Z1 - Y1) % p
+            den = (xp_ * ZZ - X1) * Z1 % p
+            nums.append((num, (num * xp_ - den * yp_) % p))
+            dens.append(den)
             X1, Y1, Z1 = _jac_madd(X1, Y1, Z1, xp_, yp_, p)
-    return _final_exp(f, p)
+    inverses = _batch_inverse([d or 1 for d in dens], p)
+    return [(lam * inv % p, c * inv % p) if d else None
+            for (lam, c), d, inv in zip(nums, dens, inverses)]
+
+
+def _multi_tate(tables, points, p=_P):
+    """Product of Tate pairings e(P_i, psi(Q_i)) from the P_i's line tables.
+
+    psi(Q) = (-x, i*y) for Q = (x, y).  Line values are scaled by F_p
+    factors, which the final exponentiation (p^2 - 1)/r kills because
+    (p - 1) divides it; vertical lines are dropped for the same reason.  All
+    terms share one squaring chain and one final exponentiation.
+    """
+    terms = [(lines, (-Q[0]) % p, Q[1]) for lines, Q in zip(tables, points)
+             if lines is not None and Q is not None]
+    if not terms:
+        return (1, 0)
+    # _f2_sqr and _f2_mul inlined: this loop is the share check's hot path
+    f0, f1 = 1, 0
+    for k, square in enumerate(_MILLER_STEPS):
+        if square:
+            f0, f1 = (f0 + f1) * (f0 - f1) % p, 2 * f0 * f1 % p
+        for lines, xd, yq in terms:
+            line = lines[k]
+            if line:
+                lam, c = line
+                re = (c - lam * xd) % p
+                t0, t1 = f0 * re, f1 * yq
+                f0, f1 = (t0 - t1) % p, ((f0 + f1) * (re + yq) - t0 - t1) % p
+    return _final_exp((f0, f1), p)
 
 
 class PairingGroup:
@@ -302,8 +352,17 @@ class PairingGroup:
 
     g2_identity = g1_identity
 
+    def prepare_pair(self, P):
+        """Line table of ``P`` as a fixed first pairing argument."""
+        return _miller_lines(P)
+
+    def multi_pair(self, prepared, points):
+        """Product of e(P_i, Q_i) over zip(prepared, points), where
+        ``prepared`` holds ``prepare_pair(P_i)``."""
+        return _multi_tate(prepared, points)
+
     def pair(self, P, Q):
-        return _tate_pair(P, Q)
+        return _multi_tate((_miller_lines(P),), (Q,))
 
     def gt_mul(self, a, b):
         return _f2_mul(a, b)
@@ -380,6 +439,12 @@ class ExponentGroup:
         return 0
 
     g2_identity = g1_identity
+
+    def prepare_pair(self, a):
+        return a
+
+    def multi_pair(self, prepared, points):
+        return sum(a * b for a, b in zip(prepared, points)) % self.order
 
     def pair(self, a, b):
         return a * b % self.order

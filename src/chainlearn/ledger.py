@@ -324,9 +324,12 @@ def entry_rejection(
     entry: CommitmentEntry, iteration: int, verifiers, aggregators, pubkeys, backend
 ) -> str:
     """The block rule for one contribution to round ``iteration``: '' if it
-    may enter the block, else the rejection reason.  The contributor sits on
-    neither committee; every listed signature comes from a distinct verifier
-    of this round and is valid; and they form a strict majority."""
+    may enter the block, else the rejection reason.  The contributor is a
+    genesis peer (a key in ``pubkeys``) and sits on neither committee; every
+    listed signature comes from a distinct verifier of this round and is
+    valid; and they form a strict majority."""
+    if entry.peer not in pubkeys:
+        return "unknown-contributor"
     if entry.peer in verifiers or entry.peer in aggregators:
         return "contributor-on-committee"
     context = verifier_sign_context(iteration, entry.commitment, backend)
@@ -399,8 +402,6 @@ def advance(state: TipState, block: Block) -> tuple[TipState | None, str]:
     for entry in block.commitments:
         if entry.peer in peers_seen:
             return None, "duplicate-contributor"
-        if entry.peer not in genesis.peer_pubkeys:
-            return None, "unknown-contributor"
         peers_seen.add(entry.peer)
         reason = entry_rejection(
             entry, block.iteration, verifiers.committee, aggregators.committee,

@@ -88,11 +88,11 @@ def accept_bundle(
     """True iff the dealer's entry passes the block rule for round
     ``iteration`` (``ledger.entry_rejection``, against the round's verifier
     and aggregator committees and the genesis ``pubkeys``) and every share
-    opens the commitment."""
+    opens the commitment, checked as one batch."""
     entry = CommitmentEntry(bundle.dealer, bundle.commitment, bundle.signatures)
     if entry_rejection(entry, iteration, verifiers, aggregators, pubkeys, pk.backend):
         return False
-    return all(verify_share(pk, bundle.commitment, w) for w in bundle.shares)
+    return verify_share(pk, bundle.commitment, *bundle.shares)
 
 
 def sum_shares(accepted, backend) -> list[AggregateShare]:
@@ -122,11 +122,6 @@ def sum_shares(accepted, backend) -> list[AggregateShare]:
     return out
 
 
-def verify_aggregate_share(pk: CommitPK, combined: Commitment, share: AggregateShare) -> bool:
-    witness = Witness(share.summed_witness, share.point, share.summed_eval % pk.backend.order)
-    return verify_share(pk, combined, witness)
-
-
 def recover_aggregate(
     agg_shares,
     pk: CommitPK,
@@ -134,7 +129,9 @@ def recover_aggregate(
     scale_bits: int,
 ) -> QuantizedPoly:
     """Interpolate the summed polynomial from >= d+1 verified points and
-    insist the result re-commits to the combined commitment."""
+    insist the result re-commits to the combined commitment.  The shares are
+    checked as one batch; only a failing batch is re-checked share by share,
+    to name the failing point."""
     backend = pk.backend
     by_point = {}
     for s in agg_shares:
@@ -144,9 +141,11 @@ def recover_aggregate(
         raise ShareRecoveryError(
             f"insufficient shares: {len(by_point)} distinct points, need {needed}"
         )
-    for s in by_point.values():
-        if not verify_aggregate_share(pk, combined, s):
-            raise ShareRecoveryError(f"aggregate share at point {s.point} fails verification")
+    witnesses = [Witness(s.summed_witness, s.point, s.summed_eval) for s in by_point.values()]
+    if not verify_share(pk, combined, *witnesses):
+        for w in witnesses:
+            if not verify_share(pk, combined, w):
+                raise ShareRecoveryError(f"aggregate share at point {w.point} fails verification")
     chosen = sorted(by_point)[:needed]
     points = [(z, by_point[z].summed_eval % backend.order) for z in chosen]
     coeffs = lagrange_interpolate(points, backend.order)

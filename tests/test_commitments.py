@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from chainlearn.commitments import (
+    Commitment,
     CommitPK,
     Witness,
+    batch_weights,
     combine,
     commit,
     create_witness,
@@ -176,3 +178,82 @@ def test_binding_distinct_polys_distinct_commitments(ctx):
         key = backend.g1_to_bytes(commit(pk, phi).value)
         assert key not in seen
         seen.add(key)
+
+
+def opened_bundle(pk, rng, points=(1, 3, 5, 7)):
+    phi = random_poly(rng, 8, pk.backend.order)
+    return commit(pk, phi), [create_witness(pk, phi, z) for z in points]
+
+
+def test_batch_rejects_one_tampered_share_at_every_position(ctx):
+    backend, pk, rng = ctx
+    c, shares = opened_bundle(pk, rng)
+    assert verify_share(pk, c, *shares)
+    for i, w in enumerate(shares):
+        tampered = {
+            "eval": Witness(w.value, w.point, (w.eval + 1) % backend.order),
+            "witness": Witness(backend.g1_add(w.value, backend.g1), w.point, w.eval),
+            "point": Witness(w.value, w.point + 10, w.eval),
+        }
+        for kind, bad in tampered.items():
+            batch = shares[:i] + [bad] + shares[i + 1:]
+            assert not verify_share(pk, c, *batch), (i, kind)
+    # two evaluation errors that cancel in an unweighted sum
+    up, down = shares[0], shares[1]
+    cancelling = [
+        Witness(up.value, up.point, (up.eval + 1) % backend.order),
+        Witness(down.value, down.point, (down.eval - 1) % backend.order),
+        *shares[2:],
+    ]
+    assert not verify_share(pk, c, *cancelling)
+
+
+def test_batch_of_identity_witnesses(ctx):
+    """A constant polynomial opens to the identity witness at every point."""
+    backend, pk, _ = ctx
+    phi = QuantizedPoly((4242,) + (0,) * 8, 20, backend.order)
+    c = commit(pk, phi)
+    shares = [create_witness(pk, phi, z) for z in (2, 4, 6, 8)]
+    assert all(w.value == backend.g1_identity for w in shares)
+    assert verify_share(pk, c, *shares)
+    shares[1] = Witness(shares[1].value, shares[1].point, 4243)
+    assert not verify_share(pk, c, *shares)
+
+
+def test_torsion_inputs_keep_their_verdicts():
+    """Adding the 2-torsion point T = (0, 0) to a witness or a commitment
+    does not change the pairing check, so these out-of-subgroup inputs are
+    accepted, singly and batched, while a wrong evaluation is still refused.
+    Decoders do not yet check the subgroup; see ROADMAP."""
+    backend, pk = make_pk("pairing", 8)
+    c, shares = opened_bundle(pk, random.Random(5))
+    T = (0, 0)
+    c_T = Commitment(backend.g1_add(c.value, T))
+    shares_T = [Witness(backend.g1_add(w.value, T), w.point, w.eval) for w in shares]
+    for commitment in (c, c_T):
+        for batch in (shares, shares_T):
+            assert verify_share(pk, commitment, batch[0])
+            assert verify_share(pk, commitment, *batch)
+        bad = Witness(shares_T[0].value, shares_T[0].point, (shares_T[0].eval + 1) % backend.order)
+        assert not verify_share(pk, commitment, bad)
+        assert not verify_share(pk, commitment, bad, *shares_T[1:])
+
+
+def test_batch_weights_deterministic_and_bound_to_every_input(ctx):
+    backend, pk, rng = ctx
+    c, shares = opened_bundle(pk, rng)
+    rho = batch_weights(pk, c, shares)
+    assert rho == batch_weights(pk, c, list(shares))
+    assert len(rho) == len(shares)
+    assert all(0 <= r < 1 << 128 for r in rho)
+    assert len(set(rho)) == len(rho)
+    variants = [batch_weights(pk, Commitment(backend.g1_add(c.value, backend.g1)), shares)]
+    for i, w in enumerate(shares):
+        for changed in (
+            Witness(w.value, w.point + 1, w.eval),
+            Witness(w.value, w.point, w.eval + 1),
+            Witness(backend.g1_add(w.value, backend.g1), w.point, w.eval),
+        ):
+            variants.append(batch_weights(pk, c, shares[:i] + [changed] + shares[i + 1:]))
+    for other in variants:
+        assert all(a != b for a, b in zip(rho, other))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainlearn.groups import _P, _R, _f2_pow, _final_exp, get_backend
+from chainlearn.groups import _P, _R, _f2_mul, _f2_pow, _f2_sqr, _final_exp, get_backend
 
 BACKENDS = ["exponent", "pairing"]
 
@@ -48,6 +48,75 @@ def test_pairing_additive_in_first_argument(backend):
 def test_pair_with_identity_is_one(backend):
     assert backend.gt_eq(backend.pair(backend.g1_identity, backend.g2), backend.gt_one)
     assert backend.gt_eq(backend.pair(backend.g1, backend.g2_identity), backend.gt_one)
+
+
+def random_points(backend, rng, n):
+    return [backend.g1_mul(backend.g1, rng.randrange(1, backend.order)) for _ in range(n)]
+
+
+def test_multi_pair_two_terms_is_product_of_pairs(backend):
+    rng = random.Random(12)
+    for _ in range(2):
+        P1, P2, Q1, Q2 = random_points(backend, rng, 4)
+        product = backend.multi_pair(
+            (backend.prepare_pair(P1), backend.prepare_pair(P2)), (Q1, Q2)
+        )
+        expected = backend.gt_mul(backend.pair(P1, Q1), backend.pair(P2, Q2))
+        assert backend.gt_eq(product, expected)
+
+
+def test_multi_pair_one_term_is_pair(backend):
+    rng = random.Random(13)
+    P, Q = random_points(backend, rng, 2)
+    assert backend.gt_eq(backend.multi_pair((backend.prepare_pair(P),), (Q,)), backend.pair(P, Q))
+    # the pairing is symmetric, which lets a fixed second argument drive the loop
+    assert backend.gt_eq(backend.pair(P, Q), backend.pair(Q, P))
+
+
+def test_multi_pair_identity_terms_drop_out(backend):
+    rng = random.Random(14)
+    P, Q = random_points(backend, rng, 2)
+    O = backend.g1_identity
+    lines_P, lines_O = backend.prepare_pair(P), backend.prepare_pair(O)
+    e_PQ = backend.pair(P, Q)
+    assert backend.gt_eq(backend.multi_pair((lines_P, lines_P), (Q, O)), e_PQ)
+    assert backend.gt_eq(backend.multi_pair((lines_O, lines_P), (Q, Q)), e_PQ)
+    assert backend.gt_eq(backend.multi_pair((lines_P, lines_O), (O, Q)), backend.gt_one)
+    assert backend.gt_eq(backend.multi_pair((), ()), backend.gt_one)
+
+
+def textbook_tate(P, Q, p=_P):
+    """Reference Tate pairing e(P, psi(Q)): Miller's loop in affine
+    coordinates, one inversion per line, psi(x, y) = (-x, i*y)."""
+    xd, yq = (-Q[0]) % p, Q[1]
+
+    def step(f, S, T):
+        """f times the line through S and T at psi(Q), and S + T."""
+        (x1, y1), (x2, y2) = S, T
+        if x1 == x2 and (y1 + y2) % p == 0:
+            return f, None  # vertical: F_p-rational, killed by the final exponentiation
+        if S == T:
+            lam = (3 * x1 * x1 + 1) * pow(2 * y1, -1, p) % p
+        else:
+            lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+        x3 = (lam * lam - x1 - x2) % p
+        line = ((lam * (x1 - xd) - y1) % p, yq)
+        return _f2_mul(f, line), (x3, (lam * (x1 - x3) - y1) % p)
+
+    f, S = (1, 0), P
+    for bit in bin(_R)[3:]:
+        f, S = step(_f2_sqr(f), S, S)
+        if bit == "1":
+            f, S = step(f, S, P)
+    return _final_exp(f)
+
+
+def test_pair_matches_textbook_miller_loop():
+    backend = get_backend("pairing")
+    P, Q = random_points(backend, random.Random(15), 2)
+    Q_torsion = backend.g1_add(Q, (0, 0))  # plus the 2-torsion point
+    for a, b in ((P, Q), (Q, P), (P, Q_torsion), (backend.g1, backend.g2)):
+        assert backend.pair(a, b) == textbook_tate(a, b)
 
 
 def test_element_roundtrip(backend):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from chainlearn.commitments import combine, commit, trusted_setup
+from chainlearn.commitments import Witness, combine, commit, trusted_setup, verify_share
 from chainlearn.groups import get_backend
 from chainlearn.ledger import verifier_sign_context
 from chainlearn.quantize import decode, encode, sum_polys
@@ -18,7 +18,6 @@ from chainlearn.vss import (
     recover_aggregate,
     share_points,
     sum_shares,
-    verify_aggregate_share,
 )
 
 BACKEND = get_backend("exponent")
@@ -50,8 +49,6 @@ def test_dealt_shares_all_verify():
     bundles = deal_shares(q, pk, [0, 1, 2], dealer=9)
     assert set(bundles) == {0, 1, 2}
     c = commit(pk, q)
-    from chainlearn.commitments import verify_share
-
     for b in bundles.values():
         assert b.commitment.value == c.value
         for w in b.shares:
@@ -72,9 +69,9 @@ def test_accept_bundle_majority_and_shares():
     rng = np.random.default_rng(1)
     pk = trusted_setup(BACKEND, 4, b"s")
     q = make_update(rng, 4)
-    keys = {i: keygen(BACKEND, bytes([i])) for i in range(5)}
-    pubkeys = {i: kp.public for i, kp in keys.items()}
     verifiers, aggregators, dealer, iteration = (0, 1, 2), (3, 4), 7, 1
+    keys = {i: keygen(BACKEND, bytes([i])) for i in (0, 1, 2, 3, 4, dealer)}
+    pubkeys = {i: kp.public for i, kp in keys.items()}
     context = verifier_sign_context(iteration, commit(pk, q), BACKEND)
     sigs = tuple((vid, sign(BACKEND, keys[vid], context)) for vid in verifiers)
     bundle = deal_shares(q, pk, [0, 1], dealer=dealer, signatures_list=sigs)[0]
@@ -93,8 +90,6 @@ def test_accept_bundle_majority_and_shares():
     # forged eval fails share verification
     bad_shares = list(bundle.shares)
     w = bad_shares[0]
-    from chainlearn.commitments import Witness
-
     bad_shares[0] = Witness(w.value, w.point, (w.eval + 1) % MOD)
     assert not accepts(dataclasses.replace(bundle, shares=tuple(bad_shares)))
 
@@ -113,6 +108,10 @@ def test_accept_bundle_majority_and_shares():
         dataclasses.replace(bundle, dealer=3), iteration, verifiers, aggregators, pubkeys, pk
     )
 
+    # a dealer outside genesis is refused, as the block rule refuses its entry
+    del pubkeys[dealer]
+    assert not accepts(bundle)
+
 
 def test_sum_shares_hand_example():
     """phi1 = 1 + x, phi2 = 2 + 3x at z=1: summed eval = 2 + 5 = 7."""
@@ -128,7 +127,8 @@ def test_sum_shares_hand_example():
     assert agg[0].summed_eval == 7
     assert agg[0].contributor_count == 2
     combined = combine(BACKEND, [b1.commitment, b2.commitment])
-    assert verify_aggregate_share(pk, combined, agg[0])
+    s = agg[0]
+    assert verify_share(pk, combined, Witness(s.summed_witness, s.point, s.summed_eval))
 
 
 def test_sum_shares_single_update_is_identity():
@@ -210,6 +210,20 @@ def test_recovery_rejects_tampered_sum():
     bad = AggregateShare(shares[0].point, (shares[0].summed_eval + 1) % MOD, shares[0].summed_witness, 1)
     with pytest.raises(ShareRecoveryError):
         recover_aggregate([bad] + shares[1:], pk, c, 20)
+
+
+def test_recovery_names_the_failing_point():
+    rng = np.random.default_rng(7)
+    pk = trusted_setup(BACKEND, 4, b"s")
+    q = make_update(rng, 4)
+    bundles = deal_shares(q, pk, [0, 1], dealer=0)
+    shares = [s for b in bundles.values() for s in sum_shares([b], BACKEND)]
+    assert recover_aggregate(shares, pk, commit(pk, q), 20) == q
+    for i in (0, 3, len(shares) - 1):
+        s = shares[i]
+        bad = AggregateShare(s.point, s.summed_eval, BACKEND.g1_add(s.summed_witness, 1), 1)
+        with pytest.raises(ShareRecoveryError, match=f"at point {s.point} fails"):
+            recover_aggregate(shares[:i] + [bad] + shares[i + 1:], pk, commit(pk, q), 20)
 
 
 def test_privacy_threshold_structure():
