@@ -5,42 +5,39 @@ the masked update against commitments made long before the update existed."""
 
 import numpy as np
 
-from chainlearn import commit, decode, encode, gaussian_sigma, get_backend, mask_update, trusted_setup
-from chainlearn.noise import build_noise_table, generate_noise
+from chainlearn import ExperimentSpec, TrainConfig, commit, decode, encode, gaussian_sigma, mask_update
+from chainlearn.bootstrap import build_genesis
+from chainlearn.noise import peer_noise
 
 for eps in (0.5, 1.0, 2.0, 10.0):
     print(f"epsilon={eps:5.1f}  per-example sigma={gaussian_sigma(eps, 1e-5):7.3f}")
 
-backend = get_backend("exponent")
-dim, iterations, batch = 8, 4, 32
-eta = lambda t: 0.05 / (1 + 0.05 * t)
-pk = trusted_setup(backend, dim, b"demo")
+# genesis: three peers commit noise for every round up front
+spec = ExperimentSpec(total_iterations=4, train=TrainConfig(eta0=0.05, eta_decay=0.05, batch_size=32))
+config = spec.protocol_config()
+genesis, secrets = build_genesis(config, range(3), b"demo")
+pk, table = genesis.commit_pk, genesis.noise_table
+backend, dim = pk.backend, pk.degree
+print(f"\nnoise table: {len(table.commitments)} peers x {table.iterations} rounds committed")
 
-# genesis: three peers commit noise for every iteration up front
-seeds = {0: b"peer0", 1: b"peer1", 2: b"peer2"}
-table = build_noise_table(pk, seeds, iterations, 2.0, 1e-5, batch, eta)
-print(f"\nnoise table: {len(table.commitments)} peers x {table.iterations} iterations committed")
-
-# at run time, peer 0 masks its round-2 update with noise from peers 1 and 2
+# at run time, peer 0 masks its round-2 update with noise from peers 1 and 2,
+# each drawn by the same recipe genesis committed
 rng = np.random.default_rng(1)
 update = encode(rng.normal(size=dim) * 0.05, 424242, backend.order)
-noises = [
-    generate_noise(dim, 2.0, 1e-5, batch, eta(2), seeds[k], 2, backend.order, owner=k)
-    for k in (1, 2)
-]
-masked = mask_update(update, [n.quantized for n in noises])
+noises = {k: peer_noise(config, dim, secrets[k], 2).quantized for k in (1, 2)}
+masked = mask_update(update, noises.values())
 print("masked - update decodes to the pure noise sum:",
-      np.allclose(decode(masked) - decode(update),
-                  sum(decode(n.quantized) for n in noises)))
+      np.allclose(decode(masked) - decode(update), sum(decode(n) for n in noises.values())))
 
-# the verifier never sees `update`; it checks the masking equality instead
+# the verifier never sees `update`; it checks the masking equality against
+# the drawn noisers' genesis entries instead
 lhs = commit(pk, masked).value
 rhs = commit(pk, update).value
-for n in noises:
-    rhs = backend.g1_add(rhs, table.entry(n.owner, 2).value)
+for k in noises:
+    rhs = backend.g1_add(rhs, table.entry(k, 2).value)
 print("commit(masked) == commit(update) * prod committed noise:", lhs == rhs)
 
 # noise regenerated later is bit-identical to what genesis committed
-again = generate_noise(dim, 2.0, 1e-5, batch, eta(2), seeds[1], 2, backend.order, owner=1)
+again = peer_noise(config, dim, secrets[1], 2)
 print("regenerated noise matches its genesis commitment:",
       commit(pk, again.quantized).value == table.entry(1, 2).value)

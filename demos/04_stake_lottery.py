@@ -32,8 +32,7 @@ committee = draw_committee(ring, seed, k=3)
 print("verifier committee for this tip:", committee.committee)
 print("anyone can re-derive it:", verify_vrf(committee, seed, ring))
 
-swapped = VrfOutput((committee.committee[0], 19, committee.committee[2]),
-                    committee.proof, committee.seed)
+swapped = VrfOutput((committee.committee[0], 19, committee.committee[2]), committee.proof)
 print("swapped member passes verification:", verify_vrf(swapped, seed, ring))
 
 # keyed draws: bound to the drawing peer's key, unpredictable until revealed

@@ -26,6 +26,7 @@ from .stake import STAKE_RULE_NAME
 class PeerSecrets:
     keypair: KeyPair
     noise_seed: bytes
+    zero_noise: bool = False  # a colluder that commits all-zero noise
 
 
 def model_dim(config: ProtocolConfig) -> int:
@@ -46,32 +47,16 @@ def build_genesis(
     pk = trusted_setup(backend, dim, sha256(b"commit-key" + master_seed))
 
     secrets = {}
-    pubkeys = {}
-    noise_seeds = {}
     for pid in peer_ids:
         kp = keygen(backend, sha256(b"peer-key" + master_seed + u64(pid)))
         noise_seed = sha256(b"noise-seed" + master_seed + u64(pid))
-        secrets[pid] = PeerSecrets(kp, noise_seed)
-        pubkeys[pid] = kp.public
-        noise_seeds[pid] = noise_seed
-
-    table = build_noise_table(
-        pk,
-        noise_seeds,
-        config.total_iterations,
-        config.epsilon,
-        config.delta,
-        config.train.batch_size,
-        config.train.eta_at,
-        config.scale_bits,
-        zero_noise_peers=zero_noise_peers,
-    )
+        secrets[pid] = PeerSecrets(kp, noise_seed, pid in zero_noise_peers)
 
     genesis = GenesisBlock(
         initial_model=np.zeros(dim),
         commit_pk=pk,
-        peer_pubkeys=pubkeys,
-        noise_table=table,
+        peer_pubkeys={pid: s.keypair.public for pid, s in secrets.items()},
+        noise_table=build_noise_table(pk, config, secrets),
         initial_stake={pid: initial_stake for pid in peer_ids},
         stake_rule=STAKE_RULE_NAME,
         global_key=sha256(b"global-key" + master_seed),

@@ -29,7 +29,6 @@ ROLE_AGGREGATE = b"aggregate"
 class VrfOutput:
     committee: tuple  # ordered distinct peer ids
     proof: bytes  # empty for global draws
-    seed: bytes
 
 
 def noiser_seed(public_key_bytes: bytes, prev_hash: bytes, iteration: int) -> bytes:
@@ -72,7 +71,7 @@ def draw_committee(
     else:
         proof = b""
         start = sha256(seed)
-    return VrfOutput(_walk(ring, start, k, exclude), proof, seed)
+    return VrfOutput(_walk(ring, start, k, exclude), proof)
 
 
 def verify_vrf(
@@ -84,8 +83,6 @@ def verify_vrf(
     exclude=frozenset(),
 ) -> bool:
     """Recompute the draw from the seed and stake ring and check the proof."""
-    if output.seed != seed:
-        return False
     if output.proof:
         if public_key is None or not signatures.verify(backend, public_key, seed, output.proof):
             return False

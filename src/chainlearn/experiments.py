@@ -177,17 +177,8 @@ def run_protocol_experiment(spec: ExperimentSpec, env: Environment | None = None
         idx = (7919 * peer + 104729 * join_count) % len(env.reserve_shards)
         return env.reserve_shards[idx]
 
-    zero_noise = (
-        env.adversaries if spec.adversary.strategy == STRATEGY_ZERO_NOISE else frozenset()
-    )
     sim = Simulation(
-        env.genesis,
-        env.secrets,
-        env.datasets,
-        spec.timeouts(),
-        spec.sim_config(),
-        zero_noise_peers=zero_noise,
-        fresh_shard=fresh_shard,
+        env.genesis, env.secrets, env.datasets, spec.timeouts(), spec.sim_config(), fresh_shard
     )
     result = sim.run()
     if result.deadlocked:

@@ -342,15 +342,11 @@ class PairingGroup:
         """Sum of k_i * P_i over zip(points, scalars), scalars mod r."""
         return _msm(points, [k % _R for k in scalars])
 
-    g2_add = g1_add
-    g2_neg = g1_neg
     g2_mul = g1_mul
 
     @property
     def g1_identity(self):
         return None
-
-    g2_identity = g1_identity
 
     def prepare_pair(self, P):
         """Line table of ``P`` as a fixed first pairing argument."""
@@ -430,15 +426,11 @@ class ExponentGroup:
             acc += a * (k % self.order)
         return acc % self.order
 
-    g2_add = g1_add
-    g2_neg = g1_neg
     g2_mul = g1_mul
 
     @property
     def g1_identity(self):
         return 0
-
-    g2_identity = g1_identity
 
     def prepare_pair(self, a):
         return a

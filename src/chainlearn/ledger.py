@@ -315,9 +315,11 @@ def block_hash(block: Block, backend) -> bytes:
     return sha256(block_to_bytes(block, backend))
 
 
-def verifier_sign_context(iteration: int, commitment: Commitment, backend) -> bytes:
-    """Message a verifier signs to endorse one peer's update commitment."""
-    return b"accept" + iteration.to_bytes(4, "little") + backend.g1_to_bytes(commitment.value)
+def verifier_sign_context(iteration: int, contributor: int, commitment: Commitment, backend) -> bytes:
+    """Message a verifier signs to endorse ``contributor``'s update
+    commitment; binding the id keeps a proposer from relabelling the entry."""
+    ids = iteration.to_bytes(4, "little") + contributor.to_bytes(4, "little")
+    return b"accept" + ids + backend.g1_to_bytes(commitment.value)
 
 
 def entry_rejection(
@@ -332,7 +334,7 @@ def entry_rejection(
         return "unknown-contributor"
     if entry.peer in verifiers or entry.peer in aggregators:
         return "contributor-on-committee"
-    context = verifier_sign_context(iteration, entry.commitment, backend)
+    context = verifier_sign_context(iteration, entry.peer, entry.commitment, backend)
     signed = set()
     for vid, sig in entry.verifier_sigs:
         if vid not in verifiers or vid in signed:

@@ -21,6 +21,7 @@ import numpy as np
 
 from .commitments import Commitment, CommitPK, commit
 from .encoding import sha256, u64
+from .groups import get_backend
 from .quantize import DEFAULT_SCALE_BITS, QuantizedPoly, encode, sum_polys
 
 
@@ -37,8 +38,6 @@ def gaussian_sigma(epsilon: float, delta: float) -> float:
 class NoiseVector:
     zeta: np.ndarray
     quantized: QuantizedPoly
-    owner: int
-    iteration: int
 
 
 @dataclass
@@ -71,7 +70,6 @@ def generate_noise(
     iteration: int,
     modulus: int,
     scale_bits: int = DEFAULT_SCALE_BITS,
-    owner: int = -1,
     zero: bool = False,
 ) -> NoiseVector:
     """Deterministic noise for (peer_seed, iteration).
@@ -91,46 +89,39 @@ def generate_noise(
         zeta = draws.sum(axis=0) * (eta_t / batch_size)
         blinding = int.from_bytes(rng.bytes(40), "little") % modulus
     quantized = encode(zeta, blinding, modulus, scale_bits)
-    return NoiseVector(zeta, quantized, owner, iteration)
+    return NoiseVector(zeta, quantized)
 
 
-def build_noise_table(
-    pk: CommitPK,
-    peer_seeds: dict,
-    iterations: int,
-    epsilon: float,
-    delta: float,
-    batch_size: int,
-    eta_schedule,
-    scale_bits: int = DEFAULT_SCALE_BITS,
-    zero_noise_peers=frozenset(),
-) -> NoiseTable:
-    """Commit every peer's noise for t in 1..iterations.
+def peer_noise(config, dim: int, secrets, iteration: int) -> NoiseVector:
+    """The noise a peer holding ``secrets`` (a ``bootstrap.PeerSecrets``)
+    adds in round ``iteration`` of the network whose genesis
+    ``ProtocolConfig`` is ``config``, for a ``dim``-entry model.  The genesis
+    table commits it and the peer hands it out at run time, so both call
+    this one recipe."""
+    train = config.train
+    return generate_noise(
+        dim,
+        config.epsilon,
+        config.delta,
+        train.batch_size,
+        train.eta_at(iteration),
+        secrets.noise_seed,
+        iteration,
+        get_backend(config.backend_name).order,
+        config.scale_bits,
+        zero=secrets.zero_noise,
+    )
 
-    ``eta_schedule(t)`` must be the exact learning-rate function used for
-    training so runtime regeneration matches the genesis commitments.
-    """
-    modulus = pk.backend.order
-    table = {}
-    for peer, seed in peer_seeds.items():
-        row = []
-        for t in range(1, iterations + 1):
-            nv = generate_noise(
-                pk.degree,
-                epsilon,
-                delta,
-                batch_size,
-                eta_schedule(t),
-                seed,
-                t,
-                modulus,
-                scale_bits,
-                owner=peer,
-                zero=peer in zero_noise_peers,
-            )
-            row.append(commit(pk, nv.quantized))
-        table[peer] = tuple(row)
-    return NoiseTable(table, iterations)
+
+def build_noise_table(pk: CommitPK, config, secrets: dict) -> NoiseTable:
+    """Commit every peer's noise for rounds 1..``config.total_iterations``;
+    ``secrets`` maps peer id -> ``PeerSecrets``."""
+    rounds = range(1, config.total_iterations + 1)
+    table = {
+        peer: tuple(commit(pk, peer_noise(config, pk.degree, s, t).quantized) for t in rounds)
+        for peer, s in secrets.items()
+    }
+    return NoiseTable(table, config.total_iterations)
 
 
 def mask_update(update_q: QuantizedPoly, noises) -> QuantizedPoly:

@@ -3,13 +3,13 @@
 Round shape (all peers derive the same committees from the chain tip):
 
   updaters        compute a local update, fetch noise from their VRF-drawn
-                  noisers, submit the masked update with its commitment,
-                  the noise commitments and the noiser VRF proof to every
-                  verifier, then wait for signatures;
+                  noisers, submit the masked update with its commitment and
+                  the noiser VRF proof to every verifier, then wait for
+                  signatures;
   verifiers       pool masked submissions until their window closes, check
-                  each against the genesis noise table and the masking
-                  equality, run Multi-KRUM on the decoded masked updates and
-                  sign the winners' commitments;
+                  each against the drawn noisers' genesis noise-table
+                  entries and the masking equality, run Multi-KRUM on the
+                  decoded masked updates and sign the winners' commitments;
   updaters        with a majority of verifier signatures deal their update
                   into witness-carrying shares, one slice per aggregator;
   aggregators     verify bundles, sum accepted shares point-wise; the
@@ -24,7 +24,6 @@ message sequence, which the simulator makes reproducible.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -40,11 +39,10 @@ from .ledger import (
     Ledger,
     block_content_hash,
     verifier_sign_context,
-    write_id_pairs,
     write_poly,
 )
 from .models import make_model
-from .noise import generate_noise, mask_update
+from .noise import mask_update, peer_noise
 from .quantize import decode, encode
 from .sgd import compute_local_update
 from .vss import (
@@ -56,15 +54,6 @@ from .vss import (
 )
 
 BROADCAST = -1
-
-
-class Stage(enum.Enum):
-    IDLE = "idle"
-    NOISING = "noising"
-    AWAITING_SIGNATURES = "awaiting-signatures"
-    DEALING = "dealing"
-    AGGREGATING = "aggregating"
-    AWAITING_BLOCK = "awaiting-block"
 
 
 @dataclass(frozen=True)
@@ -117,7 +106,6 @@ class UpdateSubmission:
     sender: int
     masked: object  # QuantizedPoly
     commitment: Commitment
-    noise_commitments: tuple  # (noiser id, commitment bytes) in draw order
     noiser_vrf: VrfOutput
     signature: bytes = b""
 
@@ -127,9 +115,7 @@ class UpdateSubmission:
         w.u32(self.sender)
         write_poly(w, self.masked, backend)
         w.raw(backend.g1_to_bytes(self.commitment.value))
-        write_id_pairs(w, self.noise_commitments)
         w.bytes_lp(self.noiser_vrf.proof)
-        w.bytes_lp(self.noiser_vrf.seed)
         for member in self.noiser_vrf.committee:
             w.u32(member)
         return b"submission" + w.getvalue()
@@ -139,7 +125,6 @@ class UpdateSubmission:
 class SignatureGrant:
     iteration: int
     sender: int  # verifier
-    target: int  # update owner
     signature: bytes
 
 
@@ -177,13 +162,11 @@ class AggShareMsg:
             w.int_lp(s.point)
             w.int_lp(s.summed_eval)
             w.raw(backend.g1_to_bytes(s.summed_witness))
-            w.u32(s.contributor_count)
         return b"aggshare" + w.getvalue()
 
 
 @dataclass(frozen=True)
 class BlockMsg:
-    iteration: int
     sender: int
     block: Block
 
@@ -233,18 +216,11 @@ def verify_masked_submission(sub: UpdateSubmission, genesis, ring, prev_hash: by
         exclude={sub.sender},
     ):
         return False
-    if tuple(nid for nid, _ in sub.noise_commitments) != sub.noiser_vrf.committee:
+    # the drawn noisers' noise, as genesis committed it
+    try:
+        noise = [genesis.noise_table.entry(nid, sub.iteration) for nid in sub.noiser_vrf.committee]
+    except (KeyError, ValueError):
         return False
-    # listed noise commitments must be the genesis table entries
-    noise = []
-    for nid, cbytes in sub.noise_commitments:
-        try:
-            entry = genesis.noise_table.entry(nid, sub.iteration)
-        except (KeyError, ValueError):
-            return False
-        if backend.g1_to_bytes(entry.value) != cbytes:
-            return False
-        noise.append(entry)
     # masking equality: commit(masked) == commit(update) * prod commit(noise)
     product = combine(backend, [sub.commitment, *noise])
     return commit(genesis.commit_pk, sub.masked).value == product.value
@@ -274,6 +250,7 @@ class RoundState:
     update_q: object = None
     commitment: Commitment | None = None
     noise_responses: dict = field(default_factory=dict)
+    submitted: bool = False
     grants: dict = field(default_factory=dict)
     dealt: bool = False
     # verifier side
@@ -290,19 +267,16 @@ class RoundState:
 class PeerNode:
     """One peer: ledger replica, local data, per-round protocol state."""
 
-    def __init__(self, peer_id: int, genesis, secrets, dataset, timeouts: StageTimeouts,
-                 zero_noise: bool = False):
+    def __init__(self, peer_id: int, genesis, secrets, dataset, timeouts: StageTimeouts):
         self.id = peer_id
         self.genesis = genesis
         self.backend = genesis.commit_pk.backend
         self.secrets = secrets
         self.dataset = dataset
         self.timeouts = timeouts
-        self.zero_noise = zero_noise
         self.ledger = Ledger(genesis)
         cfg = genesis.config
         self.model = make_model(cfg.model_family, cfg.n_features, cfg.n_classes)
-        self.stage = Stage.IDLE
         self.round = RoundState()
         self.noise = None  # (iteration, quantized noise) last handed out
         self.audit: list[str] = []
@@ -336,7 +310,6 @@ class PeerNode:
     def start_round(self, iteration: int, now: float) -> list:
         """Begin round ``iteration``; returns (dest, message-or-timer) pairs."""
         if iteration > self.config.total_iterations:
-            self.stage = Stage.IDLE
             self.round = RoundState(iteration=iteration)  # marks this peer finished
             return []
         prev_hash = self.ledger.tip_hash()
@@ -355,8 +328,6 @@ class PeerNode:
             )
         if not self.is_verifier() and not self.is_aggregator():
             out.extend(self._begin_update(prev_hash))
-        else:
-            self.stage = Stage.AGGREGATING if self.is_aggregator() else Stage.AWAITING_BLOCK
         return out
 
     def _begin_update(self, prev_hash: bytes) -> list:
@@ -364,7 +335,6 @@ class PeerNode:
         t = self.round.iteration
         if len(self.dataset) == 0:
             self.audit.append(f"r{t}: no local data, skipping update")
-            self.stage = Stage.AWAITING_BLOCK
             return []
         params = self.ledger.current_model()
         seed = int.from_bytes(sha256(b"batch" + self.secrets.noise_seed + u64(t)), "big")
@@ -372,7 +342,6 @@ class PeerNode:
             update = compute_local_update(self.model, params, self.dataset, cfg.train, seed, self.id)
         except ValueError as exc:
             self.audit.append(f"r{t}: local update failed: {exc}")
-            self.stage = Stage.AWAITING_BLOCK
             return []
         blinding = int.from_bytes(sha256(b"blind" + self.secrets.noise_seed + u64(t)), "big")
         self.round.update_q = encode(
@@ -391,9 +360,7 @@ class PeerNode:
             )
         except ValueError as exc:
             self.audit.append(f"r{t}: noiser draw failed: {exc}")
-            self.stage = Stage.AWAITING_BLOCK
             return []
-        self.stage = Stage.NOISING
         return [(nid, NoiseRequest(t, self.id), None) for nid in self.round.noiser_vrf.committee]
 
     # -- event dispatch ----------------------------------------------------------
@@ -420,41 +387,28 @@ class PeerNode:
             return self._close_aggregation(now)
         if timer.tag == "round-budget":
             # no block arrived: void the round, keep the model, move on
-            self.stage = Stage.IDLE
             return self.start_round(self.round.iteration + 1, now)
         return []
 
     # -- noiser duty (any online peer) -------------------------------------------
 
     def _on_NoiseRequest(self, msg: NoiseRequest, now: float) -> list:
-        cfg = self.config
-        if not 1 <= msg.iteration <= cfg.total_iterations:
+        if not 1 <= msg.iteration <= self.config.total_iterations:
             self.audit.append(f"dropped noise request for round {msg.iteration}")
             return []
-        # a pure function of (noise seed, round): draw it once per round
+        # a pure function of (secrets, round): draw it once per round
         if self.noise is None or self.noise[0] != msg.iteration:
-            nv = generate_noise(
-                len(self.genesis.initial_model),
-                cfg.epsilon,
-                cfg.delta,
-                cfg.train.batch_size,
-                cfg.train.eta_at(msg.iteration),
-                self.secrets.noise_seed,
-                msg.iteration,
-                self.backend.order,
-                cfg.scale_bits,
-                owner=self.id,
-                zero=self.zero_noise,
-            )
+            dim = len(self.genesis.initial_model)
+            nv = peer_noise(self.config, dim, self.secrets, msg.iteration)
             self.noise = (msg.iteration, nv.quantized)
         return [(msg.sender, NoiseResponse(msg.iteration, self.id, self.noise[1]), None)]
 
     def _on_NoiseResponse(self, msg: NoiseResponse, now: float) -> list:
         rs = self.round
         if (
-            self.stage is not Stage.NOISING
-            or msg.iteration != rs.iteration
+            msg.iteration != rs.iteration
             or rs.noiser_vrf is None
+            or rs.submitted
             or msg.sender not in rs.noiser_vrf.committee
         ):
             self.audit.append(f"dropped stray noise response from {msg.sender}")
@@ -465,7 +419,7 @@ class PeerNode:
             or commit(self.genesis.commit_pk, msg.quantized).value != expected.value
         ):
             self.audit.append(f"r{rs.iteration}: noise from {msg.sender} mismatches genesis; voiding")
-            self.stage = Stage.AWAITING_BLOCK
+            rs.noiser_vrf = None  # this round's update is void
             return []
         rs.noise_responses[msg.sender] = msg.quantized
         if len(rs.noise_responses) < len(rs.noiser_vrf.committee):
@@ -474,14 +428,10 @@ class PeerNode:
         noises = [rs.noise_responses[nid] for nid in rs.noiser_vrf.committee]
         masked = mask_update(rs.update_q, noises)
         backend = self.backend
-        listed = tuple(
-            (nid, backend.g1_to_bytes(self.genesis.noise_table.entry(nid, rs.iteration).value))
-            for nid in rs.noiser_vrf.committee
-        )
-        sub = UpdateSubmission(rs.iteration, self.id, masked, rs.commitment, listed, rs.noiser_vrf)
+        sub = UpdateSubmission(rs.iteration, self.id, masked, rs.commitment, rs.noiser_vrf)
         sig = signatures.sign(backend, self.secrets.keypair, sub.payload_bytes(backend))
         sub = replace(sub, signature=sig)
-        self.stage = Stage.AWAITING_SIGNATURES
+        rs.submitted = True
         return [(vid, sub, None) for vid in rs.verifiers]
 
     # -- verifier duty -------------------------------------------------------------
@@ -515,26 +465,21 @@ class PeerNode:
         winners = [chosen[i] for i in multi_krum_select(updates, cfg)]
         out = []
         for pid in winners:
-            context = verifier_sign_context(rs.iteration, rs.pool[pid].commitment, self.backend)
+            context = verifier_sign_context(rs.iteration, pid, rs.pool[pid].commitment, self.backend)
             sig = signatures.sign(self.backend, self.secrets.keypair, context)
-            out.append((pid, SignatureGrant(rs.iteration, self.id, pid, sig), None))
+            out.append((pid, SignatureGrant(rs.iteration, self.id, sig), None))
         return out
 
     # -- dealing -------------------------------------------------------------------
 
     def _on_SignatureGrant(self, msg: SignatureGrant, now: float) -> list:
         rs = self.round
-        if rs.dealt and msg.iteration == rs.iteration and msg.target == self.id:
+        if rs.dealt and msg.iteration == rs.iteration:
             return []  # late grant after a majority was already reached
-        if (
-            self.stage is not Stage.AWAITING_SIGNATURES
-            or msg.iteration != rs.iteration
-            or msg.target != self.id
-            or msg.sender not in rs.verifiers
-        ):
+        if not rs.submitted or msg.iteration != rs.iteration or msg.sender not in rs.verifiers:
             self.audit.append(f"dropped stray signature grant from {msg.sender}")
             return []
-        context = verifier_sign_context(rs.iteration, rs.commitment, self.backend)
+        context = verifier_sign_context(rs.iteration, self.id, rs.commitment, self.backend)
         if not signatures.verify(
             self.backend, self.genesis.peer_pubkeys[msg.sender], context, msg.signature
         ):
@@ -544,7 +489,6 @@ class PeerNode:
         if rs.dealt or len(rs.grants) <= len(rs.verifiers) // 2:
             return []
         rs.dealt = True
-        self.stage = Stage.DEALING
         sig_list = tuple(sorted(rs.grants.items()))
         bundles = deal_shares(
             rs.update_q,
@@ -553,7 +497,6 @@ class PeerNode:
             dealer=self.id,
             signatures_list=sig_list,
         )
-        self.stage = Stage.AWAITING_BLOCK
         return [(aid, BundleMsg(rs.iteration, self.id, b), None) for aid, b in bundles.items()]
 
     # -- aggregator duty --------------------------------------------------------------
@@ -645,10 +588,7 @@ class PeerNode:
         quorum = -(-len(rs.aggregators) // 2)  # ceil(m/2), proposer included
         if len(rs.agg_shares) < quorum:
             return []
-        out = self._mint_block(now)
-        if rs.minted:
-            self.stage = Stage.AWAITING_BLOCK
-        return out
+        return self._mint_block(now)
 
     def _mint_block(self, now: float) -> list:
         rs = self.round
@@ -680,14 +620,13 @@ class PeerNode:
         content = block_content_hash(block, backend)
         sig = signatures.sign(backend, self.secrets.keypair, content)
         block = replace(block, aggregator_sigs=((self.id, sig),))
-        return [(BROADCAST, BlockMsg(rs.iteration, self.id, block), None)]
+        return [(BROADCAST, BlockMsg(self.id, block), None)]
 
     # -- block arrival ------------------------------------------------------------------
 
     def _on_BlockMsg(self, msg: BlockMsg, now: float) -> list:
         ok, reason = self.ledger.append(msg.block)
         if ok:
-            self.stage = Stage.IDLE
             return self.start_round(msg.block.iteration + 1, now)
         if reason == "bad-prev-hash" and msg.block.iteration > self.ledger.tip_iteration():
             # this chain is ahead of ours: pull it and resync
@@ -707,6 +646,5 @@ class PeerNode:
             self.audit.append(f"catch-up rejected: {reason}")
         if adopted:
             # resync round tracking to the adopted tip
-            self.stage = Stage.IDLE
             return self.start_round(self.ledger.tip_iteration() + 1, now)
         return []

@@ -53,7 +53,6 @@ class Simulation:
         datasets,
         timeouts,
         sim: SimConfig,
-        zero_noise_peers=frozenset(),
         fresh_shard=None,
     ):
         """``datasets`` maps peer id -> Dataset; ``fresh_shard(peer, join_count)``
@@ -64,14 +63,7 @@ class Simulation:
         self.fresh_shard = fresh_shard
         self.rng = np.random.default_rng(sim.seed)
         self.peers = {
-            pid: PeerNode(
-                pid,
-                genesis,
-                secrets[pid],
-                datasets[pid],
-                timeouts,
-                zero_noise=pid in zero_noise_peers,
-            )
+            pid: PeerNode(pid, genesis, secrets[pid], datasets[pid], timeouts)
             for pid in sorted(secrets)
         }
         self.online = {pid: True for pid in self.peers}

@@ -43,7 +43,6 @@ class AggregateShare:
     point: int
     summed_eval: int
     summed_witness: object  # G1 element
-    contributor_count: int
 
 
 def share_points(dim: int) -> list[int]:
@@ -116,7 +115,6 @@ def sum_shares(accepted, backend) -> list[AggregateShare]:
                 point=z,
                 summed_eval=sum(b.shares[i].eval for b in accepted) % order,
                 summed_witness=acc,
-                contributor_count=len(accepted),
             )
         )
     return out

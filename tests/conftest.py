@@ -71,7 +71,7 @@ def honest_block(genesis, secrets, ledger, seed=0, contributor_count=4):
         )
         polys[pid] = q
         c = commit(genesis.commit_pk, q)
-        context = verifier_sign_context(t, c, backend)
+        context = verifier_sign_context(t, pid, c, backend)
         sigs = tuple(
             (vid, sign(backend, secrets[vid].keypair, context)) for vid in verifiers.committee
         )

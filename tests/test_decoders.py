@@ -1,0 +1,73 @@
+"""Fuzzing the chain decoders on the exponent group: every byte string that
+reaches one either decodes or raises ValueError, and nothing else; valid
+encodings round-trip exactly, and every strict prefix of one is refused."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chainlearn.commitments import CommitPK
+from chainlearn.groups import get_backend
+from chainlearn.ledger import GenesisBlock, Ledger, ProtocolConfig, block_from_bytes, block_to_bytes
+
+from conftest import honest_block
+
+BACKEND = get_backend("exponent")
+# decode, then encode again
+REENCODE = {
+    "block": lambda data: block_to_bytes(block_from_bytes(data, BACKEND), BACKEND),
+    "genesis": lambda data: GenesisBlock.from_bytes(data, BACKEND).to_bytes(),
+    "config": lambda data: ProtocolConfig.from_bytes(data).to_bytes(),
+    "commit-pk": lambda data: CommitPK.from_bytes(BACKEND, data).to_bytes(),
+}
+KINDS = sorted(REENCODE)
+FUZZ = settings(max_examples=40, deadline=None)
+
+
+@pytest.fixture(scope="module")
+def encoded(tiny_net):
+    genesis, secrets = tiny_net
+    block = honest_block(genesis, secrets, Ledger(genesis))
+    return {
+        "block": block_to_bytes(block, BACKEND),
+        "genesis": genesis.to_bytes(),
+        "config": genesis.config.to_bytes(),
+        "commit-pk": genesis.commit_pk.to_bytes(),
+    }
+
+
+def decodes_or_value_error(kind, data) -> None:
+    try:
+        REENCODE[kind](data)
+    except ValueError:
+        pass
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_valid_encoding_round_trips(encoded, kind):
+    assert REENCODE[kind](encoded[kind]) == encoded[kind]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@FUZZ
+@given(data=st.binary(max_size=256))
+def test_arbitrary_bytes(kind, data):
+    decodes_or_value_error(kind, data)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@FUZZ
+@given(cut=st.floats(0.0, 1.0, exclude_max=True))
+def test_truncation_is_refused(encoded, kind, cut):
+    data = encoded[kind]
+    with pytest.raises(ValueError):
+        REENCODE[kind](data[: int(cut * len(data))])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@FUZZ
+@given(where=st.floats(0.0, 1.0, exclude_max=True), flip=st.integers(1, 255))
+def test_single_byte_flip(encoded, kind, where, flip):
+    data = bytearray(encoded[kind])
+    data[int(where * len(data))] ^= flip
+    decodes_or_value_error(kind, bytes(data))

@@ -16,7 +16,7 @@ def backend(request):
 
 def test_generator_order(backend):
     assert backend.g1_mul(backend.g1, backend.order) == backend.g1_identity
-    assert backend.g2_mul(backend.g2, backend.order) == backend.g2_identity
+    assert backend.g2_mul(backend.g2, backend.order) == backend.g1_identity
 
 
 def test_scalar_mul_matches_repeated_add(backend):
@@ -47,7 +47,7 @@ def test_pairing_additive_in_first_argument(backend):
 
 def test_pair_with_identity_is_one(backend):
     assert backend.gt_eq(backend.pair(backend.g1_identity, backend.g2), backend.gt_one)
-    assert backend.gt_eq(backend.pair(backend.g1, backend.g2_identity), backend.gt_one)
+    assert backend.gt_eq(backend.pair(backend.g1, backend.g1_identity), backend.gt_one)
 
 
 def random_points(backend, rng, n):

@@ -159,6 +159,23 @@ def test_majority_signatures_required(tiny_net):
     assert not ok and reason == "missing-verifier-majority"
 
 
+def test_relabelled_entry_rejected(tiny_net):
+    """A proposer that moves an honest entry to a peer on no committee and
+    re-signs the block would move that entry's stake reward; the verifier
+    signatures bind the contributor, so replicas refuse the block."""
+    ledger, genesis, secrets = fresh_ledger(tiny_net)
+    block = honest_block(genesis, secrets, ledger)
+    verifiers, aggregators = round_committees(genesis, build_ring(ledger.stake), block.prev_hash, 1)
+    taken = {*verifiers.committee, *aggregators.committee, *(e.peer for e in block.commitments)}
+    outsider = next(p for p in sorted(genesis.peer_pubkeys) if p not in taken)
+    moved = dataclasses.replace(block.commitments[-1], peer=outsider)
+    entries = tuple(sorted(block.commitments[:-1] + (moved,), key=lambda e: e.peer))
+    tampered = dataclasses.replace(block, commitments=entries)
+    tampered = resign_as_proposer(tampered, genesis, secrets, ledger)
+    ok, reason = ledger.validate_block(tampered)
+    assert not ok and reason == "bad-verifier-signature"
+
+
 def test_duplicate_contributor_rejected(tiny_net):
     ledger, genesis, secrets = fresh_ledger(tiny_net)
     block = honest_block(genesis, secrets, ledger)

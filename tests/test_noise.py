@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from chainlearn.bootstrap import PeerSecrets
 from chainlearn.commitments import commit, trusted_setup
 from chainlearn.groups import get_backend
 from chainlearn.noise import (
@@ -10,8 +11,11 @@ from chainlearn.noise import (
     gaussian_sigma,
     generate_noise,
     mask_update,
+    peer_noise,
 )
 from chainlearn.quantize import decode, encode
+
+from conftest import tiny_config
 
 BACKEND = get_backend("exponent")
 MOD = BACKEND.order
@@ -52,27 +56,33 @@ def test_noise_deterministic_per_seed_and_iteration():
 
 def test_table_dims_and_runtime_regeneration():
     pk = trusted_setup(BACKEND, 6, b"x")
-    seeds = {0: b"a", 1: b"b", 2: b"c"}
-    eta = lambda t: 0.5 / (1 + 0.1 * t)
-    table = build_noise_table(pk, seeds, 4, 2.0, 1e-5, 8, eta)
+    config = tiny_config(total_iterations=4)
+    secrets = {pid: PeerSecrets(None, seed) for pid, seed in enumerate([b"a", b"b", b"c"])}
+    table = build_noise_table(pk, config, secrets)
     assert set(table.commitments) == {0, 1, 2}
     assert all(len(row) == 4 for row in table.commitments.values())
-    nv = generate_noise(6, 2.0, 1e-5, 8, eta(3), b"b", 3, MOD, owner=1)
+    nv = peer_noise(config, 6, secrets[1], 3)
     assert commit(pk, nv.quantized).value == table.entry(1, 3).value
+    # the recipe reads the privacy budget, batch, schedule and scale from genesis
+    train = config.train
+    explicit = generate_noise(
+        6, config.epsilon, config.delta, train.batch_size, train.eta_at(3), b"b", 3, MOD,
+        config.scale_bits,
+    )
+    assert nv.quantized == explicit.quantized
 
 
 def test_zero_noise_adversary_representable():
     pk = trusted_setup(BACKEND, 6, b"x")
-    table = build_noise_table(
-        pk, {0: b"a", 1: b"b"}, 2, 2.0, 1e-5, 8, lambda t: 0.5, zero_noise_peers={1}
-    )
+    secrets = {0: PeerSecrets(None, b"a"), 1: PeerSecrets(None, b"b", zero_noise=True)}
+    table = build_noise_table(pk, tiny_config(total_iterations=2), secrets)
     assert table.entry(1, 1).value == BACKEND.g1_identity
     assert table.entry(0, 1).value != BACKEND.g1_identity
 
 
 def test_table_entry_bounds():
     pk = trusted_setup(BACKEND, 4, b"x")
-    table = build_noise_table(pk, {0: b"a"}, 2, 2.0, 1e-5, 4, lambda t: 0.5)
+    table = build_noise_table(pk, tiny_config(total_iterations=2), {0: PeerSecrets(None, b"a")})
     with pytest.raises(KeyError):
         table.entry(9, 1)
     with pytest.raises(ValueError):

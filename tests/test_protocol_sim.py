@@ -4,18 +4,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from chainlearn import ledger, protocol
+from chainlearn import ledger, noise, protocol
 from chainlearn.bootstrap import build_genesis
 from chainlearn.commitments import commit
 from chainlearn.committees import draw_committee, noiser_seed
 from chainlearn.datasets import make_dataset, partition
 from chainlearn.encoding import sha256, u64
 from chainlearn.ledger import block_content_hash, round_committees
-from chainlearn.noise import generate_noise, mask_update
+from chainlearn.noise import mask_update, peer_noise
 from chainlearn.protocol import (
     AggShareMsg,
     PeerNode,
-    Stage,
     StageTimeouts,
     Timer,
     UpdateSubmission,
@@ -31,25 +30,27 @@ from conftest import tiny_config
 
 # Tip hashes of two fixed runs. Any arithmetic rewrite that changes chain
 # bytes fails here, on both group backends.
-EXPONENT_TIP = "90797668f6771efacb4d9e1f9df986627e0651550160e3d6ce8f0850f47c6985"
-PAIRING_TIP = "860e948411a63d5c4320c023f66a72ce0b96c15cbd2665c143035faf0e0aa113"
+EXPONENT_TIP = "dc829e3693404a509425ec1572d20efea9fa34c676f9ad7e5bf4607730529727"
+PAIRING_TIP = "4659d75804c7a324cbb0f53440ca1ac5494ad74c494aa3e679f0578f03687e22"
 # sha256 of the round-1 signed payloads of make_sim(), one message per sender
 # concatenated in sender order. These signatures never enter a block, so the
 # tip hashes above do not cover their encoding. The aggregate-share payload
 # counts its contributor and share lists, so the signed bytes fix where each
 # list ends.
-SUBMISSION_PAYLOADS = "c94aeb4d669c930eb72e4234e04464d1fa1a66dd670278a7f353d72fd09ad647"
-AGGSHARE_PAYLOADS = "cce619b4fdd2ccaeaa196436b3eb7f1511b6f0fc90679ddb1319d55a0764ecd0"
+SUBMISSION_PAYLOADS = "f690c157c31922a8926d4e83443e3faa5173a20d3cc0c77b1519b10edfbbfbb6"
+AGGSHARE_PAYLOADS = "bce437cad02d0c48a2030c5778bc47132ec29e3ed0028e35ec204c699a39c146"
 
 
 def make_sim(
     n_peers=10, iterations=5, seed=3, backend="exponent", features=3, churn_per_minute=0.0,
-    **cfg_over,
+    zero_noise_peers=frozenset(), **cfg_over,
 ):
     config = tiny_config(
         total_iterations=iterations, n_features=features, backend_name=backend, **cfg_over
     )
-    genesis, secrets = build_genesis(config, range(n_peers), b"proto-test-%d" % seed)
+    genesis, secrets = build_genesis(
+        config, range(n_peers), b"proto-test-%d" % seed, zero_noise_peers=zero_noise_peers
+    )
     data = make_dataset(
         "synthetic-blobs",
         {"n": n_peers * 80, "features": features, "classes": config.n_classes, "separation": 6.0},
@@ -189,29 +190,18 @@ def make_submission(sim, peer_id, iteration=1, tamper=None):
         others = [p for p in sorted(sim.peers) if p not in noiser_ids and p != peer_id]
         noiser_ids = tuple(others[: cfg.num_noisers])
     noises = [
-        generate_noise(
-            update_q.dim, cfg.epsilon, cfg.delta, cfg.train.batch_size,
-            cfg.train.eta_at(iteration), sim.peers[nid].secrets.noise_seed, iteration,
-            backend.order, cfg.scale_bits, owner=nid,
-        ).quantized
+        peer_noise(cfg, update_q.dim, sim.peers[nid].secrets, iteration).quantized
         for nid in noiser_ids
     ]
     if tamper == "non-genesis-noise":
         # fresh noise that is NOT what was committed: try to unpoison the update
-        rogue = generate_noise(
-            update_q.dim, cfg.epsilon, cfg.delta, cfg.train.batch_size,
-            cfg.train.eta_at(iteration), b"rogue", iteration, backend.order, cfg.scale_bits,
-        ).quantized
-        noises[0] = rogue
+        rogue = dataclasses.replace(sim.peers[noiser_ids[0]].secrets, noise_seed=b"rogue")
+        noises[0] = peer_noise(cfg, update_q.dim, rogue, iteration).quantized
     masked = mask_update(update_q, noises)
     if tamper == "rescaled":
         # commit() ignores the scale, so the masking equality still holds
         masked = dataclasses.replace(masked, scale_bits=masked.scale_bits + 10)
-    listed = tuple(
-        (nid, backend.g1_to_bytes(genesis.noise_table.entry(nid, iteration).value))
-        for nid in noiser_ids
-    )
-    sub = UpdateSubmission(iteration, peer_id, masked, commitment, listed, vrf)
+    sub = UpdateSubmission(iteration, peer_id, masked, commitment, vrf)
     sig = sign(backend, peer.secrets.keypair, sub.payload_bytes(backend))
     sub = dataclasses.replace(sub, signature=sig)
     if tamper == "bad-signature":
@@ -301,6 +291,23 @@ def test_noise_at_a_foreign_scale_voids_the_update(monkeypatch):
     assert result.final_ledger.height >= 1
 
 
+def test_zero_noise_colluders_through_the_simulator():
+    """Colluders flagged once at genesis commit all-zero noise for every
+    round and hand out exactly that, so no updater refuses their noise as a
+    genesis mismatch and every round seals."""
+    colluders = {0, 1, 2}
+    sim = make_sim(zero_noise_peers=colluders)
+    table, identity = sim.genesis.noise_table, sim.genesis.commit_pk.backend.g1_identity
+    for pid in sim.peers:
+        zero = [table.entry(pid, t).value == identity for t in range(1, table.iterations + 1)]
+        assert all(zero) if pid in colluders else not any(zero)
+    result = sim.run()
+    served = [sim.peers[c].noise for c in colluders if sim.peers[c].noise is not None]
+    assert served and all(set(q.coeffs) == {0} for _, q in served)
+    assert not [line for p in sim.peers.values() for line in p.audit if "mismatches genesis" in line]
+    assert [b.iteration for _, b in result.block_records] == [1, 2, 3, 4, 5]
+
+
 def test_late_submission_never_signed():
     """A verifier whose window has closed ignores further submissions."""
     sim = make_sim(seed=6)
@@ -325,17 +332,6 @@ def test_stale_timer_ignored_and_budget_advances_round():
     actions = peer.handle(Timer(1, "round-budget"), 20.0)
     assert peer.round.iteration == 2
     assert any(isinstance(a[1], Timer) for a in actions)
-
-
-def test_stage_enum_values():
-    assert {s.value for s in Stage} == {
-        "idle",
-        "noising",
-        "awaiting-signatures",
-        "dealing",
-        "aggregating",
-        "awaiting-block",
-    }
 
 
 def test_honest_stake_share_grows_under_poisoning():
@@ -487,13 +483,13 @@ def test_per_tip_values_are_derived_once(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    def noise_key(dim, eps, delta, batch, eta, seed, iteration, *rest, owner, **kwargs):
-        draws[owner, iteration] += 1
+    def noise_key(dim, eps, delta, batch, eta, seed, iteration, *rest, **kwargs):
+        draws[seed, iteration] += 1
 
     counted(ledger, "build_ring")
     counted(ledger, "block_content_bytes")
-    counted(protocol, "generate_noise", noise_key)
     sim = make_sim()
+    counted(noise, "generate_noise", noise_key)  # after genesis has built its table
     result = sim.run()
     assert result.final_ledger.tip_hash().hex() == EXPONENT_TIP
     height, peers = result.final_ledger.height, len(sim.peers)

@@ -160,7 +160,7 @@ def test_vrf_rejects_member_swap():
     swapped[0] = (swapped[0] + 1) % 12
     if swapped[0] in out.committee[1:]:
         swapped[0] = (swapped[0] + 1) % 12
-    assert not verify_vrf(VrfOutput(tuple(swapped), out.proof, out.seed), seed, ring)
+    assert not verify_vrf(VrfOutput(tuple(swapped), out.proof), seed, ring)
 
 
 def test_vrf_rejects_stale_stake():

@@ -72,7 +72,7 @@ def test_accept_bundle_majority_and_shares():
     verifiers, aggregators, dealer, iteration = (0, 1, 2), (3, 4), 7, 1
     keys = {i: keygen(BACKEND, bytes([i])) for i in (0, 1, 2, 3, 4, dealer)}
     pubkeys = {i: kp.public for i, kp in keys.items()}
-    context = verifier_sign_context(iteration, commit(pk, q), BACKEND)
+    context = verifier_sign_context(iteration, dealer, commit(pk, q), BACKEND)
     sigs = tuple((vid, sign(BACKEND, keys[vid], context)) for vid in verifiers)
     bundle = deal_shares(q, pk, [0, 1], dealer=dealer, signatures_list=sigs)[0]
 
@@ -125,7 +125,6 @@ def test_sum_shares_hand_example():
     agg = sum_shares([b1, b2], BACKEND)
     assert agg[0].point == 1
     assert agg[0].summed_eval == 7
-    assert agg[0].contributor_count == 2
     combined = combine(BACKEND, [b1.commitment, b2.commitment])
     s = agg[0]
     assert verify_share(pk, combined, Witness(s.summed_witness, s.point, s.summed_eval))
@@ -207,7 +206,7 @@ def test_recovery_rejects_tampered_sum():
     c = commit(pk, q)
     bundles = deal_shares(q, pk, [0, 1], dealer=0)
     shares = [s for b in bundles.values() for s in sum_shares([b], BACKEND)]
-    bad = AggregateShare(shares[0].point, (shares[0].summed_eval + 1) % MOD, shares[0].summed_witness, 1)
+    bad = AggregateShare(shares[0].point, (shares[0].summed_eval + 1) % MOD, shares[0].summed_witness)
     with pytest.raises(ShareRecoveryError):
         recover_aggregate([bad] + shares[1:], pk, c, 20)
 
@@ -221,7 +220,7 @@ def test_recovery_names_the_failing_point():
     assert recover_aggregate(shares, pk, commit(pk, q), 20) == q
     for i in (0, 3, len(shares) - 1):
         s = shares[i]
-        bad = AggregateShare(s.point, s.summed_eval, BACKEND.g1_add(s.summed_witness, 1), 1)
+        bad = AggregateShare(s.point, s.summed_eval, BACKEND.g1_add(s.summed_witness, 1))
         with pytest.raises(ShareRecoveryError, match=f"at point {s.point} fails"):
             recover_aggregate(shares[:i] + [bad] + shares[i + 1:], pk, commit(pk, q), 20)
 
