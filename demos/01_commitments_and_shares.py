@@ -18,6 +18,7 @@ from chainlearn import (
     trusted_setup,
     verify_share,
 )
+from chainlearn.ledger import CommitmentEntry
 
 # The "pairing" backend is the real thing (supersingular curve, Tate pairing);
 # swap in "exponent" for instant arithmetic while prototyping.
@@ -52,12 +53,14 @@ print("product equals commitment of the sum:",
 # secret-share three updates to two aggregators and rebuild their sum
 updates = [encode(rng.normal(size=dim) * 0.1, int(rng.integers(100)), backend.order)
            for _ in range(3)]
+commitments = [commit(pk, q) for q in updates]
 per_agg = {0: [], 1: []}
-for i, q in enumerate(updates):
-    for agg, bundle in deal_shares(q, pk, [0, 1], dealer=i).items():
+for i, (q, cq) in enumerate(zip(updates, commitments)):
+    entry = CommitmentEntry(i, cq, ())  # its block entry, verifier sign-off left out here
+    for agg, bundle in deal_shares(q, pk, [0, 1], entry).items():
         per_agg[agg].append(bundle)
 shares = [s for agg in (0, 1) for s in sum_shares(per_agg[agg], backend)]
-combined = combine(backend, [commit(pk, q) for q in updates])
+combined = combine(backend, commitments)
 recovered = recover_aggregate(shares, pk, combined, scale_bits=20)
 print("recovered aggregate matches the direct sum:",
       np.allclose(decode(recovered), sum(decode(q) for q in updates)))

@@ -23,14 +23,14 @@ from .committees import VrfOutput, committee_seed, draw_committee, noiser_seed, 
 from .config import DatasetSpec, ExperimentSpec, load_spec, save_spec
 from .datasets import Dataset, make_dataset, partition
 from .groups import get_backend
-from .krum import KrumConfig, krum_scores, max_tolerable_f, multi_krum_select
+from .krum import KrumConfig, krum_sample_size, krum_scores, max_tolerable_f, multi_krum_select
 from .ledger import Block, GenesisBlock, Ledger, ProtocolConfig, load_chain, save_chain
 from .models import LogisticModel, ModelParams, SoftmaxModel, make_model, validation_error
 from .noise import NoiseTable, NoiseVector, build_noise_table, gaussian_sigma, generate_noise, mask_update, peer_noise
 from .quantize import QuantizedPoly, decode, encode
-from .sgd import TrainConfig, UpdateVector, apply_aggregate, compute_local_update
+from .sgd import TrainConfig, compute_local_update
 from .simnet import SimConfig, Simulation
 from .stake import StakeRing, build_ring, update_stake
-from .vss import AggregateShare, ShareBundle, deal_shares, recover_aggregate, sum_shares
+from .vss import ShareBundle, deal_shares, recover_aggregate, sum_shares
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 
 from .attacks import AdversaryConfig
-from .krum import max_tolerable_f
+from .krum import krum_sample_size, max_tolerable_f
 from .ledger import ProtocolConfig
 from .protocol import StageTimeouts
 from .sgd import TrainConfig
@@ -74,7 +74,7 @@ class ExperimentSpec:
 
     @property
     def multikrum_sample_R(self) -> int:
-        return max(3, round(self.collect_fraction * self.number_of_nodes))
+        return krum_sample_size(self.collect_fraction, self.number_of_nodes)
 
     @property
     def updates_per_block_u(self) -> int:

@@ -107,9 +107,12 @@ class ByteReader:
         n = self.u32()
         return [self.f64() for _ in range(n)]
 
+    def at_end(self) -> bool:
+        return self._pos == len(self._data)
+
     def done(self) -> None:
         """Raise ValueError unless every byte has been read."""
-        if self._pos != len(self._data):
+        if not self.at_end():
             raise ValueError(
                 f"trailing input: {len(self._data) - self._pos} bytes after offset {self._pos}"
             )

@@ -231,8 +231,7 @@ def run_fl_baseline(spec: ExperimentSpec, env: Environment | None = None) -> Exp
         total = np.zeros(model.dim)
         for pid in sorted(int(p) for p in picked):
             seed = int.from_bytes(sha256(b"fl-batch" + u64(spec.seed) + u64(pid) + u64(t)), "big")
-            upd = compute_local_update(model, params, env.datasets[pid], spec.train, seed, pid)
-            total += upd.delta
+            total += compute_local_update(model, params, env.datasets[pid], spec.train, seed)
         params = ModelParams(params.weights + total, t)
         rows.append(
             {
@@ -296,7 +295,7 @@ def inversion_batching_experiment(
     updates = []
     for idx in order:
         single = data.subset([idx])
-        updates.append(compute_local_update(model, params, single, cfg, rng_seed=idx).delta)
+        updates.append(compute_local_update(model, params, single, cfg, rng_seed=idx))
 
     results = []
     images = {}

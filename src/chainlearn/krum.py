@@ -35,6 +35,12 @@ class KrumConfig:
         return self.R - self.f
 
 
+def krum_sample_size(fraction: float, n_peers: int) -> int:
+    """R, the number of updates sampled for scoring: ``fraction`` of the
+    genesis peers, at least 3."""
+    return max(3, round(fraction * n_peers))
+
+
 def max_tolerable_f(R: int) -> int:
     """Largest f with f < (R-2)/2."""
     return max((R - 3) // 2, 0)

@@ -167,31 +167,36 @@ class GenesisBlock:
 
     @classmethod
     def from_bytes(cls, data: bytes, backend) -> "GenesisBlock":
+        """Decode ``to_bytes`` output, and only that: each peer-id list must
+        strictly ascend, so no other bytes decode to the same genesis."""
         r = ByteReader(data)
+
+        def by_peer(count, read_value) -> dict:
+            out, last = {}, -1
+            for _ in range(count):
+                pid = r.u32()
+                if pid <= last:
+                    raise ValueError(f"peer id {pid} after {last}: ids must strictly ascend")
+                out[pid] = read_value()
+                last = pid
+            return out
+
         initial_model = np.array(r.f64_vector())
         pk = CommitPK.from_bytes(backend, r.bytes_lp())
         size = backend.element_size
-        pubkeys = {}
-        for _ in range(r.u32()):
-            pid = r.u32()
-            pubkeys[pid] = backend.g1_from_bytes(r.raw(size))
+        pubkeys = by_peer(r.u32(), lambda: backend.g1_from_bytes(r.raw(size)))
         n_peers = r.u32()
         iters = r.u32()
-        table = {}
-        for _ in range(n_peers):
-            pid = r.u32()
-            table[pid] = tuple(
-                Commitment(backend.g1_from_bytes(r.raw(size))) for _ in range(iters)
-            )
-        stake = {}
-        for _ in range(r.u32()):
-            pid = r.u32()
-            stake[pid] = r.u64()
+        table = by_peer(
+            n_peers,
+            lambda: tuple(Commitment(backend.g1_from_bytes(r.raw(size))) for _ in range(iters)),
+        )
+        stake = by_peer(r.u32(), r.u64)
         stake_rule = r.bytes_lp().decode()
         global_key = r.bytes_lp()
         config = ProtocolConfig.from_bytes(r.bytes_lp())
         r.done()
-        return cls(
+        genesis = cls(
             initial_model,
             pk,
             pubkeys,
@@ -201,6 +206,9 @@ class GenesisBlock:
             global_key,
             config,
         )
+        # canonical, so these bytes are its encoding: hash them as read
+        object.__setattr__(genesis, "_digest", sha256(GENESIS_PREV_HASH + data))
+        return genesis
 
     def hash(self) -> bytes:
         # memoised: the encoding covers the whole N x T noise table
@@ -506,43 +514,34 @@ CHAIN_MAGIC = b"CLCHAIN1"
 
 
 def save_chain(path, ledger: Ledger) -> None:
+    """Write the magic, then genesis and each block as a length-prefixed record."""
+    w = ByteWriter().raw(CHAIN_MAGIC).bytes_lp(ledger.genesis.to_bytes())
+    for block in ledger.blocks:
+        w.bytes_lp(block_to_bytes(block, ledger.backend))
     with open(path, "wb") as fh:
-        fh.write(CHAIN_MAGIC)
-        genesis_bytes = ledger.genesis.to_bytes()
-        fh.write(len(genesis_bytes).to_bytes(4, "little"))
-        fh.write(genesis_bytes)
-        for block in ledger.blocks:
-            data = block_to_bytes(block, ledger.backend)
-            fh.write(len(data).to_bytes(4, "little"))
-            fh.write(data)
+        fh.write(w.getvalue())
 
 
 def load_chain(path, backend) -> Ledger:
     """Load and revalidate a persisted chain; raises ValueError naming the
-    first bad block."""
+    path and the first bad record."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[: len(CHAIN_MAGIC)] != CHAIN_MAGIC:
         raise ValueError(f"{path}: not a chain file (bad magic)")
-    pos = len(CHAIN_MAGIC)
-
-    def take_record():
-        nonlocal pos
-        if pos + 4 > len(data):
-            raise ValueError(f"{path}: truncated record length at byte {pos}")
-        n = int.from_bytes(data[pos : pos + 4], "little")
-        pos_new = pos + 4 + n
-        if pos_new > len(data):
-            raise ValueError(f"{path}: truncated record at byte {pos}")
-        out = data[pos + 4 : pos_new]
-        pos = pos_new
-        return out
-
-    genesis = GenesisBlock.from_bytes(take_record(), backend)
+    r = ByteReader(data)
+    r.raw(len(CHAIN_MAGIC))
+    try:
+        genesis = GenesisBlock.from_bytes(r.bytes_lp(), backend)
+    except ValueError as exc:
+        raise ValueError(f"{path}: genesis: {exc}") from None
     ledger = Ledger(genesis)
     index = 0
-    while pos < len(data):
-        block = block_from_bytes(take_record(), backend)
+    while not r.at_end():
+        try:
+            block = block_from_bytes(r.bytes_lp(), backend)
+        except ValueError as exc:
+            raise ValueError(f"{path}: block {index}: {exc}") from None
         ok, reason = ledger.append(block)
         if not ok:
             raise ValueError(f"{path}: block {index} (iteration {block.iteration}) invalid: {reason}")

@@ -32,7 +32,7 @@ from . import signatures
 from .commitments import Commitment, combine, commit
 from .committees import VrfOutput, draw_committee, noiser_seed, verify_vrf
 from .encoding import ByteWriter, sha256, u64
-from .krum import KrumConfig, max_tolerable_f, multi_krum_select
+from .krum import KrumConfig, krum_sample_size, max_tolerable_f, multi_krum_select
 from .ledger import (
     Block,
     CommitmentEntry,
@@ -131,8 +131,7 @@ class SignatureGrant:
 @dataclass(frozen=True)
 class BundleMsg:
     iteration: int
-    sender: int  # dealer
-    bundle: object  # ShareBundle
+    bundle: object  # ShareBundle; its entry names the dealer
 
 
 @dataclass(frozen=True)
@@ -146,22 +145,23 @@ class AggAnnounce:
 class AggShareMsg:
     iteration: int
     sender: int  # aggregator
-    contributors: tuple
-    shares: tuple  # AggregateShare
+    shares: tuple  # summed Witnesses, one per point the sender holds
     signature: bytes = b""
 
-    def payload_bytes(self, backend) -> bytes:
+    def payload_bytes(self, backend, contributors) -> bytes:
+        """The signed bytes; they cover the announced ``contributors`` that
+        the shares sum, which the proposer holds and so is not sent."""
         w = ByteWriter()
         w.u32(self.iteration)
         w.u32(self.sender)
-        w.u32(len(self.contributors))
-        for c in self.contributors:
+        w.u32(len(contributors))
+        for c in contributors:
             w.u32(c)
         w.u32(len(self.shares))
         for s in self.shares:
             w.int_lp(s.point)
-            w.int_lp(s.summed_eval)
-            w.raw(backend.g1_to_bytes(s.summed_witness))
+            w.int_lp(s.eval)
+            w.raw(backend.g1_to_bytes(s.value))
         return b"aggshare" + w.getvalue()
 
 
@@ -226,16 +226,16 @@ def verify_masked_submission(sub: UpdateSubmission, genesis, ring, prev_hash: by
     return commit(genesis.commit_pk, sub.masked).value == product.value
 
 
-def sample_for_krum(pool_ids, target: int, prev_hash: bytes, iteration: int) -> list[int]:
-    """Deterministically sample ``target`` submitters from the pool, seeded by
-    the chain tip so every verifier picks the same set."""
-    ordered = sorted(pool_ids)
-    if len(ordered) <= target:
-        return ordered
-    seed = int.from_bytes(sha256(b"krum-sample" + prev_hash + u64(iteration)), "big")
-    rng = np.random.default_rng(seed)
-    picked = rng.permutation(len(ordered))[:target]
-    return sorted(ordered[i] for i in picked)
+def tip_sample(ids, k: int, tag: bytes, prev_hash: bytes, iteration: int) -> tuple:
+    """``k`` of ``ids`` (all of them if there are no more), sorted, drawn by
+    a generator seeded with ``tag``, the tip hash and the round, so every
+    peer on that tip draws the same ones."""
+    ordered = sorted(ids)
+    if len(ordered) <= k:
+        return tuple(ordered)
+    seed = int.from_bytes(sha256(tag + prev_hash + u64(iteration)), "big")
+    picked = np.random.default_rng(seed).permutation(len(ordered))[:k]
+    return tuple(sorted(ordered[i] for i in picked))
 
 
 # --- the peer -----------------------------------------------------------------
@@ -291,7 +291,7 @@ class PeerNode:
         return self.backend.g1_to_bytes(self.secrets.keypair.public)
 
     def r_target(self) -> int:
-        return max(3, round(self.config.collect_fraction * len(self.genesis.peer_pubkeys)))
+        return krum_sample_size(self.config.collect_fraction, len(self.genesis.peer_pubkeys))
 
     def u_target(self) -> int:
         return max(1, self.r_target() // 2)
@@ -339,13 +339,13 @@ class PeerNode:
         params = self.ledger.current_model()
         seed = int.from_bytes(sha256(b"batch" + self.secrets.noise_seed + u64(t)), "big")
         try:
-            update = compute_local_update(self.model, params, self.dataset, cfg.train, seed, self.id)
+            delta = compute_local_update(self.model, params, self.dataset, cfg.train, seed)
         except ValueError as exc:
             self.audit.append(f"r{t}: local update failed: {exc}")
             return []
         blinding = int.from_bytes(sha256(b"blind" + self.secrets.noise_seed + u64(t)), "big")
         self.round.update_q = encode(
-            update.delta, blinding % self.backend.order, self.backend.order, cfg.scale_bits
+            delta, blinding % self.backend.order, self.backend.order, cfg.scale_bits
         )
         self.round.commitment = commit(self.genesis.commit_pk, self.round.update_q)
         seed_bytes = noiser_seed(self._pubkey_bytes(), prev_hash, t)
@@ -459,7 +459,7 @@ class PeerNode:
         if len(rs.pool) < 3:
             self.audit.append(f"r{rs.iteration}: only {len(rs.pool)} submissions, no quorum")
             return []
-        chosen = sample_for_krum(rs.pool.keys(), self.r_target(), self.ledger.tip_hash(), rs.iteration)
+        chosen = tip_sample(rs.pool, self.r_target(), b"krum-sample", self.ledger.tip_hash(), rs.iteration)
         updates = np.stack([decode(rs.pool[pid].masked) for pid in chosen])
         cfg = KrumConfig(len(chosen), max_tolerable_f(len(chosen)))
         winners = [chosen[i] for i in multi_krum_select(updates, cfg)]
@@ -489,26 +489,21 @@ class PeerNode:
         if rs.dealt or len(rs.grants) <= len(rs.verifiers) // 2:
             return []
         rs.dealt = True
-        sig_list = tuple(sorted(rs.grants.items()))
-        bundles = deal_shares(
-            rs.update_q,
-            self.genesis.commit_pk,
-            list(rs.aggregators),
-            dealer=self.id,
-            signatures_list=sig_list,
-        )
-        return [(aid, BundleMsg(rs.iteration, self.id, b), None) for aid, b in bundles.items()]
+        entry = CommitmentEntry(self.id, rs.commitment, tuple(sorted(rs.grants.items())))
+        bundles = deal_shares(rs.update_q, self.genesis.commit_pk, rs.aggregators, entry)
+        return [(aid, BundleMsg(rs.iteration, b), None) for aid, b in bundles.items()]
 
     # -- aggregator duty --------------------------------------------------------------
 
     def _on_BundleMsg(self, msg: BundleMsg, now: float) -> list:
         rs = self.round
-        if not self.is_aggregator() or msg.iteration != rs.iteration or rs.announced:
-            self.audit.append(f"dropped late/stray bundle from {msg.sender}")
-            return []
         bundle = msg.bundle
-        if bundle.dealer != msg.sender or bundle.dealer in rs.accepted_bundles:
-            self.audit.append(f"duplicate/forged bundle from {msg.sender}")
+        dealer = bundle.entry.peer
+        if not self.is_aggregator() or msg.iteration != rs.iteration or rs.announced:
+            self.audit.append(f"dropped late/stray bundle from {dealer}")
+            return []
+        if dealer in rs.accepted_bundles:
+            self.audit.append(f"duplicate bundle from {dealer}")
             return []
         if not accept_bundle(
             bundle,
@@ -518,9 +513,9 @@ class PeerNode:
             self.genesis.peer_pubkeys,
             self.genesis.commit_pk,
         ):
-            self.audit.append(f"r{rs.iteration}: bundle from {msg.sender} rejected")
+            self.audit.append(f"r{rs.iteration}: bundle from {dealer} rejected")
             return []
-        rs.accepted_bundles[bundle.dealer] = bundle
+        rs.accepted_bundles[dealer] = bundle
         return []
 
     def _close_aggregation(self, now: float) -> list:
@@ -531,15 +526,11 @@ class PeerNode:
         if not rs.accepted_bundles:
             self.audit.append(f"r{rs.iteration}: no accepted bundles, voiding round")
             return []
-        ordered = sorted(rs.accepted_bundles)
-        seed = int.from_bytes(sha256(b"pick" + self.ledger.tip_hash() + u64(rs.iteration)), "big")
-        rng = np.random.default_rng(seed)
-        perm = rng.permutation(len(ordered))
-        contributors = tuple(sorted(ordered[i] for i in perm[: self.u_target()]))
-        rs.announce = contributors
-        announce = AggAnnounce(rs.iteration, self.id, contributors)
-        out = [(aid, announce, None) for aid in rs.aggregators]
-        return out
+        rs.announce = tip_sample(
+            rs.accepted_bundles, self.u_target(), b"pick", self.ledger.tip_hash(), rs.iteration
+        )
+        announce = AggAnnounce(rs.iteration, self.id, rs.announce)
+        return [(aid, announce, None) for aid in rs.aggregators]
 
     def _on_AggAnnounce(self, msg: AggAnnounce, now: float) -> list:
         rs = self.round
@@ -554,11 +545,10 @@ class PeerNode:
         if missing:
             self.audit.append(f"r{rs.iteration}: missing bundles for {missing}, cannot contribute sum")
             return []
-        rs.announce = msg.contributors
         bundles = [rs.accepted_bundles[pid] for pid in msg.contributors]
-        shares = tuple(sum_shares(bundles, self.backend))
-        reply = AggShareMsg(rs.iteration, self.id, msg.contributors, shares)
-        sig = signatures.sign(self.backend, self.secrets.keypair, reply.payload_bytes(self.backend))
+        reply = AggShareMsg(rs.iteration, self.id, tuple(sum_shares(bundles, self.backend)))
+        payload = reply.payload_bytes(self.backend, msg.contributors)
+        sig = signatures.sign(self.backend, self.secrets.keypair, payload)
         reply = replace(reply, signature=sig)
         return [(aid, reply, None) for aid in rs.aggregators]
 
@@ -570,7 +560,6 @@ class PeerNode:
             msg.iteration != rs.iteration
             or rs.minted
             or rs.announce is None
-            or msg.contributors != rs.announce
             or msg.sender not in rs.aggregators
             or msg.sender in rs.agg_shares
         ):
@@ -579,7 +568,7 @@ class PeerNode:
         if not signatures.verify(
             self.backend,
             self.genesis.peer_pubkeys[msg.sender],
-            msg.payload_bytes(self.backend),
+            msg.payload_bytes(self.backend, rs.announce),
             msg.signature,
         ):
             self.audit.append(f"r{rs.iteration}: bad aggregate-share signature from {msg.sender}")
@@ -594,8 +583,9 @@ class PeerNode:
         rs = self.round
         backend = self.backend
         pk = self.genesis.commit_pk
-        bundles = [rs.accepted_bundles[pid] for pid in rs.announce]
-        combined = combine(backend, [b.commitment for b in bundles])
+        # the announce is sorted, so the entries are in block order
+        entries = tuple(rs.accepted_bundles[pid].entry for pid in rs.announce)
+        combined = combine(backend, [e.commitment for e in entries])
         all_shares = [s for shares in rs.agg_shares.values() for s in shares]
         try:
             aggregate = recover_aggregate(all_shares, pk, combined, self.config.scale_bits)
@@ -605,10 +595,6 @@ class PeerNode:
         rs.minted = True
         prev = self.ledger.current_model()
         weights = prev.weights + decode(aggregate)
-        entries = tuple(
-            CommitmentEntry(b.dealer, b.commitment, b.signatures)
-            for b in sorted(bundles, key=lambda b: b.dealer)
-        )
         block = Block(
             prev_hash=self.ledger.tip_hash(),
             iteration=rs.iteration,

@@ -1,4 +1,4 @@
-"""The per-peer update rule and model application.
+"""The per-peer update rule.
 
 A local update is one regularized SGD step against the shared model,
 computed on a uniformly sampled (with replacement) batch of local data and
@@ -41,13 +41,6 @@ class TrainConfig:
         return self.eta0 / (1.0 + self.eta_decay * t)
 
 
-@dataclass(frozen=True)
-class UpdateVector:
-    delta: np.ndarray
-    peer: int
-    iteration: int
-
-
 def clip_to_unit_norm(v: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(v))
     if norm > CLIP_NORM:
@@ -56,9 +49,9 @@ def clip_to_unit_norm(v: np.ndarray) -> np.ndarray:
 
 
 def compute_local_update(
-    model, params: ModelParams, dataset, cfg: TrainConfig, rng_seed: int, peer: int = -1
-) -> UpdateVector:
-    """One deterministic local step; same seed, same bits."""
+    model, params: ModelParams, dataset, cfg: TrainConfig, rng_seed: int
+) -> np.ndarray:
+    """The clipped delta of one deterministic local step; same seed, same bits."""
     n = len(dataset.labels)
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -69,16 +62,6 @@ def compute_local_update(
     grad = model.mean_grad(params.weights, dataset.features[batch], dataset.labels[batch])
     if not np.all(np.isfinite(grad)):
         raise ValueError("non-finite gradient")
-    t = params.iteration
-    delta = -cfg.eta_at(t) * (cfg.weight_decay * params.weights + grad)
-    return UpdateVector(clip_to_unit_norm(delta), peer, t)
+    delta = -cfg.eta_at(params.iteration) * (cfg.weight_decay * params.weights + grad)
+    return clip_to_unit_norm(delta)
 
-
-def apply_aggregate(params: ModelParams, aggregate: np.ndarray) -> ModelParams:
-    """Element-wise add of a round's summed updates; bumps the iteration."""
-    aggregate = np.asarray(aggregate, dtype=np.float64)
-    if aggregate.shape != params.weights.shape:
-        raise ValueError(
-            f"aggregate dimension {aggregate.shape} does not match model {params.weights.shape}"
-        )
-    return ModelParams(params.weights + aggregate, params.iteration + 1)

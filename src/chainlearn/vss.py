@@ -30,19 +30,12 @@ class ShareRecoveryError(RuntimeError):
 
 @dataclass(frozen=True)
 class ShareBundle:
-    """One dealer's shares for one aggregator, plus the verifier sign-off."""
+    """One dealer's shares for one aggregator, with the dealer's block entry:
+    its id, its commitment and the verifier sign-off, as the block will carry
+    them."""
 
-    dealer: int
-    commitment: Commitment
+    entry: CommitmentEntry
     shares: tuple  # Witness instances at this aggregator's points
-    signatures: tuple  # (verifier_id, signature_bytes), same list for all slices
-
-
-@dataclass(frozen=True)
-class AggregateShare:
-    point: int
-    summed_eval: int
-    summed_witness: object  # G1 element
 
 
 def share_points(dim: int) -> list[int]:
@@ -58,27 +51,20 @@ def assign_points(points, aggregators) -> dict:
     return out
 
 
-def deal_shares(
-    update_q: QuantizedPoly,
-    pk: CommitPK,
-    aggregators,
-    dealer: int = -1,
-    signatures_list=(),
-) -> dict:
-    """Evaluate the update at every share point and slice per aggregator."""
+def deal_shares(update_q: QuantizedPoly, pk: CommitPK, aggregators, entry: CommitmentEntry) -> dict:
+    """Evaluate the update at every share point and slice per aggregator;
+    ``entry`` is the dealer's block entry, whose commitment is to
+    ``update_q``."""
     aggregators = list(aggregators)
     if len(aggregators) < 2:
         raise ValueError("need at least two aggregators")
     points = share_points(update_q.dim)
     if len(aggregators) > len(points):
         raise ValueError(f"{len(aggregators)} aggregators for only {len(points)} share points")
-    c = commit(pk, update_q)
-    assignment = assign_points(points, aggregators)
-    bundles = {}
-    for agg, pts in assignment.items():
-        shares = tuple(create_witness(pk, update_q, z) for z in pts)
-        bundles[agg] = ShareBundle(dealer, c, shares, tuple(signatures_list))
-    return bundles
+    return {
+        agg: ShareBundle(entry, tuple(create_witness(pk, update_q, z) for z in pts))
+        for agg, pts in assign_points(points, aggregators).items()
+    }
 
 
 def accept_bundle(
@@ -88,14 +74,15 @@ def accept_bundle(
     ``iteration`` (``ledger.entry_rejection``, against the round's verifier
     and aggregator committees and the genesis ``pubkeys``) and every share
     opens the commitment, checked as one batch."""
-    entry = CommitmentEntry(bundle.dealer, bundle.commitment, bundle.signatures)
-    if entry_rejection(entry, iteration, verifiers, aggregators, pubkeys, pk.backend):
+    if entry_rejection(bundle.entry, iteration, verifiers, aggregators, pubkeys, pk.backend):
         return False
-    return verify_share(pk, bundle.commitment, *bundle.shares)
+    return verify_share(pk, bundle.entry.commitment, *bundle.shares)
 
 
-def sum_shares(accepted, backend) -> list[AggregateShare]:
-    """Point-wise sums across bundles that share one point set."""
+def sum_shares(accepted, backend) -> list[Witness]:
+    """Point-wise sums across bundles that share one point set.  Witnesses
+    are homomorphic, so each sum opens the product of the bundles'
+    commitments at its point."""
     accepted = list(accepted)
     if not accepted:
         raise ValueError("no bundles to sum")
@@ -110,13 +97,7 @@ def sum_shares(accepted, backend) -> list[AggregateShare]:
         acc = backend.g1_identity
         for b in accepted:
             acc = backend.g1_add(acc, b.shares[i].value)
-        out.append(
-            AggregateShare(
-                point=z,
-                summed_eval=sum(b.shares[i].eval for b in accepted) % order,
-                summed_witness=acc,
-            )
-        )
+        out.append(Witness(acc, z, sum(b.shares[i].eval for b in accepted) % order))
     return out
 
 
@@ -131,21 +112,18 @@ def recover_aggregate(
     checked as one batch; only a failing batch is re-checked share by share,
     to name the failing point."""
     backend = pk.backend
-    by_point = {}
-    for s in agg_shares:
-        by_point[s.point % backend.order] = s
+    by_point = {w.point % backend.order: w for w in agg_shares}
     needed = pk.degree + 1
     if len(by_point) < needed:
         raise ShareRecoveryError(
             f"insufficient shares: {len(by_point)} distinct points, need {needed}"
         )
-    witnesses = [Witness(s.summed_witness, s.point, s.summed_eval) for s in by_point.values()]
-    if not verify_share(pk, combined, *witnesses):
-        for w in witnesses:
+    if not verify_share(pk, combined, *by_point.values()):
+        for w in by_point.values():
             if not verify_share(pk, combined, w):
                 raise ShareRecoveryError(f"aggregate share at point {w.point} fails verification")
     chosen = sorted(by_point)[:needed]
-    points = [(z, by_point[z].summed_eval % backend.order) for z in chosen]
+    points = [(z, by_point[z].eval % backend.order) for z in chosen]
     coeffs = lagrange_interpolate(points, backend.order)
     coeffs += [0] * (needed - len(coeffs))
     poly = QuantizedPoly(tuple(coeffs), scale_bits, backend.order)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from chainlearn.bootstrap import build_genesis
 from chainlearn.commitments import commit
@@ -16,6 +17,10 @@ from chainlearn.quantize import decode, encode, sum_polys
 from chainlearn.sgd import TrainConfig
 from chainlearn.signatures import sign
 from chainlearn.stake import build_ring
+from chainlearn.vss import deal_shares
+
+# `pytest --hypothesis-profile=ci` replays the same examples on every run
+settings.register_profile("ci", derandomize=True, database=None)
 
 
 def tiny_config(**overrides) -> ProtocolConfig:
@@ -45,6 +50,12 @@ def tiny_net():
     config = tiny_config()
     genesis, secrets = build_genesis(config, range(12), b"tiny-net-seed")
     return genesis, secrets
+
+
+def deal(q, pk, aggregators, dealer=0, sigs=()):
+    """``vss.deal_shares`` of ``q`` by ``dealer``, under its block entry with
+    the verifier signatures ``sigs``."""
+    return deal_shares(q, pk, aggregators, CommitmentEntry(dealer, commit(pk, q), sigs))
 
 
 def honest_block(genesis, secrets, ledger, seed=0, contributor_count=4):

@@ -33,7 +33,9 @@ from chainlearn.ledger import Ledger
 from chainlearn.quantize import QuantizedPoly, decode, encode, sum_polys
 from chainlearn.sgd import TrainConfig
 from chainlearn.stake import KEYSPACE, build_ring
-from chainlearn.vss import ShareRecoveryError, deal_shares, recover_aggregate, sum_shares
+from chainlearn.vss import ShareRecoveryError, recover_aggregate, sum_shares
+
+from conftest import deal
 
 SEED = 11
 COLLUSION_SEED = 2026  # fixed up front; results were not used to pick it
@@ -133,7 +135,7 @@ def test_criterion_1_crypto_invariants():
     nrng = np.random.default_rng(SEED)
     update = encode(nrng.normal(size=25) * 0.1, 12345, order)
     c = commit(pk25, update)
-    bundles = deal_shares(update, pk25, [0, 1, 2], dealer=0)
+    bundles = deal(update, pk25, [0, 1, 2], dealer=0)
     shares = [s for b in bundles.values() for s in sum_shares([b], backend)]
     with pytest.raises(ShareRecoveryError):
         recover_aggregate(shares[:25], pk25, c, 20)
@@ -146,7 +148,7 @@ def test_criterion_1_crypto_invariants():
         updates.append(encode(v / np.linalg.norm(v), int(nrng.integers(order)), order))
     per_agg = {a: [] for a in (0, 1, 2)}
     for i, q in enumerate(updates):
-        for a, bundle in deal_shares(q, pk25, [0, 1, 2], dealer=i).items():
+        for a, bundle in deal(q, pk25, [0, 1, 2], dealer=i).items():
             per_agg[a].append(bundle)
     agg_shares = [s for a in (0, 1, 2) for s in sum_shares(per_agg[a], backend)]
     combined = combine(backend, [commit(pk25, q) for q in updates])

@@ -1,12 +1,14 @@
 """Fuzzing the chain decoders on the exponent group: every byte string that
-reaches one either decodes or raises ValueError, and nothing else; valid
-encodings round-trip exactly, and every strict prefix of one is refused."""
+reaches one either raises ValueError, and nothing else, or decodes to a value
+whose encoding is exactly those bytes; valid encodings round-trip, and every
+strict prefix of one is refused."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainlearn.commitments import CommitPK
+from chainlearn.encoding import u32
 from chainlearn.groups import get_backend
 from chainlearn.ledger import GenesisBlock, Ledger, ProtocolConfig, block_from_bytes, block_to_bytes
 
@@ -36,11 +38,12 @@ def encoded(tiny_net):
     }
 
 
-def decodes_or_value_error(kind, data) -> None:
+def canonical_or_value_error(kind, data) -> None:
     try:
-        REENCODE[kind](data)
+        again = REENCODE[kind](data)
     except ValueError:
-        pass
+        return
+    assert again == data
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -52,7 +55,7 @@ def test_valid_encoding_round_trips(encoded, kind):
 @FUZZ
 @given(data=st.binary(max_size=256))
 def test_arbitrary_bytes(kind, data):
-    decodes_or_value_error(kind, data)
+    canonical_or_value_error(kind, data)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -70,4 +73,23 @@ def test_truncation_is_refused(encoded, kind, cut):
 def test_single_byte_flip(encoded, kind, where, flip):
     data = bytearray(encoded[kind])
     data[int(where * len(data))] ^= flip
-    decodes_or_value_error(kind, bytes(data))
+    canonical_or_value_error(kind, bytes(data))
+
+
+@pytest.mark.parametrize("change", ["swap-two-keys", "repeat-a-key"])
+def test_non_canonical_genesis_is_refused(tiny_net, change):
+    """Public-key records out of order, or one twice with the count raised by
+    one, would decode to the same genesis with the same hash."""
+    genesis, _ = tiny_net
+    data = genesis.to_bytes()
+    count_at = 4 + 8 * len(genesis.initial_model) + 4 + len(genesis.commit_pk.to_bytes())
+    first = count_at + 4
+    size = 4 + BACKEND.element_size  # peer id, then its key
+    one, two = data[first : first + size], data[first + size : first + 2 * size]
+    if change == "swap-two-keys":
+        bad = data[:first] + two + one + data[first + 2 * size :]
+    else:
+        count = int.from_bytes(data[count_at:first], "little")
+        bad = data[:count_at] + u32(count + 1) + one + data[first:]
+    with pytest.raises(ValueError, match="ascend"):
+        GenesisBlock.from_bytes(bad, BACKEND)

@@ -383,6 +383,9 @@ def test_chain_file_roundtrip_and_tamper(tiny_net, tmp_path):
     bad_path.write_bytes(bytes(data))
     with pytest.raises(ValueError, match="block 1"):
         load_chain(bad_path, BACKEND)
+    bad_path.write_bytes(bytes(data[:-5]))  # cut inside the last record
+    with pytest.raises(ValueError, match="tampered.bin: block 1: truncated"):
+        load_chain(bad_path, BACKEND)
 
 
 def assert_tip_state_fresh(ledger):

@@ -9,7 +9,7 @@ from chainlearn.models import (
     make_model,
     validation_error,
 )
-from chainlearn.sgd import TrainConfig, apply_aggregate, clip_to_unit_norm, compute_local_update
+from chainlearn.sgd import TrainConfig, clip_to_unit_norm, compute_local_update
 
 
 def small_dataset(seed=0, n=40, d=4, classes=2):
@@ -58,7 +58,7 @@ def test_hand_computed_single_example_step():
     model = LogisticModel(1)
     cfg = TrainConfig(eta0=0.5, eta_decay=0.0, weight_decay=0.0, batch_size=1)
     upd = compute_local_update(model, model.init_params(), data, cfg, rng_seed=0)
-    np.testing.assert_allclose(upd.delta, [0.25, 0.25])
+    np.testing.assert_allclose(upd, [0.25, 0.25])
 
 
 def test_update_norm_clipped():
@@ -68,7 +68,7 @@ def test_update_norm_clipped():
     params = ModelParams(rng.normal(0, 10, size=model.dim), 0)
     cfg = TrainConfig(eta0=50.0, eta_decay=0.0, weight_decay=0.1, batch_size=8)
     upd = compute_local_update(model, params, data, cfg, rng_seed=5)
-    assert np.linalg.norm(upd.delta) <= 1.0 + 1e-12
+    assert np.linalg.norm(upd) <= 1.0 + 1e-12
 
 
 def test_update_deterministic():
@@ -78,8 +78,8 @@ def test_update_deterministic():
     a = compute_local_update(model, model.init_params(), data, cfg, rng_seed=7)
     b = compute_local_update(model, model.init_params(), data, cfg, rng_seed=7)
     c = compute_local_update(model, model.init_params(), data, cfg, rng_seed=8)
-    assert np.array_equal(a.delta, b.delta)
-    assert not np.array_equal(a.delta, c.delta)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_empty_dataset_rejected():
@@ -93,26 +93,6 @@ def test_eta_schedule_non_increasing():
     cfg = TrainConfig(eta0=0.1, eta_decay=0.05)
     etas = [cfg.eta_at(t) for t in range(50)]
     assert all(a >= b for a, b in zip(etas, etas[1:]))
-
-
-def test_apply_aggregate():
-    params = ModelParams(np.array([1.0, 2.0]), 3)
-    out = apply_aggregate(params, np.array([0.5, -0.5]))
-    np.testing.assert_allclose(out.weights, [1.5, 1.5])
-    assert out.iteration == 4
-    with pytest.raises(ValueError):
-        apply_aggregate(params, np.zeros(3))
-
-
-def test_apply_aggregate_additivity():
-    rng = np.random.default_rng(2)
-    params = ModelParams(rng.normal(size=5), 0)
-    deltas = [rng.normal(size=5) for _ in range(4)]
-    seq = params
-    for d in deltas:
-        seq = apply_aggregate(seq, d)
-    once = apply_aggregate(params, np.sum(deltas, axis=0))
-    np.testing.assert_allclose(seq.weights, once.weights)
 
 
 def test_validation_error_perfect_and_constant():

@@ -95,7 +95,9 @@ def test_signed_payloads_are_pinned(monkeypatch):
         actions = handle(peer, event, now)
         for _, msg, _ in actions:
             if type(msg) in payloads and msg.iteration == 1:
-                payloads[type(msg)][msg.sender] = msg.payload_bytes(peer.backend)
+                # an aggregate share is signed over the announce it answers
+                extra = (event.contributors,) if type(msg) is AggShareMsg else ()
+                payloads[type(msg)][msg.sender] = msg.payload_bytes(peer.backend, *extra)
         return actions
 
     monkeypatch.setattr(PeerNode, "handle", recording)
@@ -106,6 +108,41 @@ def test_signed_payloads_are_pinned(monkeypatch):
 
     assert digest(payloads[UpdateSubmission]) == SUBMISSION_PAYLOADS
     assert digest(payloads[AggShareMsg]) == AGGSHARE_PAYLOADS
+
+
+def test_aggregate_share_signature_binds_the_announce(monkeypatch):
+    """An aggregator that signs its summed shares over another contributor
+    set than the proposer announced is refused as a bad signature and does
+    not count toward the quorum; the round seals on the other aggregators."""
+    sim = make_sim()
+    _, aggregators = round_committees(
+        sim.genesis, build_ring(sim.genesis.initial_stake), sim.genesis.hash(), 1
+    )
+    proposer, rogue = aggregators.committee[:2]
+    answer, collect = PeerNode._on_AggAnnounce, PeerNode._on_AggShareMsg
+    counted = []
+
+    def resigned(peer, msg, now):
+        out = answer(peer, msg, now)
+        if peer.id != rogue or msg.iteration != 1 or not out:
+            return out
+        reply = out[0][1]
+        payload = reply.payload_bytes(peer.backend, msg.contributors[:-1])
+        reply = dataclasses.replace(reply, signature=sign(peer.backend, peer.secrets.keypair, payload))
+        return [(dest, reply, extra) for dest, _, extra in out]
+
+    def collecting(peer, msg, now):
+        out = collect(peer, msg, now)
+        if peer.id == proposer and msg.sender == rogue and msg.iteration == 1:
+            counted.append(rogue in peer.round.agg_shares)
+        return out
+
+    monkeypatch.setattr(PeerNode, "_on_AggAnnounce", resigned)
+    monkeypatch.setattr(PeerNode, "_on_AggShareMsg", collecting)
+    result = sim.run()
+    assert f"r1: bad aggregate-share signature from {rogue}" in sim.peers[proposer].audit
+    assert counted == [False]
+    assert [b.iteration for b in result.final_ledger.blocks] == [1, 2, 3, 4, 5]
 
 
 def test_every_appended_block_revalidates(happy_run):
@@ -175,9 +212,9 @@ def make_submission(sim, peer_id, iteration=1, tamper=None):
     prev_hash = genesis.hash()
     params = peer.ledger.current_model()
     seed = int.from_bytes(sha256(b"batch" + peer.secrets.noise_seed + u64(iteration)), "big")
-    update = compute_local_update(peer.model, params, peer.dataset, cfg.train, seed, peer_id)
+    delta = compute_local_update(peer.model, params, peer.dataset, cfg.train, seed)
     blinding = int.from_bytes(sha256(b"blind" + peer.secrets.noise_seed + u64(iteration)), "big")
-    update_q = encode(update.delta, blinding % backend.order, backend.order, cfg.scale_bits)
+    update_q = encode(delta, blinding % backend.order, backend.order, cfg.scale_bits)
     commitment = commit(genesis.commit_pk, update_q)
     ring = build_ring(peer.ledger.stake)
     seed_bytes = noiser_seed(backend.g1_to_bytes(peer.secrets.keypair.public), prev_hash, iteration)
@@ -394,17 +431,15 @@ def test_byzantine_dealer_is_left_out_and_rounds_seal(monkeypatch, padding):
     byzantine = eligible_peer(sim)
     deal_shares = protocol.deal_shares
 
-    def padded_deal(update_q, pk, aggregators, dealer, signatures_list):
-        if dealer == byzantine:
+    def padded_deal(update_q, pk, aggregators, entry):
+        if entry.peer == byzantine:
             if padding == "outsider":
                 extra = (byzantine, b"\x00" * 8)
             else:  # a listed verifier again, signing the wrong message
-                vid = signatures_list[0][0]
+                vid = entry.verifier_sigs[0][0]
                 extra = (vid, sign(sim.peers[vid].backend, sim.peers[vid].secrets.keypair, b"x"))
-            signatures_list = tuple(signatures_list) + (extra,)
-        return deal_shares(
-            update_q, pk, aggregators, dealer=dealer, signatures_list=signatures_list
-        )
+            entry = dataclasses.replace(entry, verifier_sigs=entry.verifier_sigs + (extra,))
+        return deal_shares(update_q, pk, aggregators, entry)
 
     monkeypatch.setattr(protocol, "deal_shares", padded_deal)
     result = sim.run()

@@ -9,16 +9,15 @@ from chainlearn.ledger import verifier_sign_context
 from chainlearn.quantize import decode, encode, sum_polys
 from chainlearn.signatures import keygen, sign
 from chainlearn.vss import (
-    AggregateShare,
-    ShareBundle,
     ShareRecoveryError,
     accept_bundle,
     assign_points,
-    deal_shares,
     recover_aggregate,
     share_points,
     sum_shares,
 )
+
+from conftest import deal
 
 BACKEND = get_backend("exponent")
 MOD = BACKEND.order
@@ -46,13 +45,13 @@ def test_dealt_shares_all_verify():
     rng = np.random.default_rng(0)
     pk = trusted_setup(BACKEND, 6, b"s")
     q = make_update(rng, 6)
-    bundles = deal_shares(q, pk, [0, 1, 2], dealer=9)
+    bundles = deal(q, pk, [0, 1, 2], dealer=9)
     assert set(bundles) == {0, 1, 2}
     c = commit(pk, q)
     for b in bundles.values():
-        assert b.commitment.value == c.value
+        assert b.entry.commitment.value == c.value
         for w in b.shares:
-            assert verify_share(pk, b.commitment, w)
+            assert verify_share(pk, c, w)
 
 
 def test_too_many_aggregators_rejected():
@@ -60,9 +59,9 @@ def test_too_many_aggregators_rejected():
     pk = trusted_setup(BACKEND, 2, b"s")
     q = make_update(rng, 2)
     with pytest.raises(ValueError):
-        deal_shares(q, pk, list(range(7)), dealer=0)  # only 6 points at d=2
+        deal(q, pk, list(range(7)), dealer=0)  # only 6 points at d=2
     with pytest.raises(ValueError):
-        deal_shares(q, pk, [0], dealer=0)
+        deal(q, pk, [0], dealer=0)
 
 
 def test_accept_bundle_majority_and_shares():
@@ -74,13 +73,16 @@ def test_accept_bundle_majority_and_shares():
     pubkeys = {i: kp.public for i, kp in keys.items()}
     context = verifier_sign_context(iteration, dealer, commit(pk, q), BACKEND)
     sigs = tuple((vid, sign(BACKEND, keys[vid], context)) for vid in verifiers)
-    bundle = deal_shares(q, pk, [0, 1], dealer=dealer, signatures_list=sigs)[0]
+    bundle = deal(q, pk, [0, 1], dealer, sigs)[0]
 
     def accepts(b):
         return accept_bundle(b, iteration, verifiers, aggregators, pubkeys, pk)
 
+    def with_entry(**changes):
+        return dataclasses.replace(bundle, entry=dataclasses.replace(bundle.entry, **changes))
+
     def with_sigs(signature_list):
-        return dataclasses.replace(bundle, signatures=signature_list)
+        return with_entry(verifier_sigs=signature_list)
 
     assert accepts(bundle)
 
@@ -104,9 +106,7 @@ def test_accept_bundle_majority_and_shares():
     assert not accepts(with_sigs(sigs + ((0, sign(BACKEND, keys[0], b"wrong message")),)))
 
     # a committee member may not contribute
-    assert not accept_bundle(
-        dataclasses.replace(bundle, dealer=3), iteration, verifiers, aggregators, pubkeys, pk
-    )
+    assert not accepts(with_entry(peer=3))
 
     # a dealer outside genesis is refused, as the block rule refuses its entry
     del pubkeys[dealer]
@@ -120,33 +120,28 @@ def test_sum_shares_hand_example():
 
     q1 = QuantizedPoly((1, 1), 20, MOD)
     q2 = QuantizedPoly((2, 3), 20, MOD)
-    b1 = deal_shares(q1, pk, [0, 1], dealer=0)[0]
-    b2 = deal_shares(q2, pk, [0, 1], dealer=1)[0]
+    b1 = deal(q1, pk, [0, 1], dealer=0)[0]
+    b2 = deal(q2, pk, [0, 1], dealer=1)[0]
     agg = sum_shares([b1, b2], BACKEND)
     assert agg[0].point == 1
-    assert agg[0].summed_eval == 7
-    combined = combine(BACKEND, [b1.commitment, b2.commitment])
-    s = agg[0]
-    assert verify_share(pk, combined, Witness(s.summed_witness, s.point, s.summed_eval))
+    assert agg[0].eval == 7
+    combined = combine(BACKEND, [b1.entry.commitment, b2.entry.commitment])
+    assert verify_share(pk, combined, agg[0])
 
 
 def test_sum_shares_single_update_is_identity():
     rng = np.random.default_rng(2)
     pk = trusted_setup(BACKEND, 4, b"s")
     q = make_update(rng, 4)
-    b = deal_shares(q, pk, [0, 1], dealer=0)[1]
-    agg = sum_shares([b], BACKEND)
-    for orig, summed in zip(b.shares, agg):
-        assert summed.point == orig.point
-        assert summed.summed_eval == orig.eval
-        assert summed.summed_witness == orig.value
+    b = deal(q, pk, [0, 1], dealer=0)[1]
+    assert tuple(sum_shares([b], BACKEND)) == b.shares
 
 
 def test_sum_shares_point_mismatch_rejected():
     rng = np.random.default_rng(3)
     pk = trusted_setup(BACKEND, 4, b"s")
     q = make_update(rng, 4)
-    bundles = deal_shares(q, pk, [0, 1], dealer=0)
+    bundles = deal(q, pk, [0, 1], dealer=0)
     with pytest.raises(ValueError):
         sum_shares([bundles[0], bundles[1]], BACKEND)
 
@@ -158,9 +153,9 @@ def test_recover_hand_example():
 
     q = QuantizedPoly((3, 2, 1), 20, MOD)
     c = commit(pk, q)
-    bundles = deal_shares(q, pk, [0, 1, 2], dealer=0)
+    bundles = deal(q, pk, [0, 1, 2], dealer=0)
     agg = [s for b in bundles.values() for s in sum_shares([b], BACKEND)]
-    evals = {s.point: s.summed_eval for s in agg}
+    evals = {s.point: s.eval for s in agg}
     assert (evals[1], evals[2], evals[3]) == (6, 11, 18)
     recovered = recover_aggregate([s for s in agg if s.point <= 3], pk, c, 20)
     assert recovered.coeffs == (3, 2, 1)
@@ -171,7 +166,7 @@ def test_threshold_d_points_insufficient():
     pk = trusted_setup(BACKEND, 5, b"s")
     q = make_update(rng, 5)
     c = commit(pk, q)
-    bundles = deal_shares(q, pk, [0, 1], dealer=0)
+    bundles = deal(q, pk, [0, 1], dealer=0)
     all_shares = [s for b in bundles.values() for s in sum_shares([b], BACKEND)]
     with pytest.raises(ShareRecoveryError, match="insufficient"):
         recover_aggregate(all_shares[: pk.degree], pk, c, 20)
@@ -186,7 +181,7 @@ def test_end_to_end_35_updates():
     aggregators = [0, 1, 2]
     per_agg = {a: [] for a in aggregators}
     for i, q in enumerate(updates):
-        for a, bundle in deal_shares(q, pk, aggregators, dealer=i).items():
+        for a, bundle in deal(q, pk, aggregators, dealer=i).items():
             per_agg[a].append(bundle)
     agg_shares = []
     for a in aggregators:
@@ -204,9 +199,9 @@ def test_recovery_rejects_tampered_sum():
     pk = trusted_setup(BACKEND, 4, b"s")
     q = make_update(rng, 4)
     c = commit(pk, q)
-    bundles = deal_shares(q, pk, [0, 1], dealer=0)
+    bundles = deal(q, pk, [0, 1], dealer=0)
     shares = [s for b in bundles.values() for s in sum_shares([b], BACKEND)]
-    bad = AggregateShare(shares[0].point, (shares[0].summed_eval + 1) % MOD, shares[0].summed_witness)
+    bad = dataclasses.replace(shares[0], eval=(shares[0].eval + 1) % MOD)
     with pytest.raises(ShareRecoveryError):
         recover_aggregate([bad] + shares[1:], pk, c, 20)
 
@@ -215,12 +210,12 @@ def test_recovery_names_the_failing_point():
     rng = np.random.default_rng(7)
     pk = trusted_setup(BACKEND, 4, b"s")
     q = make_update(rng, 4)
-    bundles = deal_shares(q, pk, [0, 1], dealer=0)
+    bundles = deal(q, pk, [0, 1], dealer=0)
     shares = [s for b in bundles.values() for s in sum_shares([b], BACKEND)]
     assert recover_aggregate(shares, pk, commit(pk, q), 20) == q
     for i in (0, 3, len(shares) - 1):
         s = shares[i]
-        bad = AggregateShare(s.point, s.summed_eval, BACKEND.g1_add(s.summed_witness, 1))
+        bad = dataclasses.replace(s, value=BACKEND.g1_add(s.value, 1))
         with pytest.raises(ShareRecoveryError, match=f"at point {s.point} fails"):
             recover_aggregate(shares[:i] + [bad] + shares[i + 1:], pk, commit(pk, q), 20)
 
