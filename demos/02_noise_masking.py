@@ -18,7 +18,7 @@ config = spec.protocol_config()
 genesis, secrets = build_genesis(config, range(3), b"demo")
 pk, table = genesis.commit_pk, genesis.noise_table
 backend, dim = pk.backend, pk.degree
-print(f"\nnoise table: {len(table.commitments)} peers x {table.iterations} rounds committed")
+print(f"\nnoise table: {len(table.commitments)} peers x {config.total_iterations} rounds committed")
 
 # at run time, peer 0 masks its round-2 update with noise from peers 1 and 2,
 # each drawn by the same recipe genesis committed

@@ -15,8 +15,9 @@ from chainlearn.stake import KEYSPACE
 stake = {pid: 10 for pid in range(20)}
 stake[7] = 100  # one whale
 ring = build_ring(stake)
+i = ring.peers.index(7)  # peer 7's interval ends at ends[i], and starts where peer 6's ends
 print("peer 7 owns %.1f%% of the ring (%.1f%% of stake)" % (
-    100 * ring.interval_measure(7) / KEYSPACE,
+    100 * (ring.ends[i] - ring.ends[i - 1]) / KEYSPACE,
     100 * stake[7] / sum(stake.values())))
 
 # sampling frequency tracks stake

@@ -19,7 +19,6 @@ from .ledger import GenesisBlock, ProtocolConfig
 from .models import make_model
 from .noise import build_noise_table
 from .signatures import KeyPair, keygen
-from .stake import STAKE_RULE_NAME
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,6 @@ def build_genesis(
         peer_pubkeys={pid: s.keypair.public for pid, s in secrets.items()},
         noise_table=build_noise_table(pk, config, secrets),
         initial_stake={pid: initial_stake for pid in peer_ids},
-        stake_rule=STAKE_RULE_NAME,
         global_key=sha256(b"global-key" + master_seed),
         config=config,
     )

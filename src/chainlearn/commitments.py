@@ -1,24 +1,26 @@
 """Constant-size polynomial commitments with verifiable point openings.
 
-A trusted setup produces powers g1^(alpha^j); a commitment C is one ``msm``
-of those powers by the polynomial coefficients.  Opening at a point z ships
-y = phi(z) and a commitment W to the quotient (phi(x) - y) / (x - z).  It is
-valid exactly when e(C, g2) == e(W, g2^(alpha - z)) * e(g1, g2)^y, checked
-in the folded form e(C - y*g1 + z*W, g2) * e(-W, g2^alpha) == 1.
+A trusted setup produces the powers alpha^j * g1 of the one generator; a
+commitment C is one ``msm`` of those powers by the polynomial coefficients.
+Opening at a point z ships y = phi(z) and a commitment W to the quotient
+(phi(x) - y) / (x - z).  It is valid exactly when
+e(C, g1) == e(W, (alpha - z)*g1) * e(g1, g1)^y, checked in the folded form
+e(C - y*g1 + z*W, g1) * e(-W, alpha*g1) == 1.
 
 All openings of one commitment are checked as one product, each folded
 equation raised to a weight rho_i (Bellare-Garay-Rabin small exponents):
 
-    e(sum(rho_i)*C - sum(rho_i*y_i)*g1 + sum(rho_i*z_i*W_i), g2)
-        * e(-sum(rho_i*W_i), g2^alpha) == 1
+    e(sum(rho_i)*C - sum(rho_i*y_i)*g1 + sum(rho_i*z_i*W_i), g1)
+        * e(-sum(rho_i*W_i), alpha*g1) == 1
 
 The rho_i are 128-bit, drawn by SHA-256 from the commitment and every
 (point, eval, witness): a rerun draws the same weights, and a batch with a
 bad opening passes with probability 2^-128 (2^-61 on the exponent group).
-The pairing is symmetric, so the fixed g2 and g2^alpha drive the Miller
-loop.  Commitments are homomorphic: the product of commitments commits to
-the coefficient-wise sum, which is what lets verifiers audit masked updates
-and block aggregates without seeing them.
+The pairing is symmetric, so the key's first two powers g1 and alpha*g1
+are the fixed arguments that drive the Miller loop.  Commitments are
+homomorphic: the product of commitments commits to the coefficient-wise
+sum, which is what lets verifiers audit masked updates and block aggregates
+without seeing them.
 """
 
 from __future__ import annotations
@@ -49,27 +51,25 @@ class Witness:
 
 
 class CommitPK:
-    """Public commitment key: G1 powers of alpha plus g2, g2^alpha.
+    """Public commitment key: the powers alpha^j * g1.
 
     ``degree`` is the highest polynomial degree the key supports, so there
-    are ``degree + 1`` G1 powers.
+    are ``degree + 1`` powers.
     """
 
-    def __init__(self, backend, powers, g2, g2_alpha):
+    def __init__(self, backend, powers):
         self.backend = backend
         self.powers = list(powers)
-        self.g2 = g2
-        self.g2_alpha = g2_alpha
 
     @cached_property
     def share_check_key(self):
         """The fixed inputs of every share check, built at the first one:
-        ``g2`` and ``g2_alpha`` prepared as pairing arguments, and
+        ``powers[0]`` and ``powers[1]`` prepared as pairing arguments, and
         2^128 * g1, which lets the check's multi-scalar multiplication split
         its one full-size scalar in two 128-bit halves."""
         b = self.backend
         g1_high = b.g1_mul(self.powers[0], _HALF)
-        return b.prepare_pair(self.g2), b.prepare_pair(self.g2_alpha), g1_high
+        return b.prepare_pair(self.powers[0]), b.prepare_pair(self.powers[1]), g1_high
 
     @property
     def degree(self) -> int:
@@ -80,20 +80,18 @@ class CommitPK:
         w.u32(len(self.powers))
         for pw in self.powers:
             w.raw(self.backend.g1_to_bytes(pw))
-        w.raw(self.backend.g2_to_bytes(self.g2))
-        w.raw(self.backend.g2_to_bytes(self.g2_alpha))
         return w.getvalue()
 
     @classmethod
     def from_bytes(cls, backend, data: bytes) -> "CommitPK":
         r = ByteReader(data)
         n = r.u32()
+        if n < 2:
+            raise ValueError("a commitment key has at least two powers")
         size = backend.element_size
         powers = [backend.g1_from_bytes(r.raw(size)) for _ in range(n)]
-        g2 = backend.g2_from_bytes(r.raw(size))
-        g2_alpha = backend.g2_from_bytes(r.raw(size))
         r.done()
-        return cls(backend, powers, g2, g2_alpha)
+        return cls(backend, powers)
 
 
 def trusted_setup(backend, degree: int, seed: bytes) -> CommitPK:
@@ -111,8 +109,7 @@ def trusted_setup(backend, degree: int, seed: bytes) -> CommitPK:
     for _ in range(degree + 1):
         powers.append(backend.g1_mul(backend.g1, acc))
         acc = acc * alpha % backend.order
-    g2_alpha = backend.g2_mul(backend.g2, alpha)
-    return CommitPK(backend, powers, backend.g2, g2_alpha)
+    return CommitPK(backend, powers)
 
 
 def commit(pk: CommitPK, poly: QuantizedPoly) -> Commitment:
@@ -169,7 +166,7 @@ def verify_share(pk: CommitPK, commitment: Commitment, *witnesses: Witness) -> b
     backend = pk.backend
     if any(w.point % backend.order == 0 for w in witnesses):
         return False
-    lines_g2, lines_g2_alpha, g1_high = pk.share_check_key
+    lines_g1, lines_alpha_g1, g1_high = pk.share_check_key
     rho = batch_weights(pk, commitment, witnesses)
     neg_eval = -sum(r * w.eval for r, w in zip(rho, witnesses)) % backend.order
     quotients = [w.value for w in witnesses]
@@ -179,5 +176,4 @@ def verify_share(pk: CommitPK, commitment: Commitment, *witnesses: Witness) -> b
          *(r * w.point for r, w in zip(rho, witnesses))],
     )
     weighted = backend.g1_neg(backend.msm(quotients, rho))
-    product = backend.multi_pair((lines_g2, lines_g2_alpha), (folded, weighted))
-    return backend.gt_eq(product, backend.gt_one)
+    return backend.multi_pair((lines_g1, lines_alpha_g1), (folded, weighted)) == backend.gt_one

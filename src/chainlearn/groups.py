@@ -19,11 +19,13 @@ signatures:
     Used for fast tests and large simulation runs, never where hiding
     matters.
 
-Both expose: ``order``, generators ``g1``/``g2``, group ops, multi-scalar
-multiplication ``msm(points, scalars)`` (on the curve ``g1_mul`` is its
-one-term case), pairing products ``multi_pair(prepared, points)`` over first
-arguments prepared once by ``prepare_pair`` (``pair`` is the one-term case),
-target-group ops and canonical serialization.
+Both expose: ``order``, the generator ``g1`` (the pairing is symmetric, so
+it serves both arguments), group ops, multi-scalar multiplication
+``msm(points, scalars)`` (on the curve ``g1_mul`` is its one-term case),
+pairing products ``multi_pair(prepared, points)`` over first arguments
+prepared once by ``prepare_pair`` (``pair`` is the one-term case), the
+target-group identity ``gt_one`` and power ``gt_pow``, and canonical
+serialization.
 Curve parameters were generated once by
 ``demos/generate_group_parameters.py`` and are frozen here.
 """
@@ -325,10 +327,8 @@ class PairingGroup:
 
     def __init__(self) -> None:
         self.g1 = _point_from_seed_x(2)
-        self.g2 = _point_from_seed_x(1000)
         self.gt_one = (1, 0)
 
-    # G1 / G2 share the same curve arithmetic
     def g1_add(self, a, b):
         return _pt_add(a, b)
 
@@ -341,8 +341,6 @@ class PairingGroup:
     def msm(self, points, scalars):
         """Sum of k_i * P_i over zip(points, scalars), scalars mod r."""
         return _msm(points, [k % _R for k in scalars])
-
-    g2_mul = g1_mul
 
     @property
     def g1_identity(self):
@@ -360,14 +358,8 @@ class PairingGroup:
     def pair(self, P, Q):
         return _multi_tate((_miller_lines(P),), (Q,))
 
-    def gt_mul(self, a, b):
-        return _f2_mul(a, b)
-
     def gt_pow(self, a, k: int):
         return _f2_pow(a, k % _R)
-
-    def gt_eq(self, a, b) -> bool:
-        return a == b
 
     def g1_to_bytes(self, P) -> bytes:
         if P is None:
@@ -390,9 +382,6 @@ class PairingGroup:
             y = _P - y
         return (x, y)
 
-    g2_to_bytes = g1_to_bytes
-    g2_from_bytes = g1_from_bytes
-
     @property
     def element_size(self) -> int:
         return _G1_BYTES
@@ -407,7 +396,6 @@ class ExponentGroup:
 
     def __init__(self) -> None:
         self.g1 = 1
-        self.g2 = 1
         self.gt_one = 0
 
     def g1_add(self, a, b):
@@ -426,8 +414,6 @@ class ExponentGroup:
             acc += a * (k % self.order)
         return acc % self.order
 
-    g2_mul = g1_mul
-
     @property
     def g1_identity(self):
         return 0
@@ -441,14 +427,8 @@ class ExponentGroup:
     def pair(self, a, b):
         return a * b % self.order
 
-    def gt_mul(self, a, b):
-        return (a + b) % self.order
-
     def gt_pow(self, a, k: int):
         return a * (k % self.order) % self.order
-
-    def gt_eq(self, a, b) -> bool:
-        return a == b
 
     def g1_to_bytes(self, a) -> bytes:
         return int(a).to_bytes(8, "little")
@@ -460,9 +440,6 @@ class ExponentGroup:
         if value >= self.order:
             raise ValueError("element out of range")
         return value
-
-    g2_to_bytes = g1_to_bytes
-    g2_from_bytes = g1_from_bytes
 
     @property
     def element_size(self) -> int:

@@ -18,8 +18,9 @@ Rejections carry a machine-readable reason string from REJECTION_REASONS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from functools import cached_property
+from typing import get_type_hints
 
 import numpy as np
 
@@ -75,137 +76,110 @@ class ProtocolConfig:
     train: TrainConfig
 
     def to_bytes(self) -> bytes:
-        w = ByteWriter()
-        w.bytes_lp(self.backend_name.encode())
-        w.bytes_lp(self.model_family.encode())
-        w.u32(self.n_features)
-        w.u32(self.n_classes)
-        w.u32(self.total_iterations)
-        w.u32(self.scale_bits)
-        w.f64(self.epsilon)
-        w.f64(self.delta)
-        w.u32(self.num_noisers)
-        w.u32(self.num_verifiers)
-        w.u32(self.num_aggregators)
-        w.f64(self.collect_fraction)
-        w.u32(self.stake_reward)
-        t = self.train
-        w.f64(t.eta0).f64(t.eta_decay).f64(t.weight_decay)
-        w.u32(t.batch_size).u32(t.total_iterations)
-        return w.getvalue()
+        return _write_fields(ByteWriter(), self).getvalue()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ProtocolConfig":
         r = ByteReader(data)
-        backend_name = r.bytes_lp().decode()
-        model_family = r.bytes_lp().decode()
-        n_features = r.u32()
-        n_classes = r.u32()
-        total_iterations = r.u32()
-        scale_bits = r.u32()
-        epsilon = r.f64()
-        delta = r.f64()
-        num_noisers = r.u32()
-        num_verifiers = r.u32()
-        num_aggregators = r.u32()
-        collect_fraction = r.f64()
-        stake_reward = r.u32()
-        train = TrainConfig(r.f64(), r.f64(), r.f64(), r.u32(), r.u32())
+        config = _read_fields(r, cls)
         r.done()
-        return cls(
-            backend_name,
-            model_family,
-            n_features,
-            n_classes,
-            total_iterations,
-            scale_bits,
-            epsilon,
-            delta,
-            num_noisers,
-            num_verifiers,
-            num_aggregators,
-            collect_fraction,
-            stake_reward,
-            train,
-        )
+        return config
+
+
+# how each field type of a config encodes: (write, read)
+_FIELD_CODECS = {
+    str: (lambda w, v: w.bytes_lp(v.encode()), lambda r: r.bytes_lp().decode()),
+    int: (ByteWriter.u32, ByteReader.u32),
+    float: (ByteWriter.f64, ByteReader.f64),
+}
+
+
+def _write_fields(w: ByteWriter, obj) -> ByteWriter:
+    """Every field of the dataclass ``obj`` in declaration order: a ``str`` as
+    length-prefixed UTF-8, an ``int`` as u32, a ``float`` as f64, and a
+    nested dataclass inline by the same rule."""
+    for name, kind in get_type_hints(type(obj)).items():
+        value = getattr(obj, name)
+        if is_dataclass(kind):
+            _write_fields(w, value)
+        else:
+            _FIELD_CODECS[kind][0](w, value)
+    return w
+
+
+def _read_fields(r: ByteReader, cls):
+    """The ``cls`` instance that ``_write_fields`` wrote."""
+    return cls(*(
+        _read_fields(r, kind) if is_dataclass(kind) else _FIELD_CODECS[kind][1](r)
+        for kind in get_type_hints(cls).values()
+    ))
 
 
 @dataclass(frozen=True)
 class GenesisBlock:
+    """The network's starting point.  ``peer_pubkeys``, ``initial_stake`` and
+    ``noise_table`` name the same peers, each with one noise commitment per
+    round of ``config``."""
+
     initial_model: np.ndarray
     commit_pk: CommitPK
     peer_pubkeys: dict  # peer id -> G1 element
     noise_table: NoiseTable
     initial_stake: dict
-    stake_rule: str
     global_key: bytes
     config: ProtocolConfig
 
+    def __post_init__(self):
+        rows = self.noise_table.commitments
+        if not set(self.peer_pubkeys) == set(self.initial_stake) == set(rows):
+            raise ValueError("public keys, stake and noise table name different peers")
+        if any(len(row) != self.config.total_iterations for row in rows.values()):
+            raise ValueError("noise table rows must cover every round")
+
     def to_bytes(self) -> bytes:
+        """The config, the model, the keys, then one record per peer in
+        ascending id order: public key, stake, and a noise commitment per round."""
         backend = self.commit_pk.backend
         w = ByteWriter()
+        w.bytes_lp(self.config.to_bytes())
         w.f64_vector(self.initial_model)
         w.bytes_lp(self.commit_pk.to_bytes())
+        w.bytes_lp(self.global_key)
         w.u32(len(self.peer_pubkeys))
         for pid in sorted(self.peer_pubkeys):
             w.u32(pid)
             w.raw(backend.g1_to_bytes(self.peer_pubkeys[pid]))
-        w.u32(len(self.noise_table.commitments))
-        w.u32(self.noise_table.iterations)
-        for pid in sorted(self.noise_table.commitments):
-            w.u32(pid)
+            w.u64(self.initial_stake[pid])
             for c in self.noise_table.commitments[pid]:
                 w.raw(backend.g1_to_bytes(c.value))
-        w.u32(len(self.initial_stake))
-        for pid in sorted(self.initial_stake):
-            w.u32(pid)
-            w.u64(self.initial_stake[pid])
-        w.bytes_lp(self.stake_rule.encode())
-        w.bytes_lp(self.global_key)
-        w.bytes_lp(self.config.to_bytes())
         return w.getvalue()
 
     @classmethod
     def from_bytes(cls, data: bytes, backend) -> "GenesisBlock":
-        """Decode ``to_bytes`` output, and only that: each peer-id list must
-        strictly ascend, so no other bytes decode to the same genesis."""
+        """Decode ``to_bytes`` output, and only that: peer ids must strictly
+        ascend, so no other bytes decode to the same genesis.  The config
+        names the backend, and is checked before any group element is read."""
         r = ByteReader(data)
-
-        def by_peer(count, read_value) -> dict:
-            out, last = {}, -1
-            for _ in range(count):
-                pid = r.u32()
-                if pid <= last:
-                    raise ValueError(f"peer id {pid} after {last}: ids must strictly ascend")
-                out[pid] = read_value()
-                last = pid
-            return out
-
+        config = ProtocolConfig.from_bytes(r.bytes_lp())
+        if config.backend_name != backend.name:
+            raise ValueError(f"built for the {config.backend_name!r} backend, not {backend.name!r}")
         initial_model = np.array(r.f64_vector())
         pk = CommitPK.from_bytes(backend, r.bytes_lp())
-        size = backend.element_size
-        pubkeys = by_peer(r.u32(), lambda: backend.g1_from_bytes(r.raw(size)))
-        n_peers = r.u32()
-        iters = r.u32()
-        table = by_peer(
-            n_peers,
-            lambda: tuple(Commitment(backend.g1_from_bytes(r.raw(size))) for _ in range(iters)),
-        )
-        stake = by_peer(r.u32(), r.u64)
-        stake_rule = r.bytes_lp().decode()
         global_key = r.bytes_lp()
-        config = ProtocolConfig.from_bytes(r.bytes_lp())
+        pubkeys, stake, table, last = {}, {}, {}, -1
+
+        def element():
+            return backend.g1_from_bytes(r.raw(backend.element_size))
+
+        for _ in range(r.u32()):
+            pid = r.u32()
+            if pid <= last:
+                raise ValueError(f"peer id {pid} after {last}: ids must strictly ascend")
+            pubkeys[pid], stake[pid] = element(), r.u64()
+            table[pid] = tuple(Commitment(element()) for _ in range(config.total_iterations))
+            last = pid
         r.done()
-        genesis = cls(
-            initial_model,
-            pk,
-            pubkeys,
-            NoiseTable(table, iters),
-            stake,
-            stake_rule,
-            global_key,
-            config,
-        )
+        genesis = cls(initial_model, pk, pubkeys, NoiseTable(table), stake, global_key, config)
         # canonical, so these bytes are its encoding: hash them as read
         object.__setattr__(genesis, "_digest", sha256(GENESIS_PREV_HASH + data))
         return genesis
@@ -510,7 +484,7 @@ class Ledger:
 
 # --- chain persistence -------------------------------------------------------
 
-CHAIN_MAGIC = b"CLCHAIN1"
+CHAIN_MAGIC = b"CLCHAIN2"
 
 
 def save_chain(path, ledger: Ledger) -> None:

@@ -45,14 +45,14 @@ class NoiseTable:
     """Commitments to every peer's noise for every iteration, frozen at genesis."""
 
     commitments: dict  # peer id -> tuple[Commitment], index t-1 for iteration t
-    iterations: int
 
     def entry(self, peer: int, iteration: int) -> Commitment:
         if peer not in self.commitments:
             raise KeyError(f"unknown peer {peer}")
-        if not 1 <= iteration <= self.iterations:
-            raise ValueError(f"iteration {iteration} outside 1..{self.iterations}")
-        return self.commitments[peer][iteration - 1]
+        row = self.commitments[peer]
+        if not 1 <= iteration <= len(row):
+            raise ValueError(f"iteration {iteration} outside 1..{len(row)}")
+        return row[iteration - 1]
 
 
 def _rng_for(peer_seed: bytes, iteration: int):
@@ -121,7 +121,7 @@ def build_noise_table(pk: CommitPK, config, secrets: dict) -> NoiseTable:
         peer: tuple(commit(pk, peer_noise(config, pk.degree, s, t).quantized) for t in rounds)
         for peer, s in secrets.items()
     }
-    return NoiseTable(table, config.total_iterations)
+    return NoiseTable(table)
 
 
 def mask_update(update_q: QuantizedPoly, noises) -> QuantizedPoly:

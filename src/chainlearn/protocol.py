@@ -48,8 +48,10 @@ from .sgd import compute_local_update
 from .vss import (
     ShareRecoveryError,
     accept_bundle,
+    assign_points,
     deal_shares,
     recover_aggregate,
+    share_points,
     sum_shares,
 )
 
@@ -505,6 +507,7 @@ class PeerNode:
         if dealer in rs.accepted_bundles:
             self.audit.append(f"duplicate bundle from {dealer}")
             return []
+        points = assign_points(share_points(len(self.genesis.initial_model)), rs.aggregators)[self.id]
         if not accept_bundle(
             bundle,
             rs.iteration,
@@ -512,6 +515,7 @@ class PeerNode:
             rs.aggregators,
             self.genesis.peer_pubkeys,
             self.genesis.commit_pk,
+            points,
         ):
             self.audit.append(f"r{rs.iteration}: bundle from {dealer} rejected")
             return []

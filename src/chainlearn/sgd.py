@@ -27,15 +27,14 @@ class TrainConfig:
     eta_decay: float = 0.02
     weight_decay: float = 1e-4  # lambda
     batch_size: int = 64
-    total_iterations: int = 100
 
     def __post_init__(self):
         if self.eta0 <= 0 or self.eta_decay < 0:
             raise ValueError("learning-rate schedule must be positive and non-increasing")
         if self.weight_decay < 0:
             raise ValueError("weight decay must be non-negative")
-        if self.batch_size < 1 or self.total_iterations < 1:
-            raise ValueError("batch size and iteration count must be positive")
+        if self.batch_size < 1:
+            raise ValueError("batch size must be positive")
 
     def eta_at(self, t: int) -> float:
         return self.eta0 / (1.0 + self.eta_decay * t)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 KEYSPACE = 1 << 256
 
 STAKE_REWARD = 5  # linear +5 per accepted contribution or committee seat
-STAKE_RULE_NAME = "+5-linear"
 
 
 def validate_stake(stake: dict) -> None:
@@ -32,15 +31,6 @@ class StakeRing:
     def owner(self, point: int) -> int:
         idx = bisect_right(self.ends, point % KEYSPACE)
         return self.peers[idx]
-
-    def interval_measure(self, peer: int) -> int:
-        total = 0
-        prev = 0
-        for pid, end in zip(self.peers, self.ends):
-            if pid == peer:
-                total += end - prev
-            prev = end
-        return total
 
 
 def build_ring(stake: dict) -> StakeRing:

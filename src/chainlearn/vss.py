@@ -68,12 +68,15 @@ def deal_shares(update_q: QuantizedPoly, pk: CommitPK, aggregators, entry: Commi
 
 
 def accept_bundle(
-    bundle: ShareBundle, iteration: int, verifiers, aggregators, pubkeys, pk: CommitPK
+    bundle: ShareBundle, iteration: int, verifiers, aggregators, pubkeys, pk: CommitPK, points
 ) -> bool:
-    """True iff the dealer's entry passes the block rule for round
-    ``iteration`` (``ledger.entry_rejection``, against the round's verifier
-    and aggregator committees and the genesis ``pubkeys``) and every share
-    opens the commitment, checked as one batch."""
+    """True iff the shares are at the receiving aggregator's ``points`` (its
+    slice of ``assign_points``), the dealer's entry passes the block rule for
+    round ``iteration`` (``ledger.entry_rejection``, against the round's
+    verifier and aggregator committees and the genesis ``pubkeys``) and every
+    share opens the commitment, checked as one batch."""
+    if [w.point for w in bundle.shares] != list(points):
+        return False
     if entry_rejection(bundle.entry, iteration, verifiers, aggregators, pubkeys, pk.backend):
         return False
     return verify_share(pk, bundle.entry.commitment, *bundle.shares)
@@ -82,7 +85,8 @@ def accept_bundle(
 def sum_shares(accepted, backend) -> list[Witness]:
     """Point-wise sums across bundles that share one point set.  Witnesses
     are homomorphic, so each sum opens the product of the bundles'
-    commitments at its point."""
+    commitments at its point.  ``accept_bundle`` admits only the receiver's
+    points, so a mismatch here is a program fault."""
     accepted = list(accepted)
     if not accepted:
         raise ValueError("no bundles to sum")

@@ -19,8 +19,10 @@ from chainlearn.signatures import sign
 from chainlearn.stake import build_ring
 from chainlearn.vss import deal_shares
 
-# `pytest --hypothesis-profile=ci` replays the same examples on every run
+# `pytest --hypothesis-profile=ci` replays the same examples on every run;
+# `fuzz` does too, with many more of them, for the decoder fuzzing
 settings.register_profile("ci", derandomize=True, database=None)
+settings.register_profile("fuzz", derandomize=True, database=None, max_examples=2000)
 
 
 def tiny_config(**overrides) -> ProtocolConfig:

@@ -14,6 +14,7 @@ from chainlearn.commitments import (
     trusted_setup,
     verify_share,
 )
+from chainlearn.encoding import u32
 from chainlearn.groups import get_backend
 from chainlearn.quantize import QuantizedPoly, encode, sum_polys
 
@@ -49,9 +50,9 @@ def test_setup_length_for_25_dim_updates():
 def test_setup_pairing_consistency():
     backend, pk = make_pk("pairing", 6)
     for j in range(pk.degree):
-        lhs = backend.pair(pk.powers[j + 1], pk.g2)
-        rhs = backend.pair(pk.powers[j], pk.g2_alpha)
-        assert backend.gt_eq(lhs, rhs)
+        lhs = backend.pair(pk.powers[j + 1], pk.powers[0])
+        rhs = backend.pair(pk.powers[j], pk.powers[1])
+        assert lhs == rhs
 
 
 def test_pk_roundtrip():
@@ -60,6 +61,9 @@ def test_pk_roundtrip():
     assert restored.to_bytes() == pk.to_bytes()
     with pytest.raises(ValueError):
         CommitPK.from_bytes(backend, pk.to_bytes() + b"\x00")
+    # the share check pairs with the first two powers, so a key needs both
+    with pytest.raises(ValueError, match="two powers"):
+        CommitPK.from_bytes(backend, u32(1) + backend.g1_to_bytes(pk.powers[0]))
 
 
 def test_commit_zero_is_identity(ctx):

@@ -48,6 +48,15 @@ def test_spec_unknown_field_rejected():
         spec_from_dict({"number_of_peers": 10})
 
 
+def test_spec_setting_a_deleted_train_field_is_refused(tmp_path):
+    data = small_spec().to_dict()
+    data["train"]["total_iterations"] = 3  # the round count lives in the spec alone
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="total_iterations"):
+        load_spec(path)
+
+
 def test_spec_bad_json_reports_position(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"name": "x",,}')

@@ -23,7 +23,8 @@ REENCODE = {
     "commit-pk": lambda data: CommitPK.from_bytes(BACKEND, data).to_bytes(),
 }
 KINDS = sorted(REENCODE)
-FUZZ = settings(max_examples=40, deadline=None)
+# as many examples as the active Hypothesis profile asks for, and never fewer than 40
+FUZZ = settings(max_examples=max(40, settings.default.max_examples), deadline=None)
 
 
 @pytest.fixture(scope="module")
@@ -78,13 +79,14 @@ def test_single_byte_flip(encoded, kind, where, flip):
 
 @pytest.mark.parametrize("change", ["swap-two-keys", "repeat-a-key"])
 def test_non_canonical_genesis_is_refused(tiny_net, change):
-    """Public-key records out of order, or one twice with the count raised by
-    one, would decode to the same genesis with the same hash."""
+    """Two peer records out of order, or one twice with the peer count raised
+    by one, would decode to the same genesis with the same hash."""
     genesis, _ = tiny_net
     data = genesis.to_bytes()
-    count_at = 4 + 8 * len(genesis.initial_model) + 4 + len(genesis.commit_pk.to_bytes())
-    first = count_at + 4
-    size = 4 + BACKEND.element_size  # peer id, then its key
+    # the records close the encoding: id, public key, stake, a commitment per round
+    size = 4 + BACKEND.element_size + 8 + genesis.config.total_iterations * BACKEND.element_size
+    first = len(data) - len(genesis.peer_pubkeys) * size
+    count_at = first - 4
     one, two = data[first : first + size], data[first + size : first + 2 * size]
     if change == "swap-two-keys":
         bad = data[:first] + two + one + data[first + 2 * size :]

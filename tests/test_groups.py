@@ -14,9 +14,14 @@ def backend(request):
     return get_backend(request.param)
 
 
+def gt_mul(backend, a, b):
+    """Target-group product: F_p2 multiplication on the curve, the sum of
+    exponents on the debug group."""
+    return _f2_mul(a, b) if backend.name == "pairing" else (a + b) % backend.order
+
+
 def test_generator_order(backend):
     assert backend.g1_mul(backend.g1, backend.order) == backend.g1_identity
-    assert backend.g2_mul(backend.g2, backend.order) == backend.g1_identity
 
 
 def test_scalar_mul_matches_repeated_add(backend):
@@ -28,26 +33,26 @@ def test_scalar_mul_matches_repeated_add(backend):
 
 def test_pairing_bilinear(backend):
     rng = random.Random(11)
-    e_gh = backend.pair(backend.g1, backend.g2)
-    assert not backend.gt_eq(e_gh, backend.gt_one), "pairing must be non-degenerate"
+    e_gg = backend.pair(backend.g1, backend.g1)
+    assert e_gg != backend.gt_one, "pairing must be non-degenerate"
     for _ in range(3):
         a = rng.randrange(1, backend.order)
         b = rng.randrange(1, backend.order)
-        lhs = backend.pair(backend.g1_mul(backend.g1, a), backend.g2_mul(backend.g2, b))
-        assert backend.gt_eq(lhs, backend.gt_pow(e_gh, a * b))
+        lhs = backend.pair(backend.g1_mul(backend.g1, a), backend.g1_mul(backend.g1, b))
+        assert lhs == backend.gt_pow(e_gg, a * b)
 
 
 def test_pairing_additive_in_first_argument(backend):
     P1 = backend.g1_mul(backend.g1, 111)
     P2 = backend.g1_mul(backend.g1, 222)
-    lhs = backend.pair(backend.g1_add(P1, P2), backend.g2)
-    rhs = backend.gt_mul(backend.pair(P1, backend.g2), backend.pair(P2, backend.g2))
-    assert backend.gt_eq(lhs, rhs)
+    g = backend.g1
+    lhs = backend.pair(backend.g1_add(P1, P2), g)
+    assert lhs == gt_mul(backend, backend.pair(P1, g), backend.pair(P2, g))
 
 
 def test_pair_with_identity_is_one(backend):
-    assert backend.gt_eq(backend.pair(backend.g1_identity, backend.g2), backend.gt_one)
-    assert backend.gt_eq(backend.pair(backend.g1, backend.g1_identity), backend.gt_one)
+    assert backend.pair(backend.g1_identity, backend.g1) == backend.gt_one
+    assert backend.pair(backend.g1, backend.g1_identity) == backend.gt_one
 
 
 def random_points(backend, rng, n):
@@ -61,16 +66,15 @@ def test_multi_pair_two_terms_is_product_of_pairs(backend):
         product = backend.multi_pair(
             (backend.prepare_pair(P1), backend.prepare_pair(P2)), (Q1, Q2)
         )
-        expected = backend.gt_mul(backend.pair(P1, Q1), backend.pair(P2, Q2))
-        assert backend.gt_eq(product, expected)
+        assert product == gt_mul(backend, backend.pair(P1, Q1), backend.pair(P2, Q2))
 
 
 def test_multi_pair_one_term_is_pair(backend):
     rng = random.Random(13)
     P, Q = random_points(backend, rng, 2)
-    assert backend.gt_eq(backend.multi_pair((backend.prepare_pair(P),), (Q,)), backend.pair(P, Q))
+    assert backend.multi_pair((backend.prepare_pair(P),), (Q,)) == backend.pair(P, Q)
     # the pairing is symmetric, which lets a fixed second argument drive the loop
-    assert backend.gt_eq(backend.pair(P, Q), backend.pair(Q, P))
+    assert backend.pair(P, Q) == backend.pair(Q, P)
 
 
 def test_multi_pair_identity_terms_drop_out(backend):
@@ -79,10 +83,10 @@ def test_multi_pair_identity_terms_drop_out(backend):
     O = backend.g1_identity
     lines_P, lines_O = backend.prepare_pair(P), backend.prepare_pair(O)
     e_PQ = backend.pair(P, Q)
-    assert backend.gt_eq(backend.multi_pair((lines_P, lines_P), (Q, O)), e_PQ)
-    assert backend.gt_eq(backend.multi_pair((lines_O, lines_P), (Q, Q)), e_PQ)
-    assert backend.gt_eq(backend.multi_pair((lines_P, lines_O), (O, Q)), backend.gt_one)
-    assert backend.gt_eq(backend.multi_pair((), ()), backend.gt_one)
+    assert backend.multi_pair((lines_P, lines_P), (Q, O)) == e_PQ
+    assert backend.multi_pair((lines_O, lines_P), (Q, Q)) == e_PQ
+    assert backend.multi_pair((lines_P, lines_O), (O, Q)) == backend.gt_one
+    assert backend.multi_pair((), ()) == backend.gt_one
 
 
 def textbook_tate(P, Q, p=_P):
@@ -115,7 +119,7 @@ def test_pair_matches_textbook_miller_loop():
     backend = get_backend("pairing")
     P, Q = random_points(backend, random.Random(15), 2)
     Q_torsion = backend.g1_add(Q, (0, 0))  # plus the 2-torsion point
-    for a, b in ((P, Q), (Q, P), (P, Q_torsion), (backend.g1, backend.g2)):
+    for a, b in ((P, Q), (Q, P), (P, Q_torsion), (backend.g1, backend.g1)):
         assert backend.pair(a, b) == textbook_tate(a, b)
 
 

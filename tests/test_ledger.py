@@ -21,6 +21,7 @@ from chainlearn.ledger import (
     save_chain,
 )
 from chainlearn.encoding import sha256
+from chainlearn.noise import NoiseTable
 from chainlearn.quantize import QuantizedPoly, decode
 from chainlearn.stake import build_ring
 
@@ -49,6 +50,33 @@ def test_genesis_roundtrip_and_hash_stability(tiny_net):
     assert rebuilt.hash() == genesis.hash()
 
 
+def test_genesis_peer_lists_must_name_the_same_peers(tiny_net):
+    """Each peer has one key, one stake and one noise row, so a genesis that
+    gives a stake holder no key, or misses a round, cannot be built."""
+    genesis, _ = tiny_net
+    table = genesis.noise_table.commitments
+    for field, value in (
+        ("peer_pubkeys", {p: k for p, k in genesis.peer_pubkeys.items() if p != 3}),
+        ("initial_stake", {**genesis.initial_stake, 12: 10}),
+        ("noise_table", NoiseTable({p: row for p, row in table.items() if p != 0})),
+        ("noise_table", NoiseTable({**table, 0: table[0][:-1]})),
+    ):
+        with pytest.raises(ValueError):
+            dataclasses.replace(genesis, **{field: value})
+
+
+def test_genesis_for_another_backend_is_refused_by_name(tiny_net):
+    """The config leads the encoding, so a genesis read with the wrong backend
+    is refused naming both, before any group element is decoded."""
+    exponent_genesis, _ = tiny_net
+    config = tiny_config(backend_name="pairing", total_iterations=1)
+    pairing_genesis, _ = build_genesis(config, range(2), b"other-backend")
+    for genesis, other in ((exponent_genesis, "pairing"), (pairing_genesis, "exponent")):
+        mine = genesis.config.backend_name
+        with pytest.raises(ValueError, match=f"'{mine}' backend, not '{other}'"):
+            GenesisBlock.from_bytes(genesis.to_bytes(), get_backend(other))
+
+
 def test_genesis_golden_hash():
     """Frozen fixture: the canonical encoding of a fixed genesis must not drift."""
     genesis, _ = build_genesis(tiny_config(total_iterations=2), range(3), b"golden")
@@ -57,7 +85,7 @@ def test_genesis_golden_hash():
 
 # computed once from the canonical serialization above; any encoding change
 # must be deliberate and update this value
-GOLDEN_GENESIS_HASH = "c1cf8e6aa2c007de992d05e528748465d9715000227e508a3f2dccbfce899693"
+GOLDEN_GENESIS_HASH = "dc354091f4f9bd1d3a462faf8a45a0e36d24e0a2a7fc97a2d6d314c7df67620c"
 
 
 def test_block_roundtrip(tiny_net):
@@ -385,6 +413,9 @@ def test_chain_file_roundtrip_and_tamper(tiny_net, tmp_path):
         load_chain(bad_path, BACKEND)
     bad_path.write_bytes(bytes(data[:-5]))  # cut inside the last record
     with pytest.raises(ValueError, match="tampered.bin: block 1: truncated"):
+        load_chain(bad_path, BACKEND)
+    bad_path.write_bytes(b"CLCHAIN1" + bytes(data[8:]))  # the previous chain format
+    with pytest.raises(ValueError, match="bad magic"):
         load_chain(bad_path, BACKEND)
 
 

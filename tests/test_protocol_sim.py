@@ -30,15 +30,15 @@ from conftest import tiny_config
 
 # Tip hashes of two fixed runs. Any arithmetic rewrite that changes chain
 # bytes fails here, on both group backends.
-EXPONENT_TIP = "dc829e3693404a509425ec1572d20efea9fa34c676f9ad7e5bf4607730529727"
-PAIRING_TIP = "4659d75804c7a324cbb0f53440ca1ac5494ad74c494aa3e679f0578f03687e22"
+EXPONENT_TIP = "7e40c553503302f2f791ac2e972898c94eafb81fa19e5e766933c783a3b63e3f"
+PAIRING_TIP = "df3055c88ec762038492e20c7e0a5e9827c29671d05908235d0969ffccb6e573"
 # sha256 of the round-1 signed payloads of make_sim(), one message per sender
 # concatenated in sender order. These signatures never enter a block, so the
 # tip hashes above do not cover their encoding. The aggregate-share payload
 # counts its contributor and share lists, so the signed bytes fix where each
 # list ends.
-SUBMISSION_PAYLOADS = "f690c157c31922a8926d4e83443e3faa5173a20d3cc0c77b1519b10edfbbfbb6"
-AGGSHARE_PAYLOADS = "bce437cad02d0c48a2030c5778bc47132ec29e3ed0028e35ec204c699a39c146"
+SUBMISSION_PAYLOADS = "777101f66bf27189981e45a7d0ebb795bacfee0e2dbe51bf6248fdfe301cff07"
+AGGSHARE_PAYLOADS = "39a34b352475366e0fa5ab56882b283e485c6c2bdce14acba2742a0431d7cc3a"
 
 
 def make_sim(
@@ -336,7 +336,7 @@ def test_zero_noise_colluders_through_the_simulator():
     sim = make_sim(zero_noise_peers=colluders)
     table, identity = sim.genesis.noise_table, sim.genesis.commit_pk.backend.g1_identity
     for pid in sim.peers:
-        zero = [table.entry(pid, t).value == identity for t in range(1, table.iterations + 1)]
+        zero = [c.value == identity for c in table.commitments[pid]]
         assert all(zero) if pid in colluders else not any(zero)
     result = sim.run()
     served = [sim.peers[c].noise for c in colluders if sim.peers[c].noise is not None]
@@ -447,6 +447,30 @@ def test_byzantine_dealer_is_left_out_and_rounds_seal(monkeypatch, padding):
     blocks = result.final_ledger.blocks
     assert [b.iteration for b in blocks] == [1, 2, 3, 4, 5]
     assert all(entry.peer != byzantine for block in blocks for entry in block.commitments)
+
+
+def test_dealer_sending_another_aggregators_points_is_left_out(monkeypatch):
+    """A dealer that hands each aggregator the next aggregator's bundle (valid
+    openings at the wrong points) is refused by every aggregator, so no sum
+    mixes point sets; it appears in no block and every round seals."""
+    sim = make_sim()
+    deal_shares = protocol.deal_shares
+    dealt = []
+
+    def rotated_deal(update_q, pk, aggregators, entry):
+        bundles = deal_shares(update_q, pk, aggregators, entry)
+        if entry.peer != 0:
+            return bundles
+        dealt.append(entry)
+        order = list(bundles)
+        return {a: bundles[order[(i + 1) % len(order)]] for i, a in enumerate(order)}
+
+    monkeypatch.setattr(protocol, "deal_shares", rotated_deal)
+    result = sim.run()
+    assert dealt
+    blocks = result.final_ledger.blocks
+    assert [b.iteration for b in blocks] == [1, 2, 3, 4, 5]
+    assert all(entry.peer != 0 for block in blocks for entry in block.commitments)
 
 
 def test_protocol_trains_softmax_family():

@@ -48,14 +48,13 @@ def test_signature_roundtrip(name):
 
 def test_single_peer_owns_ring():
     ring = build_ring({7: 10})
-    assert ring.interval_measure(7) == KEYSPACE
+    assert ring.ends == (KEYSPACE,)
     assert ring.owner(12345) == 7
 
 
 def test_interval_measures_proportional():
     ring = build_ring({0: 10, 1: 10, 2: 20})
-    assert ring.interval_measure(2) == KEYSPACE // 2
-    assert ring.interval_measure(0) == KEYSPACE // 4
+    assert ring.ends == (KEYSPACE // 4, KEYSPACE // 2, KEYSPACE)
 
 
 def test_zero_total_stake_rejected():

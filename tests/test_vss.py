@@ -73,10 +73,11 @@ def test_accept_bundle_majority_and_shares():
     pubkeys = {i: kp.public for i, kp in keys.items()}
     context = verifier_sign_context(iteration, dealer, commit(pk, q), BACKEND)
     sigs = tuple((vid, sign(BACKEND, keys[vid], context)) for vid in verifiers)
-    bundle = deal(q, pk, [0, 1], dealer, sigs)[0]
+    bundles = deal(q, pk, [0, 1], dealer, sigs)
+    bundle, points = bundles[0], assign_points(share_points(4), [0, 1])[0]
 
     def accepts(b):
-        return accept_bundle(b, iteration, verifiers, aggregators, pubkeys, pk)
+        return accept_bundle(b, iteration, verifiers, aggregators, pubkeys, pk, points)
 
     def with_entry(**changes):
         return dataclasses.replace(bundle, entry=dataclasses.replace(bundle.entry, **changes))
@@ -85,6 +86,9 @@ def test_accept_bundle_majority_and_shares():
         return with_entry(verifier_sigs=signature_list)
 
     assert accepts(bundle)
+
+    # another aggregator's shares open the commitment, but not at these points
+    assert not accepts(bundles[1])
 
     # exactly half (1 of 3 -> floor majority boundary: 1 <= 1) is not enough
     assert not accepts(with_sigs(sigs[:1]))
