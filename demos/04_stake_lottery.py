@@ -42,8 +42,8 @@ kp = keygen(backend, b"peer-3-secret")
 nseed = noiser_seed(backend.g1_to_bytes(kp.public), prev, iteration=9)
 noisers = draw_committee(ring, nseed, k=2, backend=backend, signer=kp, exclude={3})
 print("peer 3's noiser set:", noisers.committee, "(proof: %d bytes)" % len(noisers.proof))
-print("verifies against peer 3's key:",
-      verify_vrf(noisers, nseed, ring, backend=backend, public_key=kp.public, exclude={3}))
+print("verifies against peer 3's key:", verify_vrf(
+    noisers, nseed, ring, backend=backend, public_key=backend.prepare_base(kp.public), exclude={3}))
 other = keygen(backend, b"someone-else")
-print("verifies against another key:",
-      verify_vrf(noisers, nseed, ring, backend=backend, public_key=other.public, exclude={3}))
+print("verifies against another key:", verify_vrf(
+    noisers, nseed, ring, backend=backend, public_key=backend.prepare_base(other.public), exclude={3}))

@@ -107,7 +107,7 @@ def trusted_setup(backend, degree: int, seed: bytes) -> CommitPK:
     powers = []
     acc = 1
     for _ in range(degree + 1):
-        powers.append(backend.g1_mul(backend.g1, acc))
+        powers.append(backend.fixed_msm([backend.g1_base], [acc]))
         acc = acc * alpha % backend.order
     return CommitPK(backend, powers)
 

@@ -82,7 +82,9 @@ def verify_vrf(
     public_key=None,
     exclude=frozenset(),
 ) -> bool:
-    """Recompute the draw from the seed and stake ring and check the proof."""
+    """Recompute the draw from the seed and stake ring and check the proof
+    against ``public_key``, the drawing peer's key as
+    ``backend.prepare_base`` prepared it."""
     if output.proof:
         if public_key is None or not signatures.verify(backend, public_key, seed, output.proof):
             return False

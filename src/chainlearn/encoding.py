@@ -101,7 +101,12 @@ class ByteReader:
         return self._take(self.u32())
 
     def int_lp(self) -> int:
-        return int.from_bytes(self.bytes_lp(), "big")
+        """The integer ``ByteWriter.int_lp`` wrote, in its one encoding: at
+        least one byte, and no leading zero byte unless it is the only one."""
+        data = self.bytes_lp()
+        if not data or (data[0] == 0 and len(data) > 1):
+            raise ValueError("integer encoding is not minimal")
+        return int.from_bytes(data, "big")
 
     def f64_vector(self) -> list[float]:
         n = self.u32()

@@ -22,10 +22,21 @@ signatures:
 Both expose: ``order``, the generator ``g1`` (the pairing is symmetric, so
 it serves both arguments), group ops, multi-scalar multiplication
 ``msm(points, scalars)`` (on the curve ``g1_mul`` is its one-term case),
-pairing products ``multi_pair(prepared, points)`` over first arguments
-prepared once by ``prepare_pair`` (``pair`` is the one-term case), the
-target-group identity ``gt_one`` and power ``gt_pow``, and canonical
-serialization.
+the same product ``fixed_msm(prepared, scalars)`` over fixed bases prepared
+once by ``prepare_base`` (``g1_base`` is g1's, built with the backend, and
+``base_point`` gives a prepared base's point back), pairing products
+``multi_pair(prepared, points)`` over first arguments prepared once by
+``prepare_pair`` (``pair`` is the one-term case), the target-group identity
+``gt_one`` and power ``gt_pow``, and canonical serialization.
+
+On the curve a prepared base is P with its 8-tooth Lim-Lee comb (CRYPTO
+1994), in signed form: 128 affine points, about 33 kB, whose negations
+cover the other half of the signed sums of the teeth 2^(32j) * P.  A
+product of any number of fixed bases then costs one shared chain of 32
+doublings and one addition per term and column (Brickell, Gordon, McCurley
+and Wilson, EUROCRYPT 1992, precompute fixed-base powers the same way).  On
+the debug group a prepared base is the element itself.
+
 Curve parameters were generated once by
 ``demos/generate_group_parameters.py`` and are frozen here.
 """
@@ -162,6 +173,14 @@ def _jac_madd(X1, Y1, Z1, x2, y2, p=_P):
     return X3, Y3, Z3
 
 
+def _to_affine(X, Y, Z, p=_P):
+    if Z == 0:
+        return None
+    zinv = pow(Z, -1, p)
+    z2 = zinv * zinv % p
+    return (X * z2 % p, Y * z2 % p * zinv % p)
+
+
 _WNAF_WIDTH = 5
 _WNAF_MOD = 1 << _WNAF_WIDTH
 _WNAF_TABLE = 1 << (_WNAF_WIDTH - 2)  # odd multiples P, 3P, ..., 15P
@@ -209,11 +228,63 @@ def _msm(points, scalars, p=_P):
                 d = naf[i]
                 x, y = table[abs(d) >> 1]
                 X, Y, Z = _jac_madd(X, Y, Z, x, y if d > 0 else p - y, p)
-    if Z == 0:
-        return None
-    zinv = pow(Z, -1, p)
-    z2 = zinv * zinv % p
-    return (X * z2 % p, Y * z2 % p * zinv % p)
+    return _to_affine(X, Y, Z, p)
+
+
+_COMB_TEETH = 8
+_COMB_SPACING = -(-_R.bit_length() // _COMB_TEETH)  # 32 columns cover any scalar up to r
+_COMB_BITS = f"0{_COMB_TEETH * _COMB_SPACING}b"
+_COMB_ONES = (1 << (_COMB_TEETH * _COMB_SPACING)) - 1
+_COMB_TOP = 1 << (_COMB_TEETH - 1)  # a column's digit of the top tooth
+
+
+def _comb_table(P, p=_P):
+    """P and its signed Lim-Lee comb: entry m < 2^7 is 2^224 * P plus, for
+    each j < 7, 2^(32j) * P if bit j of m is set and minus it if not.  The
+    entries' negations are the other signed tooth sums.  A tooth that
+    vanishes (P the identity or of order 2) is None, which additions skip."""
+    X, Y, Z = (P[0], P[1], 1) if P is not None else (0, 1, 0)
+    chain = [(X, Y, Z)]
+    for _ in range(_COMB_TEETH - 1):
+        for _ in range(_COMB_SPACING):
+            X, Y, Z = _jac_dbl(X, Y, Z, p)
+        chain.append((X, Y, Z))
+    teeth = [_to_affine(X, Y, Z, p) for X, Y, Z in chain]
+    table = [teeth.pop()]
+    for tooth in teeth:
+        table = _pt_add_many([(T, _pt_neg(tooth)) for T in table] + [(T, tooth) for T in table], p)
+    return P, tuple(table)
+
+
+def _comb_msm(combs, scalars, p=_P):
+    """Sum of k_i * P_i from the P_i's combs, for 0 <= k_i <= r.
+
+    An odd k is the sum of (2 b_n - 1) * 2^n over n < 256, where b_n are the
+    bits of (k + 2^256 - 1) / 2; an even k is done as k + 1, subtracting P
+    at the end.  Column i, digits i, i + 32, ..., i + 224, is a table entry
+    or its negation.  Columns are added from i = 31 down, one doubling
+    apart, so all terms share 32 doublings and one final inversion.
+    """
+    terms, last = [], []
+    for (P, table), k in zip(combs, scalars):
+        if k == 0:
+            continue
+        bits = format(((k | 1) + _COMB_ONES) >> 1, _COMB_BITS)  # column 31 - c is bits[c::32]
+        terms.append((table, [int(bits[c::_COMB_SPACING], 2) for c in range(_COMB_SPACING)]))
+        if not k & 1 and P is not None:
+            last.append(P)
+    X, Y, Z = 0, 1, 0
+    for c in range(_COMB_SPACING):
+        if Z:
+            X, Y, Z = _jac_dbl(X, Y, Z, p)
+        for table, columns in terms:
+            m = columns[c]  # top digit +1: entry m - 2^7, else the negation of entry 127 - m
+            Q = table[(m if m & _COMB_TOP else ~m) & (_COMB_TOP - 1)]
+            if Q is not None:
+                X, Y, Z = _jac_madd(X, Y, Z, Q[0], Q[1] if m & _COMB_TOP else p - Q[1], p)
+    for x, y in last:
+        X, Y, Z = _jac_madd(X, Y, Z, x, p - y, p)
+    return _to_affine(X, Y, Z, p)
 
 
 def _sqrt_mod_p(a, p=_P):
@@ -327,6 +398,8 @@ class PairingGroup:
 
     def __init__(self) -> None:
         self.g1 = _point_from_seed_x(2)
+        self.g1_base = _comb_table(self.g1)
+        self.g1_identity = None
         self.gt_one = (1, 0)
 
     def g1_add(self, a, b):
@@ -342,9 +415,18 @@ class PairingGroup:
         """Sum of k_i * P_i over zip(points, scalars), scalars mod r."""
         return _msm(points, [k % _R for k in scalars])
 
-    @property
-    def g1_identity(self):
-        return None
+    def prepare_base(self, P):
+        """``P`` and its comb table, as a fixed base of ``fixed_msm``."""
+        return _comb_table(P)
+
+    def base_point(self, prepared):
+        """The point that ``prepare_base`` prepared."""
+        return prepared[0]
+
+    def fixed_msm(self, prepared, scalars):
+        """``msm`` of the points behind ``prepared``, which holds their
+        ``prepare_base`` tables: 32 doublings for any number of terms."""
+        return _comb_msm(prepared, [k % _R for k in scalars])
 
     def prepare_pair(self, P):
         """Line table of ``P`` as a fixed first pairing argument."""
@@ -368,17 +450,27 @@ class PairingGroup:
         return bytes([flag]) + P[0].to_bytes(64, "big")
 
     def g1_from_bytes(self, data: bytes):
+        """Decode ``g1_to_bytes`` output, and only that: the flag byte is 0
+        for the identity, with 64 zero bytes after it, else 2 plus the parity
+        of y."""
         if len(data) != _G1_BYTES:
             raise ValueError(f"group element must be {_G1_BYTES} bytes")
-        if data[0] == 0:
+        flag = data[0]
+        if flag == 0:
+            if any(data[1:]):
+                raise ValueError("the identity is encoded as zero bytes")
             return None
+        if flag not in (2, 3):
+            raise ValueError(f"bad flag byte {flag}")
         x = int.from_bytes(data[1:], "big")
         if x >= _P:
             raise ValueError("x-coordinate out of range")
         y = _sqrt_mod_p((x * x * x + x) % _P)
         if y is None:
             raise ValueError("not a curve point")
-        if (y & 1) != (data[0] & 1):
+        if (y & 1) != (flag & 1):
+            if y == 0:
+                raise ValueError("y = 0 is even")
             y = _P - y
         return (x, y)
 
@@ -396,6 +488,8 @@ class ExponentGroup:
 
     def __init__(self) -> None:
         self.g1 = 1
+        self.g1_base = 1
+        self.g1_identity = 0
         self.gt_one = 0
 
     def g1_add(self, a, b):
@@ -414,9 +508,13 @@ class ExponentGroup:
             acc += a * (k % self.order)
         return acc % self.order
 
-    @property
-    def g1_identity(self):
-        return 0
+    def prepare_base(self, a):
+        return a  # a prepared base is the element itself
+
+    def base_point(self, a):
+        return a
+
+    fixed_msm = msm
 
     def prepare_pair(self, a):
         return a

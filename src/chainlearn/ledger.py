@@ -115,6 +115,23 @@ def _read_fields(r: ByteReader, cls):
     ))
 
 
+class PublicBases(dict):
+    """Peer id -> its genesis public key as ``backend.prepare_base`` prepared
+    it, built at first lookup; ``in`` asks about the genesis keys.  A memo,
+    like the genesis hash: never encoded, and it holds no verdict."""
+
+    def __init__(self, backend, pubkeys: dict):
+        super().__init__()
+        self.backend, self.pubkeys = backend, pubkeys
+
+    def __missing__(self, pid):
+        base = self[pid] = self.backend.prepare_base(self.pubkeys[pid])
+        return base
+
+    def __contains__(self, pid) -> bool:
+        return pid in self.pubkeys
+
+
 @dataclass(frozen=True)
 class GenesisBlock:
     """The network's starting point.  ``peer_pubkeys``, ``initial_stake`` and
@@ -191,6 +208,11 @@ class GenesisBlock:
             digest = sha256(GENESIS_PREV_HASH + self.to_bytes())
             object.__setattr__(self, "_digest", digest)
         return digest
+
+    @cached_property
+    def public_bases(self) -> PublicBases:
+        """The keys every signature check of this network multiplies."""
+        return PublicBases(self.commit_pk.backend, self.peer_pubkeys)
 
     def admits(self, poly: QuantizedPoly) -> bool:
         """``quantize.admissible`` in this network's field and scale, at model size."""
@@ -308,8 +330,9 @@ def entry_rejection(
     entry: CommitmentEntry, iteration: int, verifiers, aggregators, pubkeys, backend
 ) -> str:
     """The block rule for one contribution to round ``iteration``: '' if it
-    may enter the block, else the rejection reason.  The contributor is a
-    genesis peer (a key in ``pubkeys``) and sits on neither committee; every
+    may enter the block, else the rejection reason.  ``pubkeys`` maps each
+    genesis peer to its prepared key (``GenesisBlock.public_bases``).  The
+    contributor is a genesis peer and sits on neither committee; every
     listed signature comes from a distinct verifier of this round and is
     valid; and they form a strict majority."""
     if entry.peer not in pubkeys:
@@ -389,7 +412,7 @@ def advance(state: TipState, block: Block) -> tuple[TipState | None, str]:
         peers_seen.add(entry.peer)
         reason = entry_rejection(
             entry, block.iteration, verifiers.committee, aggregators.committee,
-            genesis.peer_pubkeys, backend,
+            genesis.public_bases, backend,
         )
         if reason:
             return None, reason
@@ -401,7 +424,7 @@ def advance(state: TipState, block: Block) -> tuple[TipState | None, str]:
     for aid, sig in block.aggregator_sigs:
         if aid not in aggregators.committee:
             return None, "bad-aggregator-signature"
-        if not signatures.verify(backend, genesis.peer_pubkeys[aid], content_hash, sig):
+        if not signatures.verify(backend, genesis.public_bases[aid], content_hash, sig):
             return None, "bad-aggregator-signature"
 
     combined = combine(backend, [e.commitment for e in block.commitments])

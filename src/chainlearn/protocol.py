@@ -203,7 +203,8 @@ def verify_masked_submission(sub: UpdateSubmission, genesis, ring, prev_hash: by
     if sub.sender not in genesis.peer_pubkeys or not genesis.admits(sub.masked):
         return False
     pub = genesis.peer_pubkeys[sub.sender]
-    if not signatures.verify(backend, pub, sub.payload_bytes(backend), sub.signature):
+    key = genesis.public_bases[sub.sender]
+    if not signatures.verify(backend, key, sub.payload_bytes(backend), sub.signature):
         return False
     # the noiser draw must be the sender's own, for this tip and round
     expected_seed = noiser_seed(backend.g1_to_bytes(pub), prev_hash, sub.iteration)
@@ -214,7 +215,7 @@ def verify_masked_submission(sub: UpdateSubmission, genesis, ring, prev_hash: by
         expected_seed,
         ring,
         backend=backend,
-        public_key=pub,
+        public_key=key,
         exclude={sub.sender},
     ):
         return False
@@ -483,7 +484,7 @@ class PeerNode:
             return []
         context = verifier_sign_context(rs.iteration, self.id, rs.commitment, self.backend)
         if not signatures.verify(
-            self.backend, self.genesis.peer_pubkeys[msg.sender], context, msg.signature
+            self.backend, self.genesis.public_bases[msg.sender], context, msg.signature
         ):
             self.audit.append(f"r{rs.iteration}: bad grant signature from {msg.sender}")
             return []
@@ -513,7 +514,7 @@ class PeerNode:
             rs.iteration,
             rs.verifiers,
             rs.aggregators,
-            self.genesis.peer_pubkeys,
+            self.genesis.public_bases,
             self.genesis.commit_pk,
             points,
         ):
@@ -571,7 +572,7 @@ class PeerNode:
             return []
         if not signatures.verify(
             self.backend,
-            self.genesis.peer_pubkeys[msg.sender],
+            self.genesis.public_bases[msg.sender],
             msg.payload_bytes(self.backend, rs.announce),
             msg.signature,
         ):

@@ -73,8 +73,8 @@ def accept_bundle(
     """True iff the shares are at the receiving aggregator's ``points`` (its
     slice of ``assign_points``), the dealer's entry passes the block rule for
     round ``iteration`` (``ledger.entry_rejection``, against the round's
-    verifier and aggregator committees and the genesis ``pubkeys``) and every
-    share opens the commitment, checked as one batch."""
+    verifier and aggregator committees and the prepared genesis keys
+    ``pubkeys``) and every share opens the commitment, checked as one batch."""
     if [w.point for w in bundle.shares] != list(points):
         return False
     if entry_rejection(bundle.entry, iteration, verifiers, aggregators, pubkeys, pk.backend):

@@ -1,7 +1,9 @@
-"""Fuzzing the chain decoders on the exponent group: every byte string that
-reaches one either raises ValueError, and nothing else, or decodes to a value
-whose encoding is exactly those bytes; valid encodings round-trip, and every
-strict prefix of one is refused."""
+"""Fuzzing the chain decoders on the exponent group, and the point decoder
+and signature check on the pairing group: every byte string that reaches one
+either raises ValueError, and nothing else, or decodes to a value whose
+encoding is exactly those bytes; valid encodings round-trip, and every strict
+prefix of one is refused.  A signature is "decoded" by verifying it under a
+fixed key and message, so only the honest signature may pass."""
 
 import pytest
 from hypothesis import given, settings
@@ -11,16 +13,33 @@ from chainlearn.commitments import CommitPK
 from chainlearn.encoding import u32
 from chainlearn.groups import get_backend
 from chainlearn.ledger import GenesisBlock, Ledger, ProtocolConfig, block_from_bytes, block_to_bytes
+from chainlearn.signatures import keygen, sign, verify
 
 from conftest import honest_block
 
 BACKEND = get_backend("exponent")
+PAIRING = get_backend("pairing")
+SIGNER = keygen(PAIRING, b"fuzz-signer")
+KEY = PAIRING.prepare_base(SIGNER.public)
+MESSAGE = b"fuzzed message"
+SIGNATURE = sign(PAIRING, SIGNER, MESSAGE)
+
+
+def only_the_signature(data):
+    """``SIGNATURE`` if ``data`` verifies, else ValueError."""
+    if not verify(PAIRING, KEY, MESSAGE, data):
+        raise ValueError("does not verify")
+    return SIGNATURE
+
+
 # decode, then encode again
 REENCODE = {
     "block": lambda data: block_to_bytes(block_from_bytes(data, BACKEND), BACKEND),
     "genesis": lambda data: GenesisBlock.from_bytes(data, BACKEND).to_bytes(),
     "config": lambda data: ProtocolConfig.from_bytes(data).to_bytes(),
     "commit-pk": lambda data: CommitPK.from_bytes(BACKEND, data).to_bytes(),
+    "g1": lambda data: PAIRING.g1_to_bytes(PAIRING.g1_from_bytes(data)),
+    "signature": only_the_signature,
 }
 KINDS = sorted(REENCODE)
 # as many examples as the active Hypothesis profile asks for, and never fewer than 40
@@ -36,6 +55,8 @@ def encoded(tiny_net):
         "genesis": genesis.to_bytes(),
         "config": genesis.config.to_bytes(),
         "commit-pk": genesis.commit_pk.to_bytes(),
+        "g1": PAIRING.g1_to_bytes(SIGNER.public),
+        "signature": SIGNATURE,
     }
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainlearn.groups import _P, _R, _f2_mul, _f2_pow, _f2_sqr, _final_exp, get_backend
+from chainlearn.signatures import keygen
 
 BACKENDS = ["exponent", "pairing"]
 
@@ -141,6 +142,29 @@ def test_from_bytes_rejects_garbage(backend):
         backend.g1_from_bytes(b"\xff" * (backend.element_size + 3))
 
 
+@pytest.mark.parametrize("flag", [0x01, 0x04, 0x06, 0x07, 0xFF])
+def test_from_bytes_refuses_other_flags(flag):
+    """Only 0x02 and 0x03 name a point: 0xff once decoded to g1 as well."""
+    backend = get_backend("pairing")
+    data = backend.g1_to_bytes(backend.g1)
+    with pytest.raises(ValueError, match="flag"):
+        backend.g1_from_bytes(bytes([flag]) + data[1:])
+
+
+def test_from_bytes_refuses_identity_with_trailing_bytes():
+    backend = get_backend("pairing")
+    with pytest.raises(ValueError, match="identity"):
+        backend.g1_from_bytes(b"\x00" + backend.g1_to_bytes(backend.g1)[1:])
+
+
+def test_from_bytes_refuses_odd_flag_for_y_zero():
+    """(0, 0) has y = 0, which is even: its odd flag once decoded to (0, p)."""
+    backend = get_backend("pairing")
+    assert backend.g1_from_bytes(b"\x02" + bytes(64)) == (0, 0)
+    with pytest.raises(ValueError):
+        backend.g1_from_bytes(b"\x03" + bytes(64))
+
+
 def ladder_mul(backend, P, k):
     """Reference scalar multiplication: affine double-and-add over g1_add."""
     out, k = backend.g1_identity, k % backend.order
@@ -214,6 +238,39 @@ def test_msm_matches_naive_fold(name, data):
     points = [P for P, _ in terms]
     scalars = [k for _, k in terms]
     assert backend.msm(points, scalars) == naive_msm(backend, points, scalars)
+
+
+# g1, a keygen key, the identity and the 2-torsion point, which a genesis
+# read from a chain file can carry as a key: a comb built naively on the
+# last two would raise
+FIXED_BASES = {
+    "g1": get_backend("pairing").g1,
+    "key": keygen(get_backend("pairing"), b"fixed-base").public,
+    "identity": None,
+    "torsion": (0, 0),
+}
+
+
+@pytest.fixture(scope="module")
+def prepared_bases():
+    backend = get_backend("pairing")
+    return {name: backend.prepare_base(P) for name, P in FIXED_BASES.items()}
+
+
+@settings(max_examples=max(40, settings.default.max_examples), deadline=None)
+@given(data=st.data())
+def test_fixed_base_product_matches_msm(prepared_bases, data):
+    """``fixed_msm`` over prepared bases is ``msm`` over the points, for one-
+    and two-base products and any scalars; its example count comes from the
+    active Hypothesis profile, like the decoder fuzzing."""
+    backend = get_backend("pairing")
+    scalar = st.one_of(st.sampled_from([0, 1, _R - 1, _R, -1]), st.integers(-2 * _R, 2 * _R))
+    base = st.sampled_from(sorted(FIXED_BASES))
+    terms = data.draw(st.lists(st.tuples(base, scalar), min_size=1, max_size=2))
+    scalars = [k for _, k in terms]
+    assert backend.fixed_msm([prepared_bases[n] for n, _ in terms], scalars) == backend.msm(
+        [FIXED_BASES[n] for n, _ in terms], scalars
+    )
 
 
 def test_split_final_exponentiation_matches_direct_power():

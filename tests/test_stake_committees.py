@@ -27,23 +27,69 @@ def _signature(backend, R_bytes: bytes, s: int) -> bytes:
 def test_signature_roundtrip(name):
     backend = get_backend(name)
     kp = keygen(backend, b"peer0")
+    key = backend.prepare_base(kp.public)
     sig = sign(backend, kp, b"hello")
-    assert verify(backend, kp.public, b"hello", sig)
+    assert verify(backend, key, b"hello", sig)
     assert sig == sign(backend, kp, b"hello"), "signatures must be deterministic"
 
     reader = ByteReader(sig)
     R_bytes, s = reader.bytes_lp(), reader.int_lp()
-    # s and s + order are the same residue, so both verify
-    assert verify(backend, kp.public, b"hello", _signature(backend, R_bytes, s + backend.order))
     # every tampered signature is rejected with False, never an exception
-    assert not verify(backend, kp.public, b"other", sig)
-    assert not verify(backend, keygen(backend, b"peer1").public, b"hello", sig)
-    assert not verify(backend, kp.public, b"hello", _signature(backend, R_bytes, s + 1))
+    assert not verify(backend, key, b"other", sig)
+    assert not verify(backend, backend.prepare_base(keygen(backend, b"peer1").public), b"hello", sig)
+    assert not verify(backend, key, b"hello", _signature(backend, R_bytes, s + 1))
     identity = backend.g1_to_bytes(backend.g1_identity)
-    assert not verify(backend, kp.public, b"hello", _signature(backend, identity, s))
+    assert not verify(backend, key, b"hello", _signature(backend, identity, s))
     for cut in (0, 3, len(sig) - 1):
-        assert not verify(backend, kp.public, b"hello", sig[:cut])
-    assert not verify(backend, kp.public, b"hello", sig + b"\x00")
+        assert not verify(backend, key, b"hello", sig[:cut])
+    assert not verify(backend, key, b"hello", sig + b"\x00")
+
+
+def malleate(backend, sig: bytes, form: str) -> bytes:
+    """Another encoding of the same (R, s residue) pair."""
+    reader = ByteReader(sig)
+    R_bytes, s = reader.bytes_lp(), reader.int_lp()
+    if form == "s-plus-order":
+        return _signature(backend, R_bytes, s + backend.order)
+    if form == "s-leading-zero":
+        return ByteWriter().bytes_lp(R_bytes).bytes_lp(b"\x00" + s.to_bytes(32, "big")).getvalue()
+    # the point R's flag byte, with the parity of y kept
+    return _signature(backend, bytes([R_bytes[0] ^ 4]) + R_bytes[1:], s)
+
+
+@pytest.mark.parametrize(
+    "name, form",
+    [
+        ("exponent", "s-plus-order"),
+        ("pairing", "s-plus-order"),
+        ("exponent", "s-leading-zero"),
+        ("pairing", "s-leading-zero"),
+        ("pairing", "R-flag"),
+    ],
+)
+def test_malleated_signature_is_refused(name, form):
+    """A signature is unique: the keyed committee draws hash it, so a second
+    encoding that verifies would let a submitter grind its noiser set."""
+    backend = get_backend(name)
+    kp = keygen(backend, b"peer0")
+    sig = sign(backend, kp, b"hello")
+    assert not verify(backend, backend.prepare_base(kp.public), b"hello", malleate(backend, sig, form))
+
+
+@pytest.mark.parametrize("name", ["exponent", "pairing"])
+def test_identity_key_verifies_nothing(name):
+    """Anyone can sign under the identity key, which a chain file's genesis
+    may carry: with k = s, R = s*g passes s*g == R + c*O for any message."""
+    backend = get_backend(name)
+    R = backend.g1_mul(backend.g1, 5)
+    forged = _signature(backend, backend.g1_to_bytes(R), 5)
+    assert not verify(backend, backend.prepare_base(backend.g1_identity), b"hello", forged)
+
+
+def test_empty_integer_encoding_is_refused():
+    with pytest.raises(ValueError, match="minimal"):
+        ByteReader(ByteWriter().bytes_lp(b"").getvalue()).int_lp()
+    assert ByteReader(ByteWriter().int_lp(0).getvalue()).int_lp() == 0
 
 
 def test_single_peer_owns_ring():
