@@ -7,9 +7,8 @@ from chainlearn import Ledger, combine, commit, decode, get_backend
 from chainlearn.bootstrap import build_genesis
 from chainlearn.datasets import make_dataset, partition
 from chainlearn.ledger import ProtocolConfig
-from chainlearn.protocol import StageTimeouts
 from chainlearn.sgd import TrainConfig
-from chainlearn.simnet import SimConfig, Simulation
+from chainlearn.simnet import Simulation
 
 config = ProtocolConfig(
     backend_name="exponent", model_family="logreg", n_features=3, n_classes=2,
@@ -22,7 +21,7 @@ genesis, secrets = build_genesis(config, range(12), b"walkthrough")
 data = make_dataset("synthetic-blobs", {"n": 1200, "features": 3, "separation": 6.0}, seed=0)
 shards = partition(data, 12, seed=0)
 
-sim = Simulation(genesis, secrets, dict(enumerate(shards)), StageTimeouts(), SimConfig(seed=0))
+sim = Simulation(genesis, secrets, dict(enumerate(shards)), seed=0)
 result = sim.run()
 print(f"simulated {result.final_time:.0f}s, {result.final_ledger.height} blocks, "
       f"{result.forks} forks")

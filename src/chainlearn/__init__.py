@@ -29,7 +29,7 @@ from .models import LogisticModel, ModelParams, SoftmaxModel, make_model, valida
 from .noise import NoiseTable, NoiseVector, build_noise_table, gaussian_sigma, generate_noise, mask_update, peer_noise
 from .quantize import QuantizedPoly, decode, encode
 from .sgd import TrainConfig, compute_local_update
-from .simnet import SimConfig, Simulation
+from .simnet import Simulation
 from .stake import StakeRing, build_ring, update_stake
 from .vss import ShareBundle, deal_shares, recover_aggregate, sum_shares
 

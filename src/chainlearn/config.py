@@ -15,11 +15,9 @@ import json
 from dataclasses import dataclass, field
 
 from .attacks import AdversaryConfig
-from .krum import krum_sample_size, max_tolerable_f
+from .krum import krum_sample_size, max_tolerable_f, updates_per_block
 from .ledger import ProtocolConfig
-from .protocol import StageTimeouts
 from .sgd import TrainConfig
-from .simnet import SimConfig
 
 
 @dataclass(frozen=True)
@@ -53,13 +51,6 @@ class ExperimentSpec:
     backend: str = "exponent"
     seed: int = 0
     churn_per_minute: float = 0.0
-    latency_min: float = 0.010
-    latency_max: float = 0.100
-    noise_wait: float = 2.0
-    verify_window: float = 3.0
-    signature_wait: float = 2.0
-    aggregation_window: float = 3.0
-    block_wait: float = 2.0
     train: TrainConfig = field(default_factory=lambda: TrainConfig(
         eta0=0.008, eta_decay=0.04, weight_decay=1e-4, batch_size=256
     ))
@@ -78,7 +69,7 @@ class ExperimentSpec:
 
     @property
     def updates_per_block_u(self) -> int:
-        return max(1, self.multikrum_sample_R // 2)
+        return updates_per_block(self.multikrum_sample_R)
 
     @property
     def adversary_upper_bound_f(self) -> int:
@@ -101,18 +92,6 @@ class ExperimentSpec:
             stake_reward=self.stake_reward,
             train=self.train,
         )
-
-    def timeouts(self) -> StageTimeouts:
-        return StageTimeouts(
-            self.noise_wait,
-            self.verify_window,
-            self.signature_wait,
-            self.aggregation_window,
-            self.block_wait,
-        )
-
-    def sim_config(self) -> SimConfig:
-        return SimConfig(self.latency_min, self.latency_max, self.churn_per_minute, self.seed)
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)

@@ -178,7 +178,7 @@ def run_protocol_experiment(spec: ExperimentSpec, env: Environment | None = None
         return env.reserve_shards[idx]
 
     sim = Simulation(
-        env.genesis, env.secrets, env.datasets, spec.timeouts(), spec.sim_config(), fresh_shard
+        env.genesis, env.secrets, env.datasets, spec.churn_per_minute, spec.seed, fresh_shard
     )
     result = sim.run()
     if result.deadlocked:

@@ -41,6 +41,11 @@ def krum_sample_size(fraction: float, n_peers: int) -> int:
     return max(3, round(fraction * n_peers))
 
 
+def updates_per_block(R: int) -> int:
+    """u, the number of sampled updates a block sums: half of R, at least 1."""
+    return max(1, R // 2)
+
+
 def max_tolerable_f(R: int) -> int:
     """Largest f with f < (R-2)/2."""
     return max((R - 3) // 2, 0)

@@ -32,7 +32,7 @@ from . import signatures
 from .commitments import Commitment, combine, commit
 from .committees import VrfOutput, draw_committee, noiser_seed, verify_vrf
 from .encoding import ByteWriter, sha256, u64
-from .krum import KrumConfig, krum_sample_size, max_tolerable_f, multi_krum_select
+from .krum import KrumConfig, krum_sample_size, max_tolerable_f, multi_krum_select, updates_per_block
 from .ledger import (
     Block,
     CommitmentEntry,
@@ -58,32 +58,13 @@ from .vss import (
 BROADCAST = -1
 
 
-@dataclass(frozen=True)
 class StageTimeouts:
-    """Per-stage durations in simulated seconds."""
+    """Stage deadlines in simulated seconds from round start: noise 2 +
+    verify 3, then signatures 2 + aggregation 3, then block 2."""
 
-    noise_wait: float = 2.0
-    verify_window: float = 3.0
-    signature_wait: float = 2.0
-    aggregation_window: float = 3.0
-    block_wait: float = 2.0
-
-    def __post_init__(self):
-        for name in ("noise_wait", "verify_window", "signature_wait", "aggregation_window", "block_wait"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-    @property
-    def verify_deadline(self) -> float:
-        return self.noise_wait + self.verify_window
-
-    @property
-    def aggregation_deadline(self) -> float:
-        return self.verify_deadline + self.signature_wait + self.aggregation_window
-
-    @property
-    def round_budget(self) -> float:
-        return self.aggregation_deadline + self.block_wait
+    verify_deadline = 5.0
+    aggregation_deadline = 10.0
+    round_budget = 12.0
 
 
 # --- messages ----------------------------------------------------------------
@@ -270,13 +251,12 @@ class RoundState:
 class PeerNode:
     """One peer: ledger replica, local data, per-round protocol state."""
 
-    def __init__(self, peer_id: int, genesis, secrets, dataset, timeouts: StageTimeouts):
+    def __init__(self, peer_id: int, genesis, secrets, dataset):
         self.id = peer_id
         self.genesis = genesis
         self.backend = genesis.commit_pk.backend
         self.secrets = secrets
         self.dataset = dataset
-        self.timeouts = timeouts
         self.ledger = Ledger(genesis)
         cfg = genesis.config
         self.model = make_model(cfg.model_family, cfg.n_features, cfg.n_classes)
@@ -295,9 +275,6 @@ class PeerNode:
 
     def r_target(self) -> int:
         return krum_sample_size(self.config.collect_fraction, len(self.genesis.peer_pubkeys))
-
-    def u_target(self) -> int:
-        return max(1, self.r_target() // 2)
 
     def is_verifier(self) -> bool:
         return self.id in self.round.verifiers
@@ -322,12 +299,12 @@ class PeerNode:
             verifiers=verifiers.committee,
             aggregators=aggregators.committee,
         )
-        out = [(self.id, Timer(iteration, "round-budget"), self.timeouts.round_budget)]
+        out = [(self.id, Timer(iteration, "round-budget"), StageTimeouts.round_budget)]
         if self.is_verifier():
-            out.append((self.id, Timer(iteration, "verify-deadline"), self.timeouts.verify_deadline))
+            out.append((self.id, Timer(iteration, "verify-deadline"), StageTimeouts.verify_deadline))
         if self.is_aggregator():
             out.append(
-                (self.id, Timer(iteration, "aggregation-deadline"), self.timeouts.aggregation_deadline)
+                (self.id, Timer(iteration, "aggregation-deadline"), StageTimeouts.aggregation_deadline)
             )
         if not self.is_verifier() and not self.is_aggregator():
             out.extend(self._begin_update(prev_hash))
@@ -531,9 +508,8 @@ class PeerNode:
         if not rs.accepted_bundles:
             self.audit.append(f"r{rs.iteration}: no accepted bundles, voiding round")
             return []
-        rs.announce = tip_sample(
-            rs.accepted_bundles, self.u_target(), b"pick", self.ledger.tip_hash(), rs.iteration
-        )
+        u = updates_per_block(self.r_target())
+        rs.announce = tip_sample(rs.accepted_bundles, u, b"pick", self.ledger.tip_hash(), rs.iteration)
         announce = AggAnnounce(rs.iteration, self.id, rs.announce)
         return [(aid, announce, None) for aid in rs.aggregators]
 
@@ -545,6 +521,10 @@ class PeerNode:
             or msg.sender != rs.aggregators[0]
         ):
             self.audit.append(f"dropped stray aggregation announce from {msg.sender}")
+            return []
+        c = msg.contributors
+        if not c or any(a >= b for a, b in zip(c, c[1:])):
+            self.audit.append(f"r{rs.iteration}: announce from {msg.sender} is empty or not ascending")
             return []
         missing = [pid for pid in msg.contributors if pid not in rs.accepted_bundles]
         if missing:

@@ -18,7 +18,7 @@ DEFAULT_SCALE_BITS = 20
 # Largest number of bounded vectors expected in one field-domain sum
 # (updates per block plus noise terms); encode() rejects entries that could
 # overflow the centered range when that many are added together.
-DEFAULT_HEADROOM = 128
+HEADROOM = 128
 
 
 class HeadroomError(OverflowError):
@@ -54,27 +54,21 @@ class QuantizedPoly:
         )
 
 
-def encode(
-    values,
-    blinding: int,
-    modulus: int,
-    scale_bits: int = DEFAULT_SCALE_BITS,
-    headroom: int = DEFAULT_HEADROOM,
-) -> QuantizedPoly:
+def encode(values, blinding: int, modulus: int, scale_bits: int = DEFAULT_SCALE_BITS) -> QuantizedPoly:
     """Encode a real vector; raises HeadroomError when an entry cannot be
-    summed ``headroom`` times without leaving the centered residue range."""
+    summed ``HEADROOM`` times without leaving the centered residue range."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError("expected a 1-D vector")
     if not np.all(np.isfinite(arr)):
         raise ValueError("non-finite entries cannot be encoded")
     scale = 1 << scale_bits
-    limit = modulus // (2 * headroom)
+    limit = modulus // (2 * HEADROOM)
     fixed = np.rint(arr * scale)
     if np.any(np.abs(fixed) >= limit):
         raise HeadroomError(
             f"entry magnitude {np.abs(arr).max():.6g} exceeds headroom bound "
-            f"{limit / scale:.6g} at scale_bits={scale_bits}, headroom={headroom}"
+            f"{limit / scale:.6g} at scale_bits={scale_bits}, headroom={HEADROOM}"
         )
     coeffs = [blinding % modulus]
     coeffs.extend(int(c) % modulus for c in fixed)

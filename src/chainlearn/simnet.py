@@ -17,21 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ledger import block_hash
-from .protocol import BROADCAST, BlockMsg, ChainRequest, PeerNode, Timer, UpdateSubmission
+from .protocol import BROADCAST, BlockMsg, ChainRequest, PeerNode, StageTimeouts, Timer, UpdateSubmission
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    latency_min: float = 0.010
-    latency_max: float = 0.100
-    churn_per_minute: float = 0.0  # fail+join events per simulated minute
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.latency_min <= 0 or self.latency_max < self.latency_min:
-            raise ValueError("latency range must be positive and ordered")
-        if self.churn_per_minute < 0:
-            raise ValueError("churn rate must be non-negative")
+# one-way link delay, drawn uniformly per delivery, in simulated seconds
+LATENCY = (0.010, 0.100)
 
 
 @dataclass
@@ -46,25 +36,28 @@ class SimResult:
 
 
 class Simulation:
+    timeouts = StageTimeouts  # the stage deadlines every peer runs on
+
     def __init__(
         self,
         genesis,
         secrets,
         datasets,
-        timeouts,
-        sim: SimConfig,
+        churn_per_minute: float = 0.0,
+        seed: int = 0,
         fresh_shard=None,
     ):
-        """``datasets`` maps peer id -> Dataset; ``fresh_shard(peer, join_count)``
-        supplies a new local partition when a peer rejoins."""
+        """``datasets`` maps peer id -> Dataset; ``churn_per_minute`` counts
+        fail+join events per simulated minute; ``fresh_shard(peer,
+        join_count)`` supplies a new local partition when a peer rejoins."""
+        if churn_per_minute < 0:
+            raise ValueError("churn rate must be non-negative")
         self.genesis = genesis
-        self.sim = sim
-        self.timeouts = timeouts
+        self.churn_per_minute = churn_per_minute
         self.fresh_shard = fresh_shard
-        self.rng = np.random.default_rng(sim.seed)
+        self.rng = np.random.default_rng(seed)
         self.peers = {
-            pid: PeerNode(pid, genesis, secrets[pid], datasets[pid], timeouts)
-            for pid in sorted(secrets)
+            pid: PeerNode(pid, genesis, secrets[pid], datasets[pid]) for pid in sorted(secrets)
         }
         self.online = {pid: True for pid in self.peers}
         self.events = []
@@ -85,7 +78,7 @@ class Simulation:
         self.seq += 1
 
     def _latency(self) -> float:
-        return float(self.rng.uniform(self.sim.latency_min, self.sim.latency_max))
+        return float(self.rng.uniform(*LATENCY))
 
     def _dispatch_actions(self, actions) -> None:
         for dest, payload, delay in actions:
@@ -155,7 +148,7 @@ class Simulation:
         time_cap = (cfg.total_iterations + 3) * budget
         for pid in sorted(self.peers):
             self._dispatch_actions(self.peers[pid].start_round(1, 0.0))
-        churn = self.sim.churn_per_minute
+        churn = self.churn_per_minute
         if churn > 0:
             self._schedule_churn(60.0 / churn, "fail")
         deadlocked = False

@@ -48,12 +48,28 @@ def test_spec_unknown_field_rejected():
         spec_from_dict({"number_of_peers": 10})
 
 
-def test_spec_setting_a_deleted_train_field_is_refused(tmp_path):
+# The round count lives in the spec alone; stage deadlines and link latency
+# are constants of protocol and simnet.
+DELETED_FIELDS = [
+    "train.total_iterations",
+    "latency_min",
+    "latency_max",
+    "noise_wait",
+    "verify_window",
+    "signature_wait",
+    "aggregation_window",
+    "block_wait",
+]
+
+
+@pytest.mark.parametrize("field", DELETED_FIELDS)
+def test_spec_setting_a_deleted_field_is_refused(tmp_path, field):
     data = small_spec().to_dict()
-    data["train"]["total_iterations"] = 3  # the round count lives in the spec alone
+    *section, name = field.split(".")
+    (data[section[0]] if section else data)[name] = 3
     path = tmp_path / "old.json"
     path.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match="total_iterations"):
+    with pytest.raises(ValueError, match=name):
         load_spec(path)
 
 

@@ -15,7 +15,6 @@ from chainlearn.noise import mask_update, peer_noise
 from chainlearn.protocol import (
     AggShareMsg,
     PeerNode,
-    StageTimeouts,
     Timer,
     UpdateSubmission,
     verify_masked_submission,
@@ -23,7 +22,7 @@ from chainlearn.protocol import (
 from chainlearn.quantize import encode
 from chainlearn.sgd import compute_local_update
 from chainlearn.signatures import sign
-from chainlearn.simnet import SimConfig, Simulation
+from chainlearn.simnet import Simulation
 from chainlearn.stake import build_ring
 
 from conftest import tiny_config
@@ -58,8 +57,7 @@ def make_sim(
     )
     shards = partition(data, n_peers, seed=seed)
     datasets = {i: shards[i] for i in range(n_peers)}
-    sim_config = SimConfig(churn_per_minute=churn_per_minute, seed=seed)
-    return Simulation(genesis, secrets, datasets, StageTimeouts(), sim_config)
+    return Simulation(genesis, secrets, datasets, churn_per_minute, seed)
 
 
 @pytest.fixture(scope="module")
@@ -419,7 +417,7 @@ def test_churn_keeps_population_constant():
     assert len(result.offline_at_end) <= 1
     assert result.final_ledger.height >= 4, "training must keep making progress"
     with pytest.raises(ValueError):
-        SimConfig(churn_per_minute=-1)
+        make_sim(churn_per_minute=-1)
 
 
 @pytest.mark.parametrize("padding", ["outsider", "duplicate"])
@@ -471,6 +469,31 @@ def test_dealer_sending_another_aggregators_points_is_left_out(monkeypatch):
     blocks = result.final_ledger.blocks
     assert [b.iteration for b in blocks] == [1, 2, 3, 4, 5]
     assert all(entry.peer != 0 for block in blocks for entry in block.commitments)
+
+
+@pytest.mark.parametrize("contributors", ["empty", "repeated"])
+def test_malformed_announce_voids_only_its_round(monkeypatch, contributors):
+    """A proposer that announces no contributors, or one contributor twice,
+    in round 2 is refused by every aggregator: the run returns, round 2
+    voids and every other round seals without a fork."""
+    sim = make_sim()
+    close = PeerNode._close_aggregation
+
+    def malformed(peer, now):
+        actions = close(peer, now)
+        if peer.round.iteration != 2 or not actions:
+            return actions
+        honest = peer.round.announce
+        bad = () if contributors == "empty" else (honest[0], honest[0])
+        announce = protocol.AggAnnounce(2, peer.id, bad)
+        return [(dest, announce, extra) for dest, _, extra in actions]
+
+    monkeypatch.setattr(PeerNode, "_close_aggregation", malformed)
+    result = sim.run()  # the empty announce raised "no bundles to sum" before
+    assert [b.iteration for _, b in result.block_records] == [1, 3, 4, 5]
+    assert result.forks == 0
+    refusals = [line for p in sim.peers.values() for line in p.audit if "empty or not ascending" in line]
+    assert len(refusals) == sim.genesis.config.num_aggregators
 
 
 def test_protocol_trains_softmax_family():
