@@ -1,7 +1,12 @@
 """Constant-size polynomial commitments with verifiable point openings.
 
-A trusted setup produces the powers alpha^j * g1 of the one generator; a
-commitment C is one ``msm`` of those powers by the polynomial coefficients.
+A trusted setup produces the powers alpha^j * g1 of the one generator,
+starting with g1 itself; a commitment C to the coefficients c_j is
+c_0 * g1, over g1's fixed-base comb, plus one ``msm`` of the other powers.
+Only the blinding slot c_0 is a full-size scalar; the data coefficients and
+witness quotients are small centered residues, so the ``msm``'s doubling
+chain is as long as the largest of those.
+
 Opening at a point z ships y = phi(z) and a commitment W to the quotient
 (phi(x) - y) / (x - z).  It is valid exactly when
 e(C, g1) == e(W, (alpha - z)*g1) * e(g1, g1)^y, checked in the folded form
@@ -16,8 +21,9 @@ equation raised to a weight rho_i (Bellare-Garay-Rabin small exponents):
 The rho_i are 128-bit, drawn by SHA-256 from the commitment and every
 (point, eval, witness): a rerun draws the same weights, and a batch with a
 bad opening passes with probability 2^-128 (2^-61 on the exponent group).
-The pairing is symmetric, so the key's first two powers g1 and alpha*g1
-are the fixed arguments that drive the Miller loop.  Commitments are
+The one full-size scalar, sum(rho_i*y_i), multiplies g1's comb.  The
+pairing is symmetric, so the key's first two powers g1 and alpha*g1 are
+the fixed arguments that drive the Miller loop.  Commitments are
 homomorphic: the product of commitments commits to the coefficient-wise
 sum, which is what lets verifiers audit masked updates and block aggregates
 without seeing them.
@@ -31,9 +37,6 @@ from functools import cached_property
 from . import polynomials
 from .encoding import ByteReader, ByteWriter, derive_scalars, sha256, u32
 from .quantize import QuantizedPoly
-
-
-_HALF = 1 << 128  # share-check weights are below this, and so is each half of a full-size scalar
 
 
 @dataclass(frozen=True)
@@ -54,22 +57,25 @@ class CommitPK:
     """Public commitment key: the powers alpha^j * g1.
 
     ``degree`` is the highest polynomial degree the key supports, so there
-    are ``degree + 1`` powers.
+    are ``degree + 1`` powers.  ``commit`` multiplies the first through
+    ``g1_base`` and the share check pairs with the first two, so a key
+    whose first power is not g1, or that has one power, is refused.
     """
 
     def __init__(self, backend, powers):
         self.backend = backend
         self.powers = list(powers)
+        if len(self.powers) < 2:
+            raise ValueError("a commitment key has at least two powers")
+        if self.powers[0] != backend.g1:
+            raise ValueError("the first power of a commitment key must be g1")
 
     @cached_property
     def share_check_key(self):
-        """The fixed inputs of every share check, built at the first one:
-        ``powers[0]`` and ``powers[1]`` prepared as pairing arguments, and
-        2^128 * g1, which lets the check's multi-scalar multiplication split
-        its one full-size scalar in two 128-bit halves."""
+        """``powers[0]`` and ``powers[1]`` prepared as the fixed pairing
+        arguments of every share check, built at the first one."""
         b = self.backend
-        g1_high = b.g1_mul(self.powers[0], _HALF)
-        return b.prepare_pair(self.powers[0]), b.prepare_pair(self.powers[1]), g1_high
+        return b.prepare_pair(self.powers[0]), b.prepare_pair(self.powers[1])
 
     @property
     def degree(self) -> int:
@@ -86,8 +92,6 @@ class CommitPK:
     def from_bytes(cls, backend, data: bytes) -> "CommitPK":
         r = ByteReader(data)
         n = r.u32()
-        if n < 2:
-            raise ValueError("a commitment key has at least two powers")
         size = backend.element_size
         powers = [backend.g1_from_bytes(r.raw(size)) for _ in range(n)]
         r.done()
@@ -117,7 +121,8 @@ def commit(pk: CommitPK, poly: QuantizedPoly) -> Commitment:
         raise ValueError("polynomial field does not match the commitment key")
     if poly.dim > pk.degree:
         raise ValueError(f"polynomial degree {poly.dim} exceeds key degree {pk.degree}")
-    return Commitment(pk.backend.msm(pk.powers, poly.coeffs))
+    b, coeffs = pk.backend, poly.coeffs
+    return Commitment(b.g1_add(b.fixed_msm([b.g1_base], coeffs[:1]), b.msm(pk.powers[1:], coeffs[1:])))
 
 
 def combine(backend, commitments) -> Commitment:
@@ -166,14 +171,13 @@ def verify_share(pk: CommitPK, commitment: Commitment, *witnesses: Witness) -> b
     backend = pk.backend
     if any(w.point % backend.order == 0 for w in witnesses):
         return False
-    lines_g1, lines_alpha_g1, g1_high = pk.share_check_key
+    lines_g1, lines_alpha_g1 = pk.share_check_key
     rho = batch_weights(pk, commitment, witnesses)
-    neg_eval = -sum(r * w.eval for r, w in zip(rho, witnesses)) % backend.order
+    neg_eval = -sum(r * w.eval for r, w in zip(rho, witnesses))
     quotients = [w.value for w in witnesses]
-    folded = backend.msm(
-        [commitment.value, pk.powers[0], g1_high, *quotients],
-        [sum(rho), neg_eval % _HALF, neg_eval // _HALF,
-         *(r * w.point for r, w in zip(rho, witnesses))],
+    folded = backend.g1_add(
+        backend.fixed_msm([backend.g1_base], [neg_eval]),
+        backend.msm([commitment.value, *quotients], [sum(rho), *(r * w.point for r, w in zip(rho, witnesses))]),
     )
     weighted = backend.g1_neg(backend.msm(quotients, rho))
     return backend.multi_pair((lines_g1, lines_alpha_g1), (folded, weighted)) == backend.gt_one

@@ -37,6 +37,14 @@ doublings and one addition per term and column (Brickell, Gordon, McCurley
 and Wilson, EUROCRYPT 1992, precompute fixed-base powers the same way).  On
 the debug group a prepared base is the element itself.
 
+On the curve ``msm``, ``fixed_msm`` and ``g1_mul`` take each scalar k as its
+centered residue mod r: for k > r/2 they multiply -P by r - k, so a small
+negative number stored mod r costs as few doublings as a small positive
+one.  The three agree on every decodable point.  On the order-r subgroup
+this is k * P.  Decoders still admit other points (see ROADMAP), and there
+a product can differ from the plain residue's by a multiple of r * P, of
+order prime to r, on which the pairing is 1: verdicts do not change.
+
 Curve parameters were generated once by
 ``demos/generate_group_parameters.py`` and are frozen here.
 """
@@ -187,9 +195,9 @@ _WNAF_TABLE = 1 << (_WNAF_WIDTH - 2)  # odd multiples P, 3P, ..., 15P
 
 
 def _wnaf(k):
-    """Width-5 NAF digits of k >= 0, least significant first: every nonzero
-    digit is odd with |digit| < 16, and at most one of any five consecutive
-    digits is nonzero."""
+    """Width-5 NAF digits of k, least significant first: every nonzero digit
+    is odd with |digit| < 16, and at most one of any five consecutive digits
+    is nonzero.  The digits of -k are those of k negated."""
     digits = []
     while k:
         d = 0
@@ -204,13 +212,13 @@ def _wnaf(k):
 
 
 def _msm(points, scalars, p=_P):
-    """Sum of k_i * P_i for affine points and scalars k_i >= 0, unreduced.
+    """Sum of k_i * P_i for affine points and integer scalars k_i, unreduced.
 
     Straus's interleaving: each base's odd multiples P, 3P, ..., 15P are
     computed per call in affine form, one batched inversion per multiple for
-    all bases; one shared chain of Jacobian doublings then adds, for every
-    term, the multiple named by its wNAF digit, and a single inversion
-    returns the sum to affine coordinates.
+    all bases; one shared chain of Jacobian doublings, as long as the
+    longest |k_i|, then adds, for every term, the multiple named by its wNAF
+    digit, and a single inversion returns the sum to affine coordinates.
     """
     terms = [(P, k) for P, k in zip(points, scalars) if P is not None and k != 0]
     tables = [[P] for P, _ in terms]
@@ -257,13 +265,16 @@ def _comb_table(P, p=_P):
 
 
 def _comb_msm(combs, scalars, p=_P):
-    """Sum of k_i * P_i from the P_i's combs, for 0 <= k_i <= r.
+    """Sum of k_i * P_i from the P_i's combs, for |k_i| <= r.
 
     An odd k is the sum of (2 b_n - 1) * 2^n over n < 256, where b_n are the
     bits of (k + 2^256 - 1) / 2; an even k is done as k + 1, subtracting P
-    at the end.  Column i, digits i, i + 32, ..., i + 224, is a table entry
-    or its negation.  Columns are added from i = 31 down, one doubling
-    apart, so all terms share 32 doublings and one final inversion.
+    at the end.  For a negative k these bits are those of -k complemented:
+    its magnitude with every column's sign flipped, and k + 1 moves towards
+    zero, which flips the correction.  Column i, digits i, i + 32, ...,
+    i + 224, is a table entry or its negation.  Columns are added from
+    i = 31 down, one doubling apart, so all terms share 32 doublings and
+    one final inversion.
     """
     terms, last = [], []
     for (P, table), k in zip(combs, scalars):
@@ -390,6 +401,12 @@ def _multi_tate(tables, points, p=_P):
     return _final_exp((f0, f1), p)
 
 
+def _centered(k):
+    """The residue of k mod r in (-r/2, r/2)."""
+    k %= _R
+    return k - _R if k > _R >> 1 else k
+
+
 class PairingGroup:
     """Real bilinear pairing backend (see module docstring for caveats)."""
 
@@ -409,11 +426,12 @@ class PairingGroup:
         return _pt_neg(a)
 
     def g1_mul(self, P, k: int):
-        return _msm((P,), (k % _R,))
+        return self.msm((P,), (k,))
 
     def msm(self, points, scalars):
-        """Sum of k_i * P_i over zip(points, scalars), scalars mod r."""
-        return _msm(points, [k % _R for k in scalars])
+        """Sum of k_i * P_i over zip(points, scalars), each k_i taken as its
+        centered residue mod r."""
+        return _msm(points, [_centered(k) for k in scalars])
 
     def prepare_base(self, P):
         """``P`` and its comb table, as a fixed base of ``fixed_msm``."""
@@ -426,7 +444,7 @@ class PairingGroup:
     def fixed_msm(self, prepared, scalars):
         """``msm`` of the points behind ``prepared``, which holds their
         ``prepare_base`` tables: 32 doublings for any number of terms."""
-        return _comb_msm(prepared, [k % _R for k in scalars])
+        return _comb_msm(prepared, [_centered(k) for k in scalars])
 
     def prepare_pair(self, P):
         """Line table of ``P`` as a fixed first pairing argument."""

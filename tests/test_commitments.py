@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainlearn.commitments import (
     Commitment,
@@ -16,6 +18,7 @@ from chainlearn.commitments import (
 )
 from chainlearn.encoding import u32
 from chainlearn.groups import get_backend
+from chainlearn.polynomials import poly_eval
 from chainlearn.quantize import QuantizedPoly, encode, sum_polys
 
 
@@ -66,6 +69,17 @@ def test_pk_roundtrip():
         CommitPK.from_bytes(backend, u32(1) + backend.g1_to_bytes(pk.powers[0]))
 
 
+@pytest.mark.parametrize("name", ["exponent", "pairing"])
+def test_pk_first_power_must_be_g1(name):
+    """``commit`` multiplies the blinding slot by g1's comb, so a key whose
+    first power is not g1 would commit to another polynomial: it is refused."""
+    backend, pk = make_pk(name, 4)
+    for first in (backend.g1_add(backend.g1, backend.g1), backend.g1_identity, pk.powers[1]):
+        data = u32(len(pk.powers)) + b"".join(backend.g1_to_bytes(pw) for pw in [first, *pk.powers[1:]])
+        with pytest.raises(ValueError, match="g1"):
+            CommitPK.from_bytes(backend, data)
+
+
 def test_commit_zero_is_identity(ctx):
     backend, pk, _ = ctx
     zero = QuantizedPoly((0,) * 9, 20, backend.order)
@@ -110,6 +124,50 @@ def test_combine_over_35_updates_matches_summed_poly():
     lhs = combine(backend, [commit(pk, q) for q in polys])
     rhs = commit(pk, sum_polys(polys))
     assert lhs.value == rhs.value
+
+
+def naive_commit(pk, coeffs):
+    backend = pk.backend
+    acc = backend.g1_identity
+    for P, c in zip(pk.powers, coeffs):
+        acc = backend.g1_add(acc, backend.g1_mul(P, c))
+    return acc
+
+
+@pytest.mark.parametrize("name", ["exponent", "pairing"])
+@settings(max_examples=max(40, settings.default.max_examples), deadline=None)
+@given(data=st.data())
+def test_commit_matches_naive_fold(name, data):
+    """``commit`` is the sum of c_j * alpha^j * g1 for coefficients at the
+    centering boundary, small negatives stored as residues, and anything;
+    its example count comes from the active Hypothesis profile."""
+    backend, pk = make_pk(name, 8)
+    r = backend.order
+    coeff = st.one_of(
+        st.sampled_from([0, 1, r - 1, (r - 1) // 2, (r + 1) // 2]),
+        st.integers(-(1 << 40), -1).map(lambda k: k % r),
+        st.integers(0, r - 1),
+    )
+    coeffs = tuple(data.draw(st.lists(coeff, min_size=1, max_size=pk.degree + 1)))
+    assert commit(pk, QuantizedPoly(coeffs, 20, r)).value == naive_commit(pk, coeffs)
+
+
+@pytest.mark.parametrize("name", ["exponent", "pairing"])
+def test_degree_12_witness_far_from_zero(name):
+    """Quotient coefficients at z grow by about log2(z) bits per step, so
+    the longest scalars a commit takes are those of a degree-12 update's
+    quotient at its last share point, 26 = 2 * (12 + 1)."""
+    backend, pk = make_pk(name, 12)
+    rng = random.Random(26)
+    r = backend.order
+    coeffs = (rng.randrange(r),) + tuple(rng.randint(-(1 << 20), 1 << 20) % r for _ in range(12))
+    phi = QuantizedPoly(coeffs, 20, r)
+    w = create_witness(pk, phi, 26)
+    assert w.eval == poly_eval(list(coeffs), 26, r)
+    quotient = [sum(coeffs[i] * 26 ** (i - j - 1) for i in range(j + 1, 13)) for j in range(12)]
+    assert w.value == naive_commit(pk, quotient)
+    assert verify_share(pk, commit(pk, phi), w)
+    assert not verify_share(pk, commit(pk, phi), Witness(w.value, 26, (w.eval + 1) % r))
 
 
 def test_degree_overflow_rejected(ctx):

@@ -116,3 +116,17 @@ def test_non_canonical_genesis_is_refused(tiny_net, change):
         bad = data[:count_at] + u32(count + 1) + one + data[first:]
     with pytest.raises(ValueError, match="ascend"):
         GenesisBlock.from_bytes(bad, BACKEND)
+
+
+def test_genesis_with_a_key_not_starting_at_g1_is_refused(tiny_net):
+    """The same genesis with the key's first power doubled."""
+    genesis, _ = tiny_net
+    powers = genesis.commit_pk.powers
+    key = genesis.commit_pk.to_bytes()
+    doubled = BACKEND.g1_add(BACKEND.g1, BACKEND.g1)
+    bad_key = u32(len(powers)) + b"".join(BACKEND.g1_to_bytes(pw) for pw in [doubled, *powers[1:]])
+    data = genesis.to_bytes()
+    assert data.count(key) == 1 and len(bad_key) == len(key)
+    bad = data.replace(key, bad_key)
+    with pytest.raises(ValueError, match="g1"):
+        GenesisBlock.from_bytes(bad, BACKEND)

@@ -194,7 +194,7 @@ def test_g1_mul_matches_ladder_at_edge_scalars(name):
     backend = get_backend(name)
     _, P, _, _ = point_pool(backend)
     r = backend.order
-    for k in [0, 1, r - 1, r, r + 1, -1, 0xDEADBEEF, r // 3]:
+    for k in [0, 1, r - 1, r, r + 1, -1, 0xDEADBEEF, r // 3, (r - 1) // 2, (r + 1) // 2]:
         assert backend.g1_mul(P, k) == ladder_mul(backend, P, k), k
     assert backend.g1_mul(P, r - 1) == backend.g1_neg(P)
     assert backend.g1_mul(P, r + 1) == P
@@ -216,6 +216,8 @@ def test_msm_edge_cases(name):
         ([P, negP, Q], [k, k, 7]),
         ([P, Q], [-1, r + 1]),
         ([P, Q, P], [3 * r - 5, -k, r]),
+        ([P, Q], [(r - 1) // 2, (r + 1) // 2]),  # the last residue kept, the first one negated
+        ([P, negP, Q], [(r + 1) // 2, (r - 1) // 2, -(r + 1) // 2]),
     ]
     for points, scalars in cases:
         assert backend.msm(points, scalars) == naive_msm(backend, points, scalars), scalars
@@ -264,7 +266,8 @@ def test_fixed_base_product_matches_msm(prepared_bases, data):
     and two-base products and any scalars; its example count comes from the
     active Hypothesis profile, like the decoder fuzzing."""
     backend = get_backend("pairing")
-    scalar = st.one_of(st.sampled_from([0, 1, _R - 1, _R, -1]), st.integers(-2 * _R, 2 * _R))
+    edges = [0, 1, _R - 1, _R, -1, (_R - 1) // 2, (_R + 1) // 2]
+    scalar = st.one_of(st.sampled_from(edges), st.integers(-2 * _R, 2 * _R))
     base = st.sampled_from(sorted(FIXED_BASES))
     terms = data.draw(st.lists(st.tuples(base, scalar), min_size=1, max_size=2))
     scalars = [k for _, k in terms]
