@@ -507,7 +507,7 @@ class Ledger:
 
 # --- chain persistence -------------------------------------------------------
 
-CHAIN_MAGIC = b"CLCHAIN2"
+CHAIN_MAGIC = b"CLCHAIN3"
 
 
 def save_chain(path, ledger: Ledger) -> None:

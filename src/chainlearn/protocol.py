@@ -187,9 +187,10 @@ def verify_masked_submission(sub: UpdateSubmission, genesis, ring, prev_hash: by
     key = genesis.public_bases[sub.sender]
     if not signatures.verify(backend, key, sub.payload_bytes(backend), sub.signature):
         return False
-    # the noiser draw must be the sender's own, for this tip and round
+    # the noiser draw must be the sender's own, for this tip and round; an
+    # empty proof would be the public walk, a second draw the sender could pick
     expected_seed = noiser_seed(backend.g1_to_bytes(pub), prev_hash, sub.iteration)
-    if len(sub.noiser_vrf.committee) != cfg.num_noisers:
+    if not sub.noiser_vrf.proof or len(sub.noiser_vrf.committee) != cfg.num_noisers:
         return False
     if not verify_vrf(
         sub.noiser_vrf,

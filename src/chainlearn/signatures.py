@@ -2,18 +2,21 @@
 
 The nonce is derived from the secret key and message, so signing the same
 message always yields the same signature; committee draws rely on that
-uniqueness.  So a signature has one encoding, and ``verify`` accepts no
-other: R as ``g1_to_bytes`` writes it, then s < order as a length-prefixed
-big-endian integer without leading zero bytes (the one byte 0 for s = 0).
-Over the exponent backend this is of course forgeable, which is acceptable
-anywhere the debug backend is acceptable.
+uniqueness.  A signature is Schnorr's original pair (J. Cryptology 1991),
+the challenge c = H(R, PK, m) and s = k + c*sk, written ``c || s``: each
+half a big-endian scalar of the order's byte width, so 64 bytes on the
+curve and 16 on the exponent group.  So a signature has one encoding, and
+``verify`` accepts no other: exactly that length, c < order and s < order.
+The verifier recomputes R = s*g - c*PK and compares its challenge with c,
+so it decodes no curve point.  Over the exponent backend this is of course
+forgeable, which is acceptable anywhere the debug backend is acceptable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .encoding import ByteReader, ByteWriter, sha256
+from .encoding import sha256
 
 
 @dataclass(frozen=True)
@@ -33,6 +36,10 @@ def _challenge(backend, R, public, message: bytes) -> int:
     return int.from_bytes(h, "big") % backend.order
 
 
+def _width(backend) -> int:
+    return (backend.order.bit_length() + 7) // 8
+
+
 def sign(backend, keypair: KeyPair, message: bytes) -> bytes:
     k = int.from_bytes(
         sha256(b"nonce" + keypair.secret.to_bytes(64, "big") + message), "big"
@@ -41,25 +48,22 @@ def sign(backend, keypair: KeyPair, message: bytes) -> bytes:
     R = backend.fixed_msm([backend.g1_base], [k])
     c = _challenge(backend, R, keypair.public, message)
     s = (k + c * keypair.secret) % backend.order
-    w = ByteWriter()
-    w.bytes_lp(backend.g1_to_bytes(R))
-    w.int_lp(s)
-    return w.getvalue()
+    width = _width(backend)
+    return c.to_bytes(width, "big") + s.to_bytes(width, "big")
 
 
 def verify(backend, public, message: bytes, signature: bytes) -> bool:
     """True iff ``signature`` is the signature of ``message`` under the key
     that ``public`` holds as ``backend.prepare_base`` prepared it."""
-    try:
-        r = ByteReader(signature)
-        R = backend.g1_from_bytes(r.bytes_lp())
-        s = r.int_lp()
-        r.done()
-    except ValueError:
+    width = _width(backend)
+    if len(signature) != 2 * width:
         return False
+    c = int.from_bytes(signature[:width], "big")
+    s = int.from_bytes(signature[width:], "big")
     point = backend.base_point(public)
     if s >= backend.order or point == backend.g1_identity:
-        return False  # under the identity key s*g == R holds for any R = s*g
-    c = _challenge(backend, R, point, message)
-    # s*g == R + c*PK, checked as one two-comb product
-    return backend.fixed_msm([backend.g1_base, public], [s, -c]) == R
+        return False  # under the identity key any s with c = H(s*g, O, m) passes
+    # R = s*g - c*PK, as one two-comb product; the challenge is below the
+    # order, so no c >= order matches it
+    R = backend.fixed_msm([backend.g1_base, public], [s, -c])
+    return _challenge(backend, R, point, message) == c

@@ -414,9 +414,10 @@ def test_chain_file_roundtrip_and_tamper(tiny_net, tmp_path):
     bad_path.write_bytes(bytes(data[:-5]))  # cut inside the last record
     with pytest.raises(ValueError, match="tampered.bin: block 1: truncated"):
         load_chain(bad_path, BACKEND)
-    bad_path.write_bytes(b"CLCHAIN1" + bytes(data[8:]))  # the previous chain format
-    with pytest.raises(ValueError, match="bad magic"):
-        load_chain(bad_path, BACKEND)
+    for magic in (b"CLCHAIN1", b"CLCHAIN2"):  # the previous chain formats
+        bad_path.write_bytes(magic + bytes(data[8:]))
+        with pytest.raises(ValueError, match="bad magic"):
+            load_chain(bad_path, BACKEND)
 
 
 def assert_tip_state_fresh(ledger):

@@ -29,15 +29,15 @@ from conftest import tiny_config
 
 # Tip hashes of two fixed runs. Any arithmetic rewrite that changes chain
 # bytes fails here, on both group backends.
-EXPONENT_TIP = "7e40c553503302f2f791ac2e972898c94eafb81fa19e5e766933c783a3b63e3f"
-PAIRING_TIP = "df3055c88ec762038492e20c7e0a5e9827c29671d05908235d0969ffccb6e573"
+EXPONENT_TIP = "98039724ecd8499d984ce091c74c0351a92d239901dc5ee64433055ba6c44793"
+PAIRING_TIP = "e80e9911256114c441fc89ddc796de407f056252adb992d73eda4934c67cefb2"
 # sha256 of the round-1 signed payloads of make_sim(), one message per sender
 # concatenated in sender order. These signatures never enter a block, so the
 # tip hashes above do not cover their encoding. The aggregate-share payload
 # counts its contributor and share lists, so the signed bytes fix where each
 # list ends.
-SUBMISSION_PAYLOADS = "777101f66bf27189981e45a7d0ebb795bacfee0e2dbe51bf6248fdfe301cff07"
-AGGSHARE_PAYLOADS = "39a34b352475366e0fa5ab56882b283e485c6c2bdce14acba2742a0431d7cc3a"
+SUBMISSION_PAYLOADS = "e067d7a37c5a33b32b48bf26679b4461b1567c2f77bf7dbbca17218166e05883"
+AGGSHARE_PAYLOADS = "c55a421dc16d32e26f8b3818b7e011d2a0d8f9830197a82c2b837d55a8059bf3"
 
 
 def make_sim(
@@ -216,9 +216,10 @@ def make_submission(sim, peer_id, iteration=1, tamper=None):
     commitment = commit(genesis.commit_pk, update_q)
     ring = build_ring(peer.ledger.stake)
     seed_bytes = noiser_seed(backend.g1_to_bytes(peer.secrets.keypair.public), prev_hash, iteration)
+    # the unkeyed draw is the public walk from the same seed, with no proof
+    signer = None if tamper == "unkeyed-draw" else peer.secrets.keypair
     vrf = draw_committee(
-        ring, seed_bytes, cfg.num_noisers, backend=backend, signer=peer.secrets.keypair,
-        exclude={peer_id},
+        ring, seed_bytes, cfg.num_noisers, backend=backend, signer=signer, exclude={peer_id},
     )
     noiser_ids = vrf.committee
     if tamper == "wrong-noisers":
@@ -274,6 +275,21 @@ def test_wrong_noiser_set_rejected_via_vrf():
     sub = make_submission(sim, eligible_peer(sim), tamper="wrong-noisers")
     assert not verify_masked_submission(
         sub, sim.genesis, build_ring(sim.genesis.initial_stake), sim.genesis.hash()
+    )
+
+
+def test_unkeyed_noiser_draw_rejected():
+    """A submitter who may send the public walk from its noiser seed picks
+    whichever of two masked updates Multi-KRUM prefers, and anyone can
+    predict that noiser set in advance."""
+    sim = make_sim(seed=6)
+    peer_id = eligible_peer(sim)
+    keyed = make_submission(sim, peer_id)
+    unkeyed = make_submission(sim, peer_id, tamper="unkeyed-draw")
+    assert unkeyed.noiser_vrf.proof == b""
+    assert unkeyed.noiser_vrf.committee != keyed.noiser_vrf.committee
+    assert not verify_masked_submission(
+        unkeyed, sim.genesis, build_ring(sim.genesis.initial_stake), sim.genesis.hash()
     )
 
 

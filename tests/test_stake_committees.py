@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from chainlearn.committees import (
@@ -13,14 +15,20 @@ from chainlearn.committees import (
 )
 from chainlearn.encoding import ByteReader, ByteWriter, sha256
 from chainlearn.groups import get_backend
-from chainlearn.signatures import keygen, sign, verify
+from chainlearn.signatures import _challenge, keygen, sign, verify
 from chainlearn.stake import KEYSPACE, build_ring, honest_stake_fraction, update_stake
 
 BACKEND = get_backend("exponent")
 
 
-def _signature(backend, R_bytes: bytes, s: int) -> bytes:
-    return ByteWriter().bytes_lp(R_bytes).int_lp(s).getvalue()
+def _halves(sig: bytes) -> tuple:
+    width = len(sig) // 2
+    return int.from_bytes(sig[:width], "big"), int.from_bytes(sig[width:], "big")
+
+
+def _signature(backend, c: int, s: int) -> bytes:
+    width = (backend.order.bit_length() + 7) // 8
+    return c.to_bytes(width, "big") + s.to_bytes(width, "big")
 
 
 @pytest.mark.parametrize("name", ["exponent", "pairing"])
@@ -29,61 +37,83 @@ def test_signature_roundtrip(name):
     kp = keygen(backend, b"peer0")
     key = backend.prepare_base(kp.public)
     sig = sign(backend, kp, b"hello")
+    assert len(sig) == {"exponent": 16, "pairing": 64}[name]
     assert verify(backend, key, b"hello", sig)
     assert sig == sign(backend, kp, b"hello"), "signatures must be deterministic"
-
-    reader = ByteReader(sig)
-    R_bytes, s = reader.bytes_lp(), reader.int_lp()
     # every tampered signature is rejected with False, never an exception
     assert not verify(backend, key, b"other", sig)
     assert not verify(backend, backend.prepare_base(keygen(backend, b"peer1").public), b"hello", sig)
-    assert not verify(backend, key, b"hello", _signature(backend, R_bytes, s + 1))
-    identity = backend.g1_to_bytes(backend.g1_identity)
-    assert not verify(backend, key, b"hello", _signature(backend, identity, s))
-    for cut in (0, 3, len(sig) - 1):
-        assert not verify(backend, key, b"hello", sig[:cut])
-    assert not verify(backend, key, b"hello", sig + b"\x00")
+    c, s = _halves(sig)
+    assert not verify(backend, key, b"hello", _signature(backend, c, (s + 1) % backend.order))
+    assert not verify(backend, key, b"hello", _signature(backend, (c + 1) % backend.order, s))
 
 
 def malleate(backend, sig: bytes, form: str) -> bytes:
-    """Another encoding of the same (R, s residue) pair."""
-    reader = ByteReader(sig)
-    R_bytes, s = reader.bytes_lp(), reader.int_lp()
+    """A byte string other than ``sig`` that a lenient parser could read as
+    the same (c, s) residues, or the same halves out of place."""
+    c, s = _halves(sig)
+    if form == "c-plus-order":
+        return _signature(backend, c + backend.order, s)
     if form == "s-plus-order":
-        return _signature(backend, R_bytes, s + backend.order)
+        return _signature(backend, c, s + backend.order)
     if form == "s-leading-zero":
-        return ByteWriter().bytes_lp(R_bytes).bytes_lp(b"\x00" + s.to_bytes(32, "big")).getvalue()
-    # the point R's flag byte, with the parity of y kept
-    return _signature(backend, bytes([R_bytes[0] ^ 4]) + R_bytes[1:], s)
+        width = len(sig) // 2
+        return sig[:width] + b"\x00" + sig[width:]
+    if form == "halves-swapped":
+        return _signature(backend, s, c)
+    if form == "one-byte-short":
+        return sig[:-1]
+    return sig + b"\x00"
 
 
-@pytest.mark.parametrize(
-    "name, form",
-    [
-        ("exponent", "s-plus-order"),
-        ("pairing", "s-plus-order"),
-        ("exponent", "s-leading-zero"),
-        ("pairing", "s-leading-zero"),
-        ("pairing", "R-flag"),
-    ],
-)
+FORMS = ["c-plus-order", "s-plus-order", "s-leading-zero", "halves-swapped", "one-byte-short", "one-byte-long"]
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("name", ["exponent", "pairing"])
 def test_malleated_signature_is_refused(name, form):
     """A signature is unique: the keyed committee draws hash it, so a second
     encoding that verifies would let a submitter grind its noiser set."""
     backend = get_backend(name)
     kp = keygen(backend, b"peer0")
     sig = sign(backend, kp, b"hello")
-    assert not verify(backend, backend.prepare_base(kp.public), b"hello", malleate(backend, sig, form))
+    bad = malleate(backend, sig, form)
+    if form.endswith("plus-order"):
+        assert len(bad) == len(sig), "the residue plus the order still fits the width"
+    assert not verify(backend, backend.prepare_base(kp.public), b"hello", bad)
 
 
 @pytest.mark.parametrize("name", ["exponent", "pairing"])
 def test_identity_key_verifies_nothing(name):
-    """Anyone can sign under the identity key, which a chain file's genesis
-    may carry: with k = s, R = s*g passes s*g == R + c*O for any message."""
+    """Anyone can sign under the identity key O, which a chain file's genesis
+    may carry: for any s, c = H(s*g, O, m) passes s*g - c*O == s*g."""
     backend = get_backend(name)
-    R = backend.g1_mul(backend.g1, 5)
-    forged = _signature(backend, backend.g1_to_bytes(R), 5)
+    s = 5
+    R = backend.fixed_msm([backend.g1_base], [s])
+    c = _challenge(backend, R, backend.g1_identity, b"hello")
+    forged = _signature(backend, c, s)
     assert not verify(backend, backend.prepare_base(backend.g1_identity), b"hello", forged)
+
+
+@pytest.mark.parametrize("name", ["exponent", "pairing"])
+@settings(deadline=None)
+@given(seed=st.binary(max_size=16), message=st.binary(max_size=64), data=st.data())
+def test_signature_property(name, seed, message, data):
+    """A signature verifies; any one byte of it flipped, or any one byte of
+    the message changed, and it does not."""
+    backend = get_backend(name)
+    kp = keygen(backend, seed)
+    key = backend.prepare_base(kp.public)
+    sig = sign(backend, kp, message)
+    assert verify(backend, key, message, sig)
+    bad = bytearray(sig)
+    bad[data.draw(st.integers(0, len(sig) - 1), label="at")] ^= data.draw(st.integers(1, 255), label="flip")
+    assert not verify(backend, key, message, bytes(bad))
+    changed = bytearray(message or b"\x00")
+    changed[data.draw(st.integers(0, len(changed) - 1), label="m_at")] ^= data.draw(
+        st.integers(1, 255), label="m_flip"
+    )
+    assert not verify(backend, key, bytes(changed), sig)
 
 
 def test_empty_integer_encoding_is_refused():
