@@ -5,7 +5,7 @@ draws, and what happens to a tampered committee."""
 
 import numpy as np
 
-from chainlearn import build_ring, draw_committee, verify_vrf
+from chainlearn import build_ring, draw_committee, draw_noisers, verify_vrf
 from chainlearn.committees import ROLE_VERIFY, VrfOutput, committee_seed, noiser_seed
 from chainlearn.encoding import sha256
 from chainlearn.groups import get_backend
@@ -30,20 +30,26 @@ print("peer 7 hit in %.1f%% of 20k uniform points" % (100 * hits / 20_000))
 prev = sha256(b"block at the tip")
 seed = committee_seed(b"global-key", prev, ROLE_VERIFY, iteration=9)
 committee = draw_committee(ring, seed, k=3)
-print("verifier committee for this tip:", committee.committee)
-print("anyone can re-derive it:", verify_vrf(committee, seed, ring))
+print("verifier committee for this tip:", committee)
+print("anyone can re-derive it:", draw_committee(build_ring(dict(stake)), seed, k=3) == committee)
 
-swapped = VrfOutput((committee.committee[0], 19, committee.committee[2]), committee.proof)
-print("swapped member passes verification:", verify_vrf(swapped, seed, ring))
+outsider = next(p for p in ring.peers if p not in committee)
+swapped = (committee[0], outsider, committee[2])
+print("a swapped member re-derives:", draw_committee(ring, seed, k=3) == swapped)
 
 # keyed draws: bound to the drawing peer's key, unpredictable until revealed
 backend = get_backend("exponent")
 kp = keygen(backend, b"peer-3-secret")
-nseed = noiser_seed(backend.g1_to_bytes(kp.public), prev, iteration=9)
-noisers = draw_committee(ring, nseed, k=2, backend=backend, signer=kp, exclude={3})
+noisers = draw_noisers(backend, kp, 3, ring, prev, 9, k=2)
 print("peer 3's noiser set:", noisers.committee, "(proof: %d bytes)" % len(noisers.proof))
 print("verifies against peer 3's key:", verify_vrf(
-    noisers, nseed, ring, backend=backend, public_key=backend.prepare_base(kp.public), exclude={3}))
+    noisers, backend, backend.prepare_base(kp.public), 3, ring, prev, 9, k=2))
 other = keygen(backend, b"someone-else")
 print("verifies against another key:", verify_vrf(
-    noisers, nseed, ring, backend=backend, public_key=backend.prepare_base(other.public), exclude={3}))
+    noisers, backend, backend.prepare_base(other.public), 3, ring, prev, 9, k=2))
+
+# the public walk from peer 3's noiser seed is not peer 3's keyed draw
+nseed = noiser_seed(backend.g1_to_bytes(kp.public), prev, 9)
+walk = VrfOutput(draw_committee(ring, nseed, k=2, exclude={3}), b"")
+print("the public walk passes as peer 3's draw:", verify_vrf(
+    walk, backend, backend.prepare_base(kp.public), 3, ring, prev, 9, k=2))

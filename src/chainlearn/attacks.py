@@ -140,10 +140,8 @@ def collusion_violation_probability(
     base = sha256(b"collusion-mc" + u64(seed))
     for trial in range(trials):
         tip = sha256(base + u64(trial))
-        verifiers = draw_committee(ring, tip + b"verify", num_verifiers).committee
-        noisers = draw_committee(
-            ring, tip + b"noise" + u64(victim), num_noisers, exclude={victim}
-        ).committee
+        verifiers = draw_committee(ring, tip + b"verify", num_verifiers)
+        noisers = draw_committee(ring, tip + b"noise" + u64(victim), num_noisers, exclude={victim})
         if all(n in colluders for n in noisers) and any(v in colluders for v in verifiers):
             violations += 1
     if return_count:

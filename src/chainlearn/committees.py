@@ -1,16 +1,16 @@
-"""Verifiable committee draws over the stake ring.
+"""Committee draws over the stake ring.
 
-Committee seeds derive from public data (previous block hash, role tag,
-round), so nobody can precompute committees past the chain tip.  A draw
-rehashes its way around the ring until it has k distinct members.  Two
-verifiability modes:
+A draw rehashes its way around the ring until it has k distinct members.
+There are two kinds, each with its own functions:
 
-* global draws (verifier, aggregator): seed fully public, proof empty;
-  anyone re-derives the committee from the stake map.
-* keyed draws (a peer's noiser set): the drawing peer's deterministic
-  signature over the seed becomes both the hash chain's starting point and
-  the proof, so the set is unpredictable to others until revealed yet
-  anybody can verify it afterwards against the peer's public key.
+* a global draw (verifier, aggregator committees) walks from a public seed
+  (global key, previous block hash, role tag, round), so nobody can
+  precompute it past the chain tip and anyone re-derives it from the stake
+  map: ``draw_committee``;
+* a keyed draw (a peer's noiser set) walks from the peer's deterministic
+  signature over its noiser seed, which is also the proof, so the set is
+  unpredictable to others until revealed yet anybody can check it afterwards
+  against the peer's public key: ``draw_noisers`` and ``verify_vrf``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ ROLE_AGGREGATE = b"aggregate"
 @dataclass(frozen=True)
 class VrfOutput:
     committee: tuple  # ordered distinct peer ids
-    proof: bytes  # empty for global draws
+    proof: bytes  # the drawing peer's signature over its noiser seed
 
 
 def noiser_seed(public_key_bytes: bytes, prev_hash: bytes, iteration: int) -> bytes:
@@ -55,44 +55,34 @@ def _walk(ring: StakeRing, start: bytes, k: int, exclude) -> tuple:
     return tuple(chosen)
 
 
-def draw_committee(
-    ring: StakeRing,
-    seed: bytes,
-    k: int,
-    backend=None,
-    signer: signatures.KeyPair | None = None,
-    exclude=frozenset(),
+def draw_committee(ring: StakeRing, seed: bytes, k: int, exclude=frozenset()) -> tuple:
+    """The global draw: k distinct peers, none in ``exclude``, walked from
+    the public ``seed``; to check one, draw it again."""
+    return _walk(ring, sha256(seed), k, exclude)
+
+
+def draw_noisers(
+    backend, keypair: signatures.KeyPair, peer: int, ring: StakeRing, prev_hash: bytes, iteration: int, k: int
 ) -> VrfOutput:
-    """Draw k distinct peers.  With ``signer`` set, the draw is keyed: the
-    hash chain starts from the signature rather than the bare seed."""
-    if signer is not None:
-        proof = signatures.sign(backend, signer, seed)
-        start = sha256(proof)
-    else:
-        proof = b""
-        start = sha256(seed)
-    return VrfOutput(_walk(ring, start, k, exclude), proof)
+    """``peer``'s keyed draw of k noisers other than itself for round
+    ``iteration`` on the tip ``prev_hash``: it signs its noiser seed and
+    walks from the hash of that signature."""
+    seed = noiser_seed(backend.g1_to_bytes(keypair.public), prev_hash, iteration)
+    proof = signatures.sign(backend, keypair, seed)
+    return VrfOutput(_walk(ring, sha256(proof), k, {peer}), proof)
 
 
 def verify_vrf(
-    output: VrfOutput,
-    seed: bytes,
-    ring: StakeRing,
-    backend=None,
-    public_key=None,
-    exclude=frozenset(),
+    draw: VrfOutput, backend, public_key, peer: int, ring: StakeRing, prev_hash: bytes, iteration: int, k: int
 ) -> bool:
-    """Recompute the draw from the seed and stake ring and check the proof
-    against ``public_key``, the drawing peer's key as
-    ``backend.prepare_base`` prepared it."""
-    if output.proof:
-        if public_key is None or not signatures.verify(backend, public_key, seed, output.proof):
-            return False
-        start = sha256(output.proof)
-    else:
-        start = sha256(seed)
+    """True iff ``draw`` is what ``draw_noisers`` gives for these arguments:
+    its proof verifies under ``public_key``, ``peer``'s key as
+    ``backend.prepare_base`` prepared it, and the walk from that proof is
+    ``draw.committee``."""
+    seed = noiser_seed(backend.g1_to_bytes(backend.base_point(public_key)), prev_hash, iteration)
+    if not signatures.verify(backend, public_key, seed, draw.proof):
+        return False
     try:
-        expected = _walk(ring, start, len(output.committee), exclude)
+        return _walk(ring, sha256(draw.proof), k, {peer}) == draw.committee
     except ValueError:
         return False
-    return expected == output.committee

@@ -51,12 +51,6 @@ class ByteWriter:
         """Length-prefixed byte string."""
         return self.u32(len(data)).raw(data)
 
-    def int_lp(self, value: int) -> "ByteWriter":
-        """Length-prefixed unsigned big integer, big-endian."""
-        if value < 0:
-            raise ValueError("only unsigned integers are encoded")
-        return self.bytes_lp(value.to_bytes((value.bit_length() + 7) // 8 or 1, "big"))
-
     def f64_vector(self, values) -> "ByteWriter":
         self.u32(len(values))
         for v in values:
@@ -99,14 +93,6 @@ class ByteReader:
 
     def bytes_lp(self) -> bytes:
         return self._take(self.u32())
-
-    def int_lp(self) -> int:
-        """The integer ``ByteWriter.int_lp`` wrote, in its one encoding: at
-        least one byte, and no leading zero byte unless it is the only one."""
-        data = self.bytes_lp()
-        if not data or (data[0] == 0 and len(data) > 1):
-            raise ValueError("integer encoding is not minimal")
-        return int.from_bytes(data, "big")
 
     def f64_vector(self) -> list[float]:
         n = self.u32()

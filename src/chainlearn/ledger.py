@@ -411,7 +411,7 @@ def advance(state: TipState, block: Block) -> tuple[TipState | None, str]:
             return None, "duplicate-contributor"
         peers_seen.add(entry.peer)
         reason = entry_rejection(
-            entry, block.iteration, verifiers.committee, aggregators.committee,
+            entry, block.iteration, verifiers, aggregators,
             genesis.public_bases, backend,
         )
         if reason:
@@ -422,7 +422,7 @@ def advance(state: TipState, block: Block) -> tuple[TipState | None, str]:
     content = block_content_bytes(block, backend)
     content_hash = sha256(content)
     for aid, sig in block.aggregator_sigs:
-        if aid not in aggregators.committee:
+        if aid not in aggregators:
             return None, "bad-aggregator-signature"
         if not signatures.verify(backend, genesis.public_bases[aid], content_hash, sig):
             return None, "bad-aggregator-signature"
@@ -435,7 +435,7 @@ def advance(state: TipState, block: Block) -> tuple[TipState | None, str]:
     if not np.array_equal(expected, block.model_weights):
         return None, "model-arithmetic-mismatch"
 
-    rewarded = [*(e.peer for e in block.commitments), *verifiers.committee, *aggregators.committee]
+    rewarded = [*(e.peer for e in block.commitments), *verifiers, *aggregators]
     stake = update_stake(state.stake, rewarded, cfg.stake_reward)
     # block_hash(block), from the content bytes already built
     tip_hash = sha256(sealed_bytes(content, block.aggregator_sigs))

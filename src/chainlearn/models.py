@@ -36,9 +36,6 @@ class LogisticModel:
         self.n_features = n_features
         self.dim = n_features + 1
 
-    def init_params(self) -> ModelParams:
-        return ModelParams(np.zeros(self.dim), 0)
-
     def mean_grad(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         Xa = _augment(X)
         p = 1.0 / (1.0 + np.exp(-(Xa @ w)))
@@ -63,9 +60,6 @@ class SoftmaxModel:
         self.n_features = n_features
         self.n_classes = n_classes
         self.dim = n_classes * (n_features + 1)
-
-    def init_params(self) -> ModelParams:
-        return ModelParams(np.zeros(self.dim), 0)
 
     def _matrix(self, w: np.ndarray) -> np.ndarray:
         return w.reshape(self.n_classes, self.n_features + 1)

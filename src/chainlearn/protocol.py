@@ -30,7 +30,7 @@ import numpy as np
 
 from . import signatures
 from .commitments import Commitment, combine, commit
-from .committees import VrfOutput, draw_committee, noiser_seed, verify_vrf
+from .committees import VrfOutput, draw_noisers, verify_vrf
 from .encoding import ByteWriter, sha256, u64
 from .krum import KrumConfig, krum_sample_size, max_tolerable_f, multi_krum_select, updates_per_block
 from .ledger import (
@@ -141,9 +141,10 @@ class AggShareMsg:
         for c in contributors:
             w.u32(c)
         w.u32(len(self.shares))
+        width = (backend.order.bit_length() + 7) // 8
         for s in self.shares:
-            w.int_lp(s.point)
-            w.int_lp(s.eval)
+            w.raw(s.point.to_bytes(width, "little"))
+            w.raw(s.eval.to_bytes(width, "little"))
             w.raw(backend.g1_to_bytes(s.value))
         return b"aggshare" + w.getvalue()
 
@@ -183,22 +184,12 @@ def verify_masked_submission(sub: UpdateSubmission, genesis, ring, prev_hash: by
     cfg = genesis.config
     if sub.sender not in genesis.peer_pubkeys or not genesis.admits(sub.masked):
         return False
-    pub = genesis.peer_pubkeys[sub.sender]
     key = genesis.public_bases[sub.sender]
     if not signatures.verify(backend, key, sub.payload_bytes(backend), sub.signature):
         return False
-    # the noiser draw must be the sender's own, for this tip and round; an
-    # empty proof would be the public walk, a second draw the sender could pick
-    expected_seed = noiser_seed(backend.g1_to_bytes(pub), prev_hash, sub.iteration)
-    if not sub.noiser_vrf.proof or len(sub.noiser_vrf.committee) != cfg.num_noisers:
-        return False
+    # the noiser draw must be the sender's own, for this tip and round
     if not verify_vrf(
-        sub.noiser_vrf,
-        expected_seed,
-        ring,
-        backend=backend,
-        public_key=key,
-        exclude={sub.sender},
+        sub.noiser_vrf, backend, key, sub.sender, ring, prev_hash, sub.iteration, cfg.num_noisers
     ):
         return False
     # the drawn noisers' noise, as genesis committed it
@@ -271,9 +262,6 @@ class PeerNode:
     def config(self):
         return self.genesis.config
 
-    def _pubkey_bytes(self) -> bytes:
-        return self.backend.g1_to_bytes(self.secrets.keypair.public)
-
     def r_target(self) -> int:
         return krum_sample_size(self.config.collect_fraction, len(self.genesis.peer_pubkeys))
 
@@ -297,8 +285,8 @@ class PeerNode:
         verifiers, aggregators = self.ledger.state.committees(iteration)
         self.round = RoundState(
             iteration=iteration,
-            verifiers=verifiers.committee,
-            aggregators=aggregators.committee,
+            verifiers=verifiers,
+            aggregators=aggregators,
         )
         out = [(self.id, Timer(iteration, "round-budget"), StageTimeouts.round_budget)]
         if self.is_verifier():
@@ -329,15 +317,10 @@ class PeerNode:
             delta, blinding % self.backend.order, self.backend.order, cfg.scale_bits
         )
         self.round.commitment = commit(self.genesis.commit_pk, self.round.update_q)
-        seed_bytes = noiser_seed(self._pubkey_bytes(), prev_hash, t)
         try:
-            self.round.noiser_vrf = draw_committee(
-                self.ledger.state.ring,
-                seed_bytes,
-                cfg.num_noisers,
-                backend=self.backend,
-                signer=self.secrets.keypair,
-                exclude={self.id},
+            self.round.noiser_vrf = draw_noisers(
+                self.backend, self.secrets.keypair, self.id, self.ledger.state.ring,
+                prev_hash, t, cfg.num_noisers,
             )
         except ValueError as exc:
             self.audit.append(f"r{t}: noiser draw failed: {exc}")

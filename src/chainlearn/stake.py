@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 KEYSPACE = 1 << 256
 
-STAKE_REWARD = 5  # linear +5 per accepted contribution or committee seat
-
 
 def validate_stake(stake: dict) -> None:
     if any(v < 0 for v in stake.values()):
@@ -46,7 +44,7 @@ def build_ring(stake: dict) -> StakeRing:
     return StakeRing(tuple(peers), tuple(ends))
 
 
-def update_stake(stake: dict, rewarded_peers, amount: int = STAKE_REWARD) -> dict:
+def update_stake(stake: dict, rewarded_peers, amount: int) -> dict:
     """New stake map with ``amount`` added per rewarded peer (repeats allowed
     in the input are collapsed: one reward per peer per block)."""
     out = dict(stake)

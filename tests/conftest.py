@@ -66,7 +66,7 @@ def honest_block(genesis, secrets, ledger, seed=0, contributor_count=4):
     t = ledger.tip_iteration() + 1
     prev = ledger.tip_hash()
     verifiers, aggregators = round_committees(genesis, build_ring(ledger.stake), prev, t)
-    committee = set(verifiers.committee) | set(aggregators.committee)
+    committee = set(verifiers) | set(aggregators)
     eligible = [p for p in sorted(genesis.peer_pubkeys) if p not in committee]
     contributors = eligible[:contributor_count]
     rng = np.random.default_rng(seed)
@@ -86,7 +86,7 @@ def honest_block(genesis, secrets, ledger, seed=0, contributor_count=4):
         c = commit(genesis.commit_pk, q)
         context = verifier_sign_context(t, pid, c, backend)
         sigs = tuple(
-            (vid, sign(backend, secrets[vid].keypair, context)) for vid in verifiers.committee
+            (vid, sign(backend, secrets[vid].keypair, context)) for vid in verifiers
         )
         entries.append(CommitmentEntry(pid, c, sigs))
 
@@ -100,7 +100,7 @@ def honest_block(genesis, secrets, ledger, seed=0, contributor_count=4):
         commitments=tuple(entries),
         aggregator_sigs=(),
     )
-    proposer = aggregators.committee[0]
+    proposer = aggregators[0]
     sig = sign(backend, secrets[proposer].keypair, block_content_hash(block, backend))
     return Block(
         block.prev_hash,
@@ -119,7 +119,7 @@ def resign_as_proposer(block, genesis, secrets, ledger):
     _, aggregators = round_committees(
         genesis, build_ring(ledger.stake), block.prev_hash, block.iteration
     )
-    proposer = aggregators.committee[0]
+    proposer = aggregators[0]
     sig = sign(backend, secrets[proposer].keypair, block_content_hash(block, backend))
     return Block(
         block.prev_hash,

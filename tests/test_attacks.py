@@ -22,7 +22,7 @@ def blobs(seed=0, n=400):
 
 
 def train_full_batch(model, data, steps=300, eta=0.3):
-    params = model.init_params()
+    params = ModelParams(np.zeros(model.dim))
     for _ in range(steps):
         grad = model.mean_grad(params.weights, data.features, data.labels)
         params = ModelParams(params.weights - eta * grad, params.iteration + 1)

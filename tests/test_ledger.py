@@ -125,9 +125,7 @@ def test_honest_block_validates_and_appends(tiny_net):
     verifiers, aggregators = round_committees(
         genesis, build_ring(stake_before), block.prev_hash, 1
     )
-    rewarded = set(e.peer for e in block.commitments) | set(verifiers.committee) | set(
-        aggregators.committee
-    )
+    rewarded = set(e.peer for e in block.commitments) | set(verifiers) | set(aggregators)
     for pid in ledger.stake:
         expect = stake_before[pid] + (5 if pid in rewarded else 0)
         assert ledger.stake[pid] == expect
@@ -194,7 +192,7 @@ def test_relabelled_entry_rejected(tiny_net):
     ledger, genesis, secrets = fresh_ledger(tiny_net)
     block = honest_block(genesis, secrets, ledger)
     verifiers, aggregators = round_committees(genesis, build_ring(ledger.stake), block.prev_hash, 1)
-    taken = {*verifiers.committee, *aggregators.committee, *(e.peer for e in block.commitments)}
+    taken = {*verifiers, *aggregators, *(e.peer for e in block.commitments)}
     outsider = next(p for p in sorted(genesis.peer_pubkeys) if p not in taken)
     moved = dataclasses.replace(block.commitments[-1], peer=outsider)
     entries = tuple(sorted(block.commitments[:-1] + (moved,), key=lambda e: e.peer))
@@ -229,7 +227,7 @@ def test_aggregator_signature_checked(tiny_net):
     from chainlearn.ledger import block_content_hash
 
     _, aggregators = round_committees(genesis, build_ring(ledger.stake), block.prev_hash, 1)
-    outsider = next(p for p in sorted(genesis.peer_pubkeys) if p not in aggregators.committee)
+    outsider = next(p for p in sorted(genesis.peer_pubkeys) if p not in aggregators)
     sig = sign(BACKEND, secrets[outsider].keypair, block_content_hash(block, BACKEND))
     tampered = dataclasses.replace(block, aggregator_sigs=((outsider, sig),))
     ok, reason = ledger.validate_block(tampered)

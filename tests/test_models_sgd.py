@@ -57,7 +57,7 @@ def test_hand_computed_single_example_step():
     data = Dataset(np.array([[1.0]]), np.array([1]), 2)
     model = LogisticModel(1)
     cfg = TrainConfig(eta0=0.5, eta_decay=0.0, weight_decay=0.0, batch_size=1)
-    upd = compute_local_update(model, model.init_params(), data, cfg, rng_seed=0)
+    upd = compute_local_update(model, ModelParams(np.zeros(model.dim)), data, cfg, rng_seed=0)
     np.testing.assert_allclose(upd, [0.25, 0.25])
 
 
@@ -75,9 +75,9 @@ def test_update_deterministic():
     data = small_dataset()
     model = make_model("logreg", data.n_features, 2)
     cfg = TrainConfig(batch_size=8)
-    a = compute_local_update(model, model.init_params(), data, cfg, rng_seed=7)
-    b = compute_local_update(model, model.init_params(), data, cfg, rng_seed=7)
-    c = compute_local_update(model, model.init_params(), data, cfg, rng_seed=8)
+    a = compute_local_update(model, ModelParams(np.zeros(model.dim)), data, cfg, rng_seed=7)
+    b = compute_local_update(model, ModelParams(np.zeros(model.dim)), data, cfg, rng_seed=7)
+    c = compute_local_update(model, ModelParams(np.zeros(model.dim)), data, cfg, rng_seed=8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -86,7 +86,7 @@ def test_empty_dataset_rejected():
     data = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 2)
     model = LogisticModel(2)
     with pytest.raises(ValueError):
-        compute_local_update(model, model.init_params(), data, TrainConfig(), 0)
+        compute_local_update(model, ModelParams(np.zeros(model.dim)), data, TrainConfig(), 0)
 
 
 def test_eta_schedule_non_increasing():
@@ -99,7 +99,7 @@ def test_validation_error_perfect_and_constant():
     data = small_dataset(seed=9, n=60)
     model = make_model("logreg", data.n_features, 2)
     # train a few full-batch steps: blobs are separable, error goes to 0
-    params = model.init_params()
+    params = ModelParams(np.zeros(model.dim))
     for _ in range(200):
         grad = model.mean_grad(params.weights, data.features, data.labels)
         params = ModelParams(params.weights - 0.5 * grad, params.iteration + 1)

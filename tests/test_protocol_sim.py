@@ -7,7 +7,7 @@ import pytest
 from chainlearn import ledger, noise, protocol
 from chainlearn.bootstrap import build_genesis
 from chainlearn.commitments import commit
-from chainlearn.committees import draw_committee, noiser_seed
+from chainlearn.committees import VrfOutput, draw_committee, draw_noisers, noiser_seed
 from chainlearn.datasets import make_dataset, partition
 from chainlearn.encoding import sha256, u64
 from chainlearn.ledger import block_content_hash, round_committees
@@ -34,10 +34,11 @@ PAIRING_TIP = "e80e9911256114c441fc89ddc796de407f056252adb992d73eda4934c67cefb2"
 # sha256 of the round-1 signed payloads of make_sim(), one message per sender
 # concatenated in sender order. These signatures never enter a block, so the
 # tip hashes above do not cover their encoding. The aggregate-share payload
-# counts its contributor and share lists, so the signed bytes fix where each
-# list ends.
+# counts its contributor and share lists and writes each share's point and
+# evaluation at the order's byte width, so the signed bytes fix where each
+# list and each field ends.
 SUBMISSION_PAYLOADS = "e067d7a37c5a33b32b48bf26679b4461b1567c2f77bf7dbbca17218166e05883"
-AGGSHARE_PAYLOADS = "c55a421dc16d32e26f8b3818b7e011d2a0d8f9830197a82c2b837d55a8059bf3"
+AGGSHARE_PAYLOADS = "a85016b1ecf7c7cef675b4ef326b76a8067c231ce8c67f327aae7b187798b75b"
 
 
 def make_sim(
@@ -116,7 +117,7 @@ def test_aggregate_share_signature_binds_the_announce(monkeypatch):
     _, aggregators = round_committees(
         sim.genesis, build_ring(sim.genesis.initial_stake), sim.genesis.hash(), 1
     )
-    proposer, rogue = aggregators.committee[:2]
+    proposer, rogue = aggregators[:2]
     answer, collect = PeerNode._on_AggAnnounce, PeerNode._on_AggShareMsg
     counted = []
 
@@ -177,7 +178,7 @@ def test_offline_verifier_round_still_completes():
     verifiers, _ = round_committees(
         sim.genesis, build_ring(sim.genesis.initial_stake), sim.genesis.hash(), 1
     )
-    sim.online[verifiers.committee[1]] = False
+    sim.online[verifiers[1]] = False
     result = sim.run()
     # 2 of 3 verifier signatures still form a majority
     assert 1 in [b.iteration for _, b in result.block_records]
@@ -188,7 +189,7 @@ def test_offline_proposer_voids_round_and_training_continues():
     _, aggregators = round_committees(
         sim.genesis, build_ring(sim.genesis.initial_stake), sim.genesis.hash(), 1
     )
-    sim.online[aggregators.committee[0]] = False
+    sim.online[aggregators[0]] = False
     result = sim.run()
     produced = [b.iteration for _, b in result.block_records]
     assert 1 not in produced, "the round led by a dead proposer must void"
@@ -215,12 +216,13 @@ def make_submission(sim, peer_id, iteration=1, tamper=None):
     update_q = encode(delta, blinding % backend.order, backend.order, cfg.scale_bits)
     commitment = commit(genesis.commit_pk, update_q)
     ring = build_ring(peer.ledger.stake)
-    seed_bytes = noiser_seed(backend.g1_to_bytes(peer.secrets.keypair.public), prev_hash, iteration)
-    # the unkeyed draw is the public walk from the same seed, with no proof
-    signer = None if tamper == "unkeyed-draw" else peer.secrets.keypair
-    vrf = draw_committee(
-        ring, seed_bytes, cfg.num_noisers, backend=backend, signer=signer, exclude={peer_id},
+    vrf = draw_noisers(
+        backend, peer.secrets.keypair, peer_id, ring, prev_hash, iteration, cfg.num_noisers
     )
+    if tamper == "unkeyed-draw":
+        # the public walk from the same seed, with no proof
+        seed = noiser_seed(backend.g1_to_bytes(peer.secrets.keypair.public), prev_hash, iteration)
+        vrf = VrfOutput(draw_committee(ring, seed, cfg.num_noisers, exclude={peer_id}), b"")
     noiser_ids = vrf.committee
     if tamper == "wrong-noisers":
         others = [p for p in sorted(sim.peers) if p not in noiser_ids and p != peer_id]
@@ -249,7 +251,7 @@ def eligible_peer(sim, iteration=1):
     verifiers, aggregators = round_committees(
         sim.genesis, build_ring(sim.genesis.initial_stake), sim.genesis.hash(), iteration
     )
-    committee = set(verifiers.committee) | set(aggregators.committee)
+    committee = set(verifiers) | set(aggregators)
     return next(p for p in sorted(sim.peers) if p not in committee)
 
 
@@ -365,7 +367,7 @@ def test_late_submission_never_signed():
     verifiers, _ = round_committees(
         sim.genesis, build_ring(sim.genesis.initial_stake), sim.genesis.hash(), 1
     )
-    verifier = sim.peers[verifiers.committee[0]]
+    verifier = sim.peers[verifiers[0]]
     verifier.start_round(1, 0.0)
     verifier.round.signed_off = True  # deadline passed
     sub = make_submission(sim, eligible_peer(sim))

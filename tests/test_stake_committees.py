@@ -10,10 +10,11 @@ from chainlearn.committees import (
     VrfOutput,
     committee_seed,
     draw_committee,
+    draw_noisers,
     noiser_seed,
     verify_vrf,
 )
-from chainlearn.encoding import ByteReader, ByteWriter, sha256
+from chainlearn.encoding import sha256
 from chainlearn.groups import get_backend
 from chainlearn.signatures import _challenge, keygen, sign, verify
 from chainlearn.stake import KEYSPACE, build_ring, honest_stake_fraction, update_stake
@@ -116,12 +117,6 @@ def test_signature_property(name, seed, message, data):
     assert not verify(backend, key, bytes(changed), sig)
 
 
-def test_empty_integer_encoding_is_refused():
-    with pytest.raises(ValueError, match="minimal"):
-        ByteReader(ByteWriter().bytes_lp(b"").getvalue()).int_lp()
-    assert ByteReader(ByteWriter().int_lp(0).getvalue()).int_lp() == 0
-
-
 def test_single_peer_owns_ring():
     ring = build_ring({7: 10})
     assert ring.ends == (KEYSPACE,)
@@ -156,15 +151,15 @@ def test_ring_selection_chi_square():
 def test_draw_all_peers():
     ring = build_ring({i: 10 for i in range(5)})
     out = draw_committee(ring, b"seed", 5)
-    assert sorted(out.committee) == list(range(5))
+    assert sorted(out) == list(range(5))
 
 
 def test_draw_deterministic_and_distinct():
     ring = build_ring({i: 10 for i in range(20)})
     a = draw_committee(ring, b"seed", 6)
     b = draw_committee(ring, b"seed", 6)
-    assert a.committee == b.committee
-    assert len(set(a.committee)) == 6
+    assert a == b
+    assert len(set(a)) == 6
 
 
 def test_draw_too_many_rejected():
@@ -176,7 +171,7 @@ def test_draw_too_many_rejected():
 def test_draw_exclusion():
     ring = build_ring({i: 10 for i in range(6)})
     out = draw_committee(ring, b"seed", 4, exclude={2})
-    assert 2 not in out.committee
+    assert 2 not in out
 
 
 def test_uniform_stake_selection_rate():
@@ -184,7 +179,7 @@ def test_uniform_stake_selection_rate():
     counts = np.zeros(100)
     draws = 10_000
     for s in range(draws):
-        for p in draw_committee(ring, b"seed%d" % s, 3).committee:
+        for p in draw_committee(ring, b"seed%d" % s, 3):
             counts[p] += 1
     rates = counts / draws
     # each peer expected in ~3% of draws
@@ -198,7 +193,7 @@ def test_role_tags_give_different_committees():
     sv = committee_seed(b"gpk", prev, ROLE_VERIFY, 4)
     sa = committee_seed(b"gpk", prev, ROLE_AGGREGATE, 4)
     assert sv != sa
-    assert draw_committee(ring, sv, 3).committee != draw_committee(ring, sa, 3).committee
+    assert draw_committee(ring, sv, 3) != draw_committee(ring, sa, 3)
 
 
 def test_noiser_seeds_distinct_per_peer():
@@ -208,22 +203,12 @@ def test_noiser_seeds_distinct_per_peer():
 
 
 def test_global_vrf_verifies():
+    """A global draw has no proof: anyone checks it by drawing it again from
+    the public seed and their own copy of the stake."""
     stake = {i: 10 + i for i in range(12)}
-    ring = build_ring(stake)
     seed = committee_seed(b"gpk", sha256(b"prev"), ROLE_VERIFY, 1)
-    out = draw_committee(ring, seed, 3)
-    assert verify_vrf(out, seed, ring)
-
-
-def test_keyed_vrf_verifies_and_binds_to_key():
-    stake = {i: 10 for i in range(12)}
-    ring = build_ring(stake)
-    kp = keygen(BACKEND, b"drawer")
-    seed = noiser_seed(b"drawerpk", sha256(b"prev"), 2)
-    out = draw_committee(ring, seed, 3, backend=BACKEND, signer=kp, exclude={4})
-    assert verify_vrf(out, seed, ring, backend=BACKEND, public_key=kp.public, exclude={4})
-    other = keygen(BACKEND, b"other")
-    assert not verify_vrf(out, seed, ring, backend=BACKEND, public_key=other.public, exclude={4})
+    out = draw_committee(build_ring(stake), seed, 3)
+    assert draw_committee(build_ring(dict(stake)), seed, 3) == out
 
 
 def test_vrf_rejects_member_swap():
@@ -231,37 +216,103 @@ def test_vrf_rejects_member_swap():
     ring = build_ring(stake)
     seed = committee_seed(b"gpk", sha256(b"prev"), ROLE_VERIFY, 1)
     out = draw_committee(ring, seed, 3)
-    swapped = list(out.committee)
-    swapped[0] = (swapped[0] + 1) % 12
-    if swapped[0] in out.committee[1:]:
-        swapped[0] = (swapped[0] + 1) % 12
-    assert not verify_vrf(VrfOutput(tuple(swapped), out.proof), seed, ring)
+    swapped = list(out)
+    swapped[0] = next(p for p in range(12) if p not in out)
+    assert draw_committee(ring, seed, 3) != tuple(swapped)
 
 
 def test_vrf_rejects_stale_stake():
     stake = {i: 10 for i in range(12)}
-    ring = build_ring(stake)
     seed = committee_seed(b"gpk", sha256(b"prev"), ROLE_VERIFY, 1)
-    out = draw_committee(ring, seed, 3)
+    out = draw_committee(build_ring(stake), seed, 3)
     newer = dict(stake)
     newer[0] += 500
-    assert verify_vrf(out, seed, ring)
-    assert not verify_vrf(out, seed, build_ring(newer))
+    assert draw_committee(build_ring(newer), seed, 3) != out
+
+
+def test_keyed_vrf_verifies_and_binds_to_key():
+    ring = build_ring({i: 10 for i in range(12)})
+    kp = keygen(BACKEND, b"drawer")
+    prev = sha256(b"prev")
+    out = draw_noisers(BACKEND, kp, 4, ring, prev, 2, 3)
+    assert 4 not in out.committee
+    assert verify_vrf(out, BACKEND, BACKEND.prepare_base(kp.public), 4, ring, prev, 2, 3)
+    other = keygen(BACKEND, b"other")
+    assert not verify_vrf(out, BACKEND, BACKEND.prepare_base(other.public), 4, ring, prev, 2, 3)
+
+
+def test_public_walk_is_not_a_keyed_draw():
+    """The public walk from a peer's noiser seed, sent with no proof, is a
+    second draw the peer could pick or anyone could predict; it must fail the
+    keyed check under that peer's own key."""
+    ring = build_ring({i: 10 for i in range(12)})
+    kp = keygen(BACKEND, b"peer4")
+    prev = sha256(b"prev")
+    seed = noiser_seed(BACKEND.g1_to_bytes(kp.public), prev, 1)
+    walk = VrfOutput(draw_committee(ring, seed, 3, exclude={4}), b"")
+    assert not verify_vrf(walk, BACKEND, BACKEND.prepare_base(kp.public), 4, ring, prev, 1, 3)
+
+
+@pytest.mark.parametrize("name", ["exponent", "pairing"])
+@settings(deadline=None)
+@given(
+    stake=st.lists(st.integers(1, 50), min_size=4, max_size=12),
+    key_seed=st.binary(max_size=8),
+    prev=st.binary(min_size=32, max_size=32),
+    iteration=st.integers(1, 1000),
+    data=st.data(),
+)
+def test_keyed_draw_property(name, stake, key_seed, prev, iteration, data):
+    """A keyed draw verifies for exactly the key, tip, round, drawing peer
+    and size it was made for: each one changed, a member swapped for an
+    outsider or a proof byte flipped, and it is refused."""
+    backend = get_backend(name)
+    ring = build_ring(dict(enumerate(stake)))
+    n = len(stake)
+    peer = data.draw(st.integers(0, n - 1), label="peer")
+    k = data.draw(st.integers(1, n - 2), label="k")
+    kp = keygen(backend, key_seed)
+    key = backend.prepare_base(kp.public)
+    out = draw_noisers(backend, kp, peer, ring, prev, iteration, k)
+    assert len(out.committee) == k and peer not in out.committee
+    assert verify_vrf(out, backend, key, peer, ring, prev, iteration, k)
+
+    def refused(draw=out, key=key, peer=peer, prev=prev, iteration=iteration, k=k):
+        return not verify_vrf(draw, backend, key, peer, ring, prev, iteration, k)
+
+    assert refused(key=backend.prepare_base(keygen(backend, key_seed + b"x").public))
+    assert refused(prev=sha256(prev))
+    assert refused(iteration=iteration + 1)
+    # a drawn member in the drawing peer's place: the walk must skip it
+    assert refused(peer=data.draw(st.sampled_from(out.committee), label="other_peer"))
+    assert refused(k=k - 1)
+    assert refused(k=k + 1)
+    at = data.draw(st.integers(0, k - 1), label="swap_at")
+    outsider = data.draw(
+        st.sampled_from([p for p in range(n) if p != peer and p not in out.committee]), label="outsider"
+    )
+    swapped = out.committee[:at] + (outsider,) + out.committee[at + 1 :]
+    assert refused(draw=VrfOutput(swapped, out.proof))
+    flipped = bytearray(out.proof)
+    flipped[data.draw(st.integers(0, len(flipped) - 1), label="at")] ^= data.draw(
+        st.integers(1, 255), label="flip"
+    )
+    assert refused(draw=VrfOutput(out.committee, bytes(flipped)))
 
 
 def test_update_stake():
     stake = {0: 10, 1: 10, 2: 10}
-    after = update_stake(stake, [0, 2, 2])
+    after = update_stake(stake, [0, 2, 2], 5)
     assert after == {0: 15, 1: 10, 2: 15}
     assert stake == {0: 10, 1: 10, 2: 10}, "input map untouched"
-    assert update_stake(stake, []) == stake
+    assert update_stake(stake, [], 5) == stake
     with pytest.raises(KeyError):
-        update_stake(stake, [9])
+        update_stake(stake, [9], 5)
 
 
 def test_stake_never_decreases():
     stake = {0: 10, 1: 10}
-    after = update_stake(stake, [0])
+    after = update_stake(stake, [0], 5)
     assert all(after[p] >= stake[p] for p in stake)
 
 
@@ -275,7 +326,7 @@ def test_committees_change_with_every_block():
     ring = build_ring(stake)
     tips = [sha256(b"block-%d" % i) for i in range(6)]
     committees = [
-        draw_committee(ring, committee_seed(b"gpk", tip, ROLE_VERIFY, 1), 3).committee
+        draw_committee(ring, committee_seed(b"gpk", tip, ROLE_VERIFY, 1), 3)
         for tip in tips
     ]
     assert len(set(committees)) == len(committees)
