@@ -56,8 +56,8 @@ updates = [encode(rng.normal(size=dim) * 0.1, int(rng.integers(100)), backend.or
 commitments = [commit(pk, q) for q in updates]
 per_agg = {0: [], 1: []}
 for i, (q, cq) in enumerate(zip(updates, commitments)):
-    entry = CommitmentEntry(i, cq, ())  # its block entry, verifier sign-off left out here
-    for agg, bundle in deal_shares(q, pk, [0, 1], entry).items():
+    entry = CommitmentEntry(i, cq)  # its block entry; the verifier sign-offs are left out here
+    for agg, bundle in deal_shares(q, pk, [0, 1], entry, ()).items():
         per_agg[agg].append(bundle)
 shares = [s for agg in (0, 1) for s in sum_shares(per_agg[agg], backend)]
 combined = combine(backend, commitments)

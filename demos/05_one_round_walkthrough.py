@@ -30,13 +30,15 @@ backend = get_backend("exponent")
 when, block = result.block_records[0]
 print(f"\nblock 1 (minted at t={when:.2f}s):")
 print("  contributors:", [e.peer for e in block.commitments])
-print("  verifier sigs per update:", [len(e.verifier_sigs) for e in block.commitments])
+print("  sign-offs, verifier -> peers it names:",
+      {s.verifier: [p.peer for p in s.winners] for s in block.signoffs})
 print("  aggregate step norm: %.4f" % float((decode(block.aggregate_poly) ** 2).sum() ** 0.5))
 
 product = combine(backend, [e.commitment for e in block.commitments])
 sealed = commit(genesis.commit_pk, block.aggregate_poly)
 print("  commit(aggregate) == product of update commitments:",
       sealed.value == product.value)
+print("\nsign-offs per block (one signature each):", [len(b.signoffs) for _, b in result.block_records])
 
 ledger = result.final_ledger
 print("\nstake after the run (first 6 peers):",

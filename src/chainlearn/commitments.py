@@ -18,9 +18,10 @@ equation raised to a weight rho_i (Bellare-Garay-Rabin small exponents):
     e(sum(rho_i)*C - sum(rho_i*y_i)*g1 + sum(rho_i*z_i*W_i), g1)
         * e(-sum(rho_i*W_i), alpha*g1) == 1
 
-The rho_i are 128-bit, drawn by SHA-256 from the commitment and every
-(point, eval, witness): a rerun draws the same weights, and a batch with a
-bad opening passes with probability 2^-128 (2^-61 on the exponent group).
+The rho_i are 128-bit, read from one SHAKE-256 output over the commitment
+and every (point, eval, witness): a rerun draws the same weights, and a
+batch with a bad opening passes with probability 2^-128 (2^-61 on the
+exponent group).
 The one full-size scalar, sum(rho_i*y_i), multiplies g1's comb.  The
 pairing is symmetric, so the key's first two powers g1 and alpha*g1 are
 the fixed arguments that drive the Miller loop.  Commitments are
@@ -31,11 +32,12 @@ without seeing them.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 
 from . import polynomials
-from .encoding import ByteReader, ByteWriter, derive_scalars, sha256, u32
+from .encoding import ByteReader, ByteWriter, derive_scalars
 from .quantize import QuantizedPoly
 
 
@@ -151,8 +153,9 @@ def create_witness(pk: CommitPK, poly: QuantizedPoly, z: int) -> Witness:
 
 
 def batch_weights(pk: CommitPK, commitment: Commitment, witnesses) -> list[int]:
-    """The 128-bit weights rho_i of a batched share check, one per witness,
-    hashed from the commitment and every (point, eval, witness)."""
+    """The 128-bit weights rho_i of a batched share check, one per witness:
+    consecutive 16-byte blocks of one SHAKE-256 output over the commitment
+    and every (point, eval, witness)."""
     backend = pk.backend
     order = backend.order
     width = (order.bit_length() + 7) // 8
@@ -160,8 +163,8 @@ def batch_weights(pk: CommitPK, commitment: Commitment, witnesses) -> list[int]:
     for w in witnesses:
         parts += [(w.point % order).to_bytes(width, "big"), (w.eval % order).to_bytes(width, "big"),
                   backend.g1_to_bytes(w.value)]
-    seed = sha256(b"".join(parts))
-    return [int.from_bytes(sha256(seed + u32(i))[:16], "big") for i in range(len(witnesses))]
+    stream = hashlib.shake_256(b"".join(parts)).digest(16 * len(witnesses))
+    return [int.from_bytes(stream[i : i + 16], "big") for i in range(0, len(stream), 16)]
 
 
 def verify_share(pk: CommitPK, commitment: Commitment, *witnesses: Witness) -> bool:

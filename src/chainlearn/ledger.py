@@ -1,10 +1,11 @@
 """Block structure, genesis, chain validation and catch-up.
 
 A block seals one training round: the summed update polynomial (blinding
-slots included), the resulting model snapshot, the per-peer update
-commitments with their verifier signature lists, and the minting
+slots included), the resulting model snapshot, the contributors' (peer,
+commitment) pairs, the verifiers' sign-offs that name them (one signature
+per verifier per round, over all of its winners), and the minting
 aggregator's signatures.  Validation is fully recomputable from public
-data: hash link, committee membership via the stake-ring draws, signature
+data: hash link, committee membership via the stake-ring draws, sign-off
 majorities, the commitment-product identity
 
     commit(aggregate) == product of committed updates
@@ -18,6 +19,7 @@ Rejections carry a machine-readable reason string from REJECTION_REASONS.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, is_dataclass
 from functools import cached_property
 from typing import get_type_hints
@@ -27,7 +29,7 @@ import numpy as np
 from . import signatures
 from .commitments import Commitment, CommitPK, combine, commit
 from .committees import ROLE_AGGREGATE, ROLE_VERIFY, committee_seed, draw_committee
-from .encoding import ByteReader, ByteWriter, sha256
+from .encoding import ByteReader, ByteWriter, sha256, u32
 from .models import ModelParams
 from .noise import NoiseTable
 from .quantize import QuantizedPoly, admissible, decode
@@ -222,9 +224,21 @@ class GenesisBlock:
 
 @dataclass(frozen=True)
 class CommitmentEntry:
+    """One (peer, commitment) pair: a block entry, or a winner a sign-off names."""
+
     peer: int
     commitment: Commitment
-    verifier_sigs: tuple  # (verifier_id, signature)
+
+
+@dataclass(frozen=True)
+class SignOff:
+    """One verifier's endorsement of its round's winners: a signature over the
+    round, its id and the winners' pair encodings (``signoff_message``), in
+    strictly ascending byte order."""
+
+    verifier: int
+    winners: tuple  # CommitmentEntry
+    signature: bytes
 
 
 @dataclass(frozen=True)
@@ -233,7 +247,8 @@ class Block:
     iteration: int
     aggregate_poly: QuantizedPoly
     model_weights: np.ndarray
-    commitments: tuple  # CommitmentEntry, ordered by peer id
+    commitments: tuple  # CommitmentEntry, one per contributor
+    signoffs: tuple  # SignOff, one per signing verifier, ascending verifier id
     aggregator_sigs: tuple  # (aggregator_id, signature over content hash)
 
 
@@ -268,18 +283,59 @@ def read_id_pairs(r: ByteReader) -> tuple:
     return tuple((r.u32(), r.bytes_lp()) for _ in range(r.u32()))
 
 
-def block_content_bytes(block: Block, backend) -> bytes:
-    """Canonical serialization minus the aggregator signatures (what they sign)."""
+def pair_records(pairs, backend) -> list[bytes]:
+    """Each pair's encoding: the peer id as u32, then the commitment.  The
+    block rule compares pairs by these bytes."""
+    return [u32(p.peer) + backend.g1_to_bytes(p.commitment.value) for p in pairs]
+
+
+def signoff_message(iteration: int, verifier: int, records) -> bytes:
+    """The bytes a verifier signs: round, verifier id, and its winners' pair
+    encodings, as the block's pair table writes them."""
+    return b"signoff" + u32(iteration) + u32(verifier) + u32(len(records)) + b"".join(records)
+
+
+def sign_off(backend, keypair, iteration: int, verifier: int, winners) -> SignOff:
+    """``verifier``'s sign-off on the distinct pairs ``winners``."""
+    ordered = sorted(zip(pair_records(winners, backend), winners), key=lambda item: item[0])
+    message = signoff_message(iteration, verifier, [rec for rec, _ in ordered])
+    return SignOff(verifier, tuple(p for _, p in ordered), signatures.sign(backend, keypair, message))
+
+
+def read_indices(r: ByteReader, count: int) -> list[int]:
+    """A counted list of strictly ascending indices into a table of ``count``."""
+    indices = r.u32_vector()
+    if any(a >= b for a, b in zip(indices, indices[1:])):
+        raise ValueError("indices must strictly ascend")
+    if indices and indices[-1] >= count:
+        raise ValueError(f"index {indices[-1]} names no pair of {count}")
+    return indices
+
+
+def block_content_bytes(block: Block, backend, records=None) -> bytes:
+    """Canonical serialization minus the aggregator signatures (what they
+    sign).  The pair table holds each pair the block names once, in
+    ascending byte order; the entries, then each sign-off's winners, are
+    indices into it.  ``records`` holds the entries' pair encodings and each
+    sign-off's winners', if the caller has them."""
+    if records is None:
+        records = (
+            pair_records(block.commitments, backend),
+            [pair_records(s.winners, backend) for s in block.signoffs],
+        )
+    entry_records, winner_records = records
+    table = sorted(set(entry_records).union(*winner_records))
+    index = {rec: i for i, rec in enumerate(table)}
     w = ByteWriter()
     w.raw(block.prev_hash)
     w.u32(block.iteration)
     write_poly(w, block.aggregate_poly, backend)
     w.f64_vector(block.model_weights)
-    w.u32(len(block.commitments))
-    for entry in block.commitments:
-        w.u32(entry.peer)
-        w.raw(backend.g1_to_bytes(entry.commitment.value))
-        write_id_pairs(w, entry.verifier_sigs)
+    w.u32(len(table)).raw(b"".join(table))
+    w.u32_vector(sorted(index[rec] for rec in entry_records))
+    w.u32(len(block.signoffs))
+    for s, recs in zip(block.signoffs, winner_records):
+        w.u32(s.verifier).u32_vector([index[rec] for rec in recs]).bytes_lp(s.signature)
     return w.getvalue()
 
 
@@ -296,19 +352,38 @@ def block_to_bytes(block: Block, backend) -> bytes:
 
 
 def block_from_bytes(data: bytes, backend) -> Block:
+    """Decode ``block_to_bytes`` output, and only that: the pairs strictly
+    ascend, each named by an entry or a sign-off and decoded once; index
+    lists strictly ascend; verifier ids strictly ascend."""
     r = ByteReader(data)
     prev_hash = r.raw(32)
     iteration = r.u32()
     poly = read_poly(r, backend)
     weights = np.array(r.f64_vector())
-    entries = []
+    pairs, last = [], b""
     for _ in range(r.u32()):
-        pid = r.u32()
-        c = Commitment(backend.g1_from_bytes(r.raw(backend.element_size)))
-        entries.append(CommitmentEntry(pid, c, read_id_pairs(r)))
+        rec = r.raw(4 + backend.element_size)
+        if rec <= last:
+            raise ValueError("pairs must strictly ascend")
+        commitment = Commitment(backend.g1_from_bytes(rec[4:]))
+        pairs.append(CommitmentEntry(int.from_bytes(rec[:4], "little"), commitment))
+        last = rec
+    contributors = read_indices(r, len(pairs))
+    entries, named = tuple(pairs[i] for i in contributors), set(contributors)
+    signoffs, last = [], -1
+    for _ in range(r.u32()):
+        vid = r.u32()
+        if vid <= last:
+            raise ValueError(f"verifier id {vid} after {last}: ids must strictly ascend")
+        winners = read_indices(r, len(pairs))
+        signoffs.append(SignOff(vid, tuple(pairs[i] for i in winners), r.bytes_lp()))
+        named.update(winners)
+        last = vid
+    if len(named) != len(pairs):
+        raise ValueError("a pair that no entry or sign-off names")
     agg_sigs = read_id_pairs(r)
     r.done()
-    return Block(prev_hash, iteration, poly, weights, tuple(entries), agg_sigs)
+    return Block(prev_hash, iteration, poly, weights, entries, tuple(signoffs), agg_sigs)
 
 
 def block_content_hash(block: Block, backend) -> bytes:
@@ -319,35 +394,68 @@ def block_hash(block: Block, backend) -> bytes:
     return sha256(block_to_bytes(block, backend))
 
 
-def verifier_sign_context(iteration: int, contributor: int, commitment: Commitment, backend) -> bytes:
-    """Message a verifier signs to endorse ``contributor``'s update
-    commitment; binding the id keeps a proposer from relabelling the entry."""
-    ids = iteration.to_bytes(4, "little") + contributor.to_bytes(4, "little")
-    return b"accept" + ids + backend.g1_to_bytes(commitment.value)
+def contributor_rejection(peers, verifiers, aggregators, pubkeys) -> str:
+    """'' if each of ``peers`` may contribute to the round: a genesis peer
+    (in ``pubkeys``), listed once and on neither committee; else the reason."""
+    seen = set()
+    for peer in peers:
+        if peer in seen:
+            return "duplicate-contributor"
+        if peer not in pubkeys:
+            return "unknown-contributor"
+        if peer in verifiers or peer in aggregators:
+            return "contributor-on-committee"
+        seen.add(peer)
+    return ""
 
 
-def entry_rejection(
-    entry: CommitmentEntry, iteration: int, verifiers, aggregators, pubkeys, backend
-) -> str:
-    """The block rule for one contribution to round ``iteration``: '' if it
-    may enter the block, else the rejection reason.  ``pubkeys`` maps each
-    genesis peer to its prepared key (``GenesisBlock.public_bases``).  The
-    contributor is a genesis peer and sits on neither committee; every
-    listed signature comes from a distinct verifier of this round and is
-    valid; and they form a strict majority."""
-    if entry.peer not in pubkeys:
-        return "unknown-contributor"
-    if entry.peer in verifiers or entry.peer in aggregators:
-        return "contributor-on-committee"
-    context = verifier_sign_context(iteration, entry.peer, entry.commitment, backend)
-    signed = set()
-    for vid, sig in entry.verifier_sigs:
-        if vid not in verifiers or vid in signed:
+class SignOffChecks:
+    """One round's sign-off checks, each worked out once per sign-off: its
+    winners' pair encodings at its first use, and at its first check whether
+    they strictly ascend and its signature over them (``signoff_message``)
+    is valid under the verifier's key in ``pubkeys`` (prepared, as
+    ``GenesisBlock.public_bases`` holds them).  A sign-off is looked up by
+    verifier and signature; one that differs in its winners is worked out
+    on its own."""
+
+    def __init__(self, iteration: int, pubkeys, backend):
+        self.iteration, self.pubkeys, self.backend = iteration, pubkeys, backend
+        self.seen = {}  # (verifier, signature) -> [sign-off, records, verdict or None]
+
+    def _work(self, signoff: SignOff) -> list:
+        key = (signoff.verifier, signoff.signature)
+        work = self.seen.get(key)
+        if work is None or (work[0] is not signoff and work[0] != signoff):
+            work = self.seen[key] = [signoff, pair_records(signoff.winners, self.backend), None]
+        return work
+
+    def records(self, signoff: SignOff) -> list[bytes]:
+        return self._work(signoff)[1]
+
+    def valid(self, signoff: SignOff) -> bool:
+        work = self._work(signoff)
+        if work[2] is None:
+            records, vid = work[1], signoff.verifier
+            message = signoff_message(self.iteration, vid, records)
+            work[2] = all(a < b for a, b in zip(records, records[1:])) and signatures.verify(
+                self.backend, self.pubkeys[vid], message, signoff.signature
+            )
+        return work[2]
+
+
+def endorsement_rejection(entry_records, signoffs, verifiers, checks: SignOffChecks) -> str:
+    """'' if ``signoffs`` endorse every entry, given the entries' pair
+    encodings, else the reason.  The sign-offs come from distinct verifiers
+    of the round in ascending id order, each valid (checked only for a
+    member, after the ones before it passed), and more than half the
+    round's verifiers name each entry."""
+    last, named = -1, Counter()
+    for s in signoffs:
+        if s.verifier <= last or s.verifier not in verifiers or not checks.valid(s):
             return "bad-verifier-signature"
-        if not signatures.verify(backend, pubkeys[vid], context, sig):
-            return "bad-verifier-signature"
-        signed.add(vid)
-    if len(signed) <= len(verifiers) // 2:
+        named.update(checks.records(s))
+        last = s.verifier
+    if any(named[rec] <= len(verifiers) // 2 for rec in entry_records):
         return "missing-verifier-majority"
     return ""
 
@@ -405,26 +513,27 @@ def advance(state: TipState, block: Block) -> tuple[TipState | None, str]:
         return None, "bad-dimension"
 
     verifiers, aggregators = state.committees(block.iteration)
-    peers_seen = set()
-    for entry in block.commitments:
-        if entry.peer in peers_seen:
-            return None, "duplicate-contributor"
-        peers_seen.add(entry.peer)
-        reason = entry_rejection(
-            entry, block.iteration, verifiers, aggregators,
-            genesis.public_bases, backend,
-        )
-        if reason:
-            return None, reason
+    pubkeys = genesis.public_bases
+    peers = [e.peer for e in block.commitments]
+    reason = contributor_rejection(peers, verifiers, aggregators, pubkeys)
+    if reason:
+        return None, reason
+    # the pair encodings, for the sign-off messages and the content bytes both
+    entry_records = pair_records(block.commitments, backend)
+    checks = SignOffChecks(block.iteration, pubkeys, backend)
+    reason = endorsement_rejection(entry_records, block.signoffs, verifiers, checks)
+    if reason:
+        return None, reason
 
     if not block.aggregator_sigs:
         return None, "no-aggregator-signature"
-    content = block_content_bytes(block, backend)
+    records = (entry_records, [checks.records(s) for s in block.signoffs])
+    content = block_content_bytes(block, backend, records)
     content_hash = sha256(content)
     for aid, sig in block.aggregator_sigs:
         if aid not in aggregators:
             return None, "bad-aggregator-signature"
-        if not signatures.verify(backend, genesis.public_bases[aid], content_hash, sig):
+        if not signatures.verify(backend, pubkeys[aid], content_hash, sig):
             return None, "bad-aggregator-signature"
 
     combined = combine(backend, [e.commitment for e in block.commitments])
@@ -435,7 +544,7 @@ def advance(state: TipState, block: Block) -> tuple[TipState | None, str]:
     if not np.array_equal(expected, block.model_weights):
         return None, "model-arithmetic-mismatch"
 
-    rewarded = [*(e.peer for e in block.commitments), *verifiers, *aggregators]
+    rewarded = [*peers, *verifiers, *aggregators]
     stake = update_stake(state.stake, rewarded, cfg.stake_reward)
     # block_hash(block), from the content bytes already built
     tip_hash = sha256(sealed_bytes(content, block.aggregator_sigs))
@@ -507,7 +616,7 @@ class Ledger:
 
 # --- chain persistence -------------------------------------------------------
 
-CHAIN_MAGIC = b"CLCHAIN3"
+CHAIN_MAGIC = b"CLCHAIN4"
 
 
 def save_chain(path, ledger: Ledger) -> None:

@@ -9,11 +9,15 @@ Round shape (all peers derive the same committees from the chain tip):
   verifiers       pool masked submissions until their window closes, check
                   each against the drawn noisers' genesis noise-table
                   entries and the masking equality, run Multi-KRUM on the
-                  decoded masked updates and sign the winners' commitments;
-  updaters        with a majority of verifier signatures deal their update
-                  into witness-carrying shares, one slice per aggregator;
-  aggregators     verify bundles, sum accepted shares point-wise; the
-                  round's proposer announces the contributor set, collects
+                  decoded masked updates and sign one sign-off naming every
+                  winner's (peer, commitment) pair, sent to each winner;
+  updaters        with sign-offs from a majority of verifiers deal their
+                  update into witness-carrying shares, one slice per
+                  aggregator, each carrying those sign-offs;
+  aggregators     verify bundles (each distinct sign-off once), sum accepted
+                  shares point-wise; the round's proposer carries one
+                  sign-off per verifier, announces a contributor set that
+                  a majority of them name, collects
                   summed shares from half the committee, interpolates the
                   aggregate, mints the block and broadcasts it.
 
@@ -24,6 +28,7 @@ message sequence, which the simulator makes reproducible.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,8 +42,11 @@ from .ledger import (
     Block,
     CommitmentEntry,
     Ledger,
+    SignOff,
+    SignOffChecks,
     block_content_hash,
-    verifier_sign_context,
+    pair_records,
+    sign_off,
     write_poly,
 )
 from .models import make_model
@@ -107,8 +115,7 @@ class UpdateSubmission:
 @dataclass(frozen=True)
 class SignatureGrant:
     iteration: int
-    sender: int  # verifier
-    signature: bytes
+    signoff: SignOff  # names the verifier
 
 
 @dataclass(frozen=True)
@@ -227,13 +234,15 @@ class RoundState:
     commitment: Commitment | None = None
     noise_responses: dict = field(default_factory=dict)
     submitted: bool = False
-    grants: dict = field(default_factory=dict)
+    grants: dict = field(default_factory=dict)  # verifier -> SignOff
     dealt: bool = False
+    signoff_checks: SignOffChecks | None = None  # of the grants and bundles received
     # verifier side
     pool: dict = field(default_factory=dict)
     signed_off: bool = False
     # aggregator side
     accepted_bundles: dict = field(default_factory=dict)
+    signoffs: tuple = ()  # the proposer's, one per verifier, for the block
     announce: tuple | None = None
     announced: bool = False
     agg_shares: dict = field(default_factory=dict)
@@ -287,6 +296,7 @@ class PeerNode:
             iteration=iteration,
             verifiers=verifiers,
             aggregators=aggregators,
+            signoff_checks=SignOffChecks(iteration, self.genesis.public_bases, self.backend),
         )
         out = [(self.id, Timer(iteration, "round-budget"), StageTimeouts.round_budget)]
         if self.is_verifier():
@@ -427,34 +437,32 @@ class PeerNode:
         updates = np.stack([decode(rs.pool[pid].masked) for pid in chosen])
         cfg = KrumConfig(len(chosen), max_tolerable_f(len(chosen)))
         winners = [chosen[i] for i in multi_krum_select(updates, cfg)]
-        out = []
-        for pid in winners:
-            context = verifier_sign_context(rs.iteration, pid, rs.pool[pid].commitment, self.backend)
-            sig = signatures.sign(self.backend, self.secrets.keypair, context)
-            out.append((pid, SignatureGrant(rs.iteration, self.id, sig), None))
-        return out
+        pairs = [CommitmentEntry(pid, rs.pool[pid].commitment) for pid in winners]
+        signoff = sign_off(self.backend, self.secrets.keypair, rs.iteration, self.id, pairs)
+        return [(pid, SignatureGrant(rs.iteration, signoff), None) for pid in winners]
 
     # -- dealing -------------------------------------------------------------------
 
     def _on_SignatureGrant(self, msg: SignatureGrant, now: float) -> list:
         rs = self.round
+        signoff = msg.signoff
         if rs.dealt and msg.iteration == rs.iteration:
             return []  # late grant after a majority was already reached
-        if not rs.submitted or msg.iteration != rs.iteration or msg.sender not in rs.verifiers:
-            self.audit.append(f"dropped stray signature grant from {msg.sender}")
+        if not rs.submitted or msg.iteration != rs.iteration or signoff.verifier not in rs.verifiers:
+            self.audit.append(f"dropped stray signature grant from {signoff.verifier}")
             return []
-        context = verifier_sign_context(rs.iteration, self.id, rs.commitment, self.backend)
-        if not signatures.verify(
-            self.backend, self.genesis.public_bases[msg.sender], context, msg.signature
-        ):
-            self.audit.append(f"r{rs.iteration}: bad grant signature from {msg.sender}")
+        entry = CommitmentEntry(self.id, rs.commitment)
+        checks = rs.signoff_checks
+        mine = pair_records([entry], self.backend)[0]
+        if mine not in checks.records(signoff) or not checks.valid(signoff):
+            self.audit.append(f"r{rs.iteration}: bad grant signature from {signoff.verifier}")
             return []
-        rs.grants[msg.sender] = msg.signature
-        if rs.dealt or len(rs.grants) <= len(rs.verifiers) // 2:
+        rs.grants[signoff.verifier] = signoff
+        if len(rs.grants) <= len(rs.verifiers) // 2:
             return []
         rs.dealt = True
-        entry = CommitmentEntry(self.id, rs.commitment, tuple(sorted(rs.grants.items())))
-        bundles = deal_shares(rs.update_q, self.genesis.commit_pk, rs.aggregators, entry)
+        signoffs = tuple(rs.grants[vid] for vid in sorted(rs.grants))
+        bundles = deal_shares(rs.update_q, self.genesis.commit_pk, rs.aggregators, entry, signoffs)
         return [(aid, BundleMsg(rs.iteration, b), None) for aid, b in bundles.items()]
 
     # -- aggregator duty --------------------------------------------------------------
@@ -472,12 +480,12 @@ class PeerNode:
         points = assign_points(share_points(len(self.genesis.initial_model)), rs.aggregators)[self.id]
         if not accept_bundle(
             bundle,
-            rs.iteration,
             rs.verifiers,
             rs.aggregators,
             self.genesis.public_bases,
             self.genesis.commit_pk,
             points,
+            rs.signoff_checks,
         ):
             self.audit.append(f"r{rs.iteration}: bundle from {dealer} rejected")
             return []
@@ -489,11 +497,28 @@ class PeerNode:
         if not self.is_proposer() or rs.announced:
             return []
         rs.announced = True
-        if not rs.accepted_bundles:
+        # the block carries one sign-off per verifier: of those the accepted
+        # bundles hold, the one naming the most of their pairs; only pairs a
+        # majority of the carried sign-offs name may be announced, so a
+        # verifier that signs two lists cannot make this block invalid
+        checks = rs.signoff_checks
+        held = {pid: pair_records([b.entry], self.backend)[0] for pid, b in rs.accepted_bundles.items()}
+        pairs, offered = set(held.values()), {}
+        for b in rs.accepted_bundles.values():
+            for s in b.signoffs:
+                offered.setdefault(s.verifier, {})[s.signature] = s  # distinct, in arrival order
+        rs.signoffs = tuple(
+            max(offered[vid].values(), key=lambda s: len(pairs.intersection(checks.records(s))))
+            for vid in sorted(offered)
+        )
+        named = Counter(rec for s in rs.signoffs for rec in checks.records(s))
+        majority = len(rs.verifiers) // 2
+        eligible = [pid for pid, rec in held.items() if named[rec] > majority]
+        if not eligible:
             self.audit.append(f"r{rs.iteration}: no accepted bundles, voiding round")
             return []
         u = updates_per_block(self.r_target())
-        rs.announce = tip_sample(rs.accepted_bundles, u, b"pick", self.ledger.tip_hash(), rs.iteration)
+        rs.announce = tip_sample(eligible, u, b"pick", self.ledger.tip_hash(), rs.iteration)
         announce = AggAnnounce(rs.iteration, self.id, rs.announce)
         return [(aid, announce, None) for aid in rs.aggregators]
 
@@ -570,6 +595,7 @@ class PeerNode:
             aggregate_poly=aggregate,
             model_weights=weights,
             commitments=entries,
+            signoffs=rs.signoffs,
             aggregator_sigs=(),
         )
         content = block_content_hash(block, backend)

@@ -3,11 +3,12 @@
 A quantized update (a degree-d polynomial) is evaluated at the fixed field
 points 1..n with n = 2*(d+1); the points are split round-robin across the
 aggregators, each share carrying its opening witness.  Aggregators verify
-every share against the dealer's signed commitment, sum accepted shares
-point-wise (field sum of evaluations, group product of witnesses), and any
-d+1 verified summed points reconstruct the summed polynomial exactly -- which
-must re-commit to the product of the contributing commitments or the round
-is abandoned as Byzantine evidence.
+every share against the dealer's commitment, which a majority of the
+round's verifiers must name, sum accepted shares point-wise (field sum of
+evaluations, group product of witnesses), and any d+1 verified summed
+points reconstruct the summed polynomial exactly -- which must re-commit
+to the product of the contributing commitments or the round is abandoned
+as Byzantine evidence.
 
 Holding fewer than half the aggregators' transcripts yields fewer than d+1
 points of any single update, leaving it information-theoretically
@@ -19,7 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .commitments import Commitment, CommitPK, Witness, commit, create_witness, verify_share
-from .ledger import CommitmentEntry, entry_rejection
+from .ledger import (
+    CommitmentEntry,
+    SignOffChecks,
+    contributor_rejection,
+    endorsement_rejection,
+    pair_records,
+)
 from .polynomials import lagrange_interpolate
 from .quantize import QuantizedPoly
 
@@ -30,11 +37,11 @@ class ShareRecoveryError(RuntimeError):
 
 @dataclass(frozen=True)
 class ShareBundle:
-    """One dealer's shares for one aggregator, with the dealer's block entry:
-    its id, its commitment and the verifier sign-off, as the block will carry
-    them."""
+    """One dealer's shares for one aggregator, with the dealer's block entry
+    (its id and commitment) and the verifier sign-offs that name it."""
 
     entry: CommitmentEntry
+    signoffs: tuple  # SignOff, ascending verifier id
     shares: tuple  # Witness instances at this aggregator's points
 
 
@@ -51,10 +58,12 @@ def assign_points(points, aggregators) -> dict:
     return out
 
 
-def deal_shares(update_q: QuantizedPoly, pk: CommitPK, aggregators, entry: CommitmentEntry) -> dict:
+def deal_shares(
+    update_q: QuantizedPoly, pk: CommitPK, aggregators, entry: CommitmentEntry, signoffs
+) -> dict:
     """Evaluate the update at every share point and slice per aggregator;
     ``entry`` is the dealer's block entry, whose commitment is to
-    ``update_q``."""
+    ``update_q``, and ``signoffs`` the sign-offs that name it."""
     aggregators = list(aggregators)
     if len(aggregators) < 2:
         raise ValueError("need at least two aggregators")
@@ -62,22 +71,27 @@ def deal_shares(update_q: QuantizedPoly, pk: CommitPK, aggregators, entry: Commi
     if len(aggregators) > len(points):
         raise ValueError(f"{len(aggregators)} aggregators for only {len(points)} share points")
     return {
-        agg: ShareBundle(entry, tuple(create_witness(pk, update_q, z) for z in pts))
+        agg: ShareBundle(entry, tuple(signoffs), tuple(create_witness(pk, update_q, z) for z in pts))
         for agg, pts in assign_points(points, aggregators).items()
     }
 
 
 def accept_bundle(
-    bundle: ShareBundle, iteration: int, verifiers, aggregators, pubkeys, pk: CommitPK, points
+    bundle: ShareBundle, verifiers, aggregators, pubkeys, pk: CommitPK, points, checks: SignOffChecks
 ) -> bool:
     """True iff the shares are at the receiving aggregator's ``points`` (its
-    slice of ``assign_points``), the dealer's entry passes the block rule for
-    round ``iteration`` (``ledger.entry_rejection``, against the round's
-    verifier and aggregator committees and the prepared genesis keys
-    ``pubkeys``) and every share opens the commitment, checked as one batch."""
+    slice of ``assign_points``), the dealer's entry and sign-offs pass the
+    block rule (``ledger.contributor_rejection`` and
+    ``ledger.endorsement_rejection``, against the round's committees, the
+    genesis keys ``pubkeys`` and the round's sign-off ``checks``, which
+    work each sign-off out once across the round's bundles) and every share
+    opens the commitment, checked as one batch."""
     if [w.point for w in bundle.shares] != list(points):
         return False
-    if entry_rejection(bundle.entry, iteration, verifiers, aggregators, pubkeys, pk.backend):
+    if contributor_rejection([bundle.entry.peer], verifiers, aggregators, pubkeys):
+        return False
+    entry_records = pair_records([bundle.entry], pk.backend)
+    if endorsement_rejection(entry_records, bundle.signoffs, verifiers, checks):
         return False
     return verify_share(pk, bundle.entry.commitment, *bundle.shares)
 

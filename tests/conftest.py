@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -11,7 +13,7 @@ from chainlearn.ledger import (
     ProtocolConfig,
     block_content_hash,
     round_committees,
-    verifier_sign_context,
+    sign_off,
 )
 from chainlearn.quantize import decode, encode, sum_polys
 from chainlearn.sgd import TrainConfig
@@ -54,10 +56,10 @@ def tiny_net():
     return genesis, secrets
 
 
-def deal(q, pk, aggregators, dealer=0, sigs=()):
+def deal(q, pk, aggregators, dealer=0, signoffs=()):
     """``vss.deal_shares`` of ``q`` by ``dealer``, under its block entry with
-    the verifier signatures ``sigs``."""
-    return deal_shares(q, pk, aggregators, CommitmentEntry(dealer, commit(pk, q), sigs))
+    the verifier sign-offs ``signoffs``."""
+    return deal_shares(q, pk, aggregators, CommitmentEntry(dealer, commit(pk, q)), signoffs)
 
 
 def honest_block(genesis, secrets, ledger, seed=0, contributor_count=4):
@@ -83,12 +85,10 @@ def honest_block(genesis, secrets, ledger, seed=0, contributor_count=4):
             genesis.config.scale_bits,
         )
         polys[pid] = q
-        c = commit(genesis.commit_pk, q)
-        context = verifier_sign_context(t, pid, c, backend)
-        sigs = tuple(
-            (vid, sign(backend, secrets[vid].keypair, context)) for vid in verifiers
-        )
-        entries.append(CommitmentEntry(pid, c, sigs))
+        entries.append(CommitmentEntry(pid, commit(genesis.commit_pk, q)))
+    signoffs = tuple(
+        sign_off(backend, secrets[vid].keypair, t, vid, entries) for vid in sorted(verifiers)
+    )
 
     aggregate = sum_polys([polys[p] for p in contributors])
     prev_weights = ledger.current_model().weights
@@ -98,18 +98,10 @@ def honest_block(genesis, secrets, ledger, seed=0, contributor_count=4):
         aggregate_poly=aggregate,
         model_weights=prev_weights + decode(aggregate),
         commitments=tuple(entries),
+        signoffs=signoffs,
         aggregator_sigs=(),
     )
-    proposer = aggregators[0]
-    sig = sign(backend, secrets[proposer].keypair, block_content_hash(block, backend))
-    return Block(
-        block.prev_hash,
-        block.iteration,
-        block.aggregate_poly,
-        block.model_weights,
-        block.commitments,
-        ((proposer, sig),),
-    )
+    return resign_as_proposer(block, genesis, secrets, ledger)
 
 
 def resign_as_proposer(block, genesis, secrets, ledger):
@@ -121,11 +113,4 @@ def resign_as_proposer(block, genesis, secrets, ledger):
     )
     proposer = aggregators[0]
     sig = sign(backend, secrets[proposer].keypair, block_content_hash(block, backend))
-    return Block(
-        block.prev_hash,
-        block.iteration,
-        block.aggregate_poly,
-        block.model_weights,
-        block.commitments,
-        ((proposer, sig),),
-    )
+    return dataclasses.replace(block, aggregator_sigs=((proposer, sig),))

@@ -5,6 +5,8 @@ encoding is exactly those bytes; valid encodings round-trip, and every strict
 prefix of one is refused.  A signature is "decoded" by verifying it under a
 fixed key and message, so only the honest signature may pass."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,14 @@ from hypothesis import strategies as st
 from chainlearn.commitments import CommitPK
 from chainlearn.encoding import u32
 from chainlearn.groups import get_backend
-from chainlearn.ledger import GenesisBlock, Ledger, ProtocolConfig, block_from_bytes, block_to_bytes
+from chainlearn.ledger import (
+    GenesisBlock,
+    Ledger,
+    ProtocolConfig,
+    block_from_bytes,
+    block_to_bytes,
+    pair_records,
+)
 from chainlearn.signatures import keygen, sign, verify
 
 from conftest import honest_block
@@ -130,3 +139,47 @@ def test_genesis_with_a_key_not_starting_at_g1_is_refused(tiny_net):
     bad = data.replace(key, bad_key)
     with pytest.raises(ValueError, match="g1"):
         GenesisBlock.from_bytes(bad, BACKEND)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ("swap-two-pairs", "pairs must strictly ascend"),
+        ("unnamed-pair", "no entry or sign-off names"),
+        ("repeat-an-entry", "indices must strictly ascend"),
+        ("verifiers-descending", "ids must strictly ascend"),
+        ("repeat-a-verifier", "ids must strictly ascend"),
+        ("index-past-the-table", "names no pair"),
+    ],
+)
+def test_non_canonical_block_is_refused(tiny_net, change, message):
+    """The pair table holds each pair once, in ascending (peer, commitment)
+    order, and each pair is an entry or a sign-off's winner; entry and
+    winner indices ascend and stay inside the table; sign-offs ascend by
+    verifier id.  Anything else has a second encoding, or none."""
+    genesis, secrets = tiny_net
+    block = honest_block(genesis, secrets, Ledger(genesis))
+    signoffs = block.signoffs
+    if change == "repeat-an-entry":
+        block = dataclasses.replace(block, commitments=block.commitments[:1] + block.commitments)
+    elif change == "verifiers-descending":
+        block = dataclasses.replace(block, signoffs=signoffs[::-1])
+    elif change == "repeat-a-verifier":
+        block = dataclasses.replace(block, signoffs=signoffs[:1] + signoffs)
+    data = block_to_bytes(block, BACKEND)
+    # every verifier names all n entries, so the table is the n entries, then
+    # the entry indices, then the sign-off count and the first sign-off
+    n, record = len(block.commitments), 4 + BACKEND.element_size
+    table = data.index(min(pair_records(block.commitments, BACKEND)))
+    end = table + n * record
+    if change == "swap-two-pairs":
+        first, second = data[table : table + record], data[table + record : table + 2 * record]
+        data = data[:table] + second + first + data[table + 2 * record :]
+    elif change == "unnamed-pair":
+        extra = b"\xff" * 4 + data[table + 4 : table + record]  # after every other pair
+        data = data[: table - 4] + u32(n + 1) + data[table:end] + extra + data[end:]
+    elif change == "index-past-the-table":
+        last_winner = end + 4 + 4 * n + 4 + 8 + 4 * (n - 1)
+        data = data[:last_winner] + u32(n) + data[last_winner + 4 :]
+    with pytest.raises(ValueError, match=message):
+        block_from_bytes(data, BACKEND)

@@ -1,28 +1,39 @@
 import dataclasses
+import functools
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainlearn import ledger as ledger_module
 from chainlearn.bootstrap import build_genesis
+from chainlearn.commitments import Commitment
 from chainlearn.groups import get_backend
 from chainlearn.ledger import (
     GENESIS_PREV_HASH,
     Block,
+    CommitmentEntry,
     GenesisBlock,
     Ledger,
     ProtocolConfig,
     REJECTION_REASONS,
+    SignOff,
     block_from_bytes,
     block_hash,
     block_to_bytes,
     load_chain,
+    pair_records,
     round_committees,
     save_chain,
+    sign_off,
+    signoff_message,
 )
 from chainlearn.encoding import sha256
 from chainlearn.noise import NoiseTable
 from chainlearn.quantize import QuantizedPoly, decode
+from chainlearn.signatures import sign
 from chainlearn.stake import build_ring
 
 from conftest import honest_block, resign_as_proposer, tiny_config
@@ -178,17 +189,17 @@ def test_single_update_block_passes(tiny_net):
 def test_majority_signatures_required(tiny_net):
     ledger, genesis, secrets = fresh_ledger(tiny_net)
     block = honest_block(genesis, secrets, ledger)
-    entry = block.commitments[0]
-    pruned = dataclasses.replace(entry, verifier_sigs=entry.verifier_sigs[:1])
-    tampered = dataclasses.replace(block, commitments=(pruned,) + block.commitments[1:])
+    tampered = dataclasses.replace(block, signoffs=block.signoffs[:1])
+    tampered = resign_as_proposer(tampered, genesis, secrets, ledger)
     ok, reason = ledger.validate_block(tampered)
     assert not ok and reason == "missing-verifier-majority"
 
 
 def test_relabelled_entry_rejected(tiny_net):
     """A proposer that moves an honest entry to a peer on no committee and
-    re-signs the block would move that entry's stake reward; the verifier
-    signatures bind the contributor, so replicas refuse the block."""
+    re-signs the block would move that entry's stake reward; the sign-offs
+    name (peer, commitment) pairs, and none names the moved pair, so
+    replicas refuse the block."""
     ledger, genesis, secrets = fresh_ledger(tiny_net)
     block = honest_block(genesis, secrets, ledger)
     verifiers, aggregators = round_committees(genesis, build_ring(ledger.stake), block.prev_hash, 1)
@@ -199,7 +210,84 @@ def test_relabelled_entry_rejected(tiny_net):
     tampered = dataclasses.replace(block, commitments=entries)
     tampered = resign_as_proposer(tampered, genesis, secrets, ledger)
     ok, reason = ledger.validate_block(tampered)
-    assert not ok and reason == "bad-verifier-signature"
+    assert not ok and reason == "missing-verifier-majority"
+
+
+@functools.cache
+def signoff_round(backend_name):
+    """A round-1 block of three contributors on a 12-peer genesis, its
+    committees, and the genesis and secrets."""
+    config = tiny_config(backend_name=backend_name, total_iterations=1)
+    genesis, secrets = build_genesis(config, range(12), b"signoff-rule")
+    ledger = Ledger(genesis)
+    block = honest_block(genesis, secrets, ledger, contributor_count=3)
+    verifiers, aggregators = round_committees(genesis, build_ring(ledger.stake), block.prev_hash, 1)
+    return genesis, secrets, block, sorted(verifiers), aggregators
+
+
+@pytest.mark.parametrize("backend_name", ["exponent", "pairing"])
+@settings(deadline=None)
+@given(data=st.data())
+def test_signoff_block_rule_property(backend_name, data):
+    """Random naming patterns over a real round's committee: each verifier
+    signs off or not, naming any subset of the entries, some with another
+    commitment; then at most one fault: a verifier's second sign-off, a
+    sign-off by a non-member, a flipped signature byte, or a verifier that
+    signs a list naming one pair twice (which would count twice).  A block is
+    accepted exactly when no sign-off is faulty and more than v/2 sign-offs
+    name each entry's pair, else refused with the matching reason."""
+    genesis, secrets, block, verifiers, aggregators = signoff_round(backend_name)
+    backend = genesis.commit_pk.backend
+    entries = block.commitments
+
+    def signed(vid, pairs):
+        return sign_off(backend, secrets[vid].keypair, 1, vid, pairs)
+
+    def moved(entry):  # the same peer with another commitment
+        return CommitmentEntry(entry.peer, Commitment(backend.g1_add(entry.commitment.value, backend.g1)))
+
+    signoffs, naming = [], Counter()
+    for vid in verifiers:
+        if not data.draw(st.booleans()):
+            continue
+        named = data.draw(st.lists(st.sampled_from(entries), unique=True))
+        other = data.draw(st.lists(st.sampled_from(entries), unique=True))
+        naming.update(named)
+        signoffs.append(signed(vid, [*named, *(moved(e) for e in other if e not in named)]))
+    fault = data.draw(st.sampled_from(["none", "repeat", "non-member", "flip", "twice"]))
+    if fault == "repeat" and signoffs:
+        first = signoffs[0]
+        signoffs.insert(1, signed(first.verifier, data.draw(st.lists(st.sampled_from(entries), unique=True))))
+    elif fault == "non-member":
+        outsider = data.draw(st.sampled_from(sorted(set(genesis.peer_pubkeys) - set(verifiers))))
+        signoffs = sorted([*signoffs, signed(outsider, entries)], key=lambda s: s.verifier)
+    elif fault == "flip" and signoffs:
+        at = data.draw(st.integers(0, len(signoffs) - 1))
+        sig = bytearray(signoffs[at].signature)
+        sig[data.draw(st.integers(0, len(sig) - 1))] ^= data.draw(st.integers(1, 255))
+        signoffs[at] = dataclasses.replace(signoffs[at], signature=bytes(sig))
+    elif fault == "twice" and signoffs:
+        vid, pairs = signoffs[0].verifier, (entries[0], *entries)
+        message = signoff_message(1, vid, pair_records(pairs, backend))
+        signoffs[0] = SignOff(vid, pairs, sign(backend, secrets[vid].keypair, message))
+    else:
+        fault = "none"
+
+    ledger = Ledger(genesis)
+    candidate = dataclasses.replace(block, signoffs=tuple(signoffs))
+    candidate = resign_as_proposer(candidate, genesis, secrets, ledger)
+    if fault != "none":
+        expected = "bad-verifier-signature"
+    elif all(naming[e] > len(verifiers) // 2 for e in entries):
+        expected = ""
+    else:
+        expected = "missing-verifier-majority"
+    state, reason = ledger.validate_block(candidate)
+    assert reason == expected
+    if not reason:
+        # an accepted block decodes from its own bytes to the same tip
+        again = block_from_bytes(block_to_bytes(candidate, backend), backend)
+        assert ledger.validate_block(again)[0].tip_hash == state.tip_hash
 
 
 def test_duplicate_contributor_rejected(tiny_net):
@@ -223,7 +311,6 @@ def test_aggregator_signature_checked(tiny_net):
     ledger, genesis, secrets = fresh_ledger(tiny_net)
     block = honest_block(genesis, secrets, ledger)
     # signature from a non-committee peer
-    from chainlearn.signatures import sign
     from chainlearn.ledger import block_content_hash
 
     _, aggregators = round_committees(genesis, build_ring(ledger.stake), block.prev_hash, 1)
@@ -412,7 +499,7 @@ def test_chain_file_roundtrip_and_tamper(tiny_net, tmp_path):
     bad_path.write_bytes(bytes(data[:-5]))  # cut inside the last record
     with pytest.raises(ValueError, match="tampered.bin: block 1: truncated"):
         load_chain(bad_path, BACKEND)
-    for magic in (b"CLCHAIN1", b"CLCHAIN2"):  # the previous chain formats
+    for magic in (b"CLCHAIN1", b"CLCHAIN2", b"CLCHAIN3"):  # the previous chain formats
         bad_path.write_bytes(magic + bytes(data[8:]))
         with pytest.raises(ValueError, match="bad magic"):
             load_chain(bad_path, BACKEND)

@@ -10,11 +10,12 @@ from chainlearn.commitments import commit
 from chainlearn.committees import VrfOutput, draw_committee, draw_noisers, noiser_seed
 from chainlearn.datasets import make_dataset, partition
 from chainlearn.encoding import sha256, u64
-from chainlearn.ledger import block_content_hash, round_committees
+from chainlearn.ledger import Ledger, SignOff, block_content_hash, round_committees, sign_off
 from chainlearn.noise import mask_update, peer_noise
 from chainlearn.protocol import (
     AggShareMsg,
     PeerNode,
+    SignatureGrant,
     Timer,
     UpdateSubmission,
     verify_masked_submission,
@@ -29,8 +30,8 @@ from conftest import tiny_config
 
 # Tip hashes of two fixed runs. Any arithmetic rewrite that changes chain
 # bytes fails here, on both group backends.
-EXPONENT_TIP = "98039724ecd8499d984ce091c74c0351a92d239901dc5ee64433055ba6c44793"
-PAIRING_TIP = "e80e9911256114c441fc89ddc796de407f056252adb992d73eda4934c67cefb2"
+EXPONENT_TIP = "6a82cb82e797b65b907dd0aa44cf60bb80c934441cb124b004f81c5f17715aeb"
+PAIRING_TIP = "39e7a3274431cbf58284efe197937bb41047be7eb07b594ade39d4e74f4e1f4c"
 # sha256 of the round-1 signed payloads of make_sim(), one message per sender
 # concatenated in sender order. These signatures never enter a block, so the
 # tip hashes above do not cover their encoding. The aggregate-share payload
@@ -440,22 +441,23 @@ def test_churn_keeps_population_constant():
 
 @pytest.mark.parametrize("padding", ["outsider", "duplicate"])
 def test_byzantine_dealer_is_left_out_and_rounds_seal(monkeypatch, padding):
-    """A dealer that pads its verifier-signature list with one bad pair is
-    refused by the aggregators under the block rule; its id appears in no
-    block and every round still seals."""
+    """A dealer that pads its sign-off list with one bad sign-off is refused
+    by the aggregators under the block rule; its id appears in no block and
+    every round still seals."""
     sim = make_sim()
     byzantine = eligible_peer(sim)
     deal_shares = protocol.deal_shares
 
-    def padded_deal(update_q, pk, aggregators, entry):
+    def padded_deal(update_q, pk, aggregators, entry, signoffs):
         if entry.peer == byzantine:
             if padding == "outsider":
-                extra = (byzantine, b"\x00" * 8)
+                extra = SignOff(byzantine, (entry,), b"\x00" * 16)
             else:  # a listed verifier again, signing the wrong message
-                vid = entry.verifier_sigs[0][0]
-                extra = (vid, sign(sim.peers[vid].backend, sim.peers[vid].secrets.keypair, b"x"))
-            entry = dataclasses.replace(entry, verifier_sigs=entry.verifier_sigs + (extra,))
-        return deal_shares(update_q, pk, aggregators, entry)
+                vid = signoffs[0].verifier
+                sig = sign(sim.peers[vid].backend, sim.peers[vid].secrets.keypair, b"x")
+                extra = SignOff(vid, (entry,), sig)
+            signoffs = signoffs + (extra,)
+        return deal_shares(update_q, pk, aggregators, entry, signoffs)
 
     monkeypatch.setattr(protocol, "deal_shares", padded_deal)
     result = sim.run()
@@ -463,6 +465,52 @@ def test_byzantine_dealer_is_left_out_and_rounds_seal(monkeypatch, padding):
     blocks = result.final_ledger.blocks
     assert [b.iteration for b in blocks] == [1, 2, 3, 4, 5]
     assert all(entry.peer != byzantine for block in blocks for entry in block.commitments)
+
+
+@pytest.mark.parametrize("silent_partner", [False, True])
+def test_equivocating_verifier_cannot_void_honest_rounds(monkeypatch, silent_partner):
+    """Each round the first verifier signs two sign-offs, each naming half
+    its winners, and sends each half only its own; with a silent partner a
+    second verifier signs nothing, so every majority needs one of the two
+    versions.  The proposer carries one version per verifier and announces
+    only pairs its carried sign-offs name by majority, so every block it
+    mints is valid for every replica and no round is voided by the
+    equivocation."""
+    sim = make_sim()
+    close, mint = PeerNode._close_verification, PeerNode._mint_block
+    equivocated, minted = [], []
+
+    def equivocate(peer, now):
+        actions = close(peer, now)
+        rs = peer.round
+        if silent_partner and peer.id == rs.verifiers[1]:
+            return []
+        if peer.id != rs.verifiers[0] or len(actions) < 2:
+            return actions
+        winners = actions[0][1].signoff.winners
+        out = []
+        for part in (winners[: len(winners) // 2], winners[len(winners) // 2 :]):
+            version = sign_off(peer.backend, peer.secrets.keypair, rs.iteration, peer.id, part)
+            out += [(p.peer, SignatureGrant(rs.iteration, version), None) for p in part]
+        equivocated.append(rs.iteration)
+        return out
+
+    def minting(peer, now):
+        actions = mint(peer, now)
+        minted.extend(msg.block for _, msg, _ in actions)
+        return actions
+
+    monkeypatch.setattr(PeerNode, "_close_verification", equivocate)
+    monkeypatch.setattr(PeerNode, "_mint_block", minting)
+    result = sim.run()
+    assert equivocated == [1, 2, 3, 4, 5]
+    refusals = [line for p in sim.peers.values() for line in p.audit if "rejected block" in line]
+    assert refusals == [] and result.forks == 0
+    assert [b.iteration for b in minted] == [b.iteration for b in result.final_ledger.blocks]
+    replay = Ledger(sim.genesis)
+    assert all(replay.append(block)[0] for block in minted)
+    # how many rounds seal: all of them
+    assert [b.iteration for b in minted] == [1, 2, 3, 4, 5]
 
 
 def test_dealer_sending_another_aggregators_points_is_left_out(monkeypatch):
@@ -473,8 +521,8 @@ def test_dealer_sending_another_aggregators_points_is_left_out(monkeypatch):
     deal_shares = protocol.deal_shares
     dealt = []
 
-    def rotated_deal(update_q, pk, aggregators, entry):
-        bundles = deal_shares(update_q, pk, aggregators, entry)
+    def rotated_deal(update_q, pk, aggregators, entry, signoffs):
+        bundles = deal_shares(update_q, pk, aggregators, entry, signoffs)
         if entry.peer != 0:
             return bundles
         dealt.append(entry)

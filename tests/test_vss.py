@@ -5,7 +5,8 @@ import pytest
 
 from chainlearn.commitments import Witness, combine, commit, trusted_setup, verify_share
 from chainlearn.groups import get_backend
-from chainlearn.ledger import verifier_sign_context
+from chainlearn import signatures
+from chainlearn.ledger import CommitmentEntry, SignOff, SignOffChecks, sign_off
 from chainlearn.quantize import decode, encode, sum_polys
 from chainlearn.signatures import keygen, sign
 from chainlearn.vss import (
@@ -64,34 +65,47 @@ def test_too_many_aggregators_rejected():
         deal(q, pk, [0], dealer=0)
 
 
-def test_accept_bundle_majority_and_shares():
+def test_accept_bundle_majority_and_shares(monkeypatch):
     rng = np.random.default_rng(1)
     pk = trusted_setup(BACKEND, 4, b"s")
     q = make_update(rng, 4)
     verifiers, aggregators, dealer, iteration = (0, 1, 2), (3, 4), 7, 1
     keys = {i: keygen(BACKEND, bytes([i])) for i in (0, 1, 2, 3, 4, dealer)}
     pubkeys = {i: kp.public for i, kp in keys.items()}
-    context = verifier_sign_context(iteration, dealer, commit(pk, q), BACKEND)
-    sigs = tuple((vid, sign(BACKEND, keys[vid], context)) for vid in verifiers)
-    bundles = deal(q, pk, [0, 1], dealer, sigs)
+    # another winner beside the dealer: a sign-off names all of them
+    entry, other = CommitmentEntry(dealer, commit(pk, q)), CommitmentEntry(5, commit(pk, q))
+    signoffs = tuple(sign_off(BACKEND, keys[vid], iteration, vid, [other, entry]) for vid in verifiers)
+    bundles = deal(q, pk, [0, 1], dealer, signoffs)
     bundle, points = bundles[0], assign_points(share_points(4), [0, 1])[0]
+    checks, checked = SignOffChecks(iteration, pubkeys, BACKEND), []
+    verify = signatures.verify
+
+    def counted(backend, public, message, signature):
+        checked.append(public)
+        return verify(backend, public, message, signature)
+
+    monkeypatch.setattr(signatures, "verify", counted)
 
     def accepts(b):
-        return accept_bundle(b, iteration, verifiers, aggregators, pubkeys, pk, points)
+        return accept_bundle(b, verifiers, aggregators, pubkeys, pk, points, checks)
 
     def with_entry(**changes):
         return dataclasses.replace(bundle, entry=dataclasses.replace(bundle.entry, **changes))
 
-    def with_sigs(signature_list):
-        return with_entry(verifier_sigs=signature_list)
+    def with_sigs(signoff_list):
+        return dataclasses.replace(bundle, signoffs=tuple(signoff_list))
 
-    assert accepts(bundle)
+    assert accepts(bundle) and accepts(bundles[0])
+    assert checked == [pubkeys[vid] for vid in verifiers]  # each sign-off checked once a round
 
     # another aggregator's shares open the commitment, but not at these points
     assert not accepts(bundles[1])
 
     # exactly half (1 of 3 -> floor majority boundary: 1 <= 1) is not enough
-    assert not accepts(with_sigs(sigs[:1]))
+    assert not accepts(with_sigs(signoffs[:1]))
+    # a majority that names another peer's pair does not name the dealer's
+    others = [sign_off(BACKEND, keys[vid], iteration, vid, [other]) for vid in verifiers]
+    assert not accepts(with_sigs(others))
 
     # forged eval fails share verification
     bad_shares = list(bundle.shares)
@@ -99,15 +113,21 @@ def test_accept_bundle_majority_and_shares():
     bad_shares[0] = Witness(w.value, w.point, (w.eval + 1) % MOD)
     assert not accepts(dataclasses.replace(bundle, shares=tuple(bad_shares)))
 
-    # signature from outside the committee does not count
+    # a sign-off from outside the committee does not count
     outsider = keygen(BACKEND, b"outsider")
     pubkeys[9] = outsider.public
-    assert not accepts(with_sigs(tuple((9, sign(BACKEND, outsider, context)) for _ in range(3))))
+    assert not accepts(with_sigs([sign_off(BACKEND, outsider, iteration, 9, [entry])]))
 
-    # a valid majority padded with one bad pair fails the block rule, so the
-    # bundle is refused here rather than minted into a block replicas reject
-    assert not accepts(with_sigs(sigs + ((dealer, b"\x00" * 8),)))
-    assert not accepts(with_sigs(sigs + ((0, sign(BACKEND, keys[0], b"wrong message")),)))
+    # a valid majority padded with one bad sign-off fails the block rule, so
+    # the bundle is refused here rather than minted into a block replicas reject
+    assert not accepts(with_sigs(signoffs + (SignOff(9, (entry,), b"\x00" * 16),)))
+    wrong = SignOff(2, (entry,), sign(BACKEND, keys[2], b"wrong message"))
+    assert not accepts(with_sigs(signoffs[:2] + (wrong,)))
+    assert not accepts(with_sigs(signoffs + signoffs[2:]))  # a verifier twice
+    assert not accepts(with_sigs(signoffs[::-1]))  # not in ascending verifier order
+    # the winners out of order: the signature covers them, but not as listed
+    unsorted = dataclasses.replace(signoffs[0], winners=signoffs[0].winners[::-1])
+    assert not accepts(with_sigs((unsorted,) + signoffs[1:]))
 
     # a committee member may not contribute
     assert not accepts(with_entry(peer=3))
