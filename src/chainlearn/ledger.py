@@ -224,7 +224,7 @@ class GenesisBlock:
 
 @dataclass(frozen=True)
 class CommitmentEntry:
-    """One (peer, commitment) pair: a block entry, or a winner a sign-off names."""
+    """One (peer, commitment) pair: a block entry, or a winner before ``sign_off`` encodes it."""
 
     peer: int
     commitment: Commitment
@@ -232,12 +232,12 @@ class CommitmentEntry:
 
 @dataclass(frozen=True)
 class SignOff:
-    """One verifier's endorsement of its round's winners: a signature over the
-    round, its id and the winners' pair encodings (``signoff_message``), in
-    strictly ascending byte order."""
+    """One verifier's endorsement of its round's winners: their pair
+    encodings (``pair_records``) in strictly ascending byte order, and a
+    signature over the round, its id and those bytes (``signoff_message``)."""
 
     verifier: int
-    winners: tuple  # CommitmentEntry
+    winners: tuple  # bytes, one pair encoding per winner
     signature: bytes
 
 
@@ -272,7 +272,8 @@ def read_poly(r: ByteReader, backend) -> QuantizedPoly:
 
 
 def write_id_pairs(w: ByteWriter, pairs) -> None:
-    """A counted list of (peer id, byte string) pairs, e.g. signature lists."""
+    """A counted list of (peer id, byte string) pairs: a block's aggregator
+    signatures."""
     w.u32(len(pairs))
     for pid, data in pairs:
         w.u32(pid)
@@ -296,10 +297,10 @@ def signoff_message(iteration: int, verifier: int, records) -> bytes:
 
 
 def sign_off(backend, keypair, iteration: int, verifier: int, winners) -> SignOff:
-    """``verifier``'s sign-off on the distinct pairs ``winners``."""
-    ordered = sorted(zip(pair_records(winners, backend), winners), key=lambda item: item[0])
-    message = signoff_message(iteration, verifier, [rec for rec, _ in ordered])
-    return SignOff(verifier, tuple(p for _, p in ordered), signatures.sign(backend, keypair, message))
+    """``verifier``'s sign-off on the distinct (peer, commitment) pairs ``winners``."""
+    records = tuple(sorted(pair_records(winners, backend)))
+    message = signoff_message(iteration, verifier, records)
+    return SignOff(verifier, records, signatures.sign(backend, keypair, message))
 
 
 def read_indices(r: ByteReader, count: int) -> list[int]:
@@ -312,19 +313,15 @@ def read_indices(r: ByteReader, count: int) -> list[int]:
     return indices
 
 
-def block_content_bytes(block: Block, backend, records=None) -> bytes:
+def block_content_bytes(block: Block, backend, entry_records=None) -> bytes:
     """Canonical serialization minus the aggregator signatures (what they
     sign).  The pair table holds each pair the block names once, in
     ascending byte order; the entries, then each sign-off's winners, are
-    indices into it.  ``records`` holds the entries' pair encodings and each
-    sign-off's winners', if the caller has them."""
-    if records is None:
-        records = (
-            pair_records(block.commitments, backend),
-            [pair_records(s.winners, backend) for s in block.signoffs],
-        )
-    entry_records, winner_records = records
-    table = sorted(set(entry_records).union(*winner_records))
+    indices into it.  ``entry_records`` holds the entries' pair encodings,
+    if the caller has them."""
+    if entry_records is None:
+        entry_records = pair_records(block.commitments, backend)
+    table = sorted(set(entry_records).union(*(s.winners for s in block.signoffs)))
     index = {rec: i for i, rec in enumerate(table)}
     w = ByteWriter()
     w.raw(block.prev_hash)
@@ -334,8 +331,8 @@ def block_content_bytes(block: Block, backend, records=None) -> bytes:
     w.u32(len(table)).raw(b"".join(table))
     w.u32_vector(sorted(index[rec] for rec in entry_records))
     w.u32(len(block.signoffs))
-    for s, recs in zip(block.signoffs, winner_records):
-        w.u32(s.verifier).u32_vector([index[rec] for rec in recs]).bytes_lp(s.signature)
+    for s in block.signoffs:
+        w.u32(s.verifier).u32_vector([index[rec] for rec in s.winners]).bytes_lp(s.signature)
     return w.getvalue()
 
 
@@ -354,20 +351,21 @@ def block_to_bytes(block: Block, backend) -> bytes:
 def block_from_bytes(data: bytes, backend) -> Block:
     """Decode ``block_to_bytes`` output, and only that: the pairs strictly
     ascend, each named by an entry or a sign-off and decoded once; index
-    lists strictly ascend; verifier ids strictly ascend."""
+    lists strictly ascend; verifier ids strictly ascend.  A sign-off holds
+    the table's bytes as read, which the decoders make canonical."""
     r = ByteReader(data)
     prev_hash = r.raw(32)
     iteration = r.u32()
     poly = read_poly(r, backend)
     weights = np.array(r.f64_vector())
-    pairs, last = [], b""
+    table, pairs = [], []
     for _ in range(r.u32()):
         rec = r.raw(4 + backend.element_size)
-        if rec <= last:
+        if table and rec <= table[-1]:
             raise ValueError("pairs must strictly ascend")
         commitment = Commitment(backend.g1_from_bytes(rec[4:]))
         pairs.append(CommitmentEntry(int.from_bytes(rec[:4], "little"), commitment))
-        last = rec
+        table.append(rec)
     contributors = read_indices(r, len(pairs))
     entries, named = tuple(pairs[i] for i in contributors), set(contributors)
     signoffs, last = [], -1
@@ -376,7 +374,7 @@ def block_from_bytes(data: bytes, backend) -> Block:
         if vid <= last:
             raise ValueError(f"verifier id {vid} after {last}: ids must strictly ascend")
         winners = read_indices(r, len(pairs))
-        signoffs.append(SignOff(vid, tuple(pairs[i] for i in winners), r.bytes_lp()))
+        signoffs.append(SignOff(vid, tuple(table[i] for i in winners), r.bytes_lp()))
         named.update(winners)
         last = vid
     if len(named) != len(pairs):
@@ -409,38 +407,25 @@ def contributor_rejection(peers, verifiers, aggregators, pubkeys) -> str:
     return ""
 
 
-class SignOffChecks:
-    """One round's sign-off checks, each worked out once per sign-off: its
-    winners' pair encodings at its first use, and at its first check whether
-    they strictly ascend and its signature over them (``signoff_message``)
+class SignOffChecks(dict):
+    """One round's sign-off -> its verdict, worked out at first lookup: its
+    winners strictly ascend and its signature over them (``signoff_message``)
     is valid under the verifier's key in ``pubkeys`` (prepared, as
-    ``GenesisBlock.public_bases`` holds them).  A sign-off is looked up by
-    verifier and signature; one that differs in its winners is worked out
-    on its own."""
+    ``GenesisBlock.public_bases`` holds them).  Keyed by value, so an equal
+    copy is not checked again and one that differs in any field is worked
+    out on its own."""
 
     def __init__(self, iteration: int, pubkeys, backend):
+        super().__init__()
         self.iteration, self.pubkeys, self.backend = iteration, pubkeys, backend
-        self.seen = {}  # (verifier, signature) -> [sign-off, records, verdict or None]
 
-    def _work(self, signoff: SignOff) -> list:
-        key = (signoff.verifier, signoff.signature)
-        work = self.seen.get(key)
-        if work is None or (work[0] is not signoff and work[0] != signoff):
-            work = self.seen[key] = [signoff, pair_records(signoff.winners, self.backend), None]
-        return work
-
-    def records(self, signoff: SignOff) -> list[bytes]:
-        return self._work(signoff)[1]
-
-    def valid(self, signoff: SignOff) -> bool:
-        work = self._work(signoff)
-        if work[2] is None:
-            records, vid = work[1], signoff.verifier
-            message = signoff_message(self.iteration, vid, records)
-            work[2] = all(a < b for a, b in zip(records, records[1:])) and signatures.verify(
-                self.backend, self.pubkeys[vid], message, signoff.signature
-            )
-        return work[2]
+    def __missing__(self, s: SignOff) -> bool:
+        w = s.winners
+        message = signoff_message(self.iteration, s.verifier, w)
+        verdict = self[s] = all(a < b for a, b in zip(w, w[1:])) and signatures.verify(
+            self.backend, self.pubkeys[s.verifier], message, s.signature
+        )
+        return verdict
 
 
 def endorsement_rejection(entry_records, signoffs, verifiers, checks: SignOffChecks) -> str:
@@ -451,9 +436,9 @@ def endorsement_rejection(entry_records, signoffs, verifiers, checks: SignOffChe
     round's verifiers name each entry."""
     last, named = -1, Counter()
     for s in signoffs:
-        if s.verifier <= last or s.verifier not in verifiers or not checks.valid(s):
+        if s.verifier <= last or s.verifier not in verifiers or not checks[s]:
             return "bad-verifier-signature"
-        named.update(checks.records(s))
+        named.update(s.winners)
         last = s.verifier
     if any(named[rec] <= len(verifiers) // 2 for rec in entry_records):
         return "missing-verifier-majority"
@@ -518,7 +503,7 @@ def advance(state: TipState, block: Block) -> tuple[TipState | None, str]:
     reason = contributor_rejection(peers, verifiers, aggregators, pubkeys)
     if reason:
         return None, reason
-    # the pair encodings, for the sign-off messages and the content bytes both
+    # the entries' pair encodings, for the majority count and the content bytes both
     entry_records = pair_records(block.commitments, backend)
     checks = SignOffChecks(block.iteration, pubkeys, backend)
     reason = endorsement_rejection(entry_records, block.signoffs, verifiers, checks)
@@ -527,8 +512,7 @@ def advance(state: TipState, block: Block) -> tuple[TipState | None, str]:
 
     if not block.aggregator_sigs:
         return None, "no-aggregator-signature"
-    records = (entry_records, [checks.records(s) for s in block.signoffs])
-    content = block_content_bytes(block, backend, records)
+    content = block_content_bytes(block, backend, entry_records)
     content_hash = sha256(content)
     for aid, sig in block.aggregator_sigs:
         if aid not in aggregators:

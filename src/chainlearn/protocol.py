@@ -452,9 +452,8 @@ class PeerNode:
             self.audit.append(f"dropped stray signature grant from {signoff.verifier}")
             return []
         entry = CommitmentEntry(self.id, rs.commitment)
-        checks = rs.signoff_checks
         mine = pair_records([entry], self.backend)[0]
-        if mine not in checks.records(signoff) or not checks.valid(signoff):
+        if mine not in signoff.winners or not rs.signoff_checks[signoff]:
             self.audit.append(f"r{rs.iteration}: bad grant signature from {signoff.verifier}")
             return []
         rs.grants[signoff.verifier] = signoff
@@ -501,17 +500,16 @@ class PeerNode:
         # bundles hold, the one naming the most of their pairs; only pairs a
         # majority of the carried sign-offs name may be announced, so a
         # verifier that signs two lists cannot make this block invalid
-        checks = rs.signoff_checks
         held = {pid: pair_records([b.entry], self.backend)[0] for pid, b in rs.accepted_bundles.items()}
         pairs, offered = set(held.values()), {}
         for b in rs.accepted_bundles.values():
             for s in b.signoffs:
                 offered.setdefault(s.verifier, {})[s.signature] = s  # distinct, in arrival order
         rs.signoffs = tuple(
-            max(offered[vid].values(), key=lambda s: len(pairs.intersection(checks.records(s))))
+            max(offered[vid].values(), key=lambda s: len(pairs.intersection(s.winners)))
             for vid in sorted(offered)
         )
-        named = Counter(rec for s in rs.signoffs for rec in checks.records(s))
+        named = Counter(rec for s in rs.signoffs for rec in s.winners)
         majority = len(rs.verifiers) // 2
         eligible = [pid for pid, rec in held.items() if named[rec] > majority]
         if not eligible:

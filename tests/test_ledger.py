@@ -267,9 +267,10 @@ def test_signoff_block_rule_property(backend_name, data):
         sig[data.draw(st.integers(0, len(sig) - 1))] ^= data.draw(st.integers(1, 255))
         signoffs[at] = dataclasses.replace(signoffs[at], signature=bytes(sig))
     elif fault == "twice" and signoffs:
-        vid, pairs = signoffs[0].verifier, (entries[0], *entries)
-        message = signoff_message(1, vid, pair_records(pairs, backend))
-        signoffs[0] = SignOff(vid, pairs, sign(backend, secrets[vid].keypair, message))
+        vid = signoffs[0].verifier
+        records = tuple(sorted(pair_records((entries[0], *entries), backend)))
+        message = signoff_message(1, vid, records)
+        signoffs[0] = SignOff(vid, records, sign(backend, secrets[vid].keypair, message))
     else:
         fault = "none"
 

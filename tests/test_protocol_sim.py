@@ -4,13 +4,21 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from chainlearn import ledger, noise, protocol
+from chainlearn import ledger, noise, protocol, signatures
 from chainlearn.bootstrap import build_genesis
 from chainlearn.commitments import commit
 from chainlearn.committees import VrfOutput, draw_committee, draw_noisers, noiser_seed
 from chainlearn.datasets import make_dataset, partition
 from chainlearn.encoding import sha256, u64
-from chainlearn.ledger import Ledger, SignOff, block_content_hash, round_committees, sign_off
+from chainlearn.ledger import (
+    CommitmentEntry,
+    Ledger,
+    SignOff,
+    block_content_hash,
+    pair_records,
+    round_committees,
+    sign_off,
+)
 from chainlearn.noise import mask_update, peer_noise
 from chainlearn.protocol import (
     AggShareMsg,
@@ -450,12 +458,13 @@ def test_byzantine_dealer_is_left_out_and_rounds_seal(monkeypatch, padding):
 
     def padded_deal(update_q, pk, aggregators, entry, signoffs):
         if entry.peer == byzantine:
+            mine = tuple(pair_records([entry], pk.backend))
             if padding == "outsider":
-                extra = SignOff(byzantine, (entry,), b"\x00" * 16)
+                extra = SignOff(byzantine, mine, b"\x00" * 16)
             else:  # a listed verifier again, signing the wrong message
                 vid = signoffs[0].verifier
                 sig = sign(sim.peers[vid].backend, sim.peers[vid].secrets.keypair, b"x")
-                extra = SignOff(vid, (entry,), sig)
+                extra = SignOff(vid, mine, sig)
             signoffs = signoffs + (extra,)
         return deal_shares(update_q, pk, aggregators, entry, signoffs)
 
@@ -487,7 +496,9 @@ def test_equivocating_verifier_cannot_void_honest_rounds(monkeypatch, silent_par
             return []
         if peer.id != rs.verifiers[0] or len(actions) < 2:
             return actions
-        winners = actions[0][1].signoff.winners
+        # the winners, from the pool by the peer ids their encodings start with
+        named = [int.from_bytes(rec[:4], "little") for rec in actions[0][1].signoff.winners]
+        winners = [CommitmentEntry(pid, rs.pool[pid].commitment) for pid in named]
         out = []
         for part in (winners[: len(winners) // 2], winners[len(winners) // 2 :]):
             version = sign_off(peer.backend, peer.secrets.keypair, rs.iteration, peer.id, part)
@@ -511,6 +522,41 @@ def test_equivocating_verifier_cannot_void_honest_rounds(monkeypatch, silent_par
     assert all(replay.append(block)[0] for block in minted)
     # how many rounds seal: all of them
     assert [b.iteration for b in minted] == [1, 2, 3, 4, 5]
+
+
+def test_grant_check_encodes_only_the_receivers_pair(monkeypatch):
+    """A winner checks a real round-1 grant with one pair encoding, its own:
+    the sign-off holds the encodings its verifier signed, so no other winner
+    is encoded again.  The signature check's own encodes are not counted."""
+    sim = make_sim(iterations=1)
+    group = type(sim.genesis.commit_pk.backend)
+    to_bytes, verify, handle = group.g1_to_bytes, signatures.verify, PeerNode._on_SignatureGrant
+    counting, encodes, seen = [True], [0], []
+
+    def counted(self, point):
+        encodes[0] += counting[0]
+        return to_bytes(self, point)
+
+    def verify_uncounted(*args):
+        counting[0] = False
+        try:
+            return verify(*args)
+        finally:
+            counting[0] = True
+
+    def grant(peer, msg, now):
+        before = encodes[0]
+        out = handle(peer, msg, now)
+        if msg.signoff.verifier in peer.round.grants:  # accepted
+            seen.append((encodes[0] - before, len(msg.signoff.winners)))
+        return out
+
+    monkeypatch.setattr(group, "g1_to_bytes", counted)
+    monkeypatch.setattr(signatures, "verify", verify_uncounted)
+    monkeypatch.setattr(PeerNode, "_on_SignatureGrant", grant)
+    sim.run()
+    assert seen and max(winners for _, winners in seen) > 1
+    assert max(count for count, _ in seen) <= 1
 
 
 def test_dealer_sending_another_aggregators_points_is_left_out(monkeypatch):

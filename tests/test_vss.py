@@ -6,7 +6,7 @@ import pytest
 from chainlearn.commitments import Witness, combine, commit, trusted_setup, verify_share
 from chainlearn.groups import get_backend
 from chainlearn import signatures
-from chainlearn.ledger import CommitmentEntry, SignOff, SignOffChecks, sign_off
+from chainlearn.ledger import CommitmentEntry, SignOff, SignOffChecks, pair_records, sign_off
 from chainlearn.quantize import decode, encode, sum_polys
 from chainlearn.signatures import keygen, sign
 from chainlearn.vss import (
@@ -97,6 +97,9 @@ def test_accept_bundle_majority_and_shares(monkeypatch):
 
     assert accepts(bundle) and accepts(bundles[0])
     assert checked == [pubkeys[vid] for vid in verifiers]  # each sign-off checked once a round
+    # equal copies, not the same objects: the memo is keyed by value
+    assert accepts(with_sigs(dataclasses.replace(s) for s in signoffs))
+    assert len(checked) == len(verifiers)
 
     # another aggregator's shares open the commitment, but not at these points
     assert not accepts(bundles[1])
@@ -120,14 +123,17 @@ def test_accept_bundle_majority_and_shares(monkeypatch):
 
     # a valid majority padded with one bad sign-off fails the block rule, so
     # the bundle is refused here rather than minted into a block replicas reject
-    assert not accepts(with_sigs(signoffs + (SignOff(9, (entry,), b"\x00" * 16),)))
-    wrong = SignOff(2, (entry,), sign(BACKEND, keys[2], b"wrong message"))
+    mine = tuple(pair_records([entry], BACKEND))
+    assert not accepts(with_sigs(signoffs + (SignOff(9, mine, b"\x00" * 16),)))
+    wrong = SignOff(2, mine, sign(BACKEND, keys[2], b"wrong message"))
     assert not accepts(with_sigs(signoffs[:2] + (wrong,)))
     assert not accepts(with_sigs(signoffs + signoffs[2:]))  # a verifier twice
     assert not accepts(with_sigs(signoffs[::-1]))  # not in ascending verifier order
     # the winners out of order: the signature covers them, but not as listed
     unsorted = dataclasses.replace(signoffs[0], winners=signoffs[0].winners[::-1])
     assert not accepts(with_sigs((unsorted,) + signoffs[1:]))
+    # same signature, other winners: worked out on its own, and the original stands
+    assert not checks[unsorted] and checks[signoffs[0]]
 
     # a committee member may not contribute
     assert not accepts(with_entry(peer=3))
