@@ -290,6 +290,11 @@ def pair_records(pairs, backend) -> list[bytes]:
     return [u32(p.peer) + backend.g1_to_bytes(p.commitment.value) for p in pairs]
 
 
+def record_peer(rec: bytes) -> int:
+    """The peer id a pair encoding starts with."""
+    return int.from_bytes(rec[:4], "little")
+
+
 def signoff_message(iteration: int, verifier: int, records) -> bytes:
     """The bytes a verifier signs: round, verifier id, and its winners' pair
     encodings, as the block's pair table writes them."""
@@ -364,7 +369,7 @@ def block_from_bytes(data: bytes, backend) -> Block:
         if table and rec <= table[-1]:
             raise ValueError("pairs must strictly ascend")
         commitment = Commitment(backend.g1_from_bytes(rec[4:]))
-        pairs.append(CommitmentEntry(int.from_bytes(rec[:4], "little"), commitment))
+        pairs.append(CommitmentEntry(record_peer(rec), commitment))
         table.append(rec)
     contributors = read_indices(r, len(pairs))
     entries, named = tuple(pairs[i] for i in contributors), set(contributors)
@@ -409,21 +414,25 @@ def contributor_rejection(peers, verifiers, aggregators, pubkeys) -> str:
 
 class SignOffChecks(dict):
     """One round's sign-off -> its verdict, worked out at first lookup: its
-    winners strictly ascend and its signature over them (``signoff_message``)
-    is valid under the verifier's key in ``pubkeys`` (prepared, as
-    ``GenesisBlock.public_bases`` holds them).  Keyed by value, so an equal
-    copy is not checked again and one that differs in any field is worked
-    out on its own."""
+    winners are pair encodings of the backend's size in strictly ascending
+    order, and its signature over them (``signoff_message``) is valid under
+    the verifier's key in ``pubkeys`` (prepared, as
+    ``GenesisBlock.public_bases`` holds them).  The size check keeps the
+    signed bytes from being cut into other records, which the block's pair
+    table could not hold.  Keyed by value, so an equal copy is not checked
+    again and one that differs in any field is worked out on its own."""
 
     def __init__(self, iteration: int, pubkeys, backend):
         super().__init__()
         self.iteration, self.pubkeys, self.backend = iteration, pubkeys, backend
 
     def __missing__(self, s: SignOff) -> bool:
-        w = s.winners
+        w, size = s.winners, 4 + self.backend.element_size
         message = signoff_message(self.iteration, s.verifier, w)
-        verdict = self[s] = all(a < b for a, b in zip(w, w[1:])) and signatures.verify(
-            self.backend, self.pubkeys[s.verifier], message, s.signature
+        verdict = self[s] = (
+            all(len(rec) == size for rec in w)
+            and all(a < b for a, b in zip(w, w[1:]))
+            and signatures.verify(self.backend, self.pubkeys[s.verifier], message, s.signature)
         )
         return verdict
 

@@ -104,6 +104,22 @@ def honest_block(genesis, secrets, ledger, seed=0, contributor_count=4):
     return resign_as_proposer(block, genesis, secrets, ledger)
 
 
+def resplit(winners):
+    """``winners``' bytes cut with one record boundary moved: as many
+    records, still strictly ascending, so the signed message is unchanged;
+    None if no such cut exists."""
+    joined, ends = b"".join(winners), [0]
+    for rec in winners:
+        ends.append(ends[-1] + len(rec))
+    for i in range(1, len(winners)):
+        for end in range(ends[i - 1] + 1, ends[i + 1]):
+            cut = [*ends[:i], end, *ends[i + 1 :]]
+            records = tuple(joined[a:b] for a, b in zip(cut, cut[1:]))
+            if end != ends[i] and all(a < b for a, b in zip(records, records[1:])):
+                return records
+    return None
+
+
 def resign_as_proposer(block, genesis, secrets, ledger):
     """Re-sign a (possibly tampered) block with the legitimate proposer's key,
     modelling a Byzantine aggregator endorsing bogus content."""

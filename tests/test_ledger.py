@@ -36,7 +36,7 @@ from chainlearn.quantize import QuantizedPoly, decode
 from chainlearn.signatures import sign
 from chainlearn.stake import build_ring
 
-from conftest import honest_block, resign_as_proposer, tiny_config
+from conftest import honest_block, resign_as_proposer, resplit, tiny_config
 
 BACKEND = get_backend("exponent")
 
@@ -232,10 +232,11 @@ def test_signoff_block_rule_property(backend_name, data):
     """Random naming patterns over a real round's committee: each verifier
     signs off or not, naming any subset of the entries, some with another
     commitment; then at most one fault: a verifier's second sign-off, a
-    sign-off by a non-member, a flipped signature byte, or a verifier that
-    signs a list naming one pair twice (which would count twice).  A block is
-    accepted exactly when no sign-off is faulty and more than v/2 sign-offs
-    name each entry's pair, else refused with the matching reason."""
+    sign-off by a non-member, a flipped signature byte, a verifier that
+    signs a list naming one pair twice (which would count twice), or a
+    sign-off whose signed bytes are cut into records at other boundaries.  A
+    block is accepted exactly when no sign-off is faulty and more than v/2
+    sign-offs name each entry's pair, else refused with the matching reason."""
     genesis, secrets, block, verifiers, aggregators = signoff_round(backend_name)
     backend = genesis.commit_pk.backend
     entries = block.commitments
@@ -254,7 +255,7 @@ def test_signoff_block_rule_property(backend_name, data):
         other = data.draw(st.lists(st.sampled_from(entries), unique=True))
         naming.update(named)
         signoffs.append(signed(vid, [*named, *(moved(e) for e in other if e not in named)]))
-    fault = data.draw(st.sampled_from(["none", "repeat", "non-member", "flip", "twice"]))
+    fault = data.draw(st.sampled_from(["none", "repeat", "non-member", "flip", "twice", "resplit"]))
     if fault == "repeat" and signoffs:
         first = signoffs[0]
         signoffs.insert(1, signed(first.verifier, data.draw(st.lists(st.sampled_from(entries), unique=True))))
@@ -271,6 +272,9 @@ def test_signoff_block_rule_property(backend_name, data):
         records = tuple(sorted(pair_records((entries[0], *entries), backend)))
         message = signoff_message(1, vid, records)
         signoffs[0] = SignOff(vid, records, sign(backend, secrets[vid].keypair, message))
+    elif fault == "resplit" and any(resplit(s.winners) for s in signoffs):
+        at = next(i for i, s in enumerate(signoffs) if resplit(s.winners))
+        signoffs[at] = dataclasses.replace(signoffs[at], winners=resplit(signoffs[at].winners))
     else:
         fault = "none"
 

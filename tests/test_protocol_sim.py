@@ -16,6 +16,7 @@ from chainlearn.ledger import (
     SignOff,
     block_content_hash,
     pair_records,
+    record_peer,
     round_committees,
     sign_off,
 )
@@ -497,7 +498,7 @@ def test_equivocating_verifier_cannot_void_honest_rounds(monkeypatch, silent_par
         if peer.id != rs.verifiers[0] or len(actions) < 2:
             return actions
         # the winners, from the pool by the peer ids their encodings start with
-        named = [int.from_bytes(rec[:4], "little") for rec in actions[0][1].signoff.winners]
+        named = [record_peer(rec) for rec in actions[0][1].signoff.winners]
         winners = [CommitmentEntry(pid, rs.pool[pid].commitment) for pid in named]
         out = []
         for part in (winners[: len(winners) // 2], winners[len(winners) // 2 :]):

@@ -18,7 +18,7 @@ from chainlearn.vss import (
     sum_shares,
 )
 
-from conftest import deal
+from conftest import deal, resplit
 
 BACKEND = get_backend("exponent")
 MOD = BACKEND.order
@@ -134,6 +134,12 @@ def test_accept_bundle_majority_and_shares(monkeypatch):
     assert not accepts(with_sigs((unsorted,) + signoffs[1:]))
     # same signature, other winners: worked out on its own, and the original stands
     assert not checks[unsorted] and checks[signoffs[0]]
+    # the signed bytes cut into records at other boundaries: the same message,
+    # but records the block's pair table cannot hold
+    recut = dataclasses.replace(signoffs[0], winners=resplit(signoffs[0].winners))
+    assert recut.winners is not None and b"".join(recut.winners) == b"".join(signoffs[0].winners)
+    assert not accepts(with_sigs((recut,) + signoffs[1:]))
+    assert not checks[recut] and checks[signoffs[0]]
 
     # a committee member may not contribute
     assert not accepts(with_entry(peer=3))
