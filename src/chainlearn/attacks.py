@@ -108,42 +108,38 @@ def write_pgm(path, image: np.ndarray) -> None:
         fh.write(image.tobytes())
 
 
+COLLUSION_PEERS = 100
+COLLUSION_VERIFIERS = 3
+
+
 def collusion_violation_probability(
-    stake_fraction_malicious: float,
-    num_noisers: int,
-    trials: int,
-    seed: int,
-    num_peers: int = 100,
-    num_verifiers: int = 3,
-    return_count: bool = False,
-):
+    stake_fraction_malicious: float, num_noisers: int, trials: int, seed: int
+) -> float:
     """Monte Carlo estimate of the zero-noise collusion attack succeeding.
 
-    Per trial, a fresh tip draws the verifier committee and an honest
-    victim's noiser set from the stake ring; the attack lands only when
-    every drawn noiser is a colluder (total added noise is zero) and at
-    least one colluder sits on the verifier committee to observe the
-    unmasked update.  Colluders are the first round(fraction * N) peers, all
-    at uniform stake, so common random numbers keep the estimate monotone
-    across grid points.
+    Per trial, a fresh tip draws a committee of ``COLLUSION_VERIFIERS``
+    verifiers and an honest victim's noiser set from a ring of N =
+    ``COLLUSION_PEERS`` peers; the attack lands only when every drawn
+    noiser is a colluder (total added noise is zero) and at least one
+    colluder sits on the verifier committee to observe the unmasked update.
+    Colluders are the first round(fraction * N) peers, all at uniform stake,
+    so common random numbers keep the estimate monotone across grid points.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if not 0 <= stake_fraction_malicious < 1:
         raise ValueError("malicious stake fraction must lie in [0, 1)")
-    n_malicious = round(stake_fraction_malicious * num_peers)
+    n_malicious = round(stake_fraction_malicious * COLLUSION_PEERS)
     colluders = set(range(n_malicious))
-    stake = {pid: 10 for pid in range(num_peers)}
+    stake = {pid: 10 for pid in range(COLLUSION_PEERS)}
     ring = build_ring(stake)
-    victim = num_peers - 1  # honest by construction
+    victim = COLLUSION_PEERS - 1  # honest by construction
     violations = 0
     base = sha256(b"collusion-mc" + u64(seed))
     for trial in range(trials):
         tip = sha256(base + u64(trial))
-        verifiers = draw_committee(ring, tip + b"verify", num_verifiers)
+        verifiers = draw_committee(ring, tip + b"verify", COLLUSION_VERIFIERS)
         noisers = draw_committee(ring, tip + b"noise" + u64(victim), num_noisers, exclude={victim})
         if all(n in colluders for n in noisers) and any(v in colluders for v in verifiers):
             violations += 1
-    if return_count:
-        return violations
     return violations / trials

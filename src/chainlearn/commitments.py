@@ -158,7 +158,7 @@ def batch_weights(pk: CommitPK, commitment: Commitment, witnesses) -> list[int]:
     and every (point, eval, witness)."""
     backend = pk.backend
     order = backend.order
-    width = (order.bit_length() + 7) // 8
+    width = backend.scalar_size
     parts = [b"share-batch", backend.g1_to_bytes(commitment.value)]
     for w in witnesses:
         parts += [(w.point % order).to_bytes(width, "big"), (w.eval % order).to_bytes(width, "big"),

@@ -57,10 +57,6 @@ class ByteWriter:
             self.f64(float(v))
         return self
 
-    def u32_vector(self, values) -> "ByteWriter":
-        """A counted list of u32s."""
-        return self.u32(len(values)).raw(struct.pack(f"<{len(values)}I", *values))
-
     def getvalue(self) -> bytes:
         return b"".join(self._parts)
 
@@ -101,10 +97,6 @@ class ByteReader:
     def f64_vector(self) -> list[float]:
         n = self.u32()
         return [self.f64() for _ in range(n)]
-
-    def u32_vector(self) -> list[int]:
-        n = self.u32()
-        return list(struct.unpack(f"<{n}I", self._take(4 * n)))
 
     def at_end(self) -> bool:
         return self._pos == len(self._data)

@@ -496,6 +496,8 @@ class PairingGroup:
     def element_size(self) -> int:
         return _G1_BYTES
 
+    scalar_size = (order.bit_length() + 7) // 8  # bytes of a scalar below the order
+
 
 class ExponentGroup:
     """Debug backend: elements are exponents mod 2^61 - 1, pairing multiplies
@@ -560,6 +562,8 @@ class ExponentGroup:
     @property
     def element_size(self) -> int:
         return 8
+
+    scalar_size = (order.bit_length() + 7) // 8
 
 
 _BACKENDS = {"pairing": PairingGroup, "exponent": ExponentGroup}

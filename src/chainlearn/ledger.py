@@ -3,10 +3,11 @@
 A block seals one training round: the summed update polynomial (blinding
 slots included), the resulting model snapshot, the contributors' (peer,
 commitment) pairs, the verifiers' sign-offs that name them (one signature
-per verifier per round, over all of its winners), and the minting
-aggregator's signatures.  Validation is fully recomputable from public
-data: hash link, committee membership via the stake-ring draws, sign-off
-majorities, the commitment-product identity
+per verifier per round, over all of its winners, written as signed), and
+the signature of the round's proposer, the one aggregator that mints.
+Validation is fully recomputable from public data: hash link, committee
+membership via the stake-ring draws, sign-off majorities, the proposer's
+signature, the commitment-product identity
 
     commit(aggregate) == product of committed updates
 
@@ -49,7 +50,6 @@ REJECTION_REASONS = frozenset(
         "contributor-on-committee",
         "missing-verifier-majority",
         "bad-verifier-signature",
-        "no-aggregator-signature",
         "bad-aggregator-signature",
         "commitment-product-mismatch",
         "model-arithmetic-mismatch",
@@ -249,19 +249,18 @@ class Block:
     model_weights: np.ndarray
     commitments: tuple  # CommitmentEntry, one per contributor
     signoffs: tuple  # SignOff, one per signing verifier, ascending verifier id
-    aggregator_sigs: tuple  # (aggregator_id, signature over content hash)
+    signature: bytes  # the round's proposer's, over the content hash
 
 
 def write_poly(w: ByteWriter, poly: QuantizedPoly, backend) -> None:
-    width = (backend.order.bit_length() + 7) // 8
     w.u32(poly.scale_bits)
     w.u32(len(poly.coeffs))
     for c in poly.coeffs:
-        w.raw(int(c).to_bytes(width, "little"))
+        w.raw(int(c).to_bytes(backend.scalar_size, "little"))
 
 
 def read_poly(r: ByteReader, backend) -> QuantizedPoly:
-    width = (backend.order.bit_length() + 7) // 8
+    width = backend.scalar_size
     scale_bits = r.u32()
     n = r.u32()
     coeffs = tuple(int.from_bytes(r.raw(width), "little") for _ in range(n))
@@ -269,19 +268,6 @@ def read_poly(r: ByteReader, backend) -> QuantizedPoly:
     if not admissible(poly, backend.order, scale_bits, n - 1):
         raise ValueError("polynomial coefficient outside the field")
     return poly
-
-
-def write_id_pairs(w: ByteWriter, pairs) -> None:
-    """A counted list of (peer id, byte string) pairs: a block's aggregator
-    signatures."""
-    w.u32(len(pairs))
-    for pid, data in pairs:
-        w.u32(pid)
-        w.bytes_lp(data)
-
-
-def read_id_pairs(r: ByteReader) -> tuple:
-    return tuple((r.u32(), r.bytes_lp()) for _ in range(r.u32()))
 
 
 def pair_records(pairs, backend) -> list[bytes]:
@@ -297,7 +283,7 @@ def record_peer(rec: bytes) -> int:
 
 def signoff_message(iteration: int, verifier: int, records) -> bytes:
     """The bytes a verifier signs: round, verifier id, and its winners' pair
-    encodings, as the block's pair table writes them."""
+    encodings; a block writes the sign-off as these bytes after the round."""
     return b"signoff" + u32(iteration) + u32(verifier) + u32(len(records)) + b"".join(records)
 
 
@@ -308,85 +294,65 @@ def sign_off(backend, keypair, iteration: int, verifier: int, winners) -> SignOf
     return SignOff(verifier, records, signatures.sign(backend, keypair, message))
 
 
-def read_indices(r: ByteReader, count: int) -> list[int]:
-    """A counted list of strictly ascending indices into a table of ``count``."""
-    indices = r.u32_vector()
-    if any(a >= b for a, b in zip(indices, indices[1:])):
-        raise ValueError("indices must strictly ascend")
-    if indices and indices[-1] >= count:
-        raise ValueError(f"index {indices[-1]} names no pair of {count}")
-    return indices
-
-
 def block_content_bytes(block: Block, backend, entry_records=None) -> bytes:
-    """Canonical serialization minus the aggregator signatures (what they
-    sign).  The pair table holds each pair the block names once, in
-    ascending byte order; the entries, then each sign-off's winners, are
-    indices into it.  ``entry_records`` holds the entries' pair encodings,
-    if the caller has them."""
+    """Canonical serialization minus the proposer's signature (what it
+    signs).  The entries are their pair encodings in ascending byte order;
+    each sign-off is what its verifier signed (id, record count, records),
+    then its signature.  ``entry_records`` holds the entries' pair
+    encodings, if the caller has them."""
     if entry_records is None:
         entry_records = pair_records(block.commitments, backend)
-    table = sorted(set(entry_records).union(*(s.winners for s in block.signoffs)))
-    index = {rec: i for i, rec in enumerate(table)}
     w = ByteWriter()
     w.raw(block.prev_hash)
     w.u32(block.iteration)
     write_poly(w, block.aggregate_poly, backend)
     w.f64_vector(block.model_weights)
-    w.u32(len(table)).raw(b"".join(table))
-    w.u32_vector(sorted(index[rec] for rec in entry_records))
+    w.u32(len(entry_records)).raw(b"".join(sorted(entry_records)))
     w.u32(len(block.signoffs))
     for s in block.signoffs:
-        w.u32(s.verifier).u32_vector([index[rec] for rec in s.winners]).bytes_lp(s.signature)
+        w.u32(s.verifier).u32(len(s.winners)).raw(b"".join(s.winners)).bytes_lp(s.signature)
     return w.getvalue()
 
 
-def sealed_bytes(content: bytes, aggregator_sigs) -> bytes:
-    """A block's canonical serialization from its content bytes."""
-    w = ByteWriter()
-    w.raw(content)
-    write_id_pairs(w, aggregator_sigs)
-    return w.getvalue()
-
-
-def block_to_bytes(block: Block, backend) -> bytes:
-    return sealed_bytes(block_content_bytes(block, backend), block.aggregator_sigs)
+def block_to_bytes(block: Block, backend, content=None) -> bytes:
+    """The content bytes, then the proposer's signature, length-prefixed.
+    ``content`` is ``block_content_bytes(block, backend)``, if the caller
+    has it."""
+    if content is None:
+        content = block_content_bytes(block, backend)
+    return content + u32(len(block.signature)) + block.signature
 
 
 def block_from_bytes(data: bytes, backend) -> Block:
-    """Decode ``block_to_bytes`` output, and only that: the pairs strictly
-    ascend, each named by an entry or a sign-off and decoded once; index
-    lists strictly ascend; verifier ids strictly ascend.  A sign-off holds
-    the table's bytes as read, which the decoders make canonical."""
+    """Decode ``block_to_bytes`` output, and only that: the entries strictly
+    ascend and are decoded; verifier ids strictly ascend.  A sign-off's
+    records are cut at pair size and kept as read: the block rule only
+    compares them with the entries' encodings."""
     r = ByteReader(data)
     prev_hash = r.raw(32)
     iteration = r.u32()
     poly = read_poly(r, backend)
     weights = np.array(r.f64_vector())
-    table, pairs = [], []
+    size = 4 + backend.element_size
+    entries, last_rec = [], b""
     for _ in range(r.u32()):
-        rec = r.raw(4 + backend.element_size)
-        if table and rec <= table[-1]:
-            raise ValueError("pairs must strictly ascend")
-        commitment = Commitment(backend.g1_from_bytes(rec[4:]))
-        pairs.append(CommitmentEntry(record_peer(rec), commitment))
-        table.append(rec)
-    contributors = read_indices(r, len(pairs))
-    entries, named = tuple(pairs[i] for i in contributors), set(contributors)
+        rec = r.raw(size)
+        if rec <= last_rec:
+            raise ValueError("entries must strictly ascend")
+        entries.append(CommitmentEntry(record_peer(rec), Commitment(backend.g1_from_bytes(rec[4:]))))
+        last_rec = rec
     signoffs, last = [], -1
     for _ in range(r.u32()):
         vid = r.u32()
         if vid <= last:
             raise ValueError(f"verifier id {vid} after {last}: ids must strictly ascend")
-        winners = read_indices(r, len(pairs))
-        signoffs.append(SignOff(vid, tuple(table[i] for i in winners), r.bytes_lp()))
-        named.update(winners)
+        records = r.raw(r.u32() * size)
+        winners = tuple(records[i : i + size] for i in range(0, len(records), size))
+        signoffs.append(SignOff(vid, winners, r.bytes_lp()))
         last = vid
-    if len(named) != len(pairs):
-        raise ValueError("a pair that no entry or sign-off names")
-    agg_sigs = read_id_pairs(r)
+    signature = r.bytes_lp()
     r.done()
-    return Block(prev_hash, iteration, poly, weights, entries, tuple(signoffs), agg_sigs)
+    return Block(prev_hash, iteration, poly, weights, tuple(entries), tuple(signoffs), signature)
 
 
 def block_content_hash(block: Block, backend) -> bytes:
@@ -417,10 +383,12 @@ class SignOffChecks(dict):
     winners are pair encodings of the backend's size in strictly ascending
     order, and its signature over them (``signoff_message``) is valid under
     the verifier's key in ``pubkeys`` (prepared, as
-    ``GenesisBlock.public_bases`` holds them).  The size check keeps the
-    signed bytes from being cut into other records, which the block's pair
-    table could not hold.  Keyed by value, so an equal copy is not checked
-    again and one that differs in any field is worked out on its own."""
+    ``GenesisBlock.public_bases`` holds them).  A block writes the records
+    back to back and reads them back at pair size, so the size check
+    refuses what has no encoding of its own: the signed bytes cut into
+    records at other boundaries.  Keyed by value, so an equal copy is not
+    checked again and one that differs in any field is worked out on its
+    own."""
 
     def __init__(self, iteration: int, pubkeys, backend):
         super().__init__()
@@ -519,15 +487,10 @@ def advance(state: TipState, block: Block) -> tuple[TipState | None, str]:
     if reason:
         return None, reason
 
-    if not block.aggregator_sigs:
-        return None, "no-aggregator-signature"
+    # only the proposer, aggregators[0], mints
     content = block_content_bytes(block, backend, entry_records)
-    content_hash = sha256(content)
-    for aid, sig in block.aggregator_sigs:
-        if aid not in aggregators:
-            return None, "bad-aggregator-signature"
-        if not signatures.verify(backend, pubkeys[aid], content_hash, sig):
-            return None, "bad-aggregator-signature"
+    if not signatures.verify(backend, pubkeys[aggregators[0]], sha256(content), block.signature):
+        return None, "bad-aggregator-signature"
 
     combined = combine(backend, [e.commitment for e in block.commitments])
     if commit(genesis.commit_pk, block.aggregate_poly).value != combined.value:
@@ -539,8 +502,7 @@ def advance(state: TipState, block: Block) -> tuple[TipState | None, str]:
 
     rewarded = [*peers, *verifiers, *aggregators]
     stake = update_stake(state.stake, rewarded, cfg.stake_reward)
-    # block_hash(block), from the content bytes already built
-    tip_hash = sha256(sealed_bytes(content, block.aggregator_sigs))
+    tip_hash = sha256(block_to_bytes(block, backend, content))
     return TipState(genesis, tip_hash, block.iteration, block.model_weights, stake), ""
 
 
@@ -609,7 +571,7 @@ class Ledger:
 
 # --- chain persistence -------------------------------------------------------
 
-CHAIN_MAGIC = b"CLCHAIN4"
+CHAIN_MAGIC = b"CLCHAIN5"
 
 
 def save_chain(path, ledger: Ledger) -> None:

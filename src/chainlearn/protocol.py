@@ -148,7 +148,7 @@ class AggShareMsg:
         for c in contributors:
             w.u32(c)
         w.u32(len(self.shares))
-        width = (backend.order.bit_length() + 7) // 8
+        width = backend.scalar_size
         for s in self.shares:
             w.raw(s.point.to_bytes(width, "little"))
             w.raw(s.eval.to_bytes(width, "little"))
@@ -594,11 +594,10 @@ class PeerNode:
             model_weights=weights,
             commitments=entries,
             signoffs=rs.signoffs,
-            aggregator_sigs=(),
+            signature=b"",
         )
         content = block_content_hash(block, backend)
-        sig = signatures.sign(backend, self.secrets.keypair, content)
-        block = replace(block, aggregator_sigs=((self.id, sig),))
+        block = replace(block, signature=signatures.sign(backend, self.secrets.keypair, content))
         return [(BROADCAST, BlockMsg(self.id, block), None)]
 
     # -- block arrival ------------------------------------------------------------------

@@ -36,10 +36,6 @@ def _challenge(backend, R, public, message: bytes) -> int:
     return int.from_bytes(h, "big") % backend.order
 
 
-def _width(backend) -> int:
-    return (backend.order.bit_length() + 7) // 8
-
-
 def sign(backend, keypair: KeyPair, message: bytes) -> bytes:
     k = int.from_bytes(
         sha256(b"nonce" + keypair.secret.to_bytes(64, "big") + message), "big"
@@ -48,14 +44,14 @@ def sign(backend, keypair: KeyPair, message: bytes) -> bytes:
     R = backend.fixed_msm([backend.g1_base], [k])
     c = _challenge(backend, R, keypair.public, message)
     s = (k + c * keypair.secret) % backend.order
-    width = _width(backend)
+    width = backend.scalar_size
     return c.to_bytes(width, "big") + s.to_bytes(width, "big")
 
 
 def verify(backend, public, message: bytes, signature: bytes) -> bool:
     """True iff ``signature`` is the signature of ``message`` under the key
     that ``public`` holds as ``backend.prepare_base`` prepared it."""
-    width = _width(backend)
+    width = backend.scalar_size
     if len(signature) != 2 * width:
         return False
     c = int.from_bytes(signature[:width], "big")

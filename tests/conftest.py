@@ -99,7 +99,7 @@ def honest_block(genesis, secrets, ledger, seed=0, contributor_count=4):
         model_weights=prev_weights + decode(aggregate),
         commitments=tuple(entries),
         signoffs=signoffs,
-        aggregator_sigs=(),
+        signature=b"",
     )
     return resign_as_proposer(block, genesis, secrets, ledger)
 
@@ -127,6 +127,5 @@ def resign_as_proposer(block, genesis, secrets, ledger):
     _, aggregators = round_committees(
         genesis, build_ring(ledger.stake), block.prev_hash, block.iteration
     )
-    proposer = aggregators[0]
-    sig = sign(backend, secrets[proposer].keypair, block_content_hash(block, backend))
-    return dataclasses.replace(block, aggregator_sigs=((proposer, sig),))
+    sig = sign(backend, secrets[aggregators[0]].keypair, block_content_hash(block, backend))
+    return dataclasses.replace(block, signature=sig)

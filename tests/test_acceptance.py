@@ -16,6 +16,8 @@ import pytest
 from scipy import stats
 
 from chainlearn.attacks import (
+    COLLUSION_PEERS,
+    COLLUSION_VERIFIERS,
     AdversaryConfig,
     STRATEGY_LABEL_FLIP,
     collusion_violation_probability,
@@ -280,18 +282,15 @@ def test_criterion_5_noise_krum_interaction():
 # --- criterion 6: collusion Monte Carlo ------------------------------------------
 
 
-def exact_collusion_probability(
-    stake_fraction_malicious: float, num_noisers: int, num_peers: int = 100, num_verifiers: int = 3
-) -> float:
+def exact_collusion_probability(stake_fraction_malicious: float, num_noisers: int) -> float:
     """Exact per-draw violation probability under the attack model of
     ``collusion_violation_probability``: round(fraction * N) colluders at
     uniform stake, the victim's noisers drawn without replacement from the
     other N - 1 peers and the verifiers from all N."""
-    m = round(stake_fraction_malicious * num_peers)
-    all_noisers_collude = math.comb(m, num_noisers) / math.comb(num_peers - 1, num_noisers)
-    no_verifier_colludes = math.comb(num_peers - m, num_verifiers) / math.comb(
-        num_peers, num_verifiers
-    )
+    n, v = COLLUSION_PEERS, COLLUSION_VERIFIERS
+    m = round(stake_fraction_malicious * n)
+    all_noisers_collude = math.comb(m, num_noisers) / math.comb(n - 1, num_noisers)
+    no_verifier_colludes = math.comb(n - m, v) / math.comb(n, v)
     return all_noisers_collude * (1 - no_verifier_colludes)
 
 
@@ -312,9 +311,8 @@ def test_criterion_6_collusion_monte_carlo():
     grid = {}
     for noisers in (3, 5, 10):
         for frac in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5):
-            grid[(noisers, frac)] = collusion_violation_probability(
-                frac, noisers, trials, COLLUSION_SEED, return_count=True
-            )
+            p = collusion_violation_probability(frac, noisers, trials, COLLUSION_SEED)
+            grid[(noisers, frac)] = round(p * trials)
     count_3_10 = grid[(3, 0.1)]
     count_10_50 = grid[(10, 0.5)]
     count_3_30 = grid[(3, 0.3)]

@@ -144,19 +144,17 @@ def test_genesis_with_a_key_not_starting_at_g1_is_refused(tiny_net):
 @pytest.mark.parametrize(
     "change, message",
     [
-        ("swap-two-pairs", "pairs must strictly ascend"),
-        ("unnamed-pair", "no entry or sign-off names"),
-        ("repeat-an-entry", "indices must strictly ascend"),
+        ("swap-two-entries", "entries must strictly ascend"),
+        ("repeat-an-entry", "entries must strictly ascend"),
         ("verifiers-descending", "ids must strictly ascend"),
         ("repeat-a-verifier", "ids must strictly ascend"),
-        ("index-past-the-table", "names no pair"),
+        ("records-past-the-end", "truncated"),
     ],
 )
 def test_non_canonical_block_is_refused(tiny_net, change, message):
-    """The pair table holds each pair once, in ascending (peer, commitment)
-    order, and each pair is an entry or a sign-off's winner; entry and
-    winner indices ascend and stay inside the table; sign-offs ascend by
-    verifier id.  Anything else has a second encoding, or none."""
+    """The entries are their pair encodings, each once, in ascending byte
+    order; sign-offs ascend by verifier id; a sign-off's record count covers
+    records that are there.  Anything else has a second encoding, or none."""
     genesis, secrets = tiny_net
     block = honest_block(genesis, secrets, Ledger(genesis))
     signoffs = block.signoffs
@@ -167,19 +165,15 @@ def test_non_canonical_block_is_refused(tiny_net, change, message):
     elif change == "repeat-a-verifier":
         block = dataclasses.replace(block, signoffs=signoffs[:1] + signoffs)
     data = block_to_bytes(block, BACKEND)
-    # every verifier names all n entries, so the table is the n entries, then
-    # the entry indices, then the sign-off count and the first sign-off
+    # the n entries, then the sign-off count, then the first sign-off's
+    # verifier id and record count
     n, record = len(block.commitments), 4 + BACKEND.element_size
-    table = data.index(min(pair_records(block.commitments, BACKEND)))
-    end = table + n * record
-    if change == "swap-two-pairs":
-        first, second = data[table : table + record], data[table + record : table + 2 * record]
-        data = data[:table] + second + first + data[table + 2 * record :]
-    elif change == "unnamed-pair":
-        extra = b"\xff" * 4 + data[table + 4 : table + record]  # after every other pair
-        data = data[: table - 4] + u32(n + 1) + data[table:end] + extra + data[end:]
-    elif change == "index-past-the-table":
-        last_winner = end + 4 + 4 * n + 4 + 8 + 4 * (n - 1)
-        data = data[:last_winner] + u32(n) + data[last_winner + 4 :]
+    first = data.index(min(pair_records(block.commitments, BACKEND)))
+    if change == "swap-two-entries":
+        one, two = data[first : first + record], data[first + record : first + 2 * record]
+        data = data[:first] + two + one + data[first + 2 * record :]
+    elif change == "records-past-the-end":
+        count = first + n * record + 8
+        data = data[:count] + u32(len(data)) + data[count + 4 :]
     with pytest.raises(ValueError, match=message):
         block_from_bytes(data, BACKEND)

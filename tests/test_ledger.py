@@ -20,6 +20,7 @@ from chainlearn.ledger import (
     ProtocolConfig,
     REJECTION_REASONS,
     SignOff,
+    block_content_hash,
     block_from_bytes,
     block_hash,
     block_to_bytes,
@@ -30,7 +31,7 @@ from chainlearn.ledger import (
     sign_off,
     signoff_message,
 )
-from chainlearn.encoding import sha256
+from chainlearn.encoding import sha256, u32
 from chainlearn.noise import NoiseTable
 from chainlearn.quantize import QuantizedPoly, decode
 from chainlearn.signatures import sign
@@ -295,6 +296,28 @@ def test_signoff_block_rule_property(backend_name, data):
         assert ledger.validate_block(again)[0].tip_hash == state.tip_hash
 
 
+def test_signoff_naming_an_undecodable_record_gets_one_verdict():
+    """A verifier may sign a record of pair size whose commitment bytes are no
+    group element (here above the exponent group's order).  The block rule
+    only compares records with the entries' encodings, and the decoder keeps
+    a sign-off's records as read, so the block gets the same verdict from
+    memory and from its bytes: accepted, with the same tip."""
+    genesis, secrets, block, *_ = signoff_round("exponent")
+    backend = genesis.commit_pk.backend
+    first = block.signoffs[0]
+    records = tuple(sorted((*first.winners, u32(99) + b"\xff" * 8)))
+    message = signoff_message(1, first.verifier, records)
+    padded = SignOff(first.verifier, records, sign(backend, secrets[first.verifier].keypair, message))
+    ledger = Ledger(genesis)
+    candidate = dataclasses.replace(block, signoffs=(padded, *block.signoffs[1:]))
+    candidate = resign_as_proposer(candidate, genesis, secrets, ledger)
+    state, reason = ledger.validate_block(candidate)
+    assert reason == ""
+    again = block_from_bytes(block_to_bytes(candidate, backend), backend)
+    assert again.signoffs == candidate.signoffs
+    assert ledger.validate_block(again)[0].tip_hash == state.tip_hash == block_hash(candidate, backend)
+
+
 def test_duplicate_contributor_rejected(tiny_net):
     ledger, genesis, secrets = fresh_ledger(tiny_net)
     block = honest_block(genesis, secrets, ledger)
@@ -313,20 +336,20 @@ def test_bad_prev_hash_rejected(tiny_net):
 
 
 def test_aggregator_signature_checked(tiny_net):
+    """Only the round's proposer, ``aggregators[0]``, mints: a valid signature
+    by a peer off the committee, or by another aggregator of the round, is
+    refused, and so is no signature."""
     ledger, genesis, secrets = fresh_ledger(tiny_net)
     block = honest_block(genesis, secrets, ledger)
-    # signature from a non-committee peer
-    from chainlearn.ledger import block_content_hash
-
     _, aggregators = round_committees(genesis, build_ring(ledger.stake), block.prev_hash, 1)
     outsider = next(p for p in sorted(genesis.peer_pubkeys) if p not in aggregators)
-    sig = sign(BACKEND, secrets[outsider].keypair, block_content_hash(block, BACKEND))
-    tampered = dataclasses.replace(block, aggregator_sigs=((outsider, sig),))
-    ok, reason = ledger.validate_block(tampered)
-    assert not ok and reason == "bad-aggregator-signature"
-    tampered = dataclasses.replace(block, aggregator_sigs=())
-    ok, reason = ledger.validate_block(tampered)
-    assert not ok and reason == "no-aggregator-signature"
+    content = block_content_hash(block, BACKEND)
+    for signer in (outsider, *aggregators[1:]):
+        tampered = dataclasses.replace(block, signature=sign(BACKEND, secrets[signer].keypair, content))
+        assert ledger.validate_block(tampered) == (None, "bad-aggregator-signature")
+    tampered = dataclasses.replace(block, signature=b"")
+    assert ledger.validate_block(tampered) == (None, "bad-aggregator-signature")
+    assert ledger.validate_block(block)[0] is not None
 
 
 def test_rescaled_aggregate_rejected(tiny_net):
@@ -504,7 +527,7 @@ def test_chain_file_roundtrip_and_tamper(tiny_net, tmp_path):
     bad_path.write_bytes(bytes(data[:-5]))  # cut inside the last record
     with pytest.raises(ValueError, match="tampered.bin: block 1: truncated"):
         load_chain(bad_path, BACKEND)
-    for magic in (b"CLCHAIN1", b"CLCHAIN2", b"CLCHAIN3"):  # the previous chain formats
+    for magic in (b"CLCHAIN1", b"CLCHAIN2", b"CLCHAIN3", b"CLCHAIN4"):  # the previous chain formats
         bad_path.write_bytes(magic + bytes(data[8:]))
         with pytest.raises(ValueError, match="bad magic"):
             load_chain(bad_path, BACKEND)

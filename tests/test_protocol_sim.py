@@ -39,8 +39,8 @@ from conftest import tiny_config
 
 # Tip hashes of two fixed runs. Any arithmetic rewrite that changes chain
 # bytes fails here, on both group backends.
-EXPONENT_TIP = "6a82cb82e797b65b907dd0aa44cf60bb80c934441cb124b004f81c5f17715aeb"
-PAIRING_TIP = "39e7a3274431cbf58284efe197937bb41047be7eb07b594ade39d4e74f4e1f4c"
+EXPONENT_TIP = "42175da53bb99dc73409507a997a3a89af96a24ca594bdd0bf696ea81f332b0f"
+PAIRING_TIP = "7440cad77a721400cb4efd76bf74665093edb0942cbf82876c77fb1712f1c4e3"
 # sha256 of the round-1 signed payloads of make_sim(), one message per sender
 # concatenated in sender order. These signatures never enter a block, so the
 # tip hashes above do not cover their encoding. The aggregate-share payload
@@ -566,11 +566,11 @@ def test_dealer_sending_another_aggregators_points_is_left_out(monkeypatch):
     mixes point sets; it appears in no block and every round seals."""
     sim = make_sim()
     deal_shares = protocol.deal_shares
-    dealt = []
+    dealt = []  # the entries of the first peer that deals, one per deal
 
     def rotated_deal(update_q, pk, aggregators, entry, signoffs):
         bundles = deal_shares(update_q, pk, aggregators, entry, signoffs)
-        if entry.peer != 0:
+        if dealt and entry.peer != dealt[0].peer:
             return bundles
         dealt.append(entry)
         order = list(bundles)
@@ -581,7 +581,7 @@ def test_dealer_sending_another_aggregators_points_is_left_out(monkeypatch):
     assert dealt
     blocks = result.final_ledger.blocks
     assert [b.iteration for b in blocks] == [1, 2, 3, 4, 5]
-    assert all(entry.peer != 0 for block in blocks for entry in block.commitments)
+    assert all(entry.peer != dealt[0].peer for block in blocks for entry in block.commitments)
 
 
 @pytest.mark.parametrize("contributors", ["empty", "repeated"])
@@ -638,7 +638,7 @@ def test_block_every_replica_refuses_is_not_recorded(monkeypatch):
             block = dataclasses.replace(msg.block, model_weights=msg.block.model_weights + 1.0)
             content = block_content_hash(block, peer.backend)
             sig = sign(peer.backend, peer.secrets.keypair, content)
-            block = dataclasses.replace(block, aggregator_sigs=((peer.id, sig),))
+            block = dataclasses.replace(block, signature=sig)
             out.append((dest, dataclasses.replace(msg, block=block), extra))
         return out
 

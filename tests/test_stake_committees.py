@@ -28,8 +28,7 @@ def _halves(sig: bytes) -> tuple:
 
 
 def _signature(backend, c: int, s: int) -> bytes:
-    width = (backend.order.bit_length() + 7) // 8
-    return c.to_bytes(width, "big") + s.to_bytes(width, "big")
+    return c.to_bytes(backend.scalar_size, "big") + s.to_bytes(backend.scalar_size, "big")
 
 
 @pytest.mark.parametrize("name", ["exponent", "pairing"])

@@ -135,7 +135,7 @@ def test_accept_bundle_majority_and_shares(monkeypatch):
     # same signature, other winners: worked out on its own, and the original stands
     assert not checks[unsorted] and checks[signoffs[0]]
     # the signed bytes cut into records at other boundaries: the same message,
-    # but records the block's pair table cannot hold
+    # but records a block, which reads them back at pair size, cannot hold
     recut = dataclasses.replace(signoffs[0], winners=resplit(signoffs[0].winners))
     assert recut.winners is not None and b"".join(recut.winners) == b"".join(signoffs[0].winners)
     assert not accepts(with_sigs((recut,) + signoffs[1:]))
