@@ -61,6 +61,6 @@ for i, (q, cq) in enumerate(zip(updates, commitments)):
         per_agg[agg].append(bundle)
 shares = [s for agg in (0, 1) for s in sum_shares(per_agg[agg], backend)]
 combined = combine(backend, commitments)
-recovered = recover_aggregate(shares, pk, combined, scale_bits=20)
+recovered = recover_aggregate(shares, pk, combined)
 print("recovered aggregate matches the direct sum:",
       np.allclose(decode(recovered), sum(decode(q) for q in updates)))

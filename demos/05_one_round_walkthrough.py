@@ -12,7 +12,7 @@ from chainlearn.simnet import Simulation
 
 config = ProtocolConfig(
     backend_name="exponent", model_family="logreg", n_features=3, n_classes=2,
-    total_iterations=4, scale_bits=20, epsilon=2.0, delta=1e-5,
+    total_iterations=4, epsilon=2.0, delta=1e-5,
     num_noisers=2, num_verifiers=3, num_aggregators=3,
     collect_fraction=0.7, stake_reward=5,
     train=TrainConfig(eta0=0.01, eta_decay=0.05, weight_decay=1e-4, batch_size=32),

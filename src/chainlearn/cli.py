@@ -3,7 +3,6 @@
 Subcommands:
   run             execute a named experiment from a JSON config
   verify-chain    revalidate a persisted chain file block by block
-  krum-bench      cross-check the update filter against brute force and time it
 """
 
 from __future__ import annotations
@@ -14,8 +13,6 @@ import json
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 
 def main(argv=None) -> int:
@@ -37,11 +34,6 @@ def main(argv=None) -> int:
     p_verify.add_argument("--backend", default="exponent", choices=["exponent", "pairing"])
     p_verify.add_argument("--dump", action="store_true", help="print one line per block")
     p_verify.set_defaults(handler=_cmd_verify_chain)
-
-    p_bench = sub.add_parser("krum-bench", help="filter oracle check and timing")
-    p_bench.add_argument("--cases", type=int, default=1000)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.set_defaults(handler=_cmd_krum_bench)
 
     args = parser.parse_args(argv)
     try:
@@ -85,49 +77,6 @@ def _cmd_verify_chain(args) -> int:
         f"{ledger.tip_iteration()}, tip {ledger.tip_hash().hex()[:16]}"
     )
     return 0
-
-
-def _cmd_krum_bench(args) -> int:
-    import random
-
-    from .krum import KrumConfig, krum_scores, max_tolerable_f, multi_krum_select
-
-    rng = random.Random(args.seed)
-    mismatches = 0
-    for _ in range(args.cases):
-        R = rng.randint(4, 8)
-        f = rng.randint(0, max_tolerable_f(R))
-        X = [[rng.uniform(-5, 5) for _ in range(rng.randint(1, 4))] for _ in range(R)]
-        dim = min(len(row) for row in X)
-        X = np.array([row[:dim] for row in X])
-        cfg = KrumConfig(R, f)
-        got = multi_krum_select(X, cfg)
-        want = _brute_force(X.tolist(), R, f)
-        if got != want:
-            mismatches += 1
-    print(f"oracle agreement: {args.cases - mismatches}/{args.cases}")
-
-    big = np.random.default_rng(args.seed).normal(size=(70, 100))
-    cfg = KrumConfig(70, max_tolerable_f(70))
-    started = time.time()
-    for _ in range(20):
-        krum_scores(big, cfg)
-    per_call = (time.time() - started) / 20
-    print(f"scoring 70x100 floats: {per_call * 1e3:.2f} ms per call")
-    return 0 if mismatches == 0 else 1
-
-
-def _brute_force(updates, R, f):
-    scores = []
-    for i in range(R):
-        dists = sorted(
-            sum((a - b) ** 2 for a, b in zip(updates[i], updates[j]))
-            for j in range(R)
-            if j != i
-        )
-        scores.append(sum(dists[: R - f - 2]))
-    order = sorted(range(R), key=lambda i: (scores[i], i))
-    return sorted(order[: R - f])
 
 
 if __name__ == "__main__":

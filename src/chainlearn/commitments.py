@@ -54,6 +54,17 @@ class Witness:
     point: int
     eval: int
 
+    def to_bytes(self, backend) -> bytes:
+        """Point and evaluation reduced mod the order, each little-endian at
+        the order's byte width, then the quotient commitment: defined for
+        any integer fields, so bytes from another peer cannot make it raise."""
+        order, width = backend.order, backend.scalar_size
+        return (
+            (self.point % order).to_bytes(width, "little")
+            + (self.eval % order).to_bytes(width, "little")
+            + backend.g1_to_bytes(self.value)
+        )
+
 
 class CommitPK:
     """Public commitment key: the powers alpha^j * g1.
@@ -148,21 +159,17 @@ def create_witness(pk: CommitPK, poly: QuantizedPoly, z: int) -> Witness:
         raise ValueError("evaluation point 0 is reserved")
     p = pk.backend.order
     quotient, remainder = polynomials.quotient_at(list(poly.coeffs), z, p)
-    q_poly = QuantizedPoly(tuple(quotient) + (0,), poly.scale_bits, p)
+    q_poly = QuantizedPoly(tuple(quotient) + (0,), p)
     return Witness(commit(pk, q_poly).value, z, remainder)
 
 
 def batch_weights(pk: CommitPK, commitment: Commitment, witnesses) -> list[int]:
     """The 128-bit weights rho_i of a batched share check, one per witness:
     consecutive 16-byte blocks of one SHAKE-256 output over the commitment
-    and every (point, eval, witness)."""
+    and every witness's encoding."""
     backend = pk.backend
-    order = backend.order
-    width = backend.scalar_size
     parts = [b"share-batch", backend.g1_to_bytes(commitment.value)]
-    for w in witnesses:
-        parts += [(w.point % order).to_bytes(width, "big"), (w.eval % order).to_bytes(width, "big"),
-                  backend.g1_to_bytes(w.value)]
+    parts += [w.to_bytes(backend) for w in witnesses]
     stream = hashlib.shake_256(b"".join(parts)).digest(16 * len(witnesses))
     return [int.from_bytes(stream[i : i + 16], "big") for i in range(0, len(stream), 16)]
 

@@ -47,7 +47,6 @@ class ExperimentSpec:
     initial_stake: int = 10
     stake_reward: int = 5
     model_family: str = "logreg"
-    scale_bits: int = 20
     backend: str = "exponent"
     seed: int = 0
     churn_per_minute: float = 0.0
@@ -82,7 +81,6 @@ class ExperimentSpec:
             n_features=self.dataset.features,
             n_classes=self.dataset.classes,
             total_iterations=self.total_iterations,
-            scale_bits=self.scale_bits,
             epsilon=self.privacy_budget_epsilon,
             delta=self.delta,
             num_noisers=self.number_of_noisers,

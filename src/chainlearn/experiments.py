@@ -423,30 +423,45 @@ def _collusion_grid(spec: ExperimentSpec, out_dir) -> dict:
     return {"grid": rows}
 
 
-# experiment name -> runner(spec, out_dir) returning its summary fields
+# experiment name -> (runner(spec, out_dir) returning its summary fields,
+# the ``spec.sweep`` keys it reads)
 EXPERIMENTS = {
-    "baseline": _baseline,
-    "poisoning-comparison": _poisoning_comparison,
-    "sample-fraction-sweep": functools.partial(
-        _sweep, "collect_fraction", "collect_fraction", [0.5, 0.7, 0.9],
-        lambda v, seed: f"fraction_{int(v * 100)}_seed{seed}.csv",
+    "baseline": (_baseline, ()),
+    "poisoning-comparison": (_poisoning_comparison, ()),
+    "sample-fraction-sweep": (
+        functools.partial(
+            _sweep, "collect_fraction", "collect_fraction", [0.5, 0.7, 0.9],
+            lambda v, seed: f"fraction_{int(v * 100)}_seed{seed}.csv",
+        ),
+        ("collect_fraction", "seeds"),
     ),
-    "epsilon-sweep": functools.partial(
-        _sweep, "epsilon", "privacy_budget_epsilon", [0.5, 1.0, 2.0],
-        lambda v, seed: f"epsilon_{v}_seed{seed}.csv",
+    "epsilon-sweep": (
+        functools.partial(
+            _sweep, "epsilon", "privacy_budget_epsilon", [0.5, 1.0, 2.0],
+            lambda v, seed: f"epsilon_{v}_seed{seed}.csv",
+        ),
+        ("epsilon", "seeds"),
     ),
-    "churn": _churn,
-    "inversion": _inversion,
-    "collusion-grid": _collusion_grid,
+    "churn": (_churn, ()),
+    "inversion": (_inversion, ()),
+    "collusion-grid": (_collusion_grid, ("noisers", "stake_fractions", "trials")),
 }
 
 
 def run_named_experiment(spec: ExperimentSpec, out_dir) -> dict:
     """Run the experiment named by spec.name; writes CSVs (plus chain/PGM
-    artifacts) and metadata.json into out_dir and returns a summary dict."""
-    runner = EXPERIMENTS.get(spec.name)
-    if runner is None:
+    artifacts) and metadata.json into out_dir and returns a summary dict.
+    A sweep key the experiment does not read is refused before out_dir is
+    made."""
+    if spec.name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {spec.name!r}")
+    runner, sweep_keys = EXPERIMENTS[spec.name]
+    unread = sorted(set(spec.sweep) - set(sweep_keys))
+    if unread:
+        raise ValueError(
+            f"experiment {spec.name!r} does not read sweep key {unread[0]!r}; "
+            f"it reads {list(sweep_keys)}"
+        )
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {"experiment": spec.name, **runner(spec, out_dir)}
     write_metadata(out_dir, spec, {"summary": summary})

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, is_dataclass
 from functools import cached_property
-from typing import get_type_hints
+from typing import ClassVar, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .committees import ROLE_AGGREGATE, ROLE_VERIFY, committee_seed, draw_commit
 from .encoding import ByteReader, ByteWriter, sha256, u32
 from .models import ModelParams
 from .noise import NoiseTable
-from .quantize import QuantizedPoly, admissible, decode
+from .quantize import SCALE_BITS, QuantizedPoly, admissible, decode
 from .sgd import TrainConfig
 from .stake import StakeRing, build_ring, update_stake
 
@@ -67,7 +67,8 @@ class ProtocolConfig:
     n_features: int
     n_classes: int
     total_iterations: int
-    scale_bits: int
+    # not a knob: the chain format records quantize's constant scale here
+    FIXED_POINT_BITS: ClassVar[int] = SCALE_BITS
     epsilon: float
     delta: float
     num_noisers: int
@@ -96,25 +97,36 @@ _FIELD_CODECS = {
 }
 
 
+def _codec(kind):
+    """The (write, read) pair of a field type; a ``ClassVar`` encodes as its type."""
+    return _FIELD_CODECS[get_args(kind)[0] if get_origin(kind) is ClassVar else kind]
+
+
 def _write_fields(w: ByteWriter, obj) -> ByteWriter:
     """Every field of the dataclass ``obj`` in declaration order: a ``str`` as
     length-prefixed UTF-8, an ``int`` as u32, a ``float`` as f64, and a
-    nested dataclass inline by the same rule."""
+    nested dataclass inline by the same rule.  A ``ClassVar`` is written as
+    its value, a constant the format records."""
     for name, kind in get_type_hints(type(obj)).items():
         value = getattr(obj, name)
         if is_dataclass(kind):
             _write_fields(w, value)
         else:
-            _FIELD_CODECS[kind][0](w, value)
+            _codec(kind)[0](w, value)
     return w
 
 
 def _read_fields(r: ByteReader, cls):
-    """The ``cls`` instance that ``_write_fields`` wrote."""
-    return cls(*(
-        _read_fields(r, kind) if is_dataclass(kind) else _FIELD_CODECS[kind][1](r)
-        for kind in get_type_hints(cls).values()
-    ))
+    """The ``cls`` instance that ``_write_fields`` wrote; a ``ClassVar`` slot
+    must hold the class's value."""
+    values = []
+    for name, kind in get_type_hints(cls).items():
+        value = _read_fields(r, kind) if is_dataclass(kind) else _codec(kind)[1](r)
+        if get_origin(kind) is not ClassVar:
+            values.append(value)
+        elif value != getattr(cls, name):
+            raise ValueError(f"{name} is {value}, not {getattr(cls, name)}")
+    return cls(*values)
 
 
 class PublicBases(dict):
@@ -217,9 +229,8 @@ class GenesisBlock:
         return PublicBases(self.commit_pk.backend, self.peer_pubkeys)
 
     def admits(self, poly: QuantizedPoly) -> bool:
-        """``quantize.admissible`` in this network's field and scale, at model size."""
-        order, cfg = self.commit_pk.backend.order, self.config
-        return admissible(poly, order, cfg.scale_bits, len(self.initial_model))
+        """``quantize.admissible`` in this network's field, at model size."""
+        return admissible(poly, self.commit_pk.backend.order, len(self.initial_model))
 
 
 @dataclass(frozen=True)
@@ -253,21 +264,24 @@ class Block:
 
 
 def write_poly(w: ByteWriter, poly: QuantizedPoly, backend) -> None:
-    w.u32(poly.scale_bits)
+    """The fixed-point scale (u32, always ``SCALE_BITS``), the coefficient
+    count, then each coefficient little-endian at the order's byte width."""
+    w.u32(SCALE_BITS)
     w.u32(len(poly.coeffs))
     for c in poly.coeffs:
         w.raw(int(c).to_bytes(backend.scalar_size, "little"))
 
 
 def read_poly(r: ByteReader, backend) -> QuantizedPoly:
-    width = backend.scalar_size
-    scale_bits = r.u32()
-    n = r.u32()
-    coeffs = tuple(int.from_bytes(r.raw(width), "little") for _ in range(n))
-    poly = QuantizedPoly(coeffs, scale_bits, backend.order)
-    if not admissible(poly, backend.order, scale_bits, n - 1):
+    """Decode ``write_poly`` output, and only that: the scale is
+    ``SCALE_BITS`` and every coefficient lies below the order."""
+    width, order = backend.scalar_size, backend.order
+    if r.u32() != SCALE_BITS:
+        raise ValueError(f"polynomial at a scale other than 2^{SCALE_BITS}")
+    coeffs = tuple(int.from_bytes(r.raw(width), "little") for _ in range(r.u32()))
+    if any(c >= order for c in coeffs):
         raise ValueError("polynomial coefficient outside the field")
-    return poly
+    return QuantizedPoly(coeffs, order)
 
 
 def pair_records(pairs, backend) -> list[bytes]:

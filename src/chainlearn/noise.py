@@ -1,11 +1,12 @@
 """Pre-committed differentially private noise and update masking.
 
 Every peer's noise vector for every iteration is derived deterministically
-from a per-peer seed, quantized, and committed into an N-by-T table at
-genesis.  At run time the same derivation reproduces the committed vector
-bit-exactly, so a verifier can check a masked update against genesis
-commitments without ever seeing the bare update: the mask's commitment must
-equal the product of the update commitment and the table entries.
+from a per-peer seed, quantized at the one fixed-point scale
+``quantize.SCALE_BITS``, and committed into an N-by-T table at genesis.  At
+run time the same derivation reproduces the committed vector bit-exactly, so
+a verifier can check a masked update against genesis commitments without
+ever seeing the bare update: the mask's commitment must equal the product of
+the update commitment and the table entries.
 
 Per iteration the noise is a batch-averaged Gaussian: sigma scales the
 per-example draw, and the same learning-rate schedule used for updates
@@ -22,7 +23,7 @@ import numpy as np
 from .commitments import Commitment, CommitPK, commit
 from .encoding import sha256, u64
 from .groups import get_backend
-from .quantize import DEFAULT_SCALE_BITS, QuantizedPoly, encode, sum_polys
+from .quantize import QuantizedPoly, encode, sum_polys
 
 
 def gaussian_sigma(epsilon: float, delta: float) -> float:
@@ -69,7 +70,6 @@ def generate_noise(
     peer_seed: bytes,
     iteration: int,
     modulus: int,
-    scale_bits: int = DEFAULT_SCALE_BITS,
     zero: bool = False,
 ) -> NoiseVector:
     """Deterministic noise for (peer_seed, iteration).
@@ -88,7 +88,7 @@ def generate_noise(
         draws = rng.normal(0.0, sigma, size=(batch_size, dim))
         zeta = draws.sum(axis=0) * (eta_t / batch_size)
         blinding = int.from_bytes(rng.bytes(40), "little") % modulus
-    quantized = encode(zeta, blinding, modulus, scale_bits)
+    quantized = encode(zeta, blinding, modulus)
     return NoiseVector(zeta, quantized)
 
 
@@ -108,7 +108,6 @@ def peer_noise(config, dim: int, secrets, iteration: int) -> NoiseVector:
         secrets.noise_seed,
         iteration,
         get_backend(config.backend_name).order,
-        config.scale_bits,
         zero=secrets.zero_noise,
     )
 

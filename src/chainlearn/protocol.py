@@ -28,7 +28,6 @@ message sequence, which the simulator makes reproducible.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -45,6 +44,7 @@ from .ledger import (
     SignOff,
     SignOffChecks,
     block_content_hash,
+    endorsement_rejection,
     pair_records,
     sign_off,
     write_poly,
@@ -148,11 +148,8 @@ class AggShareMsg:
         for c in contributors:
             w.u32(c)
         w.u32(len(self.shares))
-        width = backend.scalar_size
         for s in self.shares:
-            w.raw(s.point.to_bytes(width, "little"))
-            w.raw(s.eval.to_bytes(width, "little"))
-            w.raw(backend.g1_to_bytes(s.value))
+            w.raw(s.to_bytes(backend))
         return b"aggshare" + w.getvalue()
 
 
@@ -323,9 +320,7 @@ class PeerNode:
             self.audit.append(f"r{t}: local update failed: {exc}")
             return []
         blinding = int.from_bytes(sha256(b"blind" + self.secrets.noise_seed + u64(t)), "big")
-        self.round.update_q = encode(
-            delta, blinding % self.backend.order, self.backend.order, cfg.scale_bits
-        )
+        self.round.update_q = encode(delta, blinding % self.backend.order, self.backend.order)
         self.round.commitment = commit(self.genesis.commit_pk, self.round.update_q)
         try:
             self.round.noiser_vrf = draw_noisers(
@@ -509,9 +504,10 @@ class PeerNode:
             max(offered[vid].values(), key=lambda s: len(pairs.intersection(s.winners)))
             for vid in sorted(offered)
         )
-        named = Counter(rec for s in rs.signoffs for rec in s.winners)
-        majority = len(rs.verifiers) // 2
-        eligible = [pid for pid, rec in held.items() if named[rec] > majority]
+        eligible = [
+            pid for pid, rec in held.items()
+            if not endorsement_rejection([rec], rs.signoffs, rs.verifiers, rs.signoff_checks)
+        ]
         if not eligible:
             self.audit.append(f"r{rs.iteration}: no accepted bundles, voiding round")
             return []
@@ -580,7 +576,7 @@ class PeerNode:
         combined = combine(backend, [e.commitment for e in entries])
         all_shares = [s for shares in rs.agg_shares.values() for s in shares]
         try:
-            aggregate = recover_aggregate(all_shares, pk, combined, self.config.scale_bits)
+            aggregate = recover_aggregate(all_shares, pk, combined)
         except ShareRecoveryError as exc:
             self.audit.append(f"r{rs.iteration}: recovery failed, aborting round: {exc}")
             return []

@@ -3,9 +3,11 @@
 A length-d real vector becomes a (d+1)-coefficient polynomial over the
 backend's scalar field: coefficient 0 is a blinding slot (a fresh uniform
 field element per vector) and coefficient j in 1..d holds
-round(v_j * 2^scale_bits) as a centered residue mod p.  Addition of encoded
+round(v_j * 2^SCALE_BITS) as a centered residue mod p.  Addition of encoded
 vectors is exact coefficient-wise field addition, so commitments, masking and
-share sums all agree with real-vector sums on the quantization grid.
+share sums all agree with real-vector sums on the quantization grid.  The
+scale is one constant of the program, so a polynomial is just its
+coefficients and its field.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_SCALE_BITS = 20
+SCALE_BITS = 20
 # Largest number of bounded vectors expected in one field-domain sum
 # (updates per block plus noise terms); encode() rejects entries that could
 # overflow the centered range when that many are added together.
@@ -33,7 +35,6 @@ class QuantizedPoly:
     """
 
     coeffs: tuple
-    scale_bits: int
     modulus: int
 
     @property
@@ -42,19 +43,15 @@ class QuantizedPoly:
 
     def add(self, other: "QuantizedPoly") -> "QuantizedPoly":
         """Coefficient-wise field addition (includes blinding slots)."""
-        if (self.scale_bits, self.modulus) != (other.scale_bits, other.modulus):
-            raise ValueError("mismatched quantization parameters")
+        if self.modulus != other.modulus:
+            raise ValueError("mismatched fields")
         if len(self.coeffs) != len(other.coeffs):
             raise ValueError("mismatched dimensions")
         p = self.modulus
-        return QuantizedPoly(
-            tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)),
-            self.scale_bits,
-            p,
-        )
+        return QuantizedPoly(tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)), p)
 
 
-def encode(values, blinding: int, modulus: int, scale_bits: int = DEFAULT_SCALE_BITS) -> QuantizedPoly:
+def encode(values, blinding: int, modulus: int) -> QuantizedPoly:
     """Encode a real vector; raises HeadroomError when an entry cannot be
     summed ``HEADROOM`` times without leaving the centered residue range."""
     arr = np.asarray(values, dtype=np.float64)
@@ -62,27 +59,26 @@ def encode(values, blinding: int, modulus: int, scale_bits: int = DEFAULT_SCALE_
         raise ValueError("expected a 1-D vector")
     if not np.all(np.isfinite(arr)):
         raise ValueError("non-finite entries cannot be encoded")
-    scale = 1 << scale_bits
+    scale = 1 << SCALE_BITS
     limit = modulus // (2 * HEADROOM)
     fixed = np.rint(arr * scale)
     if np.any(np.abs(fixed) >= limit):
         raise HeadroomError(
             f"entry magnitude {np.abs(arr).max():.6g} exceeds headroom bound "
-            f"{limit / scale:.6g} at scale_bits={scale_bits}, headroom={HEADROOM}"
+            f"{limit / scale:.6g} at scale 2^{SCALE_BITS}, headroom={HEADROOM}"
         )
     coeffs = [blinding % modulus]
     coeffs.extend(int(c) % modulus for c in fixed)
-    return QuantizedPoly(tuple(coeffs), scale_bits, modulus)
+    return QuantizedPoly(tuple(coeffs), modulus)
 
 
-def admissible(poly: QuantizedPoly, modulus: int, scale_bits: int, dim: int) -> bool:
+def admissible(poly: QuantizedPoly, modulus: int, dim: int) -> bool:
     """Whether a polynomial received from another peer is a canonical
-    encoding here: field ``modulus``, scale ``scale_bits``, ``dim`` data slots
-    and every coefficient a residue in [0, modulus).  Commitments reduce
-    coefficients mod p and ignore the scale, so nothing else catches these."""
+    encoding here: field ``modulus``, ``dim`` data slots and every
+    coefficient a residue in [0, modulus).  Commitments reduce coefficients
+    mod p, so nothing else catches these."""
     return (
         poly.modulus == modulus
-        and poly.scale_bits == scale_bits
         and poly.dim == dim
         and all(0 <= c < modulus for c in poly.coeffs)
     )
@@ -92,7 +88,7 @@ def decode(poly: QuantizedPoly) -> np.ndarray:
     """Centered-residue decode of the data slots; the blinding slot is dropped."""
     p = poly.modulus
     half = p // 2
-    scale = float(1 << poly.scale_bits)
+    scale = float(1 << SCALE_BITS)
     out = np.empty(poly.dim, dtype=np.float64)
     for j, c in enumerate(poly.coeffs[1:]):
         out[j] = (c - p if c > half else c) / scale

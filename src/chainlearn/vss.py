@@ -119,12 +119,7 @@ def sum_shares(accepted, backend) -> list[Witness]:
     return out
 
 
-def recover_aggregate(
-    agg_shares,
-    pk: CommitPK,
-    combined: Commitment,
-    scale_bits: int,
-) -> QuantizedPoly:
+def recover_aggregate(agg_shares, pk: CommitPK, combined: Commitment) -> QuantizedPoly:
     """Interpolate the summed polynomial from >= d+1 verified points and
     insist the result re-commits to the combined commitment.  The shares are
     checked as one batch; only a failing batch is re-checked share by share,
@@ -144,7 +139,7 @@ def recover_aggregate(
     points = [(z, by_point[z].eval % backend.order) for z in chosen]
     coeffs = lagrange_interpolate(points, backend.order)
     coeffs += [0] * (needed - len(coeffs))
-    poly = QuantizedPoly(tuple(coeffs), scale_bits, backend.order)
+    poly = QuantizedPoly(tuple(coeffs), backend.order)
     if commit(pk, poly).value != combined.value:
         raise ShareRecoveryError("interpolated polynomial does not match the combined commitment")
     return poly

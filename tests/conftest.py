@@ -34,7 +34,6 @@ def tiny_config(**overrides) -> ProtocolConfig:
         n_features=3,
         n_classes=2,
         total_iterations=6,
-        scale_bits=20,
         epsilon=2.0,
         delta=1e-5,
         num_noisers=2,
@@ -82,7 +81,6 @@ def honest_block(genesis, secrets, ledger, seed=0, contributor_count=4):
             v,
             int.from_bytes(sha256(b"blind" + u64(pid) + u64(t)), "big") % backend.order,
             backend.order,
-            genesis.config.scale_bits,
         )
         polys[pid] = q
         entries.append(CommitmentEntry(pid, commit(genesis.commit_pk, q)))

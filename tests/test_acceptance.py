@@ -84,7 +84,7 @@ def test_criterion_1_crypto_invariants():
     rng = random.Random(SEED)
 
     def rand_poly(pk, dim):
-        return QuantizedPoly(tuple(rng.randrange(order) for _ in range(dim + 1)), 20, order)
+        return QuantizedPoly(tuple(rng.randrange(order) for _ in range(dim + 1)), order)
 
     # homomorphism, 1000 trials
     for _ in range(1000):
@@ -122,8 +122,8 @@ def test_criterion_1_crypto_invariants():
     prng = random.Random(SEED + 1)
     for _ in range(25):
         coeffs = tuple(prng.randrange(pairing.order) for _ in range(7))
-        phi = QuantizedPoly(coeffs, 20, pairing.order)
-        other = QuantizedPoly(tuple(prng.randrange(pairing.order) for _ in range(7)), 20, pairing.order)
+        phi = QuantizedPoly(coeffs, pairing.order)
+        other = QuantizedPoly(tuple(prng.randrange(pairing.order) for _ in range(7)), pairing.order)
         assert (
             combine(pairing, [commit(ppk, phi), commit(ppk, other)]).value
             == commit(ppk, phi.add(other)).value
@@ -140,8 +140,8 @@ def test_criterion_1_crypto_invariants():
     bundles = deal(update, pk25, [0, 1, 2], dealer=0)
     shares = [s for b in bundles.values() for s in sum_shares([b], backend)]
     with pytest.raises(ShareRecoveryError):
-        recover_aggregate(shares[:25], pk25, c, 20)
-    assert recover_aggregate(shares[:26], pk25, c, 20) == update
+        recover_aggregate(shares[:25], pk25, c)
+    assert recover_aggregate(shares[:26], pk25, c) == update
 
     # end-to-end exactness: 35 unit-norm updates at d=25
     updates = []
@@ -154,7 +154,7 @@ def test_criterion_1_crypto_invariants():
             per_agg[a].append(bundle)
     agg_shares = [s for a in (0, 1, 2) for s in sum_shares(per_agg[a], backend)]
     combined = combine(backend, [commit(pk25, q) for q in updates])
-    recovered = recover_aggregate(agg_shares, pk25, combined, 20)
+    recovered = recover_aggregate(agg_shares, pk25, combined)
     assert recovered == sum_polys(updates)
     np.testing.assert_array_equal(decode(recovered), decode(sum_polys(updates)))
 

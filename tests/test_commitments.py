@@ -28,7 +28,7 @@ def make_pk(backend_name, degree, seed=b"ceremony"):
 
 
 def random_poly(rng, dim, modulus):
-    return QuantizedPoly(tuple(rng.randrange(modulus) for _ in range(dim + 1)), 20, modulus)
+    return QuantizedPoly(tuple(rng.randrange(modulus) for _ in range(dim + 1)), modulus)
 
 
 @pytest.fixture(params=["exponent", "pairing"])
@@ -82,14 +82,14 @@ def test_pk_first_power_must_be_g1(name):
 
 def test_commit_zero_is_identity(ctx):
     backend, pk, _ = ctx
-    zero = QuantizedPoly((0,) * 9, 20, backend.order)
+    zero = QuantizedPoly((0,) * 9, backend.order)
     assert commit(pk, zero).value == backend.g1_identity
 
 
 def test_commit_inverse_cancels(ctx):
     backend, pk, rng = ctx
     phi = random_poly(rng, 8, backend.order)
-    neg = QuantizedPoly(tuple((-c) % backend.order for c in phi.coeffs), 20, backend.order)
+    neg = QuantizedPoly(tuple((-c) % backend.order for c in phi.coeffs), backend.order)
     prod = combine(backend, [commit(pk, phi), commit(pk, neg)])
     assert prod.value == backend.g1_identity
 
@@ -149,7 +149,7 @@ def test_commit_matches_naive_fold(name, data):
         st.integers(0, r - 1),
     )
     coeffs = tuple(data.draw(st.lists(coeff, min_size=1, max_size=pk.degree + 1)))
-    assert commit(pk, QuantizedPoly(coeffs, 20, r)).value == naive_commit(pk, coeffs)
+    assert commit(pk, QuantizedPoly(coeffs, r)).value == naive_commit(pk, coeffs)
 
 
 @pytest.mark.parametrize("name", ["exponent", "pairing"])
@@ -161,7 +161,7 @@ def test_degree_12_witness_far_from_zero(name):
     rng = random.Random(26)
     r = backend.order
     coeffs = (rng.randrange(r),) + tuple(rng.randint(-(1 << 20), 1 << 20) % r for _ in range(12))
-    phi = QuantizedPoly(coeffs, 20, r)
+    phi = QuantizedPoly(coeffs, r)
     w = create_witness(pk, phi, 26)
     assert w.eval == poly_eval(list(coeffs), 26, r)
     quotient = [sum(coeffs[i] * 26 ** (i - j - 1) for i in range(j + 1, 13)) for j in range(12)]
@@ -180,7 +180,7 @@ def test_degree_overflow_rejected(ctx):
 def test_witness_constant_poly(ctx):
     backend, pk, _ = ctx
     c = 321
-    phi = QuantizedPoly((c,) + (0,) * 8, 20, backend.order)
+    phi = QuantizedPoly((c,) + (0,) * 8, backend.order)
     w = create_witness(pk, phi, 5)
     assert w.eval == c
     assert w.value == backend.g1_identity
@@ -190,10 +190,10 @@ def test_witness_constant_poly(ctx):
 def test_witness_hand_example(ctx):
     """phi = 3 + 2x + x^2 at z=2: eval 11, quotient x + 4."""
     backend, pk, _ = ctx
-    phi = QuantizedPoly((3, 2, 1), 20, backend.order)
+    phi = QuantizedPoly((3, 2, 1), backend.order)
     w = create_witness(pk, phi, 2)
     assert w.eval == 11
-    quotient = QuantizedPoly((4, 1, 0), 20, backend.order)
+    quotient = QuantizedPoly((4, 1, 0), backend.order)
     assert w.value == commit(pk, quotient).value
     assert verify_share(pk, commit(pk, phi), w)
 
@@ -273,7 +273,7 @@ def test_batch_rejects_one_tampered_share_at_every_position(ctx):
 def test_batch_of_identity_witnesses(ctx):
     """A constant polynomial opens to the identity witness at every point."""
     backend, pk, _ = ctx
-    phi = QuantizedPoly((4242,) + (0,) * 8, 20, backend.order)
+    phi = QuantizedPoly((4242,) + (0,) * 8, backend.order)
     c = commit(pk, phi)
     shares = [create_witness(pk, phi, z) for z in (2, 4, 6, 8)]
     assert all(w.value == backend.g1_identity for w in shares)

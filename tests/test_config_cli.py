@@ -4,6 +4,7 @@ import pytest
 
 from chainlearn.cli import main
 from chainlearn.config import DatasetSpec, ExperimentSpec, load_spec, save_spec, spec_from_dict
+from chainlearn.experiments import run_named_experiment
 from chainlearn.sgd import TrainConfig
 
 
@@ -49,9 +50,10 @@ def test_spec_unknown_field_rejected():
 
 
 # The round count lives in the spec alone; stage deadlines and link latency
-# are constants of protocol and simnet.
+# are constants of protocol and simnet, and the fixed-point scale of quantize.
 DELETED_FIELDS = [
     "train.total_iterations",
+    "scale_bits",
     "latency_min",
     "latency_max",
     "noise_wait",
@@ -134,10 +136,20 @@ def test_cli_collusion_prob(tmp_path, capsys):
     assert len(lines) == 3
 
 
-def test_cli_krum_bench(capsys):
-    assert main(["krum-bench", "--cases", "50"]) == 0
-    out = capsys.readouterr().out
-    assert "oracle agreement: 50/50" in out
+@pytest.mark.parametrize(
+    "name, sweep, message",
+    [
+        ("epsilon-sweep", {"epsilons": [0.5]}, r"'epsilons'; it reads \['epsilon', 'seeds'\]"),
+        ("baseline", {"seeds": 2}, r"'seeds'; it reads \[\]"),
+    ],
+)
+def test_unread_sweep_key_is_refused(tmp_path, name, sweep, message):
+    """A sweep key the experiment does not read is refused before anything
+    runs or is written; a misspelt grid would otherwise run the default one."""
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=message):
+        run_named_experiment(small_spec(name=name, sweep=sweep), out)
+    assert not out.exists()
 
 
 def test_cli_invert(tmp_path, capsys):

@@ -33,7 +33,7 @@ from chainlearn.ledger import (
 )
 from chainlearn.encoding import sha256, u32
 from chainlearn.noise import NoiseTable
-from chainlearn.quantize import QuantizedPoly, decode
+from chainlearn.quantize import SCALE_BITS, QuantizedPoly, decode
 from chainlearn.signatures import sign
 from chainlearn.stake import build_ring
 
@@ -120,7 +120,7 @@ def test_block_hash_changes_on_any_field(tiny_net):
     coeffs = list(block.aggregate_poly.coeffs)
     coeffs[1] = (coeffs[1] + 1) % BACKEND.order
     bumped_poly = dataclasses.replace(
-        block, aggregate_poly=QuantizedPoly(tuple(coeffs), 20, BACKEND.order)
+        block, aggregate_poly=QuantizedPoly(tuple(coeffs), BACKEND.order)
     )
     assert block_hash(bumped_poly, BACKEND) != h
 
@@ -158,7 +158,7 @@ def test_tampered_aggregate_rejected(tiny_net):
     block = honest_block(genesis, secrets, ledger)
     coeffs = list(block.aggregate_poly.coeffs)
     coeffs[2] = (coeffs[2] + 1) % BACKEND.order
-    poly = QuantizedPoly(tuple(coeffs), block.aggregate_poly.scale_bits, BACKEND.order)
+    poly = QuantizedPoly(tuple(coeffs), BACKEND.order)
     # keep the model consistent with the tampered polynomial so only Eq-style
     # commitment verification can catch it
     tampered = dataclasses.replace(
@@ -353,16 +353,36 @@ def test_aggregator_signature_checked(tiny_net):
 
 
 def test_rescaled_aggregate_rejected(tiny_net):
-    """The commitment ignores scale_bits: an aggregate re-labelled from 20 to
-    10 bits commits to the same point and would move the model 2^10 times as
-    far."""
+    """The format records the fixed-point scale ahead of each polynomial, and
+    the scale is a constant: an aggregate that records 10 bits, which would
+    move the model 2^10 times as far, does not decode."""
+    ledger, genesis, secrets = fresh_ledger(tiny_net)
+    data = block_to_bytes(honest_block(genesis, secrets, ledger), BACKEND)
+    at = 32 + 4  # after the previous hash and the round
+    assert data[at : at + 4] == u32(SCALE_BITS)
+    with pytest.raises(ValueError, match="scale"):
+        block_from_bytes(data[:at] + u32(10) + data[at + 4 :], BACKEND)
+
+
+def test_genesis_recording_another_scale_is_refused():
+    """A config records the constant scale after the round count; no other
+    value decodes."""
+    config = tiny_config()
+    data = config.to_bytes()
+    slot = u32(config.total_iterations) + u32(SCALE_BITS)
+    assert data.count(slot) == 1
+    assert ProtocolConfig.from_bytes(data) == config
+    with pytest.raises(ValueError, match="FIXED_POINT_BITS is 21, not 20"):
+        ProtocolConfig.from_bytes(data.replace(slot, u32(config.total_iterations) + u32(21)))
+
+
+def test_aggregate_of_another_length_rejected(tiny_net):
+    """An aggregate padded with a zero coefficient is longer than the
+    commitment key, so it is refused before anything commits or decodes it."""
     ledger, genesis, secrets = fresh_ledger(tiny_net)
     block = honest_block(genesis, secrets, ledger)
-    poly = dataclasses.replace(block.aggregate_poly, scale_bits=10)
-    tampered = dataclasses.replace(
-        block, aggregate_poly=poly, model_weights=ledger.current_model().weights + decode(poly)
-    )
-    tampered = resign_as_proposer(tampered, genesis, secrets, ledger)
+    poly = dataclasses.replace(block.aggregate_poly, coeffs=block.aggregate_poly.coeffs + (0,))
+    tampered = resign_as_proposer(dataclasses.replace(block, aggregate_poly=poly), genesis, secrets, ledger)
     assert ledger.validate_block(tampered) == (None, "bad-aggregate-encoding")
 
 

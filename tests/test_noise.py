@@ -63,11 +63,10 @@ def test_table_dims_and_runtime_regeneration():
     assert all(len(row) == 4 for row in table.commitments.values())
     nv = peer_noise(config, 6, secrets[1], 3)
     assert commit(pk, nv.quantized).value == table.entry(1, 3).value
-    # the recipe reads the privacy budget, batch, schedule and scale from genesis
+    # the recipe reads the privacy budget, batch and schedule from genesis
     train = config.train
     explicit = generate_noise(
-        6, config.epsilon, config.delta, train.batch_size, train.eta_at(3), b"b", 3, MOD,
-        config.scale_bits,
+        6, config.epsilon, config.delta, train.batch_size, train.eta_at(3), b"b", 3, MOD
     )
     assert nv.quantized == explicit.quantized
 

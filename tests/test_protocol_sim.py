@@ -154,6 +154,34 @@ def test_aggregate_share_signature_binds_the_announce(monkeypatch):
     assert [b.iteration for b in result.final_ledger.blocks] == [1, 2, 3, 4, 5]
 
 
+def test_share_with_an_evaluation_outside_the_field_is_a_bad_signature(monkeypatch):
+    """An aggregator that sends a summed share with evaluation -1 under an
+    arbitrary signature is refused as a bad aggregate-share signature: the
+    signed bytes reduce each point and evaluation mod the order, so no
+    integer makes them raise.  The round seals on the other aggregators, and
+    the chain is the one the honest run builds."""
+    sim = make_sim()
+    _, aggregators = round_committees(
+        sim.genesis, build_ring(sim.genesis.initial_stake), sim.genesis.hash(), 1
+    )
+    proposer, rogue = aggregators[:2]
+    answer = PeerNode._on_AggAnnounce
+
+    def out_of_range(peer, msg, now):
+        out = answer(peer, msg, now)
+        if peer.id != rogue or msg.iteration != 1 or not out:
+            return out
+        reply = out[0][1]
+        shares = (dataclasses.replace(reply.shares[0], eval=-1), *reply.shares[1:])
+        reply = dataclasses.replace(reply, shares=shares, signature=b"\x01" * 64)
+        return [(dest, reply, extra) for dest, _, extra in out]
+
+    monkeypatch.setattr(PeerNode, "_on_AggAnnounce", out_of_range)
+    result = sim.run()
+    assert f"r1: bad aggregate-share signature from {rogue}" in sim.peers[proposer].audit
+    assert result.final_ledger.tip_hash().hex() == EXPONENT_TIP
+
+
 def test_every_appended_block_revalidates(happy_run):
     sim, result = happy_run
     from chainlearn.ledger import Ledger
@@ -223,7 +251,7 @@ def make_submission(sim, peer_id, iteration=1, tamper=None):
     seed = int.from_bytes(sha256(b"batch" + peer.secrets.noise_seed + u64(iteration)), "big")
     delta = compute_local_update(peer.model, params, peer.dataset, cfg.train, seed)
     blinding = int.from_bytes(sha256(b"blind" + peer.secrets.noise_seed + u64(iteration)), "big")
-    update_q = encode(delta, blinding % backend.order, backend.order, cfg.scale_bits)
+    update_q = encode(delta, blinding % backend.order, backend.order)
     commitment = commit(genesis.commit_pk, update_q)
     ring = build_ring(peer.ledger.stake)
     vrf = draw_noisers(
@@ -246,9 +274,9 @@ def make_submission(sim, peer_id, iteration=1, tamper=None):
         rogue = dataclasses.replace(sim.peers[noiser_ids[0]].secrets, noise_seed=b"rogue")
         noises[0] = peer_noise(cfg, update_q.dim, rogue, iteration).quantized
     masked = mask_update(update_q, noises)
-    if tamper == "rescaled":
-        # commit() ignores the scale, so the masking equality still holds
-        masked = dataclasses.replace(masked, scale_bits=masked.scale_bits + 10)
+    if tamper == "padded":
+        # one data slot more than the model has, and than the commitment key takes
+        masked = dataclasses.replace(masked, coeffs=masked.coeffs + (0,))
     sub = UpdateSubmission(iteration, peer_id, masked, commitment, vrf)
     sig = sign(backend, peer.secrets.keypair, sub.payload_bytes(backend))
     sub = dataclasses.replace(sub, signature=sig)
@@ -313,37 +341,35 @@ def test_bad_submission_signature_rejected():
     )
 
 
-def test_rescaled_submission_rejected():
-    """A re-signed submission whose masked update claims 10 more scale bits
-    looks 2^10 times smaller to Multi-KRUM; the aggregate would decode it at
-    the genesis scale."""
+def test_padded_submission_rejected():
+    """A signed submission whose masked update has one coefficient too many
+    is refused before its commitment is computed, which the key's length
+    would refuse with an error."""
     sim = make_sim(seed=6)
-    sub = make_submission(sim, eligible_peer(sim), tamper="rescaled")
+    sub = make_submission(sim, eligible_peer(sim), tamper="padded")
     assert not verify_masked_submission(
         sub, sim.genesis, build_ring(sim.genesis.initial_stake), sim.genesis.hash()
     )
 
 
-def test_noise_at_a_foreign_scale_voids_the_update(monkeypatch):
-    """Noise re-labelled with another scale still matches its genesis
-    commitment; the updater refuses it instead of failing to mask."""
+def test_padded_noise_voids_the_update(monkeypatch):
+    """Noise padded with a zero coefficient is refused as a genesis mismatch
+    before it is committed or masked, both of which would raise on it."""
     respond = PeerNode._on_NoiseRequest
     rogue = 0
 
-    def rescaled(peer, msg, now):
+    def padded(peer, msg, now):
         out = respond(peer, msg, now)
         if peer.id != rogue:
             return out
         return [
             (dest, dataclasses.replace(
-                reply, quantized=dataclasses.replace(
-                    reply.quantized, scale_bits=reply.quantized.scale_bits + 1
-                ),
+                reply, quantized=dataclasses.replace(reply.quantized, coeffs=reply.quantized.coeffs + (0,)),
             ), extra)
             for dest, reply, extra in out
         ]
 
-    monkeypatch.setattr(PeerNode, "_on_NoiseRequest", rescaled)
+    monkeypatch.setattr(PeerNode, "_on_NoiseRequest", padded)
     sim = make_sim()
     result = sim.run()
     refused = [

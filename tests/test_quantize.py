@@ -4,30 +4,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainlearn.groups import get_backend
-from chainlearn.quantize import HeadroomError, QuantizedPoly, decode, encode, sum_polys
+from chainlearn.quantize import SCALE_BITS, HeadroomError, QuantizedPoly, decode, encode, sum_polys
 
 MOD = get_backend("exponent").order
-SB = 20
 
 
 def test_zero_vector_zero_blinding_is_all_zero():
-    q = encode(np.zeros(4), 0, MOD, SB)
+    q = encode(np.zeros(4), 0, MOD)
     assert q.coeffs == (0, 0, 0, 0, 0)
 
 
 def test_half_encodes_to_2_pow_19():
     # 0.5 * 2^20 = 524288
-    q = encode([0.5], 0, MOD, SB)
+    q = encode([0.5], 0, MOD)
     assert q.coeffs[1] == 524288
 
 
 def test_negative_half_is_centered_residue():
-    q = encode([-0.5], 0, MOD, SB)
+    q = encode([-0.5], 0, MOD)
     assert q.coeffs[1] == MOD - 524288
 
 
 def test_blinding_slot_stored_and_dropped():
-    q = encode([0.25], 123456789, MOD, SB)
+    q = encode([0.25], 123456789, MOD)
     assert q.coeffs[0] == 123456789
     assert decode(q) == pytest.approx([0.25])
 
@@ -35,9 +34,9 @@ def test_blinding_slot_stored_and_dropped():
 def test_roundtrip_error_bound():
     rng = np.random.default_rng(0)
     v = rng.normal(size=64)
-    q = encode(v, 7, MOD, SB)
+    q = encode(v, 7, MOD)
     err = np.abs(decode(q) - v)
-    assert err.max() <= 2.0 ** (-SB - 1) + 1e-15
+    assert err.max() <= 2.0 ** (-SCALE_BITS - 1) + 1e-15
 
 
 def test_sum_of_35_unit_norm_vectors():
@@ -46,38 +45,38 @@ def test_sum_of_35_unit_norm_vectors():
     for _ in range(35):
         v = rng.normal(size=25)
         vs.append(v / np.linalg.norm(v))
-    qs = [encode(v, int(rng.integers(0, MOD)), MOD, SB) for v in vs]
+    qs = [encode(v, int(rng.integers(0, MOD)), MOD) for v in vs]
     total = sum_polys(qs)
     direct = np.sum(vs, axis=0)
-    assert np.abs(decode(total) - direct).max() <= 35 * 2.0 ** (-SB - 1)
+    assert np.abs(decode(total) - direct).max() <= 35 * 2.0 ** (-SCALE_BITS - 1)
 
 
 def test_additivity_is_exact_on_grid():
     rng = np.random.default_rng(2)
     a = rng.normal(size=10)
     b = rng.normal(size=10)
-    qa = encode(a, 11, MOD, SB)
-    qb = encode(b, 22, MOD, SB)
+    qa = encode(a, 11, MOD)
+    qb = encode(b, 22, MOD)
     np.testing.assert_array_equal(decode(qa.add(qb)), decode(qa) + decode(qb))
     assert qa.add(qb).coeffs[0] == 33
 
 
 def test_headroom_overflow_rejected():
-    huge = MOD / (2 * 128) / (1 << SB) * 1.01
+    huge = MOD / (2 * 128) / (1 << SCALE_BITS) * 1.01
     with pytest.raises(HeadroomError):
-        encode([huge], 0, MOD, SB)
+        encode([huge], 0, MOD)
 
 
 def test_non_finite_rejected():
     with pytest.raises(ValueError):
-        encode([np.nan], 0, MOD, SB)
+        encode([np.nan], 0, MOD)
 
 
 def test_mismatched_params_rejected():
-    qa = encode([0.5], 0, MOD, SB)
-    qb = encode([0.5], 0, MOD, SB + 1)
-    with pytest.raises(ValueError):
-        qa.add(qb)
+    qa = encode([0.5], 0, MOD)
+    for other in (encode([0.5], 0, MOD - 2), encode([0.5, 0.5], 0, MOD)):
+        with pytest.raises(ValueError):
+            qa.add(other)
 
 
 @given(
@@ -87,8 +86,8 @@ def test_mismatched_params_rejected():
 @settings(max_examples=60, deadline=None)
 def test_field_addition_matches_grid_addition(a, b):
     n = min(len(a), len(b))
-    qa = encode(np.array(a[:n]), 5, MOD, SB)
-    qb = encode(np.array(b[:n]), 9, MOD, SB)
+    qa = encode(np.array(a[:n]), 5, MOD)
+    qb = encode(np.array(b[:n]), 9, MOD)
     lhs = decode(qa.add(qb))
     rhs = decode(qa) + decode(qb)
     np.testing.assert_allclose(lhs, rhs, rtol=0, atol=0)
@@ -96,6 +95,6 @@ def test_field_addition_matches_grid_addition(a, b):
 
 def test_encode_decode_identity_on_grid_values():
     coeffs = (5, 12, MOD - 99, 1 << 19)
-    q = QuantizedPoly(coeffs, SB, MOD)
-    q2 = encode(decode(q), 5, MOD, SB)
+    q = QuantizedPoly(coeffs, MOD)
+    q2 = encode(decode(q), 5, MOD)
     assert q2.coeffs == coeffs

@@ -154,8 +154,8 @@ def test_sum_shares_hand_example():
     pk = trusted_setup(BACKEND, 1, b"s")
     from chainlearn.quantize import QuantizedPoly
 
-    q1 = QuantizedPoly((1, 1), 20, MOD)
-    q2 = QuantizedPoly((2, 3), 20, MOD)
+    q1 = QuantizedPoly((1, 1), MOD)
+    q2 = QuantizedPoly((2, 3), MOD)
     b1 = deal(q1, pk, [0, 1], dealer=0)[0]
     b2 = deal(q2, pk, [0, 1], dealer=1)[0]
     agg = sum_shares([b1, b2], BACKEND)
@@ -187,13 +187,13 @@ def test_recover_hand_example():
     pk = trusted_setup(BACKEND, 2, b"s")
     from chainlearn.quantize import QuantizedPoly
 
-    q = QuantizedPoly((3, 2, 1), 20, MOD)
+    q = QuantizedPoly((3, 2, 1), MOD)
     c = commit(pk, q)
     bundles = deal(q, pk, [0, 1, 2], dealer=0)
     agg = [s for b in bundles.values() for s in sum_shares([b], BACKEND)]
     evals = {s.point: s.eval for s in agg}
     assert (evals[1], evals[2], evals[3]) == (6, 11, 18)
-    recovered = recover_aggregate([s for s in agg if s.point <= 3], pk, c, 20)
+    recovered = recover_aggregate([s for s in agg if s.point <= 3], pk, c)
     assert recovered.coeffs == (3, 2, 1)
 
 
@@ -205,8 +205,8 @@ def test_threshold_d_points_insufficient():
     bundles = deal(q, pk, [0, 1], dealer=0)
     all_shares = [s for b in bundles.values() for s in sum_shares([b], BACKEND)]
     with pytest.raises(ShareRecoveryError, match="insufficient"):
-        recover_aggregate(all_shares[: pk.degree], pk, c, 20)
-    recovered = recover_aggregate(all_shares[: pk.degree + 1], pk, c, 20)
+        recover_aggregate(all_shares[: pk.degree], pk, c)
+    recovered = recover_aggregate(all_shares[: pk.degree + 1], pk, c)
     assert recovered == q
 
 
@@ -223,7 +223,7 @@ def test_end_to_end_35_updates():
     for a in aggregators:
         agg_shares.extend(sum_shares(per_agg[a], BACKEND))
     combined = combine(BACKEND, [commit(pk, q) for q in updates])
-    recovered = recover_aggregate(agg_shares, pk, combined, 20)
+    recovered = recover_aggregate(agg_shares, pk, combined)
     assert recovered == sum_polys(updates)
     np.testing.assert_array_equal(
         decode(recovered), decode(sum_polys(updates))
@@ -239,7 +239,7 @@ def test_recovery_rejects_tampered_sum():
     shares = [s for b in bundles.values() for s in sum_shares([b], BACKEND)]
     bad = dataclasses.replace(shares[0], eval=(shares[0].eval + 1) % MOD)
     with pytest.raises(ShareRecoveryError):
-        recover_aggregate([bad] + shares[1:], pk, c, 20)
+        recover_aggregate([bad] + shares[1:], pk, c)
 
 
 def test_recovery_names_the_failing_point():
@@ -248,12 +248,12 @@ def test_recovery_names_the_failing_point():
     q = make_update(rng, 4)
     bundles = deal(q, pk, [0, 1], dealer=0)
     shares = [s for b in bundles.values() for s in sum_shares([b], BACKEND)]
-    assert recover_aggregate(shares, pk, commit(pk, q), 20) == q
+    assert recover_aggregate(shares, pk, commit(pk, q)) == q
     for i in (0, 3, len(shares) - 1):
         s = shares[i]
         bad = dataclasses.replace(s, value=BACKEND.g1_add(s.value, 1))
         with pytest.raises(ShareRecoveryError, match=f"at point {s.point} fails"):
-            recover_aggregate(shares[:i] + [bad] + shares[i + 1:], pk, commit(pk, q), 20)
+            recover_aggregate(shares[:i] + [bad] + shares[i + 1:], pk, commit(pk, q))
 
 
 def test_privacy_threshold_structure():
