@@ -33,7 +33,7 @@ blinding = int(rng.integers(1 << 60))
 poly = encode(update, blinding, backend.order)
 c = commit(pk, poly)
 print("committed to a", dim, "dimensional update; commitment bytes:",
-      backend.g1_to_bytes(c.value)[:8].hex(), "...")
+      backend.g1_to_bytes(c)[:8].hex(), "...")
 
 # open the polynomial at a point and check the pairing equation
 w = create_witness(pk, poly, z=3)
@@ -48,7 +48,7 @@ print("forged evaluation verifies:", verify_share(pk, c, forged))
 other = encode(rng.normal(size=dim) * 0.2, 7, backend.order)
 lhs = combine(backend, [c, commit(pk, other)])
 print("product equals commitment of the sum:",
-      lhs.value == commit(pk, poly.add(other)).value)
+      lhs == commit(pk, poly.add(other)))
 
 # secret-share three updates to two aggregators and rebuild their sum
 updates = [encode(rng.normal(size=dim) * 0.1, int(rng.integers(100)), backend.order)

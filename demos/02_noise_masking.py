@@ -5,9 +5,10 @@ the masked update against commitments made long before the update existed."""
 
 import numpy as np
 
-from chainlearn import ExperimentSpec, TrainConfig, commit, decode, encode, gaussian_sigma, mask_update
+from chainlearn import (
+    ExperimentSpec, TrainConfig, commit, decode, encode, gaussian_sigma, generate_noise, mask_update,
+)
 from chainlearn.bootstrap import build_genesis
-from chainlearn.noise import peer_noise
 
 for eps in (0.5, 1.0, 2.0, 10.0):
     print(f"epsilon={eps:5.1f}  per-example sigma={gaussian_sigma(eps, 1e-5):7.3f}")
@@ -24,20 +25,20 @@ print(f"\nnoise table: {len(table.commitments)} peers x {config.total_iterations
 # each drawn by the same recipe genesis committed
 rng = np.random.default_rng(1)
 update = encode(rng.normal(size=dim) * 0.05, 424242, backend.order)
-noises = {k: peer_noise(config, dim, secrets[k], 2).quantized for k in (1, 2)}
+noises = {k: generate_noise(config, dim, secrets[k], 2) for k in (1, 2)}
 masked = mask_update(update, noises.values())
 print("masked - update decodes to the pure noise sum:",
       np.allclose(decode(masked) - decode(update), sum(decode(n) for n in noises.values())))
 
 # the verifier never sees `update`; it checks the masking equality against
 # the drawn noisers' genesis entries instead
-lhs = commit(pk, masked).value
-rhs = commit(pk, update).value
+lhs = commit(pk, masked)
+rhs = commit(pk, update)
 for k in noises:
-    rhs = backend.g1_add(rhs, table.entry(k, 2).value)
+    rhs = backend.g1_add(rhs, table.entry(k, 2))
 print("commit(masked) == commit(update) * prod committed noise:", lhs == rhs)
 
 # noise regenerated later is bit-identical to what genesis committed
-again = peer_noise(config, dim, secrets[1], 2)
+again = generate_noise(config, dim, secrets[1], 2)
 print("regenerated noise matches its genesis commitment:",
-      commit(pk, again.quantized).value == table.entry(1, 2).value)
+      commit(pk, again) == table.entry(1, 2))

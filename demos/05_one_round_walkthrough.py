@@ -38,7 +38,7 @@ print("  aggregate step norm: %.4f" % float((decode(block.aggregate_poly) ** 2).
 product = combine(backend, [e.commitment for e in block.commitments])
 sealed = commit(genesis.commit_pk, block.aggregate_poly)
 print("  commit(aggregate) == product of update commitments:",
-      sealed.value == product.value)
+      sealed == product)
 print("\nsign-offs per block (one signature each):", [len(b.signoffs) for _, b in result.block_records])
 
 ledger = result.final_ledger

@@ -18,7 +18,7 @@ from .attacks import (
     invert_gradient,
     poison_dataset,
 )
-from .commitments import CommitPK, Commitment, Witness, combine, commit, create_witness, trusted_setup, verify_share
+from .commitments import CommitPK, Witness, combine, commit, create_witness, trusted_setup, verify_share
 from .committees import VrfOutput, committee_seed, draw_committee, draw_noisers, noiser_seed, verify_vrf
 from .config import DatasetSpec, ExperimentSpec, load_spec, save_spec
 from .datasets import Dataset, make_dataset, partition
@@ -26,7 +26,7 @@ from .groups import get_backend
 from .krum import KrumConfig, krum_sample_size, krum_scores, max_tolerable_f, multi_krum_select
 from .ledger import Block, GenesisBlock, Ledger, ProtocolConfig, load_chain, save_chain
 from .models import LogisticModel, ModelParams, SoftmaxModel, make_model, validation_error
-from .noise import NoiseTable, NoiseVector, build_noise_table, gaussian_sigma, generate_noise, mask_update, peer_noise
+from .noise import NoiseTable, build_noise_table, gaussian_sigma, generate_noise, mask_update
 from .quantize import QuantizedPoly, decode, encode
 from .sgd import TrainConfig, compute_local_update
 from .simnet import Simulation

@@ -42,11 +42,6 @@ from .quantize import QuantizedPoly
 
 
 @dataclass(frozen=True)
-class Commitment:
-    value: object  # G1 element (backend-specific)
-
-
-@dataclass(frozen=True)
 class Witness:
     """Opening of a committed polynomial at ``point``."""
 
@@ -129,24 +124,25 @@ def trusted_setup(backend, degree: int, seed: bytes) -> CommitPK:
     return CommitPK(backend, powers)
 
 
-def commit(pk: CommitPK, poly: QuantizedPoly) -> Commitment:
+def commit(pk: CommitPK, poly: QuantizedPoly):
+    """The G1 element committing to ``poly``'s coefficients."""
     if poly.modulus != pk.backend.order:
         raise ValueError("polynomial field does not match the commitment key")
     if poly.dim > pk.degree:
         raise ValueError(f"polynomial degree {poly.dim} exceeds key degree {pk.degree}")
     b, coeffs = pk.backend, poly.coeffs
-    return Commitment(b.g1_add(b.fixed_msm([b.g1_base], coeffs[:1]), b.msm(pk.powers[1:], coeffs[1:])))
+    return b.g1_add(b.fixed_msm([b.g1_base], coeffs[:1]), b.msm(pk.powers[1:], coeffs[1:]))
 
 
-def combine(backend, commitments) -> Commitment:
+def combine(backend, commitments):
     """Group product of commitments = commitment to the summed polynomials."""
     commitments = list(commitments)
     if not commitments:
         raise ValueError("cannot combine an empty commitment list")
-    acc = commitments[0].value
+    acc = commitments[0]
     for c in commitments[1:]:
-        acc = backend.g1_add(acc, c.value)
-    return Commitment(acc)
+        acc = backend.g1_add(acc, c)
+    return acc
 
 
 def create_witness(pk: CommitPK, poly: QuantizedPoly, z: int) -> Witness:
@@ -160,21 +156,21 @@ def create_witness(pk: CommitPK, poly: QuantizedPoly, z: int) -> Witness:
     p = pk.backend.order
     quotient, remainder = polynomials.quotient_at(list(poly.coeffs), z, p)
     q_poly = QuantizedPoly(tuple(quotient) + (0,), p)
-    return Witness(commit(pk, q_poly).value, z, remainder)
+    return Witness(commit(pk, q_poly), z, remainder)
 
 
-def batch_weights(pk: CommitPK, commitment: Commitment, witnesses) -> list[int]:
+def batch_weights(pk: CommitPK, commitment, witnesses) -> list[int]:
     """The 128-bit weights rho_i of a batched share check, one per witness:
     consecutive 16-byte blocks of one SHAKE-256 output over the commitment
     and every witness's encoding."""
     backend = pk.backend
-    parts = [b"share-batch", backend.g1_to_bytes(commitment.value)]
+    parts = [b"share-batch", backend.g1_to_bytes(commitment)]
     parts += [w.to_bytes(backend) for w in witnesses]
     stream = hashlib.shake_256(b"".join(parts)).digest(16 * len(witnesses))
     return [int.from_bytes(stream[i : i + 16], "big") for i in range(0, len(stream), 16)]
 
 
-def verify_share(pk: CommitPK, commitment: Commitment, *witnesses: Witness) -> bool:
+def verify_share(pk: CommitPK, commitment, *witnesses: Witness) -> bool:
     """True iff every (point, eval) lies on the committed polynomial: one
     weighted pairing product for all the witnesses (see the module
     docstring)."""
@@ -187,7 +183,7 @@ def verify_share(pk: CommitPK, commitment: Commitment, *witnesses: Witness) -> b
     quotients = [w.value for w in witnesses]
     folded = backend.g1_add(
         backend.fixed_msm([backend.g1_base], [neg_eval]),
-        backend.msm([commitment.value, *quotients], [sum(rho), *(r * w.point for r, w in zip(rho, witnesses))]),
+        backend.msm([commitment, *quotients], [sum(rho), *(r * w.point for r, w in zip(rho, witnesses))]),
     )
     weighted = backend.g1_neg(backend.msm(quotients, rho))
     return backend.multi_pair((lines_g1, lines_alpha_g1), (folded, weighted)) == backend.gt_one

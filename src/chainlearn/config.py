@@ -4,8 +4,9 @@ The default values mirror the reference deployment: 100 peers with uniform
 stake 10, privacy budget epsilon=2 and delta=1e-5, 2 noisers, 3 verifiers,
 3 aggregators, a Multi-KRUM sample of 70% of the peers (R=70 at N=100, so
 u = R/2 = 35 updates per block and an adversary bound f=33), and a linear
-+5 stake reward.  Config files are JSON with the same field names, so a
-stored sidecar replays exactly.
++5 stake reward.  Config files are JSON with the same field names.  A run's
+``metadata.json`` sidecar is not itself a config, but its ``config`` object
+is one: saved as its own file, it replays the run exactly.
 """
 
 from __future__ import annotations

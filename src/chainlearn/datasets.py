@@ -46,10 +46,18 @@ def make_dataset(kind: str, params: dict, seed: int) -> Dataset:
     if kind == "synthetic-blobs":
         return _synthetic_blobs(params, seed)
     if kind == "idx-images":
+        _require(kind, params, "images", "labels")
         return _load_idx(params)
     if kind == "csv-tabular":
+        _require(kind, params, "path")
         return _load_csv(params)
     raise ValueError(f"unknown dataset kind {kind!r}")
+
+
+def _require(kind: str, params: dict, *keys: str) -> None:
+    for key in keys:
+        if key not in params:
+            raise ValueError(f"dataset kind {kind!r} needs params.{key}")
 
 
 def _synthetic_blobs(params: dict, seed: int) -> Dataset:

@@ -114,6 +114,11 @@ def build_environment(spec: ExperimentSpec) -> Environment:
     d = spec.dataset
     total = n_peers * d.shard_size + d.validation_size + RESERVE_SHARDS * d.shard_size
     master = make_dataset(d.kind, _dataset_params(spec, total), seed=spec.seed)
+    if (master.n_features, master.num_classes) != (d.features, d.classes):
+        raise ValueError(
+            f"dataset has {master.n_features} features and {master.num_classes} classes;"
+            f" the config names {d.features} and {d.classes}"
+        )
     rng = np.random.default_rng(spec.seed + 1)
     order = rng.permutation(len(master))
     cut_train = n_peers * d.shard_size

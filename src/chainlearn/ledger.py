@@ -28,7 +28,7 @@ from typing import ClassVar, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import signatures
-from .commitments import Commitment, CommitPK, combine, commit
+from .commitments import CommitPK, combine, commit
 from .committees import ROLE_AGGREGATE, ROLE_VERIFY, committee_seed, draw_committee
 from .encoding import ByteReader, ByteWriter, sha256, u32
 from .models import ModelParams
@@ -182,7 +182,7 @@ class GenesisBlock:
             w.raw(backend.g1_to_bytes(self.peer_pubkeys[pid]))
             w.u64(self.initial_stake[pid])
             for c in self.noise_table.commitments[pid]:
-                w.raw(backend.g1_to_bytes(c.value))
+                w.raw(backend.g1_to_bytes(c))
         return w.getvalue()
 
     @classmethod
@@ -207,7 +207,7 @@ class GenesisBlock:
             if pid <= last:
                 raise ValueError(f"peer id {pid} after {last}: ids must strictly ascend")
             pubkeys[pid], stake[pid] = element(), r.u64()
-            table[pid] = tuple(Commitment(element()) for _ in range(config.total_iterations))
+            table[pid] = tuple(element() for _ in range(config.total_iterations))
             last = pid
         r.done()
         genesis = cls(initial_model, pk, pubkeys, NoiseTable(table), stake, global_key, config)
@@ -238,7 +238,7 @@ class CommitmentEntry:
     """One (peer, commitment) pair: a block entry, or a winner before ``sign_off`` encodes it."""
 
     peer: int
-    commitment: Commitment
+    commitment: object  # G1 element (backend-specific)
 
 
 @dataclass(frozen=True)
@@ -287,7 +287,7 @@ def read_poly(r: ByteReader, backend) -> QuantizedPoly:
 def pair_records(pairs, backend) -> list[bytes]:
     """Each pair's encoding: the peer id as u32, then the commitment.  The
     block rule compares pairs by these bytes."""
-    return [u32(p.peer) + backend.g1_to_bytes(p.commitment.value) for p in pairs]
+    return [u32(p.peer) + backend.g1_to_bytes(p.commitment) for p in pairs]
 
 
 def record_peer(rec: bytes) -> int:
@@ -353,7 +353,7 @@ def block_from_bytes(data: bytes, backend) -> Block:
         rec = r.raw(size)
         if rec <= last_rec:
             raise ValueError("entries must strictly ascend")
-        entries.append(CommitmentEntry(record_peer(rec), Commitment(backend.g1_from_bytes(rec[4:]))))
+        entries.append(CommitmentEntry(record_peer(rec), backend.g1_from_bytes(rec[4:])))
         last_rec = rec
     signoffs, last = [], -1
     for _ in range(r.u32()):
@@ -507,7 +507,7 @@ def advance(state: TipState, block: Block) -> tuple[TipState | None, str]:
         return None, "bad-aggregator-signature"
 
     combined = combine(backend, [e.commitment for e in block.commitments])
-    if commit(genesis.commit_pk, block.aggregate_poly).value != combined.value:
+    if commit(genesis.commit_pk, block.aggregate_poly) != combined:
         return None, "commitment-product-mismatch"
 
     expected = state.weights + decode(block.aggregate_poly)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .commitments import Commitment, CommitPK, commit
+from .commitments import CommitPK, commit
 from .encoding import sha256, u64
 from .groups import get_backend
 from .quantize import QuantizedPoly, encode, sum_polys
@@ -35,19 +35,13 @@ def gaussian_sigma(epsilon: float, delta: float) -> float:
     return math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
 
 
-@dataclass(frozen=True)
-class NoiseVector:
-    zeta: np.ndarray
-    quantized: QuantizedPoly
-
-
 @dataclass
 class NoiseTable:
     """Commitments to every peer's noise for every iteration, frozen at genesis."""
 
-    commitments: dict  # peer id -> tuple[Commitment], index t-1 for iteration t
+    commitments: dict  # peer id -> tuple of G1 elements, index t-1 for iteration t
 
-    def entry(self, peer: int, iteration: int) -> Commitment:
+    def entry(self, peer: int, iteration: int):
         if peer not in self.commitments:
             raise KeyError(f"unknown peer {peer}")
         row = self.commitments[peer]
@@ -61,55 +55,27 @@ def _rng_for(peer_seed: bytes, iteration: int):
     return np.random.default_rng(int.from_bytes(digest, "big"))
 
 
-def generate_noise(
-    dim: int,
-    epsilon: float,
-    delta: float,
-    batch_size: int,
-    eta_t: float,
-    peer_seed: bytes,
-    iteration: int,
-    modulus: int,
-    zero: bool = False,
-) -> NoiseVector:
-    """Deterministic noise for (peer_seed, iteration).
+def generate_noise(config, dim: int, secrets, iteration: int) -> QuantizedPoly:
+    """The quantized noise a peer holding ``secrets`` (a
+    ``bootstrap.PeerSecrets``) adds in round ``iteration`` of the network
+    whose genesis ``ProtocolConfig`` is ``config``, for a ``dim``-entry
+    model.  The genesis table commits it and the peer hands it out at run
+    time, so both call this one recipe.
 
-    ``zero=True`` models an adversary that commits all-zero noise (blinding
-    included) so that colluders can unmask a victim's update.
+    A peer with ``secrets.zero_noise`` models an adversary that commits
+    all-zero noise (blinding included) so that colluders can unmask a
+    victim's update.
     """
-    if batch_size < 1:
-        raise ValueError("batch size must be at least 1")
-    if zero:
-        zeta = np.zeros(dim)
-        blinding = 0
-    else:
-        sigma = gaussian_sigma(epsilon, delta)
-        rng = _rng_for(peer_seed, iteration)
-        draws = rng.normal(0.0, sigma, size=(batch_size, dim))
-        zeta = draws.sum(axis=0) * (eta_t / batch_size)
-        blinding = int.from_bytes(rng.bytes(40), "little") % modulus
-    quantized = encode(zeta, blinding, modulus)
-    return NoiseVector(zeta, quantized)
-
-
-def peer_noise(config, dim: int, secrets, iteration: int) -> NoiseVector:
-    """The noise a peer holding ``secrets`` (a ``bootstrap.PeerSecrets``)
-    adds in round ``iteration`` of the network whose genesis
-    ``ProtocolConfig`` is ``config``, for a ``dim``-entry model.  The genesis
-    table commits it and the peer hands it out at run time, so both call
-    this one recipe."""
     train = config.train
-    return generate_noise(
-        dim,
-        config.epsilon,
-        config.delta,
-        train.batch_size,
-        train.eta_at(iteration),
-        secrets.noise_seed,
-        iteration,
-        get_backend(config.backend_name).order,
-        zero=secrets.zero_noise,
-    )
+    modulus = get_backend(config.backend_name).order
+    if secrets.zero_noise:
+        return encode(np.zeros(dim), 0, modulus)
+    sigma = gaussian_sigma(config.epsilon, config.delta)
+    rng = _rng_for(secrets.noise_seed, iteration)
+    draws = rng.normal(0.0, sigma, size=(train.batch_size, dim))
+    zeta = draws.sum(axis=0) * (train.eta_at(iteration) / train.batch_size)
+    blinding = int.from_bytes(rng.bytes(40), "little") % modulus
+    return encode(zeta, blinding, modulus)
 
 
 def build_noise_table(pk: CommitPK, config, secrets: dict) -> NoiseTable:
@@ -117,7 +83,7 @@ def build_noise_table(pk: CommitPK, config, secrets: dict) -> NoiseTable:
     ``secrets`` maps peer id -> ``PeerSecrets``."""
     rounds = range(1, config.total_iterations + 1)
     table = {
-        peer: tuple(commit(pk, peer_noise(config, pk.degree, s, t).quantized) for t in rounds)
+        peer: tuple(commit(pk, generate_noise(config, pk.degree, s, t)) for t in rounds)
         for peer, s in secrets.items()
     }
     return NoiseTable(table)

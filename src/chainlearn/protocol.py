@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import signatures
-from .commitments import Commitment, combine, commit
+from .commitments import combine, commit
 from .committees import VrfOutput, draw_noisers, verify_vrf
 from .encoding import ByteWriter, sha256, u64
 from .krum import KrumConfig, krum_sample_size, max_tolerable_f, multi_krum_select, updates_per_block
@@ -50,7 +50,7 @@ from .ledger import (
     write_poly,
 )
 from .models import make_model
-from .noise import mask_update, peer_noise
+from .noise import generate_noise, mask_update
 from .quantize import decode, encode
 from .sgd import compute_local_update
 from .vss import (
@@ -96,7 +96,7 @@ class UpdateSubmission:
     iteration: int
     sender: int
     masked: object  # QuantizedPoly
-    commitment: Commitment
+    commitment: object  # G1 element
     noiser_vrf: VrfOutput
     signature: bytes = b""
 
@@ -105,7 +105,7 @@ class UpdateSubmission:
         w.u32(self.iteration)
         w.u32(self.sender)
         write_poly(w, self.masked, backend)
-        w.raw(backend.g1_to_bytes(self.commitment.value))
+        w.raw(backend.g1_to_bytes(self.commitment))
         w.bytes_lp(self.noiser_vrf.proof)
         for member in self.noiser_vrf.committee:
             w.u32(member)
@@ -203,7 +203,7 @@ def verify_masked_submission(sub: UpdateSubmission, genesis, ring, prev_hash: by
         return False
     # masking equality: commit(masked) == commit(update) * prod commit(noise)
     product = combine(backend, [sub.commitment, *noise])
-    return commit(genesis.commit_pk, sub.masked).value == product.value
+    return commit(genesis.commit_pk, sub.masked) == product
 
 
 def tip_sample(ids, k: int, tag: bytes, prev_hash: bytes, iteration: int) -> tuple:
@@ -228,7 +228,7 @@ class RoundState:
     aggregators: tuple = ()
     noiser_vrf: VrfOutput | None = None
     update_q: object = None
-    commitment: Commitment | None = None
+    commitment: object = None  # G1 element
     noise_responses: dict = field(default_factory=dict)
     submitted: bool = False
     grants: dict = field(default_factory=dict)  # verifier -> SignOff
@@ -368,8 +368,7 @@ class PeerNode:
         # a pure function of (secrets, round): draw it once per round
         if self.noise is None or self.noise[0] != msg.iteration:
             dim = len(self.genesis.initial_model)
-            nv = peer_noise(self.config, dim, self.secrets, msg.iteration)
-            self.noise = (msg.iteration, nv.quantized)
+            self.noise = (msg.iteration, generate_noise(self.config, dim, self.secrets, msg.iteration))
         return [(msg.sender, NoiseResponse(msg.iteration, self.id, self.noise[1]), None)]
 
     def _on_NoiseResponse(self, msg: NoiseResponse, now: float) -> list:
@@ -385,7 +384,7 @@ class PeerNode:
         expected = self.genesis.noise_table.entry(msg.sender, rs.iteration)
         if (
             not self.genesis.admits(msg.quantized)
-            or commit(self.genesis.commit_pk, msg.quantized).value != expected.value
+            or commit(self.genesis.commit_pk, msg.quantized) != expected
         ):
             self.audit.append(f"r{rs.iteration}: noise from {msg.sender} mismatches genesis; voiding")
             rs.noiser_vrf = None  # this round's update is void

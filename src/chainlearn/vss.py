@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .commitments import Commitment, CommitPK, Witness, commit, create_witness, verify_share
+from .commitments import CommitPK, Witness, commit, create_witness, verify_share
 from .ledger import (
     CommitmentEntry,
     SignOffChecks,
@@ -119,7 +119,7 @@ def sum_shares(accepted, backend) -> list[Witness]:
     return out
 
 
-def recover_aggregate(agg_shares, pk: CommitPK, combined: Commitment) -> QuantizedPoly:
+def recover_aggregate(agg_shares, pk: CommitPK, combined) -> QuantizedPoly:
     """Interpolate the summed polynomial from >= d+1 verified points and
     insist the result re-commits to the combined commitment.  The shares are
     checked as one batch; only a failing batch is re-checked share by share,
@@ -140,6 +140,6 @@ def recover_aggregate(agg_shares, pk: CommitPK, combined: Commitment) -> Quantiz
     coeffs = lagrange_interpolate(points, backend.order)
     coeffs += [0] * (needed - len(coeffs))
     poly = QuantizedPoly(tuple(coeffs), backend.order)
-    if commit(pk, poly).value != combined.value:
+    if commit(pk, poly) != combined:
         raise ShareRecoveryError("interpolated polynomial does not match the combined commitment")
     return poly

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainlearn.commitments import (
-    Commitment,
     CommitPK,
     Witness,
     batch_weights,
@@ -83,7 +82,7 @@ def test_pk_first_power_must_be_g1(name):
 def test_commit_zero_is_identity(ctx):
     backend, pk, _ = ctx
     zero = QuantizedPoly((0,) * 9, backend.order)
-    assert commit(pk, zero).value == backend.g1_identity
+    assert commit(pk, zero) == backend.g1_identity
 
 
 def test_commit_inverse_cancels(ctx):
@@ -91,7 +90,7 @@ def test_commit_inverse_cancels(ctx):
     phi = random_poly(rng, 8, backend.order)
     neg = QuantizedPoly(tuple((-c) % backend.order for c in phi.coeffs), backend.order)
     prod = combine(backend, [commit(pk, phi), commit(pk, neg)])
-    assert prod.value == backend.g1_identity
+    assert prod == backend.g1_identity
 
 
 def test_homomorphism(ctx):
@@ -100,15 +99,15 @@ def test_homomorphism(ctx):
     b = random_poly(rng, 8, backend.order)
     lhs = combine(backend, [commit(pk, a), commit(pk, b)])
     rhs = commit(pk, a.add(b))
-    assert lhs.value == rhs.value
+    assert lhs == rhs
 
 
 def test_combine_singleton_and_commutativity(ctx):
     backend, pk, rng = ctx
     cs = [commit(pk, random_poly(rng, 8, backend.order)) for _ in range(4)]
-    assert combine(backend, cs[:1]).value == cs[0].value
+    assert combine(backend, cs[:1]) == cs[0]
     shuffled = cs[::-1]
-    assert combine(backend, cs).value == combine(backend, shuffled).value
+    assert combine(backend, cs) == combine(backend, shuffled)
     with pytest.raises(ValueError):
         combine(backend, [])
 
@@ -123,7 +122,7 @@ def test_combine_over_35_updates_matches_summed_poly():
         polys.append(encode(v, int(rng.integers(0, backend.order)), backend.order))
     lhs = combine(backend, [commit(pk, q) for q in polys])
     rhs = commit(pk, sum_polys(polys))
-    assert lhs.value == rhs.value
+    assert lhs == rhs
 
 
 def naive_commit(pk, coeffs):
@@ -149,7 +148,7 @@ def test_commit_matches_naive_fold(name, data):
         st.integers(0, r - 1),
     )
     coeffs = tuple(data.draw(st.lists(coeff, min_size=1, max_size=pk.degree + 1)))
-    assert commit(pk, QuantizedPoly(coeffs, r)).value == naive_commit(pk, coeffs)
+    assert commit(pk, QuantizedPoly(coeffs, r)) == naive_commit(pk, coeffs)
 
 
 @pytest.mark.parametrize("name", ["exponent", "pairing"])
@@ -194,7 +193,7 @@ def test_witness_hand_example(ctx):
     w = create_witness(pk, phi, 2)
     assert w.eval == 11
     quotient = QuantizedPoly((4, 1, 0), backend.order)
-    assert w.value == commit(pk, quotient).value
+    assert w.value == commit(pk, quotient)
     assert verify_share(pk, commit(pk, phi), w)
 
 
@@ -237,7 +236,7 @@ def test_binding_distinct_polys_distinct_commitments(ctx):
     seen = set()
     for _ in range(50):
         phi = random_poly(rng, 8, backend.order)
-        key = backend.g1_to_bytes(commit(pk, phi).value)
+        key = backend.g1_to_bytes(commit(pk, phi))
         assert key not in seen
         seen.add(key)
 
@@ -290,7 +289,7 @@ def test_torsion_inputs_keep_their_verdicts():
     backend, pk = make_pk("pairing", 8)
     c, shares = opened_bundle(pk, random.Random(5))
     T = (0, 0)
-    c_T = Commitment(backend.g1_add(c.value, T))
+    c_T = backend.g1_add(c, T)
     shares_T = [Witness(backend.g1_add(w.value, T), w.point, w.eval) for w in shares]
     for commitment in (c, c_T):
         for batch in (shares, shares_T):
@@ -309,7 +308,7 @@ def test_batch_weights_deterministic_and_bound_to_every_input(ctx):
     assert len(rho) == len(shares)
     assert all(0 <= r < 1 << 128 for r in rho)
     assert len(set(rho)) == len(rho)
-    variants = [batch_weights(pk, Commitment(backend.g1_add(c.value, backend.g1)), shares)]
+    variants = [batch_weights(pk, backend.g1_add(c, backend.g1), shares)]
     for i, w in enumerate(shares):
         for changed in (
             Witness(w.value, w.point + 1, w.eval),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -116,6 +117,9 @@ def test_cli_run_deterministic(tmp_path):
     assert main(["run", "--config", str(cfg), "--seed", "7", "--out", str(out2)]) == 0
     for name in ("metrics.csv", "chain.bin"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    # the sidecar's config object is the spec that ran, overrides included
+    meta = json.loads((out1 / "metadata.json").read_text())
+    assert spec_from_dict(meta["config"]) == small_spec(seed=7)
 
 
 def test_cli_bad_config_is_error(tmp_path, capsys):
@@ -123,6 +127,21 @@ def test_cli_bad_config_is_error(tmp_path, capsys):
     cfg.write_text('{"no_such_field": 1}')
     assert main(["run", "--config", str(cfg)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_dataset_of_another_shape_is_refused_before_the_run(tmp_path, capsys):
+    """A 2-feature CSV under a config that names 3 features is refused as
+    soon as it is loaded, naming both counts, and writes nothing."""
+    rows = ["a,b,label"] + [f"{i % 7 / 7},{i % 5 / 5},{i % 2}" for i in range(2400)]
+    (tmp_path / "data.csv").write_text("\n".join(rows) + "\n")
+    params = {"path": str(tmp_path / "data.csv")}
+    dataset = dataclasses.replace(small_spec().dataset, kind="csv-tabular", params=params)
+    cfg = tmp_path / "cfg.json"
+    save_spec(cfg, small_spec(dataset=dataset))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "dataset has 2 features and 2 classes; the config names 3 and 2" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
 
 
 def test_cli_collusion_prob(tmp_path, capsys):

@@ -105,6 +105,19 @@ def test_unknown_kind():
         make_dataset("parquet", {}, 0)
 
 
+@pytest.mark.parametrize(
+    "kind, params, key",
+    [
+        ("csv-tabular", {}, "path"),
+        ("idx-images", {"labels": "l.idx"}, "images"),
+        ("idx-images", {"images": "i.idx"}, "labels"),
+    ],
+)
+def test_loader_without_its_path_names_the_key(kind, params, key):
+    with pytest.raises(ValueError, match=f"needs params.{key}"):
+        make_dataset(kind, params, 0)
+
+
 def test_partition_disjoint_and_complete():
     data = make_dataset("synthetic-blobs", {"n": 103, "features": 3}, seed=2)
     shards = partition(data, 4, seed=9)

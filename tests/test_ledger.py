@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from chainlearn import ledger as ledger_module
 from chainlearn.bootstrap import build_genesis
-from chainlearn.commitments import Commitment
 from chainlearn.groups import get_backend
 from chainlearn.ledger import (
     GENESIS_PREV_HASH,
@@ -246,7 +245,7 @@ def test_signoff_block_rule_property(backend_name, data):
         return sign_off(backend, secrets[vid].keypair, 1, vid, pairs)
 
     def moved(entry):  # the same peer with another commitment
-        return CommitmentEntry(entry.peer, Commitment(backend.g1_add(entry.commitment.value, backend.g1)))
+        return CommitmentEntry(entry.peer, backend.g1_add(entry.commitment, backend.g1))
 
     signoffs, naming = [], Counter()
     for vid in verifiers:

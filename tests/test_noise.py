@@ -11,9 +11,9 @@ from chainlearn.noise import (
     gaussian_sigma,
     generate_noise,
     mask_update,
-    peer_noise,
 )
 from chainlearn.quantize import decode, encode
+from chainlearn.sgd import TrainConfig
 
 from conftest import tiny_config
 
@@ -39,19 +39,24 @@ def test_sigma_rejects_bad_params():
         gaussian_sigma(2.0, 1.5)
 
 
+CONFIG = tiny_config()
+
+
+def noise(seed: bytes, iteration: int = 1, dim: int = 6, config=CONFIG):
+    return generate_noise(config, dim, PeerSecrets(None, seed), iteration)
+
+
 def test_sample_mean_near_zero():
-    nv = generate_noise(100_000, 2.0, 1e-5, 1, 1.0, b"peer", 1, MOD)
+    config = tiny_config(train=TrainConfig(eta0=1.0, eta_decay=0.0, weight_decay=0.0, batch_size=1))
+    zeta = decode(noise(b"peer", dim=100_000, config=config))
     sigma = gaussian_sigma(2.0, 1e-5)
-    assert abs(nv.zeta.mean()) < 4 * sigma / math.sqrt(100_000)
+    assert abs(zeta.mean()) < 4 * sigma / math.sqrt(100_000)
 
 
 def test_noise_deterministic_per_seed_and_iteration():
-    a = generate_noise(16, 2.0, 1e-5, 8, 0.5, b"s", 3, MOD)
-    b = generate_noise(16, 2.0, 1e-5, 8, 0.5, b"s", 3, MOD)
-    c = generate_noise(16, 2.0, 1e-5, 8, 0.5, b"s", 4, MOD)
-    assert np.array_equal(a.zeta, b.zeta)
-    assert a.quantized == b.quantized
-    assert not np.array_equal(a.zeta, c.zeta)
+    a, b, c = noise(b"s", 3, 16), noise(b"s", 3, 16), noise(b"s", 4, 16)
+    assert a == b
+    assert not np.array_equal(decode(a), decode(c))
 
 
 def test_table_dims_and_runtime_regeneration():
@@ -61,22 +66,15 @@ def test_table_dims_and_runtime_regeneration():
     table = build_noise_table(pk, config, secrets)
     assert set(table.commitments) == {0, 1, 2}
     assert all(len(row) == 4 for row in table.commitments.values())
-    nv = peer_noise(config, 6, secrets[1], 3)
-    assert commit(pk, nv.quantized).value == table.entry(1, 3).value
-    # the recipe reads the privacy budget, batch and schedule from genesis
-    train = config.train
-    explicit = generate_noise(
-        6, config.epsilon, config.delta, train.batch_size, train.eta_at(3), b"b", 3, MOD
-    )
-    assert nv.quantized == explicit.quantized
+    assert commit(pk, generate_noise(config, 6, secrets[1], 3)) == table.entry(1, 3)
 
 
 def test_zero_noise_adversary_representable():
     pk = trusted_setup(BACKEND, 6, b"x")
     secrets = {0: PeerSecrets(None, b"a"), 1: PeerSecrets(None, b"b", zero_noise=True)}
     table = build_noise_table(pk, tiny_config(total_iterations=2), secrets)
-    assert table.entry(1, 1).value == BACKEND.g1_identity
-    assert table.entry(0, 1).value != BACKEND.g1_identity
+    assert table.entry(1, 1) == BACKEND.g1_identity
+    assert table.entry(0, 1) != BACKEND.g1_identity
 
 
 def test_table_entry_bounds():
@@ -91,9 +89,7 @@ def test_table_entry_bounds():
 def test_mask_update_is_field_sum():
     rng = np.random.default_rng(0)
     upd = encode(rng.normal(size=6), 17, MOD)
-    noises = [
-        generate_noise(6, 2.0, 1e-5, 4, 0.5, bytes([i]), 1, MOD).quantized for i in range(2)
-    ]
+    noises = [noise(bytes([i])) for i in range(2)]
     masked = mask_update(upd, noises)
     expect = decode(upd) + sum(decode(n) for n in noises)
     np.testing.assert_array_equal(decode(masked), expect)
@@ -105,14 +101,12 @@ def test_mask_commitment_equality():
     pk = trusted_setup(BACKEND, 6, b"x")
     rng = np.random.default_rng(1)
     upd = encode(rng.normal(size=6) * 0.1, 12345, MOD)
-    noises = [
-        generate_noise(6, 2.0, 1e-5, 4, 0.5, bytes([i]), 1, MOD).quantized for i in range(3)
-    ]
+    noises = [noise(bytes([i])) for i in range(3)]
     masked = mask_update(upd, noises)
-    lhs = commit(pk, masked).value
-    rhs = commit(pk, upd).value
+    lhs = commit(pk, masked)
+    rhs = commit(pk, upd)
     for n in noises:
-        rhs = BACKEND.g1_add(rhs, commit(pk, n).value)
+        rhs = BACKEND.g1_add(rhs, commit(pk, n))
     assert lhs == rhs
 
 

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from chainlearn import ledger, noise, protocol, signatures
+from chainlearn import ledger, protocol, signatures
 from chainlearn.bootstrap import build_genesis
 from chainlearn.commitments import commit
 from chainlearn.committees import VrfOutput, draw_committee, draw_noisers, noiser_seed
@@ -20,7 +20,7 @@ from chainlearn.ledger import (
     round_committees,
     sign_off,
 )
-from chainlearn.noise import mask_update, peer_noise
+from chainlearn.noise import generate_noise, mask_update
 from chainlearn.protocol import (
     AggShareMsg,
     PeerNode,
@@ -127,26 +127,23 @@ def test_aggregate_share_signature_binds_the_announce(monkeypatch):
     _, aggregators = round_committees(
         sim.genesis, build_ring(sim.genesis.initial_stake), sim.genesis.hash(), 1
     )
-    proposer, rogue = aggregators[:2]
-    answer, collect = PeerNode._on_AggAnnounce, PeerNode._on_AggShareMsg
-    counted = []
-
-    def resigned(peer, msg, now):
-        out = answer(peer, msg, now)
-        if peer.id != rogue or msg.iteration != 1 or not out:
-            return out
-        reply = out[0][1]
-        payload = reply.payload_bytes(peer.backend, msg.contributors[:-1])
-        reply = dataclasses.replace(reply, signature=sign(peer.backend, peer.secrets.keypair, payload))
-        return [(dest, reply, extra) for dest, _, extra in out]
+    proposer = aggregators[0]
+    collect = PeerNode._on_AggShareMsg
+    rogue, counted = None, []
 
     def collecting(peer, msg, now):
+        nonlocal rogue
+        if peer.id == proposer and msg.iteration == 1 and msg.sender != proposer and rogue is None:
+            # the first other aggregator to reach the proposer, whichever the
+            # draw makes it, signed over all but the last announced contributor
+            rogue = msg.sender
+            payload = msg.payload_bytes(peer.backend, peer.round.announce[:-1])
+            msg = dataclasses.replace(msg, signature=sign(peer.backend, sim.peers[rogue].secrets.keypair, payload))
         out = collect(peer, msg, now)
         if peer.id == proposer and msg.sender == rogue and msg.iteration == 1:
             counted.append(rogue in peer.round.agg_shares)
         return out
 
-    monkeypatch.setattr(PeerNode, "_on_AggAnnounce", resigned)
     monkeypatch.setattr(PeerNode, "_on_AggShareMsg", collecting)
     result = sim.run()
     assert f"r1: bad aggregate-share signature from {rogue}" in sim.peers[proposer].audit
@@ -265,14 +262,11 @@ def make_submission(sim, peer_id, iteration=1, tamper=None):
     if tamper == "wrong-noisers":
         others = [p for p in sorted(sim.peers) if p not in noiser_ids and p != peer_id]
         noiser_ids = tuple(others[: cfg.num_noisers])
-    noises = [
-        peer_noise(cfg, update_q.dim, sim.peers[nid].secrets, iteration).quantized
-        for nid in noiser_ids
-    ]
+    noises = [generate_noise(cfg, update_q.dim, sim.peers[nid].secrets, iteration) for nid in noiser_ids]
     if tamper == "non-genesis-noise":
         # fresh noise that is NOT what was committed: try to unpoison the update
         rogue = dataclasses.replace(sim.peers[noiser_ids[0]].secrets, noise_seed=b"rogue")
-        noises[0] = peer_noise(cfg, update_q.dim, rogue, iteration).quantized
+        noises[0] = generate_noise(cfg, update_q.dim, rogue, iteration)
     masked = mask_update(update_q, noises)
     if tamper == "padded":
         # one data slot more than the model has, and than the commitment key takes
@@ -388,7 +382,7 @@ def test_zero_noise_colluders_through_the_simulator():
     sim = make_sim(zero_noise_peers=colluders)
     table, identity = sim.genesis.noise_table, sim.genesis.commit_pk.backend.g1_identity
     for pid in sim.peers:
-        zero = [c.value == identity for c in table.commitments[pid]]
+        zero = [c == identity for c in table.commitments[pid]]
         assert all(zero) if pid in colluders else not any(zero)
     result = sim.run()
     served = [sim.peers[c].noise for c in colluders if sim.peers[c].noise is not None]
@@ -704,13 +698,14 @@ def test_per_tip_values_are_derived_once(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    def noise_key(dim, eps, delta, batch, eta, seed, iteration, *rest, **kwargs):
-        draws[seed, iteration] += 1
+    def noise_key(config, dim, secrets, iteration):
+        draws[secrets.noise_seed, iteration] += 1
 
     counted(ledger, "build_ring")
     counted(ledger, "block_content_bytes")
     sim = make_sim()
-    counted(noise, "generate_noise", noise_key)  # after genesis has built its table
+    # the name the peers call, patched after genesis has built its table
+    counted(protocol, "generate_noise", noise_key)
     result = sim.run()
     assert result.final_ledger.tip_hash().hex() == EXPONENT_TIP
     height, peers = result.final_ledger.height, len(sim.peers)

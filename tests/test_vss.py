@@ -50,7 +50,7 @@ def test_dealt_shares_all_verify():
     assert set(bundles) == {0, 1, 2}
     c = commit(pk, q)
     for b in bundles.values():
-        assert b.entry.commitment.value == c.value
+        assert b.entry.commitment == c
         for w in b.shares:
             assert verify_share(pk, c, w)
 
