@@ -61,6 +61,11 @@ class ExperimentSpec:
     # "stake_fractions": [0.1, 0.3, 0.5], "trials": 10000}
     sweep: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        for key in ("number_of_noisers", "number_of_verifiers"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
+
     # -- derived, reported in metadata ----------------------------------------
 
     @property

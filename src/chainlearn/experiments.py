@@ -119,10 +119,15 @@ def build_environment(spec: ExperimentSpec) -> Environment:
             f"dataset has {master.n_features} features and {master.num_classes} classes;"
             f" the config names {d.features} and {d.classes}"
         )
-    rng = np.random.default_rng(spec.seed + 1)
-    order = rng.permutation(len(master))
     cut_train = n_peers * d.shard_size
     cut_val = cut_train + d.validation_size
+    if len(master) < cut_val:  # a short reserve pool is allowed
+        raise ValueError(
+            f"dataset has {len(master)} examples; {n_peers} peers x {d.shard_size}"
+            f" + {d.validation_size} validation need {cut_val}"
+        )
+    rng = np.random.default_rng(spec.seed + 1)
+    order = rng.permutation(len(master))
     train = master.subset(order[:cut_train])
     validation = master.subset(order[cut_train:cut_val])
     reserve_pool = master.subset(order[cut_val:])

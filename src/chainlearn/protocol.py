@@ -65,6 +65,29 @@ from .vss import (
 
 BROADCAST = -1
 
+# Why a peer turns an input down or gives up its part of a round, recorded
+# as (round, peer, reason) in ``PeerNode.audit``.  A block the ledger refuses
+# keeps its ``ledger.REJECTION_REASONS`` entry; the two sets share no name.
+REFUSAL_REASONS = frozenset(
+    {
+        # the peer's own stage fails, so its part of the round is void
+        "no-local-data", "local-update-failed", "noiser-draw-failed", "no-quorum",
+        "no-accepted-bundles", "missing-bundles", "recovery-failed",
+        # honest lateness: the message's round has passed or its stage closed
+        "late-submission", "late-bundle", "late-aggregate-share",
+        # off schedule: the wrong round or role, or a repeat
+        "unknown-message", "stray-noise-request", "stray-noise-response", "stray-submission",
+        "duplicate-submission", "stray-grant", "stray-bundle", "duplicate-bundle",
+        "stray-announce", "stray-aggregate-share", "duplicate-aggregate-share",
+        # the input breaks a rule
+        "noise-not-genesis", "committee-submitter", "unknown-sender", "inadmissible-update",
+        "bad-submission-signature", "bad-noiser-draw", "masking-mismatch", "bad-grant",
+        "bundle-refused", "malformed-announce", "bad-aggregate-share-signature",
+        # chain sync: a block past the tip, or a longer chain not adopted
+        "ahead-of-tip", "catch-up-prefix-mismatch", "catch-up-invalid-remote-block",
+    }
+)
+
 
 class StageTimeouts:
     """Stage deadlines in simulated seconds from round start: noise 2 +
@@ -181,29 +204,31 @@ class Timer:
 # --- standalone checks --------------------------------------------------------
 
 
-def verify_masked_submission(sub: UpdateSubmission, genesis, ring, prev_hash: bytes) -> bool:
-    """All verifier-side structural checks for one masked update; ``ring`` is
-    the stake ring of the tip ``prev_hash``."""
+def submission_rejection(sub: UpdateSubmission, genesis, ring, prev_hash: bytes) -> str:
+    """'' if a verifier may pool ``sub``, else the rule it breaks; ``ring``
+    is the stake ring of the tip ``prev_hash``."""
     backend = genesis.commit_pk.backend
     cfg = genesis.config
-    if sub.sender not in genesis.peer_pubkeys or not genesis.admits(sub.masked):
-        return False
+    if sub.sender not in genesis.peer_pubkeys:
+        return "unknown-sender"
+    if not genesis.admits(sub.masked):
+        return "inadmissible-update"
     key = genesis.public_bases[sub.sender]
     if not signatures.verify(backend, key, sub.payload_bytes(backend), sub.signature):
-        return False
+        return "bad-submission-signature"
     # the noiser draw must be the sender's own, for this tip and round
     if not verify_vrf(
         sub.noiser_vrf, backend, key, sub.sender, ring, prev_hash, sub.iteration, cfg.num_noisers
     ):
-        return False
+        return "bad-noiser-draw"
     # the drawn noisers' noise, as genesis committed it
     try:
         noise = [genesis.noise_table.entry(nid, sub.iteration) for nid in sub.noiser_vrf.committee]
     except (KeyError, ValueError):
-        return False
+        return "bad-noiser-draw"
     # masking equality: commit(masked) == commit(update) * prod commit(noise)
     product = combine(backend, [sub.commitment, *noise])
-    return commit(genesis.commit_pk, sub.masked) == product
+    return "" if commit(genesis.commit_pk, sub.masked) == product else "masking-mismatch"
 
 
 def tip_sample(ids, k: int, tag: bytes, prev_hash: bytes, iteration: int) -> tuple:
@@ -260,7 +285,7 @@ class PeerNode:
         self.model = make_model(cfg.model_family, cfg.n_features, cfg.n_classes)
         self.round = RoundState()
         self.noise = None  # (iteration, quantized noise) last handed out
-        self.audit: list[str] = []
+        self.audit: list[tuple] = []  # (round, peer, reason), one per refusal
 
     # -- helpers ---------------------------------------------------------------
 
@@ -279,6 +304,15 @@ class PeerNode:
 
     def is_proposer(self) -> bool:
         return self.round.aggregators and self.round.aggregators[0] == self.id
+
+    def _refuse(self, reason: str, peer) -> list:
+        """Record that ``peer``'s input, or this peer's own stage, is refused for ``reason``."""
+        self.audit.append((self.round.iteration, peer, reason))
+        return []
+
+    def _missed(self, iteration: int, closed: bool) -> bool:
+        """Round ``iteration`` has passed, or is this one and its stage ``closed``."""
+        return iteration < self.round.iteration or (iteration == self.round.iteration and closed)
 
     # -- round control ----------------------------------------------------------
 
@@ -310,15 +344,13 @@ class PeerNode:
         cfg = self.config
         t = self.round.iteration
         if len(self.dataset) == 0:
-            self.audit.append(f"r{t}: no local data, skipping update")
-            return []
+            return self._refuse("no-local-data", self.id)
         params = self.ledger.current_model()
         seed = int.from_bytes(sha256(b"batch" + self.secrets.noise_seed + u64(t)), "big")
         try:
             delta = compute_local_update(self.model, params, self.dataset, cfg.train, seed)
-        except ValueError as exc:
-            self.audit.append(f"r{t}: local update failed: {exc}")
-            return []
+        except ValueError:
+            return self._refuse("local-update-failed", self.id)
         blinding = int.from_bytes(sha256(b"blind" + self.secrets.noise_seed + u64(t)), "big")
         self.round.update_q = encode(delta, blinding % self.backend.order, self.backend.order)
         self.round.commitment = commit(self.genesis.commit_pk, self.round.update_q)
@@ -327,9 +359,8 @@ class PeerNode:
                 self.backend, self.secrets.keypair, self.id, self.ledger.state.ring,
                 prev_hash, t, cfg.num_noisers,
             )
-        except ValueError as exc:
-            self.audit.append(f"r{t}: noiser draw failed: {exc}")
-            return []
+        except ValueError:
+            return self._refuse("noiser-draw-failed", self.id)
         return [(nid, NoiseRequest(t, self.id), None) for nid in self.round.noiser_vrf.committee]
 
     # -- event dispatch ----------------------------------------------------------
@@ -339,32 +370,26 @@ class PeerNode:
 
         For sends the third slot is None; timer requests carry the delay.
         """
-        if isinstance(event, Timer):
-            return self.handle_timeout(event, now)
         handler = getattr(self, "_on_" + type(event).__name__, None)
         if handler is None:
-            self.audit.append(f"dropped unknown message {type(event).__name__}")
-            return []
+            return self._refuse("unknown-message", None)
         return handler(event, now)
 
-    def handle_timeout(self, timer: Timer, now: float) -> list:
+    def _on_Timer(self, timer: Timer, now: float) -> list:
         if timer.iteration != self.round.iteration:
             return []  # stale timer from a voided round
-        if timer.tag == "verify-deadline":
-            return self._close_verification(now)
-        if timer.tag == "aggregation-deadline":
-            return self._close_aggregation(now)
         if timer.tag == "round-budget":
             # no block arrived: void the round, keep the model, move on
             return self.start_round(self.round.iteration + 1, now)
-        return []
+        if timer.tag == "verify-deadline":
+            return self._close_verification(now)
+        return self._close_aggregation(now)
 
     # -- noiser duty (any online peer) -------------------------------------------
 
     def _on_NoiseRequest(self, msg: NoiseRequest, now: float) -> list:
         if not 1 <= msg.iteration <= self.config.total_iterations:
-            self.audit.append(f"dropped noise request for round {msg.iteration}")
-            return []
+            return self._refuse("stray-noise-request", msg.sender)
         # a pure function of (secrets, round): draw it once per round
         if self.noise is None or self.noise[0] != msg.iteration:
             dim = len(self.genesis.initial_model)
@@ -373,22 +398,14 @@ class PeerNode:
 
     def _on_NoiseResponse(self, msg: NoiseResponse, now: float) -> list:
         rs = self.round
-        if (
-            msg.iteration != rs.iteration
-            or rs.noiser_vrf is None
-            or rs.submitted
-            or msg.sender not in rs.noiser_vrf.committee
-        ):
-            self.audit.append(f"dropped stray noise response from {msg.sender}")
-            return []
-        expected = self.genesis.noise_table.entry(msg.sender, rs.iteration)
-        if (
-            not self.genesis.admits(msg.quantized)
-            or commit(self.genesis.commit_pk, msg.quantized) != expected
-        ):
-            self.audit.append(f"r{rs.iteration}: noise from {msg.sender} mismatches genesis; voiding")
+        drawn = rs.noiser_vrf.committee if rs.noiser_vrf else ()
+        if msg.iteration != rs.iteration or rs.submitted or msg.sender not in drawn:
+            return self._refuse("stray-noise-response", msg.sender)
+        genesis = self.genesis
+        expected = genesis.noise_table.entry(msg.sender, rs.iteration)
+        if not genesis.admits(msg.quantized) or commit(genesis.commit_pk, msg.quantized) != expected:
             rs.noiser_vrf = None  # this round's update is void
-            return []
+            return self._refuse("noise-not-genesis", msg.sender)
         rs.noise_responses[msg.sender] = msg.quantized
         if len(rs.noise_responses) < len(rs.noiser_vrf.committee):
             return []
@@ -406,18 +423,17 @@ class PeerNode:
 
     def _on_UpdateSubmission(self, msg: UpdateSubmission, now: float) -> list:
         rs = self.round
-        if not self.is_verifier() or msg.iteration != rs.iteration or rs.signed_off:
-            self.audit.append(f"dropped late/stray submission from {msg.sender}")
-            return []
+        if self._missed(msg.iteration, rs.signed_off):
+            return self._refuse("late-submission", msg.sender)
+        if not self.is_verifier() or msg.iteration != rs.iteration:
+            return self._refuse("stray-submission", msg.sender)
         if msg.sender in rs.pool:
-            self.audit.append(f"duplicate submission from {msg.sender}")
-            return []
+            return self._refuse("duplicate-submission", msg.sender)
         if msg.sender in rs.verifiers or msg.sender in rs.aggregators:
-            self.audit.append(f"committee member {msg.sender} tried to submit")
-            return []
-        if not verify_masked_submission(msg, self.genesis, self.ledger.state.ring, self.ledger.tip_hash()):
-            self.audit.append(f"r{rs.iteration}: masked submission from {msg.sender} rejected")
-            return []
+            return self._refuse("committee-submitter", msg.sender)
+        reason = submission_rejection(msg, self.genesis, self.ledger.state.ring, self.ledger.tip_hash())
+        if reason:
+            return self._refuse(reason, msg.sender)
         rs.pool[msg.sender] = msg
         return []
 
@@ -425,8 +441,7 @@ class PeerNode:
         rs = self.round
         rs.signed_off = True
         if len(rs.pool) < 3:
-            self.audit.append(f"r{rs.iteration}: only {len(rs.pool)} submissions, no quorum")
-            return []
+            return self._refuse("no-quorum", self.id)
         chosen = tip_sample(rs.pool, self.r_target(), b"krum-sample", self.ledger.tip_hash(), rs.iteration)
         updates = np.stack([decode(rs.pool[pid].masked) for pid in chosen])
         cfg = KrumConfig(len(chosen), max_tolerable_f(len(chosen)))
@@ -443,13 +458,11 @@ class PeerNode:
         if rs.dealt and msg.iteration == rs.iteration:
             return []  # late grant after a majority was already reached
         if not rs.submitted or msg.iteration != rs.iteration or signoff.verifier not in rs.verifiers:
-            self.audit.append(f"dropped stray signature grant from {signoff.verifier}")
-            return []
+            return self._refuse("stray-grant", signoff.verifier)
         entry = CommitmentEntry(self.id, rs.commitment)
         mine = pair_records([entry], self.backend)[0]
         if mine not in signoff.winners or not rs.signoff_checks[signoff]:
-            self.audit.append(f"r{rs.iteration}: bad grant signature from {signoff.verifier}")
-            return []
+            return self._refuse("bad-grant", signoff.verifier)
         rs.grants[signoff.verifier] = signoff
         if len(rs.grants) <= len(rs.verifiers) // 2:
             return []
@@ -464,24 +477,18 @@ class PeerNode:
         rs = self.round
         bundle = msg.bundle
         dealer = bundle.entry.peer
-        if not self.is_aggregator() or msg.iteration != rs.iteration or rs.announced:
-            self.audit.append(f"dropped late/stray bundle from {dealer}")
-            return []
+        if self._missed(msg.iteration, rs.announced):
+            return self._refuse("late-bundle", dealer)
+        if not self.is_aggregator() or msg.iteration != rs.iteration:
+            return self._refuse("stray-bundle", dealer)
         if dealer in rs.accepted_bundles:
-            self.audit.append(f"duplicate bundle from {dealer}")
-            return []
-        points = assign_points(share_points(len(self.genesis.initial_model)), rs.aggregators)[self.id]
+            return self._refuse("duplicate-bundle", dealer)
+        genesis = self.genesis
+        points = assign_points(share_points(len(genesis.initial_model)), rs.aggregators)[self.id]
         if not accept_bundle(
-            bundle,
-            rs.verifiers,
-            rs.aggregators,
-            self.genesis.public_bases,
-            self.genesis.commit_pk,
-            points,
-            rs.signoff_checks,
+            bundle, rs.verifiers, rs.aggregators, genesis.public_bases, genesis.commit_pk, points, rs.signoff_checks
         ):
-            self.audit.append(f"r{rs.iteration}: bundle from {dealer} rejected")
-            return []
+            return self._refuse("bundle-refused", dealer)
         rs.accepted_bundles[dealer] = bundle
         return []
 
@@ -508,8 +515,7 @@ class PeerNode:
             if not endorsement_rejection([rec], rs.signoffs, rs.verifiers, rs.signoff_checks)
         ]
         if not eligible:
-            self.audit.append(f"r{rs.iteration}: no accepted bundles, voiding round")
-            return []
+            return self._refuse("no-accepted-bundles", self.id)
         u = updates_per_block(self.r_target())
         rs.announce = tip_sample(eligible, u, b"pick", self.ledger.tip_hash(), rs.iteration)
         announce = AggAnnounce(rs.iteration, self.id, rs.announce)
@@ -517,22 +523,14 @@ class PeerNode:
 
     def _on_AggAnnounce(self, msg: AggAnnounce, now: float) -> list:
         rs = self.round
-        if (
-            not self.is_aggregator()
-            or msg.iteration != rs.iteration
-            or msg.sender != rs.aggregators[0]
-        ):
-            self.audit.append(f"dropped stray aggregation announce from {msg.sender}")
-            return []
+        if not self.is_aggregator() or msg.iteration != rs.iteration or msg.sender != rs.aggregators[0]:
+            return self._refuse("stray-announce", msg.sender)
         c = msg.contributors
         if not c or any(a >= b for a, b in zip(c, c[1:])):
-            self.audit.append(f"r{rs.iteration}: announce from {msg.sender} is empty or not ascending")
-            return []
-        missing = [pid for pid in msg.contributors if pid not in rs.accepted_bundles]
-        if missing:
-            self.audit.append(f"r{rs.iteration}: missing bundles for {missing}, cannot contribute sum")
-            return []
-        bundles = [rs.accepted_bundles[pid] for pid in msg.contributors]
+            return self._refuse("malformed-announce", msg.sender)
+        if any(pid not in rs.accepted_bundles for pid in c):
+            return self._refuse("missing-bundles", self.id)
+        bundles = [rs.accepted_bundles[pid] for pid in c]
         reply = AggShareMsg(rs.iteration, self.id, tuple(sum_shares(bundles, self.backend)))
         payload = reply.payload_bytes(self.backend, msg.contributors)
         sig = signatures.sign(self.backend, self.secrets.keypair, payload)
@@ -543,23 +541,15 @@ class PeerNode:
         rs = self.round
         if not self.is_proposer():
             return []  # sums are broadcast committee-wide; only the proposer mints
-        if (
-            msg.iteration != rs.iteration
-            or rs.minted
-            or rs.announce is None
-            or msg.sender not in rs.aggregators
-            or msg.sender in rs.agg_shares
-        ):
-            self.audit.append(f"dropped stray aggregate-share message from {msg.sender}")
-            return []
-        if not signatures.verify(
-            self.backend,
-            self.genesis.public_bases[msg.sender],
-            msg.payload_bytes(self.backend, rs.announce),
-            msg.signature,
-        ):
-            self.audit.append(f"r{rs.iteration}: bad aggregate-share signature from {msg.sender}")
-            return []
+        if self._missed(msg.iteration, rs.minted):
+            return self._refuse("late-aggregate-share", msg.sender)
+        if msg.iteration != rs.iteration or rs.announce is None or msg.sender not in rs.aggregators:
+            return self._refuse("stray-aggregate-share", msg.sender)
+        if msg.sender in rs.agg_shares:
+            return self._refuse("duplicate-aggregate-share", msg.sender)
+        key, payload = self.genesis.public_bases[msg.sender], msg.payload_bytes(self.backend, rs.announce)
+        if not signatures.verify(self.backend, key, payload, msg.signature):
+            return self._refuse("bad-aggregate-share-signature", msg.sender)
         rs.agg_shares[msg.sender] = msg.shares
         quorum = -(-len(rs.aggregators) // 2)  # ceil(m/2), proposer included
         if len(rs.agg_shares) < quorum:
@@ -576,9 +566,8 @@ class PeerNode:
         all_shares = [s for shares in rs.agg_shares.values() for s in shares]
         try:
             aggregate = recover_aggregate(all_shares, pk, combined)
-        except ShareRecoveryError as exc:
-            self.audit.append(f"r{rs.iteration}: recovery failed, aborting round: {exc}")
-            return []
+        except ShareRecoveryError:
+            return self._refuse("recovery-failed", self.id)
         rs.minted = True
         prev = self.ledger.current_model()
         weights = prev.weights + decode(aggregate)
@@ -603,10 +592,9 @@ class PeerNode:
             return self.start_round(msg.block.iteration + 1, now)
         if reason == "bad-prev-hash" and msg.block.iteration > self.ledger.tip_iteration():
             # this chain is ahead of ours: pull it and resync
-            self.audit.append(f"behind at round {msg.block.iteration}, requesting chain")
+            self._refuse("ahead-of-tip", msg.sender)
             return [(msg.sender, ChainRequest(self.id), None)]
-        self.audit.append(f"r{msg.block.iteration}: rejected block: {reason}")
-        return []
+        return self._refuse(reason, msg.sender)
 
     # -- catch-up -----------------------------------------------------------------------
 
@@ -615,9 +603,9 @@ class PeerNode:
 
     def _on_ChainResponse(self, msg: ChainResponse, now: float) -> list:
         adopted, reason = self.ledger.catch_up(msg.blocks)
-        if not adopted and reason != "remote-not-longer":
-            self.audit.append(f"catch-up rejected: {reason}")
-        if adopted:
-            # resync round tracking to the adopted tip
+        if adopted:  # resync round tracking to the adopted tip
             return self.start_round(self.ledger.tip_iteration() + 1, now)
-        return []
+        if reason == "remote-not-longer":
+            return []
+        # "prefix-mismatch", or "invalid-remote-block@<round>:<block rule reason>"
+        return self._refuse("catch-up-" + reason.partition("@")[0], msg.sender)

@@ -5,7 +5,7 @@ import pytest
 
 from chainlearn.cli import main
 from chainlearn.config import DatasetSpec, ExperimentSpec, load_spec, save_spec, spec_from_dict
-from chainlearn.experiments import run_named_experiment
+from chainlearn.experiments import build_environment, run_named_experiment
 from chainlearn.sgd import TrainConfig
 
 
@@ -142,6 +142,51 @@ def test_cli_dataset_of_another_shape_is_refused_before_the_run(tmp_path, capsys
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
     assert "dataset has 2 features and 2 classes; the config names 3 and 2" in capsys.readouterr().err
     assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["number_of_noisers", "number_of_verifiers"])
+def test_cli_spec_without_noisers_or_verifiers_is_refused(tmp_path, capsys, key):
+    """With no noiser no update is ever masked, and with no verifier none is
+    signed, so such a run sealed nothing and said nothing.  The spec is
+    refused, naming its JSON key, and nothing is written."""
+    data = small_spec().to_dict()
+    data[key] = 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"{key} must be at least 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows", [500, 610])
+def test_cli_dataset_too_small_for_its_split_is_refused(tmp_path, capsys, rows):
+    """10 peers x 60 rows and 300 validation rows need 900 examples.  With
+    500 the run trained every round and then failed on an empty validation
+    set; with 610 it scored on 10 examples.  Both are refused before
+    genesis, naming both counts; a short reserve pool stays allowed."""
+    lines = ["a,b,c,label"] + [f"{i % 7 / 7},{i % 5 / 5},{i % 3 / 3},{i % 2}" for i in range(rows)]
+    (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
+    params = {"path": str(tmp_path / "data.csv")}
+    dataset = dataclasses.replace(small_spec().dataset, kind="csv-tabular", params=params)
+    cfg = tmp_path / "cfg.json"
+    save_spec(cfg, small_spec(dataset=dataset))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"dataset has {rows} examples; 10 peers x 60 + 300 validation need 900" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+
+
+def test_dataset_with_a_short_reserve_pool_runs(tmp_path):
+    """901 examples fill the peers' shards and the validation set and leave
+    one for the reserve: the run proceeds."""
+    lines = ["a,b,c,label"] + [f"{i % 7 / 7},{i % 5 / 5},{i % 3 / 3},{i % 2}" for i in range(901)]
+    (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
+    dataset = dataclasses.replace(
+        small_spec().dataset, kind="csv-tabular", params={"path": str(tmp_path / "data.csv")}
+    )
+    env = build_environment(small_spec(dataset=dataset))
+    assert len(env.validation) == 300 and sum(len(d) for d in env.datasets.values()) == 600
 
 
 def test_cli_collusion_prob(tmp_path, capsys):

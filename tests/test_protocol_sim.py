@@ -22,12 +22,13 @@ from chainlearn.ledger import (
 )
 from chainlearn.noise import generate_noise, mask_update
 from chainlearn.protocol import (
+    REFUSAL_REASONS,
     AggShareMsg,
     PeerNode,
     SignatureGrant,
     Timer,
     UpdateSubmission,
-    verify_masked_submission,
+    submission_rejection,
 )
 from chainlearn.quantize import encode
 from chainlearn.sgd import compute_local_update
@@ -146,7 +147,7 @@ def test_aggregate_share_signature_binds_the_announce(monkeypatch):
 
     monkeypatch.setattr(PeerNode, "_on_AggShareMsg", collecting)
     result = sim.run()
-    assert f"r1: bad aggregate-share signature from {rogue}" in sim.peers[proposer].audit
+    assert (1, rogue, "bad-aggregate-share-signature") in sim.peers[proposer].audit
     assert counted == [False]
     assert [b.iteration for b in result.final_ledger.blocks] == [1, 2, 3, 4, 5]
 
@@ -175,7 +176,7 @@ def test_share_with_an_evaluation_outside_the_field_is_a_bad_signature(monkeypat
 
     monkeypatch.setattr(PeerNode, "_on_AggAnnounce", out_of_range)
     result = sim.run()
-    assert f"r1: bad aggregate-share signature from {rogue}" in sim.peers[proposer].audit
+    assert (1, rogue, "bad-aggregate-share-signature") in sim.peers[proposer].audit
     assert result.final_ledger.tip_hash().hex() == EXPONENT_TIP
 
 
@@ -259,9 +260,12 @@ def make_submission(sim, peer_id, iteration=1, tamper=None):
         seed = noiser_seed(backend.g1_to_bytes(peer.secrets.keypair.public), prev_hash, iteration)
         vrf = VrfOutput(draw_committee(ring, seed, cfg.num_noisers, exclude={peer_id}), b"")
     noiser_ids = vrf.committee
-    if tamper == "wrong-noisers":
+    if tamper in ("undrawn-noise", "swapped-committee"):
         others = [p for p in sorted(sim.peers) if p not in noiser_ids and p != peer_id]
         noiser_ids = tuple(others[: cfg.num_noisers])
+    if tamper == "swapped-committee":
+        # the sender's own proof, naming noisers it did not draw
+        vrf = VrfOutput(noiser_ids, vrf.proof)
     noises = [generate_noise(cfg, update_q.dim, sim.peers[nid].secrets, iteration) for nid in noiser_ids]
     if tamper == "non-genesis-noise":
         # fresh noise that is NOT what was committed: try to unpoison the update
@@ -287,29 +291,43 @@ def eligible_peer(sim, iteration=1):
     return next(p for p in sorted(sim.peers) if p not in committee)
 
 
+def rejection(sim, sub):
+    """The verdict of a round-1 verifier on ``sub``."""
+    return submission_rejection(sub, sim.genesis, build_ring(sim.genesis.initial_stake), sim.genesis.hash())
+
+
 def test_honest_masked_submission_verifies():
     sim = make_sim(seed=6)
-    sub = make_submission(sim, eligible_peer(sim))
-    assert verify_masked_submission(
-        sub, sim.genesis, build_ring(sim.genesis.initial_stake), sim.genesis.hash()
-    )
+    assert rejection(sim, make_submission(sim, eligible_peer(sim))) == ""
 
 
 def test_non_genesis_noise_rejected():
     """Noise not matching the pre-committed table cannot slip through."""
     sim = make_sim(seed=6)
     sub = make_submission(sim, eligible_peer(sim), tamper="non-genesis-noise")
-    assert not verify_masked_submission(
-        sub, sim.genesis, build_ring(sim.genesis.initial_stake), sim.genesis.hash()
-    )
+    assert rejection(sim, sub) == "masking-mismatch"
 
 
-def test_wrong_noiser_set_rejected_via_vrf():
+def test_undrawn_noisers_noise_is_a_masking_mismatch():
+    """A submission under the sender's valid draw, masked with the genesis
+    noise of peers the draw did not name, passes every check up to the
+    masking equality and is refused there."""
     sim = make_sim(seed=6)
-    sub = make_submission(sim, eligible_peer(sim), tamper="wrong-noisers")
-    assert not verify_masked_submission(
-        sub, sim.genesis, build_ring(sim.genesis.initial_stake), sim.genesis.hash()
-    )
+    sub = make_submission(sim, eligible_peer(sim), tamper="undrawn-noise")
+    assert rejection(sim, sub) == "masking-mismatch"
+
+
+def test_swapped_noiser_committee_is_a_bad_draw():
+    """A signed submission whose draw names other noisers under the sender's
+    own proof, masked consistently with their genesis noise, is refused by
+    the draw check alone."""
+    sim = make_sim(seed=6)
+    peer_id = eligible_peer(sim)
+    honest = make_submission(sim, peer_id)
+    swapped = make_submission(sim, peer_id, tamper="swapped-committee")
+    assert swapped.noiser_vrf.proof == honest.noiser_vrf.proof
+    assert not set(swapped.noiser_vrf.committee) & set(honest.noiser_vrf.committee)
+    assert rejection(sim, swapped) == "bad-noiser-draw"
 
 
 def test_unkeyed_noiser_draw_rejected():
@@ -322,17 +340,13 @@ def test_unkeyed_noiser_draw_rejected():
     unkeyed = make_submission(sim, peer_id, tamper="unkeyed-draw")
     assert unkeyed.noiser_vrf.proof == b""
     assert unkeyed.noiser_vrf.committee != keyed.noiser_vrf.committee
-    assert not verify_masked_submission(
-        unkeyed, sim.genesis, build_ring(sim.genesis.initial_stake), sim.genesis.hash()
-    )
+    assert rejection(sim, unkeyed) == "bad-noiser-draw"
 
 
 def test_bad_submission_signature_rejected():
     sim = make_sim(seed=6)
     sub = make_submission(sim, eligible_peer(sim), tamper="bad-signature")
-    assert not verify_masked_submission(
-        sub, sim.genesis, build_ring(sim.genesis.initial_stake), sim.genesis.hash()
-    )
+    assert rejection(sim, sub) == "bad-submission-signature"
 
 
 def test_padded_submission_rejected():
@@ -341,9 +355,7 @@ def test_padded_submission_rejected():
     would refuse with an error."""
     sim = make_sim(seed=6)
     sub = make_submission(sim, eligible_peer(sim), tamper="padded")
-    assert not verify_masked_submission(
-        sub, sim.genesis, build_ring(sim.genesis.initial_stake), sim.genesis.hash()
-    )
+    assert rejection(sim, sub) == "inadmissible-update"
 
 
 def test_padded_noise_voids_the_update(monkeypatch):
@@ -366,10 +378,7 @@ def test_padded_noise_voids_the_update(monkeypatch):
     monkeypatch.setattr(PeerNode, "_on_NoiseRequest", padded)
     sim = make_sim()
     result = sim.run()
-    refused = [
-        line for peer in sim.peers.values() for line in peer.audit
-        if f"noise from {rogue} mismatches genesis" in line
-    ]
+    refused = [rec for peer in sim.peers.values() for rec in peer.audit if rec[1:] == (rogue, "noise-not-genesis")]
     assert refused
     assert result.final_ledger.height >= 1
 
@@ -387,7 +396,8 @@ def test_zero_noise_colluders_through_the_simulator():
     result = sim.run()
     served = [sim.peers[c].noise for c in colluders if sim.peers[c].noise is not None]
     assert served and all(set(q.coeffs) == {0} for _, q in served)
-    assert not [line for p in sim.peers.values() for line in p.audit if "mismatches genesis" in line]
+    assert "noise-not-genesis" in REFUSAL_REASONS
+    assert not [rec for p in sim.peers.values() for rec in p.audit if rec[2] == "noise-not-genesis"]
     assert [b.iteration for _, b in result.block_records] == [1, 2, 3, 4, 5]
 
 
@@ -404,7 +414,7 @@ def test_late_submission_never_signed():
     out = verifier.handle(sub, 99.0)
     assert out == []
     assert sub.sender not in verifier.round.pool
-    assert any("late/stray" in line for line in verifier.audit)
+    assert verifier.audit == [(1, sub.sender, "late-submission")]
 
 
 def test_stale_timer_ignored_and_budget_advances_round():
@@ -536,7 +546,8 @@ def test_equivocating_verifier_cannot_void_honest_rounds(monkeypatch, silent_par
     monkeypatch.setattr(PeerNode, "_mint_block", minting)
     result = sim.run()
     assert equivocated == [1, 2, 3, 4, 5]
-    refusals = [line for p in sim.peers.values() for line in p.audit if "rejected block" in line]
+    # any block a replica refuses is recorded under a reason of the block rule
+    refusals = [rec for p in sim.peers.values() for rec in p.audit if rec[2] in ledger.REJECTION_REASONS]
     assert refusals == [] and result.forks == 0
     assert [b.iteration for b in minted] == [b.iteration for b in result.final_ledger.blocks]
     replay = Ledger(sim.genesis)
@@ -604,11 +615,9 @@ def test_dealer_sending_another_aggregators_points_is_left_out(monkeypatch):
     assert all(entry.peer != dealt[0].peer for block in blocks for entry in block.commitments)
 
 
-@pytest.mark.parametrize("contributors", ["empty", "repeated"])
-def test_malformed_announce_voids_only_its_round(monkeypatch, contributors):
-    """A proposer that announces no contributors, or one contributor twice,
-    in round 2 is refused by every aggregator: the run returns, round 2
-    voids and every other round seals without a fork."""
+def run_with_malformed_announce(monkeypatch, contributors):
+    """``make_sim()`` run with a round-2 proposer that announces no
+    contributors ("empty") or one contributor twice ("repeated")."""
     sim = make_sim()
     close = PeerNode._close_aggregation
 
@@ -622,11 +631,51 @@ def test_malformed_announce_voids_only_its_round(monkeypatch, contributors):
         return [(dest, announce, extra) for dest, _, extra in actions]
 
     monkeypatch.setattr(PeerNode, "_close_aggregation", malformed)
-    result = sim.run()  # the empty announce raised "no bundles to sum" before
+    return sim, sim.run()  # the empty announce raised "no bundles to sum" before
+
+
+@pytest.mark.parametrize("contributors", ["empty", "repeated"])
+def test_malformed_announce_voids_only_its_round(monkeypatch, contributors):
+    """A proposer that announces no contributors, or one contributor twice,
+    in round 2 is refused by every aggregator: the run returns, round 2
+    voids and every other round seals without a fork."""
+    sim, result = run_with_malformed_announce(monkeypatch, contributors)
     assert [b.iteration for _, b in result.block_records] == [1, 3, 4, 5]
     assert result.forks == 0
-    refusals = [line for p in sim.peers.values() for line in p.audit if "empty or not ascending" in line]
+    refusals = [rec for p in sim.peers.values() for rec in p.audit if rec[2] == "malformed-announce"]
     assert len(refusals) == sim.genesis.config.num_aggregators
+    assert {rec[0] for rec in refusals} == {2}
+
+
+def test_every_refusal_is_a_round_peer_and_named_reason(monkeypatch):
+    """Each record of a churn run and of the malformed-announce run is
+    (round, peer, reason) with the reason from the protocol's or the block
+    rule's closed set; the two sets share no name.  An aggregate share that
+    reaches the proposer after it minted is refused as late, apart from
+    stray, duplicate and badly signed shares."""
+    assert not REFUSAL_REASONS & ledger.REJECTION_REASONS
+    shares = PeerNode._on_AggShareMsg
+    after_mint = []
+
+    def watching(peer, msg, now):
+        minted = peer.is_proposer() and peer.round.minted and msg.iteration == peer.round.iteration
+        before = len(peer.audit)
+        out = shares(peer, msg, now)
+        if minted:
+            after_mint.append(peer.audit[before:])
+        return out
+
+    monkeypatch.setattr(PeerNode, "_on_AggShareMsg", watching)
+    churn = make_sim(seed=12, iterations=8, churn_per_minute=30.0)
+    churn.run()
+    malformed, _ = run_with_malformed_announce(monkeypatch, "empty")
+    records = [rec for sim in (churn, malformed) for p in sim.peers.values() for rec in p.audit]
+    assert records
+    for rec in records:
+        rnd, peer, reason = rec
+        assert isinstance(rnd, int) and isinstance(peer, int), rec
+        assert reason in REFUSAL_REASONS | ledger.REJECTION_REASONS, rec
+    assert after_mint and all(recs == [(recs[0][0], recs[0][1], "late-aggregate-share")] for recs in after_mint)
 
 
 def test_protocol_trains_softmax_family():
