@@ -62,9 +62,12 @@ class ExperimentSpec:
     sweep: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for key in ("number_of_noisers", "number_of_verifiers"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
+        minimums = {"number_of_noisers": 1, "number_of_verifiers": 1, "number_of_aggregators": 2}
+        for key, least in minimums.items():
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)}")
+        if self.churn_per_minute < 0:
+            raise ValueError(f"churn_per_minute must be non-negative, got {self.churn_per_minute}")
 
     # -- derived, reported in metadata ----------------------------------------
 

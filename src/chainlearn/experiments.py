@@ -165,8 +165,6 @@ def build_environment(spec: ExperimentSpec) -> Environment:
 
 @dataclass
 class ExperimentRun:
-    spec: ExperimentSpec
-    env: Environment
     result: object  # SimResult, None for baseline runs
     metrics: MetricsLog
 
@@ -222,7 +220,7 @@ def run_protocol_experiment(spec: ExperimentSpec, env: Environment | None = None
                 "dropped_updates": result.dropped_updates.get(t, 0),
             }
         )
-    return ExperimentRun(spec, env, result, MetricsLog(rows))
+    return ExperimentRun(result, MetricsLog(rows))
 
 
 def run_fl_baseline(spec: ExperimentSpec, env: Environment | None = None) -> ExperimentRun:
@@ -255,7 +253,7 @@ def run_fl_baseline(spec: ExperimentSpec, env: Environment | None = None) -> Exp
                 "dropped_updates": 0,
             }
         )
-    return ExperimentRun(spec, env, None, MetricsLog(rows))
+    return ExperimentRun(None, MetricsLog(rows))
 
 
 # --- the synthetic image task for gradient inversion --------------------------

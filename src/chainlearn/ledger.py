@@ -567,17 +567,17 @@ class Ledger:
         """Adopt a longer valid chain that extends ours; otherwise keep local.
         ``remote_blocks`` is the remote's full block list (genesis excluded).
         Only its blocks past our tip are checked, from our tip state, and
-        adopted; the prefix stays our own, so the remote's copy is unused."""
+        adopted.  Returns ``(False, "")`` if the remote is not longer, else
+        the block rule's reason for the first suffix block it refuses
+        (``bad-prev-hash`` if the remote does not extend our tip)."""
         suffix = list(remote_blocks)[self.height :]
         if not suffix:
-            return False, "remote-not-longer"
-        if suffix[0].prev_hash != self.state.tip_hash:
-            return False, "prefix-mismatch"
+            return False, ""
         state = self.state
         for b in suffix:
             state, reason = advance(state, b)
             if state is None:
-                return False, f"invalid-remote-block@{b.iteration}:{reason}"
+                return False, reason
         self.blocks = self.blocks + suffix
         self.state = state
         return True, ""

@@ -15,11 +15,12 @@ Round shape (all peers derive the same committees from the chain tip):
                   update into witness-carrying shares, one slice per
                   aggregator, each carrying those sign-offs;
   aggregators     verify bundles (each distinct sign-off once), sum accepted
-                  shares point-wise; the round's proposer carries one
+                  evaluations point-wise; the round's proposer carries one
                   sign-off per verifier, announces a contributor set that
-                  a majority of them name, collects
-                  summed shares from half the committee, interpolates the
-                  aggregate, mints the block and broadcasts it.
+                  a majority of them name, collects the summed (point,
+                  value) pairs from half the committee, interpolates the
+                  aggregate, checks it against the entries' commitment
+                  product, mints the block and broadcasts it.
 
 Every stage runs against a deadline; a round that produces no block is
 voided and the peer moves on.  All transitions are deterministic given the
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import signatures
-from .commitments import combine, commit
+from .commitments import combine, commit, point_value_bytes
 from .committees import VrfOutput, draw_noisers, verify_vrf
 from .encoding import ByteWriter, sha256, u64
 from .krum import KrumConfig, krum_sample_size, max_tolerable_f, multi_krum_select, updates_per_block
@@ -66,8 +67,9 @@ from .vss import (
 BROADCAST = -1
 
 # Why a peer turns an input down or gives up its part of a round, recorded
-# as (round, peer, reason) in ``PeerNode.audit``.  A block the ledger refuses
-# keeps its ``ledger.REJECTION_REASONS`` entry; the two sets share no name.
+# as (round, peer, reason) in ``PeerNode.audit``.  A block the ledger refuses,
+# alone or in a longer chain, keeps its ``ledger.REJECTION_REASONS`` entry;
+# the two sets share no name.
 REFUSAL_REASONS = frozenset(
     {
         # the peer's own stage fails, so its part of the round is void
@@ -83,8 +85,8 @@ REFUSAL_REASONS = frozenset(
         "noise-not-genesis", "committee-submitter", "unknown-sender", "inadmissible-update",
         "bad-submission-signature", "bad-noiser-draw", "masking-mismatch", "bad-grant",
         "bundle-refused", "malformed-announce", "bad-aggregate-share-signature",
-        # chain sync: a block past the tip, or a longer chain not adopted
-        "ahead-of-tip", "catch-up-prefix-mismatch", "catch-up-invalid-remote-block",
+        # chain sync: a block past the tip
+        "ahead-of-tip",
     }
 )
 
@@ -158,12 +160,13 @@ class AggAnnounce:
 class AggShareMsg:
     iteration: int
     sender: int  # aggregator
-    shares: tuple  # summed Witnesses, one per point the sender holds
+    shares: tuple  # (point, value) of the summed polynomial, one per point the sender holds
     signature: bytes = b""
 
     def payload_bytes(self, backend, contributors) -> bytes:
         """The signed bytes; they cover the announced ``contributors`` that
-        the shares sum, which the proposer holds and so is not sent."""
+        the shares sum, which the proposer holds and so is not sent; each
+        share is written as ``point_value_bytes``."""
         w = ByteWriter()
         w.u32(self.iteration)
         w.u32(self.sender)
@@ -171,8 +174,8 @@ class AggShareMsg:
         for c in contributors:
             w.u32(c)
         w.u32(len(self.shares))
-        for s in self.shares:
-            w.raw(s.to_bytes(backend))
+        for point, value in self.shares:
+            w.raw(point_value_bytes(backend, point, value))
         return b"aggshare" + w.getvalue()
 
 
@@ -605,7 +608,4 @@ class PeerNode:
         adopted, reason = self.ledger.catch_up(msg.blocks)
         if adopted:  # resync round tracking to the adopted tip
             return self.start_round(self.ledger.tip_iteration() + 1, now)
-        if reason == "remote-not-longer":
-            return []
-        # "prefix-mismatch", or "invalid-remote-block@<round>:<block rule reason>"
-        return self._refuse("catch-up-" + reason.partition("@")[0], msg.sender)
+        return self._refuse(reason, msg.sender) if reason else []

@@ -4,11 +4,13 @@ A quantized update (a degree-d polynomial) is evaluated at the fixed field
 points 1..n with n = 2*(d+1); the points are split round-robin across the
 aggregators, each share carrying its opening witness.  Aggregators verify
 every share against the dealer's commitment, which a majority of the
-round's verifiers must name, sum accepted shares point-wise (field sum of
-evaluations, group product of witnesses), and any d+1 verified summed
-points reconstruct the summed polynomial exactly -- which must re-commit
-to the product of the contributing commitments or the round is abandoned
-as Byzantine evidence.
+round's verifiers must name, and sum the accepted shares' evaluations
+point-wise into (point, value) pairs of the aggregate.  The proposer
+interpolates the lowest d+1 distinct points and keeps the result only if
+it re-commits to the product of the contributing commitments, the block
+rule's own identity: by the binding of the commitment that polynomial is
+the aggregate, so the summed pairs carry no witness.  A wrong value among
+those d+1 points abandons the round.
 
 Holding fewer than half the aggregators' transcripts yields fewer than d+1
 points of any single update, leaving it information-theoretically
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .commitments import CommitPK, Witness, commit, create_witness, verify_share
+from .commitments import CommitPK, commit, create_witness, verify_share
 from .ledger import (
     CommitmentEntry,
     SignOffChecks,
@@ -96,11 +98,11 @@ def accept_bundle(
     return verify_share(pk, bundle.entry.commitment, *bundle.shares)
 
 
-def sum_shares(accepted, backend) -> list[Witness]:
-    """Point-wise sums across bundles that share one point set.  Witnesses
-    are homomorphic, so each sum opens the product of the bundles'
-    commitments at its point.  ``accept_bundle`` admits only the receiver's
-    points, so a mismatch here is a program fault."""
+def sum_shares(accepted, backend) -> list[tuple[int, int]]:
+    """Point-wise evaluation sums across bundles that share one point set:
+    the (point, value) pairs of the summed polynomial.  ``accept_bundle``
+    admits only the receiver's points, so a mismatch here is a program
+    fault."""
     accepted = list(accepted)
     if not accepted:
         raise ValueError("no bundles to sum")
@@ -110,36 +112,23 @@ def sum_shares(accepted, backend) -> list[Witness]:
         if pts != base_points:
             raise ValueError(f"point-set mismatch: {pts} vs {base_points}")
     order = backend.order
-    out = []
-    for i, z in enumerate(base_points):
-        acc = backend.g1_identity
-        for b in accepted:
-            acc = backend.g1_add(acc, b.shares[i].value)
-        out.append(Witness(acc, z, sum(b.shares[i].eval for b in accepted) % order))
-    return out
+    return [(z, sum(b.shares[i].eval for b in accepted) % order) for i, z in enumerate(base_points)]
 
 
 def recover_aggregate(agg_shares, pk: CommitPK, combined) -> QuantizedPoly:
-    """Interpolate the summed polynomial from >= d+1 verified points and
-    insist the result re-commits to the combined commitment.  The shares are
-    checked as one batch; only a failing batch is re-checked share by share,
-    to name the failing point."""
-    backend = pk.backend
-    by_point = {w.point % backend.order: w for w in agg_shares}
+    """Interpolate the lowest d+1 distinct points of the (point, value)
+    pairs ``agg_shares`` and insist the result re-commits to ``combined``,
+    the product of the contributors' commitments."""
+    order = pk.backend.order
+    by_point = {z % order: y % order for z, y in agg_shares}
     needed = pk.degree + 1
     if len(by_point) < needed:
         raise ShareRecoveryError(
             f"insufficient shares: {len(by_point)} distinct points, need {needed}"
         )
-    if not verify_share(pk, combined, *by_point.values()):
-        for w in by_point.values():
-            if not verify_share(pk, combined, w):
-                raise ShareRecoveryError(f"aggregate share at point {w.point} fails verification")
     chosen = sorted(by_point)[:needed]
-    points = [(z, by_point[z].eval % backend.order) for z in chosen]
-    coeffs = lagrange_interpolate(points, backend.order)
-    coeffs += [0] * (needed - len(coeffs))
-    poly = QuantizedPoly(tuple(coeffs), backend.order)
+    coeffs = lagrange_interpolate([(z, by_point[z]) for z in chosen], order)
+    poly = QuantizedPoly(tuple(coeffs), order)
     if commit(pk, poly) != combined:
         raise ShareRecoveryError("interpolated polynomial does not match the combined commitment")
     return poly

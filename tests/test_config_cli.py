@@ -159,6 +159,29 @@ def test_cli_spec_without_noisers_or_verifiers_is_refused(tmp_path, capsys, key)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("number_of_aggregators", 1, "number_of_aggregators must be at least 2, got 1"),
+        ("churn_per_minute", -1.0, "churn_per_minute must be non-negative, got -1.0"),
+    ],
+    ids=["number_of_aggregators", "churn_per_minute"],
+)
+def test_cli_spec_with_one_aggregator_or_negative_churn_is_refused(tmp_path, capsys, key, value, message):
+    """One aggregator cannot hold a share split, and a negative churn rate
+    schedules nothing; both runs used to create the output directory and
+    then raise mid-run.  The spec is refused, naming its JSON key, and
+    nothing is written."""
+    data = small_spec().to_dict()
+    data[key] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("rows", [500, 610])
 def test_cli_dataset_too_small_for_its_split_is_refused(tmp_path, capsys, rows):
     """10 peers x 60 rows and 300 validation rows need 900 examples.  With

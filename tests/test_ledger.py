@@ -443,8 +443,7 @@ def test_catch_up_identical_chain_is_noop(tiny_net):
     _, genesis, secrets = fresh_ledger(tiny_net)
     a = Ledger(genesis)
     assert a.append(honest_block(genesis, secrets, a))[0]
-    ok, reason = a.catch_up(list(a.blocks))
-    assert not ok and reason == "remote-not-longer"
+    assert a.catch_up(list(a.blocks)) == (False, "")
 
 
 def test_catch_up_rejects_tampered_remote(tiny_net):
@@ -455,8 +454,8 @@ def test_catch_up_rejects_tampered_remote(tiny_net):
     blocks = list(full.blocks)
     blocks[1] = dataclasses.replace(blocks[1], model_weights=blocks[1].model_weights * 1.5)
     late = Ledger(genesis)
-    ok, reason = late.catch_up(blocks)
-    assert not ok and reason.startswith("invalid-remote-block@2")
+    # the proposer signed other weights: the block rule's own reason
+    assert late.catch_up(blocks) == (False, "bad-aggregator-signature")
     assert late.height == 0
 
 
@@ -499,7 +498,8 @@ def test_catch_up_from_a_fork_is_refused(tiny_net):
     forked = Ledger(genesis)
     assert forked.append(honest_block(genesis, secrets, forked, seed=7))[0]
     before = forked.state
-    assert forked.catch_up(full.blocks) == (False, "prefix-mismatch")
+    # the first suffix block does not extend this tip
+    assert forked.catch_up(full.blocks) == (False, "bad-prev-hash")
     assert forked.state is before and forked.height == 1
 
 
@@ -510,8 +510,7 @@ def test_catch_up_refuses_a_tampered_suffix(tiny_net):
     late = Ledger(genesis)
     assert late.append(blocks[0])[0]
     before = late.state
-    ok, reason = late.catch_up(blocks)
-    assert not ok and reason.startswith("invalid-remote-block@3")
+    assert late.catch_up(blocks) == (False, "bad-aggregator-signature")
     assert late.state is before and late.height == 1
 
 

@@ -46,10 +46,12 @@ PAIRING_TIP = "7440cad77a721400cb4efd76bf74665093edb0942cbf82876c77fb1712f1c4e3"
 # concatenated in sender order. These signatures never enter a block, so the
 # tip hashes above do not cover their encoding. The aggregate-share payload
 # counts its contributor and share lists and writes each share's point and
-# evaluation at the order's byte width, so the signed bytes fix where each
-# list and each field ends.
+# value at the order's byte width, so the signed bytes fix where each list
+# and each field ends. A share is a (point, value) pair of the aggregate and
+# carries no witness: these are the bytes the witness-carrying layout signed,
+# with each share's quotient commitment taken out.
 SUBMISSION_PAYLOADS = "e067d7a37c5a33b32b48bf26679b4461b1567c2f77bf7dbbca17218166e05883"
-AGGSHARE_PAYLOADS = "a85016b1ecf7c7cef675b4ef326b76a8067c231ce8c67f327aae7b187798b75b"
+AGGSHARE_PAYLOADS = "210434cf2a0dfdb9d0abc418cf7a7901a78b77ea0faf0df7ce1679fd617d538a"
 
 
 def make_sim(
@@ -170,7 +172,7 @@ def test_share_with_an_evaluation_outside_the_field_is_a_bad_signature(monkeypat
         if peer.id != rogue or msg.iteration != 1 or not out:
             return out
         reply = out[0][1]
-        shares = (dataclasses.replace(reply.shares[0], eval=-1), *reply.shares[1:])
+        shares = ((reply.shares[0][0], -1), *reply.shares[1:])
         reply = dataclasses.replace(reply, shares=shares, signature=b"\x01" * 64)
         return [(dest, reply, extra) for dest, _, extra in out]
 
@@ -178,6 +180,39 @@ def test_share_with_an_evaluation_outside_the_field_is_a_bad_signature(monkeypat
     result = sim.run()
     assert (1, rogue, "bad-aggregate-share-signature") in sim.peers[proposer].audit
     assert result.final_ledger.tip_hash().hex() == EXPONENT_TIP
+
+
+def test_a_wrong_aggregate_value_voids_the_round(monkeypatch):
+    """An aggregator whose summed value at its lowest point is wrong, under
+    a valid signature, makes the interpolant miss the combined commitment:
+    the proposer records ``recovery-failed`` for that round, which seals no
+    block, and the later rounds seal."""
+    sim = make_sim()
+    _, aggregators = round_committees(
+        sim.genesis, build_ring(sim.genesis.initial_stake), sim.genesis.hash(), 1
+    )
+    proposer = aggregators[0]
+    collect = PeerNode._on_AggShareMsg
+    rogue = None
+
+    def wrong_value(peer, msg, now):
+        nonlocal rogue
+        if peer.id == proposer and msg.iteration == 1 and msg.sender != proposer and rogue is None:
+            # the first other aggregator to reach the proposer is within the
+            # quorum, and its lowest point within the interpolated ones
+            rogue = msg.sender
+            (z, y), *rest = msg.shares
+            msg = dataclasses.replace(msg, shares=((z, y + 1), *rest))
+            payload = msg.payload_bytes(peer.backend, peer.round.announce)
+            msg = dataclasses.replace(msg, signature=sign(peer.backend, sim.peers[rogue].secrets.keypair, payload))
+        return collect(peer, msg, now)
+
+    monkeypatch.setattr(PeerNode, "_on_AggShareMsg", wrong_value)
+    result = sim.run()
+    audit = sim.peers[proposer].audit
+    assert (1, proposer, "recovery-failed") in audit
+    assert not any(rec[1] == rogue and rec[2] == "bad-aggregate-share-signature" for rec in audit)
+    assert [b.iteration for b in result.final_ledger.blocks] == [2, 3, 4, 5]
 
 
 def test_every_appended_block_revalidates(happy_run):

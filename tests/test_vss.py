@@ -159,10 +159,9 @@ def test_sum_shares_hand_example():
     b1 = deal(q1, pk, [0, 1], dealer=0)[0]
     b2 = deal(q2, pk, [0, 1], dealer=1)[0]
     agg = sum_shares([b1, b2], BACKEND)
-    assert agg[0].point == 1
-    assert agg[0].eval == 7
+    assert agg == [(1, 7), (3, 4 + 11)]
     combined = combine(BACKEND, [b1.entry.commitment, b2.entry.commitment])
-    assert verify_share(pk, combined, agg[0])
+    assert recover_aggregate(agg, pk, combined) == q1.add(q2)
 
 
 def test_sum_shares_single_update_is_identity():
@@ -170,7 +169,7 @@ def test_sum_shares_single_update_is_identity():
     pk = trusted_setup(BACKEND, 4, b"s")
     q = make_update(rng, 4)
     b = deal(q, pk, [0, 1], dealer=0)[1]
-    assert tuple(sum_shares([b], BACKEND)) == b.shares
+    assert sum_shares([b], BACKEND) == [(w.point, w.eval) for w in b.shares]
 
 
 def test_sum_shares_point_mismatch_rejected():
@@ -191,9 +190,9 @@ def test_recover_hand_example():
     c = commit(pk, q)
     bundles = deal(q, pk, [0, 1, 2], dealer=0)
     agg = [s for b in bundles.values() for s in sum_shares([b], BACKEND)]
-    evals = {s.point: s.eval for s in agg}
+    evals = dict(agg)
     assert (evals[1], evals[2], evals[3]) == (6, 11, 18)
-    recovered = recover_aggregate([s for s in agg if s.point <= 3], pk, c)
+    recovered = recover_aggregate([(z, y) for z, y in agg if z <= 3], pk, c)
     assert recovered.coeffs == (3, 2, 1)
 
 
@@ -237,23 +236,33 @@ def test_recovery_rejects_tampered_sum():
     c = commit(pk, q)
     bundles = deal(q, pk, [0, 1], dealer=0)
     shares = [s for b in bundles.values() for s in sum_shares([b], BACKEND)]
-    bad = dataclasses.replace(shares[0], eval=(shares[0].eval + 1) % MOD)
+    bad = (shares[0][0], (shares[0][1] + 1) % MOD)
     with pytest.raises(ShareRecoveryError):
         recover_aggregate([bad] + shares[1:], pk, c)
 
 
-def test_recovery_names_the_failing_point():
+def test_recovery_reads_the_lowest_d_plus_1_points():
+    """Recovery interpolates the lowest d+1 distinct points and checks the
+    result against the combined commitment: a wrong value above them is
+    never read, and one among them fails the check."""
     rng = np.random.default_rng(7)
     pk = trusted_setup(BACKEND, 4, b"s")
     q = make_update(rng, 4)
+    c = commit(pk, q)
     bundles = deal(q, pk, [0, 1], dealer=0)
-    shares = [s for b in bundles.values() for s in sum_shares([b], BACKEND)]
-    assert recover_aggregate(shares, pk, commit(pk, q)) == q
-    for i in (0, 3, len(shares) - 1):
-        s = shares[i]
-        bad = dataclasses.replace(s, value=BACKEND.g1_add(s.value, 1))
-        with pytest.raises(ShareRecoveryError, match=f"at point {s.point} fails"):
-            recover_aggregate(shares[:i] + [bad] + shares[i + 1:], pk, commit(pk, q))
+    shares = sorted(s for b in bundles.values() for s in sum_shares([b], BACKEND))
+    needed = pk.degree + 1
+
+    def wrong_at(i):
+        z, y = shares[i]
+        return shares[:i] + [(z, (y + 1) % MOD)] + shares[i + 1 :]
+
+    assert recover_aggregate(shares, pk, c) == q
+    for i in range(needed, len(shares)):
+        assert recover_aggregate(wrong_at(i), pk, c) == q
+    for i in range(needed):
+        with pytest.raises(ShareRecoveryError, match="does not match the combined commitment"):
+            recover_aggregate(wrong_at(i), pk, c)
 
 
 def test_privacy_threshold_structure():
