@@ -19,7 +19,7 @@ config = spec.protocol_config()
 genesis, secrets = build_genesis(config, range(3), b"demo")
 pk, table = genesis.commit_pk, genesis.noise_table
 backend, dim = pk.backend, pk.degree
-print(f"\nnoise table: {len(table.commitments)} peers x {config.total_iterations} rounds committed")
+print(f"\nnoise table: {len(table)} peers x {config.total_iterations} rounds committed")
 
 # at run time, peer 0 masks its round-2 update with noise from peers 1 and 2,
 # each drawn by the same recipe genesis committed
@@ -31,14 +31,14 @@ print("masked - update decodes to the pure noise sum:",
       np.allclose(decode(masked) - decode(update), sum(decode(n) for n in noises.values())))
 
 # the verifier never sees `update`; it checks the masking equality against
-# the drawn noisers' genesis entries instead
+# the drawn noisers' genesis entries instead (round t is at index t - 1)
 lhs = commit(pk, masked)
 rhs = commit(pk, update)
 for k in noises:
-    rhs = backend.g1_add(rhs, table.entry(k, 2))
+    rhs = backend.g1_add(rhs, table[k][1])
 print("commit(masked) == commit(update) * prod committed noise:", lhs == rhs)
 
 # noise regenerated later is bit-identical to what genesis committed
 again = generate_noise(config, dim, secrets[1], 2)
 print("regenerated noise matches its genesis commitment:",
-      commit(pk, again) == table.entry(1, 2))
+      commit(pk, again) == table[1][1])

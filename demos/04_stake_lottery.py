@@ -6,7 +6,7 @@ draws, and what happens to a tampered committee."""
 import numpy as np
 
 from chainlearn import build_ring, draw_committee, draw_noisers, verify_vrf
-from chainlearn.committees import ROLE_VERIFY, VrfOutput, committee_seed, noiser_seed
+from chainlearn.committees import ROLE_VERIFY, committee_seed, noiser_seed
 from chainlearn.encoding import sha256
 from chainlearn.groups import get_backend
 from chainlearn.signatures import keygen
@@ -42,14 +42,16 @@ backend = get_backend("exponent")
 kp = keygen(backend, b"peer-3-secret")
 noisers = draw_noisers(backend, kp, 3, ring, prev, 9, k=2)
 print("peer 3's noiser set:", noisers.committee, "(proof: %d bytes)" % len(noisers.proof))
-print("verifies against peer 3's key:", verify_vrf(
-    noisers, backend, backend.prepare_base(kp.public), 3, ring, prev, 9, k=2))
+# a verifier receives only the proof, and walks it to the committee
+print("the proof under peer 3's key walks to:", verify_vrf(
+    noisers.proof, backend, backend.prepare_base(kp.public), 3, ring, prev, 9, k=2))
 other = keygen(backend, b"someone-else")
-print("verifies against another key:", verify_vrf(
-    noisers, backend, backend.prepare_base(other.public), 3, ring, prev, 9, k=2))
+print("the proof under another key walks to:", verify_vrf(
+    noisers.proof, backend, backend.prepare_base(other.public), 3, ring, prev, 9, k=2))
 
-# the public walk from peer 3's noiser seed is not peer 3's keyed draw
+# the public walk from peer 3's noiser seed is not peer 3's keyed draw, and
+# with no proof there is nothing to walk
 nseed = noiser_seed(backend.g1_to_bytes(kp.public), prev, 9)
-walk = VrfOutput(draw_committee(ring, nseed, k=2, exclude={3}), b"")
-print("the public walk passes as peer 3's draw:", verify_vrf(
-    walk, backend, backend.prepare_base(kp.public), 3, ring, prev, 9, k=2))
+print("the public walk from peer 3's seed:", draw_committee(ring, nseed, k=2, exclude={3}))
+print("no proof under peer 3's key walks to:", verify_vrf(
+    b"", backend, backend.prepare_base(kp.public), 3, ring, prev, 9, k=2))

@@ -26,7 +26,7 @@ from .groups import get_backend
 from .krum import KrumConfig, krum_sample_size, krum_scores, max_tolerable_f, multi_krum_select
 from .ledger import Block, GenesisBlock, Ledger, ProtocolConfig, load_chain, save_chain
 from .models import LogisticModel, ModelParams, SoftmaxModel, make_model, validation_error
-from .noise import NoiseTable, build_noise_table, gaussian_sigma, generate_noise, mask_update
+from .noise import build_noise_table, gaussian_sigma, generate_noise, mask_update
 from .quantize import QuantizedPoly, decode, encode
 from .sgd import TrainConfig, compute_local_update
 from .simnet import Simulation

@@ -50,17 +50,15 @@ class Witness:
     eval: int
 
     def to_bytes(self, backend) -> bytes:
-        """``point_value_bytes`` of the point and evaluation, then the
-        quotient commitment."""
-        return point_value_bytes(backend, self.point, self.eval) + backend.g1_to_bytes(self.value)
-
-
-def point_value_bytes(backend, point: int, value: int) -> bytes:
-    """``point`` and ``value`` reduced mod the order, each little-endian at
-    the order's byte width: defined for any integers, so bytes from another
-    peer cannot make it raise."""
-    order, width = backend.order, backend.scalar_size
-    return (point % order).to_bytes(width, "little") + (value % order).to_bytes(width, "little")
+        """Point and evaluation reduced mod the order, each little-endian at
+        the order's byte width, then the quotient commitment: defined for
+        any integer fields, so bytes from another peer cannot make it raise."""
+        order, width = backend.order, backend.scalar_size
+        return (
+            (self.point % order).to_bytes(width, "little")
+            + (self.eval % order).to_bytes(width, "little")
+            + backend.g1_to_bytes(self.value)
+        )
 
 
 class CommitPK:

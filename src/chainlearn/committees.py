@@ -73,16 +73,16 @@ def draw_noisers(
 
 
 def verify_vrf(
-    draw: VrfOutput, backend, public_key, peer: int, ring: StakeRing, prev_hash: bytes, iteration: int, k: int
-) -> bool:
-    """True iff ``draw`` is what ``draw_noisers`` gives for these arguments:
-    its proof verifies under ``public_key``, ``peer``'s key as
-    ``backend.prepare_base`` prepared it, and the walk from that proof is
-    ``draw.committee``."""
+    proof: bytes, backend, public_key, peer: int, ring: StakeRing, prev_hash: bytes, iteration: int, k: int
+) -> tuple:
+    """The committee ``draw_noisers`` gives for these arguments if ``proof``
+    is its proof, else ``()``: the proof must verify under ``public_key``,
+    ``peer``'s key as ``backend.prepare_base`` prepared it, and the ring must
+    hold k members other than ``peer``; the committee is the walk from it."""
     seed = noiser_seed(backend.g1_to_bytes(backend.base_point(public_key)), prev_hash, iteration)
-    if not signatures.verify(backend, public_key, seed, draw.proof):
-        return False
+    if not signatures.verify(backend, public_key, seed, proof):
+        return ()
     try:
-        return _walk(ring, sha256(draw.proof), k, {peer}) == draw.committee
+        return _walk(ring, sha256(proof), k, {peer})
     except ValueError:
-        return False
+        return ()

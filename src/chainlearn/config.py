@@ -62,12 +62,19 @@ class ExperimentSpec:
     sweep: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        minimums = {"number_of_noisers": 1, "number_of_verifiers": 1, "number_of_aggregators": 2}
+        minimums = {
+            "number_of_nodes": 1, "total_iterations": 1, "number_of_noisers": 1, "number_of_verifiers": 1,
+            "number_of_aggregators": 2, "initial_stake": 1, "stake_reward": 0, "seed": 0,
+        }
         for key, least in minimums.items():
             if getattr(self, key) < least:
                 raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)}")
         if self.churn_per_minute < 0:
             raise ValueError(f"churn_per_minute must be non-negative, got {self.churn_per_minute}")
+        if not self.privacy_budget_epsilon > 0:
+            raise ValueError(f"privacy_budget_epsilon must be positive, got {self.privacy_budget_epsilon}")
+        if not 0 < self.delta < 1:
+            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
 
     # -- derived, reported in metadata ----------------------------------------
 

@@ -32,7 +32,6 @@ from .commitments import CommitPK, combine, commit
 from .committees import ROLE_AGGREGATE, ROLE_VERIFY, committee_seed, draw_committee
 from .encoding import ByteReader, ByteWriter, sha256, u32
 from .models import ModelParams
-from .noise import NoiseTable
 from .quantize import SCALE_BITS, QuantizedPoly, admissible, decode
 from .sgd import TrainConfig
 from .stake import StakeRing, build_ring, update_stake
@@ -150,18 +149,18 @@ class PublicBases(dict):
 class GenesisBlock:
     """The network's starting point.  ``peer_pubkeys``, ``initial_stake`` and
     ``noise_table`` name the same peers, each with one noise commitment per
-    round of ``config``."""
+    round of ``config``, round t at index t - 1."""
 
     initial_model: np.ndarray
     commit_pk: CommitPK
     peer_pubkeys: dict  # peer id -> G1 element
-    noise_table: NoiseTable
+    noise_table: dict  # peer id -> tuple of G1 elements
     initial_stake: dict
     global_key: bytes
     config: ProtocolConfig
 
     def __post_init__(self):
-        rows = self.noise_table.commitments
+        rows = self.noise_table
         if not set(self.peer_pubkeys) == set(self.initial_stake) == set(rows):
             raise ValueError("public keys, stake and noise table name different peers")
         if any(len(row) != self.config.total_iterations for row in rows.values()):
@@ -181,7 +180,7 @@ class GenesisBlock:
             w.u32(pid)
             w.raw(backend.g1_to_bytes(self.peer_pubkeys[pid]))
             w.u64(self.initial_stake[pid])
-            for c in self.noise_table.commitments[pid]:
+            for c in self.noise_table[pid]:
                 w.raw(backend.g1_to_bytes(c))
         return w.getvalue()
 
@@ -210,7 +209,7 @@ class GenesisBlock:
             table[pid] = tuple(element() for _ in range(config.total_iterations))
             last = pid
         r.done()
-        genesis = cls(initial_model, pk, pubkeys, NoiseTable(table), stake, global_key, config)
+        genesis = cls(initial_model, pk, pubkeys, table, stake, global_key, config)
         # canonical, so these bytes are its encoding: hash them as read
         object.__setattr__(genesis, "_digest", sha256(GENESIS_PREV_HASH + data))
         return genesis

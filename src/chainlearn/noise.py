@@ -16,7 +16,6 @@ scales the sum, so masked updates stay on the update's own footing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,21 +32,6 @@ def gaussian_sigma(epsilon: float, delta: float) -> float:
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     return math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
-
-
-@dataclass
-class NoiseTable:
-    """Commitments to every peer's noise for every iteration, frozen at genesis."""
-
-    commitments: dict  # peer id -> tuple of G1 elements, index t-1 for iteration t
-
-    def entry(self, peer: int, iteration: int):
-        if peer not in self.commitments:
-            raise KeyError(f"unknown peer {peer}")
-        row = self.commitments[peer]
-        if not 1 <= iteration <= len(row):
-            raise ValueError(f"iteration {iteration} outside 1..{len(row)}")
-        return row[iteration - 1]
 
 
 def _rng_for(peer_seed: bytes, iteration: int):
@@ -78,15 +62,15 @@ def generate_noise(config, dim: int, secrets, iteration: int) -> QuantizedPoly:
     return encode(zeta, blinding, modulus)
 
 
-def build_noise_table(pk: CommitPK, config, secrets: dict) -> NoiseTable:
-    """Commit every peer's noise for rounds 1..``config.total_iterations``;
-    ``secrets`` maps peer id -> ``PeerSecrets``."""
+def build_noise_table(pk: CommitPK, config, secrets: dict) -> dict:
+    """Commit every peer's noise for rounds 1..``config.total_iterations``:
+    peer id -> tuple of commitments, round t at index t - 1; ``secrets``
+    maps peer id -> ``PeerSecrets``."""
     rounds = range(1, config.total_iterations + 1)
-    table = {
+    return {
         peer: tuple(commit(pk, generate_noise(config, pk.degree, s, t)) for t in rounds)
         for peer, s in secrets.items()
     }
-    return NoiseTable(table)
 
 
 def mask_update(update_q: QuantizedPoly, noises) -> QuantizedPoly:

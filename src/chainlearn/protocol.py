@@ -17,10 +17,11 @@ Round shape (all peers derive the same committees from the chain tip):
   aggregators     verify bundles (each distinct sign-off once), sum accepted
                   evaluations point-wise; the round's proposer carries one
                   sign-off per verifier, announces a contributor set that
-                  a majority of them name, collects the summed (point,
-                  value) pairs from half the committee, interpolates the
-                  aggregate, checks it against the entries' commitment
-                  product, mints the block and broadcasts it.
+                  a majority of them name, collects the summed values at
+                  their senders' points until it holds d+1 points,
+                  interpolates the aggregate, checks it against the
+                  entries' commitment product, mints the block and
+                  broadcasts it.
 
 Every stage runs against a deadline; a round that produces no block is
 voided and the peer moves on.  All transitions are deterministic given the
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import signatures
-from .commitments import combine, commit, point_value_bytes
+from .commitments import combine, commit
 from .committees import VrfOutput, draw_noisers, verify_vrf
 from .encoding import ByteWriter, sha256, u64
 from .krum import KrumConfig, krum_sample_size, max_tolerable_f, multi_krum_select, updates_per_block
@@ -84,7 +85,7 @@ REFUSAL_REASONS = frozenset(
         # the input breaks a rule
         "noise-not-genesis", "committee-submitter", "unknown-sender", "inadmissible-update",
         "bad-submission-signature", "bad-noiser-draw", "masking-mismatch", "bad-grant",
-        "bundle-refused", "malformed-announce", "bad-aggregate-share-signature",
+        "bundle-refused", "malformed-announce", "bad-aggregate-share-signature", "malformed-aggregate-share",
         # chain sync: a block past the tip
         "ahead-of-tip",
     }
@@ -122,7 +123,7 @@ class UpdateSubmission:
     sender: int
     masked: object  # QuantizedPoly
     commitment: object  # G1 element
-    noiser_vrf: VrfOutput
+    noiser_proof: bytes  # the sender's keyed draw; verifiers walk it to the noisers
     signature: bytes = b""
 
     def payload_bytes(self, backend) -> bytes:
@@ -131,9 +132,7 @@ class UpdateSubmission:
         w.u32(self.sender)
         write_poly(w, self.masked, backend)
         w.raw(backend.g1_to_bytes(self.commitment))
-        w.bytes_lp(self.noiser_vrf.proof)
-        for member in self.noiser_vrf.committee:
-            w.u32(member)
+        w.bytes_lp(self.noiser_proof)
         return b"submission" + w.getvalue()
 
 
@@ -160,22 +159,22 @@ class AggAnnounce:
 class AggShareMsg:
     iteration: int
     sender: int  # aggregator
-    shares: tuple  # (point, value) of the summed polynomial, one per point the sender holds
+    values: tuple  # the summed polynomial at the sender's points, in slot order
     signature: bytes = b""
 
     def payload_bytes(self, backend, contributors) -> bytes:
         """The signed bytes; they cover the announced ``contributors`` that
-        the shares sum, which the proposer holds and so is not sent; each
-        share is written as ``point_value_bytes``."""
+        the values sum, which the proposer holds and so is not sent; each
+        value is written reduced mod the order, little-endian at its width."""
         w = ByteWriter()
         w.u32(self.iteration)
         w.u32(self.sender)
         w.u32(len(contributors))
         for c in contributors:
             w.u32(c)
-        w.u32(len(self.shares))
-        for point, value in self.shares:
-            w.raw(point_value_bytes(backend, point, value))
+        w.u32(len(self.values))
+        for value in self.values:
+            w.raw((value % backend.order).to_bytes(backend.scalar_size, "little"))
         return b"aggshare" + w.getvalue()
 
 
@@ -219,16 +218,13 @@ def submission_rejection(sub: UpdateSubmission, genesis, ring, prev_hash: bytes)
     key = genesis.public_bases[sub.sender]
     if not signatures.verify(backend, key, sub.payload_bytes(backend), sub.signature):
         return "bad-submission-signature"
-    # the noiser draw must be the sender's own, for this tip and round
-    if not verify_vrf(
-        sub.noiser_vrf, backend, key, sub.sender, ring, prev_hash, sub.iteration, cfg.num_noisers
-    ):
+    # the noisers are the walk from the sender's own proof, for this tip and round
+    noisers = verify_vrf(
+        sub.noiser_proof, backend, key, sub.sender, ring, prev_hash, sub.iteration, cfg.num_noisers
+    )
+    if not noisers:
         return "bad-noiser-draw"
-    # the drawn noisers' noise, as genesis committed it
-    try:
-        noise = [genesis.noise_table.entry(nid, sub.iteration) for nid in sub.noiser_vrf.committee]
-    except (KeyError, ValueError):
-        return "bad-noiser-draw"
+    noise = [genesis.noise_table[nid][sub.iteration - 1] for nid in noisers]
     # masking equality: commit(masked) == commit(update) * prod commit(noise)
     product = combine(backend, [sub.commitment, *noise])
     return "" if commit(genesis.commit_pk, sub.masked) == product else "masking-mismatch"
@@ -266,6 +262,7 @@ class RoundState:
     pool: dict = field(default_factory=dict)
     signed_off: bool = False
     # aggregator side
+    slots: dict = field(default_factory=dict)  # aggregator -> its share points
     accepted_bundles: dict = field(default_factory=dict)
     signoffs: tuple = ()  # the proposer's, one per verifier, for the block
     announce: tuple | None = None
@@ -330,6 +327,7 @@ class PeerNode:
             iteration=iteration,
             verifiers=verifiers,
             aggregators=aggregators,
+            slots=assign_points(share_points(len(self.genesis.initial_model)), aggregators),
             signoff_checks=SignOffChecks(iteration, self.genesis.public_bases, self.backend),
         )
         out = [(self.id, Timer(iteration, "round-budget"), StageTimeouts.round_budget)]
@@ -405,7 +403,7 @@ class PeerNode:
         if msg.iteration != rs.iteration or rs.submitted or msg.sender not in drawn:
             return self._refuse("stray-noise-response", msg.sender)
         genesis = self.genesis
-        expected = genesis.noise_table.entry(msg.sender, rs.iteration)
+        expected = genesis.noise_table[msg.sender][rs.iteration - 1]
         if not genesis.admits(msg.quantized) or commit(genesis.commit_pk, msg.quantized) != expected:
             rs.noiser_vrf = None  # this round's update is void
             return self._refuse("noise-not-genesis", msg.sender)
@@ -416,7 +414,7 @@ class PeerNode:
         noises = [rs.noise_responses[nid] for nid in rs.noiser_vrf.committee]
         masked = mask_update(rs.update_q, noises)
         backend = self.backend
-        sub = UpdateSubmission(rs.iteration, self.id, masked, rs.commitment, rs.noiser_vrf)
+        sub = UpdateSubmission(rs.iteration, self.id, masked, rs.commitment, rs.noiser_vrf.proof)
         sig = signatures.sign(backend, self.secrets.keypair, sub.payload_bytes(backend))
         sub = replace(sub, signature=sig)
         rs.submitted = True
@@ -487,9 +485,9 @@ class PeerNode:
         if dealer in rs.accepted_bundles:
             return self._refuse("duplicate-bundle", dealer)
         genesis = self.genesis
-        points = assign_points(share_points(len(genesis.initial_model)), rs.aggregators)[self.id]
         if not accept_bundle(
-            bundle, rs.verifiers, rs.aggregators, genesis.public_bases, genesis.commit_pk, points, rs.signoff_checks
+            bundle, rs.verifiers, rs.aggregators, genesis.public_bases, genesis.commit_pk, rs.slots[self.id],
+            rs.signoff_checks,
         ):
             return self._refuse("bundle-refused", dealer)
         rs.accepted_bundles[dealer] = bundle
@@ -534,7 +532,7 @@ class PeerNode:
         if any(pid not in rs.accepted_bundles for pid in c):
             return self._refuse("missing-bundles", self.id)
         bundles = [rs.accepted_bundles[pid] for pid in c]
-        reply = AggShareMsg(rs.iteration, self.id, tuple(sum_shares(bundles, self.backend)))
+        reply = AggShareMsg(rs.iteration, self.id, tuple(y for _, y in sum_shares(bundles, self.backend)))
         payload = reply.payload_bytes(self.backend, msg.contributors)
         sig = signatures.sign(self.backend, self.secrets.keypair, payload)
         reply = replace(reply, signature=sig)
@@ -553,9 +551,12 @@ class PeerNode:
         key, payload = self.genesis.public_bases[msg.sender], msg.payload_bytes(self.backend, rs.announce)
         if not signatures.verify(self.backend, key, payload, msg.signature):
             return self._refuse("bad-aggregate-share-signature", msg.sender)
-        rs.agg_shares[msg.sender] = msg.shares
-        quorum = -(-len(rs.aggregators) // 2)  # ceil(m/2), proposer included
-        if len(rs.agg_shares) < quorum:
+        points = rs.slots[msg.sender]
+        if len(msg.values) != len(points):
+            return self._refuse("malformed-aggregate-share", msg.sender)
+        rs.agg_shares[msg.sender] = tuple(zip(points, msg.values))
+        # mint once the shares hold d+1 points, so only a wrong value can fail it
+        if sum(map(len, rs.agg_shares.values())) <= self.genesis.commit_pk.degree:
             return []
         return self._mint_block(now)
 
@@ -567,11 +568,11 @@ class PeerNode:
         entries = tuple(rs.accepted_bundles[pid].entry for pid in rs.announce)
         combined = combine(backend, [e.commitment for e in entries])
         all_shares = [s for shares in rs.agg_shares.values() for s in shares]
+        rs.minted = True  # one attempt: a share after a failed one is late
         try:
             aggregate = recover_aggregate(all_shares, pk, combined)
         except ShareRecoveryError:
             return self._refuse("recovery-failed", self.id)
-        rs.minted = True
         prev = self.ledger.current_model()
         weights = prev.weights + decode(aggregate)
         block = Block(

@@ -164,14 +164,27 @@ def test_cli_spec_without_noisers_or_verifiers_is_refused(tmp_path, capsys, key)
     [
         ("number_of_aggregators", 1, "number_of_aggregators must be at least 2, got 1"),
         ("churn_per_minute", -1.0, "churn_per_minute must be non-negative, got -1.0"),
+        ("privacy_budget_epsilon", 0.0, "privacy_budget_epsilon must be positive, got 0.0"),
+        ("delta", 1.0, "delta must lie in (0, 1), got 1.0"),
+        ("initial_stake", 0, "initial_stake must be at least 1, got 0"),
+        ("total_iterations", -2, "total_iterations must be at least 1, got -2"),
+        ("total_iterations", 0, "total_iterations must be at least 1, got 0"),
+        ("seed", -1, "seed must be at least 0, got -1"),
+        ("number_of_nodes", 0, "number_of_nodes must be at least 1, got 0"),
+        ("stake_reward", -1, "stake_reward must be at least 0, got -1"),
     ],
-    ids=["number_of_aggregators", "churn_per_minute"],
+    ids=[
+        "number_of_aggregators", "churn_per_minute", "zero_epsilon", "delta_one", "zero_initial_stake",
+        "negative_total_iterations", "zero_total_iterations", "negative_seed", "zero_nodes", "negative_reward",
+    ],
 )
 def test_cli_spec_with_one_aggregator_or_negative_churn_is_refused(tmp_path, capsys, key, value, message):
-    """One aggregator cannot hold a share split, and a negative churn rate
-    schedules nothing; both runs used to create the output directory and
-    then raise mid-run.  The spec is refused, naming its JSON key, and
-    nothing is written."""
+    """One aggregator cannot hold a share split, a negative churn rate
+    schedules nothing, and no privacy step exists at epsilon 0 or delta 1.
+    These runs, and those with no stake, no peer, a negative round count,
+    seed or stake reward, used to create the output directory and then
+    raise mid-run; with no round the run wrote NaN metrics and exited 0.
+    The spec is refused, naming its JSON key, and nothing is written."""
     data = small_spec().to_dict()
     data[key] = value
     cfg = tmp_path / "cfg.json"

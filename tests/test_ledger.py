@@ -31,7 +31,6 @@ from chainlearn.ledger import (
     signoff_message,
 )
 from chainlearn.encoding import sha256, u32
-from chainlearn.noise import NoiseTable
 from chainlearn.quantize import SCALE_BITS, QuantizedPoly, decode
 from chainlearn.signatures import sign
 from chainlearn.stake import build_ring
@@ -65,12 +64,12 @@ def test_genesis_peer_lists_must_name_the_same_peers(tiny_net):
     """Each peer has one key, one stake and one noise row, so a genesis that
     gives a stake holder no key, or misses a round, cannot be built."""
     genesis, _ = tiny_net
-    table = genesis.noise_table.commitments
+    table = genesis.noise_table
     for field, value in (
         ("peer_pubkeys", {p: k for p, k in genesis.peer_pubkeys.items() if p != 3}),
         ("initial_stake", {**genesis.initial_stake, 12: 10}),
-        ("noise_table", NoiseTable({p: row for p, row in table.items() if p != 0})),
-        ("noise_table", NoiseTable({**table, 0: table[0][:-1]})),
+        ("noise_table", {p: row for p, row in table.items() if p != 0}),
+        ("noise_table", {**table, 0: table[0][:-1]}),
     ):
         with pytest.raises(ValueError):
             dataclasses.replace(genesis, **{field: value})

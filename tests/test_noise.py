@@ -64,26 +64,17 @@ def test_table_dims_and_runtime_regeneration():
     config = tiny_config(total_iterations=4)
     secrets = {pid: PeerSecrets(None, seed) for pid, seed in enumerate([b"a", b"b", b"c"])}
     table = build_noise_table(pk, config, secrets)
-    assert set(table.commitments) == {0, 1, 2}
-    assert all(len(row) == 4 for row in table.commitments.values())
-    assert commit(pk, generate_noise(config, 6, secrets[1], 3)) == table.entry(1, 3)
+    assert set(table) == {0, 1, 2}
+    assert all(len(row) == 4 for row in table.values())
+    assert commit(pk, generate_noise(config, 6, secrets[1], 3)) == table[1][2]
 
 
 def test_zero_noise_adversary_representable():
     pk = trusted_setup(BACKEND, 6, b"x")
     secrets = {0: PeerSecrets(None, b"a"), 1: PeerSecrets(None, b"b", zero_noise=True)}
     table = build_noise_table(pk, tiny_config(total_iterations=2), secrets)
-    assert table.entry(1, 1) == BACKEND.g1_identity
-    assert table.entry(0, 1) != BACKEND.g1_identity
-
-
-def test_table_entry_bounds():
-    pk = trusted_setup(BACKEND, 4, b"x")
-    table = build_noise_table(pk, tiny_config(total_iterations=2), {0: PeerSecrets(None, b"a")})
-    with pytest.raises(KeyError):
-        table.entry(9, 1)
-    with pytest.raises(ValueError):
-        table.entry(0, 3)
+    assert table[1][0] == BACKEND.g1_identity
+    assert table[0][0] != BACKEND.g1_identity
 
 
 def test_mask_update_is_field_sum():

@@ -7,7 +7,7 @@ import pytest
 from chainlearn import ledger, protocol, signatures
 from chainlearn.bootstrap import build_genesis
 from chainlearn.commitments import commit
-from chainlearn.committees import VrfOutput, draw_committee, draw_noisers, noiser_seed
+from chainlearn.committees import draw_committee, draw_noisers, noiser_seed, verify_vrf
 from chainlearn.datasets import make_dataset, partition
 from chainlearn.encoding import sha256, u64
 from chainlearn.ledger import (
@@ -45,13 +45,15 @@ PAIRING_TIP = "7440cad77a721400cb4efd76bf74665093edb0942cbf82876c77fb1712f1c4e3"
 # sha256 of the round-1 signed payloads of make_sim(), one message per sender
 # concatenated in sender order. These signatures never enter a block, so the
 # tip hashes above do not cover their encoding. The aggregate-share payload
-# counts its contributor and share lists and writes each share's point and
-# value at the order's byte width, so the signed bytes fix where each list
-# and each field ends. A share is a (point, value) pair of the aggregate and
-# carries no witness: these are the bytes the witness-carrying layout signed,
-# with each share's quotient commitment taken out.
-SUBMISSION_PAYLOADS = "e067d7a37c5a33b32b48bf26679b4461b1567c2f77bf7dbbca17218166e05883"
-AGGSHARE_PAYLOADS = "210434cf2a0dfdb9d0abc418cf7a7901a78b77ea0faf0df7ce1679fd617d538a"
+# counts its contributor and value lists and writes each value at the
+# order's byte width, so the signed bytes fix where each list and each field
+# ends. Receivers derive what the round fixes, so neither payload carries it:
+# a submission carries its noiser proof but not the committee it walks to,
+# and an aggregate share its values but not the sender's points. These are
+# the bytes the earlier layouts signed with the committee's u32s and the
+# points taken out.
+SUBMISSION_PAYLOADS = "1c1410010306a398cb06e680f391716e1e5b6d159d628918c79eb7f3138df303"
+AGGSHARE_PAYLOADS = "a27faa0d60a91c6a865b47a1ba6325923a34baf80189704f7c28096c00eb830a"
 
 
 def make_sim(
@@ -155,10 +157,9 @@ def test_aggregate_share_signature_binds_the_announce(monkeypatch):
 
 
 def test_share_with_an_evaluation_outside_the_field_is_a_bad_signature(monkeypatch):
-    """An aggregator that sends a summed share with evaluation -1 under an
-    arbitrary signature is refused as a bad aggregate-share signature: the
-    signed bytes reduce each point and evaluation mod the order, so no
-    integer makes them raise.  The round seals on the other aggregators, and
+    """An aggregator that sends a summed value of -1 under an arbitrary
+    signature is refused as a bad aggregate-share signature: the signed
+    bytes reduce each value mod the order, so no integer makes them raise.  The round seals on the other aggregators, and
     the chain is the one the honest run builds."""
     sim = make_sim()
     _, aggregators = round_committees(
@@ -172,8 +173,7 @@ def test_share_with_an_evaluation_outside_the_field_is_a_bad_signature(monkeypat
         if peer.id != rogue or msg.iteration != 1 or not out:
             return out
         reply = out[0][1]
-        shares = ((reply.shares[0][0], -1), *reply.shares[1:])
-        reply = dataclasses.replace(reply, shares=shares, signature=b"\x01" * 64)
+        reply = dataclasses.replace(reply, values=(-1, *reply.values[1:]), signature=b"\x01" * 64)
         return [(dest, reply, extra) for dest, _, extra in out]
 
     monkeypatch.setattr(PeerNode, "_on_AggAnnounce", out_of_range)
@@ -185,8 +185,9 @@ def test_share_with_an_evaluation_outside_the_field_is_a_bad_signature(monkeypat
 def test_a_wrong_aggregate_value_voids_the_round(monkeypatch):
     """An aggregator whose summed value at its lowest point is wrong, under
     a valid signature, makes the interpolant miss the combined commitment:
-    the proposer records ``recovery-failed`` for that round, which seals no
-    block, and the later rounds seal."""
+    the proposer records ``recovery-failed`` once for that round, which
+    seals no block, refuses the shares that come after its one attempt as
+    late, and the later rounds seal."""
     sim = make_sim()
     _, aggregators = round_committees(
         sim.genesis, build_ring(sim.genesis.initial_stake), sim.genesis.hash(), 1
@@ -201,8 +202,8 @@ def test_a_wrong_aggregate_value_voids_the_round(monkeypatch):
             # the first other aggregator to reach the proposer is within the
             # quorum, and its lowest point within the interpolated ones
             rogue = msg.sender
-            (z, y), *rest = msg.shares
-            msg = dataclasses.replace(msg, shares=((z, y + 1), *rest))
+            y, *rest = msg.values
+            msg = dataclasses.replace(msg, values=(y + 1, *rest))
             payload = msg.payload_bytes(peer.backend, peer.round.announce)
             msg = dataclasses.replace(msg, signature=sign(peer.backend, sim.peers[rogue].secrets.keypair, payload))
         return collect(peer, msg, now)
@@ -210,9 +211,68 @@ def test_a_wrong_aggregate_value_voids_the_round(monkeypatch):
     monkeypatch.setattr(PeerNode, "_on_AggShareMsg", wrong_value)
     result = sim.run()
     audit = sim.peers[proposer].audit
-    assert (1, proposer, "recovery-failed") in audit
+    assert audit.count((1, proposer, "recovery-failed")) == 1
+    late = [a for a in aggregators if a not in (proposer, rogue)]
+    assert late and all((1, a, "late-aggregate-share") in audit for a in late)
     assert not any(rec[1] == rogue and rec[2] == "bad-aggregate-share-signature" for rec in audit)
     assert [b.iteration for b in result.final_ledger.blocks] == [2, 3, 4, 5]
+
+
+def test_a_share_with_an_extra_value_is_malformed(monkeypatch):
+    """An aggregator that appends one value to its summed share, under a
+    valid signature, cannot name a point outside its slot: the proposer
+    pairs values with the sender's own points, refuses the share as
+    ``malformed-aggregate-share`` and seals round 1 on the other
+    aggregators, so the chain is the one the honest run builds."""
+    sim = make_sim()
+    _, aggregators = round_committees(
+        sim.genesis, build_ring(sim.genesis.initial_stake), sim.genesis.hash(), 1
+    )
+    proposer = aggregators[0]
+    collect = PeerNode._on_AggShareMsg
+    rogue = None
+
+    def extra_value(peer, msg, now):
+        nonlocal rogue
+        if peer.id == proposer and msg.iteration == 1 and msg.sender != proposer and rogue is None:
+            rogue = msg.sender
+            msg = dataclasses.replace(msg, values=(*msg.values, 12345))
+            payload = msg.payload_bytes(peer.backend, peer.round.announce)
+            msg = dataclasses.replace(msg, signature=sign(peer.backend, sim.peers[rogue].secrets.keypair, payload))
+        return collect(peer, msg, now)
+
+    monkeypatch.setattr(PeerNode, "_on_AggShareMsg", extra_value)
+    result = sim.run()
+    audit = sim.peers[proposer].audit
+    assert (1, rogue, "malformed-aggregate-share") in audit
+    assert (1, proposer, "recovery-failed") not in audit
+    assert result.final_ledger.tip_hash().hex() == EXPONENT_TIP
+
+
+def test_proposer_recovers_once_the_shares_hold_d_plus_1_points(monkeypatch):
+    """With 4 aggregators and dim 4 the 10 share points split 3, 3, 2, 2, so
+    the first two shares to reach a proposer can hold 4 < d+1 = 5 points:
+    the proposer waits for a third share before its one recovery attempt,
+    and every round seals."""
+    sim = make_sim(seed=5, iterations=6, num_aggregators=4)
+    needed = sim.genesis.commit_pk.degree + 1
+    assert needed == 5
+    collect = PeerNode._on_AggShareMsg
+    short = []  # rounds whose first two shares held fewer than d+1 points
+
+    def watch(peer, msg, now):
+        rs = peer.round
+        if peer.is_proposer() and msg.iteration == rs.iteration and len(rs.agg_shares) == 1:
+            (first,) = rs.agg_shares
+            if msg.sender != first and len(rs.slots[first]) + len(rs.slots[msg.sender]) < needed:
+                short.append(msg.iteration)
+        return collect(peer, msg, now)
+
+    monkeypatch.setattr(PeerNode, "_on_AggShareMsg", watch)
+    result = sim.run()
+    assert short, "no round reached the case"
+    assert [b.iteration for b in result.final_ledger.blocks] == [1, 2, 3, 4, 5, 6]
+    assert not any(rec[2] == "recovery-failed" for p in sim.peers.values() for rec in p.audit)
 
 
 def test_every_appended_block_revalidates(happy_run):
@@ -290,17 +350,14 @@ def make_submission(sim, peer_id, iteration=1, tamper=None):
     vrf = draw_noisers(
         backend, peer.secrets.keypair, peer_id, ring, prev_hash, iteration, cfg.num_noisers
     )
+    noiser_ids, proof = vrf.committee, vrf.proof
     if tamper == "unkeyed-draw":
         # the public walk from the same seed, with no proof
         seed = noiser_seed(backend.g1_to_bytes(peer.secrets.keypair.public), prev_hash, iteration)
-        vrf = VrfOutput(draw_committee(ring, seed, cfg.num_noisers, exclude={peer_id}), b"")
-    noiser_ids = vrf.committee
-    if tamper in ("undrawn-noise", "swapped-committee"):
+        noiser_ids, proof = draw_committee(ring, seed, cfg.num_noisers, exclude={peer_id}), b""
+    if tamper == "undrawn-noise":
         others = [p for p in sorted(sim.peers) if p not in noiser_ids and p != peer_id]
         noiser_ids = tuple(others[: cfg.num_noisers])
-    if tamper == "swapped-committee":
-        # the sender's own proof, naming noisers it did not draw
-        vrf = VrfOutput(noiser_ids, vrf.proof)
     noises = [generate_noise(cfg, update_q.dim, sim.peers[nid].secrets, iteration) for nid in noiser_ids]
     if tamper == "non-genesis-noise":
         # fresh noise that is NOT what was committed: try to unpoison the update
@@ -310,7 +367,7 @@ def make_submission(sim, peer_id, iteration=1, tamper=None):
     if tamper == "padded":
         # one data slot more than the model has, and than the commitment key takes
         masked = dataclasses.replace(masked, coeffs=masked.coeffs + (0,))
-    sub = UpdateSubmission(iteration, peer_id, masked, commitment, vrf)
+    sub = UpdateSubmission(iteration, peer_id, masked, commitment, proof)
     sig = sign(backend, peer.secrets.keypair, sub.payload_bytes(backend))
     sub = dataclasses.replace(sub, signature=sig)
     if tamper == "bad-signature":
@@ -352,29 +409,18 @@ def test_undrawn_noisers_noise_is_a_masking_mismatch():
     assert rejection(sim, sub) == "masking-mismatch"
 
 
-def test_swapped_noiser_committee_is_a_bad_draw():
-    """A signed submission whose draw names other noisers under the sender's
-    own proof, masked consistently with their genesis noise, is refused by
-    the draw check alone."""
-    sim = make_sim(seed=6)
-    peer_id = eligible_peer(sim)
-    honest = make_submission(sim, peer_id)
-    swapped = make_submission(sim, peer_id, tamper="swapped-committee")
-    assert swapped.noiser_vrf.proof == honest.noiser_vrf.proof
-    assert not set(swapped.noiser_vrf.committee) & set(honest.noiser_vrf.committee)
-    assert rejection(sim, swapped) == "bad-noiser-draw"
-
-
 def test_unkeyed_noiser_draw_rejected():
-    """A submitter who may send the public walk from its noiser seed picks
-    whichever of two masked updates Multi-KRUM prefers, and anyone can
-    predict that noiser set in advance."""
+    """A submitter who may mask with the public walk from its noiser seed
+    picks whichever of two masked updates Multi-KRUM prefers, and anyone can
+    predict that noiser set in advance.  Sent with no proof, it draws no
+    noisers, so the submission is a bad draw."""
     sim = make_sim(seed=6)
     peer_id = eligible_peer(sim)
-    keyed = make_submission(sim, peer_id)
     unkeyed = make_submission(sim, peer_id, tamper="unkeyed-draw")
-    assert unkeyed.noiser_vrf.proof == b""
-    assert unkeyed.noiser_vrf.committee != keyed.noiser_vrf.committee
+    assert unkeyed.noiser_proof == b""
+    key, cfg = sim.genesis.public_bases[peer_id], sim.genesis.config
+    ring, tip = build_ring(sim.genesis.initial_stake), sim.genesis.hash()
+    assert verify_vrf(b"", sim.peers[peer_id].backend, key, peer_id, ring, tip, 1, cfg.num_noisers) == ()
     assert rejection(sim, unkeyed) == "bad-noiser-draw"
 
 
@@ -426,7 +472,7 @@ def test_zero_noise_colluders_through_the_simulator():
     sim = make_sim(zero_noise_peers=colluders)
     table, identity = sim.genesis.noise_table, sim.genesis.commit_pk.backend.g1_identity
     for pid in sim.peers:
-        zero = [c == identity for c in table.commitments[pid]]
+        zero = [c == identity for c in table[pid]]
         assert all(zero) if pid in colluders else not any(zero)
     result = sim.run()
     served = [sim.peers[c].noise for c in colluders if sim.peers[c].noise is not None]

@@ -7,7 +7,6 @@ from scipy import stats
 from chainlearn.committees import (
     ROLE_AGGREGATE,
     ROLE_VERIFY,
-    VrfOutput,
     committee_seed,
     draw_committee,
     draw_noisers,
@@ -235,21 +234,23 @@ def test_keyed_vrf_verifies_and_binds_to_key():
     prev = sha256(b"prev")
     out = draw_noisers(BACKEND, kp, 4, ring, prev, 2, 3)
     assert 4 not in out.committee
-    assert verify_vrf(out, BACKEND, BACKEND.prepare_base(kp.public), 4, ring, prev, 2, 3)
+    assert verify_vrf(out.proof, BACKEND, BACKEND.prepare_base(kp.public), 4, ring, prev, 2, 3) == out.committee
     other = keygen(BACKEND, b"other")
-    assert not verify_vrf(out, BACKEND, BACKEND.prepare_base(other.public), 4, ring, prev, 2, 3)
+    assert verify_vrf(out.proof, BACKEND, BACKEND.prepare_base(other.public), 4, ring, prev, 2, 3) == ()
 
 
 def test_public_walk_is_not_a_keyed_draw():
-    """The public walk from a peer's noiser seed, sent with no proof, is a
-    second draw the peer could pick or anyone could predict; it must fail the
-    keyed check under that peer's own key."""
+    """The public walk from a peer's noiser seed is a second draw the peer
+    could pick or anyone could predict; with no proof, the keyed check under
+    that peer's own key draws no committee at all."""
     ring = build_ring({i: 10 for i in range(12)})
     kp = keygen(BACKEND, b"peer4")
     prev = sha256(b"prev")
     seed = noiser_seed(BACKEND.g1_to_bytes(kp.public), prev, 1)
-    walk = VrfOutput(draw_committee(ring, seed, 3, exclude={4}), b"")
-    assert not verify_vrf(walk, BACKEND, BACKEND.prepare_base(kp.public), 4, ring, prev, 1, 3)
+    walk = draw_committee(ring, seed, 3, exclude={4})
+    keyed = draw_noisers(BACKEND, kp, 4, ring, prev, 1, 3).committee
+    assert walk != keyed
+    assert verify_vrf(b"", BACKEND, BACKEND.prepare_base(kp.public), 4, ring, prev, 1, 3) == ()
 
 
 @pytest.mark.parametrize("name", ["exponent", "pairing"])
@@ -262,9 +263,10 @@ def test_public_walk_is_not_a_keyed_draw():
     data=st.data(),
 )
 def test_keyed_draw_property(name, stake, key_seed, prev, iteration, data):
-    """A keyed draw verifies for exactly the key, tip, round, drawing peer
-    and size it was made for: each one changed, a member swapped for an
-    outsider or a proof byte flipped, and it is refused."""
+    """A keyed draw's proof walks to its committee for exactly the key, tip,
+    round, drawing peer and size it was made for: under another key or tip,
+    for another round or with a proof byte flipped it draws nothing, and for
+    another drawing peer or size it draws another committee."""
     backend = get_backend(name)
     ring = build_ring(dict(enumerate(stake)))
     n = len(stake)
@@ -274,29 +276,27 @@ def test_keyed_draw_property(name, stake, key_seed, prev, iteration, data):
     key = backend.prepare_base(kp.public)
     out = draw_noisers(backend, kp, peer, ring, prev, iteration, k)
     assert len(out.committee) == k and peer not in out.committee
-    assert verify_vrf(out, backend, key, peer, ring, prev, iteration, k)
 
-    def refused(draw=out, key=key, peer=peer, prev=prev, iteration=iteration, k=k):
-        return not verify_vrf(draw, backend, key, peer, ring, prev, iteration, k)
+    def drawn(proof=out.proof, key=key, peer=peer, prev=prev, iteration=iteration, k=k):
+        return verify_vrf(proof, backend, key, peer, ring, prev, iteration, k)
 
-    assert refused(key=backend.prepare_base(keygen(backend, key_seed + b"x").public))
-    assert refused(prev=sha256(prev))
-    assert refused(iteration=iteration + 1)
+    assert drawn() == out.committee
+    assert drawn(key=backend.prepare_base(keygen(backend, key_seed + b"x").public)) == ()
+    assert drawn(prev=sha256(prev)) == ()
+    assert drawn(iteration=iteration + 1) == ()
     # a drawn member in the drawing peer's place: the walk must skip it
-    assert refused(peer=data.draw(st.sampled_from(out.committee), label="other_peer"))
-    assert refused(k=k - 1)
-    assert refused(k=k + 1)
-    at = data.draw(st.integers(0, k - 1), label="swap_at")
-    outsider = data.draw(
-        st.sampled_from([p for p in range(n) if p != peer and p not in out.committee]), label="outsider"
-    )
-    swapped = out.committee[:at] + (outsider,) + out.committee[at + 1 :]
-    assert refused(draw=VrfOutput(swapped, out.proof))
+    member = data.draw(st.sampled_from(out.committee), label="other_peer")
+    other = drawn(peer=member)
+    assert member not in other and len(other) in (0, k)
+    assert drawn(k=k - 1) == out.committee[:-1]
+    longer = drawn(k=k + 1)
+    assert longer == () or (len(longer) == k + 1 and longer[:k] == out.committee)
     flipped = bytearray(out.proof)
     flipped[data.draw(st.integers(0, len(flipped) - 1), label="at")] ^= data.draw(
         st.integers(1, 255), label="flip"
     )
-    assert refused(draw=VrfOutput(out.committee, bytes(flipped)))
+    assert drawn(proof=bytes(flipped)) == ()
+    assert drawn(proof=b"") == ()
 
 
 def test_update_stake():
