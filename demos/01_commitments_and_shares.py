@@ -37,12 +37,12 @@ print("committed to a", dim, "dimensional update; commitment bytes:",
 
 # open the polynomial at a point and check the pairing equation
 w = create_witness(pk, poly, z=3)
-print("opening at z=3 verifies:", verify_share(pk, c, w))
+print("opening at z=3 verifies:", verify_share(pk, [(c, [w])]))
 
 # a forged evaluation is caught
 from chainlearn.commitments import Witness
 forged = Witness(w.value, w.point, (w.eval + 1) % backend.order)
-print("forged evaluation verifies:", verify_share(pk, c, forged))
+print("forged evaluation verifies:", verify_share(pk, [(c, [forged])]))
 
 # homomorphism: the product of two commitments commits to the summed update
 other = encode(rng.normal(size=dim) * 0.2, 7, backend.order)

@@ -4,24 +4,24 @@ A trusted setup produces the powers alpha^j * g1 of the one generator,
 starting with g1 itself; a commitment C to the coefficients c_j is
 c_0 * g1, over g1's fixed-base comb, plus one ``msm`` of the other powers.
 Only the blinding slot c_0 is a full-size scalar; the data coefficients and
-witness quotients are small centered residues, so the ``msm``'s doubling
-chain is as long as the largest of those.
+witness quotients (c_0 falls into the remainder) are small centered residues,
+so the ``msm``'s doubling chain is as long as the largest of those.
 
 Opening at a point z ships y = phi(z) and a commitment W to the quotient
 (phi(x) - y) / (x - z).  It is valid exactly when
 e(C, g1) == e(W, (alpha - z)*g1) * e(g1, g1)^y, checked in the folded form
 e(C - y*g1 + z*W, g1) * e(-W, alpha*g1) == 1.
 
-All openings of one commitment are checked as one product, each folded
+Any openings of any commitments are checked as one product, each folded
 equation raised to a weight rho_i (Bellare-Garay-Rabin small exponents):
 
-    e(sum(rho_i)*C - sum(rho_i*y_i)*g1 + sum(rho_i*z_i*W_i), g1)
+    e(sum(s_k*C_k) - sum(rho_i*y_i)*g1 + sum(rho_i*z_i*W_i), g1)
         * e(-sum(rho_i*W_i), alpha*g1) == 1
 
-The rho_i are 128-bit, read from one SHAKE-256 output over the commitment
-and every (point, eval, witness): a rerun draws the same weights, and a
-batch with a bad opening passes with probability 2^-128 (2^-61 on the
-exponent group).
+where s_k sums C_k's own weights.  The rho_i are 128-bit, read from one
+SHAKE-256 output over each commitment, its opening count and every (point,
+eval, witness): a rerun draws the same weights, and a batch with a bad
+opening passes with probability 2^-128 (2^-61 on the exponent group).
 The one full-size scalar, sum(rho_i*y_i), multiplies g1's comb.  The
 pairing is symmetric, so the key's first two powers g1 and alpha*g1 are
 the fixed arguments that drive the Miller loop.  Commitments are
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import polynomials
-from .encoding import ByteReader, ByteWriter, derive_scalars
+from .encoding import ByteReader, ByteWriter, derive_scalars, u32
 from .quantize import QuantizedPoly
 
 
@@ -153,37 +153,40 @@ def create_witness(pk: CommitPK, poly: QuantizedPoly, z: int) -> Witness:
     z %= pk.backend.order
     if z == 0:
         raise ValueError("evaluation point 0 is reserved")
-    p = pk.backend.order
-    quotient, remainder = polynomials.quotient_at(list(poly.coeffs), z, p)
-    q_poly = QuantizedPoly(tuple(quotient) + (0,), p)
-    return Witness(commit(pk, q_poly), z, remainder)
+    if poly.dim > pk.degree:
+        raise ValueError(f"polynomial degree {poly.dim} exceeds key degree {pk.degree}")
+    quotient, remainder = polynomials.quotient_at(list(poly.coeffs), z, pk.backend.order)
+    return Witness(pk.backend.msm(pk.powers[: len(quotient)], quotient), z, remainder)
 
 
-def batch_weights(pk: CommitPK, commitment, witnesses) -> list[int]:
-    """The 128-bit weights rho_i of a batched share check, one per witness:
-    consecutive 16-byte blocks of one SHAKE-256 output over the commitment
-    and every witness's encoding."""
-    backend = pk.backend
-    parts = [b"share-batch", backend.g1_to_bytes(commitment)]
-    parts += [w.to_bytes(backend) for w in witnesses]
-    stream = hashlib.shake_256(b"".join(parts)).digest(16 * len(witnesses))
+def batch_weights(pk: CommitPK, openings) -> list[int]:
+    """The 128-bit weights rho_i of a batched share check, one per witness of
+    ``openings``: consecutive 16-byte blocks of one SHAKE-256 output over each
+    commitment, its witness count (so the bytes parse one way) and its witnesses."""
+    parts = [b"share-batch"]
+    for commitment, witnesses in openings:
+        parts += [pk.backend.g1_to_bytes(commitment), u32(len(witnesses))]
+        parts += [w.to_bytes(pk.backend) for w in witnesses]
+    stream = hashlib.shake_256(b"".join(parts)).digest(16 * sum(len(ws) for _, ws in openings))
     return [int.from_bytes(stream[i : i + 16], "big") for i in range(0, len(stream), 16)]
 
 
-def verify_share(pk: CommitPK, commitment, *witnesses: Witness) -> bool:
-    """True iff every (point, eval) lies on the committed polynomial: one
-    weighted pairing product for all the witnesses (see the module
-    docstring)."""
+def verify_share(pk: CommitPK, openings) -> bool:
+    """True iff every (point, eval) of the sequence of ``(commitment,
+    witnesses)`` pairs ``openings`` lies on its committed polynomial: one
+    weighted pairing product for all of them (see the module docstring)."""
     backend = pk.backend
+    witnesses = [w for _, ws in openings for w in ws]
     if any(w.point % backend.order == 0 for w in witnesses):
         return False
-    lines_g1, lines_alpha_g1 = pk.share_check_key
-    rho = batch_weights(pk, commitment, witnesses)
+    rho = batch_weights(pk, openings)
+    each = iter(rho)
+    weight_sums = [sum(next(each) for _ in ws) for _, ws in openings]
     neg_eval = -sum(r * w.eval for r, w in zip(rho, witnesses))
-    quotients = [w.value for w in witnesses]
+    quotients, point_weights = [w.value for w in witnesses], [r * w.point for r, w in zip(rho, witnesses)]
     folded = backend.g1_add(
         backend.fixed_msm([backend.g1_base], [neg_eval]),
-        backend.msm([commitment, *quotients], [sum(rho), *(r * w.point for r, w in zip(rho, witnesses))]),
+        backend.msm([c for c, _ in openings] + quotients, weight_sums + point_weights),
     )
     weighted = backend.g1_neg(backend.msm(quotients, rho))
-    return backend.multi_pair((lines_g1, lines_alpha_g1), (folded, weighted)) == backend.gt_one
+    return backend.multi_pair(pk.share_check_key, (folded, weighted)) == backend.gt_one

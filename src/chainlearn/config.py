@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .attacks import AdversaryConfig
 from .krum import krum_sample_size, max_tolerable_f, updates_per_block
@@ -62,13 +63,19 @@ class ExperimentSpec:
     sweep: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        minimums = {
-            "number_of_nodes": 1, "total_iterations": 1, "number_of_noisers": 1, "number_of_verifiers": 1,
-            "number_of_aggregators": 2, "initial_stake": 1, "stake_reward": 0, "seed": 0,
+        u32, u64 = (1 << 32) - 1, (1 << 64) - 1  # genesis slots: the stake is u64, other ints and peer ids u32
+        bounds = {
+            "number_of_nodes": (1, u32), "total_iterations": (1, u32), "number_of_noisers": (1, u32),
+            "number_of_verifiers": (1, u32), "number_of_aggregators": (2, u32), "initial_stake": (1, u64),
+            "stake_reward": (0, u32), "seed": (0, float("inf")), "dataset.features": (0, u32),
+            "dataset.classes": (0, u32), "train.batch_size": (0, u32),
         }
-        for key, least in minimums.items():
-            if getattr(self, key) < least:
-                raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)}")
+        for key, (least, most) in bounds.items():
+            value = attrgetter(key)(self)
+            if value < least:
+                raise ValueError(f"{key} must be at least {least}, got {value}")
+            if value > most:
+                raise ValueError(f"{key} must be at most {most}, got {value}")
         if self.churn_per_minute < 0:
             raise ValueError(f"churn_per_minute must be non-negative, got {self.churn_per_minute}")
         if not self.privacy_budget_epsilon > 0:

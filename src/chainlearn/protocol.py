@@ -14,14 +14,14 @@ Round shape (all peers derive the same committees from the chain tip):
   updaters        with sign-offs from a majority of verifiers deal their
                   update into witness-carrying shares, one slice per
                   aggregator, each carrying those sign-offs;
-  aggregators     verify bundles (each distinct sign-off once), sum accepted
-                  evaluations point-wise; the round's proposer carries one
-                  sign-off per verifier, announces a contributor set that
-                  a majority of them name, collects the summed values at
-                  their senders' points until it holds d+1 points,
-                  interpolates the aggregate, checks it against the
-                  entries' commitment product, mints the block and
-                  broadcasts it.
+  aggregators     pool bundles (each distinct sign-off checked once), check
+                  their openings as one batch when needed and sum them
+                  point-wise; the round's proposer carries one sign-off per
+                  verifier, announces a contributor set that a majority of
+                  them name, collects the summed values at their senders'
+                  points until it holds d+1 points, interpolates the
+                  aggregate, checks it against the entries' commitment
+                  product, mints the block and broadcasts it.
 
 Every stage runs against a deadline; a round that produces no block is
 voided and the peer moves on.  All transitions are deterministic given the
@@ -60,6 +60,7 @@ from .vss import (
     accept_bundle,
     assign_points,
     deal_shares,
+    failing_dealers,
     recover_aggregate,
     share_points,
     sum_shares,
@@ -263,7 +264,8 @@ class RoundState:
     signed_off: bool = False
     # aggregator side
     slots: dict = field(default_factory=dict)  # aggregator -> its share points
-    accepted_bundles: dict = field(default_factory=dict)
+    pooled_bundles: dict = field(default_factory=dict)  # gated, openings not yet checked
+    accepted_bundles: dict = field(default_factory=dict)  # openings checked
     signoffs: tuple = ()  # the proposer's, one per verifier, for the block
     announce: tuple | None = None
     announced: bool = False
@@ -482,7 +484,7 @@ class PeerNode:
             return self._refuse("late-bundle", dealer)
         if not self.is_aggregator() or msg.iteration != rs.iteration:
             return self._refuse("stray-bundle", dealer)
-        if dealer in rs.accepted_bundles:
+        if dealer in rs.pooled_bundles or dealer in rs.accepted_bundles:
             return self._refuse("duplicate-bundle", dealer)
         genesis = self.genesis
         if not accept_bundle(
@@ -490,14 +492,24 @@ class PeerNode:
             rs.signoff_checks,
         ):
             return self._refuse("bundle-refused", dealer)
-        rs.accepted_bundles[dealer] = bundle
+        rs.pooled_bundles[dealer] = bundle
         return []
+
+    def _check_pooled(self, dealers) -> None:
+        """Check the pooled bundles of ``dealers`` as one batch; accept them, refusing each failing one."""
+        rs = self.round
+        bundles = {pid: rs.pooled_bundles.pop(pid) for pid in list(rs.pooled_bundles) if pid in dealers}
+        for dealer in failing_dealers(list(bundles.values()), self.genesis.commit_pk):
+            del bundles[dealer]
+            self._refuse("bundle-refused", dealer)
+        rs.accepted_bundles.update(bundles)
 
     def _close_aggregation(self, now: float) -> list:
         rs = self.round
         if not self.is_proposer() or rs.announced:
             return []
         rs.announced = True
+        self._check_pooled(list(rs.pooled_bundles))
         # the block carries one sign-off per verifier: of those the accepted
         # bundles hold, the one naming the most of their pairs; only pairs a
         # majority of the carried sign-offs name may be announced, so a
@@ -529,6 +541,7 @@ class PeerNode:
         c = msg.contributors
         if not c or any(a >= b for a, b in zip(c, c[1:])):
             return self._refuse("malformed-announce", msg.sender)
+        self._check_pooled(c)
         if any(pid not in rs.accepted_bundles for pid in c):
             return self._refuse("missing-bundles", self.id)
         bundles = [rs.accepted_bundles[pid] for pid in c]

@@ -2,19 +2,19 @@
 
 A quantized update (a degree-d polynomial) is evaluated at the fixed field
 points 1..n with n = 2*(d+1); the points are split round-robin across the
-aggregators, each share carrying its opening witness.  Aggregators verify
-every share against the dealer's commitment, which a majority of the
-round's verifiers must name, and sum the accepted shares' evaluations
-point-wise into (point, value) pairs of the aggregate.  The proposer
-interpolates the lowest d+1 distinct points and keeps the result only if
-it re-commits to the product of the contributing commitments, the block
-rule's own identity: by the binding of the commitment that polynomial is
-the aggregate, so the summed pairs carry no witness.  A wrong value among
-those d+1 points abandons the round.
+aggregators, each share carrying its opening witness.  An aggregator pools
+the bundles whose dealer's commitment a majority of the round's verifiers
+name, checks their openings as one batch when it needs them, and sums the
+checked shares' evaluations point-wise into (point, value) pairs of the
+aggregate.  The proposer interpolates the lowest d+1 distinct points and
+keeps the result only if it re-commits to the product of the contributing
+commitments, the block rule's own identity: by the binding of the commitment
+that polynomial is the aggregate, so the summed pairs carry no witness.  A
+wrong value among those d+1 points abandons the round.
 
-Holding fewer than half the aggregators' transcripts yields fewer than d+1
-points of any single update, leaving it information-theoretically
-undetermined.
+A slot holds ceil(2(d+1)/m) points: below d+1 from m = 3 aggregators on
+(d >= 2), so no aggregator alone learns an update, but d+1 at m = 2, so each
+of two aggregators alone interpolates every dealer's unmasked update.
 """
 
 from __future__ import annotations
@@ -82,20 +82,26 @@ def accept_bundle(
     bundle: ShareBundle, verifiers, aggregators, pubkeys, pk: CommitPK, points, checks: SignOffChecks
 ) -> bool:
     """True iff the shares are at the receiving aggregator's ``points`` (its
-    slice of ``assign_points``), the dealer's entry and sign-offs pass the
-    block rule (``ledger.contributor_rejection`` and
-    ``ledger.endorsement_rejection``, against the round's committees, the
-    genesis keys ``pubkeys`` and the round's sign-off ``checks``, which
-    work each sign-off out once across the round's bundles) and every share
-    opens the commitment, checked as one batch."""
+    slice of ``assign_points``) and the dealer's entry and sign-offs pass the
+    block rule (``ledger.contributor_rejection`` and ``ledger.endorsement_rejection``,
+    against the round's committees, the genesis keys ``pubkeys`` and the round's
+    sign-off ``checks``, which work each sign-off out once across the round's
+    bundles).  ``failing_dealers`` checks the openings once the bundle is needed."""
     if [w.point for w in bundle.shares] != list(points):
         return False
     if contributor_rejection([bundle.entry.peer], verifiers, aggregators, pubkeys):
         return False
     entry_records = pair_records([bundle.entry], pk.backend)
-    if endorsement_rejection(entry_records, bundle.signoffs, verifiers, checks):
-        return False
-    return verify_share(pk, bundle.entry.commitment, *bundle.shares)
+    return not endorsement_rejection(entry_records, bundle.signoffs, verifiers, checks)
+
+
+def failing_dealers(bundles, pk: CommitPK) -> list:
+    """The dealers of ``bundles`` whose shares do not all open their entry's
+    commitment: one ``verify_share`` over all of them, one per bundle if it fails."""
+    openings = [(b.entry.commitment, b.shares) for b in bundles]
+    if not openings or verify_share(pk, openings):
+        return []
+    return [b.entry.peer for b, one in zip(bundles, openings) if not verify_share(pk, [one])]
 
 
 def sum_shares(accepted, backend) -> list[tuple[int, int]]:

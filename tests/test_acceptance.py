@@ -96,7 +96,7 @@ def test_criterion_1_crypto_invariants():
     for _ in range(1000):
         phi = rand_poly(pk8, 8)
         z = rng.randrange(1, 10_000)
-        assert verify_share(pk8, commit(pk8, phi), create_witness(pk8, phi, z))
+        assert verify_share(pk8, [(commit(pk8, phi), [create_witness(pk8, phi, z)])])
 
     # tamper rejection, 1000 randomized trials
     rejected = 0
@@ -113,7 +113,7 @@ def test_criterion_1_crypto_invariants():
             c = combine(backend, [c, commit(pk8, rand_poly(pk8, 8))])
         else:
             w = Witness(w.value, w.point + rng.randrange(1, 50), w.eval)
-        rejected += not verify_share(pk8, c, w)
+        rejected += not verify_share(pk8, [(c, [w])])
     assert rejected == 1000, f"{1000 - rejected} tampered shares slipped through"
 
     # same algebra on the real pairing backend, spot-checked
@@ -129,9 +129,9 @@ def test_criterion_1_crypto_invariants():
             == commit(ppk, phi.add(other))
         )
         w = create_witness(ppk, phi, prng.randrange(1, 1000))
-        assert verify_share(ppk, commit(ppk, phi), w)
+        assert verify_share(ppk, [(commit(ppk, phi), [w])])
         bad = Witness(w.value, w.point, (w.eval + 1) % pairing.order)
-        assert not verify_share(ppk, commit(ppk, phi), bad)
+        assert not verify_share(ppk, [(commit(ppk, phi), [bad])])
 
     # share threshold at d=25: 25 points must fail, 26 suffice
     nrng = np.random.default_rng(SEED)

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -165,8 +167,8 @@ def test_degree_12_witness_far_from_zero(name):
     assert w.eval == poly_eval(list(coeffs), 26, r)
     quotient = [sum(coeffs[i] * 26 ** (i - j - 1) for i in range(j + 1, 13)) for j in range(12)]
     assert w.value == naive_commit(pk, quotient)
-    assert verify_share(pk, commit(pk, phi), w)
-    assert not verify_share(pk, commit(pk, phi), Witness(w.value, 26, (w.eval + 1) % r))
+    assert verify_share(pk, [(commit(pk, phi), [w])])
+    assert not verify_share(pk, [(commit(pk, phi), [Witness(w.value, 26, (w.eval + 1) % r)])])
 
 
 def test_degree_overflow_rejected(ctx):
@@ -183,7 +185,7 @@ def test_witness_constant_poly(ctx):
     w = create_witness(pk, phi, 5)
     assert w.eval == c
     assert w.value == backend.g1_identity
-    assert verify_share(pk, commit(pk, phi), w)
+    assert verify_share(pk, [(commit(pk, phi), [w])])
 
 
 def test_witness_hand_example(ctx):
@@ -194,7 +196,7 @@ def test_witness_hand_example(ctx):
     assert w.eval == 11
     quotient = QuantizedPoly((4, 1, 0), backend.order)
     assert w.value == commit(pk, quotient)
-    assert verify_share(pk, commit(pk, phi), w)
+    assert verify_share(pk, [(commit(pk, phi), [w])])
 
 
 def test_witness_completeness_all_points(ctx):
@@ -202,7 +204,7 @@ def test_witness_completeness_all_points(ctx):
     phi = random_poly(rng, 8, backend.order)
     c = commit(pk, phi)
     for z in range(1, 19):
-        assert verify_share(pk, c, create_witness(pk, phi, z))
+        assert verify_share(pk, [(c, [create_witness(pk, phi, z)])])
 
 
 def test_point_zero_reserved(ctx):
@@ -211,7 +213,7 @@ def test_point_zero_reserved(ctx):
     with pytest.raises(ValueError):
         create_witness(pk, phi, 0)
     w = create_witness(pk, phi, 1)
-    assert not verify_share(pk, commit(pk, phi), Witness(w.value, 0, w.eval))
+    assert not verify_share(pk, [(commit(pk, phi), [Witness(w.value, 0, w.eval)])])
 
 
 def test_soundness_tampered_eval(ctx):
@@ -220,7 +222,7 @@ def test_soundness_tampered_eval(ctx):
     c = commit(pk, phi)
     w = create_witness(pk, phi, 3)
     bad = Witness(w.value, w.point, (w.eval + 1) % backend.order)
-    assert not verify_share(pk, c, bad)
+    assert not verify_share(pk, [(c, [bad])])
 
 
 def test_soundness_wrong_polynomial_witness(ctx):
@@ -228,7 +230,7 @@ def test_soundness_wrong_polynomial_witness(ctx):
     phi = random_poly(rng, 8, backend.order)
     other = random_poly(rng, 8, backend.order)
     w_other = create_witness(pk, other, 3)
-    assert not verify_share(pk, commit(pk, phi), w_other)
+    assert not verify_share(pk, [(commit(pk, phi), [w_other])])
 
 
 def test_binding_distinct_polys_distinct_commitments(ctx):
@@ -249,7 +251,7 @@ def opened_bundle(pk, rng, points=(1, 3, 5, 7)):
 def test_batch_rejects_one_tampered_share_at_every_position(ctx):
     backend, pk, rng = ctx
     c, shares = opened_bundle(pk, rng)
-    assert verify_share(pk, c, *shares)
+    assert verify_share(pk, [(c, shares)])
     for i, w in enumerate(shares):
         tampered = {
             "eval": Witness(w.value, w.point, (w.eval + 1) % backend.order),
@@ -258,7 +260,7 @@ def test_batch_rejects_one_tampered_share_at_every_position(ctx):
         }
         for kind, bad in tampered.items():
             batch = shares[:i] + [bad] + shares[i + 1:]
-            assert not verify_share(pk, c, *batch), (i, kind)
+            assert not verify_share(pk, [(c, batch)]), (i, kind)
     # two evaluation errors that cancel in an unweighted sum
     up, down = shares[0], shares[1]
     cancelling = [
@@ -266,7 +268,7 @@ def test_batch_rejects_one_tampered_share_at_every_position(ctx):
         Witness(down.value, down.point, (down.eval - 1) % backend.order),
         *shares[2:],
     ]
-    assert not verify_share(pk, c, *cancelling)
+    assert not verify_share(pk, [(c, cancelling)])
 
 
 def test_batch_of_identity_witnesses(ctx):
@@ -276,9 +278,9 @@ def test_batch_of_identity_witnesses(ctx):
     c = commit(pk, phi)
     shares = [create_witness(pk, phi, z) for z in (2, 4, 6, 8)]
     assert all(w.value == backend.g1_identity for w in shares)
-    assert verify_share(pk, c, *shares)
+    assert verify_share(pk, [(c, shares)])
     shares[1] = Witness(shares[1].value, shares[1].point, 4243)
-    assert not verify_share(pk, c, *shares)
+    assert not verify_share(pk, [(c, shares)])
 
 
 def test_torsion_inputs_keep_their_verdicts():
@@ -293,28 +295,88 @@ def test_torsion_inputs_keep_their_verdicts():
     shares_T = [Witness(backend.g1_add(w.value, T), w.point, w.eval) for w in shares]
     for commitment in (c, c_T):
         for batch in (shares, shares_T):
-            assert verify_share(pk, commitment, batch[0])
-            assert verify_share(pk, commitment, *batch)
+            assert verify_share(pk, [(commitment, [batch[0]])])
+            assert verify_share(pk, [(commitment, batch)])
         bad = Witness(shares_T[0].value, shares_T[0].point, (shares_T[0].eval + 1) % backend.order)
-        assert not verify_share(pk, commitment, bad)
-        assert not verify_share(pk, commitment, bad, *shares_T[1:])
+        assert not verify_share(pk, [(commitment, [bad])])
+        assert not verify_share(pk, [(commitment, [bad, *shares_T[1:]])])
 
 
 def test_batch_weights_deterministic_and_bound_to_every_input(ctx):
     backend, pk, rng = ctx
     c, shares = opened_bundle(pk, rng)
-    rho = batch_weights(pk, c, shares)
-    assert rho == batch_weights(pk, c, list(shares))
+    rho = batch_weights(pk, [(c, shares)])
+    assert rho == batch_weights(pk, [(c, list(shares))])
     assert len(rho) == len(shares)
     assert all(0 <= r < 1 << 128 for r in rho)
     assert len(set(rho)) == len(rho)
-    variants = [batch_weights(pk, backend.g1_add(c, backend.g1), shares)]
+    variants = [batch_weights(pk, [(backend.g1_add(c, backend.g1), shares)])]
     for i, w in enumerate(shares):
         for changed in (
             Witness(w.value, w.point + 1, w.eval),
             Witness(w.value, w.point, w.eval + 1),
             Witness(backend.g1_add(w.value, backend.g1), w.point, w.eval),
         ):
-            variants.append(batch_weights(pk, c, shares[:i] + [changed] + shares[i + 1:]))
+            variants.append(batch_weights(pk, [(c, shares[:i] + [changed] + shares[i + 1:])]))
     for other in variants:
         assert all(a != b for a, b in zip(rho, other))
+
+
+def batch_faults(backend, openings):
+    """(kind, openings) for each fault at each position of the
+    ``(commitment, witnesses)`` batch ``openings``: an eval + 1; an eval + 1
+    and another - 1, which cancel in an unweighted sum; a witness swapped
+    with another commitment's at the same point; two commitments swapped."""
+    slots = [(k, i) for k, (_, ws) in enumerate(openings) for i in range(len(ws))]
+
+    def changed(cells):
+        out = [[c, list(ws)] for c, ws in openings]
+        for (k, i), value in cells.items():
+            if i is None:
+                out[k][0] = value
+            else:
+                out[k][1][i] = value
+        return out
+
+    def bumped(k, i, by):
+        w = openings[k][1][i]
+        return Witness(w.value, w.point, (w.eval + by) % backend.order)
+
+    for k, i in slots:
+        yield "eval", changed({(k, i): bumped(k, i, 1)})
+    for (k, i), (l, j) in combinations(slots, 2):
+        yield "cancelling", changed({(k, i): bumped(k, i, 1), (l, j): bumped(l, j, -1)})
+    for k, l in combinations(range(len(openings)), 2):
+        yield "commitments", changed({(k, None): openings[l][0], (l, None): openings[k][0]})
+        for i in range(len(openings[k][1])):
+            yield "witness", changed({(k, i): openings[l][1][i], (l, i): openings[k][1][i]})
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+def test_batch_over_commitments_refuses_each_fault_anywhere(ctx, count):
+    """One check over ``count`` commitments, each opened at the same two
+    points, passes when honest and refuses every fault of ``batch_faults``
+    at every position."""
+    backend, pk, rng = ctx
+    openings = [opened_bundle(pk, rng, points=(2, 5)) for _ in range(count)]
+    assert verify_share(pk, openings)
+    kinds = Counter()
+    for kind, bad in batch_faults(backend, openings):
+        kinds[kind] += 1
+        assert not verify_share(pk, bad), kind
+    assert kinds["eval"] == 2 * count and kinds["commitments"] == count * (count - 1) // 2
+
+
+@settings(max_examples=max(40, settings.default.max_examples), deadline=None)
+@given(data=st.data())
+def test_batch_over_commitments_fault_property(data):
+    """The property form on the exponent group: 1-4 commitments opened at
+    1-3 shared points, one drawn fault at a drawn position; its example
+    count comes from the active Hypothesis profile."""
+    backend, pk = make_pk("exponent", 8)
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    points = data.draw(st.lists(st.integers(1, 2**20), min_size=1, max_size=3, unique=True), label="points")
+    openings = [opened_bundle(pk, rng, points) for _ in range(data.draw(st.integers(1, 4), label="count"))]
+    assert verify_share(pk, openings)
+    kind, bad = data.draw(st.sampled_from(list(batch_faults(backend, openings))), label="fault")
+    assert not verify_share(pk, bad), kind

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from operator import attrgetter
 
 import pytest
 
@@ -192,6 +193,37 @@ def test_cli_spec_with_one_aggregator_or_negative_churn_is_refused(tmp_path, cap
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, bits",
+    [
+        *((key, 32) for key in (
+            "number_of_nodes", "total_iterations", "number_of_noisers", "number_of_verifiers",
+            "number_of_aggregators", "stake_reward", "dataset.features", "dataset.classes", "train.batch_size",
+        )),
+        ("initial_stake", 64),
+    ],
+)
+def test_cli_config_int_past_its_genesis_slot_is_refused(tmp_path, capsys, key, bits):
+    """Genesis writes these ints as u32 (the peer ids run to
+    number_of_nodes - 1) and the stake as u64.  One past the slot's largest
+    value passed the spec and made the output directory (a ``stake_reward``
+    of 2**32 then raised ``struct.error`` at the genesis hash); it is
+    refused, naming its JSON key, and nothing is written.  The largest value
+    itself passes the spec."""
+    data = small_spec().to_dict()
+    *outer, leaf = key.split(".")
+    target = data[outer[0]] if outer else data
+    target[leaf] = (1 << bits) - 1
+    assert attrgetter(key)(spec_from_dict(data)) == (1 << bits) - 1
+    target[leaf] = 1 << bits
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"{key} must be at most {(1 << bits) - 1}, got {1 << bits}" in capsys.readouterr().err
     assert not out.exists()
 
 

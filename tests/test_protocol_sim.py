@@ -4,9 +4,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from chainlearn import ledger, protocol, signatures
+from chainlearn import ledger, protocol, signatures, vss
 from chainlearn.bootstrap import build_genesis
-from chainlearn.commitments import commit
+from chainlearn.commitments import Witness, commit
 from chainlearn.committees import draw_committee, draw_noisers, noiser_seed, verify_vrf
 from chainlearn.datasets import make_dataset, partition
 from chainlearn.encoding import sha256, u64
@@ -694,6 +694,77 @@ def test_dealer_sending_another_aggregators_points_is_left_out(monkeypatch):
     blocks = result.final_ledger.blocks
     assert [b.iteration for b in blocks] == [1, 2, 3, 4, 5]
     assert all(entry.peer != dealt[0].peer for block in blocks for entry in block.commitments)
+
+
+@pytest.mark.parametrize("second_copy", [False, True])
+def test_bundle_with_a_wrong_eval_is_refused_at_the_close(monkeypatch, second_copy):
+    """The first round-1 dealer sends the proposer a bundle whose first share
+    carries a wrong eval, then, with ``second_copy``, a valid copy.  The
+    first passes the gates and holds the dealer's slot, so the copy is a
+    duplicate; the pooled check at the proposer's close refuses the dealer
+    once, and round 1 seals without it."""
+    sim = make_sim()
+    grant, forged = PeerNode._on_SignatureGrant, []
+
+    def forging(peer, msg, now):
+        actions = grant(peer, msg, now)
+        if msg.iteration != 1 or not actions or forged:
+            return actions
+        forged.append((peer.id, peer.round.aggregators[0]))
+        out = []
+        for dest, bundle_msg, extra in actions:
+            if dest == forged[0][1]:
+                bundle = bundle_msg.bundle
+                w = bundle.shares[0]
+                bad = Witness(w.value, w.point, (w.eval + 1) % peer.backend.order)
+                wrong = dataclasses.replace(bundle, shares=(bad,) + bundle.shares[1:])
+                out.append((dest, dataclasses.replace(bundle_msg, bundle=wrong), extra))
+                if not second_copy:
+                    continue
+            out.append((dest, bundle_msg, extra))
+        return out
+
+    monkeypatch.setattr(PeerNode, "_on_SignatureGrant", forging)
+    result = sim.run()
+    (dealer, proposer), = forged
+    block = result.final_ledger.blocks[0]
+    assert block.iteration == 1 and all(e.peer != dealer for e in block.commitments)
+    records = [rec for rec in sim.peers[proposer].audit if rec[1] == dealer]
+    expected = [(1, dealer, "duplicate-bundle")] if second_copy else []
+    assert records == expected + [(1, dealer, "bundle-refused")]
+
+
+def test_each_aggregator_checks_openings_once_a_round(monkeypatch):
+    """In an honest run every aggregator checks its bundles' openings with
+    one ``verify_share`` per round: the proposer at its close, the others
+    on the announce, for the announced contributors only; the chain is the
+    pinned one."""
+    handle, verify = PeerNode.handle, vss.verify_share
+    handling, calls = [], Counter()
+
+    def tracked(peer, event, now):
+        handling.append((peer, event))
+        try:
+            return handle(peer, event, now)
+        finally:
+            handling.pop()
+
+    def counted(pk, openings):
+        peer, event = handling[-1]
+        assert peer.is_aggregator()
+        if not peer.is_proposer():
+            assert len(openings) <= len(event.contributors)
+        calls[peer.id, peer.round.iteration] += 1
+        return verify(pk, openings)
+
+    monkeypatch.setattr(PeerNode, "handle", tracked)
+    monkeypatch.setattr(vss, "verify_share", counted)
+    sim = make_sim()
+    result = sim.run()
+    assert result.final_ledger.tip_hash().hex() == EXPONENT_TIP
+    config = sim.genesis.config
+    assert len(calls) == config.total_iterations * config.num_aggregators
+    assert max(calls.values()) == 1
 
 
 def run_with_malformed_announce(monkeypatch, contributors):

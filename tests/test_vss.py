@@ -13,6 +13,7 @@ from chainlearn.vss import (
     ShareRecoveryError,
     accept_bundle,
     assign_points,
+    failing_dealers,
     recover_aggregate,
     share_points,
     sum_shares,
@@ -52,7 +53,7 @@ def test_dealt_shares_all_verify():
     for b in bundles.values():
         assert b.entry.commitment == c
         for w in b.shares:
-            assert verify_share(pk, c, w)
+            assert verify_share(pk, [(c, [w])])
 
 
 def test_too_many_aggregators_rejected():
@@ -110,11 +111,13 @@ def test_accept_bundle_majority_and_shares(monkeypatch):
     others = [sign_off(BACKEND, keys[vid], iteration, vid, [other]) for vid in verifiers]
     assert not accepts(with_sigs(others))
 
-    # forged eval fails share verification
+    # a forged eval passes the gates and fails the pooled opening check
     bad_shares = list(bundle.shares)
     w = bad_shares[0]
     bad_shares[0] = Witness(w.value, w.point, (w.eval + 1) % MOD)
-    assert not accepts(dataclasses.replace(bundle, shares=tuple(bad_shares)))
+    forged = dataclasses.replace(bundle, shares=tuple(bad_shares))
+    assert accepts(forged)
+    assert failing_dealers([forged], pk) == [dealer] and failing_dealers([bundle], pk) == []
 
     # a sign-off from outside the committee does not count
     outsider = keygen(BACKEND, b"outsider")
@@ -278,3 +281,19 @@ def test_privacy_threshold_structure():
                 for coalition in combinations(range(m), size):
                     held = sum(len(assignment[a]) for a in coalition)
                     assert held < d + 1, (d, m, coalition)
+
+
+def test_one_slot_holds_fewer_than_d_plus_1_points_from_three_aggregators():
+    """A slot holds ceil(2(d+1)/m) points.  From m = 3 on no slot reaches
+    d+1, so no aggregator alone interpolates a dealer's update, except at
+    d = 1, where one of three slots holds both points it takes.  At m = 2
+    every slot holds d+1 points: each aggregator alone learns every update."""
+    for d in range(1, 31):
+        pts = share_points(d)
+        for m in range(2, 9):
+            if m > len(pts):
+                continue
+            largest = max(map(len, assign_points(pts, list(range(m))).values()))
+            assert largest == -(-2 * (d + 1) // m), (d, m)
+            reaches = largest >= d + 1
+            assert reaches == (m == 2 or (d, m) == (1, 3)), (d, m)
