@@ -68,7 +68,7 @@ class ExperimentSpec:
             "number_of_nodes": (1, u32), "total_iterations": (1, u32), "number_of_noisers": (1, u32),
             "number_of_verifiers": (1, u32), "number_of_aggregators": (2, u32), "initial_stake": (1, u64),
             "stake_reward": (0, u32), "seed": (0, float("inf")), "dataset.features": (0, u32),
-            "dataset.classes": (0, u32), "train.batch_size": (0, u32),
+            "dataset.classes": (0, u32), "train.batch_size": (1, u32),
         }
         for key, (least, most) in bounds.items():
             value = attrgetter(key)(self)

@@ -484,7 +484,9 @@ class PeerNode:
             return self._refuse("late-bundle", dealer)
         if not self.is_aggregator() or msg.iteration != rs.iteration:
             return self._refuse("stray-bundle", dealer)
-        if dealer in rs.pooled_bundles or dealer in rs.accepted_bundles:
+        if dealer in rs.pooled_bundles:  # a bundle has no sender: settle the pooled copy before this one
+            self._check_pooled([dealer])
+        if dealer in rs.accepted_bundles:
             return self._refuse("duplicate-bundle", dealer)
         genesis = self.genesis
         if not accept_bundle(

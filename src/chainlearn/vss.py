@@ -83,10 +83,9 @@ def accept_bundle(
 ) -> bool:
     """True iff the shares are at the receiving aggregator's ``points`` (its
     slice of ``assign_points``) and the dealer's entry and sign-offs pass the
-    block rule (``ledger.contributor_rejection`` and ``ledger.endorsement_rejection``,
-    against the round's committees, the genesis keys ``pubkeys`` and the round's
-    sign-off ``checks``, which work each sign-off out once across the round's
-    bundles).  ``failing_dealers`` checks the openings once the bundle is needed."""
+    block rule (``ledger.contributor_rejection`` and ``ledger.endorsement_rejection``
+    with the round's committees, the genesis keys ``pubkeys`` and the round's
+    shared sign-off ``checks``).  ``failing_dealers`` checks the openings later."""
     if [w.point for w in bundle.shares] != list(points):
         return False
     if contributor_rejection([bundle.entry.peer], verifiers, aggregators, pubkeys):
@@ -99,9 +98,8 @@ def failing_dealers(bundles, pk: CommitPK) -> list:
     """The dealers of ``bundles`` whose shares do not all open their entry's
     commitment: one ``verify_share`` over all of them, one per bundle if it fails."""
     openings = [(b.entry.commitment, b.shares) for b in bundles]
-    if not openings or verify_share(pk, openings):
-        return []
-    return [b.entry.peer for b, one in zip(bundles, openings) if not verify_share(pk, [one])]
+    suspects = bundles if openings and not verify_share(pk, openings) else ()
+    return [b.entry.peer for b, one in zip(suspects, openings) if not verify_share(pk, [one])]
 
 
 def sum_shares(accepted, backend) -> list[tuple[int, int]]:

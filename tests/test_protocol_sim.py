@@ -696,13 +696,19 @@ def test_dealer_sending_another_aggregators_points_is_left_out(monkeypatch):
     assert all(entry.peer != dealt[0].peer for block in blocks for entry in block.commitments)
 
 
+def with_wrong_eval(bundle, order):
+    """``bundle`` with its first share's eval off by one: it passes the gates."""
+    w = bundle.shares[0]
+    return dataclasses.replace(bundle, shares=(Witness(w.value, w.point, (w.eval + 1) % order),) + bundle.shares[1:])
+
+
 @pytest.mark.parametrize("second_copy", [False, True])
 def test_bundle_with_a_wrong_eval_is_refused_at_the_close(monkeypatch, second_copy):
     """The first round-1 dealer sends the proposer a bundle whose first share
     carries a wrong eval, then, with ``second_copy``, a valid copy.  The
-    first passes the gates and holds the dealer's slot, so the copy is a
-    duplicate; the pooled check at the proposer's close refuses the dealer
-    once, and round 1 seals without it."""
+    proposer refuses the wrong bundle exactly once: at its close, where round
+    1 seals without the dealer, or when the valid copy arrives, which then
+    takes the dealer's slot, so round 1 seals the pinned chain's block."""
     sim = make_sim()
     grant, forged = PeerNode._on_SignatureGrant, []
 
@@ -714,10 +720,7 @@ def test_bundle_with_a_wrong_eval_is_refused_at_the_close(monkeypatch, second_co
         out = []
         for dest, bundle_msg, extra in actions:
             if dest == forged[0][1]:
-                bundle = bundle_msg.bundle
-                w = bundle.shares[0]
-                bad = Witness(w.value, w.point, (w.eval + 1) % peer.backend.order)
-                wrong = dataclasses.replace(bundle, shares=(bad,) + bundle.shares[1:])
+                wrong = with_wrong_eval(bundle_msg.bundle, peer.backend.order)
                 out.append((dest, dataclasses.replace(bundle_msg, bundle=wrong), extra))
                 if not second_copy:
                     continue
@@ -728,10 +731,40 @@ def test_bundle_with_a_wrong_eval_is_refused_at_the_close(monkeypatch, second_co
     result = sim.run()
     (dealer, proposer), = forged
     block = result.final_ledger.blocks[0]
-    assert block.iteration == 1 and all(e.peer != dealer for e in block.commitments)
+    assert block.iteration == 1
+    if second_copy:
+        assert result.final_ledger.tip_hash().hex() == EXPONENT_TIP
+    else:
+        assert all(e.peer != dealer for e in block.commitments)
     records = [rec for rec in sim.peers[proposer].audit if rec[1] == dealer]
-    expected = [(1, dealer, "duplicate-bundle")] if second_copy else []
-    assert records == expected + [(1, dealer, "bundle-refused")]
+    assert records == [(1, dealer, "bundle-refused")]
+
+
+@pytest.mark.parametrize("target", ["proposer", "others"])
+def test_a_forged_copy_ahead_of_a_bundle_censors_no_dealer(monkeypatch, target):
+    """A bundle names no sender, so any peer that holds a dealer's bundle can
+    send an aggregator a copy with a wrong eval.  Here each round-1 bundle
+    reaches the proposer, or each other aggregator, just behind such a copy.
+    The real bundle settles the pooled copy, which is refused once, and takes
+    its place: no aggregator misses a bundle, round 1 seals with every
+    dealer the honest run has, and the chain is the pinned one."""
+    sim = make_sim()
+    receive, forged = PeerNode._on_BundleMsg, Counter()
+
+    def forged_first(peer, msg, now):
+        if msg.iteration == 1 and peer.is_proposer() == (target == "proposer"):
+            wrong = with_wrong_eval(msg.bundle, peer.backend.order)
+            receive(peer, dataclasses.replace(msg, bundle=wrong), now)
+            forged[peer.id] += 1
+        return receive(peer, msg, now)
+
+    monkeypatch.setattr(PeerNode, "_on_BundleMsg", forged_first)
+    result = sim.run()
+    assert result.final_ledger.tip_hash().hex() == EXPONENT_TIP
+    assert len(forged) == (1 if target == "proposer" else sim.genesis.config.num_aggregators - 1)
+    for pid, copies in forged.items():
+        reasons = Counter(reason for it, _, reason in sim.peers[pid].audit if it == 1)
+        assert reasons["bundle-refused"] == copies and reasons["missing-bundles"] == 0
 
 
 def test_each_aggregator_checks_openings_once_a_round(monkeypatch):
