@@ -19,6 +19,7 @@ from chainlearn import (
     verify_share,
 )
 from chainlearn.ledger import CommitmentEntry
+from chainlearn.vss import slots
 
 # The "pairing" backend is the real thing (supersingular curve, Tate pairing);
 # swap in "exponent" for instant arithmetic while prototyping.
@@ -54,12 +55,14 @@ print("product equals commitment of the sum:",
 updates = [encode(rng.normal(size=dim) * 0.1, int(rng.integers(100)), backend.order)
            for _ in range(3)]
 commitments = [commit(pk, q) for q in updates]
+layout = slots(dim, [0, 1])  # aggregator -> its share points
 per_agg = {0: [], 1: []}
 for i, (q, cq) in enumerate(zip(updates, commitments)):
     entry = CommitmentEntry(i, cq)  # its block entry; the verifier sign-offs are left out here
-    for agg, bundle in deal_shares(q, pk, [0, 1], entry, ()).items():
+    for agg, bundle in deal_shares(q, pk, layout, entry, ()).items():
         per_agg[agg].append(bundle)
-shares = [s for agg in (0, 1) for s in sum_shares(per_agg[agg], backend)]
+# each aggregator sums its values in slot order; recovery pairs them with its points
+shares = [s for agg in layout for s in zip(layout[agg], sum_shares(per_agg[agg], backend))]
 combined = combine(backend, commitments)
 recovered = recover_aggregate(shares, pk, combined)
 print("recovered aggregate matches the direct sum:",

@@ -3,10 +3,11 @@
 The default values mirror the reference deployment: 100 peers with uniform
 stake 10, privacy budget epsilon=2 and delta=1e-5, 2 noisers, 3 verifiers,
 3 aggregators, a Multi-KRUM sample of 70% of the peers (R=70 at N=100, so
-u = R/2 = 35 updates per block and an adversary bound f=33), and a linear
-+5 stake reward.  Config files are JSON with the same field names.  A run's
-``metadata.json`` sidecar is not itself a config, but its ``config`` object
-is one: saved as its own file, it replays the run exactly.
+u = R/2 = 35 updates per block and an adversary bound f=33), a linear +5
+stake reward, and ``sgd.TrainConfig``'s own training defaults.  Config
+files are JSON with the same field names.  A run's ``metadata.json``
+sidecar is not itself a config, but its ``config`` object is one: saved as
+its own file, it replays the run exactly.
 """
 
 from __future__ import annotations
@@ -52,9 +53,7 @@ class ExperimentSpec:
     backend: str = "exponent"
     seed: int = 0
     churn_per_minute: float = 0.0
-    train: TrainConfig = field(default_factory=lambda: TrainConfig(
-        eta0=0.008, eta_decay=0.04, weight_decay=1e-4, batch_size=256
-    ))
+    train: TrainConfig = field(default_factory=TrainConfig)
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
     adversary: AdversaryConfig = field(default_factory=AdversaryConfig)
     # grid lists for the sweep experiments, e.g. {"collect_fraction": [0.5, 0.9],

@@ -42,6 +42,7 @@ from .models import ModelParams, make_model, validation_error
 from .sgd import compute_local_update
 from .simnet import Simulation
 from .stake import honest_stake_fraction
+from .vss import slots
 
 
 @dataclass
@@ -109,9 +110,17 @@ RESERVE_SHARDS = 24  # spare same-distribution shards handed to rejoining peers
 def build_environment(spec: ExperimentSpec) -> Environment:
     """One master dataset split into peer shards, a held-out validation set
     and reserve shards for churn rejoins, so every piece shares one
-    distribution."""
+    distribution.  A spec whose committees or share layout cannot be drawn
+    is refused before the dataset is made."""
     n_peers = spec.number_of_nodes
     d = spec.dataset
+    # a peer draws its noisers from the other peers, each committee from all
+    for key, most in (("number_of_noisers", n_peers - 1), ("number_of_verifiers", n_peers),
+                      ("number_of_aggregators", n_peers)):
+        if getattr(spec, key) > most:
+            raise ValueError(f"{key} must be at most {most} with {n_peers} nodes, got {getattr(spec, key)}")
+    model = make_model(spec.model_family, d.features, d.classes)
+    slots(model.dim, range(spec.number_of_aggregators))
     total = n_peers * d.shard_size + d.validation_size + RESERVE_SHARDS * d.shard_size
     master = make_dataset(d.kind, _dataset_params(spec, total), seed=spec.seed)
     if (master.n_features, master.num_classes) != (d.features, d.classes):
@@ -159,7 +168,6 @@ def build_environment(spec: ExperimentSpec) -> Environment:
         initial_stake=spec.initial_stake,
         zero_noise_peers=zero_noise,
     )
-    model = make_model(spec.model_family, d.features, d.classes)
     return Environment(genesis, secrets, datasets, validation, adversaries, model, reserve)
 
 

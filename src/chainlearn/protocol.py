@@ -58,11 +58,10 @@ from .sgd import compute_local_update
 from .vss import (
     ShareRecoveryError,
     accept_bundle,
-    assign_points,
     deal_shares,
     failing_dealers,
     recover_aggregate,
-    share_points,
+    slots,
     sum_shares,
 )
 
@@ -329,7 +328,7 @@ class PeerNode:
             iteration=iteration,
             verifiers=verifiers,
             aggregators=aggregators,
-            slots=assign_points(share_points(len(self.genesis.initial_model)), aggregators),
+            slots=slots(len(self.genesis.initial_model), aggregators),
             signoff_checks=SignOffChecks(iteration, self.genesis.public_bases, self.backend),
         )
         out = [(self.id, Timer(iteration, "round-budget"), StageTimeouts.round_budget)]
@@ -471,7 +470,7 @@ class PeerNode:
             return []
         rs.dealt = True
         signoffs = tuple(rs.grants[vid] for vid in sorted(rs.grants))
-        bundles = deal_shares(rs.update_q, self.genesis.commit_pk, rs.aggregators, entry, signoffs)
+        bundles = deal_shares(rs.update_q, self.genesis.commit_pk, rs.slots, entry, signoffs)
         return [(aid, BundleMsg(rs.iteration, b), None) for aid, b in bundles.items()]
 
     # -- aggregator duty --------------------------------------------------------------
@@ -547,7 +546,7 @@ class PeerNode:
         if any(pid not in rs.accepted_bundles for pid in c):
             return self._refuse("missing-bundles", self.id)
         bundles = [rs.accepted_bundles[pid] for pid in c]
-        reply = AggShareMsg(rs.iteration, self.id, tuple(y for _, y in sum_shares(bundles, self.backend)))
+        reply = AggShareMsg(rs.iteration, self.id, sum_shares(bundles, self.backend))
         payload = reply.payload_bytes(self.backend, msg.contributors)
         sig = signatures.sign(self.backend, self.secrets.keypair, payload)
         reply = replace(reply, signature=sig)

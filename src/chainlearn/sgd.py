@@ -23,10 +23,12 @@ CLIP_NORM = 1.0
 
 @dataclass(frozen=True)
 class TrainConfig:
-    eta0: float = 0.05
-    eta_decay: float = 0.02
+    """The local training settings; the defaults are the reference deployment's."""
+
+    eta0: float = 0.008
+    eta_decay: float = 0.04
     weight_decay: float = 1e-4  # lambda
-    batch_size: int = 64
+    batch_size: int = 256
 
     def __post_init__(self):
         if self.eta0 <= 0 or self.eta_decay < 0:

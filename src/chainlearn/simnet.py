@@ -7,6 +7,11 @@ population stays constant.  Peers are pre-registered at genesis; "joining"
 means coming back online, pulling the chain from a live peer and rejoining
 the round cadence.  Everything (latency, churn choices, tie order) derives
 from one seed, so a run is a pure function of its configuration.
+
+The latency stream is shared: each delivery draws the next latency from
+the one RNG, so a handler that sends one message more or fewer, or in
+another order, redraws every later latency; that can change which grants a
+dealer holds when it deals, and so the block, with no message byte changed.
 """
 
 from __future__ import annotations

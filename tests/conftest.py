@@ -19,7 +19,7 @@ from chainlearn.quantize import decode, encode, sum_polys
 from chainlearn.sgd import TrainConfig
 from chainlearn.signatures import sign
 from chainlearn.stake import build_ring
-from chainlearn.vss import deal_shares
+from chainlearn.vss import deal_shares, slots
 
 # `pytest --hypothesis-profile=ci` replays the same examples on every run;
 # `fuzz` does too, with many more of them, for the decoder fuzzing
@@ -56,9 +56,11 @@ def tiny_net():
 
 
 def deal(q, pk, aggregators, dealer=0, signoffs=()):
-    """``vss.deal_shares`` of ``q`` by ``dealer``, under its block entry with
-    the verifier sign-offs ``signoffs``."""
-    return deal_shares(q, pk, aggregators, CommitmentEntry(dealer, commit(pk, q)), signoffs)
+    """``vss.deal_shares`` of ``q`` by ``dealer`` over the slot map of
+    ``aggregators``, under its block entry with the verifier sign-offs
+    ``signoffs``."""
+    entry = CommitmentEntry(dealer, commit(pk, q))
+    return deal_shares(q, pk, slots(q.dim, aggregators), entry, signoffs)
 
 
 def honest_block(genesis, secrets, ledger, seed=0, contributor_count=4):

@@ -35,7 +35,7 @@ from chainlearn.ledger import Ledger
 from chainlearn.quantize import QuantizedPoly, decode, encode, sum_polys
 from chainlearn.sgd import TrainConfig
 from chainlearn.stake import KEYSPACE, build_ring
-from chainlearn.vss import ShareRecoveryError, recover_aggregate, sum_shares
+from chainlearn.vss import ShareRecoveryError, recover_aggregate, slots, sum_shares
 
 from conftest import deal
 
@@ -138,7 +138,7 @@ def test_criterion_1_crypto_invariants():
     update = encode(nrng.normal(size=25) * 0.1, 12345, order)
     c = commit(pk25, update)
     bundles = deal(update, pk25, [0, 1, 2], dealer=0)
-    shares = [s for b in bundles.values() for s in sum_shares([b], backend)]
+    shares = [(w.point, w.eval) for b in bundles.values() for w in b.shares]
     with pytest.raises(ShareRecoveryError):
         recover_aggregate(shares[:25], pk25, c)
     assert recover_aggregate(shares[:26], pk25, c) == update
@@ -152,7 +152,8 @@ def test_criterion_1_crypto_invariants():
     for i, q in enumerate(updates):
         for a, bundle in deal(q, pk25, [0, 1, 2], dealer=i).items():
             per_agg[a].append(bundle)
-    agg_shares = [s for a in (0, 1, 2) for s in sum_shares(per_agg[a], backend)]
+    layout = slots(25, (0, 1, 2))
+    agg_shares = [s for a in layout for s in zip(layout[a], sum_shares(per_agg[a], backend))]
     combined = combine(backend, [commit(pk25, q) for q in updates])
     recovered = recover_aggregate(agg_shares, pk25, combined)
     assert recovered == sum_polys(updates)

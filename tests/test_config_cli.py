@@ -46,6 +46,16 @@ def test_spec_derived_table_values():
     assert spec.stake_reward == 5
 
 
+def test_partial_train_object_keeps_the_other_defaults():
+    """A ``train`` object that sets one field keeps the spec's defaults for
+    the other three; it used to fill them from another set of defaults and
+    so trained at another learning rate."""
+    assert spec_from_dict({"train": {"batch_size": 128}}).train == TrainConfig(
+        eta0=0.008, eta_decay=0.04, weight_decay=1e-4, batch_size=128
+    )
+    assert ExperimentSpec().train == TrainConfig()
+
+
 def test_spec_unknown_field_rejected():
     with pytest.raises(ValueError, match="unknown config fields"):
         spec_from_dict({"number_of_peers": 10})
@@ -242,6 +252,33 @@ def test_cli_dataset_too_small_for_its_split_is_refused(tmp_path, capsys, rows):
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
     assert f"dataset has {rows} examples; 10 peers x 60 + 300 validation need 900" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "over, message",
+    [
+        ({"number_of_noisers": 10}, "number_of_noisers must be at most 9 with 10 nodes, got 10"),
+        ({"number_of_nodes": 4, "number_of_verifiers": 5},
+         "number_of_verifiers must be at most 4 with 4 nodes, got 5"),
+        ({"number_of_nodes": 4, "number_of_aggregators": 5},
+         "number_of_aggregators must be at most 4 with 4 nodes, got 5"),
+        ({"number_of_aggregators": 7, "dataset": DatasetSpec(features=1, shard_size=60, validation_size=300)},
+         "7 aggregators for only 6 share points"),
+    ],
+    ids=["noisers", "verifiers", "aggregators", "share-points"],
+)
+def test_cli_committee_or_share_layout_that_cannot_be_drawn_is_refused(tmp_path, capsys, over, message):
+    """A peer draws its noisers from the other peers, each committee from
+    all of them, and one feature gives only 6 share points.  With 10 noisers
+    among 10 peers the run sealed nothing and exited 0; the other three
+    raised mid-run.  Each is refused before the dataset is made, and no
+    metrics are written."""
+    cfg = tmp_path / "cfg.json"
+    save_spec(cfg, small_spec(**over))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
     assert not (out / "metrics.csv").exists()
 
 

@@ -12,10 +12,9 @@ from chainlearn.signatures import keygen, sign
 from chainlearn.vss import (
     ShareRecoveryError,
     accept_bundle,
-    assign_points,
     failing_dealers,
     recover_aggregate,
-    share_points,
+    slots,
     sum_shares,
 )
 
@@ -25,6 +24,11 @@ BACKEND = get_backend("exponent")
 MOD = BACKEND.order
 
 
+def pairs(bundle):
+    """The (point, value) pairs that a lone dealer's ``bundle`` sums to."""
+    return [(w.point, w.eval) for w in bundle.shares]
+
+
 def make_update(rng, d):
     v = rng.normal(size=d)
     v /= max(np.linalg.norm(v), 1.0)
@@ -32,15 +36,14 @@ def make_update(rng, d):
 
 
 def test_point_count_formula():
-    assert len(share_points(25)) == 52
-    assert share_points(2) == [1, 2, 3, 4, 5, 6]
+    assert sorted(z for pts in slots(25, ["a", "b", "c"]).values() for z in pts) == list(range(1, 53))
+    assert slots(2, [7, 9]) == {7: [1, 3, 5], 9: [2, 4, 6]}
 
 
 def test_round_robin_counts():
-    pts = share_points(25)
-    assignment = assign_points(pts, ["a", "b", "c"])
-    counts = sorted((len(v) for v in assignment.values()), reverse=True)
-    assert counts == [18, 17, 17]
+    layout = slots(25, ["c", "a", "b"])
+    assert list(layout) == ["c", "a", "b"]  # committee order
+    assert [len(pts) for pts in layout.values()] == [18, 17, 17]
 
 
 def test_dealt_shares_all_verify():
@@ -57,13 +60,13 @@ def test_dealt_shares_all_verify():
 
 
 def test_too_many_aggregators_rejected():
-    rng = np.random.default_rng(0)
-    pk = trusted_setup(BACKEND, 2, b"s")
-    q = make_update(rng, 2)
-    with pytest.raises(ValueError):
-        deal(q, pk, list(range(7)), dealer=0)  # only 6 points at d=2
-    with pytest.raises(ValueError):
-        deal(q, pk, [0], dealer=0)
+    assert len(slots(2, range(6))) == 6
+    with pytest.raises(ValueError, match="7 aggregators for only 6 share points"):
+        slots(2, range(7))
+    with pytest.raises(ValueError, match="at least two aggregators"):
+        slots(2, [0])
+    with pytest.raises(ValueError, match="for only 6 share points"):
+        slots(2, range(1 << 62))  # refused on its length, before any slot is built
 
 
 def test_accept_bundle_majority_and_shares(monkeypatch):
@@ -77,7 +80,7 @@ def test_accept_bundle_majority_and_shares(monkeypatch):
     entry, other = CommitmentEntry(dealer, commit(pk, q)), CommitmentEntry(5, commit(pk, q))
     signoffs = tuple(sign_off(BACKEND, keys[vid], iteration, vid, [other, entry]) for vid in verifiers)
     bundles = deal(q, pk, [0, 1], dealer, signoffs)
-    bundle, points = bundles[0], assign_points(share_points(4), [0, 1])[0]
+    bundle, points = bundles[0], slots(4, [0, 1])[0]
     checks, checked = SignOffChecks(iteration, pubkeys, BACKEND), []
     verify = signatures.verify
 
@@ -162,9 +165,9 @@ def test_sum_shares_hand_example():
     b1 = deal(q1, pk, [0, 1], dealer=0)[0]
     b2 = deal(q2, pk, [0, 1], dealer=1)[0]
     agg = sum_shares([b1, b2], BACKEND)
-    assert agg == [(1, 7), (3, 4 + 11)]
+    assert agg == (7, 4 + 11)  # at aggregator 0's points 1 and 3
     combined = combine(BACKEND, [b1.entry.commitment, b2.entry.commitment])
-    assert recover_aggregate(agg, pk, combined) == q1.add(q2)
+    assert recover_aggregate(zip(slots(1, [0, 1])[0], agg), pk, combined) == q1.add(q2)
 
 
 def test_sum_shares_single_update_is_identity():
@@ -172,16 +175,7 @@ def test_sum_shares_single_update_is_identity():
     pk = trusted_setup(BACKEND, 4, b"s")
     q = make_update(rng, 4)
     b = deal(q, pk, [0, 1], dealer=0)[1]
-    assert sum_shares([b], BACKEND) == [(w.point, w.eval) for w in b.shares]
-
-
-def test_sum_shares_point_mismatch_rejected():
-    rng = np.random.default_rng(3)
-    pk = trusted_setup(BACKEND, 4, b"s")
-    q = make_update(rng, 4)
-    bundles = deal(q, pk, [0, 1], dealer=0)
-    with pytest.raises(ValueError):
-        sum_shares([bundles[0], bundles[1]], BACKEND)
+    assert sum_shares([b], BACKEND) == tuple(w.eval for w in b.shares)
 
 
 def test_recover_hand_example():
@@ -192,7 +186,7 @@ def test_recover_hand_example():
     q = QuantizedPoly((3, 2, 1), MOD)
     c = commit(pk, q)
     bundles = deal(q, pk, [0, 1, 2], dealer=0)
-    agg = [s for b in bundles.values() for s in sum_shares([b], BACKEND)]
+    agg = [s for b in bundles.values() for s in pairs(b)]
     evals = dict(agg)
     assert (evals[1], evals[2], evals[3]) == (6, 11, 18)
     recovered = recover_aggregate([(z, y) for z, y in agg if z <= 3], pk, c)
@@ -205,7 +199,7 @@ def test_threshold_d_points_insufficient():
     q = make_update(rng, 5)
     c = commit(pk, q)
     bundles = deal(q, pk, [0, 1], dealer=0)
-    all_shares = [s for b in bundles.values() for s in sum_shares([b], BACKEND)]
+    all_shares = [s for b in bundles.values() for s in pairs(b)]
     with pytest.raises(ShareRecoveryError, match="insufficient"):
         recover_aggregate(all_shares[: pk.degree], pk, c)
     recovered = recover_aggregate(all_shares[: pk.degree + 1], pk, c)
@@ -221,9 +215,8 @@ def test_end_to_end_35_updates():
     for i, q in enumerate(updates):
         for a, bundle in deal(q, pk, aggregators, dealer=i).items():
             per_agg[a].append(bundle)
-    agg_shares = []
-    for a in aggregators:
-        agg_shares.extend(sum_shares(per_agg[a], BACKEND))
+    layout = slots(25, aggregators)
+    agg_shares = [s for a in aggregators for s in zip(layout[a], sum_shares(per_agg[a], BACKEND))]
     combined = combine(BACKEND, [commit(pk, q) for q in updates])
     recovered = recover_aggregate(agg_shares, pk, combined)
     assert recovered == sum_polys(updates)
@@ -238,7 +231,7 @@ def test_recovery_rejects_tampered_sum():
     q = make_update(rng, 4)
     c = commit(pk, q)
     bundles = deal(q, pk, [0, 1], dealer=0)
-    shares = [s for b in bundles.values() for s in sum_shares([b], BACKEND)]
+    shares = [s for b in bundles.values() for s in pairs(b)]
     bad = (shares[0][0], (shares[0][1] + 1) % MOD)
     with pytest.raises(ShareRecoveryError):
         recover_aggregate([bad] + shares[1:], pk, c)
@@ -253,7 +246,7 @@ def test_recovery_reads_the_lowest_d_plus_1_points():
     q = make_update(rng, 4)
     c = commit(pk, q)
     bundles = deal(q, pk, [0, 1], dealer=0)
-    shares = sorted(s for b in bundles.values() for s in sum_shares([b], BACKEND))
+    shares = sorted(s for b in bundles.values() for s in pairs(b))
     needed = pk.degree + 1
 
     def wrong_at(i):
@@ -273,9 +266,8 @@ def test_privacy_threshold_structure():
     from itertools import combinations
 
     for d in (4, 25):
-        pts = share_points(d)
         for m in (2, 3, 4, 5):
-            assignment = assign_points(pts, list(range(m)))
+            assignment = slots(d, range(m))
             limit = -(-m // 2)  # ceil(m/2)
             for size in range(0, limit):
                 for coalition in combinations(range(m), size):
@@ -289,11 +281,8 @@ def test_one_slot_holds_fewer_than_d_plus_1_points_from_three_aggregators():
     d = 1, where one of three slots holds both points it takes.  At m = 2
     every slot holds d+1 points: each aggregator alone learns every update."""
     for d in range(1, 31):
-        pts = share_points(d)
-        for m in range(2, 9):
-            if m > len(pts):
-                continue
-            largest = max(map(len, assign_points(pts, list(range(m))).values()))
+        for m in range(2, min(9, 2 * (d + 1) + 1)):
+            largest = max(map(len, slots(d, range(m)).values()))
             assert largest == -(-2 * (d + 1) // m), (d, m)
             reaches = largest >= d + 1
             assert reaches == (m == 2 or (d, m) == (1, 3)), (d, m)
