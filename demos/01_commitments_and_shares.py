@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Walk through the commitment scheme: commit to an update, open single
-points with witnesses, combine commitments homomorphically and rebuild an
+"""Walk through the commitment scheme: commit to an update, open point sets
+with one witness each, combine commitments homomorphically and rebuild an
 aggregate from secret shares."""
 
 import numpy as np
@@ -36,14 +36,14 @@ c = commit(pk, poly)
 print("committed to a", dim, "dimensional update; commitment bytes:",
       backend.g1_to_bytes(c)[:8].hex(), "...")
 
-# open the polynomial at a point and check the pairing equation
-w = create_witness(pk, poly, z=3)
-print("opening at z=3 verifies:", verify_share(pk, [(c, [w])]))
+# open the polynomial at a point set and check the pairing equation
+w = create_witness(pk, poly, [3, 5])
+print("opening at {3, 5} verifies:", verify_share(pk, [(c, w)]))
 
 # a forged evaluation is caught
 from chainlearn.commitments import Witness
-forged = Witness(w.value, w.point, (w.eval + 1) % backend.order)
-print("forged evaluation verifies:", verify_share(pk, [(c, [forged])]))
+forged = Witness(w.value, w.points, ((w.evals[0] + 1) % backend.order, w.evals[1]))
+print("forged evaluation verifies:", verify_share(pk, [(c, forged)]))
 
 # homomorphism: the product of two commitments commits to the summed update
 other = encode(rng.normal(size=dim) * 0.2, 7, backend.order)

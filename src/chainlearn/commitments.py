@@ -1,4 +1,4 @@
-"""Constant-size polynomial commitments with verifiable point openings.
+"""Constant-size polynomial commitments with verifiable openings at point sets.
 
 A trusted setup produces the powers alpha^j * g1 of the one generator,
 starting with g1 itself; a commitment C to the coefficients c_j is
@@ -7,24 +7,31 @@ Only the blinding slot c_0 is a full-size scalar; the data coefficients and
 witness quotients (c_0 falls into the remainder) are small centered residues,
 so the ``msm``'s doubling chain is as long as the largest of those.
 
-Opening at a point z ships y = phi(z) and a commitment W to the quotient
-(phi(x) - y) / (x - z).  It is valid exactly when
-e(C, g1) == e(W, (alpha - z)*g1) * e(g1, g1)^y, checked in the folded form
-e(C - y*g1 + z*W, g1) * e(-W, alpha*g1) == 1.
+Opening at a point set S ships the evaluations y_s = phi(s), s in S, and a
+commitment W_S = [q_S(alpha)] to the quotient of phi by the monic
+Z_S(x) = prod_{s in S}(x - s); the remainder I_S is the polynomial of degree
+below |S| through the (s, y_s).  It is valid exactly when
 
-Any openings of any commitments are checked as one product, each folded
-equation raised to a weight rho_i (Bellare-Garay-Rabin small exponents):
+    e(C - [I_S(alpha)], g1) == e(W_S, [Z_S(alpha)])
 
-    e(sum(s_k*C_k) - sum(rho_i*y_i)*g1 + sum(rho_i*z_i*W_i), g1)
-        * e(-sum(rho_i*W_i), alpha*g1) == 1
+(Kate, Zaverucha and Goldberg, ASIACRYPT 2010, section 3.4).  At |S| =
+degree + 1 the quotient is 0 and the key holds no power to commit Z_S with:
+W_S must be the identity, and the check is the first pairing alone.
 
-where s_k sums C_k's own weights.  The rho_i are 128-bit, read from one
-SHAKE-256 output over each commitment, its opening count and every (point,
-eval, witness): a rerun draws the same weights, and a batch with a bad
-opening passes with probability 2^-128 (2^-61 on the exponent group).
-The one full-size scalar, sum(rho_i*y_i), multiplies g1's comb.  The
-pairing is symmetric, so the key's first two powers g1 and alpha*g1 are
-the fixed arguments that drive the Miller loop.  Commitments are
+Any openings of any commitments are checked as one product, opening i raised
+to a weight rho_i (Bellare-Garay-Rabin small exponents):
+
+    e(sum(rho_i*C_i) - [sum_S I_S'(alpha)], g1)
+        * prod_S e(-sum_{i at S}(rho_i*W_i), [Z_S(alpha)]) == 1
+
+where I_S' interpolates the weighted evaluations sum_{i at S}(rho_i*y_i) on
+S.  The rho_i are 128-bit, read from one SHAKE-256 output over every
+commitment and opening: a rerun draws the same weights, and a batch with a
+bad opening passes with probability 2^-128 (2^-61 on the exponent group).
+The pairing is symmetric, so g1 and each [Z_S(alpha)] are the fixed
+arguments that drive the Miller loop; the key memoises, per point set, Z_S,
+S's Lagrange basis and the prepared [Z_S(alpha)].  The coefficients of the
+I_S' are full-size, so they multiply the key powers' combs.  Commitments are
 homomorphic: the product of commitments commits to the coefficient-wise
 sum, which is what lets verifiers audit masked updates and block aggregates
 without seeing them.
@@ -43,22 +50,34 @@ from .quantize import QuantizedPoly
 
 @dataclass(frozen=True)
 class Witness:
-    """Opening of a committed polynomial at ``point``."""
+    """Opening of a committed polynomial at the point set ``points``."""
 
-    value: object  # G1 commitment to the quotient polynomial
-    point: int
-    eval: int
+    value: object  # G1 commitment to the quotient by Z_S
+    points: tuple
+    evals: tuple  # the polynomial at ``points``, in their order
 
     def to_bytes(self, backend) -> bytes:
-        """Point and evaluation reduced mod the order, each little-endian at
-        the order's byte width, then the quotient commitment: defined for
-        any integer fields, so bytes from another peer cannot make it raise."""
+        """The point and evaluation counts, each point and evaluation reduced
+        mod the order, little-endian at the order's byte width, then the
+        quotient commitment: defined for any integer fields, so bytes from
+        another peer cannot make it raise."""
         order, width = backend.order, backend.scalar_size
+        scalars = (*self.points, *self.evals)
         return (
-            (self.point % order).to_bytes(width, "little")
-            + (self.eval % order).to_bytes(width, "little")
+            u32(len(self.points)) + u32(len(self.evals))
+            + b"".join((k % order).to_bytes(width, "little") for k in scalars)
             + backend.g1_to_bytes(self.value)
         )
+
+
+@dataclass(frozen=True)
+class Slot:
+    """What a share check needs of one point set S, memoised by the key."""
+
+    points: tuple
+    vanishing: list  # Z_S's coefficients, monic
+    basis: list  # S's Lagrange polynomials, coefficient lists in point order
+    prepared: object  # [Z_S(alpha)] as prepare_pair prepared it; None at |S| = degree + 1
 
 
 class CommitPK:
@@ -66,8 +85,9 @@ class CommitPK:
 
     ``degree`` is the highest polynomial degree the key supports, so there
     are ``degree + 1`` powers.  ``commit`` multiplies the first through
-    ``g1_base`` and the share check pairs with the first two, so a key
-    whose first power is not g1, or that has one power, is refused.
+    ``g1_base`` and the share check pairs with it, so a key whose first
+    power is not g1 is refused, and so is a key of one power, which
+    commits to constants only.
     """
 
     def __init__(self, backend, powers):
@@ -77,13 +97,42 @@ class CommitPK:
             raise ValueError("a commitment key has at least two powers")
         if self.powers[0] != backend.g1:
             raise ValueError("the first power of a commitment key must be g1")
+        self._bases = [backend.g1_base]
+        self._slots = {}
 
     @cached_property
     def share_check_key(self):
-        """``powers[0]`` and ``powers[1]`` prepared as the fixed pairing
-        arguments of every share check, built at the first one."""
-        b = self.backend
-        return b.prepare_pair(self.powers[0]), b.prepare_pair(self.powers[1])
+        """g1 prepared as the fixed first pairing argument of every share
+        check, built at the first one."""
+        return self.backend.prepare_pair(self.powers[0])
+
+    def bases(self, count: int) -> list:
+        """The first ``count`` powers as ``backend.prepare_base`` prepared
+        them, each built at its first use."""
+        while len(self._bases) < count:
+            self._bases.append(self.backend.prepare_base(self.powers[len(self._bases)]))
+        return self._bases[:count]
+
+    def slot(self, points) -> Slot:
+        """The memo of the point set ``points``, reduced mod the order and
+        kept in their order, built at its first use.  Refuses an empty set,
+        a repeated point, the reserved point 0 and more than degree + 1
+        points.  The protocol checks only the round's slots, so the memo
+        holds one entry per slot."""
+        order = self.backend.order
+        key = tuple(z % order for z in points)
+        if key in self._slots:
+            return self._slots[key]
+        if not key or 0 in key or len(set(key)) != len(key):
+            raise ValueError("a point set holds distinct nonzero points")
+        if len(key) > self.degree + 1:
+            raise ValueError(f"{len(key)} points exceed key degree {self.degree} + 1")
+        vanishing = polynomials.vanishing(key, order)
+        prepared = None
+        if len(key) <= self.degree:
+            prepared = self.backend.prepare_pair(self.backend.msm(self.powers[: len(vanishing)], vanishing))
+        slot = self._slots[key] = Slot(key, vanishing, polynomials.lagrange_basis(key, order), prepared)
+        return slot
 
     @property
     def degree(self) -> int:
@@ -145,48 +194,61 @@ def combine(backend, commitments):
     return acc
 
 
-def create_witness(pk: CommitPK, poly: QuantizedPoly, z: int) -> Witness:
-    """Opening at z: quotient commitment plus the evaluation phi(z).
-
-    z = 0 is reserved (it would open the blinding slot directly).
-    """
-    z %= pk.backend.order
-    if z == 0:
-        raise ValueError("evaluation point 0 is reserved")
+def create_witness(pk: CommitPK, poly: QuantizedPoly, points) -> Witness:
+    """Opening at the point set ``points``: the commitment to the quotient
+    of phi by Z_S, and phi's evaluations, read off the remainder I_S.  The
+    point 0 is reserved (it would open the blinding slot directly)."""
     if poly.dim > pk.degree:
         raise ValueError(f"polynomial degree {poly.dim} exceeds key degree {pk.degree}")
-    quotient, remainder = polynomials.quotient_at(list(poly.coeffs), z, pk.backend.order)
-    return Witness(pk.backend.msm(pk.powers[: len(quotient)], quotient), z, remainder)
+    slot, order = pk.slot(points), pk.backend.order
+    quotient, remainder = polynomials.divide_monic(list(poly.coeffs), slot.vanishing, order)
+    evals = tuple(polynomials.poly_eval(remainder, z, order) for z in slot.points)
+    return Witness(pk.backend.msm(pk.powers[: len(quotient)], quotient), slot.points, evals)
 
 
 def batch_weights(pk: CommitPK, openings) -> list[int]:
-    """The 128-bit weights rho_i of a batched share check, one per witness of
-    ``openings``: consecutive 16-byte blocks of one SHAKE-256 output over each
-    commitment, its witness count (so the bytes parse one way) and its witnesses."""
+    """The 128-bit weights rho_i of a batched share check, one per
+    ``(commitment, witness)`` pair of ``openings``: consecutive 16-byte
+    blocks of one SHAKE-256 output over every commitment and witness."""
     parts = [b"share-batch"]
-    for commitment, witnesses in openings:
-        parts += [pk.backend.g1_to_bytes(commitment), u32(len(witnesses))]
-        parts += [w.to_bytes(pk.backend) for w in witnesses]
-    stream = hashlib.shake_256(b"".join(parts)).digest(16 * sum(len(ws) for _, ws in openings))
+    for commitment, witness in openings:
+        parts += [pk.backend.g1_to_bytes(commitment), witness.to_bytes(pk.backend)]
+    stream = hashlib.shake_256(b"".join(parts)).digest(16 * len(openings))
     return [int.from_bytes(stream[i : i + 16], "big") for i in range(0, len(stream), 16)]
 
 
 def verify_share(pk: CommitPK, openings) -> bool:
-    """True iff every (point, eval) of the sequence of ``(commitment,
-    witnesses)`` pairs ``openings`` lies on its committed polynomial: one
-    weighted pairing product for all of them (see the module docstring)."""
-    backend = pk.backend
-    witnesses = [w for _, ws in openings for w in ws]
-    if any(w.point % backend.order == 0 for w in witnesses):
+    """True iff every opening of the sequence of ``(commitment, witness)``
+    pairs ``openings`` lies on its committed polynomial: one weighted
+    pairing product for all of them (see the module docstring)."""
+    backend, order = pk.backend, pk.backend.order
+    try:
+        slots = [pk.slot(w.points) for _, w in openings]
+    except ValueError:
+        return False
+    if any(len(w.evals) != len(s.points) for (_, w), s in zip(openings, slots)):
         return False
     rho = batch_weights(pk, openings)
-    each = iter(rho)
-    weight_sums = [sum(next(each) for _ in ws) for _, ws in openings]
-    neg_eval = -sum(r * w.eval for r, w in zip(rho, witnesses))
-    quotients, point_weights = [w.value for w in witnesses], [r * w.point for r, w in zip(rho, witnesses)]
+    at = {}  # point set -> (its slot, its weighted evaluations, its openings' weights and witnesses)
+    for r, (_, w), s in zip(rho, openings, slots):
+        _, evals, terms = at.setdefault(s.points, (s, [0] * len(s.points), []))
+        for j, y in enumerate(w.evals):
+            evals[j] += r * y
+        terms.append((r, w.value))
+    interpolant = [0] * max(map(len, at), default=0)
+    prepared, quotients = [pk.share_check_key], []
+    for s, evals, terms in at.values():
+        for y, lagrange in zip(evals, s.basis):
+            for k, c in enumerate(lagrange):
+                interpolant[k] -= y * c
+        if s.prepared is None:  # |S| = degree + 1: every quotient is 0
+            if any(w != backend.g1_identity for _, w in terms):
+                return False
+            continue
+        prepared.append(s.prepared)
+        quotients.append(backend.g1_neg(backend.msm([w for _, w in terms], [r for r, _ in terms])))
     folded = backend.g1_add(
-        backend.fixed_msm([backend.g1_base], [neg_eval]),
-        backend.msm([c for c, _ in openings] + quotients, weight_sums + point_weights),
+        backend.msm([c for c, _ in openings], rho),
+        backend.fixed_msm(pk.bases(len(interpolant)), [k % order for k in interpolant]),
     )
-    weighted = backend.g1_neg(backend.msm(quotients, rho))
-    return backend.multi_pair(pk.share_check_key, (folded, weighted)) == backend.gt_one
+    return backend.multi_pair(prepared, [folded, *quotients]) == backend.gt_one

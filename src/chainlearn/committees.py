@@ -43,9 +43,9 @@ def _walk(ring: StakeRing, start: bytes, k: int, exclude) -> tuple:
     chosen = []
     taken = set(exclude)
     h = start
-    eligible = {p for p, end, prev in zip(ring.peers, ring.ends, (0,) + ring.ends) if end > prev}
-    if k > len(eligible - set(exclude)):
-        raise ValueError(f"cannot draw {k} distinct members from {len(eligible - set(exclude))} eligible peers")
+    eligible = len(ring.staked.difference(exclude))
+    if k > eligible:
+        raise ValueError(f"cannot draw {k} distinct members from {eligible} eligible peers")
     while len(chosen) < k:
         h = sha256(h)
         owner = ring.owner(int.from_bytes(h, "big"))

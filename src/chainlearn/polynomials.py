@@ -15,21 +15,46 @@ def poly_eval(coeffs: list[int], x: int, p: int) -> int:
     return acc
 
 
-def quotient_at(coeffs: list[int], z: int, p: int) -> tuple[list[int], int]:
-    """Synthetic division by (x - z): returns (quotient, remainder).
+def divide_monic(coeffs: list[int], divisor: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Long division by the monic polynomial ``divisor``: returns (quotient,
+    remainder), the remainder with one coefficient fewer than ``divisor``.
 
-    The remainder equals the evaluation at z, so (phi(x) - phi(z)) / (x - z)
-    is exactly the returned quotient.
+    By (x - z) this is synthetic division, and the remainder is the
+    evaluation at z.
     """
-    d = len(coeffs) - 1
-    if d < 0:
-        raise ValueError("empty polynomial")
-    q = [0] * d
-    acc = coeffs[d]
-    for j in range(d - 1, -1, -1):
-        q[j] = acc
-        acc = (acc * z + coeffs[j]) % p
-    return q, acc
+    k = len(divisor) - 1
+    rem = list(coeffs) + [0] * k
+    quotient = [0] * max(len(coeffs) - k, 0)
+    for j in range(len(quotient) - 1, -1, -1):
+        c = quotient[j] = rem[j + k] % p
+        for i in range(k):  # subtract c * x^j * divisor; its top term cancels
+            rem[j + i] -= c * divisor[i]
+    return quotient, [r % p for r in rem[:k]]
+
+
+def vanishing(points, p: int) -> list[int]:
+    """Coefficients of the monic prod (x - s) over ``points``."""
+    poly = [1]
+    for s in points:
+        poly = _mul_linear(poly, -s % p, p)
+    return poly
+
+
+def lagrange_basis(xs, p: int) -> list[list[int]]:
+    """The Lagrange polynomials of the points ``xs``, distinct mod p, as
+    coefficient lists in point order: L_j is 1 at xs[j] and 0 at the others.
+    Each is Z / (x - x_j) scaled to 1 at x_j, Z the monic vanishing
+    polynomial of ``xs``.  O(n^2)."""
+    xs = [x % p for x in xs]
+    if len(set(xs)) != len(xs):
+        raise ValueError("interpolation points must be distinct")
+    z = vanishing(xs, p)
+    basis = []
+    for x in xs:
+        lagrange, _ = divide_monic(z, [-x % p, 1], p)
+        scale = pow(poly_eval(lagrange, x, p), -1, p)
+        basis.append([c * scale % p for c in lagrange])
+    return basis
 
 
 def lagrange_interpolate(points: list[tuple[int, int]], p: int) -> list[int]:
@@ -37,23 +62,10 @@ def lagrange_interpolate(points: list[tuple[int, int]], p: int) -> list[int]:
 
     Points are (x, y) pairs with distinct x mod p.  O(n^2).
     """
-    xs = [x % p for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation points must be distinct")
-    n = len(points)
-    coeffs = [0] * n
-    for i, (xi, yi) in enumerate(points):
-        # numerator polynomial prod_{j != i} (x - x_j), built incrementally
-        num = [1]
-        denom = 1
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            num = _mul_linear(num, (-xj) % p, p)
-            denom = denom * (xi - xj) % p
-        scale = yi * pow(denom, -1, p) % p
-        for k in range(len(num)):
-            coeffs[k] = (coeffs[k] + num[k] * scale) % p
+    coeffs = [0] * len(points)
+    for (_, y), lagrange in zip(points, lagrange_basis([x for x, _ in points], p)):
+        for k, c in enumerate(lagrange):
+            coeffs[k] = (coeffs[k] + y * c) % p
     return coeffs
 
 

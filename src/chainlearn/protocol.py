@@ -66,6 +66,7 @@ from .vss import (
 )
 
 BROADCAST = -1
+QUORUM = 3  # the fewest pooled submissions a verifier signs off on
 
 # Why a peer turns an input down or gives up its part of a round, recorded
 # as (round, peer, reason) in ``PeerNode.audit``.  A block the ledger refuses,
@@ -442,7 +443,7 @@ class PeerNode:
     def _close_verification(self, now: float) -> list:
         rs = self.round
         rs.signed_off = True
-        if len(rs.pool) < 3:
+        if len(rs.pool) < QUORUM:
             return self._refuse("no-quorum", self.id)
         chosen = tip_sample(rs.pool, self.r_target(), b"krum-sample", self.ledger.tip_hash(), rs.iteration)
         updates = np.stack([decode(rs.pool[pid].masked) for pid in chosen])

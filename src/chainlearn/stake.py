@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 KEYSPACE = 1 << 256
 
@@ -25,6 +26,11 @@ def validate_stake(stake: dict) -> None:
 class StakeRing:
     peers: tuple  # peer ids in layout order
     ends: tuple  # exclusive interval ends; ends[-1] == KEYSPACE
+
+    @cached_property
+    def staked(self) -> frozenset:
+        """The peers with positive stake: those whose interval is not empty."""
+        return frozenset(p for p, end, prev in zip(self.peers, self.ends, (0,) + self.ends) if end > prev)
 
     def owner(self, point: int) -> int:
         idx = bisect_right(self.ends, point % KEYSPACE)

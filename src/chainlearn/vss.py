@@ -1,13 +1,16 @@
 """Share dealing, aggregator-side checks and aggregate recovery.
 
 A quantized update (a degree-d polynomial) is evaluated at the fixed field
-points 1..n with n = 2*(d+1), each share carrying its opening witness.
-``slots`` lays the points out, round-robin across the aggregators in
-committee order; the round's slot map is computed once and read by the
-dealer, every aggregator and the proposer.  An aggregator pools the bundles
-whose dealer's commitment a majority of the round's verifiers name, checks
-their openings as one batch when it needs them, and sums the checked
-shares' evaluations point-wise into the aggregate's values at its slot.  The
+points 1..n with n = 2*(d+1).  ``slots`` lays the points out, round-robin
+across the aggregators in committee order; the round's slot map is computed
+once and read by the dealer, every aggregator and the proposer.  A dealer
+opens each slot S with one witness W_S = [q_S(alpha)], q_S the quotient of
+its update by Z_S (see ``commitments``).  W_S = (C - [I_S(alpha)])/Z_S(alpha)
+is fixed by the commitment C and the slot's evaluations, which fix I_S, so
+it reveals nothing beyond them.  An aggregator pools the bundles whose
+dealer's commitment a majority of the round's verifiers name, checks their
+openings as one batch when it needs them, and sums the checked openings'
+evaluations point-wise into the aggregate's values at its slot.  The
 proposer pairs each aggregator's values with its slot, interpolates the
 lowest d+1 distinct points and keeps the result only if it re-commits to
 the product of the contributing commitments, the block rule's own identity:
@@ -47,7 +50,7 @@ class ShareBundle:
 
     entry: CommitmentEntry
     signoffs: tuple  # SignOff, ascending verifier id
-    shares: tuple  # Witness instances at this aggregator's points
+    opening: object  # Witness at this aggregator's points
 
 
 def slots(dim: int, aggregators) -> dict:
@@ -66,11 +69,11 @@ def deal_shares(
     update_q: QuantizedPoly, pk: CommitPK, slots: dict, entry: CommitmentEntry, signoffs
 ) -> dict:
     """One bundle per aggregator of the slot map ``slots``, in its order,
-    holding the update's witnesses at that aggregator's points; ``entry`` is
+    holding the update's opening at that aggregator's points; ``entry`` is
     the dealer's block entry, whose commitment is to ``update_q``, and
     ``signoffs`` the sign-offs that name it."""
     return {
-        agg: ShareBundle(entry, tuple(signoffs), tuple(create_witness(pk, update_q, z) for z in points))
+        agg: ShareBundle(entry, tuple(signoffs), create_witness(pk, update_q, points))
         for agg, points in slots.items()
     }
 
@@ -78,13 +81,13 @@ def deal_shares(
 def accept_bundle(
     bundle: ShareBundle, verifiers, aggregators, pubkeys, pk: CommitPK, points, checks: SignOffChecks
 ) -> bool:
-    """True iff the shares are at the receiving aggregator's ``points`` (its
+    """True iff the opening is at the receiving aggregator's ``points`` (its
     slot in the round's ``slots`` map) and the dealer's entry and sign-offs
     pass the block rule (``ledger.contributor_rejection`` and
     ``ledger.endorsement_rejection`` with the round's committees, the genesis
     keys ``pubkeys`` and the round's shared sign-off ``checks``).
     ``failing_dealers`` checks the openings later."""
-    if [w.point for w in bundle.shares] != list(points):
+    if list(bundle.opening.points) != list(points):
         return False
     if contributor_rejection([bundle.entry.peer], verifiers, aggregators, pubkeys):
         return False
@@ -93,9 +96,9 @@ def accept_bundle(
 
 
 def failing_dealers(bundles, pk: CommitPK) -> list:
-    """The dealers of ``bundles`` whose shares do not all open their entry's
+    """The dealers of ``bundles`` whose opening does not open their entry's
     commitment: one ``verify_share`` over all of them, one per bundle if it fails."""
-    openings = [(b.entry.commitment, b.shares) for b in bundles]
+    openings = [(b.entry.commitment, b.opening) for b in bundles]
     suspects = bundles if openings and not verify_share(pk, openings) else ()
     return [b.entry.peer for b, one in zip(suspects, openings) if not verify_share(pk, [one])]
 
@@ -103,9 +106,10 @@ def failing_dealers(bundles, pk: CommitPK) -> list:
 def sum_shares(bundles, backend) -> tuple:
     """The bundles' evaluations summed point-wise: the aggregate's values at
     the receiving aggregator's slot, in slot order.  ``accept_bundle`` admits
-    only that slot's points, so bundles of unequal length are a program fault."""
-    columns = zip(*(b.shares for b in bundles), strict=True)
-    return tuple(sum(w.eval for w in column) % backend.order for column in columns)
+    only that slot's points and ``failing_dealers`` only as many evaluations,
+    so bundles of unequal length are a program fault."""
+    columns = zip(*(b.opening.evals for b in bundles), strict=True)
+    return tuple(sum(column) % backend.order for column in columns)
 
 
 def recover_aggregate(agg_shares, pk: CommitPK, combined) -> QuantizedPoly:

@@ -28,6 +28,16 @@ def make_pk(backend_name, degree, seed=b"ceremony"):
     return backend, trusted_setup(backend, degree, seed)
 
 
+def at_point(value, point, eval):
+    """A one-point opening."""
+    return Witness(value, (point,), (eval,))
+
+
+def flat(openings):
+    """The ``(commitment, witness)`` pairs of ``(commitment, witnesses)`` pairs."""
+    return [(c, w) for c, ws in openings for w in ws]
+
+
 def random_poly(rng, dim, modulus):
     return QuantizedPoly(tuple(rng.randrange(modulus) for _ in range(dim + 1)), modulus)
 
@@ -163,12 +173,12 @@ def test_degree_12_witness_far_from_zero(name):
     r = backend.order
     coeffs = (rng.randrange(r),) + tuple(rng.randint(-(1 << 20), 1 << 20) % r for _ in range(12))
     phi = QuantizedPoly(coeffs, r)
-    w = create_witness(pk, phi, 26)
-    assert w.eval == poly_eval(list(coeffs), 26, r)
+    w = create_witness(pk, phi, [26])
+    assert w.evals[0] == poly_eval(list(coeffs), 26, r)
     quotient = [sum(coeffs[i] * 26 ** (i - j - 1) for i in range(j + 1, 13)) for j in range(12)]
     assert w.value == naive_commit(pk, quotient)
-    assert verify_share(pk, [(commit(pk, phi), [w])])
-    assert not verify_share(pk, [(commit(pk, phi), [Witness(w.value, 26, (w.eval + 1) % r)])])
+    assert verify_share(pk, [(commit(pk, phi), w)])
+    assert not verify_share(pk, [(commit(pk, phi), at_point(w.value, 26, (w.evals[0] + 1) % r))])
 
 
 def test_degree_overflow_rejected(ctx):
@@ -182,21 +192,21 @@ def test_witness_constant_poly(ctx):
     backend, pk, _ = ctx
     c = 321
     phi = QuantizedPoly((c,) + (0,) * 8, backend.order)
-    w = create_witness(pk, phi, 5)
-    assert w.eval == c
+    w = create_witness(pk, phi, [5])
+    assert w.evals[0] == c
     assert w.value == backend.g1_identity
-    assert verify_share(pk, [(commit(pk, phi), [w])])
+    assert verify_share(pk, [(commit(pk, phi), w)])
 
 
 def test_witness_hand_example(ctx):
     """phi = 3 + 2x + x^2 at z=2: eval 11, quotient x + 4."""
     backend, pk, _ = ctx
     phi = QuantizedPoly((3, 2, 1), backend.order)
-    w = create_witness(pk, phi, 2)
-    assert w.eval == 11
+    w = create_witness(pk, phi, [2])
+    assert w.evals[0] == 11
     quotient = QuantizedPoly((4, 1, 0), backend.order)
     assert w.value == commit(pk, quotient)
-    assert verify_share(pk, [(commit(pk, phi), [w])])
+    assert verify_share(pk, [(commit(pk, phi), w)])
 
 
 def test_witness_completeness_all_points(ctx):
@@ -204,33 +214,33 @@ def test_witness_completeness_all_points(ctx):
     phi = random_poly(rng, 8, backend.order)
     c = commit(pk, phi)
     for z in range(1, 19):
-        assert verify_share(pk, [(c, [create_witness(pk, phi, z)])])
+        assert verify_share(pk, [(c, create_witness(pk, phi, [z]))])
 
 
 def test_point_zero_reserved(ctx):
     backend, pk, rng = ctx
     phi = random_poly(rng, 8, backend.order)
     with pytest.raises(ValueError):
-        create_witness(pk, phi, 0)
-    w = create_witness(pk, phi, 1)
-    assert not verify_share(pk, [(commit(pk, phi), [Witness(w.value, 0, w.eval)])])
+        create_witness(pk, phi, [0])
+    w = create_witness(pk, phi, [1])
+    assert not verify_share(pk, [(commit(pk, phi), at_point(w.value, 0, w.evals[0]))])
 
 
 def test_soundness_tampered_eval(ctx):
     backend, pk, rng = ctx
     phi = random_poly(rng, 8, backend.order)
     c = commit(pk, phi)
-    w = create_witness(pk, phi, 3)
-    bad = Witness(w.value, w.point, (w.eval + 1) % backend.order)
-    assert not verify_share(pk, [(c, [bad])])
+    w = create_witness(pk, phi, [3])
+    bad = at_point(w.value, w.points[0], (w.evals[0] + 1) % backend.order)
+    assert not verify_share(pk, [(c, bad)])
 
 
 def test_soundness_wrong_polynomial_witness(ctx):
     backend, pk, rng = ctx
     phi = random_poly(rng, 8, backend.order)
     other = random_poly(rng, 8, backend.order)
-    w_other = create_witness(pk, other, 3)
-    assert not verify_share(pk, [(commit(pk, phi), [w_other])])
+    w_other = create_witness(pk, other, [3])
+    assert not verify_share(pk, [(commit(pk, phi), w_other)])
 
 
 def test_binding_distinct_polys_distinct_commitments(ctx):
@@ -245,30 +255,30 @@ def test_binding_distinct_polys_distinct_commitments(ctx):
 
 def opened_bundle(pk, rng, points=(1, 3, 5, 7)):
     phi = random_poly(rng, 8, pk.backend.order)
-    return commit(pk, phi), [create_witness(pk, phi, z) for z in points]
+    return commit(pk, phi), [create_witness(pk, phi, [z]) for z in points]
 
 
 def test_batch_rejects_one_tampered_share_at_every_position(ctx):
     backend, pk, rng = ctx
     c, shares = opened_bundle(pk, rng)
-    assert verify_share(pk, [(c, shares)])
+    assert verify_share(pk, flat([(c, shares)]))
     for i, w in enumerate(shares):
         tampered = {
-            "eval": Witness(w.value, w.point, (w.eval + 1) % backend.order),
-            "witness": Witness(backend.g1_add(w.value, backend.g1), w.point, w.eval),
-            "point": Witness(w.value, w.point + 10, w.eval),
+            "eval": at_point(w.value, w.points[0], (w.evals[0] + 1) % backend.order),
+            "witness": at_point(backend.g1_add(w.value, backend.g1), w.points[0], w.evals[0]),
+            "point": at_point(w.value, w.points[0] + 10, w.evals[0]),
         }
         for kind, bad in tampered.items():
             batch = shares[:i] + [bad] + shares[i + 1:]
-            assert not verify_share(pk, [(c, batch)]), (i, kind)
+            assert not verify_share(pk, flat([(c, batch)])), (i, kind)
     # two evaluation errors that cancel in an unweighted sum
     up, down = shares[0], shares[1]
     cancelling = [
-        Witness(up.value, up.point, (up.eval + 1) % backend.order),
-        Witness(down.value, down.point, (down.eval - 1) % backend.order),
+        at_point(up.value, up.points[0], (up.evals[0] + 1) % backend.order),
+        at_point(down.value, down.points[0], (down.evals[0] - 1) % backend.order),
         *shares[2:],
     ]
-    assert not verify_share(pk, [(c, cancelling)])
+    assert not verify_share(pk, flat([(c, cancelling)]))
 
 
 def test_batch_of_identity_witnesses(ctx):
@@ -276,11 +286,11 @@ def test_batch_of_identity_witnesses(ctx):
     backend, pk, _ = ctx
     phi = QuantizedPoly((4242,) + (0,) * 8, backend.order)
     c = commit(pk, phi)
-    shares = [create_witness(pk, phi, z) for z in (2, 4, 6, 8)]
+    shares = [create_witness(pk, phi, [z]) for z in (2, 4, 6, 8)]
     assert all(w.value == backend.g1_identity for w in shares)
-    assert verify_share(pk, [(c, shares)])
-    shares[1] = Witness(shares[1].value, shares[1].point, 4243)
-    assert not verify_share(pk, [(c, shares)])
+    assert verify_share(pk, flat([(c, shares)]))
+    shares[1] = at_point(shares[1].value, shares[1].points[0], 4243)
+    assert not verify_share(pk, flat([(c, shares)]))
 
 
 def test_torsion_inputs_keep_their_verdicts():
@@ -292,32 +302,32 @@ def test_torsion_inputs_keep_their_verdicts():
     c, shares = opened_bundle(pk, random.Random(5))
     T = (0, 0)
     c_T = backend.g1_add(c, T)
-    shares_T = [Witness(backend.g1_add(w.value, T), w.point, w.eval) for w in shares]
+    shares_T = [at_point(backend.g1_add(w.value, T), w.points[0], w.evals[0]) for w in shares]
     for commitment in (c, c_T):
         for batch in (shares, shares_T):
-            assert verify_share(pk, [(commitment, [batch[0]])])
-            assert verify_share(pk, [(commitment, batch)])
-        bad = Witness(shares_T[0].value, shares_T[0].point, (shares_T[0].eval + 1) % backend.order)
-        assert not verify_share(pk, [(commitment, [bad])])
-        assert not verify_share(pk, [(commitment, [bad, *shares_T[1:]])])
+            assert verify_share(pk, [(commitment, batch[0])])
+            assert verify_share(pk, flat([(commitment, batch)]))
+        bad = at_point(shares_T[0].value, shares_T[0].points[0], (shares_T[0].evals[0] + 1) % backend.order)
+        assert not verify_share(pk, [(commitment, bad)])
+        assert not verify_share(pk, flat([(commitment, [bad, *shares_T[1:]])]))
 
 
 def test_batch_weights_deterministic_and_bound_to_every_input(ctx):
     backend, pk, rng = ctx
     c, shares = opened_bundle(pk, rng)
-    rho = batch_weights(pk, [(c, shares)])
-    assert rho == batch_weights(pk, [(c, list(shares))])
+    rho = batch_weights(pk, flat([(c, shares)]))
+    assert rho == batch_weights(pk, flat([(c, list(shares))]))
     assert len(rho) == len(shares)
     assert all(0 <= r < 1 << 128 for r in rho)
     assert len(set(rho)) == len(rho)
-    variants = [batch_weights(pk, [(backend.g1_add(c, backend.g1), shares)])]
+    variants = [batch_weights(pk, flat([(backend.g1_add(c, backend.g1), shares)]))]
     for i, w in enumerate(shares):
         for changed in (
-            Witness(w.value, w.point + 1, w.eval),
-            Witness(w.value, w.point, w.eval + 1),
-            Witness(backend.g1_add(w.value, backend.g1), w.point, w.eval),
+            at_point(w.value, w.points[0] + 1, w.evals[0]),
+            at_point(w.value, w.points[0], w.evals[0] + 1),
+            at_point(backend.g1_add(w.value, backend.g1), w.points[0], w.evals[0]),
         ):
-            variants.append(batch_weights(pk, [(c, shares[:i] + [changed] + shares[i + 1:])]))
+            variants.append(batch_weights(pk, flat([(c, shares[:i] + [changed] + shares[i + 1:])])))
     for other in variants:
         assert all(a != b for a, b in zip(rho, other))
 
@@ -340,7 +350,7 @@ def batch_faults(backend, openings):
 
     def bumped(k, i, by):
         w = openings[k][1][i]
-        return Witness(w.value, w.point, (w.eval + by) % backend.order)
+        return at_point(w.value, w.points[0], (w.evals[0] + by) % backend.order)
 
     for k, i in slots:
         yield "eval", changed({(k, i): bumped(k, i, 1)})
@@ -359,11 +369,11 @@ def test_batch_over_commitments_refuses_each_fault_anywhere(ctx, count):
     at every position."""
     backend, pk, rng = ctx
     openings = [opened_bundle(pk, rng, points=(2, 5)) for _ in range(count)]
-    assert verify_share(pk, openings)
+    assert verify_share(pk, flat(openings))
     kinds = Counter()
     for kind, bad in batch_faults(backend, openings):
         kinds[kind] += 1
-        assert not verify_share(pk, bad), kind
+        assert not verify_share(pk, flat(bad)), kind
     assert kinds["eval"] == 2 * count and kinds["commitments"] == count * (count - 1) // 2
 
 
@@ -377,6 +387,6 @@ def test_batch_over_commitments_fault_property(data):
     rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
     points = data.draw(st.lists(st.integers(1, 2**20), min_size=1, max_size=3, unique=True), label="points")
     openings = [opened_bundle(pk, rng, points) for _ in range(data.draw(st.integers(1, 4), label="count"))]
-    assert verify_share(pk, openings)
+    assert verify_share(pk, flat(openings))
     kind, bad = data.draw(st.sampled_from(list(batch_faults(backend, openings))), label="fault")
-    assert not verify_share(pk, bad), kind
+    assert not verify_share(pk, flat(bad)), kind

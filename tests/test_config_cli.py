@@ -282,6 +282,22 @@ def test_cli_committee_or_share_layout_that_cannot_be_drawn_is_refused(tmp_path,
     assert not (out / "metrics.csv").exists()
 
 
+def test_cli_committees_that_can_leave_too_few_updaters_are_refused(tmp_path, capsys):
+    """A verifier signs off only on 3 pooled submissions.  5 peers with 2
+    verifiers and 2 aggregators leave 1 to 3 updaters a round, and such a
+    run sealed 1 of 3 rounds and exited 0.  It is refused before the dataset
+    is made, naming the keys; 7 peers leave at least 3 and run."""
+    cfg = tmp_path / "cfg.json"
+    save_spec(cfg, small_spec(number_of_nodes=5, number_of_verifiers=2, number_of_aggregators=2))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    message = "number_of_nodes - number_of_verifiers - number_of_aggregators must be at least 3, got 5 - 2 - 2 = 1"
+    assert message in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+    env = build_environment(small_spec(number_of_nodes=7, number_of_verifiers=2, number_of_aggregators=2))
+    assert len(env.datasets) == 7
+
+
 def test_dataset_with_a_short_reserve_pool_runs(tmp_path):
     """901 examples fill the peers' shards and the validation set and leave
     one for the reserve: the run proceeds."""

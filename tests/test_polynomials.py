@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainlearn.polynomials import lagrange_interpolate, poly_eval, quotient_at
+from chainlearn.polynomials import divide_monic, lagrange_interpolate, poly_eval, vanishing
 
 P = (1 << 61) - 1
 
@@ -18,9 +18,9 @@ def test_eval_known_values():
 
 def test_quotient_exact_division():
     coeffs = [3, 2, 1]
-    q, rem = quotient_at(coeffs, 2, P)
+    q, rem = divide_monic(coeffs, [P - 2, 1], P)
     assert q == [4, 1]  # (phi(x) - 11) / (x - 2) = x + 4
-    assert rem == poly_eval(coeffs, 2, P)
+    assert rem == [poly_eval(coeffs, 2, P)]
 
 
 def test_quotient_reconstructs_polynomial():
@@ -28,12 +28,30 @@ def test_quotient_reconstructs_polynomial():
     for _ in range(50):
         coeffs = [rng.randrange(P) for _ in range(rng.randint(1, 10))]
         z = rng.randrange(1, 1000)
-        q, rem = quotient_at(coeffs, z, P)
+        q, (rem,) = divide_monic(coeffs, vanishing([z], P), P)
         # phi(x) = q(x) * (x - z) + rem, checked at a few points
         for x in (0, 1, 7, z):
             lhs = poly_eval(coeffs, x, P)
             rhs = (poly_eval(q, x, P) * (x - z) + rem) % P
             assert lhs == rhs
+
+
+def test_division_by_a_vanishing_polynomial():
+    """phi = q * Z_S + I_S for point sets of 1-6 points and polynomials of
+    every length up to 10: I_S has |S| coefficients and agrees with phi on
+    S, and q is empty when phi is shorter than Z_S."""
+    rng = random.Random(1)
+    assert vanishing([1, 2], P) == [2, P - 3, 1]  # (x - 1)(x - 2)
+    for _ in range(100):
+        coeffs = [rng.randrange(P) for _ in range(rng.randint(1, 10))]
+        points = rng.sample(range(1, 40), rng.randint(1, 6))
+        z = vanishing(points, P)
+        q, rem = divide_monic(coeffs, z, P)
+        assert len(q) == max(len(coeffs) - len(points), 0) and len(rem) == len(points)
+        for s in points:
+            assert poly_eval(rem, s, P) == poly_eval(coeffs, s, P)
+        for x in (0, 5, 41):
+            assert poly_eval(coeffs, x, P) == (poly_eval(q, x, P) * poly_eval(z, x, P) + poly_eval(rem, x, P)) % P
 
 
 def test_interpolation_hand_example():

@@ -697,9 +697,9 @@ def test_dealer_sending_another_aggregators_points_is_left_out(monkeypatch):
 
 
 def with_wrong_eval(bundle, order):
-    """``bundle`` with its first share's eval off by one: it passes the gates."""
-    w = bundle.shares[0]
-    return dataclasses.replace(bundle, shares=(Witness(w.value, w.point, (w.eval + 1) % order),) + bundle.shares[1:])
+    """``bundle`` with its opening's first eval off by one: it passes the gates."""
+    w = bundle.opening
+    return dataclasses.replace(bundle, opening=Witness(w.value, w.points, ((w.evals[0] + 1) % order,) + w.evals[1:]))
 
 
 @pytest.mark.parametrize("second_copy", [False, True])

@@ -1,13 +1,18 @@
 import dataclasses
+import random
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chainlearn.commitments import Witness, combine, commit, trusted_setup, verify_share
+from chainlearn.commitments import Witness, combine, commit, create_witness, trusted_setup, verify_share
 from chainlearn.groups import get_backend
 from chainlearn import signatures
 from chainlearn.ledger import CommitmentEntry, SignOff, SignOffChecks, pair_records, sign_off
-from chainlearn.quantize import decode, encode, sum_polys
+from chainlearn.polynomials import poly_eval
+from chainlearn.quantize import QuantizedPoly, decode, encode, sum_polys
 from chainlearn.signatures import keygen, sign
 from chainlearn.vss import (
     ShareRecoveryError,
@@ -26,7 +31,7 @@ MOD = BACKEND.order
 
 def pairs(bundle):
     """The (point, value) pairs that a lone dealer's ``bundle`` sums to."""
-    return [(w.point, w.eval) for w in bundle.shares]
+    return list(zip(bundle.opening.points, bundle.opening.evals))
 
 
 def make_update(rng, d):
@@ -55,8 +60,7 @@ def test_dealt_shares_all_verify():
     c = commit(pk, q)
     for b in bundles.values():
         assert b.entry.commitment == c
-        for w in b.shares:
-            assert verify_share(pk, [(c, [w])])
+        assert verify_share(pk, [(c, b.opening)])
 
 
 def test_too_many_aggregators_rejected():
@@ -115,10 +119,9 @@ def test_accept_bundle_majority_and_shares(monkeypatch):
     assert not accepts(with_sigs(others))
 
     # a forged eval passes the gates and fails the pooled opening check
-    bad_shares = list(bundle.shares)
-    w = bad_shares[0]
-    bad_shares[0] = Witness(w.value, w.point, (w.eval + 1) % MOD)
-    forged = dataclasses.replace(bundle, shares=tuple(bad_shares))
+    w = bundle.opening
+    bad = Witness(w.value, w.points, ((w.evals[0] + 1) % MOD,) + w.evals[1:])
+    forged = dataclasses.replace(bundle, opening=bad)
     assert accepts(forged)
     assert failing_dealers([forged], pk) == [dealer] and failing_dealers([bundle], pk) == []
 
@@ -175,7 +178,7 @@ def test_sum_shares_single_update_is_identity():
     pk = trusted_setup(BACKEND, 4, b"s")
     q = make_update(rng, 4)
     b = deal(q, pk, [0, 1], dealer=0)[1]
-    assert sum_shares([b], BACKEND) == tuple(w.eval for w in b.shares)
+    assert sum_shares([b], BACKEND) == b.opening.evals
 
 
 def test_recover_hand_example():
@@ -286,3 +289,120 @@ def test_one_slot_holds_fewer_than_d_plus_1_points_from_three_aggregators():
             assert largest == -(-2 * (d + 1) // m), (d, m)
             reaches = largest >= d + 1
             assert reaches == (m == 2 or (d, m) == (1, 3)), (d, m)
+
+
+def random_update(rng, d, backend=BACKEND):
+    return QuantizedPoly(tuple(rng.randrange(backend.order) for _ in range(d + 1)), backend.order)
+
+
+def test_every_slot_opens_and_verifies():
+    """For d 1-12 and every admitted m, each slot of ``slots(d, range(m))``
+    opens with one witness whose evals are the update's at the slot's
+    points; it verifies alone, and the m openings verify as one batch."""
+    rng = random.Random(12)
+    for d in range(1, 13):
+        pk = trusted_setup(BACKEND, d, b"slots")
+        q = random_update(rng, d)
+        c = commit(pk, q)
+        for m in range(2, 2 * (d + 1) + 1):
+            openings = []
+            for points in slots(d, range(m)).values():
+                w = create_witness(pk, q, points)
+                assert w.points == tuple(points)
+                assert w.evals == tuple(poly_eval(list(q.coeffs), z, MOD) for z in points)
+                assert verify_share(pk, [(c, w)]), (d, m, points)
+                openings.append((c, w))
+            assert verify_share(pk, openings), (d, m)
+
+
+def slot_faults(backend, d, c, w):
+    """(kind, commitment, witness) for each fault of one slot opening: an
+    eval + 1, a point moved off the layout, the witness value + g1, the
+    commitment + g1, and, on two or more points, one eval + 1 and another - 1."""
+    order, n = backend.order, 2 * (d + 1)
+
+    def with_evals(changes):
+        return Witness(w.value, w.points, tuple((y + changes.get(i, 0)) % order for i, y in enumerate(w.evals)))
+
+    for i in range(len(w.points)):
+        yield "eval", c, with_evals({i: 1})
+        yield "point", c, Witness(w.value, w.points[:i] + (w.points[i] + n,) + w.points[i + 1:], w.evals)
+    yield "witness", c, Witness(backend.g1_add(w.value, backend.g1), w.points, w.evals)
+    yield "commitment", backend.g1_add(c, backend.g1), w
+    for i, j in combinations(range(len(w.points)), 2):
+        yield "cancelling", c, with_evals({i: 1, j: -1})
+
+
+@settings(max_examples=max(40, settings.default.max_examples), deadline=None)
+@given(data=st.data())
+def test_slot_opening_fault_property(data):
+    """The property form on the exponent group: a slot of ``slots(d,
+    range(m))`` for d 1-12 and an admitted m, opened by 1-3 dealers, passes
+    as one batch, and one drawn fault of ``slot_faults`` in a drawn
+    dealer's opening is refused; its example count comes from the active
+    Hypothesis profile."""
+    d = data.draw(st.integers(1, 12), label="d")
+    m = data.draw(st.integers(2, 2 * (d + 1)), label="m")
+    points = data.draw(st.sampled_from(list(slots(d, range(m)).values())), label="slot")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    pk = trusted_setup(BACKEND, d, b"slots")
+    openings = []
+    for _ in range(data.draw(st.integers(1, 3), label="dealers")):
+        q = random_update(rng, d)
+        openings.append((commit(pk, q), create_witness(pk, q, points)))
+    assert verify_share(pk, openings)
+    k = data.draw(st.integers(0, len(openings) - 1), label="faulty dealer")
+    kind, c, w = data.draw(st.sampled_from(list(slot_faults(BACKEND, d, *openings[k]))), label="fault")
+    assert not verify_share(pk, openings[:k] + [(c, w)] + openings[k + 1:]), kind
+
+
+@pytest.mark.parametrize("d", [1, 3, 6])
+def test_a_slot_of_d_plus_1_points_opens_with_the_identity(d):
+    """At m = 2 each slot holds d + 1 points, so the quotient is 0: the
+    witness is the identity, and any other value is refused, alone or in a
+    batch with an honest opening."""
+    rng = random.Random(d)
+    pk = trusted_setup(BACKEND, d, b"full")
+    q = random_update(rng, d)
+    c = commit(pk, q)
+    ws = [create_witness(pk, q, points) for points in slots(d, [0, 1]).values()]
+    assert all(len(w.points) == d + 1 and w.value == BACKEND.g1_identity for w in ws)
+    assert verify_share(pk, [(c, w) for w in ws])
+    for value in (BACKEND.g1, rng.randrange(1, MOD)):
+        bad = Witness(value, ws[0].points, ws[0].evals)
+        assert not verify_share(pk, [(c, bad)])
+        assert not verify_share(pk, [(c, bad), (c, ws[1])])
+
+
+def test_one_batch_over_two_point_sets_names_only_the_bad_dealer():
+    """Bundles at two aggregators' slots (5 and 4 points of a degree-6
+    update over m = 3) are checked as one batch; with one dealer's eval off
+    by one, ``failing_dealers`` names that dealer alone."""
+    rng = np.random.default_rng(8)
+    pk = trusted_setup(BACKEND, 6, b"s")
+    aggregators = [0, 1, 2]
+    bundles = [deal(make_update(rng, 6), pk, aggregators, dealer=10 + i)[(1, 2)[i % 2]] for i in range(6)]
+    assert {len(b.opening.points) for b in bundles} == {5, 4}
+    assert verify_share(pk, [(b.entry.commitment, b.opening) for b in bundles])
+    assert failing_dealers(bundles, pk) == []
+    w = bundles[3].opening
+    bundles[3] = dataclasses.replace(bundles[3], opening=Witness(w.value, w.points, (w.evals[0] + 1,) + w.evals[1:]))
+    assert failing_dealers(bundles, pk) == [13]
+
+
+def test_slot_openings_on_pairing():
+    """Spot check on the Tate-pairing group, d = 3: every slot at m = 2 (the
+    identity witness) and m = 3 opens, the slots of each layout verify as
+    one batch, and a wrong eval or a non-identity full-slot witness is refused."""
+    pairing = get_backend("pairing")
+    pk = trusted_setup(pairing, 3, b"pairing-slots")
+    q = random_update(random.Random(3), 3, pairing)
+    c = commit(pk, q)
+    for m in (2, 3):
+        ws = [create_witness(pk, q, points) for points in slots(3, range(m)).values()]
+        assert all((w.value == pairing.g1_identity) == (m == 2) for w in ws)
+        assert verify_share(pk, [(c, w) for w in ws])
+        bad = Witness(ws[-1].value, ws[-1].points, ((ws[-1].evals[0] + 1) % pairing.order,) + ws[-1].evals[1:])
+        assert not verify_share(pk, [(c, w) for w in ws[:-1]] + [(c, bad)])
+    full = create_witness(pk, q, slots(3, [0, 1])[0])
+    assert not verify_share(pk, [(c, Witness(pairing.g1, full.points, full.evals))])
