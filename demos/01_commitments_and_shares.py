@@ -38,12 +38,12 @@ print("committed to a", dim, "dimensional update; commitment bytes:",
 
 # open the polynomial at a point set and check the pairing equation
 w = create_witness(pk, poly, [3, 5])
-print("opening at {3, 5} verifies:", verify_share(pk, [(c, w)]))
+print("opening at {3, 5} verifies:", verify_share(pk, [3, 5], [(c, w)]))
 
 # a forged evaluation is caught
 from chainlearn.commitments import Witness
-forged = Witness(w.value, w.points, ((w.evals[0] + 1) % backend.order, w.evals[1]))
-print("forged evaluation verifies:", verify_share(pk, [(c, forged)]))
+forged = Witness(w.value, ((w.evals[0] + 1) % backend.order, w.evals[1]))
+print("forged evaluation verifies:", verify_share(pk, [3, 5], [(c, forged)]))
 
 # homomorphism: the product of two commitments commits to the summed update
 other = encode(rng.normal(size=dim) * 0.2, 7, backend.order)

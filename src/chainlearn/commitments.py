@@ -7,10 +7,11 @@ Only the blinding slot c_0 is a full-size scalar; the data coefficients and
 witness quotients (c_0 falls into the remainder) are small centered residues,
 so the ``msm``'s doubling chain is as long as the largest of those.
 
-Opening at a point set S ships the evaluations y_s = phi(s), s in S, and a
-commitment W_S = [q_S(alpha)] to the quotient of phi by the monic
+Opening at a point set S (a slot) ships the evaluations y_s = phi(s), s in
+S, and a commitment W_S = [q_S(alpha)] to the quotient of phi by the monic
 Z_S(x) = prod_{s in S}(x - s); the remainder I_S is the polynomial of degree
-below |S| through the (s, y_s).  It is valid exactly when
+below |S| through the (s, y_s).  The opening holds no points: the checker
+states S.  It is valid exactly when
 
     e(C - [I_S(alpha)], g1) == e(W_S, [Z_S(alpha)])
 
@@ -18,20 +19,20 @@ below |S| through the (s, y_s).  It is valid exactly when
 degree + 1 the quotient is 0 and the key holds no power to commit Z_S with:
 W_S must be the identity, and the check is the first pairing alone.
 
-Any openings of any commitments are checked as one product, opening i raised
-to a weight rho_i (Bellare-Garay-Rabin small exponents):
+The openings of any commitments C_i at one slot S are checked as one
+product, opening i raised to a weight rho_i (Bellare-Garay-Rabin small
+exponents):
 
-    e(sum(rho_i*C_i) - [sum_S I_S'(alpha)], g1)
-        * prod_S e(-sum_{i at S}(rho_i*W_i), [Z_S(alpha)]) == 1
+    e(sum(rho_i*C_i) - [I'(alpha)], g1) * e(-sum(rho_i*W_i), [Z_S(alpha)]) == 1
 
-where I_S' interpolates the weighted evaluations sum_{i at S}(rho_i*y_i) on
-S.  The rho_i are 128-bit, read from one SHAKE-256 output over every
+where I' interpolates the weighted evaluations sum(rho_i*y_i) on S.  The
+rho_i are 128-bit, read from one SHAKE-256 output over S and every
 commitment and opening: a rerun draws the same weights, and a batch with a
 bad opening passes with probability 2^-128 (2^-61 on the exponent group).
-The pairing is symmetric, so g1 and each [Z_S(alpha)] are the fixed
-arguments that drive the Miller loop; the key memoises, per point set, Z_S,
-S's Lagrange basis and the prepared [Z_S(alpha)].  The coefficients of the
-I_S' are full-size, so they multiply the key powers' combs.  Commitments are
+The pairing is symmetric, so g1 and [Z_S(alpha)] are the fixed arguments
+that drive the Miller loop; the key memoises, per point set, Z_S, S's
+Lagrange basis and the prepared [Z_S(alpha)].  The coefficients of I' are
+full-size, so they multiply the key powers' combs.  Commitments are
 homomorphic: the product of commitments commits to the coefficient-wise
 sum, which is what lets verifiers audit masked updates and block aggregates
 without seeing them.
@@ -50,24 +51,22 @@ from .quantize import QuantizedPoly
 
 @dataclass(frozen=True)
 class Witness:
-    """Opening of a committed polynomial at the point set ``points``."""
+    """Opening of a committed polynomial at a point set the checker states."""
 
     value: object  # G1 commitment to the quotient by Z_S
-    points: tuple
-    evals: tuple  # the polynomial at ``points``, in their order
+    evals: tuple  # the polynomial at the points, in their order
 
     def to_bytes(self, backend) -> bytes:
-        """The point and evaluation counts, each point and evaluation reduced
-        mod the order, little-endian at the order's byte width, then the
-        quotient commitment: defined for any integer fields, so bytes from
-        another peer cannot make it raise."""
-        order, width = backend.order, backend.scalar_size
-        scalars = (*self.points, *self.evals)
-        return (
-            u32(len(self.points)) + u32(len(self.evals))
-            + b"".join((k % order).to_bytes(width, "little") for k in scalars)
-            + backend.g1_to_bytes(self.value)
-        )
+        """The evaluation count, each evaluation reduced mod the order,
+        little-endian at the order's byte width, then the quotient
+        commitment: defined for any integer fields, so bytes from another
+        peer cannot make it raise."""
+        return u32(len(self.evals)) + _scalars(backend, self.evals) + backend.g1_to_bytes(self.value)
+
+
+def _scalars(backend, scalars) -> bytes:
+    order, width = backend.order, backend.scalar_size
+    return b"".join((k % order).to_bytes(width, "little") for k in scalars)
 
 
 @dataclass(frozen=True)
@@ -117,8 +116,9 @@ class CommitPK:
         """The memo of the point set ``points``, reduced mod the order and
         kept in their order, built at its first use.  Refuses an empty set,
         a repeated point, the reserved point 0 and more than degree + 1
-        points.  The protocol checks only the round's slots, so the memo
-        holds one entry per slot."""
+        points.  The protocol checks only the round's slots and recovers
+        from the lowest d + 1 points the aggregate shares hold, so the memo
+        holds one entry per slot and per such recovery set."""
         order = self.backend.order
         key = tuple(z % order for z in points)
         if key in self._slots:
@@ -203,52 +203,49 @@ def create_witness(pk: CommitPK, poly: QuantizedPoly, points) -> Witness:
     slot, order = pk.slot(points), pk.backend.order
     quotient, remainder = polynomials.divide_monic(list(poly.coeffs), slot.vanishing, order)
     evals = tuple(polynomials.poly_eval(remainder, z, order) for z in slot.points)
-    return Witness(pk.backend.msm(pk.powers[: len(quotient)], quotient), slot.points, evals)
+    return Witness(pk.backend.msm(pk.powers[: len(quotient)], quotient), evals)
 
 
-def batch_weights(pk: CommitPK, openings) -> list[int]:
-    """The 128-bit weights rho_i of a batched share check, one per
-    ``(commitment, witness)`` pair of ``openings``: consecutive 16-byte
-    blocks of one SHAKE-256 output over every commitment and witness."""
-    parts = [b"share-batch"]
+def batch_weights(pk: CommitPK, points, openings) -> list[int]:
+    """The 128-bit weights rho_i of a share check at the point set
+    ``points``, one per ``(commitment, witness)`` pair of ``openings``:
+    consecutive 16-byte blocks of one SHAKE-256 output over the points, then
+    every commitment and witness."""
+    backend = pk.backend
+    parts = [b"share-batch", u32(len(points)), _scalars(backend, points)]
     for commitment, witness in openings:
-        parts += [pk.backend.g1_to_bytes(commitment), witness.to_bytes(pk.backend)]
+        parts += [backend.g1_to_bytes(commitment), witness.to_bytes(backend)]
     stream = hashlib.shake_256(b"".join(parts)).digest(16 * len(openings))
     return [int.from_bytes(stream[i : i + 16], "big") for i in range(0, len(stream), 16)]
 
 
-def verify_share(pk: CommitPK, openings) -> bool:
+def verify_share(pk: CommitPK, points, openings) -> bool:
     """True iff every opening of the sequence of ``(commitment, witness)``
-    pairs ``openings`` lies on its committed polynomial: one weighted
-    pairing product for all of them (see the module docstring)."""
+    pairs ``openings`` lies on its committed polynomial at the point set
+    ``points``: one weighted pairing product for all of them (see the module
+    docstring).  A point set ``CommitPK.slot`` refuses, or an opening with
+    another count of evaluations, fails the check."""
     backend, order = pk.backend, pk.backend.order
     try:
-        slots = [pk.slot(w.points) for _, w in openings]
+        slot = pk.slot(points)
     except ValueError:
         return False
-    if any(len(w.evals) != len(s.points) for (_, w), s in zip(openings, slots)):
+    if any(len(w.evals) != len(slot.points) for _, w in openings):
         return False
-    rho = batch_weights(pk, openings)
-    at = {}  # point set -> (its slot, its weighted evaluations, its openings' weights and witnesses)
-    for r, (_, w), s in zip(rho, openings, slots):
-        _, evals, terms = at.setdefault(s.points, (s, [0] * len(s.points), []))
-        for j, y in enumerate(w.evals):
-            evals[j] += r * y
-        terms.append((r, w.value))
-    interpolant = [0] * max(map(len, at), default=0)
-    prepared, quotients = [pk.share_check_key], []
-    for s, evals, terms in at.values():
-        for y, lagrange in zip(evals, s.basis):
-            for k, c in enumerate(lagrange):
-                interpolant[k] -= y * c
-        if s.prepared is None:  # |S| = degree + 1: every quotient is 0
-            if any(w != backend.g1_identity for _, w in terms):
-                return False
-            continue
-        prepared.append(s.prepared)
-        quotients.append(backend.g1_neg(backend.msm([w for _, w in terms], [r for r, _ in terms])))
+    if slot.prepared is None and any(w.value != backend.g1_identity for _, w in openings):
+        return False  # |S| = degree + 1: every quotient is 0
+    rho = batch_weights(pk, slot.points, openings)
+    interpolant = [0] * len(slot.points)
+    for j, lagrange in enumerate(slot.basis):
+        y = sum(r * w.evals[j] for r, (_, w) in zip(rho, openings))
+        for k, c in enumerate(lagrange):
+            interpolant[k] -= y * c
     folded = backend.g1_add(
         backend.msm([c for c, _ in openings], rho),
         backend.fixed_msm(pk.bases(len(interpolant)), [k % order for k in interpolant]),
     )
-    return backend.multi_pair(prepared, [folded, *quotients]) == backend.gt_one
+    prepared, terms = [pk.share_check_key], [folded]
+    if slot.prepared is not None:
+        prepared.append(slot.prepared)
+        terms.append(backend.g1_neg(backend.msm([w.value for _, w in openings], rho)))
+    return backend.multi_pair(prepared, terms) == backend.gt_one

@@ -7,7 +7,9 @@ u = R/2 = 35 updates per block and an adversary bound f=33), a linear +5
 stake reward, and ``sgd.TrainConfig``'s own training defaults.  Config
 files are JSON with the same field names.  A run's ``metadata.json``
 sidecar is not itself a config, but its ``config`` object is one: saved as
-its own file, it replays the run exactly.
+its own file, it replays the run exactly.  A spec refuses, when it is made,
+every setting a run cannot carry out that needs no data, so ``load_spec``
+refuses it before a run makes its output directory.
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .attacks import AdversaryConfig
-from .krum import krum_sample_size, max_tolerable_f, updates_per_block
+from .krum import MIN_SAMPLE, krum_sample_size, max_tolerable_f, updates_per_block
 from .ledger import ProtocolConfig
+from .models import make_model
 from .sgd import TrainConfig
+from .vss import share_points
 
 
 @dataclass(frozen=True)
@@ -81,6 +85,20 @@ class ExperimentSpec:
             raise ValueError(f"privacy_budget_epsilon must be positive, got {self.privacy_budget_epsilon}")
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        n = self.number_of_nodes
+        # a peer draws its noisers from the other peers, each committee from all
+        for key, most in (("number_of_noisers", n - 1), ("number_of_verifiers", n), ("number_of_aggregators", n)):
+            if getattr(self, key) > most:
+                raise ValueError(f"{key} must be at most {most} with {n} nodes, got {getattr(self, key)}")
+        share_points(make_model(self.model_family, self.dataset.features, self.dataset.classes).dim,
+                     self.number_of_aggregators)
+        # the committees may be disjoint, so only this many updaters are sure to reach a verifier's quorum
+        updaters = n - self.number_of_verifiers - self.number_of_aggregators
+        if updaters < MIN_SAMPLE:
+            raise ValueError(
+                f"number_of_nodes - number_of_verifiers - number_of_aggregators must be at least {MIN_SAMPLE},"
+                f" got {n} - {self.number_of_verifiers} - {self.number_of_aggregators} = {updaters}"
+            )
 
     # -- derived, reported in metadata ----------------------------------------
 

@@ -39,11 +39,9 @@ from .datasets import Dataset, make_dataset, partition
 from .encoding import sha256, u64
 from .ledger import Ledger, save_chain
 from .models import ModelParams, make_model, validation_error
-from .protocol import QUORUM
 from .sgd import compute_local_update
 from .simnet import Simulation
 from .stake import honest_stake_fraction
-from .vss import slots
 
 
 @dataclass
@@ -111,25 +109,12 @@ RESERVE_SHARDS = 24  # spare same-distribution shards handed to rejoining peers
 def build_environment(spec: ExperimentSpec) -> Environment:
     """One master dataset split into peer shards, a held-out validation set
     and reserve shards for churn rejoins, so every piece shares one
-    distribution.  A spec whose committees or share layout cannot be drawn,
-    or whose committees can leave a verifier short of its quorum, is
-    refused before the dataset is made."""
+    distribution.  The spec has refused committees and share layouts that
+    cannot be drawn; a dataset of the wrong shape or too short for its split
+    is refused here."""
     n_peers = spec.number_of_nodes
     d = spec.dataset
-    # a peer draws its noisers from the other peers, each committee from all
-    for key, most in (("number_of_noisers", n_peers - 1), ("number_of_verifiers", n_peers),
-                      ("number_of_aggregators", n_peers)):
-        if getattr(spec, key) > most:
-            raise ValueError(f"{key} must be at most {most} with {n_peers} nodes, got {getattr(spec, key)}")
     model = make_model(spec.model_family, d.features, d.classes)
-    slots(model.dim, range(spec.number_of_aggregators))
-    # the committees may be disjoint, so only this many updaters are sure to reach a verifier's quorum
-    updaters = n_peers - spec.number_of_verifiers - spec.number_of_aggregators
-    if updaters < QUORUM:
-        raise ValueError(
-            f"number_of_nodes - number_of_verifiers - number_of_aggregators must be at least {QUORUM},"
-            f" got {n_peers} - {spec.number_of_verifiers} - {spec.number_of_aggregators} = {updaters}"
-        )
     total = n_peers * d.shard_size + d.validation_size + RESERVE_SHARDS * d.shard_size
     master = make_dataset(d.kind, _dataset_params(spec, total), seed=spec.seed)
     if (master.n_features, master.num_classes) != (d.features, d.classes):

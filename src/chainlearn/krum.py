@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MIN_SAMPLE = 3  # the fewest updates scored together: at f = 0 each keeps R - 2 >= 1 neighbours
+
 
 @dataclass(frozen=True)
 class KrumConfig:
@@ -19,8 +21,8 @@ class KrumConfig:
     f: int  # tolerated adversarial count
 
     def __post_init__(self):
-        if self.R < 3:
-            raise ValueError("need at least 3 updates to score")
+        if self.R < MIN_SAMPLE:
+            raise ValueError(f"need at least {MIN_SAMPLE} updates to score")
         if self.f < 0:
             raise ValueError("f must be non-negative")
         if not self.f < (self.R - 2) / 2:
@@ -37,8 +39,8 @@ class KrumConfig:
 
 def krum_sample_size(fraction: float, n_peers: int) -> int:
     """R, the number of updates sampled for scoring: ``fraction`` of the
-    genesis peers, at least 3."""
-    return max(3, round(fraction * n_peers))
+    genesis peers, at least ``MIN_SAMPLE``."""
+    return max(MIN_SAMPLE, round(fraction * n_peers))
 
 
 def updates_per_block(R: int) -> int:

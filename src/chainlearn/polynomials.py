@@ -57,18 +57,6 @@ def lagrange_basis(xs, p: int) -> list[list[int]]:
     return basis
 
 
-def lagrange_interpolate(points: list[tuple[int, int]], p: int) -> list[int]:
-    """Coefficients of the unique degree <= n-1 polynomial through n points.
-
-    Points are (x, y) pairs with distinct x mod p.  O(n^2).
-    """
-    coeffs = [0] * len(points)
-    for (_, y), lagrange in zip(points, lagrange_basis([x for x, _ in points], p)):
-        for k, c in enumerate(lagrange):
-            coeffs[k] = (coeffs[k] + y * c) % p
-    return coeffs
-
-
 def _mul_linear(poly: list[int], c: int, p: int) -> list[int]:
     # poly * (x + c)
     out = [0] * (len(poly) + 1)

@@ -38,7 +38,7 @@ from . import signatures
 from .commitments import combine, commit
 from .committees import VrfOutput, draw_noisers, verify_vrf
 from .encoding import ByteWriter, sha256, u64
-from .krum import KrumConfig, krum_sample_size, max_tolerable_f, multi_krum_select, updates_per_block
+from .krum import MIN_SAMPLE, KrumConfig, krum_sample_size, max_tolerable_f, multi_krum_select, updates_per_block
 from .ledger import (
     Block,
     CommitmentEntry,
@@ -66,7 +66,6 @@ from .vss import (
 )
 
 BROADCAST = -1
-QUORUM = 3  # the fewest pooled submissions a verifier signs off on
 
 # Why a peer turns an input down or gives up its part of a round, recorded
 # as (round, peer, reason) in ``PeerNode.audit``.  A block the ledger refuses,
@@ -443,7 +442,7 @@ class PeerNode:
     def _close_verification(self, now: float) -> list:
         rs = self.round
         rs.signed_off = True
-        if len(rs.pool) < QUORUM:
+        if len(rs.pool) < MIN_SAMPLE:  # too few pooled submissions to score
             return self._refuse("no-quorum", self.id)
         chosen = tip_sample(rs.pool, self.r_target(), b"krum-sample", self.ledger.tip_hash(), rs.iteration)
         updates = np.stack([decode(rs.pool[pid].masked) for pid in chosen])
@@ -490,8 +489,7 @@ class PeerNode:
             return self._refuse("duplicate-bundle", dealer)
         genesis = self.genesis
         if not accept_bundle(
-            bundle, rs.verifiers, rs.aggregators, genesis.public_bases, genesis.commit_pk, rs.slots[self.id],
-            rs.signoff_checks,
+            bundle, rs.verifiers, rs.aggregators, genesis.public_bases, genesis.commit_pk, rs.signoff_checks
         ):
             return self._refuse("bundle-refused", dealer)
         rs.pooled_bundles[dealer] = bundle
@@ -501,7 +499,7 @@ class PeerNode:
         """Check the pooled bundles of ``dealers`` as one batch; accept them, refusing each failing one."""
         rs = self.round
         bundles = {pid: rs.pooled_bundles.pop(pid) for pid in list(rs.pooled_bundles) if pid in dealers}
-        for dealer in failing_dealers(list(bundles.values()), self.genesis.commit_pk):
+        for dealer in failing_dealers(list(bundles.values()), self.genesis.commit_pk, rs.slots[self.id]):
             del bundles[dealer]
             self._refuse("bundle-refused", dealer)
         rs.accepted_bundles.update(bundles)

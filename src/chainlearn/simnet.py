@@ -36,7 +36,6 @@ class SimResult:
     dropped_updates: dict  # round -> submissions that made no block
     final_ledger: object
     final_time: float
-    offline_at_end: set
     deadlocked: bool = False
 
 
@@ -209,7 +208,6 @@ class Simulation:
             dropped_updates=dropped,
             final_ledger=self.peers[observer].ledger,
             final_time=self.now,
-            offline_at_end={p for p, up in self.online.items() if not up},
             deadlocked=deadlocked,
         )
 

@@ -9,14 +9,14 @@ its update by Z_S (see ``commitments``).  W_S = (C - [I_S(alpha)])/Z_S(alpha)
 is fixed by the commitment C and the slot's evaluations, which fix I_S, so
 it reveals nothing beyond them.  An aggregator pools the bundles whose
 dealer's commitment a majority of the round's verifiers name, checks their
-openings as one batch when it needs them, and sums the checked openings'
-evaluations point-wise into the aggregate's values at its slot.  The
-proposer pairs each aggregator's values with its slot, interpolates the
-lowest d+1 distinct points and keeps the result only if it re-commits to
-the product of the contributing commitments, the block rule's own identity:
-by the binding of the commitment that polynomial is the aggregate, so the
-summed values carry no witness.  A wrong value among those d+1 points
-abandons the round.
+openings at its own slot as one batch when it needs them, and sums the
+checked openings' evaluations point-wise into the aggregate's values at its
+slot.  The proposer pairs each aggregator's values with its slot,
+interpolates the lowest d+1 distinct points and keeps the result only if it
+re-commits to the product of the contributing commitments, the block rule's
+own identity: by the binding of the commitment that polynomial is the
+aggregate, so the summed values carry no witness.  A wrong value among those
+d+1 points abandons the round.
 
 A slot holds ceil(2(d+1)/m) points: below d+1 from m = 3 aggregators on
 (d >= 2), so no aggregator alone learns an update, but d+1 at m = 2, so each
@@ -35,7 +35,6 @@ from .ledger import (
     endorsement_rejection,
     pair_records,
 )
-from .polynomials import lagrange_interpolate
 from .quantize import QuantizedPoly
 
 
@@ -50,18 +49,26 @@ class ShareBundle:
 
     entry: CommitmentEntry
     signoffs: tuple  # SignOff, ascending verifier id
-    opening: object  # Witness at this aggregator's points
+    opening: object  # Witness at the receiving aggregator's slot
 
 
-def slots(dim: int, aggregators) -> dict:
-    """The share layout, aggregator -> its points: the points 1..2(dim+1) of
-    a degree-``dim`` update (0 stays reserved), dealt round-robin in committee
-    order.  Refuses fewer than two aggregators or more than there are points."""
-    n, m = 2 * (dim + 1), len(aggregators)
+def share_points(dim: int, m: int) -> int:
+    """The number n = 2(dim+1) of share points of a degree-``dim`` update
+    dealt to ``m`` aggregators.  Refuses fewer than two aggregators or more
+    than there are points, without building the layout."""
+    n = 2 * (dim + 1)
     if m < 2:
         raise ValueError("need at least two aggregators")
     if m > n:
         raise ValueError(f"{m} aggregators for only {n} share points")
+    return n
+
+
+def slots(dim: int, aggregators) -> dict:
+    """The share layout, aggregator -> its points: the points 1..n of a
+    degree-``dim`` update (0 stays reserved, n from ``share_points``), dealt
+    round-robin in committee order."""
+    n, m = share_points(dim, len(aggregators)), len(aggregators)
     return {agg: list(range(i + 1, n + 1, m)) for i, agg in enumerate(aggregators)}
 
 
@@ -79,44 +86,42 @@ def deal_shares(
 
 
 def accept_bundle(
-    bundle: ShareBundle, verifiers, aggregators, pubkeys, pk: CommitPK, points, checks: SignOffChecks
+    bundle: ShareBundle, verifiers, aggregators, pubkeys, pk: CommitPK, checks: SignOffChecks
 ) -> bool:
-    """True iff the opening is at the receiving aggregator's ``points`` (its
-    slot in the round's ``slots`` map) and the dealer's entry and sign-offs
-    pass the block rule (``ledger.contributor_rejection`` and
-    ``ledger.endorsement_rejection`` with the round's committees, the genesis
-    keys ``pubkeys`` and the round's shared sign-off ``checks``).
-    ``failing_dealers`` checks the openings later."""
-    if list(bundle.opening.points) != list(points):
-        return False
+    """True iff the dealer's entry and sign-offs pass the block rule
+    (``ledger.contributor_rejection`` and ``ledger.endorsement_rejection``
+    with the round's committees, the genesis keys ``pubkeys`` and the
+    round's shared sign-off ``checks``).  ``failing_dealers`` checks the
+    opening later, at the receiving aggregator's slot."""
     if contributor_rejection([bundle.entry.peer], verifiers, aggregators, pubkeys):
         return False
     entry_records = pair_records([bundle.entry], pk.backend)
     return not endorsement_rejection(entry_records, bundle.signoffs, verifiers, checks)
 
 
-def failing_dealers(bundles, pk: CommitPK) -> list:
+def failing_dealers(bundles, pk: CommitPK, points) -> list:
     """The dealers of ``bundles`` whose opening does not open their entry's
-    commitment: one ``verify_share`` over all of them, one per bundle if it fails."""
+    commitment at the receiving aggregator's slot ``points``: one
+    ``verify_share`` over all of them, one per bundle if it fails."""
     openings = [(b.entry.commitment, b.opening) for b in bundles]
-    suspects = bundles if openings and not verify_share(pk, openings) else ()
-    return [b.entry.peer for b, one in zip(suspects, openings) if not verify_share(pk, [one])]
+    suspects = bundles if openings and not verify_share(pk, points, openings) else ()
+    return [b.entry.peer for b, one in zip(suspects, openings) if not verify_share(pk, points, [one])]
 
 
 def sum_shares(bundles, backend) -> tuple:
     """The bundles' evaluations summed point-wise: the aggregate's values at
-    the receiving aggregator's slot, in slot order.  ``accept_bundle`` admits
-    only that slot's points and ``failing_dealers`` only as many evaluations,
-    so bundles of unequal length are a program fault."""
+    the receiving aggregator's slot, in slot order.  ``failing_dealers``
+    admits only openings with one evaluation per point of that slot, so
+    bundles of unequal length are a program fault."""
     columns = zip(*(b.opening.evals for b in bundles), strict=True)
     return tuple(sum(column) % backend.order for column in columns)
 
 
 def recover_aggregate(agg_shares, pk: CommitPK, combined) -> QuantizedPoly:
     """Interpolate the lowest d+1 distinct points of the (point, value)
-    pairs ``agg_shares`` (each aggregator's values paired with its slot) and
-    insist the result re-commits to ``combined``, the product of the
-    contributors' commitments."""
+    pairs ``agg_shares`` (each aggregator's values paired with its slot) over
+    their ``CommitPK.slot`` basis and insist the result re-commits to
+    ``combined``, the product of the contributors' commitments."""
     order = pk.backend.order
     by_point = {z % order: y % order for z, y in agg_shares}
     needed = pk.degree + 1
@@ -125,8 +130,11 @@ def recover_aggregate(agg_shares, pk: CommitPK, combined) -> QuantizedPoly:
             f"insufficient shares: {len(by_point)} distinct points, need {needed}"
         )
     chosen = sorted(by_point)[:needed]
-    coeffs = lagrange_interpolate([(z, by_point[z]) for z in chosen], order)
-    poly = QuantizedPoly(tuple(coeffs), order)
+    coeffs = [0] * needed
+    for z, lagrange in zip(chosen, pk.slot(chosen).basis):
+        for k, c in enumerate(lagrange):
+            coeffs[k] += by_point[z] * c
+    poly = QuantizedPoly(tuple(c % order for c in coeffs), order)
     if commit(pk, poly) != combined:
         raise ShareRecoveryError("interpolated polynomial does not match the combined commitment")
     return poly

@@ -96,24 +96,25 @@ def test_criterion_1_crypto_invariants():
     for _ in range(1000):
         phi = rand_poly(pk8, 8)
         z = rng.randrange(1, 10_000)
-        assert verify_share(pk8, [(commit(pk8, phi), create_witness(pk8, phi, [z]))])
+        assert verify_share(pk8, [z], [(commit(pk8, phi), create_witness(pk8, phi, [z]))])
 
     # tamper rejection, 1000 randomized trials
     rejected = 0
     for _ in range(1000):
         phi = rand_poly(pk8, 8)
         c = commit(pk8, phi)
-        w = create_witness(pk8, phi, [rng.randrange(1, 10_000)])
+        at = [rng.randrange(1, 10_000)]
+        w = create_witness(pk8, phi, at)
         kind = rng.randrange(4)
         if kind == 0:
-            w = Witness(w.value, w.points, ((w.evals[0] + rng.randrange(1, order)) % order,))
+            w = Witness(w.value, ((w.evals[0] + rng.randrange(1, order)) % order,))
         elif kind == 1:
-            w = Witness(backend.g1_add(w.value, backend.g1_mul(backend.g1, rng.randrange(1, order))), w.points, w.evals)
+            w = Witness(backend.g1_add(w.value, backend.g1_mul(backend.g1, rng.randrange(1, order))), w.evals)
         elif kind == 2:
             c = combine(backend, [c, commit(pk8, rand_poly(pk8, 8))])
         else:
-            w = Witness(w.value, (w.points[0] + rng.randrange(1, 50),), w.evals)
-        rejected += not verify_share(pk8, [(c, w)])
+            at = [at[0] + rng.randrange(1, 50)]
+        rejected += not verify_share(pk8, at, [(c, w)])
     assert rejected == 1000, f"{1000 - rejected} tampered shares slipped through"
 
     # same algebra on the real pairing backend, spot-checked
@@ -128,17 +129,19 @@ def test_criterion_1_crypto_invariants():
             combine(pairing, [commit(ppk, phi), commit(ppk, other)])
             == commit(ppk, phi.add(other))
         )
-        w = create_witness(ppk, phi, [prng.randrange(1, 1000)])
-        assert verify_share(ppk, [(commit(ppk, phi), w)])
-        bad = Witness(w.value, w.points, ((w.evals[0] + 1) % pairing.order,))
-        assert not verify_share(ppk, [(commit(ppk, phi), bad)])
+        at = [prng.randrange(1, 1000)]
+        w = create_witness(ppk, phi, at)
+        assert verify_share(ppk, at, [(commit(ppk, phi), w)])
+        bad = Witness(w.value, ((w.evals[0] + 1) % pairing.order,))
+        assert not verify_share(ppk, at, [(commit(ppk, phi), bad)])
 
     # share threshold at d=25: 25 points must fail, 26 suffice
     nrng = np.random.default_rng(SEED)
     update = encode(nrng.normal(size=25) * 0.1, 12345, order)
     c = commit(pk25, update)
+    layout = slots(25, [0, 1, 2])
     bundles = deal(update, pk25, [0, 1, 2], dealer=0)
-    shares = [s for b in bundles.values() for s in zip(b.opening.points, b.opening.evals)]
+    shares = [s for agg, b in bundles.items() for s in zip(layout[agg], b.opening.evals)]
     with pytest.raises(ShareRecoveryError):
         recover_aggregate(shares[:25], pk25, c)
     assert recover_aggregate(shares[:26], pk25, c) == update

@@ -28,14 +28,15 @@ def make_pk(backend_name, degree, seed=b"ceremony"):
     return backend, trusted_setup(backend, degree, seed)
 
 
-def at_point(value, point, eval):
-    """A one-point opening."""
-    return Witness(value, (point,), (eval,))
+def bumped(w, i, by, order):
+    """``w`` with its ``i``-th evaluation moved by ``by``."""
+    return Witness(w.value, tuple((y + by) % order if j == i else y for j, y in enumerate(w.evals)))
 
 
-def flat(openings):
-    """The ``(commitment, witness)`` pairs of ``(commitment, witnesses)`` pairs."""
-    return [(c, w) for c, ws in openings for w in ws]
+def moved(points, i):
+    """``points`` with its ``i``-th point moved past the largest: another
+    slot's points, sharing the others."""
+    return (*points[:i], points[i] + max(points), *points[i + 1:])
 
 
 def random_poly(rng, dim, modulus):
@@ -177,8 +178,8 @@ def test_degree_12_witness_far_from_zero(name):
     assert w.evals[0] == poly_eval(list(coeffs), 26, r)
     quotient = [sum(coeffs[i] * 26 ** (i - j - 1) for i in range(j + 1, 13)) for j in range(12)]
     assert w.value == naive_commit(pk, quotient)
-    assert verify_share(pk, [(commit(pk, phi), w)])
-    assert not verify_share(pk, [(commit(pk, phi), at_point(w.value, 26, (w.evals[0] + 1) % r))])
+    assert verify_share(pk, [26], [(commit(pk, phi), w)])
+    assert not verify_share(pk, [26], [(commit(pk, phi), bumped(w, 0, 1, r))])
 
 
 def test_degree_overflow_rejected(ctx):
@@ -195,7 +196,7 @@ def test_witness_constant_poly(ctx):
     w = create_witness(pk, phi, [5])
     assert w.evals[0] == c
     assert w.value == backend.g1_identity
-    assert verify_share(pk, [(commit(pk, phi), w)])
+    assert verify_share(pk, [5], [(commit(pk, phi), w)])
 
 
 def test_witness_hand_example(ctx):
@@ -206,7 +207,7 @@ def test_witness_hand_example(ctx):
     assert w.evals[0] == 11
     quotient = QuantizedPoly((4, 1, 0), backend.order)
     assert w.value == commit(pk, quotient)
-    assert verify_share(pk, [(commit(pk, phi), w)])
+    assert verify_share(pk, [2], [(commit(pk, phi), w)])
 
 
 def test_witness_completeness_all_points(ctx):
@@ -214,7 +215,7 @@ def test_witness_completeness_all_points(ctx):
     phi = random_poly(rng, 8, backend.order)
     c = commit(pk, phi)
     for z in range(1, 19):
-        assert verify_share(pk, [(c, create_witness(pk, phi, [z]))])
+        assert verify_share(pk, [z], [(c, create_witness(pk, phi, [z]))])
 
 
 def test_point_zero_reserved(ctx):
@@ -223,7 +224,7 @@ def test_point_zero_reserved(ctx):
     with pytest.raises(ValueError):
         create_witness(pk, phi, [0])
     w = create_witness(pk, phi, [1])
-    assert not verify_share(pk, [(commit(pk, phi), at_point(w.value, 0, w.evals[0]))])
+    assert not verify_share(pk, [0], [(commit(pk, phi), w)])
 
 
 def test_soundness_tampered_eval(ctx):
@@ -231,8 +232,7 @@ def test_soundness_tampered_eval(ctx):
     phi = random_poly(rng, 8, backend.order)
     c = commit(pk, phi)
     w = create_witness(pk, phi, [3])
-    bad = at_point(w.value, w.points[0], (w.evals[0] + 1) % backend.order)
-    assert not verify_share(pk, [(c, bad)])
+    assert not verify_share(pk, [3], [(c, bumped(w, 0, 1, backend.order))])
 
 
 def test_soundness_wrong_polynomial_witness(ctx):
@@ -240,7 +240,7 @@ def test_soundness_wrong_polynomial_witness(ctx):
     phi = random_poly(rng, 8, backend.order)
     other = random_poly(rng, 8, backend.order)
     w_other = create_witness(pk, other, [3])
-    assert not verify_share(pk, [(commit(pk, phi), w_other)])
+    assert not verify_share(pk, [3], [(commit(pk, phi), w_other)])
 
 
 def test_binding_distinct_polys_distinct_commitments(ctx):
@@ -253,44 +253,43 @@ def test_binding_distinct_polys_distinct_commitments(ctx):
         seen.add(key)
 
 
-def opened_bundle(pk, rng, points=(1, 3, 5, 7)):
+def opened(pk, rng, points=(1, 3, 5, 7)):
+    """A random polynomial's commitment and its opening at ``points``."""
     phi = random_poly(rng, 8, pk.backend.order)
-    return commit(pk, phi), [create_witness(pk, phi, [z]) for z in points]
+    return commit(pk, phi), create_witness(pk, phi, points)
 
 
 def test_batch_rejects_one_tampered_share_at_every_position(ctx):
+    """Three commitments opened at the slot (1, 3, 5, 7) pass as one batch;
+    an eval + 1 at any position of any opening, a witness + g1, a check at
+    the slot with any one point moved, and an eval + 1 with another - 1 in
+    one opening are each refused."""
     backend, pk, rng = ctx
-    c, shares = opened_bundle(pk, rng)
-    assert verify_share(pk, flat([(c, shares)]))
-    for i, w in enumerate(shares):
+    points = (1, 3, 5, 7)
+    openings = [opened(pk, rng, points) for _ in range(3)]
+    assert verify_share(pk, points, openings)
+    for k, (c, w) in enumerate(openings):
         tampered = {
-            "eval": at_point(w.value, w.points[0], (w.evals[0] + 1) % backend.order),
-            "witness": at_point(backend.g1_add(w.value, backend.g1), w.points[0], w.evals[0]),
-            "point": at_point(w.value, w.points[0] + 10, w.evals[0]),
+            **{f"eval {i}": bumped(w, i, 1, backend.order) for i in range(len(points))},
+            "witness": Witness(backend.g1_add(w.value, backend.g1), w.evals),
+            "cancelling": bumped(bumped(w, 0, 1, backend.order), 1, -1, backend.order),
         }
         for kind, bad in tampered.items():
-            batch = shares[:i] + [bad] + shares[i + 1:]
-            assert not verify_share(pk, flat([(c, batch)])), (i, kind)
-    # two evaluation errors that cancel in an unweighted sum
-    up, down = shares[0], shares[1]
-    cancelling = [
-        at_point(up.value, up.points[0], (up.evals[0] + 1) % backend.order),
-        at_point(down.value, down.points[0], (down.evals[0] - 1) % backend.order),
-        *shares[2:],
-    ]
-    assert not verify_share(pk, flat([(c, cancelling)]))
+            assert not verify_share(pk, points, openings[:k] + [(c, bad)] + openings[k + 1:]), (k, kind)
+    for i in range(len(points)):
+        assert not verify_share(pk, moved(points, i), openings), i
 
 
 def test_batch_of_identity_witnesses(ctx):
-    """A constant polynomial opens to the identity witness at every point."""
+    """A constant polynomial opens to the identity witness at every point set."""
     backend, pk, _ = ctx
     phi = QuantizedPoly((4242,) + (0,) * 8, backend.order)
     c = commit(pk, phi)
-    shares = [create_witness(pk, phi, [z]) for z in (2, 4, 6, 8)]
-    assert all(w.value == backend.g1_identity for w in shares)
-    assert verify_share(pk, flat([(c, shares)]))
-    shares[1] = at_point(shares[1].value, shares[1].points[0], 4243)
-    assert not verify_share(pk, flat([(c, shares)]))
+    points = (2, 4, 6, 8)
+    w = create_witness(pk, phi, points)
+    assert w.value == backend.g1_identity and w.evals == (4242,) * 4
+    assert verify_share(pk, points, [(c, w), (c, w)])
+    assert not verify_share(pk, points, [(c, w), (c, bumped(w, 1, 1, backend.order))])
 
 
 def test_torsion_inputs_keep_their_verdicts():
@@ -299,67 +298,74 @@ def test_torsion_inputs_keep_their_verdicts():
     accepted, singly and batched, while a wrong evaluation is still refused.
     Decoders do not yet check the subgroup; see ROADMAP."""
     backend, pk = make_pk("pairing", 8)
-    c, shares = opened_bundle(pk, random.Random(5))
+    rng, points = random.Random(5), (1, 3, 5, 7)
+    (c, w), other = opened(pk, rng, points), opened(pk, rng, points)
     T = (0, 0)
     c_T = backend.g1_add(c, T)
-    shares_T = [at_point(backend.g1_add(w.value, T), w.points[0], w.evals[0]) for w in shares]
+    w_T = Witness(backend.g1_add(w.value, T), w.evals)
     for commitment in (c, c_T):
-        for batch in (shares, shares_T):
-            assert verify_share(pk, [(commitment, batch[0])])
-            assert verify_share(pk, flat([(commitment, batch)]))
-        bad = at_point(shares_T[0].value, shares_T[0].points[0], (shares_T[0].evals[0] + 1) % backend.order)
-        assert not verify_share(pk, [(commitment, bad)])
-        assert not verify_share(pk, flat([(commitment, [bad, *shares_T[1:]])]))
+        for opening in (w, w_T):
+            assert verify_share(pk, points, [(commitment, opening)])
+            assert verify_share(pk, points, [(commitment, opening), other])
+        bad = bumped(w_T, 0, 1, backend.order)
+        assert not verify_share(pk, points, [(commitment, bad)])
+        assert not verify_share(pk, points, [(commitment, bad), other])
 
 
 def test_batch_weights_deterministic_and_bound_to_every_input(ctx):
+    """The weights of a check at one slot are a function of the slot's
+    points and every commitment and witness: any change moves every weight."""
     backend, pk, rng = ctx
-    c, shares = opened_bundle(pk, rng)
-    rho = batch_weights(pk, flat([(c, shares)]))
-    assert rho == batch_weights(pk, flat([(c, list(shares))]))
-    assert len(rho) == len(shares)
+    points = (1, 3, 5, 7)
+    openings = [opened(pk, rng, points) for _ in range(3)]
+    rho = batch_weights(pk, points, openings)
+    assert rho == batch_weights(pk, list(points), [tuple(one) for one in openings])
+    assert len(rho) == len(openings)
     assert all(0 <= r < 1 << 128 for r in rho)
     assert len(set(rho)) == len(rho)
-    variants = [batch_weights(pk, flat([(backend.g1_add(c, backend.g1), shares)]))]
-    for i, w in enumerate(shares):
+    variants = [batch_weights(pk, moved(points, i), openings) for i in range(len(points))]
+    variants.append(batch_weights(pk, points[::-1], openings))
+    for k, (c, w) in enumerate(openings):
         for changed in (
-            at_point(w.value, w.points[0] + 1, w.evals[0]),
-            at_point(w.value, w.points[0], w.evals[0] + 1),
-            at_point(backend.g1_add(w.value, backend.g1), w.points[0], w.evals[0]),
+            (backend.g1_add(c, backend.g1), w),
+            (c, Witness(backend.g1_add(w.value, backend.g1), w.evals)),
+            (c, Witness(w.value, w.evals + (0,))),
+            *((c, bumped(w, i, 1, backend.order)) for i in range(len(points))),
         ):
-            variants.append(batch_weights(pk, flat([(c, shares[:i] + [changed] + shares[i + 1:])])))
+            variants.append(batch_weights(pk, points, openings[:k] + [changed] + openings[k + 1:]))
     for other in variants:
         assert all(a != b for a, b in zip(rho, other))
 
 
-def batch_faults(backend, openings):
-    """(kind, openings) for each fault at each position of the
-    ``(commitment, witnesses)`` batch ``openings``: an eval + 1; an eval + 1
-    and another - 1, which cancel in an unweighted sum; a witness swapped
-    with another commitment's at the same point; two commitments swapped."""
-    slots = [(k, i) for k, (_, ws) in enumerate(openings) for i in range(len(ws))]
+def batch_faults(backend, points, openings):
+    """(kind, points, openings) for each fault of the ``(commitment,
+    witness)`` batch ``openings`` at the slot ``points``: an eval + 1 at each
+    position; an eval + 1 and another - 1, which cancel in an unweighted sum;
+    one evaluation too many or too few; two witnesses swapped; two
+    commitments swapped; and the batch checked at another slot's points."""
+    cells = [(k, i) for k in range(len(openings)) for i in range(len(points))]
 
-    def changed(cells):
-        out = [[c, list(ws)] for c, ws in openings]
-        for (k, i), value in cells.items():
-            if i is None:
-                out[k][0] = value
-            else:
-                out[k][1][i] = value
+    def changed(witnesses={}, commitments={}):
+        return [(commitments.get(k, c), witnesses.get(k, w)) for k, (c, w) in enumerate(openings)]
+
+    def bump(cells_by):
+        out = {}
+        for (k, i), by in cells_by.items():
+            out[k] = bumped(out.get(k, openings[k][1]), i, by, backend.order)
         return out
 
-    def bumped(k, i, by):
-        w = openings[k][1][i]
-        return at_point(w.value, w.points[0], (w.evals[0] + by) % backend.order)
-
-    for k, i in slots:
-        yield "eval", changed({(k, i): bumped(k, i, 1)})
-    for (k, i), (l, j) in combinations(slots, 2):
-        yield "cancelling", changed({(k, i): bumped(k, i, 1), (l, j): bumped(l, j, -1)})
+    for k, i in cells:
+        yield "eval", points, changed(bump({(k, i): 1}))
+    for a, b in combinations(cells, 2):
+        yield "cancelling", points, changed(bump({a: 1, b: -1}))
+    for k, (_, w) in enumerate(openings):
+        yield "count", points, changed({k: Witness(w.value, w.evals + (0,))})
+        yield "count", points, changed({k: Witness(w.value, w.evals[:-1])})
     for k, l in combinations(range(len(openings)), 2):
-        yield "commitments", changed({(k, None): openings[l][0], (l, None): openings[k][0]})
-        for i in range(len(openings[k][1])):
-            yield "witness", changed({(k, i): openings[l][1][i], (l, i): openings[k][1][i]})
+        yield "witnesses", points, changed({k: openings[l][1], l: openings[k][1]})
+        yield "commitments", points, changed(commitments={k: openings[l][0], l: openings[k][0]})
+    for i in range(len(points)):
+        yield "points", moved(points, i), openings
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 4])
@@ -368,13 +374,15 @@ def test_batch_over_commitments_refuses_each_fault_anywhere(ctx, count):
     points, passes when honest and refuses every fault of ``batch_faults``
     at every position."""
     backend, pk, rng = ctx
-    openings = [opened_bundle(pk, rng, points=(2, 5)) for _ in range(count)]
-    assert verify_share(pk, flat(openings))
+    points = (2, 5)
+    openings = [opened(pk, rng, points) for _ in range(count)]
+    assert verify_share(pk, points, openings)
     kinds = Counter()
-    for kind, bad in batch_faults(backend, openings):
+    for kind, at, bad in batch_faults(backend, points, openings):
         kinds[kind] += 1
-        assert not verify_share(pk, flat(bad)), kind
+        assert not verify_share(pk, at, bad), kind
     assert kinds["eval"] == 2 * count and kinds["commitments"] == count * (count - 1) // 2
+    assert kinds["count"] == 2 * count and kinds["points"] == 2
 
 
 @settings(max_examples=max(40, settings.default.max_examples), deadline=None)
@@ -385,8 +393,9 @@ def test_batch_over_commitments_fault_property(data):
     count comes from the active Hypothesis profile."""
     backend, pk = make_pk("exponent", 8)
     rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
-    points = data.draw(st.lists(st.integers(1, 2**20), min_size=1, max_size=3, unique=True), label="points")
-    openings = [opened_bundle(pk, rng, points) for _ in range(data.draw(st.integers(1, 4), label="count"))]
-    assert verify_share(pk, flat(openings))
-    kind, bad = data.draw(st.sampled_from(list(batch_faults(backend, openings))), label="fault")
-    assert not verify_share(pk, flat(bad)), kind
+    points = tuple(data.draw(st.lists(st.integers(1, 2**20), min_size=1, max_size=3, unique=True), label="points"))
+    openings = [opened(pk, rng, points) for _ in range(data.draw(st.integers(1, 4), label="count"))]
+    assert verify_share(pk, points, openings)
+    kind, at, bad = data.draw(st.sampled_from(list(batch_faults(backend, points, openings))), label="fault")
+    assert not verify_share(pk, at, bad), kind
+

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from operator import attrgetter
 
 import pytest
@@ -222,12 +223,24 @@ def test_cli_config_int_past_its_genesis_slot_is_refused(tmp_path, capsys, key, 
     value passed the spec and made the output directory (a ``stake_reward``
     of 2**32 then raised ``struct.error`` at the genesis hash); it is
     refused, naming its JSON key, and nothing is written.  The largest value
-    itself passes the spec."""
+    itself fits its slot: it passes the spec, or, for a committee larger
+    than the 10 peers or a 2-class model given more classes, is refused for
+    that alone."""
     data = small_spec().to_dict()
     *outer, leaf = key.split(".")
     target = data[outer[0]] if outer else data
     target[leaf] = (1 << bits) - 1
-    assert attrgetter(key)(spec_from_dict(data)) == (1 << bits) - 1
+    largest_refused = {
+        "number_of_noisers": "number_of_noisers must be at most 9 with 10 nodes,",
+        "number_of_verifiers": "number_of_verifiers must be at most 10 with 10 nodes,",
+        "number_of_aggregators": "number_of_aggregators must be at most 10 with 10 nodes,",
+        "dataset.classes": "logreg handles exactly two classes",
+    }
+    if key in largest_refused:
+        with pytest.raises(ValueError, match=largest_refused[key]):
+            spec_from_dict(data)
+    else:
+        assert attrgetter(key)(spec_from_dict(data)) == (1 << bits) - 1
     target[leaf] = 1 << bits
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(data))
@@ -263,7 +276,7 @@ def test_cli_dataset_too_small_for_its_split_is_refused(tmp_path, capsys, rows):
          "number_of_verifiers must be at most 4 with 4 nodes, got 5"),
         ({"number_of_nodes": 4, "number_of_aggregators": 5},
          "number_of_aggregators must be at most 4 with 4 nodes, got 5"),
-        ({"number_of_aggregators": 7, "dataset": DatasetSpec(features=1, shard_size=60, validation_size=300)},
+        ({"number_of_aggregators": 7, "dataset": {"features": 1, "shard_size": 60, "validation_size": 300}},
          "7 aggregators for only 6 share points"),
     ],
     ids=["noisers", "verifiers", "aggregators", "share-points"],
@@ -272,28 +285,32 @@ def test_cli_committee_or_share_layout_that_cannot_be_drawn_is_refused(tmp_path,
     """A peer draws its noisers from the other peers, each committee from
     all of them, and one feature gives only 6 share points.  With 10 noisers
     among 10 peers the run sealed nothing and exited 0; the other three
-    raised mid-run.  Each is refused before the dataset is made, and no
-    metrics are written."""
+    raised mid-run.  Each is refused when the spec is loaded, and nothing
+    is written."""
     cfg = tmp_path / "cfg.json"
-    save_spec(cfg, small_spec(**over))
+    cfg.write_text(json.dumps({**small_spec().to_dict(), **over}))
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
-    assert not (out / "metrics.csv").exists()
+    assert not out.exists()
 
 
 def test_cli_committees_that_can_leave_too_few_updaters_are_refused(tmp_path, capsys):
     """A verifier signs off only on 3 pooled submissions.  5 peers with 2
     verifiers and 2 aggregators leave 1 to 3 updaters a round, and such a
-    run sealed 1 of 3 rounds and exited 0.  It is refused before the dataset
-    is made, naming the keys; 7 peers leave at least 3 and run."""
+    run sealed 1 of 3 rounds and exited 0.  It is refused when the spec is
+    made or loaded, naming the keys, and nothing is written; 7 peers leave
+    at least 3 and run."""
+    few = {"number_of_nodes": 5, "number_of_verifiers": 2, "number_of_aggregators": 2}
+    message = "number_of_nodes - number_of_verifiers - number_of_aggregators must be at least 3, got 5 - 2 - 2 = 1"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        small_spec(**few)
     cfg = tmp_path / "cfg.json"
-    save_spec(cfg, small_spec(number_of_nodes=5, number_of_verifiers=2, number_of_aggregators=2))
+    cfg.write_text(json.dumps({**small_spec().to_dict(), **few}))
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
-    message = "number_of_nodes - number_of_verifiers - number_of_aggregators must be at least 3, got 5 - 2 - 2 = 1"
     assert message in capsys.readouterr().err
-    assert not (out / "metrics.csv").exists()
+    assert not out.exists()
     env = build_environment(small_spec(number_of_nodes=7, number_of_verifiers=2, number_of_aggregators=2))
     assert len(env.datasets) == 7
 

@@ -29,9 +29,11 @@ BACKEND = get_backend("exponent")
 MOD = BACKEND.order
 
 
-def pairs(bundle):
-    """The (point, value) pairs that a lone dealer's ``bundle`` sums to."""
-    return list(zip(bundle.opening.points, bundle.opening.evals))
+def pairs(bundles, d):
+    """The (point, value) pairs that a lone dealer's degree-``d`` ``bundles``
+    sum to: each aggregator's evals paired with its slot."""
+    layout = slots(d, list(bundles))
+    return [s for agg, b in bundles.items() for s in zip(layout[agg], b.opening.evals)]
 
 
 def make_update(rng, d):
@@ -58,9 +60,9 @@ def test_dealt_shares_all_verify():
     bundles = deal(q, pk, [0, 1, 2], dealer=9)
     assert set(bundles) == {0, 1, 2}
     c = commit(pk, q)
-    for b in bundles.values():
-        assert b.entry.commitment == c
-        assert verify_share(pk, [(c, b.opening)])
+    for agg, points in slots(6, [0, 1, 2]).items():
+        assert bundles[agg].entry.commitment == c
+        assert verify_share(pk, points, [(c, bundles[agg].opening)])
 
 
 def test_too_many_aggregators_rejected():
@@ -95,7 +97,7 @@ def test_accept_bundle_majority_and_shares(monkeypatch):
     monkeypatch.setattr(signatures, "verify", counted)
 
     def accepts(b):
-        return accept_bundle(b, verifiers, aggregators, pubkeys, pk, points, checks)
+        return accept_bundle(b, verifiers, aggregators, pubkeys, pk, checks)
 
     def with_entry(**changes):
         return dataclasses.replace(bundle, entry=dataclasses.replace(bundle.entry, **changes))
@@ -109,8 +111,10 @@ def test_accept_bundle_majority_and_shares(monkeypatch):
     assert accepts(with_sigs(dataclasses.replace(s) for s in signoffs))
     assert len(checked) == len(verifiers)
 
-    # another aggregator's shares open the commitment, but not at these points
-    assert not accepts(bundles[1])
+    # another aggregator's shares open the commitment, but not at these
+    # points: they pass the gates and fail the pooled opening check
+    assert accepts(bundles[1])
+    assert failing_dealers([bundles[1]], pk, points) == [dealer]
 
     # exactly half (1 of 3 -> floor majority boundary: 1 <= 1) is not enough
     assert not accepts(with_sigs(signoffs[:1]))
@@ -120,10 +124,10 @@ def test_accept_bundle_majority_and_shares(monkeypatch):
 
     # a forged eval passes the gates and fails the pooled opening check
     w = bundle.opening
-    bad = Witness(w.value, w.points, ((w.evals[0] + 1) % MOD,) + w.evals[1:])
+    bad = Witness(w.value, ((w.evals[0] + 1) % MOD,) + w.evals[1:])
     forged = dataclasses.replace(bundle, opening=bad)
     assert accepts(forged)
-    assert failing_dealers([forged], pk) == [dealer] and failing_dealers([bundle], pk) == []
+    assert failing_dealers([forged], pk, points) == [dealer] and failing_dealers([bundle], pk, points) == []
 
     # a sign-off from outside the committee does not count
     outsider = keygen(BACKEND, b"outsider")
@@ -189,7 +193,7 @@ def test_recover_hand_example():
     q = QuantizedPoly((3, 2, 1), MOD)
     c = commit(pk, q)
     bundles = deal(q, pk, [0, 1, 2], dealer=0)
-    agg = [s for b in bundles.values() for s in pairs(b)]
+    agg = pairs(bundles, 2)
     evals = dict(agg)
     assert (evals[1], evals[2], evals[3]) == (6, 11, 18)
     recovered = recover_aggregate([(z, y) for z, y in agg if z <= 3], pk, c)
@@ -202,7 +206,7 @@ def test_threshold_d_points_insufficient():
     q = make_update(rng, 5)
     c = commit(pk, q)
     bundles = deal(q, pk, [0, 1], dealer=0)
-    all_shares = [s for b in bundles.values() for s in pairs(b)]
+    all_shares = pairs(bundles, 5)
     with pytest.raises(ShareRecoveryError, match="insufficient"):
         recover_aggregate(all_shares[: pk.degree], pk, c)
     recovered = recover_aggregate(all_shares[: pk.degree + 1], pk, c)
@@ -234,7 +238,7 @@ def test_recovery_rejects_tampered_sum():
     q = make_update(rng, 4)
     c = commit(pk, q)
     bundles = deal(q, pk, [0, 1], dealer=0)
-    shares = [s for b in bundles.values() for s in pairs(b)]
+    shares = pairs(bundles, 4)
     bad = (shares[0][0], (shares[0][1] + 1) % MOD)
     with pytest.raises(ShareRecoveryError):
         recover_aggregate([bad] + shares[1:], pk, c)
@@ -249,7 +253,7 @@ def test_recovery_reads_the_lowest_d_plus_1_points():
     q = make_update(rng, 4)
     c = commit(pk, q)
     bundles = deal(q, pk, [0, 1], dealer=0)
-    shares = sorted(s for b in bundles.values() for s in pairs(b))
+    shares = sorted(pairs(bundles, 4))
     needed = pk.degree + 1
 
     def wrong_at(i):
@@ -298,39 +302,46 @@ def random_update(rng, d, backend=BACKEND):
 def test_every_slot_opens_and_verifies():
     """For d 1-12 and every admitted m, each slot of ``slots(d, range(m))``
     opens with one witness whose evals are the update's at the slot's
-    points; it verifies alone, and the m openings verify as one batch."""
+    points; it verifies alone and in one batch with another dealer's
+    opening at that slot, and is refused when checked at the next slot's
+    points."""
     rng = random.Random(12)
     for d in range(1, 13):
         pk = trusted_setup(BACKEND, d, b"slots")
-        q = random_update(rng, d)
-        c = commit(pk, q)
+        q, other = random_update(rng, d), random_update(rng, d)
+        c, c_other = commit(pk, q), commit(pk, other)
         for m in range(2, 2 * (d + 1) + 1):
-            openings = []
-            for points in slots(d, range(m)).values():
+            layout = list(slots(d, range(m)).values())
+            for k, points in enumerate(layout):
                 w = create_witness(pk, q, points)
-                assert w.points == tuple(points)
                 assert w.evals == tuple(poly_eval(list(q.coeffs), z, MOD) for z in points)
-                assert verify_share(pk, [(c, w)]), (d, m, points)
-                openings.append((c, w))
-            assert verify_share(pk, openings), (d, m)
+                assert verify_share(pk, points, [(c, w)]), (d, m, points)
+                assert verify_share(pk, points, [(c, w), (c_other, create_witness(pk, other, points))]), (d, m, points)
+                assert not verify_share(pk, layout[(k + 1) % m], [(c, w)]), (d, m, points)
 
 
-def slot_faults(backend, d, c, w):
-    """(kind, commitment, witness) for each fault of one slot opening: an
-    eval + 1, a point moved off the layout, the witness value + g1, the
-    commitment + g1, and, on two or more points, one eval + 1 and another - 1."""
-    order, n = backend.order, 2 * (d + 1)
+def slot_faults(backend, layout, k, c, w):
+    """(kind, points, commitment, witness) for each fault of the opening
+    ``w`` of ``c`` at slot ``k`` of ``layout``: an eval + 1; a check at
+    another slot's points; one evaluation too many or too few; the witness
+    value + g1; the commitment + g1; and, on two or more points, one eval +
+    1 and another - 1."""
+    order, points = backend.order, layout[k]
 
     def with_evals(changes):
-        return Witness(w.value, w.points, tuple((y + changes.get(i, 0)) % order for i, y in enumerate(w.evals)))
+        return Witness(w.value, tuple((y + changes.get(i, 0)) % order for i, y in enumerate(w.evals)))
 
-    for i in range(len(w.points)):
-        yield "eval", c, with_evals({i: 1})
-        yield "point", c, Witness(w.value, w.points[:i] + (w.points[i] + n,) + w.points[i + 1:], w.evals)
-    yield "witness", c, Witness(backend.g1_add(w.value, backend.g1), w.points, w.evals)
-    yield "commitment", backend.g1_add(c, backend.g1), w
-    for i, j in combinations(range(len(w.points)), 2):
-        yield "cancelling", c, with_evals({i: 1, j: -1})
+    for i in range(len(points)):
+        yield "eval", points, c, with_evals({i: 1})
+    for j, other in enumerate(layout):
+        if j != k:
+            yield "slot", other, c, w
+    yield "count", points, c, Witness(w.value, w.evals + (0,))
+    yield "count", points, c, Witness(w.value, w.evals[:-1])
+    yield "witness", points, c, Witness(backend.g1_add(w.value, backend.g1), w.evals)
+    yield "commitment", points, backend.g1_add(c, backend.g1), w
+    for i, j in combinations(range(len(points)), 2):
+        yield "cancelling", points, c, with_evals({i: 1, j: -1})
 
 
 @settings(max_examples=max(40, settings.default.max_examples), deadline=None)
@@ -343,17 +354,19 @@ def test_slot_opening_fault_property(data):
     Hypothesis profile."""
     d = data.draw(st.integers(1, 12), label="d")
     m = data.draw(st.integers(2, 2 * (d + 1)), label="m")
-    points = data.draw(st.sampled_from(list(slots(d, range(m)).values())), label="slot")
+    layout = list(slots(d, range(m)).values())
+    slot = data.draw(st.integers(0, m - 1), label="slot")
     rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
     pk = trusted_setup(BACKEND, d, b"slots")
     openings = []
     for _ in range(data.draw(st.integers(1, 3), label="dealers")):
         q = random_update(rng, d)
-        openings.append((commit(pk, q), create_witness(pk, q, points)))
-    assert verify_share(pk, openings)
+        openings.append((commit(pk, q), create_witness(pk, q, layout[slot])))
+    assert verify_share(pk, layout[slot], openings)
     k = data.draw(st.integers(0, len(openings) - 1), label="faulty dealer")
-    kind, c, w = data.draw(st.sampled_from(list(slot_faults(BACKEND, d, *openings[k]))), label="fault")
-    assert not verify_share(pk, openings[:k] + [(c, w)] + openings[k + 1:]), kind
+    faults = list(slot_faults(BACKEND, layout, slot, *openings[k]))
+    kind, points, c, w = data.draw(st.sampled_from(faults), label="fault")
+    assert not verify_share(pk, points, openings[:k] + [(c, w)] + openings[k + 1:]), kind
 
 
 @pytest.mark.parametrize("d", [1, 3, 6])
@@ -365,44 +378,56 @@ def test_a_slot_of_d_plus_1_points_opens_with_the_identity(d):
     pk = trusted_setup(BACKEND, d, b"full")
     q = random_update(rng, d)
     c = commit(pk, q)
-    ws = [create_witness(pk, q, points) for points in slots(d, [0, 1]).values()]
-    assert all(len(w.points) == d + 1 and w.value == BACKEND.g1_identity for w in ws)
-    assert verify_share(pk, [(c, w) for w in ws])
+    layout = list(slots(d, [0, 1]).values())
+    ws = [create_witness(pk, q, points) for points in layout]
+    assert all(len(w.evals) == d + 1 and w.value == BACKEND.g1_identity for w in ws)
+    assert all(verify_share(pk, points, [(c, w)]) for points, w in zip(layout, ws))
     for value in (BACKEND.g1, rng.randrange(1, MOD)):
-        bad = Witness(value, ws[0].points, ws[0].evals)
-        assert not verify_share(pk, [(c, bad)])
-        assert not verify_share(pk, [(c, bad), (c, ws[1])])
+        bad = Witness(value, ws[0].evals)
+        assert not verify_share(pk, layout[0], [(c, bad)])
+        assert not verify_share(pk, layout[0], [(c, bad), (c, ws[0])])
 
 
-def test_one_batch_over_two_point_sets_names_only_the_bad_dealer():
-    """Bundles at two aggregators' slots (5 and 4 points of a degree-6
-    update over m = 3) are checked as one batch; with one dealer's eval off
-    by one, ``failing_dealers`` names that dealer alone."""
+def test_failing_dealers_names_only_the_bad_dealers_at_a_slot():
+    """Six dealers' bundles for aggregators 1 and 2 (5 and 4 points of a
+    degree-6 update over m = 3) are checked as one batch at each slot; with
+    one dealer's eval off by one and another dealer's bundle for the other
+    aggregator among them, ``failing_dealers`` names those two alone."""
     rng = np.random.default_rng(8)
     pk = trusted_setup(BACKEND, 6, b"s")
     aggregators = [0, 1, 2]
-    bundles = [deal(make_update(rng, 6), pk, aggregators, dealer=10 + i)[(1, 2)[i % 2]] for i in range(6)]
-    assert {len(b.opening.points) for b in bundles} == {5, 4}
-    assert verify_share(pk, [(b.entry.commitment, b.opening) for b in bundles])
-    assert failing_dealers(bundles, pk) == []
-    w = bundles[3].opening
-    bundles[3] = dataclasses.replace(bundles[3], opening=Witness(w.value, w.points, (w.evals[0] + 1,) + w.evals[1:]))
-    assert failing_dealers(bundles, pk) == [13]
+    layout = slots(6, aggregators)
+    dealt = [deal(make_update(rng, 6), pk, aggregators, dealer=10 + i) for i in range(6)]
+    for agg, other in ((1, 2), (2, 1)):
+        points, bundles = layout[agg], [d[agg] for d in dealt]
+        assert {len(b.opening.evals) for b in bundles} == {len(points)}
+        assert verify_share(pk, points, [(b.entry.commitment, b.opening) for b in bundles])
+        assert failing_dealers(bundles, pk, points) == []
+        w = bundles[3].opening
+        bundles[3] = dataclasses.replace(bundles[3], opening=Witness(w.value, (w.evals[0] + 1,) + w.evals[1:]))
+        bundles[4] = dealt[4][other]
+        assert failing_dealers(bundles, pk, points) == [13, 14]
 
 
 def test_slot_openings_on_pairing():
     """Spot check on the Tate-pairing group, d = 3: every slot at m = 2 (the
-    identity witness) and m = 3 opens, the slots of each layout verify as
-    one batch, and a wrong eval or a non-identity full-slot witness is refused."""
+    identity witness) and m = 3 opens, two dealers' openings at each slot
+    verify as one batch, and a wrong eval, a check at another slot's points
+    or a non-identity full-slot witness is refused."""
     pairing = get_backend("pairing")
     pk = trusted_setup(pairing, 3, b"pairing-slots")
-    q = random_update(random.Random(3), 3, pairing)
-    c = commit(pk, q)
+    rng = random.Random(3)
+    q, other = random_update(rng, 3, pairing), random_update(rng, 3, pairing)
+    c, c_other = commit(pk, q), commit(pk, other)
     for m in (2, 3):
-        ws = [create_witness(pk, q, points) for points in slots(3, range(m)).values()]
+        layout = list(slots(3, range(m)).values())
+        ws = [create_witness(pk, q, points) for points in layout]
         assert all((w.value == pairing.g1_identity) == (m == 2) for w in ws)
-        assert verify_share(pk, [(c, w) for w in ws])
-        bad = Witness(ws[-1].value, ws[-1].points, ((ws[-1].evals[0] + 1) % pairing.order,) + ws[-1].evals[1:])
-        assert not verify_share(pk, [(c, w) for w in ws[:-1]] + [(c, bad)])
+        for k, (points, w) in enumerate(zip(layout, ws)):
+            honest = (c_other, create_witness(pk, other, points))
+            assert verify_share(pk, points, [honest, (c, w)])
+            bad = Witness(w.value, ((w.evals[0] + 1) % pairing.order,) + w.evals[1:])
+            assert not verify_share(pk, points, [honest, (c, bad)])
+            assert not verify_share(pk, layout[(k + 1) % m], [(c, w)])
     full = create_witness(pk, q, slots(3, [0, 1])[0])
-    assert not verify_share(pk, [(c, Witness(pairing.g1, full.points, full.evals))])
+    assert not verify_share(pk, slots(3, [0, 1])[0], [(c, Witness(pairing.g1, full.evals))])
