@@ -1,11 +1,12 @@
 """Constant-size polynomial commitments with verifiable openings at point sets.
 
 A trusted setup produces the powers alpha^j * g1 of the one generator,
-starting with g1 itself; a commitment C to the coefficients c_j is
-c_0 * g1, over g1's fixed-base comb, plus one ``msm`` of the other powers.
-Only the blinding slot c_0 is a full-size scalar; the data coefficients and
-witness quotients (c_0 falls into the remainder) are small centered residues,
-so the ``msm``'s doubling chain is as long as the largest of those.
+starting with g1 itself; a commitment C to the coefficients c_j is the sum
+of c_j * alpha^j * g1, one ``fixed_msm`` over the key's prepared powers.
+Only the blinding slot c_0 is a full-size scalar, taken from g1's comb; the
+data coefficients are small centered residues, added by their wNAF digits
+in the same 32 doublings.  Witness quotients (c_0 falls into the remainder)
+are small too and are committed the same way.
 
 Opening at a point set S (a slot) ships the evaluations y_s = phi(s), s in
 S, and a commitment W_S = [q_S(alpha)] to the quotient of phi by the monic
@@ -83,10 +84,11 @@ class CommitPK:
     """Public commitment key: the powers alpha^j * g1.
 
     ``degree`` is the highest polynomial degree the key supports, so there
-    are ``degree + 1`` powers.  ``commit`` multiplies the first through
-    ``g1_base`` and the share check pairs with it, so a key whose first
-    power is not g1 is refused, and so is a key of one power, which
-    commits to constants only.
+    are ``degree + 1`` powers.  ``bases`` holds them as
+    ``backend.prepare_base`` prepared them, the first as ``g1_base``; each
+    builds its tables at first use.  The share check pairs with the first
+    power, so a key whose first power is not g1 is refused, and so is a key
+    of one power, which commits to constants only.
     """
 
     def __init__(self, backend, powers):
@@ -96,7 +98,7 @@ class CommitPK:
             raise ValueError("a commitment key has at least two powers")
         if self.powers[0] != backend.g1:
             raise ValueError("the first power of a commitment key must be g1")
-        self._bases = [backend.g1_base]
+        self.bases = [backend.g1_base, *map(backend.prepare_base, self.powers[1:])]
         self._slots = {}
 
     @cached_property
@@ -104,13 +106,6 @@ class CommitPK:
         """g1 prepared as the fixed first pairing argument of every share
         check, built at the first one."""
         return self.backend.prepare_pair(self.powers[0])
-
-    def bases(self, count: int) -> list:
-        """The first ``count`` powers as ``backend.prepare_base`` prepared
-        them, each built at its first use."""
-        while len(self._bases) < count:
-            self._bases.append(self.backend.prepare_base(self.powers[len(self._bases)]))
-        return self._bases[:count]
 
     def slot(self, points) -> Slot:
         """The memo of the point set ``points``, reduced mod the order and
@@ -130,7 +125,7 @@ class CommitPK:
         vanishing = polynomials.vanishing(key, order)
         prepared = None
         if len(key) <= self.degree:
-            prepared = self.backend.prepare_pair(self.backend.msm(self.powers[: len(vanishing)], vanishing))
+            prepared = self.backend.prepare_pair(self.backend.fixed_msm(self.bases, vanishing))
         slot = self._slots[key] = Slot(key, vanishing, polynomials.lagrange_basis(key, order), prepared)
         return slot
 
@@ -179,8 +174,7 @@ def commit(pk: CommitPK, poly: QuantizedPoly):
         raise ValueError("polynomial field does not match the commitment key")
     if poly.dim > pk.degree:
         raise ValueError(f"polynomial degree {poly.dim} exceeds key degree {pk.degree}")
-    b, coeffs = pk.backend, poly.coeffs
-    return b.g1_add(b.fixed_msm([b.g1_base], coeffs[:1]), b.msm(pk.powers[1:], coeffs[1:]))
+    return pk.backend.fixed_msm(pk.bases, poly.coeffs)
 
 
 def combine(backend, commitments):
@@ -203,7 +197,7 @@ def create_witness(pk: CommitPK, poly: QuantizedPoly, points) -> Witness:
     slot, order = pk.slot(points), pk.backend.order
     quotient, remainder = polynomials.divide_monic(list(poly.coeffs), slot.vanishing, order)
     evals = tuple(polynomials.poly_eval(remainder, z, order) for z in slot.points)
-    return Witness(pk.backend.msm(pk.powers[: len(quotient)], quotient), evals)
+    return Witness(pk.backend.fixed_msm(pk.bases, quotient), evals)
 
 
 def batch_weights(pk: CommitPK, points, openings) -> list[int]:
@@ -242,7 +236,7 @@ def verify_share(pk: CommitPK, points, openings) -> bool:
             interpolant[k] -= y * c
     folded = backend.g1_add(
         backend.msm([c for c, _ in openings], rho),
-        backend.fixed_msm(pk.bases(len(interpolant)), [k % order for k in interpolant]),
+        backend.fixed_msm(pk.bases, [k % order for k in interpolant]),
     )
     prepared, terms = [pk.share_check_key], [folded]
     if slot.prepared is not None:

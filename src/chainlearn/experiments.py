@@ -462,7 +462,8 @@ def run_named_experiment(spec: ExperimentSpec, out_dir) -> dict:
     """Run the experiment named by spec.name; writes CSVs (plus chain/PGM
     artifacts) and metadata.json into out_dir and returns a summary dict.
     A sweep key the experiment does not read is refused before out_dir is
-    made."""
+    made; a run refused before it writes anything (its data refused by
+    ``build_environment``, say) removes the directories it made."""
     if spec.name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {spec.name!r}")
     runner, sweep_keys = EXPERIMENTS[spec.name]
@@ -472,8 +473,16 @@ def run_named_experiment(spec: ExperimentSpec, out_dir) -> dict:
             f"experiment {spec.name!r} does not read sweep key {unread[0]!r}; "
             f"it reads {list(sweep_keys)}"
         )
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # innermost first
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary = {"experiment": spec.name, **runner(spec, out_dir)}
+    try:
+        summary = {"experiment": spec.name, **runner(spec, out_dir)}
+    except ValueError:
+        for d in made:
+            if any(d.iterdir()):
+                break
+            d.rmdir()
+        raise
     write_metadata(out_dir, spec, {"summary": summary})
     return summary
 

@@ -23,24 +23,31 @@ Both expose: ``order``, the generator ``g1`` (the pairing is symmetric, so
 it serves both arguments), group ops, multi-scalar multiplication
 ``msm(points, scalars)`` (on the curve ``g1_mul`` is its one-term case),
 the same product ``fixed_msm(prepared, scalars)`` over fixed bases prepared
-once by ``prepare_base`` (``g1_base`` is g1's, built with the backend, and
+by ``prepare_base`` (``g1_base`` is g1's, made with the backend, and
 ``base_point`` gives a prepared base's point back), pairing products
 ``multi_pair(prepared, points)`` over first arguments prepared once by
 ``prepare_pair`` (``pair`` is the one-term case), the target-group identity
 ``gt_one`` and power ``gt_pow``, and canonical serialization.
 
-On the curve a prepared base is P with its 8-tooth Lim-Lee comb (CRYPTO
-1994), in signed form: 128 affine points, about 33 kB, whose negations
-cover the other half of the signed sums of the teeth 2^(32j) * P.  A
-product of any number of fixed bases then costs one shared chain of 32
-doublings and one addition per term and column (Brickell, Gordon, McCurley
-and Wilson, EUROCRYPT 1992, precompute fixed-base powers the same way).  On
-the debug group a prepared base is the element itself.
+On the curve a prepared base holds P and two tables, each built at its
+first use, so preparing a base costs nothing: P's 8-tooth Lim-Lee comb
+(CRYPTO 1994), in signed form (128 affine points, about 33 kB, whose
+negations cover the other half of the signed sums of the teeth
+2^(32j) * P), and P's odd multiples P, 3P, ..., 15P.  ``fixed_msm`` runs
+one chain of 32 doublings for any number of terms.  A scalar whose
+centered residue is below 2^31 in size is short: its width-5 NAF has at
+most 32 digits, so it is added from the odd multiples, one addition per
+nonzero digit (Moller, SAC 2001, interleaves such wNAF terms); any other
+scalar takes one addition per comb column (Brickell, Gordon, McCurley and
+Wilson, EUROCRYPT 1992, precompute fixed-base powers the same way).  A base
+that only ever takes full-size scalars never builds its odd multiples.
+``msm`` builds the odd multiples of its points on every call, and its chain
+is as long as its longest scalar.  On the debug group a prepared base is
+the element itself.
 
 On the curve ``msm``, ``fixed_msm`` and ``g1_mul`` take each scalar k as its
 centered residue mod r: for k > r/2 they multiply -P by r - k, so a small
-negative number stored mod r costs as few doublings as a small positive
-one.  The three agree on every decodable point.  On the order-r subgroup
+negative number stored mod r is as cheap as a small positive one.  The three agree on every decodable point.  On the order-r subgroup
 this is k * P.  Decoders still admit other points (see ROADMAP), and there
 a product can differ from the plain residue's by a multiple of r * P, of
 order prime to r, on which the pairing is 1: verdicts do not change.
@@ -50,6 +57,8 @@ Curve parameters were generated once by
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 # --- frozen supersingular curve parameters ---------------------------------
 # r prime, r = 2^255 + 95 (Hamming weight 7 keeps the Miller loop short)
@@ -194,49 +203,62 @@ _WNAF_MOD = 1 << _WNAF_WIDTH
 _WNAF_TABLE = 1 << (_WNAF_WIDTH - 2)  # odd multiples P, 3P, ..., 15P
 
 
-def _wnaf(k):
-    """Width-5 NAF digits of k, least significant first: every nonzero digit
-    is odd with |digit| < 16, and at most one of any five consecutive digits
-    is nonzero.  The digits of -k are those of k negated."""
-    digits = []
+def _odd_multiples(points, p=_P):
+    """P, 3P, ..., 15P for each of ``points``, in affine form, one batched
+    inversion per multiple for all of them."""
+    tables = [[P] for P in points]
+    doubles = _pt_add_many([(P, P) for P in points], p)
+    for _ in range(_WNAF_TABLE - 1):
+        for table, Q in zip(tables, _pt_add_many([(t[-1], D) for t, D in zip(tables, doubles)], p)):
+            table.append(Q)
+    return tables
+
+
+def _wnaf_adds(odd, k, p=_P):
+    """k * P as the points a doubling chain adds, least significant first:
+    k's width-5 NAF digits, each nonzero one odd with |d| < 16 and at most
+    one of any five consecutive ones nonzero, as the signed multiple d * P
+    read from P's odd multiples ``odd``, and None for a zero digit."""
+    adds = []
     while k:
-        d = 0
+        Q = None
         if k & 1:
             d = k & (_WNAF_MOD - 1)
             if d >= _WNAF_MOD // 2:
                 d -= _WNAF_MOD
             k -= d
-        digits.append(d)
+            x, y = odd[abs(d) >> 1]
+            Q = (x, y if d > 0 else p - y)
+        adds.append(Q)
         k >>= 1
-    return digits
+    return adds
+
+
+def _chain(terms, p=_P):
+    """The sum over ``terms`` of sum_n 2^n * A_n, where entry n of a term is
+    the affine point A_n or None: one shared chain of Jacobian doublings, as
+    long as the longest term, and a single inversion back to affine form."""
+    X, Y, Z = 0, 1, 0
+    for n in range(max(map(len, terms), default=0) - 1, -1, -1):
+        if Z:
+            X, Y, Z = _jac_dbl(X, Y, Z, p)
+        for adds in terms:
+            if n < len(adds) and adds[n]:
+                x, y = adds[n]
+                X, Y, Z = _jac_madd(X, Y, Z, x, y, p)
+    return _to_affine(X, Y, Z, p)
 
 
 def _msm(points, scalars, p=_P):
     """Sum of k_i * P_i for affine points and integer scalars k_i, unreduced.
 
-    Straus's interleaving: each base's odd multiples P, 3P, ..., 15P are
-    computed per call in affine form, one batched inversion per multiple for
-    all bases; one shared chain of Jacobian doublings, as long as the
-    longest |k_i|, then adds, for every term, the multiple named by its wNAF
-    digit, and a single inversion returns the sum to affine coordinates.
+    Straus's interleaving: each point's odd multiples are computed per call,
+    and one chain, as long as the longest |k_i|, adds for every term the
+    multiple named by its wNAF digit.
     """
     terms = [(P, k) for P, k in zip(points, scalars) if P is not None and k != 0]
-    tables = [[P] for P, _ in terms]
-    doubles = _pt_add_many([(P, P) for P, _ in terms], p)
-    for _ in range(_WNAF_TABLE - 1):
-        for table, Q in zip(tables, _pt_add_many([(t[-1], D) for t, D in zip(tables, doubles)], p)):
-            table.append(Q)
-    nafs = [_wnaf(k) for _, k in terms]
-    X, Y, Z = 0, 1, 0
-    for i in range(max(map(len, nafs), default=0) - 1, -1, -1):
-        if Z:
-            X, Y, Z = _jac_dbl(X, Y, Z, p)
-        for table, naf in zip(tables, nafs):
-            if i < len(naf) and naf[i]:
-                d = naf[i]
-                x, y = table[abs(d) >> 1]
-                X, Y, Z = _jac_madd(X, Y, Z, x, y if d > 0 else p - y, p)
-    return _to_affine(X, Y, Z, p)
+    tables = _odd_multiples([P for P, _ in terms], p)
+    return _chain([_wnaf_adds(odd, k, p) for odd, (_, k) in zip(tables, terms)], p)
 
 
 _COMB_TEETH = 8
@@ -244,14 +266,15 @@ _COMB_SPACING = -(-_R.bit_length() // _COMB_TEETH)  # 32 columns cover any scala
 _COMB_BITS = f"0{_COMB_TEETH * _COMB_SPACING}b"
 _COMB_ONES = (1 << (_COMB_TEETH * _COMB_SPACING)) - 1
 _COMB_TOP = 1 << (_COMB_TEETH - 1)  # a column's digit of the top tooth
+_SHORT = 1 << (_COMB_SPACING - 1)  # |k| below this: k's wNAF fits the comb's chain
 
 
 def _comb_table(P, p=_P):
-    """P and its signed Lim-Lee comb: entry m < 2^7 is 2^224 * P plus, for
+    """The signed Lim-Lee comb of P: entry m < 2^7 is 2^224 * P plus, for
     each j < 7, 2^(32j) * P if bit j of m is set and minus it if not.  The
     entries' negations are the other signed tooth sums.  A tooth that
-    vanishes (P the identity or of order 2) is None, which additions skip."""
-    X, Y, Z = (P[0], P[1], 1) if P is not None else (0, 1, 0)
+    vanishes (P of order 2) is None, which additions skip."""
+    X, Y, Z = P[0], P[1], 1
     chain = [(X, Y, Z)]
     for _ in range(_COMB_TEETH - 1):
         for _ in range(_COMB_SPACING):
@@ -261,41 +284,61 @@ def _comb_table(P, p=_P):
     table = [teeth.pop()]
     for tooth in teeth:
         table = _pt_add_many([(T, _pt_neg(tooth)) for T in table] + [(T, tooth) for T in table], p)
-    return P, tuple(table)
+    return tuple(table)
 
 
-def _comb_msm(combs, scalars, p=_P):
-    """Sum of k_i * P_i from the P_i's combs, for |k_i| <= r.
+def _comb_adds(comb, k, p=_P):
+    """k * P for |k| <= r as the points the last 32 steps of a doubling
+    chain add, least significant first, read from P's ``comb``.
 
     An odd k is the sum of (2 b_n - 1) * 2^n over n < 256, where b_n are the
-    bits of (k + 2^256 - 1) / 2; an even k is done as k + 1, subtracting P
-    at the end.  For a negative k these bits are those of -k complemented:
+    bits of (k + 2^256 - 1) / 2; an even k is done as k + 1, and the caller
+    subtracts P.  For a negative k these bits are those of -k complemented:
     its magnitude with every column's sign flipped, and k + 1 moves towards
     zero, which flips the correction.  Column i, digits i, i + 32, ...,
-    i + 224, is a table entry or its negation.  Columns are added from
-    i = 31 down, one doubling apart, so all terms share 32 doublings and
-    one final inversion.
+    i + 224, is a table entry or its negation, added i steps before the end.
     """
-    terms, last = [], []
-    for (P, table), k in zip(combs, scalars):
-        if k == 0:
+    bits = format(((k | 1) + _COMB_ONES) >> 1, _COMB_BITS)  # column 31 - c is bits[c::32]
+    adds = []
+    for c in range(_COMB_SPACING - 1, -1, -1):
+        m = int(bits[c::_COMB_SPACING], 2)  # top digit +1: entry m - 2^7, else the negation of entry 127 - m
+        Q = comb[(m if m & _COMB_TOP else ~m) & (_COMB_TOP - 1)]
+        adds.append(None if Q is None else (Q[0], Q[1] if m & _COMB_TOP else p - Q[1]))
+    return adds
+
+
+class _Base:
+    """A fixed base of ``fixed_msm``: the point P, its comb and its odd
+    multiples P, 3P, ..., 15P, each table built at its first use."""
+
+    def __init__(self, point):
+        self.point = point
+
+    @cached_property
+    def comb(self):
+        return _comb_table(self.point)
+
+    @cached_property
+    def odd(self):
+        return _odd_multiples([self.point])[0]
+
+
+def _fixed_msm(bases, scalars, p=_P):
+    """Sum of k_i * P_i over prepared bases, for |k_i| <= r, in one chain of
+    32 doublings: a k_i below 2^31 in size by its wNAF digits from P_i's odd
+    multiples, any other k_i from P_i's comb, with -P_i added at the end for
+    an even one."""
+    terms = []
+    for base, k in zip(bases, scalars):
+        if base.point is None or k == 0:
             continue
-        bits = format(((k | 1) + _COMB_ONES) >> 1, _COMB_BITS)  # column 31 - c is bits[c::32]
-        terms.append((table, [int(bits[c::_COMB_SPACING], 2) for c in range(_COMB_SPACING)]))
-        if not k & 1 and P is not None:
-            last.append(P)
-    X, Y, Z = 0, 1, 0
-    for c in range(_COMB_SPACING):
-        if Z:
-            X, Y, Z = _jac_dbl(X, Y, Z, p)
-        for table, columns in terms:
-            m = columns[c]  # top digit +1: entry m - 2^7, else the negation of entry 127 - m
-            Q = table[(m if m & _COMB_TOP else ~m) & (_COMB_TOP - 1)]
-            if Q is not None:
-                X, Y, Z = _jac_madd(X, Y, Z, Q[0], Q[1] if m & _COMB_TOP else p - Q[1], p)
-    for x, y in last:
-        X, Y, Z = _jac_madd(X, Y, Z, x, p - y, p)
-    return _to_affine(X, Y, Z, p)
+        if -_SHORT < k < _SHORT:
+            terms.append(_wnaf_adds(base.odd, k, p))
+        else:
+            terms.append(_comb_adds(base.comb, k, p))
+            if not k & 1:
+                terms.append([_pt_neg(base.point)])
+    return _chain(terms, p)
 
 
 def _sqrt_mod_p(a, p=_P):
@@ -415,7 +458,7 @@ class PairingGroup:
 
     def __init__(self) -> None:
         self.g1 = _point_from_seed_x(2)
-        self.g1_base = _comb_table(self.g1)
+        self.g1_base = _Base(self.g1)
         self.g1_identity = None
         self.gt_one = (1, 0)
 
@@ -434,17 +477,18 @@ class PairingGroup:
         return _msm(points, [_centered(k) for k in scalars])
 
     def prepare_base(self, P):
-        """``P`` and its comb table, as a fixed base of ``fixed_msm``."""
-        return _comb_table(P)
+        """``P`` as a fixed base of ``fixed_msm``; its tables are built at
+        first use."""
+        return _Base(P)
 
     def base_point(self, prepared):
         """The point that ``prepare_base`` prepared."""
-        return prepared[0]
+        return prepared.point
 
     def fixed_msm(self, prepared, scalars):
-        """``msm`` of the points behind ``prepared``, which holds their
-        ``prepare_base`` tables: 32 doublings for any number of terms."""
-        return _comb_msm(prepared, [_centered(k) for k in scalars])
+        """``msm`` of the points behind ``prepared``, which ``prepare_base``
+        prepared: 32 doublings for any number of terms."""
+        return _fixed_msm(prepared, [_centered(k) for k in scalars])
 
     def prepare_pair(self, P):
         """Line table of ``P`` as a fixed first pairing argument."""

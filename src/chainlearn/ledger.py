@@ -128,23 +128,6 @@ def _read_fields(r: ByteReader, cls):
     return cls(*values)
 
 
-class PublicBases(dict):
-    """Peer id -> its genesis public key as ``backend.prepare_base`` prepared
-    it, built at first lookup; ``in`` asks about the genesis keys.  A memo,
-    like the genesis hash: never encoded, and it holds no verdict."""
-
-    def __init__(self, backend, pubkeys: dict):
-        super().__init__()
-        self.backend, self.pubkeys = backend, pubkeys
-
-    def __missing__(self, pid):
-        base = self[pid] = self.backend.prepare_base(self.pubkeys[pid])
-        return base
-
-    def __contains__(self, pid) -> bool:
-        return pid in self.pubkeys
-
-
 @dataclass(frozen=True)
 class GenesisBlock:
     """The network's starting point.  ``peer_pubkeys``, ``initial_stake`` and
@@ -223,9 +206,12 @@ class GenesisBlock:
         return digest
 
     @cached_property
-    def public_bases(self) -> PublicBases:
-        """The keys every signature check of this network multiplies."""
-        return PublicBases(self.commit_pk.backend, self.peer_pubkeys)
+    def public_bases(self) -> dict:
+        """Peer id -> its key as ``backend.prepare_base`` prepared it: the
+        keys every signature check of this network multiplies.  A memo, like
+        the genesis hash: never encoded, and it holds no verdict."""
+        backend = self.commit_pk.backend
+        return {pid: backend.prepare_base(key) for pid, key in self.peer_pubkeys.items()}
 
     def admits(self, poly: QuantizedPoly) -> bool:
         """``quantize.admissible`` in this network's field, at model size."""
@@ -449,8 +435,9 @@ def round_committees(genesis: GenesisBlock, ring, prev_hash: bytes, iteration: i
 @dataclass(frozen=True, eq=False)
 class TipState:
     """Everything a replica derives from its tip, each computed once: the tip's
-    hash, round and weights, the stake after it, that stake's ring and the
-    committees of each round drawn on it.  A new tip is a new state."""
+    hash, round and weights, the stake after it, that stake's ring, the
+    committees of each round drawn on it and each round's sign-off verdicts.
+    A new tip is a new state."""
 
     genesis: GenesisBlock
     tip_hash: bytes
@@ -458,6 +445,7 @@ class TipState:
     weights: np.ndarray
     stake: dict
     drawn: dict = field(default_factory=dict, repr=False)  # round -> committees
+    checked: dict = field(default_factory=dict, repr=False)  # round -> SignOffChecks
 
     @cached_property
     def ring(self) -> StakeRing:
@@ -468,6 +456,14 @@ class TipState:
         if iteration not in self.drawn:
             self.drawn[iteration] = round_committees(self.genesis, self.ring, self.tip_hash, iteration)
         return self.drawn[iteration]
+
+    def signoff_checks(self, iteration: int) -> SignOffChecks:
+        """Round ``iteration``'s sign-off verdicts, shared by the peer that
+        checks grants and bundles on this tip and by the block rule."""
+        if iteration not in self.checked:
+            backend = self.genesis.commit_pk.backend
+            self.checked[iteration] = SignOffChecks(iteration, self.genesis.public_bases, backend)
+        return self.checked[iteration]
 
 
 def advance(state: TipState, block: Block) -> tuple[TipState | None, str]:
@@ -495,7 +491,7 @@ def advance(state: TipState, block: Block) -> tuple[TipState | None, str]:
         return None, reason
     # the entries' pair encodings, for the majority count and the content bytes both
     entry_records = pair_records(block.commitments, backend)
-    checks = SignOffChecks(block.iteration, pubkeys, backend)
+    checks = state.signoff_checks(block.iteration)
     reason = endorsement_rejection(entry_records, block.signoffs, verifiers, checks)
     if reason:
         return None, reason

@@ -329,7 +329,7 @@ class PeerNode:
             verifiers=verifiers,
             aggregators=aggregators,
             slots=slots(len(self.genesis.initial_model), aggregators),
-            signoff_checks=SignOffChecks(iteration, self.genesis.public_bases, self.backend),
+            signoff_checks=self.ledger.state.signoff_checks(iteration),
         )
         out = [(self.id, Timer(iteration, "round-budget"), StageTimeouts.round_budget)]
         if self.is_verifier():

@@ -151,12 +151,14 @@ def naive_commit(pk, coeffs):
 @given(data=st.data())
 def test_commit_matches_naive_fold(name, data):
     """``commit`` is the sum of c_j * alpha^j * g1 for coefficients at the
-    centering boundary, small negatives stored as residues, and anything;
-    its example count comes from the active Hypothesis profile."""
+    centering boundary, at the short-scalar boundary 2^31 on either side of
+    0, small negatives stored as residues, and anything; its example count
+    comes from the active Hypothesis profile."""
     backend, pk = make_pk(name, 8)
     r = backend.order
+    short_edges = [s * k % r for k in (2**31 - 1, 2**31, 2**31 + 1) for s in (1, -1)]
     coeff = st.one_of(
-        st.sampled_from([0, 1, r - 1, (r - 1) // 2, (r + 1) // 2]),
+        st.sampled_from([0, 1, r - 1, (r - 1) // 2, (r + 1) // 2, *short_edges]),
         st.integers(-(1 << 40), -1).map(lambda k: k % r),
         st.integers(0, r - 1),
     )

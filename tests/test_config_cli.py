@@ -153,7 +153,19 @@ def test_cli_dataset_of_another_shape_is_refused_before_the_run(tmp_path, capsys
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
     assert "dataset has 2 features and 2 classes; the config names 3 and 2" in capsys.readouterr().err
-    assert not (out / "metrics.csv").exists()
+    assert not out.exists()
+
+
+def test_cli_loader_without_its_path_is_refused_before_the_run(tmp_path, capsys):
+    """A CSV loader with no ``params.path`` is refused when the data is
+    loaded, naming the key, and leaves no output directory."""
+    dataset = dataclasses.replace(small_spec().dataset, kind="csv-tabular")
+    cfg = tmp_path / "cfg.json"
+    save_spec(cfg, small_spec(dataset=dataset))
+    out = tmp_path / "runs" / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "dataset kind 'csv-tabular' needs params.path" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize("key", ["number_of_noisers", "number_of_verifiers"])
@@ -265,7 +277,7 @@ def test_cli_dataset_too_small_for_its_split_is_refused(tmp_path, capsys, rows):
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
     assert f"dataset has {rows} examples; 10 peers x 60 + 300 validation need 900" in capsys.readouterr().err
-    assert not (out / "metrics.csv").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

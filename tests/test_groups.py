@@ -262,14 +262,22 @@ def prepared_bases():
 @settings(max_examples=max(40, settings.default.max_examples), deadline=None)
 @given(data=st.data())
 def test_fixed_base_product_matches_msm(prepared_bases, data):
-    """``fixed_msm`` over prepared bases is ``msm`` over the points, for one-
-    and two-base products and any scalars; its example count comes from the
-    active Hypothesis profile, like the decoder fuzzing."""
+    """``fixed_msm`` over prepared bases is ``msm`` over the points, for
+    products of one to four bases that mix short and full-size scalars; its
+    example count comes from the active Hypothesis profile, like the decoder
+    fuzzing."""
     backend = get_backend("pairing")
-    edges = [0, 1, _R - 1, _R, -1, (_R - 1) // 2, (_R + 1) // 2]
-    scalar = st.one_of(st.sampled_from(edges), st.integers(-2 * _R, 2 * _R))
+    # a centered residue below 2^31 in size is added by its wNAF digits, any
+    # other from the comb: the boundary, odd and even, on either side of 0
+    short = [s * k for k in (2**31 - 2, 2**31 - 1, 2**31, 2**31 + 1, 2**31 + 2) for s in (1, -1)]
+    edges = [0, 1, _R - 1, _R, -1, (_R - 1) // 2, (_R + 1) // 2, *short]
+    scalar = st.one_of(
+        st.sampled_from(edges),
+        st.integers(-(2**31), 2**31),
+        st.integers(-2 * _R, 2 * _R),
+    )
     base = st.sampled_from(sorted(FIXED_BASES))
-    terms = data.draw(st.lists(st.tuples(base, scalar), min_size=1, max_size=2))
+    terms = data.draw(st.lists(st.tuples(base, scalar), min_size=1, max_size=4))
     scalars = [k for _, k in terms]
     assert backend.fixed_msm([prepared_bases[n] for n, _ in terms], scalars) == backend.msm(
         [FIXED_BASES[n] for n, _ in terms], scalars

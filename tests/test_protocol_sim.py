@@ -807,6 +807,32 @@ def test_each_aggregator_checks_openings_once_a_round(monkeypatch):
     assert max(calls.values()) == 1
 
 
+def test_a_peer_checks_each_signoff_once_per_tip(monkeypatch):
+    """A peer's block rule reads the sign-off verdicts the peer reached on
+    grants and bundles on the same tip, so in an honest run no peer works
+    out one sign-off twice on one tip; the chain is the pinned one."""
+    handle, missing = PeerNode.handle, ledger.SignOffChecks.__missing__
+    handling, checked = [], Counter()
+
+    def tracked(peer, event, now):
+        handling.append(peer)
+        try:
+            return handle(peer, event, now)
+        finally:
+            handling.pop()
+
+    def counted(checks, signoff):
+        peer = handling[-1]
+        checked[peer.id, peer.ledger.tip_hash(), checks.iteration, signoff] += 1
+        return missing(checks, signoff)
+
+    monkeypatch.setattr(PeerNode, "handle", tracked)
+    monkeypatch.setattr(ledger.SignOffChecks, "__missing__", counted)
+    result = make_sim().run()
+    assert result.final_ledger.tip_hash().hex() == EXPONENT_TIP
+    assert checked and max(checked.values()) == 1
+
+
 def run_with_malformed_announce(monkeypatch, contributors):
     """``make_sim()`` run with a round-2 proposer that announces no
     contributors ("empty") or one contributor twice ("repeated")."""
