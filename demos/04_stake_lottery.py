@@ -44,14 +44,14 @@ noisers = draw_noisers(backend, kp, 3, ring, prev, 9, k=2)
 print("peer 3's noiser set:", noisers.committee, "(proof: %d bytes)" % len(noisers.proof))
 # a verifier receives only the proof, and walks it to the committee
 print("the proof under peer 3's key walks to:", verify_vrf(
-    noisers.proof, backend, backend.prepare_base(kp.public), 3, ring, prev, 9, k=2))
+    noisers.proof, backend, kp.public, 3, ring, prev, 9, k=2))
 other = keygen(backend, b"someone-else")
 print("the proof under another key walks to:", verify_vrf(
-    noisers.proof, backend, backend.prepare_base(other.public), 3, ring, prev, 9, k=2))
+    noisers.proof, backend, other.public, 3, ring, prev, 9, k=2))
 
 # the public walk from peer 3's noiser seed is not peer 3's keyed draw, and
 # with no proof there is nothing to walk
 nseed = noiser_seed(backend.g1_to_bytes(kp.public), prev, 9)
 print("the public walk from peer 3's seed:", draw_committee(ring, nseed, k=2, exclude={3}))
 print("no proof under peer 3's key walks to:", verify_vrf(
-    b"", backend, backend.prepare_base(kp.public), 3, ring, prev, 9, k=2))
+    b"", backend, kp.public, 3, ring, prev, 9, k=2))

@@ -2,10 +2,10 @@
 
 A trusted setup produces the powers alpha^j * g1 of the one generator,
 starting with g1 itself; a commitment C to the coefficients c_j is the sum
-of c_j * alpha^j * g1, one ``fixed_msm`` over the key's prepared powers.
-Only the blinding slot c_0 is a full-size scalar, taken from g1's comb; the
-data coefficients are small centered residues, added by their wNAF digits
-in the same 32 doublings.  Witness quotients (c_0 falls into the remainder)
+of c_j * alpha^j * g1, one ``msm`` over the key's prepared powers.  Only
+the blinding slot c_0 is a full-size scalar, taken from g1's comb; the data
+coefficients are small centered residues, added by their wNAF digits in the
+same 32 doublings.  Witness quotients (c_0 falls into the remainder)
 are small too and are committed the same way.
 
 Opening at a point set S (a slot) ships the evaluations y_s = phi(s), s in
@@ -32,11 +32,12 @@ commitment and opening: a rerun draws the same weights, and a batch with a
 bad opening passes with probability 2^-128 (2^-61 on the exponent group).
 The pairing is symmetric, so g1 and [Z_S(alpha)] are the fixed arguments
 that drive the Miller loop; the key memoises, per point set, Z_S, S's
-Lagrange basis and the prepared [Z_S(alpha)].  The coefficients of I' are
-full-size, so they multiply the key powers' combs.  Commitments are
-homomorphic: the product of commitments commits to the coefficient-wise
-sum, which is what lets verifiers audit masked updates and block aggregates
-without seeing them.
+Lagrange basis and the prepared [Z_S(alpha)].  The first term's G1
+argument is one ``msm``: the commitments with their 128-bit weights and the
+full-size coefficients of I' on the key powers' combs, in one chain.
+Commitments are homomorphic: the product of commitments commits to the
+coefficient-wise sum, which is what lets verifiers audit masked updates and
+block aggregates without seeing them.
 """
 
 from __future__ import annotations
@@ -84,21 +85,21 @@ class CommitPK:
     """Public commitment key: the powers alpha^j * g1.
 
     ``degree`` is the highest polynomial degree the key supports, so there
-    are ``degree + 1`` powers.  ``bases`` holds them as
-    ``backend.prepare_base`` prepared them, the first as ``g1_base``; each
-    builds its tables at first use.  The share check pairs with the first
-    power, so a key whose first power is not g1 is refused, and so is a key
-    of one power, which commits to constants only.
+    are ``degree + 1`` powers, held as ``backend.prepare_base`` prepared
+    them, the first as ``g1_base``; each builds its tables at first use.
+    The share check pairs with the first power, so a key whose first power
+    is not g1 is refused, and so is a key of one power, which commits to
+    constants only.
     """
 
     def __init__(self, backend, powers):
         self.backend = backend
-        self.powers = list(powers)
-        if len(self.powers) < 2:
+        powers = list(powers)
+        if len(powers) < 2:
             raise ValueError("a commitment key has at least two powers")
-        if self.powers[0] != backend.g1:
+        if powers[0] != backend.g1:
             raise ValueError("the first power of a commitment key must be g1")
-        self.bases = [backend.g1_base, *map(backend.prepare_base, self.powers[1:])]
+        self.powers = [backend.g1_base, *map(backend.prepare_base, powers[1:])]
         self._slots = {}
 
     @cached_property
@@ -125,7 +126,7 @@ class CommitPK:
         vanishing = polynomials.vanishing(key, order)
         prepared = None
         if len(key) <= self.degree:
-            prepared = self.backend.prepare_pair(self.backend.fixed_msm(self.bases, vanishing))
+            prepared = self.backend.prepare_pair(self.backend.msm(self.powers, vanishing))
         slot = self._slots[key] = Slot(key, vanishing, polynomials.lagrange_basis(key, order), prepared)
         return slot
 
@@ -163,7 +164,7 @@ def trusted_setup(backend, degree: int, seed: bytes) -> CommitPK:
     powers = []
     acc = 1
     for _ in range(degree + 1):
-        powers.append(backend.fixed_msm([backend.g1_base], [acc]))
+        powers.append(backend.msm([backend.g1_base], [acc]))
         acc = acc * alpha % backend.order
     return CommitPK(backend, powers)
 
@@ -174,7 +175,7 @@ def commit(pk: CommitPK, poly: QuantizedPoly):
         raise ValueError("polynomial field does not match the commitment key")
     if poly.dim > pk.degree:
         raise ValueError(f"polynomial degree {poly.dim} exceeds key degree {pk.degree}")
-    return pk.backend.fixed_msm(pk.bases, poly.coeffs)
+    return pk.backend.msm(pk.powers, poly.coeffs)
 
 
 def combine(backend, commitments):
@@ -197,7 +198,7 @@ def create_witness(pk: CommitPK, poly: QuantizedPoly, points) -> Witness:
     slot, order = pk.slot(points), pk.backend.order
     quotient, remainder = polynomials.divide_monic(list(poly.coeffs), slot.vanishing, order)
     evals = tuple(polynomials.poly_eval(remainder, z, order) for z in slot.points)
-    return Witness(pk.backend.fixed_msm(pk.bases, quotient), evals)
+    return Witness(pk.backend.msm(pk.powers, quotient), evals)
 
 
 def batch_weights(pk: CommitPK, points, openings) -> list[int]:
@@ -234,10 +235,8 @@ def verify_share(pk: CommitPK, points, openings) -> bool:
         y = sum(r * w.evals[j] for r, (_, w) in zip(rho, openings))
         for k, c in enumerate(lagrange):
             interpolant[k] -= y * c
-    folded = backend.g1_add(
-        backend.msm([c for c, _ in openings], rho),
-        backend.fixed_msm(pk.bases, [k % order for k in interpolant]),
-    )
+    commitments = [c for c, _ in openings]
+    folded = backend.msm([*commitments, *pk.powers], [*rho, *(k % order for k in interpolant)])
     prepared, terms = [pk.share_check_key], [folded]
     if slot.prepared is not None:
         prepared.append(slot.prepared)

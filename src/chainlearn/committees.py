@@ -77,9 +77,9 @@ def verify_vrf(
 ) -> tuple:
     """The committee ``draw_noisers`` gives for these arguments if ``proof``
     is its proof, else ``()``: the proof must verify under ``public_key``,
-    ``peer``'s key as ``backend.prepare_base`` prepared it, and the ring must
+    ``peer``'s key, plain or prepared (prepared is faster), and the ring must
     hold k members other than ``peer``; the committee is the walk from it."""
-    seed = noiser_seed(backend.g1_to_bytes(backend.base_point(public_key)), prev_hash, iteration)
+    seed = noiser_seed(backend.g1_to_bytes(public_key), prev_hash, iteration)
     if not signatures.verify(backend, public_key, seed, proof):
         return ()
     try:

@@ -20,36 +20,37 @@ signatures:
     matters.
 
 Both expose: ``order``, the generator ``g1`` (the pairing is symmetric, so
-it serves both arguments), group ops, multi-scalar multiplication
-``msm(points, scalars)`` (on the curve ``g1_mul`` is its one-term case),
-the same product ``fixed_msm(prepared, scalars)`` over fixed bases prepared
-by ``prepare_base`` (``g1_base`` is g1's, made with the backend, and
-``base_point`` gives a prepared base's point back), pairing products
-``multi_pair(prepared, points)`` over first arguments prepared once by
-``prepare_pair`` (``pair`` is the one-term case), the target-group identity
-``gt_one`` and power ``gt_pow``, and canonical serialization.
+it serves both arguments), group ops, the one multi-scalar product
+``msm(points, scalars)`` (``g1_mul`` is its one-term case), ``prepare_base``,
+which makes a point a prepared point that equals it (``g1_base`` is g1's,
+made with the backend), pairing products ``multi_pair(prepared, points)``
+over first arguments prepared once by ``prepare_pair`` (``pair`` is the
+one-term case), the target-group identity ``gt_one`` and power ``gt_pow``,
+and canonical serialization.
 
-On the curve a prepared base holds P and two tables, each built at its
-first use, so preparing a base costs nothing: P's 8-tooth Lim-Lee comb
-(CRYPTO 1994), in signed form (128 affine points, about 33 kB, whose
-negations cover the other half of the signed sums of the teeth
-2^(32j) * P), and P's odd multiples P, 3P, ..., 15P.  ``fixed_msm`` runs
-one chain of 32 doublings for any number of terms.  A scalar whose
-centered residue is below 2^31 in size is short: its width-5 NAF has at
-most 32 digits, so it is added from the odd multiples, one addition per
-nonzero digit (Moller, SAC 2001, interleaves such wNAF terms); any other
-scalar takes one addition per comb column (Brickell, Gordon, McCurley and
-Wilson, EUROCRYPT 1992, precompute fixed-base powers the same way).  A base
-that only ever takes full-size scalars never builds its odd multiples.
-``msm`` builds the odd multiples of its points on every call, and its chain
-is as long as its longest scalar.  On the debug group a prepared base is
-the element itself.
+On the curve ``msm`` picks each term's table by whether its point is
+prepared, and runs one doubling chain for all of them.  A prepared point is
+the tuple (x, y) itself and carries two tables, each built at its first
+use, so preparing a point costs nothing: P's 8-tooth Lim-Lee comb (CRYPTO
+1994), in signed form (128 affine points, about 33 kB, whose negations
+cover the other half of the signed sums of the teeth 2^(32j) * P), and P's
+odd multiples P, 3P, ..., 15P.  A scalar whose centered residue is below
+2^31 in size is short: its width-5 NAF has at most 32 digits, so it is
+added from the odd multiples, one addition per nonzero digit (Moller, SAC
+2001, interleaves such wNAF terms); any other scalar takes one addition per
+comb column (Brickell, Gordon, McCurley and Wilson, EUROCRYPT 1992,
+precompute fixed-base powers the same way), in 32 doublings.  A prepared
+point that only ever takes full-size scalars never builds its odd
+multiples.  A plain point's odd multiples are built for each call, and its
+wNAF term is as long as its scalar.  On the debug group a prepared element
+is the element itself.
 
-On the curve ``msm``, ``fixed_msm`` and ``g1_mul`` take each scalar k as its
-centered residue mod r: for k > r/2 they multiply -P by r - k, so a small
-negative number stored mod r is as cheap as a small positive one.  The three agree on every decodable point.  On the order-r subgroup
-this is k * P.  Decoders still admit other points (see ROADMAP), and there
-a product can differ from the plain residue's by a multiple of r * P, of
+On the curve ``msm`` takes each scalar k as its centered residue mod r: for
+k > r/2 it multiplies -P by r - k, so a small negative number stored mod r
+is as cheap as a small positive one, and a prepared point gives the plain
+point's product on every decodable point.  On the order-r subgroup this is
+k * P.  Decoders still admit other points (see ROADMAP), and there a
+product can differ from the plain residue's by a multiple of r * P, of
 order prime to r, on which the pairing is 1: verdicts do not change.
 
 Curve parameters were generated once by
@@ -249,18 +250,6 @@ def _chain(terms, p=_P):
     return _to_affine(X, Y, Z, p)
 
 
-def _msm(points, scalars, p=_P):
-    """Sum of k_i * P_i for affine points and integer scalars k_i, unreduced.
-
-    Straus's interleaving: each point's odd multiples are computed per call,
-    and one chain, as long as the longest |k_i|, adds for every term the
-    multiple named by its wNAF digit.
-    """
-    terms = [(P, k) for P, k in zip(points, scalars) if P is not None and k != 0]
-    tables = _odd_multiples([P for P, _ in terms], p)
-    return _chain([_wnaf_adds(odd, k, p) for odd, (_, k) in zip(tables, terms)], p)
-
-
 _COMB_TEETH = 8
 _COMB_SPACING = -(-_R.bit_length() // _COMB_TEETH)  # 32 columns cover any scalar up to r
 _COMB_BITS = f"0{_COMB_TEETH * _COMB_SPACING}b"
@@ -307,37 +296,45 @@ def _comb_adds(comb, k, p=_P):
     return adds
 
 
-class _Base:
-    """A fixed base of ``fixed_msm``: the point P, its comb and its odd
-    multiples P, 3P, ..., 15P, each table built at its first use."""
-
-    def __init__(self, point):
-        self.point = point
+class _Base(tuple):
+    """A prepared point: the affine point P = (x, y) itself, which also
+    carries its comb and its odd multiples P, 3P, ..., 15P, each table built
+    at its first use."""
 
     @cached_property
     def comb(self):
-        return _comb_table(self.point)
+        return _comb_table(self)
 
     @cached_property
     def odd(self):
-        return _odd_multiples([self.point])[0]
+        return _odd_multiples([self])[0]
 
 
-def _fixed_msm(bases, scalars, p=_P):
-    """Sum of k_i * P_i over prepared bases, for |k_i| <= r, in one chain of
-    32 doublings: a k_i below 2^31 in size by its wNAF digits from P_i's odd
-    multiples, any other k_i from P_i's comb, with -P_i added at the end for
-    an even one."""
-    terms = []
-    for base, k in zip(bases, scalars):
-        if base.point is None or k == 0:
+def _msm(points, scalars, p=_P):
+    """Sum of k_i * P_i for affine points and integer scalars k_i, unreduced,
+    |k_i| <= r for a prepared P_i, in one doubling chain.
+
+    A prepared P_i adds a k_i below 2^31 in size by its wNAF digits from its
+    odd multiples and any other k_i from its comb, with -P_i added at the
+    end for an even one.  A plain P_i's odd multiples are built for the
+    call, all in one batch (Straus's interleaving), and it adds k_i by its
+    wNAF digits.  The chain is as long as the longest term: 32 doublings if
+    every point is prepared."""
+    terms, plain = [], []
+    for P, k in zip(points, scalars):
+        if P is None or k == 0:
             continue
-        if -_SHORT < k < _SHORT:
-            terms.append(_wnaf_adds(base.odd, k, p))
+        if type(P) is not _Base:
+            plain.append((P, k))
+        elif -_SHORT < k < _SHORT:
+            terms.append(_wnaf_adds(P.odd, k, p))
         else:
-            terms.append(_comb_adds(base.comb, k, p))
+            terms.append(_comb_adds(P.comb, k, p))
             if not k & 1:
-                terms.append([_pt_neg(base.point)])
+                terms.append([_pt_neg(P)])
+    if plain:
+        tables = _odd_multiples([P for P, _ in plain], p)
+        terms += [_wnaf_adds(odd, k, p) for odd, (_, k) in zip(tables, plain)]
     return _chain(terms, p)
 
 
@@ -473,22 +470,14 @@ class PairingGroup:
 
     def msm(self, points, scalars):
         """Sum of k_i * P_i over zip(points, scalars), each k_i taken as its
-        centered residue mod r."""
+        centered residue mod r; any of the points may be prepared."""
         return _msm(points, [_centered(k) for k in scalars])
 
     def prepare_base(self, P):
-        """``P`` as a fixed base of ``fixed_msm``; its tables are built at
-        first use."""
-        return _Base(P)
-
-    def base_point(self, prepared):
-        """The point that ``prepare_base`` prepared."""
-        return prepared.point
-
-    def fixed_msm(self, prepared, scalars):
-        """``msm`` of the points behind ``prepared``, which ``prepare_base``
-        prepared: 32 doublings for any number of terms."""
-        return _fixed_msm(prepared, [_centered(k) for k in scalars])
+        """``P`` as a prepared point, which equals P and builds its tables
+        at first use; a prepared point and the identity are returned as
+        they are."""
+        return P if P is None or type(P) is _Base else _Base(P)
 
     def prepare_pair(self, P):
         """Line table of ``P`` as a fixed first pairing argument."""
@@ -573,12 +562,7 @@ class ExponentGroup:
         return acc % self.order
 
     def prepare_base(self, a):
-        return a  # a prepared base is the element itself
-
-    def base_point(self, a):
-        return a
-
-    fixed_msm = msm
+        return a  # a prepared element is the element itself
 
     def prepare_pair(self, a):
         return a

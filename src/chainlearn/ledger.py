@@ -132,11 +132,15 @@ def _read_fields(r: ByteReader, cls):
 class GenesisBlock:
     """The network's starting point.  ``peer_pubkeys``, ``initial_stake`` and
     ``noise_table`` name the same peers, each with one noise commitment per
-    round of ``config``, round t at index t - 1."""
+    round of ``config``, round t at index t - 1.  The keys are held as
+    ``backend.prepare_base`` prepared them, however the genesis was made, so
+    each builds its tables at its first signature check.  Each committee of
+    the config holds at least one member, and no more than the peers with
+    stake, so every round's committees can be drawn."""
 
     initial_model: np.ndarray
     commit_pk: CommitPK
-    peer_pubkeys: dict  # peer id -> G1 element
+    peer_pubkeys: dict  # peer id -> G1 element, prepared
     noise_table: dict  # peer id -> tuple of G1 elements
     initial_stake: dict
     global_key: bytes
@@ -148,6 +152,13 @@ class GenesisBlock:
             raise ValueError("public keys, stake and noise table name different peers")
         if any(len(row) != self.config.total_iterations for row in rows.values()):
             raise ValueError("noise table rows must cover every round")
+        staked = sum(v > 0 for v in self.initial_stake.values())
+        for role, k in ("verifier", self.config.num_verifiers), ("aggregator", self.config.num_aggregators):
+            if not 1 <= k <= staked:
+                raise ValueError(f"{role} committee of {k} is outside 1..{staked}, the peers with stake")
+        backend = self.commit_pk.backend
+        keys = {pid: backend.prepare_base(key) for pid, key in self.peer_pubkeys.items()}
+        object.__setattr__(self, "peer_pubkeys", keys)
 
     def to_bytes(self) -> bytes:
         """The config, the model, the keys, then one record per peer in
@@ -204,14 +215,6 @@ class GenesisBlock:
             digest = sha256(GENESIS_PREV_HASH + self.to_bytes())
             object.__setattr__(self, "_digest", digest)
         return digest
-
-    @cached_property
-    def public_bases(self) -> dict:
-        """Peer id -> its key as ``backend.prepare_base`` prepared it: the
-        keys every signature check of this network multiplies.  A memo, like
-        the genesis hash: never encoded, and it holds no verdict."""
-        backend = self.commit_pk.backend
-        return {pid: backend.prepare_base(key) for pid, key in self.peer_pubkeys.items()}
 
     def admits(self, poly: QuantizedPoly) -> bool:
         """``quantize.admissible`` in this network's field, at model size."""
@@ -382,7 +385,7 @@ class SignOffChecks(dict):
     winners are pair encodings of the backend's size in strictly ascending
     order, and its signature over them (``signoff_message``) is valid under
     the verifier's key in ``pubkeys`` (prepared, as
-    ``GenesisBlock.public_bases`` holds them).  A block writes the records
+    ``GenesisBlock.peer_pubkeys`` holds them).  A block writes the records
     back to back and reads them back at pair size, so the size check
     refuses what has no encoding of its own: the signed bytes cut into
     records at other boundaries.  Keyed by value, so an equal copy is not
@@ -462,7 +465,7 @@ class TipState:
         checks grants and bundles on this tip and by the block rule."""
         if iteration not in self.checked:
             backend = self.genesis.commit_pk.backend
-            self.checked[iteration] = SignOffChecks(iteration, self.genesis.public_bases, backend)
+            self.checked[iteration] = SignOffChecks(iteration, self.genesis.peer_pubkeys, backend)
         return self.checked[iteration]
 
 
@@ -484,7 +487,7 @@ def advance(state: TipState, block: Block) -> tuple[TipState | None, str]:
         return None, "bad-dimension"
 
     verifiers, aggregators = state.committees(block.iteration)
-    pubkeys = genesis.public_bases
+    pubkeys = genesis.peer_pubkeys
     peers = [e.peer for e in block.commitments]
     reason = contributor_rejection(peers, verifiers, aggregators, pubkeys)
     if reason:
@@ -612,7 +615,10 @@ def load_chain(path, backend) -> Ledger:
             block = block_from_bytes(r.bytes_lp(), backend)
         except ValueError as exc:
             raise ValueError(f"{path}: block {index}: {exc}") from None
-        ok, reason = ledger.append(block)
+        try:
+            ok, reason = ledger.append(block)
+        except ValueError as exc:
+            raise ValueError(f"{path}: block {index} (iteration {block.iteration}): {exc}") from None
         if not ok:
             raise ValueError(f"{path}: block {index} (iteration {block.iteration}) invalid: {reason}")
         index += 1

@@ -15,7 +15,7 @@ Round shape (all peers derive the same committees from the chain tip):
                   update into witness-carrying shares, one slice per
                   aggregator, each carrying those sign-offs;
   aggregators     pool bundles (each distinct sign-off checked once), check
-                  their openings as one batch when needed and sum them
+                  the whole pool as one batch when needed and sum them
                   point-wise; the round's proposer carries one sign-off per
                   verifier, announces a contributor set that a majority of
                   them name, collects the summed values at their senders'
@@ -215,7 +215,7 @@ def submission_rejection(sub: UpdateSubmission, genesis, ring, prev_hash: bytes)
         return "unknown-sender"
     if not genesis.admits(sub.masked):
         return "inadmissible-update"
-    key = genesis.public_bases[sub.sender]
+    key = genesis.peer_pubkeys[sub.sender]
     if not signatures.verify(backend, key, sub.payload_bytes(backend), sub.signature):
         return "bad-submission-signature"
     # the noisers are the walk from the sender's own proof, for this tip and round
@@ -489,7 +489,7 @@ class PeerNode:
             return self._refuse("duplicate-bundle", dealer)
         genesis = self.genesis
         if not accept_bundle(
-            bundle, rs.verifiers, rs.aggregators, genesis.public_bases, genesis.commit_pk, rs.signoff_checks
+            bundle, rs.verifiers, rs.aggregators, genesis.peer_pubkeys, genesis.commit_pk, rs.signoff_checks
         ):
             return self._refuse("bundle-refused", dealer)
         rs.pooled_bundles[dealer] = bundle
@@ -541,7 +541,7 @@ class PeerNode:
         c = msg.contributors
         if not c or any(a >= b for a, b in zip(c, c[1:])):
             return self._refuse("malformed-announce", msg.sender)
-        self._check_pooled(c)
+        self._check_pooled(list(rs.pooled_bundles))
         if any(pid not in rs.accepted_bundles for pid in c):
             return self._refuse("missing-bundles", self.id)
         bundles = [rs.accepted_bundles[pid] for pid in c]
@@ -561,7 +561,7 @@ class PeerNode:
             return self._refuse("stray-aggregate-share", msg.sender)
         if msg.sender in rs.agg_shares:
             return self._refuse("duplicate-aggregate-share", msg.sender)
-        key, payload = self.genesis.public_bases[msg.sender], msg.payload_bytes(self.backend, rs.announce)
+        key, payload = self.genesis.peer_pubkeys[msg.sender], msg.payload_bytes(self.backend, rs.announce)
         if not signatures.verify(self.backend, key, payload, msg.signature):
             return self._refuse("bad-aggregate-share-signature", msg.sender)
         points = rs.slots[msg.sender]

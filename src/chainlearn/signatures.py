@@ -7,8 +7,11 @@ the challenge c = H(R, PK, m) and s = k + c*sk, written ``c || s``: each
 half a big-endian scalar of the order's byte width, so 64 bytes on the
 curve and 16 on the exponent group.  So a signature has one encoding, and
 ``verify`` accepts no other: exactly that length, c < order and s < order.
-The verifier recomputes R = s*g - c*PK and compares its challenge with c,
-so it decodes no curve point.  Over the exponent backend this is of course
+The verifier recomputes R = s*g - c*PK as one ``msm`` and compares its
+challenge with c, so it decodes no curve point.  ``keygen`` returns the
+public key prepared (``backend.prepare_base``), so its comb is built at its
+first check; ``verify`` gives the same verdict under the plain key, only
+more slowly.  Over the exponent backend this is of course
 forgeable, which is acceptable anywhere the debug backend is acceptable.
 """
 
@@ -22,13 +25,13 @@ from .encoding import sha256
 @dataclass(frozen=True)
 class KeyPair:
     secret: int
-    public: object  # G1 element
+    public: object  # G1 element, prepared
 
 
 def keygen(backend, seed: bytes) -> KeyPair:
     secret = int.from_bytes(sha256(b"key" + seed) + sha256(b"key2" + seed), "big") % backend.order
     secret = secret or 1
-    return KeyPair(secret, backend.fixed_msm([backend.g1_base], [secret]))
+    return KeyPair(secret, backend.prepare_base(backend.msm([backend.g1_base], [secret])))
 
 
 def _challenge(backend, R, public, message: bytes) -> int:
@@ -41,7 +44,7 @@ def sign(backend, keypair: KeyPair, message: bytes) -> bytes:
         sha256(b"nonce" + keypair.secret.to_bytes(64, "big") + message), "big"
     ) % backend.order
     k = k or 1
-    R = backend.fixed_msm([backend.g1_base], [k])
+    R = backend.msm([backend.g1_base], [k])
     c = _challenge(backend, R, keypair.public, message)
     s = (k + c * keypair.secret) % backend.order
     width = backend.scalar_size
@@ -50,16 +53,15 @@ def sign(backend, keypair: KeyPair, message: bytes) -> bytes:
 
 def verify(backend, public, message: bytes, signature: bytes) -> bool:
     """True iff ``signature`` is the signature of ``message`` under the key
-    that ``public`` holds as ``backend.prepare_base`` prepared it."""
+    ``public``, plain or prepared."""
     width = backend.scalar_size
     if len(signature) != 2 * width:
         return False
     c = int.from_bytes(signature[:width], "big")
     s = int.from_bytes(signature[width:], "big")
-    point = backend.base_point(public)
-    if s >= backend.order or point == backend.g1_identity:
+    if s >= backend.order or public == backend.g1_identity:
         return False  # under the identity key any s with c = H(s*g, O, m) passes
-    # R = s*g - c*PK, as one two-comb product; the challenge is below the
-    # order, so no c >= order matches it
-    R = backend.fixed_msm([backend.g1_base, public], [s, -c])
-    return _challenge(backend, R, point, message) == c
+    # R = s*g - c*PK, two combs if the key is prepared; the challenge is
+    # below the order, so no c >= order matches it
+    R = backend.msm([backend.g1_base, public], [s, -c])
+    return _challenge(backend, R, public, message) == c

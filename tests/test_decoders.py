@@ -5,21 +5,28 @@ encoding is exactly those bytes; valid encodings round-trip, and every strict
 prefix of one is refused.  A signature is "decoded" by verifying it under a
 fixed key and message, so only the honest signature may pass."""
 
+import copy
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainlearn import ledger
+from chainlearn.cli import main
 from chainlearn.commitments import CommitPK
-from chainlearn.encoding import u32
+from chainlearn.encoding import ByteWriter, sha256, u32
 from chainlearn.groups import get_backend
 from chainlearn.ledger import (
+    CHAIN_MAGIC,
+    GENESIS_PREV_HASH,
     GenesisBlock,
     Ledger,
     ProtocolConfig,
     block_from_bytes,
     block_to_bytes,
+    load_chain,
     pair_records,
 )
 from chainlearn.signatures import keygen, sign, verify
@@ -29,7 +36,7 @@ from conftest import honest_block
 BACKEND = get_backend("exponent")
 PAIRING = get_backend("pairing")
 SIGNER = keygen(PAIRING, b"fuzz-signer")
-KEY = PAIRING.prepare_base(SIGNER.public)
+KEY = SIGNER.public
 MESSAGE = b"fuzzed message"
 SIGNATURE = sign(PAIRING, SIGNER, MESSAGE)
 
@@ -177,3 +184,51 @@ def test_non_canonical_block_is_refused(tiny_net, change, message):
         data = data[:count] + u32(len(data)) + data[count + 4 :]
     with pytest.raises(ValueError, match=message):
         block_from_bytes(data, BACKEND)
+
+
+def crafted_chain(tiny_net, path, **changes) -> None:
+    """Write a chain file whose genesis is ``tiny_net``'s with ``changes`` to
+    its config, made as bytes since no ``GenesisBlock`` holds such a config,
+    and then one round-1 block signed by the genesis' own keys: its
+    committees drawn on the crafted genesis' hash under the unchanged
+    config, which draws the same verifiers whatever the aggregator count."""
+    genesis, secrets = tiny_net
+    config = dataclasses.replace(genesis.config, **changes)
+    data = genesis.to_bytes().replace(genesis.config.to_bytes(), config.to_bytes(), 1)
+    stand_in = copy.copy(genesis)  # the unchanged genesis under the crafted hash
+    object.__setattr__(stand_in, "_digest", sha256(GENESIS_PREV_HASH + data))
+    block = honest_block(stand_in, secrets, Ledger(stand_in))
+    path.write_bytes(ByteWriter().raw(CHAIN_MAGIC).bytes_lp(data).bytes_lp(block_to_bytes(block, BACKEND)).getvalue())
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [({"num_aggregators": 0}, "aggregator committee of 0 "), ({"num_verifiers": 20}, "verifier committee of 20 ")],
+)
+def test_chain_whose_committees_cannot_be_drawn_is_refused_at_genesis(tiny_net, tmp_path, capsys, changes, message):
+    """A chain file whose genesis asks for no proposer, or for more verifiers
+    than its 12 staked peers, fails as a ``ValueError`` naming the path and
+    the genesis, never a traceback, and ``verify-chain`` prints it as one
+    error line."""
+    path = tmp_path / "crafted.bin"
+    crafted_chain(tiny_net, path, **changes)
+    expected = f"{path}: genesis: {message}"
+    with pytest.raises(ValueError, match="^" + re.escape(expected)):
+        load_chain(path, BACKEND)
+    assert main(["verify-chain", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {expected}") and err.count("\n") == 1
+
+
+def test_block_rule_value_error_names_path_and_block(tiny_net, tmp_path, monkeypatch):
+    """A ``ValueError`` raised inside the block rule reaches the caller of
+    ``load_chain`` naming the path and the block."""
+    path = tmp_path / "chain.bin"
+    crafted_chain(tiny_net, path)
+
+    def refused(*args):
+        raise ValueError("no draw")
+
+    monkeypatch.setattr(ledger, "round_committees", refused)
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: block 0 (iteration 1): no draw") + "$"):
+        load_chain(path, BACKEND)

@@ -242,12 +242,12 @@ def test_msm_matches_naive_fold(name, data):
     assert backend.msm(points, scalars) == naive_msm(backend, points, scalars)
 
 
-# g1, a keygen key, the identity and the 2-torsion point, which a genesis
-# read from a chain file can carry as a key: a comb built naively on the
-# last two would raise
+# g1, a keygen key (plain here), the identity and the 2-torsion point, which
+# a genesis read from a chain file can carry as a key: a comb built naively
+# on the last two would raise
 FIXED_BASES = {
     "g1": get_backend("pairing").g1,
-    "key": keygen(get_backend("pairing"), b"fixed-base").public,
+    "key": tuple(keygen(get_backend("pairing"), b"fixed-base").public),
     "identity": None,
     "torsion": (0, 0),
 }
@@ -262,26 +262,42 @@ def prepared_bases():
 @settings(max_examples=max(40, settings.default.max_examples), deadline=None)
 @given(data=st.data())
 def test_fixed_base_product_matches_msm(prepared_bases, data):
-    """``fixed_msm`` over prepared bases is ``msm`` over the points, for
-    products of one to four bases that mix short and full-size scalars; its
-    example count comes from the active Hypothesis profile, like the decoder
-    fuzzing."""
+    """One ``msm`` that mixes prepared and plain points is the same call over
+    the plain points, for one to four terms: prepared points with short and
+    full-size scalars, plain ones with 128-bit and full-size scalars, the
+    identity and (0, 0) among them; its example count comes from the active
+    Hypothesis profile, like the decoder fuzzing."""
     backend = get_backend("pairing")
-    # a centered residue below 2^31 in size is added by its wNAF digits, any
-    # other from the comb: the boundary, odd and even, on either side of 0
+    # a centered residue below 2^31 in size is added from a prepared point's
+    # odd multiples, any other from its comb: the boundary, odd and even, on
+    # either side of 0
     short = [s * k for k in (2**31 - 2, 2**31 - 1, 2**31, 2**31 + 1, 2**31 + 2) for s in (1, -1)]
     edges = [0, 1, _R - 1, _R, -1, (_R - 1) // 2, (_R + 1) // 2, *short]
     scalar = st.one_of(
         st.sampled_from(edges),
         st.integers(-(2**31), 2**31),
+        st.integers(0, 2**128 - 1),  # a share check's batch weights
         st.integers(-2 * _R, 2 * _R),
     )
-    base = st.sampled_from(sorted(FIXED_BASES))
-    terms = data.draw(st.lists(st.tuples(base, scalar), min_size=1, max_size=4))
-    scalars = [k for _, k in terms]
-    assert backend.fixed_msm([prepared_bases[n] for n, _ in terms], scalars) == backend.msm(
-        [FIXED_BASES[n] for n, _ in terms], scalars
+    terms = data.draw(
+        st.lists(st.tuples(st.sampled_from(sorted(FIXED_BASES)), st.booleans(), scalar), min_size=1, max_size=4)
     )
+    points = [prepared_bases[n] if prepared else FIXED_BASES[n] for n, prepared, _ in terms]
+    scalars = [k for *_, k in terms]
+    assert backend.msm(points, scalars) == backend.msm([FIXED_BASES[n] for n, *_ in terms], scalars)
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_prepared_point_is_its_point(name):
+    """``prepare_base`` is idempotent, and a prepared point equals its point
+    and encodes to the same bytes; the identity stays the identity."""
+    backend = get_backend(name)
+    assert backend.g1_base == backend.g1 and backend.prepare_base(backend.g1_base) is backend.g1_base
+    for P in point_pool(backend):
+        prepared = backend.prepare_base(P)
+        assert backend.prepare_base(prepared) is prepared
+        assert prepared == P and backend.g1_to_bytes(prepared) == backend.g1_to_bytes(P)
+    assert backend.prepare_base(backend.g1_identity) == backend.g1_identity
 
 
 def test_split_final_exponentiation_matches_direct_power():

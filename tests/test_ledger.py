@@ -80,7 +80,7 @@ def test_genesis_for_another_backend_is_refused_by_name(tiny_net):
     is refused naming both, before any group element is decoded."""
     exponent_genesis, _ = tiny_net
     config = tiny_config(backend_name="pairing", total_iterations=1)
-    pairing_genesis, _ = build_genesis(config, range(2), b"other-backend")
+    pairing_genesis, _ = build_genesis(config, range(3), b"other-backend")  # as many peers as committee seats
     for genesis, other in ((exponent_genesis, "pairing"), (pairing_genesis, "exponent")):
         mine = genesis.config.backend_name
         with pytest.raises(ValueError, match=f"'{mine}' backend, not '{other}'"):

@@ -23,6 +23,7 @@ from chainlearn.ledger import (
 from chainlearn.noise import generate_noise, mask_update
 from chainlearn.protocol import (
     REFUSAL_REASONS,
+    AggAnnounce,
     AggShareMsg,
     PeerNode,
     SignatureGrant,
@@ -418,7 +419,7 @@ def test_unkeyed_noiser_draw_rejected():
     peer_id = eligible_peer(sim)
     unkeyed = make_submission(sim, peer_id, tamper="unkeyed-draw")
     assert unkeyed.noiser_proof == b""
-    key, cfg = sim.genesis.public_bases[peer_id], sim.genesis.config
+    key, cfg = sim.genesis.peer_pubkeys[peer_id], sim.genesis.config
     ring, tip = build_ring(sim.genesis.initial_stake), sim.genesis.hash()
     assert verify_vrf(b"", sim.peers[peer_id].backend, key, peer_id, ring, tip, 1, cfg.num_noisers) == ()
     assert rejection(sim, unkeyed) == "bad-noiser-draw"
@@ -675,10 +676,11 @@ def test_grant_check_encodes_only_the_receivers_pair(monkeypatch):
 def test_dealer_sending_another_aggregators_points_is_left_out(monkeypatch):
     """A dealer that hands each aggregator the next aggregator's bundle (valid
     openings at the wrong points) passes the gates, but its openings fail
-    the check at the receiving aggregator's slot: each round's proposer,
-    which checks every pooled bundle at its close, refuses it once a deal,
-    so it is never announced and no other aggregator checks or sums it.  It
-    appears in no block and every round seals."""
+    the check at the receiving aggregator's slot: each aggregator checks its
+    whole pool once a round, the proposer at its close and the others on
+    the announce, so every aggregator of a deal refuses it once, and it is
+    never announced or summed.  It appears in no block and every round
+    seals."""
     sim = make_sim()
     deal_shares = protocol.deal_shares
     dealt = []  # (entry, committee order) of each deal by the first peer that deals
@@ -698,9 +700,9 @@ def test_dealer_sending_another_aggregators_points_is_left_out(monkeypatch):
     blocks = result.final_ledger.blocks
     assert [b.iteration for b in blocks] == [1, 2, 3, 4, 5]
     assert all(entry.peer != dealer for block in blocks for entry in block.commitments)
-    proposers = Counter(order[0] for _, order in dealt)
+    seats = Counter(aid for _, order in dealt for aid in order)
     for pid, peer in sim.peers.items():
-        assert [reason for _, who, reason in peer.audit if who == dealer] == ["bundle-refused"] * proposers[pid]
+        assert [reason for _, who, reason in peer.audit if who == dealer] == ["bundle-refused"] * seats[pid]
 
 
 def with_wrong_eval(bundle, order):
@@ -776,24 +778,25 @@ def test_a_forged_copy_ahead_of_a_bundle_censors_no_dealer(monkeypatch, target):
 
 def test_each_aggregator_checks_openings_once_a_round(monkeypatch):
     """In an honest run every aggregator checks its bundles' openings with
-    one ``verify_share`` per round: the proposer at its close, the others
-    on the announce, for the announced contributors only; the chain is the
+    one ``verify_share`` per round, over every bundle it pooled: the
+    proposer at its close, the others on the announce; the chain is the
     pinned one."""
     handle, verify = PeerNode.handle, vss.verify_share
     handling, calls = [], Counter()
 
     def tracked(peer, event, now):
-        handling.append((peer, event))
+        handling.append((peer, event, list(peer.round.pooled_bundles.values())))
         try:
             return handle(peer, event, now)
         finally:
             handling.pop()
 
     def counted(pk, points, openings):
-        peer, event = handling[-1]
+        peer, event, pooled = handling[-1]
         assert peer.is_aggregator()
         if not peer.is_proposer():
-            assert len(openings) <= len(event.contributors)
+            assert isinstance(event, AggAnnounce)
+        assert list(openings) == [(b.entry.commitment, b.opening) for b in pooled]
         calls[peer.id, peer.round.iteration] += 1
         return verify(pk, points, openings)
 

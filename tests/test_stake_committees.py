@@ -34,14 +34,14 @@ def _signature(backend, c: int, s: int) -> bytes:
 def test_signature_roundtrip(name):
     backend = get_backend(name)
     kp = keygen(backend, b"peer0")
-    key = backend.prepare_base(kp.public)
+    key = kp.public
     sig = sign(backend, kp, b"hello")
     assert len(sig) == {"exponent": 16, "pairing": 64}[name]
     assert verify(backend, key, b"hello", sig)
     assert sig == sign(backend, kp, b"hello"), "signatures must be deterministic"
     # every tampered signature is rejected with False, never an exception
     assert not verify(backend, key, b"other", sig)
-    assert not verify(backend, backend.prepare_base(keygen(backend, b"peer1").public), b"hello", sig)
+    assert not verify(backend, keygen(backend, b"peer1").public, b"hello", sig)
     c, s = _halves(sig)
     assert not verify(backend, key, b"hello", _signature(backend, c, (s + 1) % backend.order))
     assert not verify(backend, key, b"hello", _signature(backend, (c + 1) % backend.order, s))
@@ -79,7 +79,7 @@ def test_malleated_signature_is_refused(name, form):
     bad = malleate(backend, sig, form)
     if form.endswith("plus-order"):
         assert len(bad) == len(sig), "the residue plus the order still fits the width"
-    assert not verify(backend, backend.prepare_base(kp.public), b"hello", bad)
+    assert not verify(backend, kp.public, b"hello", bad)
 
 
 @pytest.mark.parametrize("name", ["exponent", "pairing"])
@@ -88,10 +88,39 @@ def test_identity_key_verifies_nothing(name):
     may carry: for any s, c = H(s*g, O, m) passes s*g - c*O == s*g."""
     backend = get_backend(name)
     s = 5
-    R = backend.fixed_msm([backend.g1_base], [s])
+    R = backend.msm([backend.g1_base], [s])
     c = _challenge(backend, R, backend.g1_identity, b"hello")
     forged = _signature(backend, c, s)
     assert not verify(backend, backend.prepare_base(backend.g1_identity), b"hello", forged)
+
+
+@pytest.mark.parametrize("name", ["exponent", "pairing"])
+def test_plain_and_prepared_keys_give_one_verdict(name):
+    """``verify`` and ``verify_vrf`` reach the same verdict under a key and
+    under ``prepare_base`` of it: a valid, a tampered and a misplaced
+    signature and keyed draw, and the identity key's forgery."""
+    backend = get_backend(name)
+    kp, other = keygen(backend, b"peer0"), keygen(backend, b"peer1")
+    sig = sign(backend, kp, b"hello")
+    c, s = _halves(sig)
+    R = backend.msm([backend.g1_base], [s])
+    forged = _signature(backend, _challenge(backend, R, backend.g1_identity, b"hello"), s)
+    tampered = _signature(backend, c, (s + 1) % backend.order)
+    ring, prev = build_ring({i: 10 for i in range(8)}), sha256(b"prev")
+    out = draw_noisers(backend, kp, 4, ring, prev, 2, 3)
+    cases = [
+        (kp.public, sig, out.proof, True),
+        (kp.public, tampered, out.proof[::-1], False),
+        (other.public, sig, out.proof, False),
+        (backend.g1_identity, forged, out.proof, False),
+    ]
+    for key, signature, proof, valid in cases:
+        plain = tuple(key) if isinstance(key, tuple) else key  # a prepared point is a tuple subclass
+        prepared = backend.prepare_base(plain)
+        assert verify(backend, plain, b"hello", signature) == verify(backend, prepared, b"hello", signature) == valid
+        committee = out.committee if valid else ()
+        assert verify_vrf(proof, backend, plain, 4, ring, prev, 2, 3) == committee
+        assert verify_vrf(proof, backend, prepared, 4, ring, prev, 2, 3) == committee
 
 
 @pytest.mark.parametrize("name", ["exponent", "pairing"])
@@ -102,7 +131,7 @@ def test_signature_property(name, seed, message, data):
     the message changed, and it does not."""
     backend = get_backend(name)
     kp = keygen(backend, seed)
-    key = backend.prepare_base(kp.public)
+    key = kp.public
     sig = sign(backend, kp, message)
     assert verify(backend, key, message, sig)
     bad = bytearray(sig)
@@ -234,9 +263,9 @@ def test_keyed_vrf_verifies_and_binds_to_key():
     prev = sha256(b"prev")
     out = draw_noisers(BACKEND, kp, 4, ring, prev, 2, 3)
     assert 4 not in out.committee
-    assert verify_vrf(out.proof, BACKEND, BACKEND.prepare_base(kp.public), 4, ring, prev, 2, 3) == out.committee
+    assert verify_vrf(out.proof, BACKEND, kp.public, 4, ring, prev, 2, 3) == out.committee
     other = keygen(BACKEND, b"other")
-    assert verify_vrf(out.proof, BACKEND, BACKEND.prepare_base(other.public), 4, ring, prev, 2, 3) == ()
+    assert verify_vrf(out.proof, BACKEND, other.public, 4, ring, prev, 2, 3) == ()
 
 
 def test_public_walk_is_not_a_keyed_draw():
@@ -250,7 +279,7 @@ def test_public_walk_is_not_a_keyed_draw():
     walk = draw_committee(ring, seed, 3, exclude={4})
     keyed = draw_noisers(BACKEND, kp, 4, ring, prev, 1, 3).committee
     assert walk != keyed
-    assert verify_vrf(b"", BACKEND, BACKEND.prepare_base(kp.public), 4, ring, prev, 1, 3) == ()
+    assert verify_vrf(b"", BACKEND, kp.public, 4, ring, prev, 1, 3) == ()
 
 
 @pytest.mark.parametrize("name", ["exponent", "pairing"])
@@ -273,7 +302,7 @@ def test_keyed_draw_property(name, stake, key_seed, prev, iteration, data):
     peer = data.draw(st.integers(0, n - 1), label="peer")
     k = data.draw(st.integers(1, n - 2), label="k")
     kp = keygen(backend, key_seed)
-    key = backend.prepare_base(kp.public)
+    key = kp.public
     out = draw_noisers(backend, kp, peer, ring, prev, iteration, k)
     assert len(out.committee) == k and peer not in out.committee
 
@@ -281,7 +310,7 @@ def test_keyed_draw_property(name, stake, key_seed, prev, iteration, data):
         return verify_vrf(proof, backend, key, peer, ring, prev, iteration, k)
 
     assert drawn() == out.committee
-    assert drawn(key=backend.prepare_base(keygen(backend, key_seed + b"x").public)) == ()
+    assert drawn(key=keygen(backend, key_seed + b"x").public) == ()
     assert drawn(prev=sha256(prev)) == ()
     assert drawn(iteration=iteration + 1) == ()
     # a drawn member in the drawing peer's place: the walk must skip it
