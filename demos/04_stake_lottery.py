@@ -40,14 +40,14 @@ print("a swapped member re-derives:", draw_committee(ring, seed, k=3) == swapped
 # keyed draws: bound to the drawing peer's key, unpredictable until revealed
 backend = get_backend("exponent")
 kp = keygen(backend, b"peer-3-secret")
-noisers = draw_noisers(backend, kp, 3, ring, prev, 9, k=2)
-print("peer 3's noiser set:", noisers.committee, "(proof: %d bytes)" % len(noisers.proof))
+noisers, proof = draw_noisers(backend, kp, 3, ring, prev, 9, k=2)
+print("peer 3's noiser set:", noisers, "(proof: %d bytes)" % len(proof))
 # a verifier receives only the proof, and walks it to the committee
 print("the proof under peer 3's key walks to:", verify_vrf(
-    noisers.proof, backend, kp.public, 3, ring, prev, 9, k=2))
+    proof, backend, kp.public, 3, ring, prev, 9, k=2))
 other = keygen(backend, b"someone-else")
 print("the proof under another key walks to:", verify_vrf(
-    noisers.proof, backend, other.public, 3, ring, prev, 9, k=2))
+    proof, backend, other.public, 3, ring, prev, 9, k=2))
 
 # the public walk from peer 3's noiser seed is not peer 3's keyed draw, and
 # with no proof there is nothing to walk

@@ -19,7 +19,7 @@ from .attacks import (
     poison_dataset,
 )
 from .commitments import CommitPK, Witness, combine, commit, create_witness, trusted_setup, verify_share
-from .committees import VrfOutput, committee_seed, draw_committee, draw_noisers, noiser_seed, verify_vrf
+from .committees import committee_seed, draw_committee, draw_noisers, noiser_seed, verify_vrf
 from .config import DatasetSpec, ExperimentSpec, load_spec, save_spec
 from .datasets import Dataset, make_dataset, partition
 from .groups import get_backend

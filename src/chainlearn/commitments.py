@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import polynomials
-from .encoding import ByteReader, ByteWriter, derive_scalars, u32
+from .encoding import ByteReader, ByteWriter, sha256, u32, u64
 from .quantize import QuantizedPoly
 
 
@@ -63,12 +63,27 @@ class Witness:
         little-endian at the order's byte width, then the quotient
         commitment: defined for any integer fields, so bytes from another
         peer cannot make it raise."""
-        return u32(len(self.evals)) + _scalars(backend, self.evals) + backend.g1_to_bytes(self.value)
+        return u32(len(self.evals)) + scalars(backend, self.evals) + backend.g1_to_bytes(self.value)
 
 
-def _scalars(backend, scalars) -> bytes:
+def scalars(backend, values) -> bytes:
+    """Each of ``values`` reduced mod the order, little-endian at the
+    order's byte width: the one encoding of a scalar list, defined for any
+    integers."""
     order, width = backend.order, backend.scalar_size
-    return b"".join((k % order).to_bytes(width, "little") for k in scalars)
+    return b"".join((k % order).to_bytes(width, "little") for k in values)
+
+
+def share_points(dim: int, m: int) -> int:
+    """The number n = 2(dim+1) of share points of a degree-``dim`` update
+    dealt to ``m`` aggregators.  Refuses fewer than two aggregators or more
+    than there are points, without building the layout."""
+    n = 2 * (dim + 1)
+    if m < 2:
+        raise ValueError("need at least two aggregators")
+    if m > n:
+        raise ValueError(f"{m} aggregators for only {n} share points")
+    return n
 
 
 @dataclass(frozen=True)
@@ -156,10 +171,10 @@ def trusted_setup(backend, degree: int, seed: bytes) -> CommitPK:
     forget alpha.  The seed holder is the ceremony's trusted party."""
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    alpha = 0
-    counter = 0
-    while alpha == 0:
-        alpha = derive_scalars(seed, 1, backend.order, tag=b"setup%d" % counter)[0]
+    alpha, counter = 0, 0
+    while alpha == 0:  # 64 hash bytes: the reduction's bias is negligible for orders to ~2^500
+        block = b"setup%d" % counter + seed + u64(0)
+        alpha = int.from_bytes(sha256(block) + sha256(block + b"\x01"), "big") % backend.order
         counter += 1
     powers = []
     acc = 1
@@ -207,7 +222,7 @@ def batch_weights(pk: CommitPK, points, openings) -> list[int]:
     consecutive 16-byte blocks of one SHAKE-256 output over the points, then
     every commitment and witness."""
     backend = pk.backend
-    parts = [b"share-batch", u32(len(points)), _scalars(backend, points)]
+    parts = [b"share-batch", u32(len(points)), scalars(backend, points)]
     for commitment, witness in openings:
         parts += [backend.g1_to_bytes(commitment), witness.to_bytes(backend)]
     stream = hashlib.shake_256(b"".join(parts)).digest(16 * len(openings))
@@ -220,7 +235,7 @@ def verify_share(pk: CommitPK, points, openings) -> bool:
     ``points``: one weighted pairing product for all of them (see the module
     docstring).  A point set ``CommitPK.slot`` refuses, or an opening with
     another count of evaluations, fails the check."""
-    backend, order = pk.backend, pk.backend.order
+    backend = pk.backend
     try:
         slot = pk.slot(points)
     except ValueError:
@@ -230,13 +245,10 @@ def verify_share(pk: CommitPK, points, openings) -> bool:
     if slot.prepared is None and any(w.value != backend.g1_identity for _, w in openings):
         return False  # |S| = degree + 1: every quotient is 0
     rho = batch_weights(pk, slot.points, openings)
-    interpolant = [0] * len(slot.points)
-    for j, lagrange in enumerate(slot.basis):
-        y = sum(r * w.evals[j] for r, (_, w) in zip(rho, openings))
-        for k, c in enumerate(lagrange):
-            interpolant[k] -= y * c
+    weighted = [sum(r * w.evals[j] for r, (_, w) in zip(rho, openings)) for j in range(len(slot.points))]
+    interpolant = polynomials.interpolate(slot.basis, weighted, backend.order)
     commitments = [c for c, _ in openings]
-    folded = backend.msm([*commitments, *pk.powers], [*rho, *(k % order for k in interpolant)])
+    folded = backend.msm([*commitments, *pk.powers], [*rho, *(-c for c in interpolant)])
     prepared, terms = [pk.share_check_key], [folded]
     if slot.prepared is not None:
         prepared.append(slot.prepared)

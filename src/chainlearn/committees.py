@@ -10,12 +10,11 @@ There are two kinds, each with its own functions:
 * a keyed draw (a peer's noiser set) walks from the peer's deterministic
   signature over its noiser seed, which is also the proof, so the set is
   unpredictable to others until revealed yet anybody can check it afterwards
-  against the peer's public key: ``draw_noisers`` and ``verify_vrf``.
+  against the peer's public key: ``draw_noisers`` returns ``(noisers,
+  proof)``, and ``verify_vrf`` walks a proof to its noisers.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import signatures
 from .encoding import sha256, u64
@@ -23,12 +22,6 @@ from .stake import StakeRing
 
 ROLE_VERIFY = b"verify"
 ROLE_AGGREGATE = b"aggregate"
-
-
-@dataclass(frozen=True)
-class VrfOutput:
-    committee: tuple  # ordered distinct peer ids
-    proof: bytes  # the drawing peer's signature over its noiser seed
 
 
 def noiser_seed(public_key_bytes: bytes, prev_hash: bytes, iteration: int) -> bytes:
@@ -63,13 +56,14 @@ def draw_committee(ring: StakeRing, seed: bytes, k: int, exclude=frozenset()) ->
 
 def draw_noisers(
     backend, keypair: signatures.KeyPair, peer: int, ring: StakeRing, prev_hash: bytes, iteration: int, k: int
-) -> VrfOutput:
+) -> tuple:
     """``peer``'s keyed draw of k noisers other than itself for round
-    ``iteration`` on the tip ``prev_hash``: it signs its noiser seed and
-    walks from the hash of that signature."""
+    ``iteration`` on the tip ``prev_hash``, as ``(noisers, proof)``: it
+    signs its noiser seed, the proof, and walks from the hash of that
+    signature to the noisers, ordered distinct peer ids."""
     seed = noiser_seed(backend.g1_to_bytes(keypair.public), prev_hash, iteration)
     proof = signatures.sign(backend, keypair, seed)
-    return VrfOutput(_walk(ring, sha256(proof), k, {peer}), proof)
+    return _walk(ring, sha256(proof), k, {peer}), proof
 
 
 def verify_vrf(

@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .attacks import AdversaryConfig
+from .commitments import share_points
 from .krum import MIN_SAMPLE, krum_sample_size, max_tolerable_f, updates_per_block
 from .ledger import ProtocolConfig
 from .models import make_model
 from .sgd import TrainConfig
-from .vss import share_points
 
 
 @dataclass(frozen=True)

@@ -101,7 +101,6 @@ def _read_idx_header(data: bytes, expected_magic: int, path: str) -> tuple[tuple
 def _load_idx(params: dict) -> Dataset:
     images_path = params["images"]
     labels_path = params["labels"]
-    limit = params.get("limit")
     with open(images_path, "rb") as fh:
         img_data = fh.read()
     with open(labels_path, "rb") as fh:
@@ -119,14 +118,11 @@ def _load_idx(params: dict) -> Dataset:
     if len(lab_data) - loff < count:
         raise ValueError(f"{labels_path}: truncated labels at byte offset {len(lab_data)}")
     labels = np.frombuffer(lab_data, dtype=np.uint8, count=count, offset=loff).astype(np.int64)
-    if limit is not None:
-        feats, labels = feats[:limit], labels[:limit]
     return Dataset(feats, labels, int(labels.max()) + 1 if len(labels) else 1)
 
 
 def _load_csv(params: dict) -> Dataset:
     path = params["path"]
-    limit = params.get("limit")
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
@@ -143,8 +139,6 @@ def _load_csv(params: dict) -> Dataset:
                 rows.append([float(c) for c in cells])
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: non-numeric cell ({exc})") from None
-            if limit is not None and len(rows) >= limit:
-                break
     if not rows:
         raise ValueError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=np.float64)

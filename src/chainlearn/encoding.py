@@ -108,15 +108,3 @@ class ByteReader:
                 f"trailing input: {len(self._data) - self._pos} bytes after offset {self._pos}"
             )
 
-
-def derive_scalars(seed: bytes, count: int, modulus: int, tag: bytes = b"") -> list[int]:
-    """Deterministic scalars below ``modulus`` from a seed, counter-mode SHA-256.
-
-    Draws 64 hash bytes per scalar so the bias from the modular reduction is
-    negligible for moduli up to ~2^500.
-    """
-    out = []
-    for i in range(count):
-        h = sha256(tag + seed + u64(i)) + sha256(tag + seed + u64(i) + b"\x01")
-        out.append(int.from_bytes(h, "big") % modulus)
-    return out

@@ -88,21 +88,6 @@ class MetricsLog:
                 writer.writerow(row)
 
 
-def _dataset_params(spec: ExperimentSpec, n: int) -> dict:
-    d = spec.dataset
-    params = {
-        "n": n,
-        "features": d.features,
-        "classes": d.classes,
-        "separation": d.separation,
-        "noise_std": d.noise_std,
-    }
-    if d.class_weights is not None:
-        params["class_weights"] = list(d.class_weights)
-    params.update(d.params)
-    return params
-
-
 RESERVE_SHARDS = 24  # spare same-distribution shards handed to rejoining peers
 
 
@@ -116,7 +101,7 @@ def build_environment(spec: ExperimentSpec) -> Environment:
     d = spec.dataset
     model = make_model(spec.model_family, d.features, d.classes)
     total = n_peers * d.shard_size + d.validation_size + RESERVE_SHARDS * d.shard_size
-    master = make_dataset(d.kind, _dataset_params(spec, total), seed=spec.seed)
+    master = make_dataset(d.kind, {**dataclasses.asdict(d), "n": total, **d.params}, seed=spec.seed)
     if (master.n_features, master.num_classes) != (d.features, d.classes):
         raise ValueError(
             f"dataset has {master.n_features} features and {master.num_classes} classes;"

@@ -28,7 +28,7 @@ from typing import ClassVar, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import signatures
-from .commitments import CommitPK, combine, commit
+from .commitments import CommitPK, combine, commit, share_points
 from .committees import ROLE_AGGREGATE, ROLE_VERIFY, committee_seed, draw_committee
 from .encoding import ByteReader, ByteWriter, sha256, u32
 from .models import ModelParams
@@ -136,7 +136,10 @@ class GenesisBlock:
     ``backend.prepare_base`` prepared them, however the genesis was made, so
     each builds its tables at its first signature check.  Each committee of
     the config holds at least one member, and no more than the peers with
-    stake, so every round's committees can be drawn."""
+    stake (the noisers no more than one fewer, since a peer draws them from
+    the others), and its aggregators can split the share points
+    (``commitments.share_points``), so every round's committees and share
+    layout can be drawn: stake only grows."""
 
     initial_model: np.ndarray
     commit_pk: CommitPK
@@ -152,10 +155,13 @@ class GenesisBlock:
             raise ValueError("public keys, stake and noise table name different peers")
         if any(len(row) != self.config.total_iterations for row in rows.values()):
             raise ValueError("noise table rows must cover every round")
-        staked = sum(v > 0 for v in self.initial_stake.values())
-        for role, k in ("verifier", self.config.num_verifiers), ("aggregator", self.config.num_aggregators):
-            if not 1 <= k <= staked:
-                raise ValueError(f"{role} committee of {k} is outside 1..{staked}, the peers with stake")
+        cfg, staked = self.config, sum(v > 0 for v in self.initial_stake.values())
+        # a peer draws its noisers from the other peers with stake, each committee from all of them
+        for role, k, most in (("noiser", cfg.num_noisers, staked - 1), ("verifier", cfg.num_verifiers, staked),
+                              ("aggregator", cfg.num_aggregators, staked)):
+            if not 1 <= k <= most:
+                raise ValueError(f"{role} committee of {k} is outside 1..{most} for {staked} peers with stake")
+        share_points(len(self.initial_model), cfg.num_aggregators)
         backend = self.commit_pk.backend
         keys = {pid: backend.prepare_base(key) for pid, key in self.peer_pubkeys.items()}
         object.__setattr__(self, "peer_pubkeys", keys)

@@ -1,7 +1,7 @@
 """Polynomial arithmetic over a prime field, coefficient-vector form.
 
 Coefficient lists are little-endian: ``coeffs[j]`` multiplies x^j.  Used for
-share evaluation, witness quotients and Lagrange recovery.
+share evaluation, witness quotients and Lagrange interpolation.
 """
 
 from __future__ import annotations
@@ -55,6 +55,17 @@ def lagrange_basis(xs, p: int) -> list[list[int]]:
         scale = pow(poly_eval(lagrange, x, p), -1, p)
         basis.append([c * scale % p for c in lagrange])
     return basis
+
+
+def interpolate(basis, values, p: int) -> list[int]:
+    """The coefficients of sum(y_j * L_j) mod p, the polynomial of degree
+    below len(values) through ``values`` at the points whose
+    ``lagrange_basis`` is ``basis``, in the same order."""
+    coeffs = [0] * len(basis)
+    for y, lagrange in zip(values, basis, strict=True):
+        for k, c in enumerate(lagrange):
+            coeffs[k] += y * c
+    return [c % p for c in coeffs]
 
 
 def _mul_linear(poly: list[int], c: int, p: int) -> list[int]:

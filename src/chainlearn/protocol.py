@@ -35,8 +35,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import signatures
-from .commitments import combine, commit
-from .committees import VrfOutput, draw_noisers, verify_vrf
+from .commitments import combine, commit, scalars
+from .committees import draw_noisers, verify_vrf
 from .encoding import ByteWriter, sha256, u64
 from .krum import MIN_SAMPLE, KrumConfig, krum_sample_size, max_tolerable_f, multi_krum_select, updates_per_block
 from .ledger import (
@@ -74,7 +74,7 @@ BROADCAST = -1
 REFUSAL_REASONS = frozenset(
     {
         # the peer's own stage fails, so its part of the round is void
-        "no-local-data", "local-update-failed", "noiser-draw-failed", "no-quorum",
+        "no-local-data", "local-update-failed", "no-quorum",
         "no-accepted-bundles", "missing-bundles", "recovery-failed",
         # honest lateness: the message's round has passed or its stage closed
         "late-submission", "late-bundle", "late-aggregate-share",
@@ -164,17 +164,15 @@ class AggShareMsg:
 
     def payload_bytes(self, backend, contributors) -> bytes:
         """The signed bytes; they cover the announced ``contributors`` that
-        the values sum, which the proposer holds and so is not sent; each
-        value is written reduced mod the order, little-endian at its width."""
+        the values sum, which the proposer holds and so is not sent; the
+        values are written as ``commitments.scalars`` writes them."""
         w = ByteWriter()
         w.u32(self.iteration)
         w.u32(self.sender)
         w.u32(len(contributors))
         for c in contributors:
             w.u32(c)
-        w.u32(len(self.values))
-        for value in self.values:
-            w.raw((value % backend.order).to_bytes(backend.scalar_size, "little"))
+        w.u32(len(self.values)).raw(scalars(backend, self.values))
         return b"aggshare" + w.getvalue()
 
 
@@ -250,7 +248,8 @@ class RoundState:
     iteration: int = 0
     verifiers: tuple = ()
     aggregators: tuple = ()
-    noiser_vrf: VrfOutput | None = None
+    noisers: tuple = ()  # drawn in order; () once the update is void
+    noiser_proof: bytes = b""
     update_q: object = None
     commitment: object = None  # G1 element
     noise_responses: dict = field(default_factory=dict)
@@ -356,14 +355,10 @@ class PeerNode:
         blinding = int.from_bytes(sha256(b"blind" + self.secrets.noise_seed + u64(t)), "big")
         self.round.update_q = encode(delta, blinding % self.backend.order, self.backend.order)
         self.round.commitment = commit(self.genesis.commit_pk, self.round.update_q)
-        try:
-            self.round.noiser_vrf = draw_noisers(
-                self.backend, self.secrets.keypair, self.id, self.ledger.state.ring,
-                prev_hash, t, cfg.num_noisers,
-            )
-        except ValueError:
-            return self._refuse("noiser-draw-failed", self.id)
-        return [(nid, NoiseRequest(t, self.id), None) for nid in self.round.noiser_vrf.committee]
+        self.round.noisers, self.round.noiser_proof = draw_noisers(
+            self.backend, self.secrets.keypair, self.id, self.ledger.state.ring, prev_hash, t, cfg.num_noisers
+        )
+        return [(nid, NoiseRequest(t, self.id), None) for nid in self.round.noisers]
 
     # -- event dispatch ----------------------------------------------------------
 
@@ -400,22 +395,21 @@ class PeerNode:
 
     def _on_NoiseResponse(self, msg: NoiseResponse, now: float) -> list:
         rs = self.round
-        drawn = rs.noiser_vrf.committee if rs.noiser_vrf else ()
-        if msg.iteration != rs.iteration or rs.submitted or msg.sender not in drawn:
+        if msg.iteration != rs.iteration or rs.submitted or msg.sender not in rs.noisers:
             return self._refuse("stray-noise-response", msg.sender)
         genesis = self.genesis
         expected = genesis.noise_table[msg.sender][rs.iteration - 1]
         if not genesis.admits(msg.quantized) or commit(genesis.commit_pk, msg.quantized) != expected:
-            rs.noiser_vrf = None  # this round's update is void
+            rs.noisers = ()  # this round's update is void
             return self._refuse("noise-not-genesis", msg.sender)
         rs.noise_responses[msg.sender] = msg.quantized
-        if len(rs.noise_responses) < len(rs.noiser_vrf.committee):
+        if len(rs.noise_responses) < len(rs.noisers):
             return []
         # all noise in hand: mask and submit to every verifier
-        noises = [rs.noise_responses[nid] for nid in rs.noiser_vrf.committee]
+        noises = [rs.noise_responses[nid] for nid in rs.noisers]
         masked = mask_update(rs.update_q, noises)
         backend = self.backend
-        sub = UpdateSubmission(rs.iteration, self.id, masked, rs.commitment, rs.noiser_vrf.proof)
+        sub = UpdateSubmission(rs.iteration, self.id, masked, rs.commitment, rs.noiser_proof)
         sig = signatures.sign(backend, self.secrets.keypair, sub.payload_bytes(backend))
         sub = replace(sub, signature=sig)
         rs.submitted = True

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .commitments import CommitPK, commit, create_witness, verify_share
+from .commitments import CommitPK, commit, create_witness, share_points, verify_share
 from .ledger import (
     CommitmentEntry,
     SignOffChecks,
@@ -35,6 +35,7 @@ from .ledger import (
     endorsement_rejection,
     pair_records,
 )
+from .polynomials import interpolate
 from .quantize import QuantizedPoly
 
 
@@ -52,22 +53,10 @@ class ShareBundle:
     opening: object  # Witness at the receiving aggregator's slot
 
 
-def share_points(dim: int, m: int) -> int:
-    """The number n = 2(dim+1) of share points of a degree-``dim`` update
-    dealt to ``m`` aggregators.  Refuses fewer than two aggregators or more
-    than there are points, without building the layout."""
-    n = 2 * (dim + 1)
-    if m < 2:
-        raise ValueError("need at least two aggregators")
-    if m > n:
-        raise ValueError(f"{m} aggregators for only {n} share points")
-    return n
-
-
 def slots(dim: int, aggregators) -> dict:
     """The share layout, aggregator -> its points: the points 1..n of a
-    degree-``dim`` update (0 stays reserved, n from ``share_points``), dealt
-    round-robin in committee order."""
+    degree-``dim`` update (0 stays reserved, n from
+    ``commitments.share_points``), dealt round-robin in committee order."""
     n, m = share_points(dim, len(aggregators)), len(aggregators)
     return {agg: list(range(i + 1, n + 1, m)) for i, agg in enumerate(aggregators)}
 
@@ -130,11 +119,8 @@ def recover_aggregate(agg_shares, pk: CommitPK, combined) -> QuantizedPoly:
             f"insufficient shares: {len(by_point)} distinct points, need {needed}"
         )
     chosen = sorted(by_point)[:needed]
-    coeffs = [0] * needed
-    for z, lagrange in zip(chosen, pk.slot(chosen).basis):
-        for k, c in enumerate(lagrange):
-            coeffs[k] += by_point[z] * c
-    poly = QuantizedPoly(tuple(c % order for c in coeffs), order)
+    values = [by_point[z] for z in chosen]
+    poly = QuantizedPoly(tuple(interpolate(pk.slot(chosen).basis, values, order)), order)
     if commit(pk, poly) != combined:
         raise ShareRecoveryError("interpolated polynomial does not match the combined commitment")
     return poly

@@ -203,13 +203,21 @@ def crafted_chain(tiny_net, path, **changes) -> None:
 
 @pytest.mark.parametrize(
     "changes, message",
-    [({"num_aggregators": 0}, "aggregator committee of 0 "), ({"num_verifiers": 20}, "verifier committee of 20 ")],
+    [
+        ({"num_aggregators": 0}, "aggregator committee of 0 "),
+        ({"num_verifiers": 20}, "verifier committee of 20 "),
+        ({"num_noisers": 12}, "noiser committee of 12 "),
+        ({"num_aggregators": 1}, "need at least two aggregators"),
+        ({"num_aggregators": 11}, "11 aggregators for only 10 share points"),
+    ],
 )
 def test_chain_whose_committees_cannot_be_drawn_is_refused_at_genesis(tiny_net, tmp_path, capsys, changes, message):
-    """A chain file whose genesis asks for no proposer, or for more verifiers
-    than its 12 staked peers, fails as a ``ValueError`` naming the path and
-    the genesis, never a traceback, and ``verify-chain`` prints it as one
-    error line."""
+    """A chain file whose genesis asks for no proposer, for more verifiers
+    than its 12 staked peers, for as many noisers as staked peers (a peer
+    draws from the other 11), or for a share layout no round can deal (one
+    aggregator, or 11 for the 10 share points of d = 4) fails as a
+    ``ValueError`` naming the path and the genesis, never a traceback, and
+    ``verify-chain`` prints it as one error line."""
     path = tmp_path / "crafted.bin"
     crafted_chain(tiny_net, path, **changes)
     expected = f"{path}: genesis: {message}"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainlearn.polynomials import divide_monic, lagrange_basis, poly_eval, vanishing
+from chainlearn.polynomials import divide_monic, interpolate, lagrange_basis, poly_eval, vanishing
 
 P = (1 << 61) - 1
 
@@ -54,20 +54,10 @@ def test_division_by_a_vanishing_polynomial():
             assert poly_eval(coeffs, x, P) == (poly_eval(q, x, P) * poly_eval(z, x, P) + poly_eval(rem, x, P)) % P
 
 
-def interpolate(points):
-    """The coefficients through the (x, y) ``points``: sum(y_j * L_j) over
-    ``lagrange_basis``, as share recovery sums them."""
-    coeffs = [0] * len(points)
-    for (_, y), lagrange in zip(points, lagrange_basis([x for x, _ in points], P)):
-        for k, c in enumerate(lagrange):
-            coeffs[k] = (coeffs[k] + y * c) % P
-    return coeffs
-
-
 def test_interpolation_hand_example():
     basis = lagrange_basis([1, 2, 3], P)
     assert [[poly_eval(L, x, P) for x in (1, 2, 3)] for L in basis] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert interpolate([(1, 6), (2, 11), (3, 18)]) == [3, 2, 1]
+    assert interpolate(basis, [6, 11, 18], P) == [3, 2, 1]
 
 
 def test_interpolation_requires_distinct_points():
@@ -81,8 +71,8 @@ def test_interpolation_requires_distinct_points():
 @settings(max_examples=40, deadline=None)
 def test_interpolation_roundtrip(coeffs, rnd):
     points = rnd.sample(range(1, 40), len(coeffs))
-    values = [(x, poly_eval(coeffs, x, P)) for x in points]
-    back = interpolate(values)
+    values = [poly_eval(coeffs, x, P) for x in points]
+    back = interpolate(lagrange_basis(points, P), values, P)
     # strip leading zero coefficients the sample may imply
     while len(back) > len(coeffs):
         assert back[-1] == 0

@@ -348,10 +348,9 @@ def make_submission(sim, peer_id, iteration=1, tamper=None):
     update_q = encode(delta, blinding % backend.order, backend.order)
     commitment = commit(genesis.commit_pk, update_q)
     ring = build_ring(peer.ledger.stake)
-    vrf = draw_noisers(
+    noiser_ids, proof = draw_noisers(
         backend, peer.secrets.keypair, peer_id, ring, prev_hash, iteration, cfg.num_noisers
     )
-    noiser_ids, proof = vrf.committee, vrf.proof
     if tamper == "unkeyed-draw":
         # the public walk from the same seed, with no proof
         seed = noiser_seed(backend.g1_to_bytes(peer.secrets.keypair.public), prev_hash, iteration)

@@ -107,18 +107,18 @@ def test_plain_and_prepared_keys_give_one_verdict(name):
     forged = _signature(backend, _challenge(backend, R, backend.g1_identity, b"hello"), s)
     tampered = _signature(backend, c, (s + 1) % backend.order)
     ring, prev = build_ring({i: 10 for i in range(8)}), sha256(b"prev")
-    out = draw_noisers(backend, kp, 4, ring, prev, 2, 3)
+    noisers, drawn_proof = draw_noisers(backend, kp, 4, ring, prev, 2, 3)
     cases = [
-        (kp.public, sig, out.proof, True),
-        (kp.public, tampered, out.proof[::-1], False),
-        (other.public, sig, out.proof, False),
-        (backend.g1_identity, forged, out.proof, False),
+        (kp.public, sig, drawn_proof, True),
+        (kp.public, tampered, drawn_proof[::-1], False),
+        (other.public, sig, drawn_proof, False),
+        (backend.g1_identity, forged, drawn_proof, False),
     ]
     for key, signature, proof, valid in cases:
         plain = tuple(key) if isinstance(key, tuple) else key  # a prepared point is a tuple subclass
         prepared = backend.prepare_base(plain)
         assert verify(backend, plain, b"hello", signature) == verify(backend, prepared, b"hello", signature) == valid
-        committee = out.committee if valid else ()
+        committee = noisers if valid else ()
         assert verify_vrf(proof, backend, plain, 4, ring, prev, 2, 3) == committee
         assert verify_vrf(proof, backend, prepared, 4, ring, prev, 2, 3) == committee
 
@@ -261,11 +261,11 @@ def test_keyed_vrf_verifies_and_binds_to_key():
     ring = build_ring({i: 10 for i in range(12)})
     kp = keygen(BACKEND, b"drawer")
     prev = sha256(b"prev")
-    out = draw_noisers(BACKEND, kp, 4, ring, prev, 2, 3)
-    assert 4 not in out.committee
-    assert verify_vrf(out.proof, BACKEND, kp.public, 4, ring, prev, 2, 3) == out.committee
+    noisers, proof = draw_noisers(BACKEND, kp, 4, ring, prev, 2, 3)
+    assert 4 not in noisers
+    assert verify_vrf(proof, BACKEND, kp.public, 4, ring, prev, 2, 3) == noisers
     other = keygen(BACKEND, b"other")
-    assert verify_vrf(out.proof, BACKEND, other.public, 4, ring, prev, 2, 3) == ()
+    assert verify_vrf(proof, BACKEND, other.public, 4, ring, prev, 2, 3) == ()
 
 
 def test_public_walk_is_not_a_keyed_draw():
@@ -277,7 +277,7 @@ def test_public_walk_is_not_a_keyed_draw():
     prev = sha256(b"prev")
     seed = noiser_seed(BACKEND.g1_to_bytes(kp.public), prev, 1)
     walk = draw_committee(ring, seed, 3, exclude={4})
-    keyed = draw_noisers(BACKEND, kp, 4, ring, prev, 1, 3).committee
+    keyed, _ = draw_noisers(BACKEND, kp, 4, ring, prev, 1, 3)
     assert walk != keyed
     assert verify_vrf(b"", BACKEND, kp.public, 4, ring, prev, 1, 3) == ()
 
@@ -303,24 +303,24 @@ def test_keyed_draw_property(name, stake, key_seed, prev, iteration, data):
     k = data.draw(st.integers(1, n - 2), label="k")
     kp = keygen(backend, key_seed)
     key = kp.public
-    out = draw_noisers(backend, kp, peer, ring, prev, iteration, k)
-    assert len(out.committee) == k and peer not in out.committee
+    noisers, proof = draw_noisers(backend, kp, peer, ring, prev, iteration, k)
+    assert len(noisers) == k and peer not in noisers
 
-    def drawn(proof=out.proof, key=key, peer=peer, prev=prev, iteration=iteration, k=k):
+    def drawn(proof=proof, key=key, peer=peer, prev=prev, iteration=iteration, k=k):
         return verify_vrf(proof, backend, key, peer, ring, prev, iteration, k)
 
-    assert drawn() == out.committee
+    assert drawn() == noisers
     assert drawn(key=keygen(backend, key_seed + b"x").public) == ()
     assert drawn(prev=sha256(prev)) == ()
     assert drawn(iteration=iteration + 1) == ()
     # a drawn member in the drawing peer's place: the walk must skip it
-    member = data.draw(st.sampled_from(out.committee), label="other_peer")
+    member = data.draw(st.sampled_from(noisers), label="other_peer")
     other = drawn(peer=member)
     assert member not in other and len(other) in (0, k)
-    assert drawn(k=k - 1) == out.committee[:-1]
+    assert drawn(k=k - 1) == noisers[:-1]
     longer = drawn(k=k + 1)
-    assert longer == () or (len(longer) == k + 1 and longer[:k] == out.committee)
-    flipped = bytearray(out.proof)
+    assert longer == () or (len(longer) == k + 1 and longer[:k] == noisers)
+    flipped = bytearray(proof)
     flipped[data.draw(st.integers(0, len(flipped) - 1), label="at")] ^= data.draw(
         st.integers(1, 255), label="flip"
     )
