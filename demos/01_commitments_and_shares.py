@@ -18,8 +18,8 @@ from chainlearn import (
     trusted_setup,
     verify_share,
 )
+from chainlearn.commitments import slots
 from chainlearn.ledger import CommitmentEntry
-from chainlearn.vss import slots
 
 # The "pairing" backend is the real thing (supersingular curve, Tate pairing);
 # swap in "exponent" for instant arithmetic while prototyping.

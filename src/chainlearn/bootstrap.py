@@ -16,7 +16,6 @@ from .encoding import sha256, u64
 from .commitments import trusted_setup
 from .groups import get_backend
 from .ledger import GenesisBlock, ProtocolConfig
-from .models import make_model
 from .noise import build_noise_table
 from .signatures import KeyPair, keygen
 
@@ -26,10 +25,6 @@ class PeerSecrets:
     keypair: KeyPair
     noise_seed: bytes
     zero_noise: bool = False  # a colluder that commits all-zero noise
-
-
-def model_dim(config: ProtocolConfig) -> int:
-    return make_model(config.model_family, config.n_features, config.n_classes).dim
 
 
 def build_genesis(
@@ -42,7 +37,7 @@ def build_genesis(
     """Returns (genesis block, {peer id -> PeerSecrets})."""
     backend = get_backend(config.backend_name)
     peer_ids = sorted(peer_ids)
-    dim = model_dim(config)
+    dim = config.model_dim
     pk = trusted_setup(backend, dim, sha256(b"commit-key" + master_seed))
 
     secrets = {}

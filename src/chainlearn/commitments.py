@@ -8,6 +8,8 @@ coefficients are small centered residues, added by their wNAF digits in the
 same 32 doublings.  Witness quotients (c_0 falls into the remainder)
 are small too and are committed the same way.
 
+The protocol's point sets are its share layout, ``slots(d, aggregators)``:
+the points 1..2(d+1) dealt round-robin over the aggregators, one slot each.
 Opening at a point set S (a slot) ships the evaluations y_s = phi(s), s in
 S, and a commitment W_S = [q_S(alpha)] to the quotient of phi by the monic
 Z_S(x) = prod_{s in S}(x - s); the remainder I_S is the polynomial of degree
@@ -72,18 +74,6 @@ def scalars(backend, values) -> bytes:
     integers."""
     order, width = backend.order, backend.scalar_size
     return b"".join((k % order).to_bytes(width, "little") for k in values)
-
-
-def share_points(dim: int, m: int) -> int:
-    """The number n = 2(dim+1) of share points of a degree-``dim`` update
-    dealt to ``m`` aggregators.  Refuses fewer than two aggregators or more
-    than there are points, without building the layout."""
-    n = 2 * (dim + 1)
-    if m < 2:
-        raise ValueError("need at least two aggregators")
-    if m > n:
-        raise ValueError(f"{m} aggregators for only {n} share points")
-    return n
 
 
 @dataclass(frozen=True)
@@ -164,6 +154,19 @@ class CommitPK:
         powers = [backend.g1_from_bytes(r.raw(size)) for _ in range(n)]
         r.done()
         return cls(backend, powers)
+
+
+def slots(dim: int, aggregators) -> dict:
+    """The share layout, aggregator -> its points: the points 1..n, n =
+    2(dim+1), of a degree-``dim`` update (0 stays reserved), dealt
+    round-robin in committee order, each slot a ``range``.  Refuses fewer
+    than two aggregators or more than n before it builds anything."""
+    n, m = 2 * (dim + 1), len(aggregators)
+    if m < 2:
+        raise ValueError("need at least two aggregators")
+    if m > n:
+        raise ValueError(f"{m} aggregators for only {n} share points")
+    return {agg: range(i + 1, n + 1, m) for i, agg in enumerate(aggregators)}
 
 
 def trusted_setup(backend, degree: int, seed: bytes) -> CommitPK:

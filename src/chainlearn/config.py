@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .attacks import AdversaryConfig
-from .commitments import share_points
+from .commitments import slots
 from .krum import MIN_SAMPLE, krum_sample_size, max_tolerable_f, updates_per_block
 from .ledger import ProtocolConfig
-from .models import make_model
 from .sgd import TrainConfig
 
 
@@ -90,8 +89,7 @@ class ExperimentSpec:
         for key, most in (("number_of_noisers", n - 1), ("number_of_verifiers", n), ("number_of_aggregators", n)):
             if getattr(self, key) > most:
                 raise ValueError(f"{key} must be at most {most} with {n} nodes, got {getattr(self, key)}")
-        share_points(make_model(self.model_family, self.dataset.features, self.dataset.classes).dim,
-                     self.number_of_aggregators)
+        slots(self.protocol_config().model_dim, range(self.number_of_aggregators))
         # the committees may be disjoint, so only this many updaters are sure to reach a verifier's quorum
         updaters = n - self.number_of_verifiers - self.number_of_aggregators
         if updaters < MIN_SAMPLE:

@@ -156,11 +156,16 @@ class ExperimentRun:
     metrics: MetricsLog
 
 
-def _attack_rate_or_nan(env: Environment, spec: ExperimentSpec, weights) -> float:
+def _score(env: Environment, spec: ExperimentSpec, t: int, sim_time: float, weights,
+           stake: float, blocks: int, forks: int, dropped: int) -> dict:
+    """Round ``t``'s metrics row, in ``MetricsLog.FIELDS`` order: ``weights``
+    scored on the validation set, the attack rate NaN when no validation
+    example holds the attacked class."""
     src = spec.adversary.src_label
-    if src >= spec.dataset.classes or not (env.validation.labels == src).any():
-        return math.nan
-    return attack_rate(env.model, weights, env.validation, src)
+    attacked = src < spec.dataset.classes and (env.validation.labels == src).any()
+    scores = (validation_error(env.model, weights, env.validation),
+              attack_rate(env.model, weights, env.validation, src) if attacked else math.nan)
+    return dict(zip(MetricsLog.FIELDS, (t, sim_time, *scores, stake, blocks, forks, dropped), strict=True))
 
 
 def run_protocol_experiment(spec: ExperimentSpec, env: Environment | None = None) -> ExperimentRun:
@@ -195,18 +200,9 @@ def run_protocol_experiment(spec: ExperimentSpec, env: Environment | None = None
             if not ok:
                 raise RuntimeError(f"metrics replay rejected block {t}: {reason}")
             weights = block.model_weights
-        rows.append(
-            {
-                "iteration": t,
-                "sim_time": round(sim_time, 6),
-                "validation_error": validation_error(env.model, weights, env.validation),
-                "attack_rate": _attack_rate_or_nan(env, spec, weights),
-                "honest_stake_fraction": honest_stake_fraction(replay.stake, honest),
-                "blocks": replay.height,
-                "forks": result.forks,
-                "dropped_updates": result.dropped_updates.get(t, 0),
-            }
-        )
+        stake = honest_stake_fraction(replay.stake, honest)
+        rows.append(_score(env, spec, t, round(sim_time, 6), weights, stake, replay.height, result.forks,
+                           result.dropped_updates.get(t, 0)))
     return ExperimentRun(result, MetricsLog(rows))
 
 
@@ -228,18 +224,7 @@ def run_fl_baseline(spec: ExperimentSpec, env: Environment | None = None) -> Exp
             seed = int.from_bytes(sha256(b"fl-batch" + u64(spec.seed) + u64(pid) + u64(t)), "big")
             total += compute_local_update(model, params, env.datasets[pid], spec.train, seed)
         params = ModelParams(params.weights + total, t)
-        rows.append(
-            {
-                "iteration": t,
-                "sim_time": float(t),
-                "validation_error": validation_error(model, params.weights, env.validation),
-                "attack_rate": _attack_rate_or_nan(env, spec, params.weights),
-                "honest_stake_fraction": len(honest) / len(peer_ids),
-                "blocks": t,
-                "forks": 0,
-                "dropped_updates": 0,
-            }
-        )
+        rows.append(_score(env, spec, t, float(t), params.weights, len(honest) / len(peer_ids), t, 0, 0))
     return ExperimentRun(None, MetricsLog(rows))
 
 
@@ -322,12 +307,10 @@ def _build_id() -> str:
     return "untracked"
 
 
-def write_metadata(out_dir, spec: ExperimentSpec, extra: dict | None = None) -> None:
-    payload = {"config": spec.to_dict(), "build": _build_id()}
+def write_metadata(out_dir, spec: ExperimentSpec, summary: dict) -> None:
+    payload = {"config": spec.to_dict(), "build": _build_id(), "summary": summary}
     if spec.backend == "exponent":
         payload["insecure_backend"] = True  # debug group: nothing is hidden
-    if extra:
-        payload.update(extra)
     with open(out_dir / "metadata.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
@@ -468,7 +451,7 @@ def run_named_experiment(spec: ExperimentSpec, out_dir) -> dict:
                 break
             d.rmdir()
         raise
-    write_metadata(out_dir, spec, {"summary": summary})
+    write_metadata(out_dir, spec, summary)
     return summary
 
 

@@ -146,10 +146,6 @@ def _pt_add_many(pairs, p=_P):
     return out
 
 
-def _pt_add(P1, P2, p=_P):
-    return _pt_add_many([(P1, P2)], p)[0]
-
-
 def _pt_neg(P, p=_P):
     if P is None:
         return None
@@ -460,7 +456,7 @@ class PairingGroup:
         self.gt_one = (1, 0)
 
     def g1_add(self, a, b):
-        return _pt_add(a, b)
+        return _pt_add_many([(a, b)])[0]
 
     def g1_neg(self, a):
         return _pt_neg(a)

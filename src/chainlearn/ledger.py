@@ -28,10 +28,10 @@ from typing import ClassVar, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import signatures
-from .commitments import CommitPK, combine, commit, share_points
+from .commitments import CommitPK, combine, commit, slots
 from .committees import ROLE_AGGREGATE, ROLE_VERIFY, committee_seed, draw_committee
 from .encoding import ByteReader, ByteWriter, sha256, u32
-from .models import ModelParams
+from .models import ModelParams, make_model
 from .quantize import SCALE_BITS, QuantizedPoly, admissible, decode
 from .sgd import TrainConfig
 from .stake import StakeRing, build_ring, update_stake
@@ -76,6 +76,11 @@ class ProtocolConfig:
     collect_fraction: float  # R = round(fraction * live peers)
     stake_reward: int
     train: TrainConfig
+
+    @property
+    def model_dim(self) -> int:
+        """The weight count of the model the config names."""
+        return make_model(self.model_family, self.n_features, self.n_classes).dim
 
     def to_bytes(self) -> bytes:
         return _write_fields(ByteWriter(), self).getvalue()
@@ -138,8 +143,9 @@ class GenesisBlock:
     the config holds at least one member, and no more than the peers with
     stake (the noisers no more than one fewer, since a peer draws them from
     the others), and its aggregators can split the share points
-    (``commitments.share_points``), so every round's committees and share
-    layout can be drawn: stake only grows."""
+    (``commitments.slots``), so every round's committees and share layout
+    can be drawn: stake only grows.  The initial model, the commitment key's
+    degree and the config's model agree on the weight count."""
 
     initial_model: np.ndarray
     commit_pk: CommitPK
@@ -161,7 +167,11 @@ class GenesisBlock:
                               ("aggregator", cfg.num_aggregators, staked)):
             if not 1 <= k <= most:
                 raise ValueError(f"{role} committee of {k} is outside 1..{most} for {staked} peers with stake")
-        share_points(len(self.initial_model), cfg.num_aggregators)
+        dim, degree = cfg.model_dim, self.commit_pk.degree
+        if not len(self.initial_model) == degree == dim:
+            raise ValueError(f"{len(self.initial_model)} model weights and key degree {degree}"
+                             f" for a config of {dim} weights")
+        slots(dim, range(cfg.num_aggregators))
         backend = self.commit_pk.backend
         keys = {pid: backend.prepare_base(key) for pid, key in self.peer_pubkeys.items()}
         object.__setattr__(self, "peer_pubkeys", keys)

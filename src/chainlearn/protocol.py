@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import signatures
-from .commitments import combine, commit, scalars
+from .commitments import combine, commit, scalars, slots
 from .committees import draw_noisers, verify_vrf
 from .encoding import ByteWriter, sha256, u64
 from .krum import MIN_SAMPLE, KrumConfig, krum_sample_size, max_tolerable_f, multi_krum_select, updates_per_block
@@ -61,7 +61,6 @@ from .vss import (
     deal_shares,
     failing_dealers,
     recover_aggregate,
-    slots,
     sum_shares,
 )
 

@@ -23,8 +23,8 @@ SCALE_BITS = 20
 HEADROOM = 128
 
 
-class HeadroomError(OverflowError):
-    """An entry is too large for safe field-domain accumulation."""
+class HeadroomError(ValueError):
+    """An entry too large for safe field-domain accumulation: bad input, so a ``ValueError``."""
 
 
 @dataclass(frozen=True)

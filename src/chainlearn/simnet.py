@@ -184,12 +184,7 @@ class Simulation:
             if peer.round.iteration > cfg.total_iterations and self._all_done():
                 break
         else:
-            online_busy = [
-                p for p, up in self.online.items()
-                if up and self.peers[p].round.iteration <= cfg.total_iterations
-            ]
-            if online_busy:
-                deadlocked = True
+            deadlocked = not self._all_done()
 
         observer = max(
             (p for p in self.peers if self.online[p]),

@@ -1,22 +1,22 @@
 """Share dealing, aggregator-side checks and aggregate recovery.
 
 A quantized update (a degree-d polynomial) is evaluated at the fixed field
-points 1..n with n = 2*(d+1).  ``slots`` lays the points out, round-robin
-across the aggregators in committee order; the round's slot map is computed
-once and read by the dealer, every aggregator and the proposer.  A dealer
-opens each slot S with one witness W_S = [q_S(alpha)], q_S the quotient of
-its update by Z_S (see ``commitments``).  W_S = (C - [I_S(alpha)])/Z_S(alpha)
-is fixed by the commitment C and the slot's evaluations, which fix I_S, so
-it reveals nothing beyond them.  An aggregator pools the bundles whose
-dealer's commitment a majority of the round's verifiers name, checks their
-openings at its own slot as one batch when it needs them, and sums the
-checked openings' evaluations point-wise into the aggregate's values at its
-slot.  The proposer pairs each aggregator's values with its slot,
-interpolates the lowest d+1 distinct points and keeps the result only if it
-re-commits to the product of the contributing commitments, the block rule's
-own identity: by the binding of the commitment that polynomial is the
-aggregate, so the summed values carry no witness.  A wrong value among those
-d+1 points abandons the round.
+points 1..n with n = 2*(d+1).  ``commitments.slots`` lays the points out,
+round-robin across the aggregators in committee order; the round's slot map
+is computed once and read by the dealer, every aggregator and the proposer.
+A dealer opens each slot S with one witness W_S = [q_S(alpha)], q_S the
+quotient of its update by Z_S (see ``commitments``).
+W_S = (C - [I_S(alpha)])/Z_S(alpha) is fixed by the commitment C and the
+slot's evaluations, which fix I_S, so it reveals nothing beyond them.  An
+aggregator pools the bundles whose dealer's commitment a majority of the
+round's verifiers name, checks their openings at its own slot as one batch
+when it needs them, and sums the checked openings' evaluations point-wise
+into the aggregate's values at its slot.  The proposer pairs each
+aggregator's values with its slot, interpolates the lowest d+1 distinct
+points and keeps the result only if it re-commits to the product of the
+contributing commitments, the block rule's own identity: by the binding of
+the commitment that polynomial is the aggregate, so the summed values carry
+no witness.  A wrong value among those d+1 points abandons the round.
 
 A slot holds ceil(2(d+1)/m) points: below d+1 from m = 3 aggregators on
 (d >= 2), so no aggregator alone learns an update, but d+1 at m = 2, so each
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .commitments import CommitPK, commit, create_witness, share_points, verify_share
+from .commitments import CommitPK, commit, create_witness, verify_share
 from .ledger import (
     CommitmentEntry,
     SignOffChecks,
@@ -51,14 +51,6 @@ class ShareBundle:
     entry: CommitmentEntry
     signoffs: tuple  # SignOff, ascending verifier id
     opening: object  # Witness at the receiving aggregator's slot
-
-
-def slots(dim: int, aggregators) -> dict:
-    """The share layout, aggregator -> its points: the points 1..n of a
-    degree-``dim`` update (0 stays reserved, n from
-    ``commitments.share_points``), dealt round-robin in committee order."""
-    n, m = share_points(dim, len(aggregators)), len(aggregators)
-    return {agg: list(range(i + 1, n + 1, m)) for i, agg in enumerate(aggregators)}
 
 
 def deal_shares(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from chainlearn.bootstrap import build_genesis
-from chainlearn.commitments import commit
+from chainlearn.commitments import commit, slots
 from chainlearn.encoding import sha256, u64
 from chainlearn.ledger import (
     Block,
@@ -19,7 +19,7 @@ from chainlearn.quantize import decode, encode, sum_polys
 from chainlearn.sgd import TrainConfig
 from chainlearn.signatures import sign
 from chainlearn.stake import build_ring
-from chainlearn.vss import deal_shares, slots
+from chainlearn.vss import deal_shares
 
 # `pytest --hypothesis-profile=ci` replays the same examples on every run;
 # `fuzz` does too, with many more of them, for the decoder fuzzing

@@ -22,7 +22,7 @@ from chainlearn.attacks import (
     STRATEGY_LABEL_FLIP,
     collusion_violation_probability,
 )
-from chainlearn.commitments import Witness, combine, commit, create_witness, trusted_setup, verify_share
+from chainlearn.commitments import Witness, combine, commit, create_witness, slots, trusted_setup, verify_share
 from chainlearn.config import DatasetSpec, ExperimentSpec
 from chainlearn.experiments import (
     inversion_batching_experiment,
@@ -35,7 +35,7 @@ from chainlearn.ledger import Ledger
 from chainlearn.quantize import QuantizedPoly, decode, encode, sum_polys
 from chainlearn.sgd import TrainConfig
 from chainlearn.stake import KEYSPACE, build_ring
-from chainlearn.vss import ShareRecoveryError, recover_aggregate, slots, sum_shares
+from chainlearn.vss import ShareRecoveryError, recover_aggregate, sum_shares
 
 from conftest import deal
 

@@ -327,6 +327,22 @@ def test_cli_committees_that_can_leave_too_few_updaters_are_refused(tmp_path, ca
     assert len(env.datasets) == 7
 
 
+def test_cli_noise_past_the_headroom_bound_is_refused_by_name(tmp_path, capsys):
+    """At epsilon 1e-13 the genesis noise of the exponent group exceeds
+    ``quantize.encode``'s headroom bound.  ``HeadroomError`` was an
+    ``OverflowError``, which the command does not catch, so the run exited
+    with a traceback and left its output directory.  It is a
+    ``ValueError``: the run exits 1 with one error line and writes nothing."""
+    cfg = tmp_path / "cfg.json"
+    save_spec(cfg, small_spec(privacy_budget_epsilon=1e-13))
+    out = tmp_path / "runs" / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: entry magnitude ") and "exceeds headroom bound" in err
+    assert err.count("error:") == 1 and err.count("\n") == 1
+    assert not (tmp_path / "runs").exists()
+
+
 def test_dataset_with_a_short_reserve_pool_runs(tmp_path):
     """901 examples fill the peers' shards and the validation set and leave
     one for the reserve: the run proceeds."""

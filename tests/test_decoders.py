@@ -209,15 +209,21 @@ def crafted_chain(tiny_net, path, **changes) -> None:
         ({"num_noisers": 12}, "noiser committee of 12 "),
         ({"num_aggregators": 1}, "need at least two aggregators"),
         ({"num_aggregators": 11}, "11 aggregators for only 10 share points"),
+        ({"n_features": 5}, "4 model weights and key degree 4 for a config of 6 weights"),
+        ({"n_features": 2}, "4 model weights and key degree 4 for a config of 3 weights"),
+        ({"model_family": "logrex"}, "unknown model family 'logrex'"),
     ],
 )
 def test_chain_whose_committees_cannot_be_drawn_is_refused_at_genesis(tiny_net, tmp_path, capsys, changes, message):
     """A chain file whose genesis asks for no proposer, for more verifiers
     than its 12 staked peers, for as many noisers as staked peers (a peer
-    draws from the other 11), or for a share layout no round can deal (one
-    aggregator, or 11 for the 10 share points of d = 4) fails as a
+    draws from the other 11), for a share layout no round can deal (one
+    aggregator, or 11 for the 10 share points of d = 4), or for a model its
+    4 weights and degree-4 key do not fit (5 or 2 features, or a family
+    that does not exist; these loaded as valid chains) fails as a
     ``ValueError`` naming the path and the genesis, never a traceback, and
-    ``verify-chain`` prints it as one error line."""
+    ``verify-chain`` prints it as one error line.  The family name keeps
+    the length of ``logreg``, since the config's bytes are swapped in place."""
     path = tmp_path / "crafted.bin"
     crafted_chain(tiny_net, path, **changes)
     expected = f"{path}: genesis: {message}"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from chainlearn import ledger as ledger_module
 from chainlearn.bootstrap import build_genesis
+from chainlearn.commitments import trusted_setup
 from chainlearn.groups import get_backend
 from chainlearn.ledger import (
     GENESIS_PREV_HASH,
@@ -73,6 +74,18 @@ def test_genesis_peer_lists_must_name_the_same_peers(tiny_net):
     ):
         with pytest.raises(ValueError):
             dataclasses.replace(genesis, **{field: value})
+
+
+def test_genesis_whose_key_or_model_misfits_its_config_is_refused(tiny_net):
+    """The initial model, the commitment key's degree and the config's
+    model each state the weight count.  A genesis with a degree-2 key for
+    the 4-weight model was admitted, and the first commit of a round would
+    have raised; it is refused naming the counts, as is a 5-weight model."""
+    genesis, _ = tiny_net
+    with pytest.raises(ValueError, match=r"^4 model weights and key degree 2 for a config of 4 weights$"):
+        dataclasses.replace(genesis, commit_pk=trusted_setup(BACKEND, 2, b"short-key"))
+    with pytest.raises(ValueError, match=r"^5 model weights and key degree 4 for a config of 4 weights$"):
+        dataclasses.replace(genesis, initial_model=np.zeros(5))
 
 
 def test_genesis_for_another_backend_is_refused_by_name(tiny_net):
