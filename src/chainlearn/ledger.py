@@ -16,6 +16,11 @@ and the model arithmetic w_t = w_{t-1} + decode(aggregate).
 A replica is its block list plus one immutable ``TipState``, everything it
 derives from its tip; the block rule is the pure ``advance(state, block)``.
 Rejections carry a machine-readable reason string from REJECTION_REASONS.
+
+A state keeps what it works out, keyed by content: the block rule's verdict
+by block hash, the submission check's by signed payload and signature.
+Replicas built on one root reach the same state objects and share these; a
+``Ledger`` on a fresh root (``load_chain``, any audit) checks every block.
 """
 
 from __future__ import annotations
@@ -453,10 +458,19 @@ def round_committees(genesis: GenesisBlock, ring, prev_hash: bytes, iteration: i
 
 @dataclass(frozen=True, eq=False)
 class TipState:
-    """Everything a replica derives from its tip, each computed once: the tip's
-    hash, round and weights, the stake after it, that stake's ring, the
-    committees of each round drawn on it and each round's sign-off verdicts.
-    A new tip is a new state."""
+    """Everything a replica derives from its tip, each computed once: the
+    tip's hash, round and weights (read-only), the stake after it, that
+    stake's ring, the committees of each round drawn on it and each round's
+    sign-off verdicts; the block rule's ``(next state, reason)`` for each
+    block hash tried on it (``successors``), and the submission check's
+    verdict for each signed payload and signature (``verdicts``).  A new tip
+    is a new state.
+
+    A verdict is keyed by what it reads, never by object identity: a block
+    by its hash, a submission by its bytes, a sign-off by value; so an equal
+    copy hits and one that differs in any byte misses.  Replicas that start
+    from one ``root`` share every state they reach, and a state stays alive
+    while some replica holds it or one of its ancestors."""
 
     genesis: GenesisBlock
     tip_hash: bytes
@@ -465,6 +479,13 @@ class TipState:
     stake: dict
     drawn: dict = field(default_factory=dict, repr=False)  # round -> committees
     checked: dict = field(default_factory=dict, repr=False)  # round -> SignOffChecks
+    successors: dict = field(default_factory=dict, repr=False)  # block hash -> (next state, reason)
+    verdicts: dict = field(default_factory=dict, repr=False)  # (payload, signature) -> submission reason
+
+    @classmethod
+    def root(cls, genesis: GenesisBlock) -> "TipState":
+        """The state of ``genesis`` itself, before any block."""
+        return cls(genesis, genesis.hash(), 0, genesis.initial_model, dict(genesis.initial_stake))
 
     @cached_property
     def ring(self) -> StakeRing:
@@ -477,8 +498,8 @@ class TipState:
         return self.drawn[iteration]
 
     def signoff_checks(self, iteration: int) -> SignOffChecks:
-        """Round ``iteration``'s sign-off verdicts, shared by the peer that
-        checks grants and bundles on this tip and by the block rule."""
+        """Round ``iteration``'s sign-off verdicts, shared by the peers that
+        check grants and bundles on this tip and by the block rule."""
         if iteration not in self.checked:
             backend = self.genesis.commit_pk.backend
             self.checked[iteration] = SignOffChecks(iteration, self.genesis.peer_pubkeys, backend)
@@ -487,7 +508,9 @@ class TipState:
 
 def advance(state: TipState, block: Block) -> tuple[TipState | None, str]:
     """The block rule: ``(next state, "")`` if ``block`` is valid as the next
-    block on ``state``'s tip, else ``(None, reason)``."""
+    block on ``state``'s tip, else ``(None, reason)``.  The gates run on
+    every call, and first, since the encoding raises on what they refuse; the
+    rest is worked out once per block hash on a state (``state.successors``)."""
     genesis = state.genesis
     backend = genesis.commit_pk.backend
     cfg = genesis.config
@@ -499,25 +522,41 @@ def advance(state: TipState, block: Block) -> tuple[TipState | None, str]:
         return None, "empty-commitment-list"
     if not genesis.admits(block.aggregate_poly):
         return None, "bad-aggregate-encoding"
-    if len(block.model_weights) != len(genesis.initial_model):
+    if np.shape(block.model_weights) != genesis.initial_model.shape:
         return None, "bad-dimension"
 
     verifiers, aggregators = state.committees(block.iteration)
-    pubkeys = genesis.peer_pubkeys
     peers = [e.peer for e in block.commitments]
-    reason = contributor_rejection(peers, verifiers, aggregators, pubkeys)
+    reason = contributor_rejection(peers, verifiers, aggregators, genesis.peer_pubkeys)
     if reason:
         return None, reason
+    # a sign-off by a non-member or with a record not of pair size fails the
+    # endorsement anyway; refused first, so the block hash covers what it reads
+    size = 4 + backend.element_size
+    if any(s.verifier not in verifiers or any(len(rec) != size for rec in s.winners) for s in block.signoffs):
+        return None, "bad-verifier-signature"
     # the entries' pair encodings, for the majority count and the content bytes both
     entry_records = pair_records(block.commitments, backend)
+    content = block_content_bytes(block, backend, entry_records)
+    tip_hash = sha256(block_to_bytes(block, backend, content))
+    if tip_hash not in state.successors:
+        state.successors[tip_hash] = _checked(state, block, entry_records, content, tip_hash)
+    return state.successors[tip_hash]
+
+
+def _checked(state: TipState, block: Block, entry_records, content: bytes, tip_hash: bytes):
+    """``advance``'s verdict on a block that passed its gates: the sign-offs,
+    the proposer's signature, the commitment identity and the weights."""
+    genesis = state.genesis
+    backend = genesis.commit_pk.backend
+    verifiers, aggregators = state.committees(block.iteration)
     checks = state.signoff_checks(block.iteration)
     reason = endorsement_rejection(entry_records, block.signoffs, verifiers, checks)
     if reason:
         return None, reason
 
     # only the proposer, aggregators[0], mints
-    content = block_content_bytes(block, backend, entry_records)
-    if not signatures.verify(backend, pubkeys[aggregators[0]], sha256(content), block.signature):
+    if not signatures.verify(backend, genesis.peer_pubkeys[aggregators[0]], sha256(content), block.signature):
         return None, "bad-aggregator-signature"
 
     combined = combine(backend, [e.commitment for e in block.commitments])
@@ -528,21 +567,24 @@ def advance(state: TipState, block: Block) -> tuple[TipState | None, str]:
     if not np.array_equal(expected, block.model_weights):
         return None, "model-arithmetic-mismatch"
 
-    rewarded = [*peers, *verifiers, *aggregators]
-    stake = update_stake(state.stake, rewarded, cfg.stake_reward)
-    tip_hash = sha256(block_to_bytes(block, backend, content))
-    return TipState(genesis, tip_hash, block.iteration, block.model_weights, stake), ""
+    # the state keeps its own copy: the block's array stays the sender's
+    weights = np.array(block.model_weights, dtype=np.float64)
+    weights.flags.writeable = False
+    rewarded = [*(e.peer for e in block.commitments), *verifiers, *aggregators]
+    stake = update_stake(state.stake, rewarded, genesis.config.stake_reward)
+    return TipState(genesis, tip_hash, block.iteration, weights, stake), ""
 
 
 class Ledger:
-    """One peer's replica: genesis, the block list and the state of its tip."""
+    """One peer's replica: genesis, the block list and the state of its tip.
+    It starts from ``root``, a ``TipState.root(genesis)`` it shares with
+    other replicas, or from a fresh root of its own."""
 
-    def __init__(self, genesis: GenesisBlock):
+    def __init__(self, genesis: GenesisBlock, root: TipState | None = None):
         self.genesis = genesis
         self.backend = genesis.commit_pk.backend
         self.blocks: list[Block] = []
-        stake = dict(genesis.initial_stake)
-        self.state = TipState(genesis, genesis.hash(), 0, genesis.initial_model, stake)
+        self.state = root or TipState.root(genesis)
 
     # -- inspection ----------------------------------------------------------
 

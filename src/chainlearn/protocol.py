@@ -44,7 +44,6 @@ from .ledger import (
     CommitmentEntry,
     Ledger,
     SignOff,
-    SignOffChecks,
     block_content_hash,
     endorsement_rejection,
     pair_records,
@@ -203,21 +202,34 @@ class Timer:
 # --- standalone checks --------------------------------------------------------
 
 
-def submission_rejection(sub: UpdateSubmission, genesis, ring, prev_hash: bytes) -> str:
-    """'' if a verifier may pool ``sub``, else the rule it breaks; ``ring``
-    is the stake ring of the tip ``prev_hash``."""
+def submission_rejection(sub: UpdateSubmission, state) -> str:
+    """'' if a verifier on the tip ``state`` may pool ``sub``, else the rule
+    it breaks.  Past the sender and encoding gates, the verdict is worked out
+    once per signed payload and signature on a tip, in ``state.verdicts``."""
+    genesis = state.genesis
     backend = genesis.commit_pk.backend
-    cfg = genesis.config
     if sub.sender not in genesis.peer_pubkeys:
         return "unknown-sender"
     if not genesis.admits(sub.masked):
         return "inadmissible-update"
+    key = (sub.payload_bytes(backend), sub.signature)
+    if key not in state.verdicts:
+        state.verdicts[key] = _submission_verdict(sub, state, key[0])
+    return state.verdicts[key]
+
+
+def _submission_verdict(sub: UpdateSubmission, state, payload: bytes) -> str:
+    """``submission_rejection``'s verdict on a submission past its gates:
+    the signature, the noiser draw and the masking equality."""
+    genesis = state.genesis
+    backend = genesis.commit_pk.backend
     key = genesis.peer_pubkeys[sub.sender]
-    if not signatures.verify(backend, key, sub.payload_bytes(backend), sub.signature):
+    if not signatures.verify(backend, key, payload, sub.signature):
         return "bad-submission-signature"
     # the noisers are the walk from the sender's own proof, for this tip and round
     noisers = verify_vrf(
-        sub.noiser_proof, backend, key, sub.sender, ring, prev_hash, sub.iteration, cfg.num_noisers
+        sub.noiser_proof, backend, key, sub.sender, state.ring, state.tip_hash, sub.iteration,
+        genesis.config.num_noisers,
     )
     if not noisers:
         return "bad-noiser-draw"
@@ -255,7 +267,6 @@ class RoundState:
     submitted: bool = False
     grants: dict = field(default_factory=dict)  # verifier -> SignOff
     dealt: bool = False
-    signoff_checks: SignOffChecks | None = None  # of the grants and bundles received
     # verifier side
     pool: dict = field(default_factory=dict)
     signed_off: bool = False
@@ -273,13 +284,15 @@ class RoundState:
 class PeerNode:
     """One peer: ledger replica, local data, per-round protocol state."""
 
-    def __init__(self, peer_id: int, genesis, secrets, dataset):
+    def __init__(self, peer_id: int, genesis, secrets, dataset, root=None):
+        """``root``, if given, is the ``TipState.root(genesis)`` the peer's
+        ledger starts from and shares with other replicas."""
         self.id = peer_id
         self.genesis = genesis
         self.backend = genesis.commit_pk.backend
         self.secrets = secrets
         self.dataset = dataset
-        self.ledger = Ledger(genesis)
+        self.ledger = Ledger(genesis, root)
         cfg = genesis.config
         self.model = make_model(cfg.model_family, cfg.n_features, cfg.n_classes)
         self.round = RoundState()
@@ -327,7 +340,6 @@ class PeerNode:
             verifiers=verifiers,
             aggregators=aggregators,
             slots=slots(len(self.genesis.initial_model), aggregators),
-            signoff_checks=self.ledger.state.signoff_checks(iteration),
         )
         out = [(self.id, Timer(iteration, "round-budget"), StageTimeouts.round_budget)]
         if self.is_verifier():
@@ -426,7 +438,7 @@ class PeerNode:
             return self._refuse("duplicate-submission", msg.sender)
         if msg.sender in rs.verifiers or msg.sender in rs.aggregators:
             return self._refuse("committee-submitter", msg.sender)
-        reason = submission_rejection(msg, self.genesis, self.ledger.state.ring, self.ledger.tip_hash())
+        reason = submission_rejection(msg, self.ledger.state)
         if reason:
             return self._refuse(reason, msg.sender)
         rs.pool[msg.sender] = msg
@@ -456,7 +468,7 @@ class PeerNode:
             return self._refuse("stray-grant", signoff.verifier)
         entry = CommitmentEntry(self.id, rs.commitment)
         mine = pair_records([entry], self.backend)[0]
-        if mine not in signoff.winners or not rs.signoff_checks[signoff]:
+        if mine not in signoff.winners or not self.ledger.state.signoff_checks(rs.iteration)[signoff]:
             return self._refuse("bad-grant", signoff.verifier)
         rs.grants[signoff.verifier] = signoff
         if len(rs.grants) <= len(rs.verifiers) // 2:
@@ -480,10 +492,8 @@ class PeerNode:
             self._check_pooled([dealer])
         if dealer in rs.accepted_bundles:
             return self._refuse("duplicate-bundle", dealer)
-        genesis = self.genesis
-        if not accept_bundle(
-            bundle, rs.verifiers, rs.aggregators, genesis.peer_pubkeys, genesis.commit_pk, rs.signoff_checks
-        ):
+        genesis, checks = self.genesis, self.ledger.state.signoff_checks(rs.iteration)
+        if not accept_bundle(bundle, rs.verifiers, rs.aggregators, genesis.peer_pubkeys, genesis.commit_pk, checks):
             return self._refuse("bundle-refused", dealer)
         rs.pooled_bundles[dealer] = bundle
         return []
@@ -516,9 +526,9 @@ class PeerNode:
             max(offered[vid].values(), key=lambda s: len(pairs.intersection(s.winners)))
             for vid in sorted(offered)
         )
+        checks = self.ledger.state.signoff_checks(rs.iteration)
         eligible = [
-            pid for pid, rec in held.items()
-            if not endorsement_rejection([rec], rs.signoffs, rs.verifiers, rs.signoff_checks)
+            pid for pid, rec in held.items() if not endorsement_rejection([rec], rs.signoffs, rs.verifiers, checks)
         ]
         if not eligible:
             return self._refuse("no-accepted-bundles", self.id)

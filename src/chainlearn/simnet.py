@@ -12,6 +12,13 @@ The latency stream is shared: each delivery draws the next latency from
 the one RNG, so a handler that sends one message more or fewer, or in
 another order, redraws every later latency; that can change which grants a
 dealer holds when it deals, and so the block, with no message byte changed.
+
+The replicas share one root ``TipState``, so all replicas on one tip hold
+one state and share its verdicts: each block is checked once per tip it is
+tried on, and each submission once per tip, not once per receiver.  That is
+what the simulator pays, not what a peer would: a real peer runs every check
+itself.  The simulation keeps no reference to the root, so a state lives
+only while some replica holds it or one of its ancestors.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ledger import block_hash
+from .ledger import TipState, block_hash
 from .protocol import BROADCAST, BlockMsg, ChainRequest, PeerNode, StageTimeouts, Timer, UpdateSubmission
 
 
@@ -60,8 +67,9 @@ class Simulation:
         self.churn_per_minute = churn_per_minute
         self.fresh_shard = fresh_shard
         self.rng = np.random.default_rng(seed)
+        root = TipState.root(genesis)
         self.peers = {
-            pid: PeerNode(pid, genesis, secrets[pid], datasets[pid]) for pid in sorted(secrets)
+            pid: PeerNode(pid, genesis, secrets[pid], datasets[pid], root) for pid in sorted(secrets)
         }
         self.online = {pid: True for pid in self.peers}
         self.events = []

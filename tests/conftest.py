@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from chainlearn import ledger
 from chainlearn.bootstrap import build_genesis
 from chainlearn.commitments import commit, slots
 from chainlearn.encoding import sha256, u64
@@ -129,3 +130,17 @@ def resign_as_proposer(block, genesis, secrets, ledger):
     )
     sig = sign(backend, secrets[aggregators[0]].keypair, block_content_hash(block, backend))
     return dataclasses.replace(block, signature=sig)
+
+
+def count_block_checks(monkeypatch) -> list:
+    """The polynomial of each commitment identity the block rule checks from
+    now on: one per block whose sign-offs, signature, commitments and weights
+    it works out past its gates."""
+    calls, commit_ = [], ledger.commit
+
+    def counted(pk, poly):
+        calls.append(poly)
+        return commit_(pk, poly)
+
+    monkeypatch.setattr(ledger, "commit", counted)
+    return calls

@@ -20,6 +20,7 @@ from chainlearn.ledger import (
     ProtocolConfig,
     REJECTION_REASONS,
     SignOff,
+    TipState,
     block_content_hash,
     block_from_bytes,
     block_hash,
@@ -36,7 +37,7 @@ from chainlearn.quantize import SCALE_BITS, QuantizedPoly, decode
 from chainlearn.signatures import sign
 from chainlearn.stake import build_ring
 
-from conftest import honest_block, resign_as_proposer, resplit, tiny_config
+from conftest import count_block_checks, honest_block, resign_as_proposer, resplit, tiny_config
 
 BACKEND = get_backend("exponent")
 
@@ -622,3 +623,133 @@ def test_tip_caches_follow_append_rejection_and_catch_up(tiny_net):
 
 def test_genesis_prev_hash_constant():
     assert GENESIS_PREV_HASH == b"\x00" * 32
+
+
+def test_replicas_on_one_root_share_each_verdict(tiny_net, monkeypatch):
+    """Replicas built on one root refuse a re-signed block with wrong weights
+    under one reason, and the rule works it out once; a replica on a fresh
+    root works it out again.  The honest block is then accepted at each,
+    worked out once, and every replica holds the one next state."""
+    genesis, secrets = tiny_net
+    root = TipState.root(genesis)
+    replicas = [Ledger(genesis, root) for _ in range(4)]
+    block = honest_block(genesis, secrets, replicas[0])
+    wrong = dataclasses.replace(block, model_weights=block.model_weights + 1.0)
+    wrong = resign_as_proposer(wrong, genesis, secrets, replicas[0])
+    calls = count_block_checks(monkeypatch)
+    assert [r.append(wrong) for r in replicas] == [(False, "model-arithmetic-mismatch")] * 4
+    assert len(calls) == 1
+    assert Ledger(genesis).append(wrong) == (False, "model-arithmetic-mismatch")
+    assert len(calls) == 2
+    assert [r.append(block) for r in replicas] == [(True, "")] * 4
+    assert len(calls) == 3
+    assert len({id(r.state) for r in replicas}) == 1
+    assert_tip_state_fresh(replicas[0])
+
+
+def test_a_changed_weight_is_not_the_cached_block(tiny_net):
+    """A copy of an accepted block with one weight changed and re-signed has
+    another hash, so on the same tip it is worked out on its own and refused.
+    The accepted state keeps its own read-only weights, so changing the
+    block's array in place moves no state."""
+    genesis, secrets = tiny_net
+    root = TipState.root(genesis)
+    first, second = Ledger(genesis, root), Ledger(genesis, root)
+    block = honest_block(genesis, secrets, first)
+    assert first.append(block) == (True, "")
+    weights = block.model_weights.copy()
+    weights[1] += 2.0**-SCALE_BITS
+    changed = resign_as_proposer(dataclasses.replace(block, model_weights=weights), genesis, secrets, second)
+    assert second.append(changed) == (False, "model-arithmetic-mismatch")
+    kept = first.state.weights.copy()
+    block.model_weights[1] += 1.0
+    in_place = resign_as_proposer(block, genesis, secrets, second)
+    assert second.append(in_place) == (False, "model-arithmetic-mismatch")
+    assert np.array_equal(first.state.weights, kept) and not first.state.weights.flags.writeable
+
+
+def mutated(data, block, genesis, secrets, ledger):
+    """``block`` with one field changed, drawn from ``data``, and re-signed by
+    the round's proposer or not."""
+    backend = genesis.commit_pk.backend
+    kind = data.draw(st.sampled_from([
+        "prev-hash", "iteration", "coefficient", "weight", "weights-shape", "entry-peer",
+        "entry-commitment", "entry-dropped", "entry-repeated", "entries-reordered",
+        "signoff-dropped", "signoff-signature", "signoff-resplit", "signoff-verifier",
+        "signoffs-reordered", "signature",
+    ]))
+    entries, signoffs = list(block.commitments), list(block.signoffs)
+    at = data.draw(st.integers(0, len(entries) - 1))
+    s_at = data.draw(st.integers(0, len(signoffs) - 1))
+    if kind == "prev-hash":
+        block = dataclasses.replace(block, prev_hash=sha256(block.prev_hash))
+    elif kind == "iteration":
+        block = dataclasses.replace(block, iteration=data.draw(st.integers(0, 3).filter(lambda t: t != 1)))
+    elif kind == "coefficient":
+        coeffs = list(block.aggregate_poly.coeffs)
+        i = data.draw(st.integers(0, len(coeffs) - 1))
+        coeffs[i] = data.draw(st.integers(0, backend.order + 5).filter(lambda c: c != coeffs[i]))
+        poly = dataclasses.replace(block.aggregate_poly, coeffs=tuple(coeffs))
+        block = dataclasses.replace(block, aggregate_poly=poly)
+    elif kind == "weight":
+        weights = block.model_weights.copy()
+        i = data.draw(st.integers(0, len(weights) - 1))
+        weights[i] = data.draw(st.floats(allow_nan=True, allow_infinity=True))
+        block = dataclasses.replace(block, model_weights=weights)
+    elif kind == "weights-shape":
+        block = dataclasses.replace(block, model_weights=block.model_weights.reshape(-1, 1))
+    elif kind == "entry-peer":
+        peer = data.draw(st.sampled_from(sorted(genesis.peer_pubkeys)))
+        entries[at] = dataclasses.replace(entries[at], peer=peer)
+    elif kind == "entry-commitment":
+        entries[at] = dataclasses.replace(entries[at], commitment=backend.g1_add(entries[at].commitment, backend.g1))
+    elif kind == "entry-dropped":
+        del entries[at]
+    elif kind == "entry-repeated":
+        entries.append(entries[at])
+    elif kind == "entries-reordered":
+        entries = data.draw(st.permutations(entries))
+    elif kind == "signoff-dropped":
+        del signoffs[s_at]
+    elif kind == "signoff-signature":
+        sig = bytearray(signoffs[s_at].signature)
+        sig[data.draw(st.integers(0, len(sig) - 1))] ^= data.draw(st.integers(1, 255))
+        signoffs[s_at] = dataclasses.replace(signoffs[s_at], signature=bytes(sig))
+    elif kind == "signoff-resplit":
+        signoffs[s_at] = dataclasses.replace(signoffs[s_at], winners=resplit(signoffs[s_at].winners) or ())
+    elif kind == "signoff-verifier":
+        others = sorted(set(genesis.peer_pubkeys) - {s.verifier for s in signoffs})
+        signoffs[s_at] = dataclasses.replace(signoffs[s_at], verifier=data.draw(st.sampled_from(others)))
+    elif kind == "signoffs-reordered":
+        signoffs = data.draw(st.permutations(signoffs))
+    else:
+        block = dataclasses.replace(block, signature=data.draw(st.binary(max_size=64)))
+    block = dataclasses.replace(block, commitments=tuple(entries), signoffs=tuple(signoffs))
+    # a column of weights has no encoding to sign
+    if kind not in ("signature", "weights-shape") and data.draw(st.booleans()):
+        block = resign_as_proposer(block, genesis, secrets, ledger)
+    return block
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_shared_verdicts_match_a_fresh_ledger_property(data):
+    """A one-field change to an honest block, re-signed or not, gets the same
+    verdict (reason and next tip) on a root shared with other replicas as on
+    a fresh ledger, whether the honest block's verdict is already kept on
+    that root or not; and it never changes the honest block's verdict."""
+    genesis, secrets, block, *_ = signoff_round("exponent")
+    fresh = Ledger(genesis)
+    candidate = mutated(data, block, genesis, secrets, fresh)
+
+    def verdict(ledger, b):
+        state, reason = ledger.validate_block(b)
+        return reason, state and (state.tip_hash, state.stake)
+
+    expected, honest = verdict(fresh, candidate), verdict(Ledger(genesis), block)
+    assert honest[0] == ""
+    before, after = TipState.root(genesis), TipState.root(genesis)
+    assert verdict(Ledger(genesis, before), candidate) == expected
+    assert verdict(Ledger(genesis, before), block) == honest
+    assert verdict(Ledger(genesis, after), block) == honest
+    assert verdict(Ledger(genesis, after), candidate) == expected

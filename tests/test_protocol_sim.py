@@ -14,10 +14,13 @@ from chainlearn.ledger import (
     CommitmentEntry,
     Ledger,
     SignOff,
+    TipState,
     block_content_hash,
+    load_chain,
     pair_records,
     record_peer,
     round_committees,
+    save_chain,
     sign_off,
 )
 from chainlearn.noise import generate_noise, mask_update
@@ -37,7 +40,7 @@ from chainlearn.signatures import sign
 from chainlearn.simnet import Simulation
 from chainlearn.stake import build_ring
 
-from conftest import tiny_config
+from conftest import count_block_checks, tiny_config
 
 # Tip hashes of two fixed runs. Any arithmetic rewrite that changes chain
 # bytes fails here, on both group backends.
@@ -55,6 +58,20 @@ PAIRING_TIP = "7440cad77a721400cb4efd76bf74665093edb0942cbf82876c77fb1712f1c4e3"
 # points taken out.
 SUBMISSION_PAYLOADS = "1c1410010306a398cb06e680f391716e1e5b6d159d628918c79eb7f3138df303"
 AGGSHARE_PAYLOADS = "a27faa0d60a91c6a865b47a1ba6325923a34baf80189704f7c28096c00eb830a"
+# The tip and the refusal records, (peer, (round, sender, reason)) in each
+# peer's order, of make_sim(seed=12, iterations=8, churn_per_minute=30.0): a
+# run whose rejoining peers catch up from other replicas' chains.
+CHURN_TIP = "af4c455ffdb2d3504ff95d18f69791e45fa81bf6af996cb680b3549e6526cbb7"
+CHURN_RECORDS = [
+    (0, (3, 4, "stray-noise-response")), (0, (3, 8, "stray-noise-response")),
+    (1, (8, 2, "late-aggregate-share")), (3, (3, 9, "committee-submitter")),
+    (3, (4, 5, "late-aggregate-share")), (3, (6, 0, "stray-bundle")), (3, (6, 9, "stray-bundle")),
+    (3, (6, 1, "stray-bundle")), (3, (6, 4, "stray-announce")), (4, (3, 0, "stray-noise-response")),
+    (4, (3, 9, "stray-noise-response")), (5, (3, 9, "stray-submission")),
+    (6, (3, 9, "stray-submission")), (6, (5, 3, "late-aggregate-share")),
+    (8, (3, 4, "stray-noise-response")), (8, (3, 3, "stray-noise-response")),
+    (9, (6, 9, "no-accepted-bundles")),
+]
 
 
 def make_sim(
@@ -385,7 +402,7 @@ def eligible_peer(sim, iteration=1):
 
 def rejection(sim, sub):
     """The verdict of a round-1 verifier on ``sub``."""
-    return submission_rejection(sub, sim.genesis, build_ring(sim.genesis.initial_stake), sim.genesis.hash())
+    return submission_rejection(sub, TipState.root(sim.genesis))
 
 
 def test_honest_masked_submission_verifies():
@@ -985,3 +1002,139 @@ def test_per_tip_values_are_derived_once(monkeypatch):
     assert counts["block_content_bytes"] <= height * (peers + 2)
     assert draws and max(draws.values()) == 1
     assert counts["generate_noise"] == len(draws)
+
+
+def test_churned_run_is_pinned():
+    """Peers that fail and rejoin catch up through the states other replicas
+    reached first; the tip and every refusal record are the pinned ones."""
+    sim = make_sim(seed=12, iterations=8, churn_per_minute=30.0)
+    result = sim.run()
+    assert result.final_ledger.tip_hash().hex() == CHURN_TIP
+    assert [(pid, rec) for pid, peer in sorted(sim.peers.items()) for rec in peer.audit] == CHURN_RECORDS
+
+
+def test_fresh_replicas_check_every_block(monkeypatch, tmp_path):
+    """The simulation's replicas share one root, so each block is worked out
+    once for all of them.  A replay on a fresh ledger and a loaded chain file
+    each work out every block again; handed the simulation's root, the
+    replay would check none."""
+    sim = make_sim()
+    root = sim.peers[0].ledger.state
+    result = sim.run()
+    blocks, tip = result.final_ledger.blocks, result.final_ledger.tip_hash()
+    calls = count_block_checks(monkeypatch)
+
+    def checks_in_replay(start):
+        replay, before = Ledger(sim.genesis, start), len(calls)
+        assert [replay.append(b) for b in blocks] == [(True, "")] * len(blocks)
+        assert replay.tip_hash() == tip
+        return len(calls) - before
+
+    assert checks_in_replay(None) == len(blocks) == 5
+    assert checks_in_replay(root) == 0
+    path = tmp_path / "chain.bin"
+    save_chain(path, result.final_ledger)
+    before = len(calls)
+    assert load_chain(path, sim.genesis.commit_pk.backend).tip_hash() == tip
+    assert len(calls) - before == len(blocks)
+
+
+def test_metrics_replay_checks_every_block(monkeypatch):
+    """``run_protocol_experiment``'s metrics replay builds its own ledger: it
+    works out every sealed block again, after the simulation's replicas
+    worked out each once between them."""
+    from chainlearn import simnet
+    from chainlearn.config import DatasetSpec, ExperimentSpec
+    from chainlearn.experiments import run_protocol_experiment
+    from chainlearn.sgd import TrainConfig
+
+    calls, run = count_block_checks(monkeypatch), simnet.Simulation.run
+    in_run = []
+
+    def ran(sim):
+        result = run(sim)
+        in_run.append(len(calls))
+        return result
+
+    monkeypatch.setattr(simnet.Simulation, "run", ran)
+    spec = ExperimentSpec(
+        name="fresh-replay",
+        number_of_nodes=10,
+        total_iterations=4,
+        dataset=DatasetSpec(shard_size=80, validation_size=200),
+        train=TrainConfig(eta0=0.05, eta_decay=0.02, weight_decay=1e-4, batch_size=16),
+        seed=5,
+    )
+    out = run_protocol_experiment(spec)
+    height = out.result.final_ledger.height
+    assert height == out.metrics.final("blocks") == 4
+    assert in_run == [height] and len(calls) == 2 * height
+
+
+def test_a_block_every_replica_refuses_is_worked_out_once(monkeypatch):
+    """A round-2 block with wrong weights, re-signed by its proposer, is
+    refused by every replica on that tip under one reason, and the block rule
+    works it out once for all of them."""
+    mint = PeerNode._mint_block
+    minted = []
+
+    def corrupt_round_2(peer, now):
+        actions = mint(peer, now)
+        if peer.round.iteration != 2:
+            return actions
+        out = []
+        for dest, msg, extra in actions:
+            block = dataclasses.replace(msg.block, model_weights=msg.block.model_weights + 1.0)
+            block = dataclasses.replace(block, signature=sign(
+                peer.backend, peer.secrets.keypair, block_content_hash(block, peer.backend)))
+            minted.append(block)
+            out.append((dest, dataclasses.replace(msg, block=block), extra))
+        return out
+
+    monkeypatch.setattr(PeerNode, "_mint_block", corrupt_round_2)
+    calls = count_block_checks(monkeypatch)
+    sim = make_sim()
+    result = sim.run()
+    (bad,) = minted
+    refusals = [rec for p in sim.peers.values() for rec in p.audit if rec[2] == "model-arithmetic-mismatch"]
+    assert len(refusals) == len(sim.peers) and len(set(refusals)) == 1 and refusals[0][0] == 2
+    assert [poly for poly in calls if poly == bad.aggregate_poly] == [bad.aggregate_poly]
+    assert 2 not in [b.iteration for b in result.final_ledger.blocks]
+
+
+def test_verifiers_on_one_tip_share_a_submission_verdict(monkeypatch):
+    """A refused submission gets one reason from every verifier on a tip,
+    and its draw and masking are checked once there; a fresh tip state
+    checks them again.  A copy with another signature, and the sender's
+    honest submission, are each worked out on their own."""
+    sim = make_sim(seed=6)
+    sender = eligible_peer(sim)
+    sub = make_submission(sim, sender, tamper="non-genesis-noise")
+    calls, verify = [], protocol.verify_vrf
+    monkeypatch.setattr(protocol, "verify_vrf", lambda *args: calls.append(args) or verify(*args))
+    root = TipState.root(sim.genesis)
+    assert [submission_rejection(sub, root) for _ in range(3)] == ["masking-mismatch"] * 3
+    assert len(calls) == 1
+    assert submission_rejection(sub, TipState.root(sim.genesis)) == "masking-mismatch"
+    assert len(calls) == 2
+    forged = dataclasses.replace(sub, signature=sub.signature[:-1] + bytes([sub.signature[-1] ^ 1]))
+    assert submission_rejection(forged, root) == "bad-submission-signature"
+    assert submission_rejection(make_submission(sim, sender), root) == ""
+    assert len(calls) == 3
+
+
+def test_each_submission_is_checked_once_per_tip(monkeypatch):
+    """In an honest run every verifier of a round checks each submission,
+    and all of them are on one tip, so each submission's draw is walked once;
+    the chain is the pinned one."""
+    calls, verify = Counter(), protocol.verify_vrf
+
+    def counted(proof, *args):
+        calls[proof] += 1
+        return verify(proof, *args)
+
+    monkeypatch.setattr(protocol, "verify_vrf", counted)
+    sim = make_sim()
+    result = sim.run()
+    assert result.final_ledger.tip_hash().hex() == EXPONENT_TIP
+    assert len(calls) == sum(map(len, sim.submissions.values())) and max(calls.values()) == 1
