@@ -8,8 +8,8 @@ stake reward, and ``sgd.TrainConfig``'s own training defaults.  Config
 files are JSON with the same field names.  A run's ``metadata.json``
 sidecar is not itself a config, but its ``config`` object is one: saved as
 its own file, it replays the run exactly.  A spec refuses, when it is made,
-every setting a run cannot carry out that needs no data, so ``load_spec``
-refuses it before a run makes its output directory.
+what needs the node count; its ``ledger.ProtocolConfig`` refuses the rest,
+renamed to the JSON key (``CONFIG_KEYS``), before a run makes a directory.
 """
 
 from __future__ import annotations
@@ -20,10 +20,20 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .attacks import AdversaryConfig
-from .commitments import slots
+from .encoding import U32, U64, require, require_int
 from .krum import MIN_SAMPLE, krum_sample_size, max_tolerable_f, updates_per_block
 from .ledger import ProtocolConfig
 from .sgd import TrainConfig
+
+
+# each ProtocolConfig field and the spec key that sets it
+CONFIG_KEYS = {
+    "backend_name": "backend", "model_family": "model_family", "n_features": "dataset.features",
+    "n_classes": "dataset.classes", "total_iterations": "total_iterations", "epsilon": "privacy_budget_epsilon",
+    "delta": "delta", "num_noisers": "number_of_noisers", "num_verifiers": "number_of_verifiers",
+    "num_aggregators": "number_of_aggregators", "collect_fraction": "collect_fraction",
+    "stake_reward": "stake_reward", "train": "train",
+}
 
 
 @dataclass(frozen=True)
@@ -65,38 +75,23 @@ class ExperimentSpec:
     sweep: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        u32, u64 = (1 << 32) - 1, (1 << 64) - 1  # genesis slots: the stake is u64, other ints and peer ids u32
-        bounds = {
-            "number_of_nodes": (1, u32), "total_iterations": (1, u32), "number_of_noisers": (1, u32),
-            "number_of_verifiers": (1, u32), "number_of_aggregators": (2, u32), "initial_stake": (1, u64),
-            "stake_reward": (0, u32), "seed": (0, float("inf")), "dataset.features": (0, u32),
-            "dataset.classes": (0, u32), "train.batch_size": (1, u32),
-        }
-        for key, (least, most) in bounds.items():
-            value = attrgetter(key)(self)
-            if value < least:
-                raise ValueError(f"{key} must be at least {least}, got {value}")
-            if value > most:
-                raise ValueError(f"{key} must be at most {most}, got {value}")
-        if self.churn_per_minute < 0:
-            raise ValueError(f"churn_per_minute must be non-negative, got {self.churn_per_minute}")
-        if not self.privacy_budget_epsilon > 0:
-            raise ValueError(f"privacy_budget_epsilon must be positive, got {self.privacy_budget_epsilon}")
-        if not 0 < self.delta < 1:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        for key, least, most in (("number_of_nodes", 1, U32), ("initial_stake", 1, U64), ("seed", 0, U64)):
+            require_int(key, getattr(self, key), least, most)  # genesis writes peer ids as u32, stake as u64
+        require("churn_per_minute", self.churn_per_minute, self.churn_per_minute >= 0, "be non-negative")
         n = self.number_of_nodes
-        # a peer draws its noisers from the other peers, each committee from all
+        # a peer draws its noisers from the other peers, each committee from all (past u32, the config refuses)
         for key, most in (("number_of_noisers", n - 1), ("number_of_verifiers", n), ("number_of_aggregators", n)):
-            if getattr(self, key) > most:
-                raise ValueError(f"{key} must be at most {most} with {n} nodes, got {getattr(self, key)}")
-        slots(self.protocol_config().model_dim, range(self.number_of_aggregators))
+            count = getattr(self, key)
+            require(key, count, count <= most or count > U32, f"be at most {most} with {n} nodes")
+        try:
+            self.protocol_config()
+        except ValueError as exc:  # named by its JSON key
+            name, _, rest = str(exc).partition(" ")
+            raise ValueError(f"{CONFIG_KEYS.get(name, name)} {rest}") from None
         # the committees may be disjoint, so only this many updaters are sure to reach a verifier's quorum
-        updaters = n - self.number_of_verifiers - self.number_of_aggregators
-        if updaters < MIN_SAMPLE:
-            raise ValueError(
-                f"number_of_nodes - number_of_verifiers - number_of_aggregators must be at least {MIN_SAMPLE},"
-                f" got {n} - {self.number_of_verifiers} - {self.number_of_aggregators} = {updaters}"
-            )
+        v, a = self.number_of_verifiers, self.number_of_aggregators
+        require("number_of_nodes - number_of_verifiers - number_of_aggregators", f"{n} - {v} - {a} = {n - v - a}",
+                n - v - a >= MIN_SAMPLE, f"be at least {MIN_SAMPLE}")
 
     # -- derived, reported in metadata ----------------------------------------
 
@@ -113,21 +108,7 @@ class ExperimentSpec:
         return max_tolerable_f(self.multikrum_sample_R)
 
     def protocol_config(self) -> ProtocolConfig:
-        return ProtocolConfig(
-            backend_name=self.backend,
-            model_family=self.model_family,
-            n_features=self.dataset.features,
-            n_classes=self.dataset.classes,
-            total_iterations=self.total_iterations,
-            epsilon=self.privacy_budget_epsilon,
-            delta=self.delta,
-            num_noisers=self.number_of_noisers,
-            num_verifiers=self.number_of_verifiers,
-            num_aggregators=self.number_of_aggregators,
-            collect_fraction=self.collect_fraction,
-            stake_reward=self.stake_reward,
-            train=self.train,
-        )
+        return ProtocolConfig(**{field: attrgetter(key)(self) for field, key in CONFIG_KEYS.items()})
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -142,15 +123,9 @@ class ExperimentSpec:
 def spec_from_dict(data: dict) -> ExperimentSpec:
     data = dict(data)
     data.pop("derived", None)
-    if "train" in data and isinstance(data["train"], dict):
-        data["train"] = TrainConfig(**data["train"])
-    if "dataset" in data and isinstance(data["dataset"], dict):
-        d = dict(data["dataset"])
-        if "class_weights" in d and d["class_weights"] is not None:
-            d["class_weights"] = tuple(d["class_weights"])
-        data["dataset"] = DatasetSpec(**d)
-    if "adversary" in data and isinstance(data["adversary"], dict):
-        data["adversary"] = AdversaryConfig(**data["adversary"])
+    for key, kind in (("train", TrainConfig), ("dataset", DatasetSpec), ("adversary", AdversaryConfig)):
+        if isinstance(data.get(key), dict):  # a JSON list reads back as the tuple it was written from
+            data[key] = kind(**{k: tuple(v) if isinstance(v, list) else v for k, v in data[key].items()})
     known = {f.name for f in dataclasses.fields(ExperimentSpec)}
     unknown = set(data) - known
     if unknown:

@@ -12,6 +12,22 @@ import hashlib
 import struct
 
 
+U32, U64 = (1 << 32) - 1, (1 << 64) - 1
+
+
+def require(name: str, value, holds: bool, rule: str) -> None:
+    """Refuse ``value`` for ``name`` unless ``holds``, naming the rule it breaks."""
+    if not holds:
+        raise ValueError(f"{name} must {rule}, got {value}")
+
+
+def require_int(name: str, value, least: int = 0, most: int = U32) -> None:
+    """Refuse, naming ``name``, all but an ``int`` (not a bool) in least..most."""
+    require(name, value, type(value) is int, "be an integer")
+    require(name, value, value >= least, f"be at least {least}")
+    require(name, value, value <= most, f"be at most {most}")
+
+
 def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 

@@ -353,17 +353,15 @@ def _poisoning_comparison(spec: ExperimentSpec, out_dir) -> dict:
 
 def _sweep(key: str, field: str, values, csv_name, spec: ExperimentSpec, out_dir) -> dict:
     """Run the protocol at each ``spec.sweep[key]`` value (default ``values``)
-    of spec field ``field`` for ``spec.sweep["seeds"]`` seeds each."""
+    of spec field ``field`` for ``spec.sweep["seeds"]`` seeds each.  Every
+    point is built, so refused, before any runs or anything is written."""
+    points = [(value, dataclasses.replace(spec, seed=spec.seed + ds, **{field: value}))
+              for value in spec.sweep.get(key, values) for ds in range(spec.sweep.get("seeds", 3))]
     rows = []
-    for value in spec.sweep.get(key, values):
-        for ds in range(spec.sweep.get("seeds", 3)):
-            point = dataclasses.replace(spec, seed=spec.seed + ds, **{field: value})
-            run = run_protocol_experiment(point)
-            run.metrics.to_csv(out_dir / csv_name(value, point.seed))
-            rows.append(
-                [value, point.seed, run.metrics.tail_mean("attack_rate"),
-                 run.metrics.final("validation_error")]
-            )
+    for value, point in points:
+        run = run_protocol_experiment(point)
+        run.metrics.to_csv(out_dir / csv_name(value, point.seed))
+        rows.append([value, point.seed, run.metrics.tail_mean("attack_rate"), run.metrics.final("validation_error")])
     _write_summary(out_dir / "summary.csv", [key, "seed", "attack_rate", "validation_error"], rows)
     return {"grid": rows}
 
@@ -430,8 +428,8 @@ def run_named_experiment(spec: ExperimentSpec, out_dir) -> dict:
     """Run the experiment named by spec.name; writes CSVs (plus chain/PGM
     artifacts) and metadata.json into out_dir and returns a summary dict.
     A sweep key the experiment does not read is refused before out_dir is
-    made; a run refused before it writes anything (its data refused by
-    ``build_environment``, say) removes the directories it made."""
+    made; a run refused before it writes anything (a sweep's grid point or
+    its data refused, say) removes the directories it made."""
     if spec.name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {spec.name!r}")
     runner, sweep_keys = EXPERIMENTS[spec.name]

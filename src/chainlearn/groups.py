@@ -590,14 +590,14 @@ class ExponentGroup:
     scalar_size = (order.bit_length() + 7) // 8
 
 
-_BACKENDS = {"pairing": PairingGroup, "exponent": ExponentGroup}
+BACKENDS = {"pairing": PairingGroup, "exponent": ExponentGroup}
 _CACHE: dict = {}
 
 
 def get_backend(name: str):
     """Return the (cached) backend instance for ``name``."""
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown group backend {name!r}; choose from {sorted(_BACKENDS)}")
+    if name not in BACKENDS:
+        raise ValueError(f"unknown group backend {name!r}; choose from {sorted(BACKENDS)}")
     if name not in _CACHE:
-        _CACHE[name] = _BACKENDS[name]()
+        _CACHE[name] = BACKENDS[name]()
     return _CACHE[name]

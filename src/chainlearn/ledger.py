@@ -25,6 +25,7 @@ Replicas built on one root reach the same state objects and share these; a
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field, is_dataclass
 from functools import cached_property
@@ -35,7 +36,8 @@ import numpy as np
 from . import signatures
 from .commitments import CommitPK, combine, commit, slots
 from .committees import ROLE_AGGREGATE, ROLE_VERIFY, committee_seed, draw_committee
-from .encoding import ByteReader, ByteWriter, sha256, u32
+from .encoding import ByteReader, ByteWriter, require, require_int, sha256, u32
+from .groups import BACKENDS
 from .models import ModelParams, make_model
 from .quantize import SCALE_BITS, QuantizedPoly, admissible, decode
 from .sgd import TrainConfig
@@ -64,7 +66,7 @@ REJECTION_REASONS = frozenset(
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Consensus-relevant knobs every peer reads from genesis."""
+    """Consensus-relevant knobs every peer reads from genesis; each refuses what its own fields decide."""
 
     backend_name: str
     model_family: str
@@ -82,6 +84,17 @@ class ProtocolConfig:
     stake_reward: int
     train: TrainConfig
 
+    def __post_init__(self):
+        # a run needs a round, a noiser and a verifier, and a share split two aggregators
+        for name, least in (("total_iterations", 1), ("num_noisers", 1), ("num_verifiers", 1), ("num_aggregators", 2)):
+            require_int(name, getattr(self, name), least)
+        self.to_bytes()  # refuses a value its genesis slot cannot hold
+        require("epsilon", self.epsilon, self.epsilon > 0, "be positive")
+        require("delta", self.delta, 0 < self.delta < 1, "lie in (0, 1)")
+        require("collect_fraction", self.collect_fraction, 0 < self.collect_fraction <= 1, "lie in (0, 1]")
+        require("backend_name", self.backend_name, self.backend_name in BACKENDS, f"be one of {sorted(BACKENDS)}")
+        slots(self.model_dim, range(self.num_aggregators))  # an unknown model family, then the layout
+
     @property
     def model_dim(self) -> int:
         """The weight count of the model the config names."""
@@ -98,30 +111,35 @@ class ProtocolConfig:
         return config
 
 
-# how each field type of a config encodes: (write, read)
+# how each field type of a config encodes: (write, read, check), where
+# check(name, value) refuses, naming the field, a value the slot cannot hold
 _FIELD_CODECS = {
-    str: (lambda w, v: w.bytes_lp(v.encode()), lambda r: r.bytes_lp().decode()),
-    int: (ByteWriter.u32, ByteReader.u32),
-    float: (ByteWriter.f64, ByteReader.f64),
+    str: (lambda w, v: w.bytes_lp(v.encode()), lambda r: r.bytes_lp().decode(),
+          lambda name, v: require(name, v, isinstance(v, str), "be a string")),
+    int: (ByteWriter.u32, ByteReader.u32, require_int),  # 0..U32, and no bool or float
+    float: (ByteWriter.f64, ByteReader.f64,
+            lambda name, v: require(name, v, isinstance(v, (int, float)) and math.isfinite(v), "be a finite number")),
 }
 
 
 def _codec(kind):
-    """The (write, read) pair of a field type; a ``ClassVar`` encodes as its type."""
+    """The (write, read, check) of a field type; a ``ClassVar`` encodes as its type."""
     return _FIELD_CODECS[get_args(kind)[0] if get_origin(kind) is ClassVar else kind]
 
 
-def _write_fields(w: ByteWriter, obj) -> ByteWriter:
+def _write_fields(w: ByteWriter, obj, prefix: str = "") -> ByteWriter:
     """Every field of the dataclass ``obj`` in declaration order: a ``str`` as
     length-prefixed UTF-8, an ``int`` as u32, a ``float`` as f64, and a
-    nested dataclass inline by the same rule.  A ``ClassVar`` is written as
-    its value, a constant the format records."""
+    nested dataclass inline by the same rule, each refused, by its dotted
+    name, unless its slot holds it.  A ``ClassVar`` is written as its value."""
     for name, kind in get_type_hints(type(obj)).items():
         value = getattr(obj, name)
         if is_dataclass(kind):
-            _write_fields(w, value)
+            _write_fields(w, value, f"{prefix}{name}.")
         else:
-            _codec(kind)[0](w, value)
+            write, _, check = _codec(kind)
+            check(prefix + name, value)
+            write(w, value)
     return w
 
 
@@ -145,12 +163,10 @@ class GenesisBlock:
     round of ``config``, round t at index t - 1.  The keys are held as
     ``backend.prepare_base`` prepared them, however the genesis was made, so
     each builds its tables at its first signature check.  Each committee of
-    the config holds at least one member, and no more than the peers with
-    stake (the noisers no more than one fewer, since a peer draws them from
-    the others), and its aggregators can split the share points
-    (``commitments.slots``), so every round's committees and share layout
-    can be drawn: stake only grows.  The initial model, the commitment key's
-    degree and the config's model agree on the weight count."""
+    the config holds no more than the peers with stake (the noisers no more
+    than one fewer: a peer draws them from the others), so every round's
+    committees can be drawn, as stake only grows.  The initial model, the
+    commitment key's degree and the config's model agree on the weight count."""
 
     initial_model: np.ndarray
     commit_pk: CommitPK
@@ -170,13 +186,12 @@ class GenesisBlock:
         # a peer draws its noisers from the other peers with stake, each committee from all of them
         for role, k, most in (("noiser", cfg.num_noisers, staked - 1), ("verifier", cfg.num_verifiers, staked),
                               ("aggregator", cfg.num_aggregators, staked)):
-            if not 1 <= k <= most:
+            if k > most:
                 raise ValueError(f"{role} committee of {k} is outside 1..{most} for {staked} peers with stake")
         dim, degree = cfg.model_dim, self.commit_pk.degree
         if not len(self.initial_model) == degree == dim:
             raise ValueError(f"{len(self.initial_model)} model weights and key degree {degree}"
                              f" for a config of {dim} weights")
-        slots(dim, range(cfg.num_aggregators))
         backend = self.commit_pk.backend
         keys = {pid: backend.prepare_base(key) for pid, key in self.peer_pubkeys.items()}
         object.__setattr__(self, "peer_pubkeys", keys)

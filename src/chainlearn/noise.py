@@ -26,11 +26,8 @@ from .quantize import QuantizedPoly, encode, sum_polys
 
 
 def gaussian_sigma(epsilon: float, delta: float) -> float:
-    """Per-example noise scale for an (epsilon, delta) private step."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
+    """Per-example noise scale for an (epsilon, delta) private step, at the
+    epsilon > 0 and delta in (0, 1) that ``ProtocolConfig`` admits."""
     return math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
 
 

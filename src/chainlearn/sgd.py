@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .encoding import require
 from .models import ModelParams
 
 CLIP_NORM = 1.0
@@ -31,12 +32,10 @@ class TrainConfig:
     batch_size: int = 256
 
     def __post_init__(self):
-        if self.eta0 <= 0 or self.eta_decay < 0:
-            raise ValueError("learning-rate schedule must be positive and non-increasing")
-        if self.weight_decay < 0:
-            raise ValueError("weight decay must be non-negative")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be positive")
+        for name in ("eta0", "batch_size"):
+            require(f"train.{name}", getattr(self, name), getattr(self, name) > 0, "be positive")
+        for name in ("eta_decay", "weight_decay"):  # the rate never grows
+            require(f"train.{name}", getattr(self, name), getattr(self, name) >= 0, "be non-negative")
 
     def eta_at(self, t: int) -> float:
         return self.eta0 / (1.0 + self.eta_decay * t)

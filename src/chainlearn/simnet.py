@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .encoding import require
 from .ledger import TipState, block_hash
 from .protocol import BROADCAST, BlockMsg, ChainRequest, PeerNode, StageTimeouts, Timer, UpdateSubmission
 
@@ -61,8 +62,7 @@ class Simulation:
         """``datasets`` maps peer id -> Dataset; ``churn_per_minute`` counts
         fail+join events per simulated minute; ``fresh_shard(peer,
         join_count)`` supplies a new local partition when a peer rejoins."""
-        if churn_per_minute < 0:
-            raise ValueError("churn rate must be non-negative")
+        require("churn_per_minute", churn_per_minute, churn_per_minute >= 0, "be non-negative")
         self.genesis = genesis
         self.churn_per_minute = churn_per_minute
         self.fresh_shard = fresh_shard

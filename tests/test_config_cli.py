@@ -389,3 +389,68 @@ def test_cli_invert(tmp_path, capsys):
     pgms = sorted(out.glob("*.pgm"))
     assert len(pgms) == 4
     assert pgms[0].read_bytes().startswith(b"P5\n")
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("privacy_budget_epsilon", "NaN", "privacy_budget_epsilon must be a finite number, got nan"),
+        ("privacy_budget_epsilon", -1, "privacy_budget_epsilon must be positive, got -1"),
+        ("privacy_budget_epsilon", "Infinity", "privacy_budget_epsilon must be a finite number, got inf"),
+        ("delta", 2, "delta must lie in (0, 1), got 2"),
+        ("delta", "NaN", "delta must be a finite number, got nan"),
+        ("collect_fraction", "NaN", "collect_fraction must be a finite number, got nan"),
+        ("collect_fraction", 0, "collect_fraction must lie in (0, 1], got 0"),
+        ("collect_fraction", -0.2, "collect_fraction must lie in (0, 1], got -0.2"),
+        ("collect_fraction", 1.5, "collect_fraction must lie in (0, 1], got 1.5"),
+        ("train.eta0", "NaN", "train.eta0 must be positive, got nan"),
+        ("train.eta_decay", "Infinity", "train.eta_decay must be a finite number, got inf"),
+        ("churn_per_minute", "NaN", "churn_per_minute must be non-negative, got nan"),
+        ("backend", "exp", "backend must be one of ['exponent', 'pairing'], got exp"),
+        # a JSON integer written as a float or a bool
+        ("number_of_noisers", 2.0, "number_of_noisers must be an integer, got 2.0"),
+        ("stake_reward", 5.5, "stake_reward must be an integer, got 5.5"),
+        ("number_of_nodes", 10.0, "number_of_nodes must be an integer, got 10.0"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("train.batch_size", 8.0, "train.batch_size must be an integer, got 8.0"),
+        ("total_iterations", True, "total_iterations must be an integer, got True"),
+    ],
+)
+def test_cli_config_value_no_run_can_carry_out_is_refused_by_its_key(tmp_path, capsys, key, value, message):
+    """These ran, or raised mid-run.  At epsilon infinite (sigma 0) every
+    masked update carried no noise, and at a collection fraction of -0.2 each
+    block summed one update; both exited 0, as did churn NaN (no churn at
+    all).  A float or bool written for an integer key ended in a
+    ``struct.error`` or ``TypeError`` traceback, or, as a round count of
+    ``true``, ran one round.  Each is refused with one error line naming its
+    JSON key, and nothing is written."""
+    data = small_spec().to_dict()
+    *outer, leaf = key.split(".")
+    (data[outer[0]] if outer else data)[leaf] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data).replace('"NaN"', "NaN").replace('"Infinity"', "Infinity"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, sweep, message",
+    [
+        ("epsilon-sweep", {"epsilon": [2.0, 0], "seeds": 1}, "privacy_budget_epsilon must be positive, got 0"),
+        ("sample-fraction-sweep", {"collect_fraction": [0.7, 1.5], "seeds": 1},
+         "collect_fraction must lie in (0, 1], got 1.5"),
+    ],
+)
+def test_cli_sweep_grid_point_the_spec_refuses_is_refused_before_any_runs(tmp_path, capsys, name, sweep, message):
+    """The epsilon sweep over [2.0, 0] ran the 2.0 point, then exited 1 and
+    left its CSV with no ``metadata.json``; the fraction sweep over
+    [0.7, 1.5] exited 0.  Every grid point is built before any runs, so
+    both exit 1 with one error line and leave no directory."""
+    cfg = tmp_path / "cfg.json"
+    save_spec(cfg, small_spec(name=name, sweep=sweep))
+    out = tmp_path / "runs" / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "runs").exists()

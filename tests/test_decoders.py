@@ -7,7 +7,9 @@ fixed key and message, so only the honest signature may pass."""
 
 import copy
 import dataclasses
+import math
 import re
+from typing import get_type_hints
 
 import pytest
 from hypothesis import given, settings
@@ -186,15 +188,29 @@ def test_non_canonical_block_is_refused(tiny_net, change, message):
         block_from_bytes(data, BACKEND)
 
 
+def config_bytes(obj, changes: dict, prefix: str = "") -> bytes:
+    """The config encoding of the dataclass ``obj`` with ``changes``, keyed by
+    dotted field name, in place of its values: written field by field with
+    each type's writer, since neither a ``ProtocolConfig`` nor its own
+    encoder holds a value the config refuses."""
+    w = ByteWriter()
+    for name, kind in get_type_hints(type(obj)).items():
+        if dataclasses.is_dataclass(kind):
+            w.raw(config_bytes(getattr(obj, name), changes, f"{prefix}{name}."))
+        else:
+            ledger._codec(kind)[0](w, changes.get(prefix + name, getattr(obj, name)))
+    return w.getvalue()
+
+
 def crafted_chain(tiny_net, path, **changes) -> None:
     """Write a chain file whose genesis is ``tiny_net``'s with ``changes`` to
-    its config, made as bytes since no ``GenesisBlock`` holds such a config,
-    and then one round-1 block signed by the genesis' own keys: its
-    committees drawn on the crafted genesis' hash under the unchanged
-    config, which draws the same verifiers whatever the aggregator count."""
+    its config (``config_bytes``), made as bytes since no ``GenesisBlock``
+    holds such a config, and then one round-1 block signed by the genesis'
+    own keys: its committees drawn on the crafted genesis' hash under the
+    unchanged config, which draws the same verifiers whatever the
+    aggregator count."""
     genesis, secrets = tiny_net
-    config = dataclasses.replace(genesis.config, **changes)
-    data = genesis.to_bytes().replace(genesis.config.to_bytes(), config.to_bytes(), 1)
+    data = genesis.to_bytes().replace(genesis.config.to_bytes(), config_bytes(genesis.config, changes), 1)
     stand_in = copy.copy(genesis)  # the unchanged genesis under the crafted hash
     object.__setattr__(stand_in, "_digest", sha256(GENESIS_PREV_HASH + data))
     block = honest_block(stand_in, secrets, Ledger(stand_in))
@@ -204,10 +220,10 @@ def crafted_chain(tiny_net, path, **changes) -> None:
 @pytest.mark.parametrize(
     "changes, message",
     [
-        ({"num_aggregators": 0}, "aggregator committee of 0 "),
+        ({"num_aggregators": 0}, "num_aggregators must be at least 2, got 0"),
         ({"num_verifiers": 20}, "verifier committee of 20 "),
         ({"num_noisers": 12}, "noiser committee of 12 "),
-        ({"num_aggregators": 1}, "need at least two aggregators"),
+        ({"num_aggregators": 1}, "num_aggregators must be at least 2, got 1"),
         ({"num_aggregators": 11}, "11 aggregators for only 10 share points"),
         ({"n_features": 5}, "4 model weights and key degree 4 for a config of 6 weights"),
         ({"n_features": 2}, "4 model weights and key degree 4 for a config of 3 weights"),
@@ -232,6 +248,40 @@ def test_chain_whose_committees_cannot_be_drawn_is_refused_at_genesis(tiny_net, 
     assert main(["verify-chain", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {expected}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("epsilon", math.nan, "epsilon must be a finite number, got nan"),
+        ("epsilon", -1.0, "epsilon must be positive, got -1.0"),
+        ("epsilon", math.inf, "epsilon must be a finite number, got inf"),
+        ("delta", 2.0, "delta must lie in (0, 1), got 2.0"),
+        ("delta", math.nan, "delta must be a finite number, got nan"),
+        ("collect_fraction", math.nan, "collect_fraction must be a finite number, got nan"),
+        ("collect_fraction", 0.0, "collect_fraction must lie in (0, 1], got 0.0"),
+        ("collect_fraction", -0.2, "collect_fraction must lie in (0, 1], got -0.2"),
+        ("collect_fraction", 1.5, "collect_fraction must lie in (0, 1], got 1.5"),
+        ("train.eta0", math.nan, "train.eta0 must be positive, got nan"),
+        ("train.eta_decay", math.inf, "train.eta_decay must be a finite number, got inf"),
+    ],
+)
+def test_chain_whose_config_refuses_itself_is_refused_at_genesis(tiny_net, tmp_path, capsys, field, value, message):
+    """A genesis whose config holds no privacy step (epsilon NaN, negative
+    or infinite, where sigma is 0 and updates go unmasked; delta 2 or NaN),
+    no sample (a collection fraction of NaN, 0 or below, or past 1) or no
+    learning-rate schedule (eta0 NaN, an infinite decay) loaded as a valid
+    chain.  The config refuses itself as it is decoded, naming the field:
+    ``load_chain`` raises one ``genesis:`` error and ``verify-chain``
+    prints it as one error line."""
+    path = tmp_path / "crafted.bin"
+    crafted_chain(tiny_net, path, **{field: value})
+    expected = f"{path}: genesis: {message}"
+    with pytest.raises(ValueError, match="^" + re.escape(expected) + "$"):
+        load_chain(path, BACKEND)
+    assert main(["verify-chain", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {expected}\n"
 
 
 def test_block_rule_value_error_names_path_and_block(tiny_net, tmp_path, monkeypatch):

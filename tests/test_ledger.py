@@ -1,5 +1,7 @@
 import dataclasses
 import functools
+import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -34,6 +36,7 @@ from chainlearn.ledger import (
 )
 from chainlearn.encoding import sha256, u32
 from chainlearn.quantize import SCALE_BITS, QuantizedPoly, decode
+from chainlearn.sgd import TrainConfig
 from chainlearn.signatures import sign
 from chainlearn.stake import build_ring
 
@@ -87,6 +90,45 @@ def test_genesis_whose_key_or_model_misfits_its_config_is_refused(tiny_net):
         dataclasses.replace(genesis, commit_pk=trusted_setup(BACKEND, 2, b"short-key"))
     with pytest.raises(ValueError, match=r"^5 model weights and key degree 4 for a config of 4 weights$"):
         dataclasses.replace(genesis, initial_model=np.zeros(5))
+
+
+@pytest.mark.parametrize(
+    "over, message",
+    [
+        ({"epsilon": math.nan}, "epsilon must be a finite number, got nan"),
+        ({"epsilon": -1.0}, "epsilon must be positive, got -1.0"),
+        ({"epsilon": math.inf}, "epsilon must be a finite number, got inf"),
+        ({"delta": 2.0}, "delta must lie in (0, 1), got 2.0"),
+        ({"delta": math.nan}, "delta must be a finite number, got nan"),
+        ({"collect_fraction": math.nan}, "collect_fraction must be a finite number, got nan"),
+        ({"collect_fraction": 0.0}, "collect_fraction must lie in (0, 1], got 0.0"),
+        ({"collect_fraction": -0.2}, "collect_fraction must lie in (0, 1], got -0.2"),
+        ({"collect_fraction": 1.5}, "collect_fraction must lie in (0, 1], got 1.5"),
+        ({"train": TrainConfig(eta_decay=math.inf)}, "train.eta_decay must be a finite number, got inf"),
+        ({"train": TrainConfig(eta0=math.inf)}, "train.eta0 must be a finite number, got inf"),
+        ({"total_iterations": 0}, "total_iterations must be at least 1, got 0"),
+        ({"total_iterations": True}, "total_iterations must be an integer, got True"),
+        ({"num_noisers": 0}, "num_noisers must be at least 1, got 0"),
+        ({"num_verifiers": 2.0}, "num_verifiers must be an integer, got 2.0"),
+        ({"num_aggregators": 1}, "num_aggregators must be at least 2, got 1"),
+        ({"num_aggregators": 11}, "11 aggregators for only 10 share points"),
+        ({"stake_reward": 1 << 32}, f"stake_reward must be at most {(1 << 32) - 1}, got {1 << 32}"),
+        ({"n_features": -1}, "n_features must be at least 0, got -1"),
+        ({"backend_name": "exp"}, "backend_name must be one of ['exponent', 'pairing'], got exp"),
+        ({"backend_name": None}, "backend_name must be a string, got None"),
+        ({"model_family": "logrex"}, "unknown model family 'logrex'"),
+    ],
+)
+def test_config_refuses_what_its_own_fields_decide(over, message):
+    """A ``ProtocolConfig`` refuses, naming the field, each value no run can
+    carry out, whoever builds it: epsilon, delta or the collection fraction
+    out of range or not finite (epsilon infinite gave sigma 0, unmasked
+    updates; a fraction of -0.2 summed one update a block), a ``train``
+    value that is not finite, a round count or committee below its floor, a
+    share layout that cannot be dealt, an int its u32 genesis slot cannot
+    hold (a bool or a float included), and an unknown backend or model."""
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        tiny_config(**over)
 
 
 def test_genesis_for_another_backend_is_refused_by_name(tiny_net):

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -87,6 +90,25 @@ def test_empty_dataset_rejected():
     model = LogisticModel(2)
     with pytest.raises(ValueError):
         compute_local_update(model, ModelParams(np.zeros(model.dim)), data, TrainConfig(), 0)
+
+
+@pytest.mark.parametrize(
+    "over, message",
+    [
+        ({"eta0": math.nan}, "train.eta0 must be positive, got nan"),
+        ({"eta0": 0.0}, "train.eta0 must be positive, got 0.0"),
+        ({"eta_decay": math.nan}, "train.eta_decay must be non-negative, got nan"),
+        ({"eta_decay": -0.1}, "train.eta_decay must be non-negative, got -0.1"),
+        ({"weight_decay": math.nan}, "train.weight_decay must be non-negative, got nan"),
+        ({"batch_size": 0}, "train.batch_size must be positive, got 0"),
+    ],
+)
+def test_train_config_refuses_nan_and_out_of_range(over, message):
+    """``eta0 <= 0`` is False at NaN, so a NaN learning rate used to pass
+    and train every update to NaN; each check is written so NaN fails it,
+    and the message names the ``train`` key."""
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        TrainConfig(**over)
 
 
 def test_eta_schedule_non_increasing():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,10 +34,12 @@ def test_sigma_vanishes_for_large_epsilon():
 
 
 def test_sigma_rejects_bad_params():
-    with pytest.raises(ValueError):
-        gaussian_sigma(0.0, 1e-5)
-    with pytest.raises(ValueError):
-        gaussian_sigma(2.0, 1.5)
+    """No Gaussian step exists at epsilon 0 or delta 1.5; the config that
+    names the step refuses both."""
+    with pytest.raises(ValueError, match="epsilon must be positive, got 0.0"):
+        tiny_config(epsilon=0.0)
+    with pytest.raises(ValueError, match=re.escape("delta must lie in (0, 1), got 1.5")):
+        tiny_config(delta=1.5)
 
 
 CONFIG = tiny_config()

@@ -1004,6 +1004,14 @@ def test_per_tip_values_are_derived_once(monkeypatch):
     assert counts["generate_noise"] == len(draws)
 
 
+@pytest.mark.parametrize("churn", [-1.0, float("nan")])
+def test_simulation_refuses_a_churn_rate_below_zero_or_nan(churn):
+    """``run`` churns only at a rate above 0, so a NaN rate ran with no
+    churn at all; it is refused, like a negative one, naming the key."""
+    with pytest.raises(ValueError, match=f"^churn_per_minute must be non-negative, got {churn}$"):
+        make_sim(churn_per_minute=churn)
+
+
 def test_churned_run_is_pinned():
     """Peers that fail and rejoin catch up through the states other replicas
     reached first; the tip and every refusal record are the pinned ones."""
