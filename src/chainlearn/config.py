@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -78,11 +79,13 @@ class ExperimentSpec:
         for key, least, most in (("number_of_nodes", 1, U32), ("initial_stake", 1, U64), ("seed", 0, U64)):
             require_int(key, getattr(self, key), least, most)  # genesis writes peer ids as u32, stake as u64
         require("churn_per_minute", self.churn_per_minute, self.churn_per_minute >= 0, "be non-negative")
+        require("churn_per_minute", self.churn_per_minute, math.isfinite(self.churn_per_minute), "be finite")
         n = self.number_of_nodes
-        # a peer draws its noisers from the other peers, each committee from all (past u32, the config refuses)
+        # a peer draws its noisers from the other peers, each committee from all
         for key, most in (("number_of_noisers", n - 1), ("number_of_verifiers", n), ("number_of_aggregators", n)):
             count = getattr(self, key)
-            require(key, count, count <= most or count > U32, f"be at most {most} with {n} nodes")
+            if type(count) is int and count <= U32:  # the config refuses any other count
+                require(key, count, count <= most, f"be at most {most} with {n} nodes")
         try:
             self.protocol_config()
         except ValueError as exc:  # named by its JSON key

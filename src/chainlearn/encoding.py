@@ -23,7 +23,7 @@ def require(name: str, value, holds: bool, rule: str) -> None:
 
 def require_int(name: str, value, least: int = 0, most: int = U32) -> None:
     """Refuse, naming ``name``, all but an ``int`` (not a bool) in least..most."""
-    require(name, value, type(value) is int, "be an integer")
+    require(name, repr(value), type(value) is int, "be an integer")  # repr: a string shows quoted
     require(name, value, value >= least, f"be at least {least}")
     require(name, value, value <= most, f"be at most {most}")
 

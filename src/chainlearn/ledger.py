@@ -17,8 +17,10 @@ A replica is its block list plus one immutable ``TipState``, everything it
 derives from its tip; the block rule is the pure ``advance(state, block)``.
 Rejections carry a machine-readable reason string from REJECTION_REASONS.
 
-A state keeps what it works out, keyed by content: the block rule's verdict
-by block hash, the submission check's by signed payload and signature.
+A state works out each verdict once, in one memo keyed by kind and content
+(``TipState.once``): a round's committees by round, a sign-off's verdict by
+round and value, the block rule's by block hash, the submission check's by
+signed payload and signature.
 Replicas built on one root reach the same state objects and share these; a
 ``Ledger`` on a fresh root (``load_chain``, any audit) checks every block.
 """
@@ -117,8 +119,8 @@ _FIELD_CODECS = {
     str: (lambda w, v: w.bytes_lp(v.encode()), lambda r: r.bytes_lp().decode(),
           lambda name, v: require(name, v, isinstance(v, str), "be a string")),
     int: (ByteWriter.u32, ByteReader.u32, require_int),  # 0..U32, and no bool or float
-    float: (ByteWriter.f64, ByteReader.f64,
-            lambda name, v: require(name, v, isinstance(v, (int, float)) and math.isfinite(v), "be a finite number")),
+    float: (ByteWriter.f64, ByteReader.f64, lambda name, v: require(
+        name, repr(v), isinstance(v, (int, float)) and math.isfinite(v), "be a finite number")),
 }
 
 
@@ -188,11 +190,12 @@ class GenesisBlock:
                               ("aggregator", cfg.num_aggregators, staked)):
             if k > most:
                 raise ValueError(f"{role} committee of {k} is outside 1..{most} for {staked} peers with stake")
-        dim, degree = cfg.model_dim, self.commit_pk.degree
+        backend, dim, degree = self.commit_pk.backend, cfg.model_dim, self.commit_pk.degree
+        if backend.name != cfg.backend_name:
+            raise ValueError(f"config names the {cfg.backend_name!r} backend, commitment key the {backend.name!r}")
         if not len(self.initial_model) == degree == dim:
             raise ValueError(f"{len(self.initial_model)} model weights and key degree {degree}"
                              f" for a config of {dim} weights")
-        backend = self.commit_pk.backend
         keys = {pid: backend.prepare_base(key) for pid, key in self.peer_pubkeys.items()}
         object.__setattr__(self, "peer_pubkeys", keys)
 
@@ -401,14 +404,15 @@ def block_hash(block: Block, backend) -> bytes:
     return sha256(block_to_bytes(block, backend))
 
 
-def contributor_rejection(peers, verifiers, aggregators, pubkeys) -> str:
-    """'' if each of ``peers`` may contribute to the round: a genesis peer
-    (in ``pubkeys``), listed once and on neither committee; else the reason."""
+def contributor_rejection(peers, state: TipState, iteration: int) -> str:
+    """'' if each of ``peers`` may contribute to round ``iteration`` on the tip
+    ``state``: a genesis peer, listed once and on neither committee; else the reason."""
+    verifiers, aggregators = state.committees(iteration)
     seen = set()
     for peer in peers:
         if peer in seen:
             return "duplicate-contributor"
-        if peer not in pubkeys:
+        if peer not in state.genesis.peer_pubkeys:
             return "unknown-contributor"
         if peer in verifiers or peer in aggregators:
             return "contributor-on-committee"
@@ -416,42 +420,15 @@ def contributor_rejection(peers, verifiers, aggregators, pubkeys) -> str:
     return ""
 
 
-class SignOffChecks(dict):
-    """One round's sign-off -> its verdict, worked out at first lookup: its
-    winners are pair encodings of the backend's size in strictly ascending
-    order, and its signature over them (``signoff_message``) is valid under
-    the verifier's key in ``pubkeys`` (prepared, as
-    ``GenesisBlock.peer_pubkeys`` holds them).  A block writes the records
-    back to back and reads them back at pair size, so the size check
-    refuses what has no encoding of its own: the signed bytes cut into
-    records at other boundaries.  Keyed by value, so an equal copy is not
-    checked again and one that differs in any field is worked out on its
-    own."""
-
-    def __init__(self, iteration: int, pubkeys, backend):
-        super().__init__()
-        self.iteration, self.pubkeys, self.backend = iteration, pubkeys, backend
-
-    def __missing__(self, s: SignOff) -> bool:
-        w, size = s.winners, 4 + self.backend.element_size
-        message = signoff_message(self.iteration, s.verifier, w)
-        verdict = self[s] = (
-            all(len(rec) == size for rec in w)
-            and all(a < b for a, b in zip(w, w[1:]))
-            and signatures.verify(self.backend, self.pubkeys[s.verifier], message, s.signature)
-        )
-        return verdict
-
-
-def endorsement_rejection(entry_records, signoffs, verifiers, checks: SignOffChecks) -> str:
-    """'' if ``signoffs`` endorse every entry, given the entries' pair
-    encodings, else the reason.  The sign-offs come from distinct verifiers
-    of the round in ascending id order, each valid (checked only for a
-    member, after the ones before it passed), and more than half the
-    round's verifiers name each entry."""
-    last, named = -1, Counter()
+def endorsement_rejection(entry_records, signoffs, state: TipState, iteration: int) -> str:
+    """'' if ``signoffs`` endorse every entry of round ``iteration`` on the tip
+    ``state``, given the entries' pair encodings, else the reason.  The
+    sign-offs come from distinct verifiers of the round in ascending id order,
+    each valid (``TipState.signoff_valid``, asked only of a member after the
+    ones before it passed), and more than half the verifiers name each entry."""
+    verifiers, last, named = state.committees(iteration)[0], -1, Counter()
     for s in signoffs:
-        if s.verifier <= last or s.verifier not in verifiers or not checks[s]:
+        if s.verifier <= last or s.verifier not in verifiers or not state.signoff_valid(iteration, s):
             return "bad-verifier-signature"
         named.update(s.winners)
         last = s.verifier
@@ -473,29 +450,26 @@ def round_committees(genesis: GenesisBlock, ring, prev_hash: bytes, iteration: i
 
 @dataclass(frozen=True, eq=False)
 class TipState:
-    """Everything a replica derives from its tip, each computed once: the
-    tip's hash, round and weights (read-only), the stake after it, that
-    stake's ring, the committees of each round drawn on it and each round's
-    sign-off verdicts; the block rule's ``(next state, reason)`` for each
-    block hash tried on it (``successors``), and the submission check's
-    verdict for each signed payload and signature (``verdicts``).  A new tip
-    is a new state.
-
-    A verdict is keyed by what it reads, never by object identity: a block
-    by its hash, a submission by its bytes, a sign-off by value; so an equal
-    copy hits and one that differs in any byte misses.  Replicas that start
-    from one ``root`` share every state they reach, and a state stays alive
-    while some replica holds it or one of its ancestors."""
+    """Everything a replica derives from its tip: the tip's hash, round and
+    weights (read-only), the stake after it and that stake's ring, and in
+    ``memo`` each verdict worked out on the tip, once (``once``).  A new tip
+    is a new state.  A memo key is tagged by its kind and holds what the
+    verdict reads, never an object's identity, so an equal copy hits and one
+    that differs in any byte misses:
+    - ``("committees", t)``: round t's (verifier, aggregator) committees;
+    - ``("signoff", t, signoff)``: whether the sign-off (by value) is valid
+      for round t, whose number its signed bytes hold;
+    - ``("block", hash)``: the block rule's ``(next state, reason)``;
+    - ``("submission", payload, signature)``: the submission check's reason.
+    Replicas that start from one ``root`` share every state they reach, and
+    a state stays alive while some replica holds it or one of its ancestors."""
 
     genesis: GenesisBlock
     tip_hash: bytes
     iteration: int
     weights: np.ndarray
     stake: dict
-    drawn: dict = field(default_factory=dict, repr=False)  # round -> committees
-    checked: dict = field(default_factory=dict, repr=False)  # round -> SignOffChecks
-    successors: dict = field(default_factory=dict, repr=False)  # block hash -> (next state, reason)
-    verdicts: dict = field(default_factory=dict, repr=False)  # (payload, signature) -> submission reason
+    memo: dict = field(default_factory=dict, repr=False)  # tagged key -> what ``once`` worked out
 
     @classmethod
     def root(cls, genesis: GenesisBlock) -> "TipState":
@@ -506,32 +480,44 @@ class TipState:
     def ring(self) -> StakeRing:
         return build_ring(self.stake)
 
+    def once(self, key: tuple, work):
+        """``work()`` the first time ``key`` is asked on this tip, then what it returned (never None)."""
+        value = self.memo.get(key)
+        if value is None:
+            value = self.memo[key] = work()
+        return value
+
     def committees(self, iteration: int):
         """The (verifier, aggregator) committees of round ``iteration``."""
-        if iteration not in self.drawn:
-            self.drawn[iteration] = round_committees(self.genesis, self.ring, self.tip_hash, iteration)
-        return self.drawn[iteration]
+        return self.once(("committees", iteration),
+                         lambda: round_committees(self.genesis, self.ring, self.tip_hash, iteration))
 
-    def signoff_checks(self, iteration: int) -> SignOffChecks:
-        """Round ``iteration``'s sign-off verdicts, shared by the peers that
-        check grants and bundles on this tip and by the block rule."""
-        if iteration not in self.checked:
-            backend = self.genesis.commit_pk.backend
-            self.checked[iteration] = SignOffChecks(iteration, self.genesis.peer_pubkeys, backend)
-        return self.checked[iteration]
+    def signoff_valid(self, iteration: int, s: SignOff) -> bool:
+        """Whether ``s`` is a valid sign-off of round ``iteration``: its winners
+        are pair encodings of the backend's size in strictly ascending order,
+        and its signature over them (``signoff_message``) verifies under the
+        verifier's genesis key.  The size check refuses the signed bytes cut
+        into records at other boundaries, which a block, reading records back
+        at pair size, could not hold."""
+        backend, w = self.genesis.commit_pk.backend, s.winners
+        return self.once(("signoff", iteration, s), lambda: (
+            all(len(rec) == 4 + backend.element_size for rec in w)
+            and all(a < b for a, b in zip(w, w[1:]))
+            and signatures.verify(backend, self.genesis.peer_pubkeys[s.verifier],
+                                  signoff_message(iteration, s.verifier, w), s.signature)
+        ))
 
 
 def advance(state: TipState, block: Block) -> tuple[TipState | None, str]:
     """The block rule: ``(next state, "")`` if ``block`` is valid as the next
     block on ``state``'s tip, else ``(None, reason)``.  The gates run on
     every call, and first, since the encoding raises on what they refuse; the
-    rest is worked out once per block hash on a state (``state.successors``)."""
+    rest is worked out once per block hash on a state (``TipState.once``)."""
     genesis = state.genesis
     backend = genesis.commit_pk.backend
-    cfg = genesis.config
     if block.prev_hash != state.tip_hash:
         return None, "bad-prev-hash"
-    if not state.iteration < block.iteration <= cfg.total_iterations:
+    if not state.iteration < block.iteration <= genesis.config.total_iterations:
         return None, "bad-iteration"
     if len(block.commitments) == 0:
         return None, "empty-commitment-list"
@@ -540,23 +526,19 @@ def advance(state: TipState, block: Block) -> tuple[TipState | None, str]:
     if np.shape(block.model_weights) != genesis.initial_model.shape:
         return None, "bad-dimension"
 
-    verifiers, aggregators = state.committees(block.iteration)
-    peers = [e.peer for e in block.commitments]
-    reason = contributor_rejection(peers, verifiers, aggregators, genesis.peer_pubkeys)
+    reason = contributor_rejection([e.peer for e in block.commitments], state, block.iteration)
     if reason:
         return None, reason
     # a sign-off by a non-member or with a record not of pair size fails the
     # endorsement anyway; refused first, so the block hash covers what it reads
-    size = 4 + backend.element_size
+    size, verifiers = 4 + backend.element_size, state.committees(block.iteration)[0]
     if any(s.verifier not in verifiers or any(len(rec) != size for rec in s.winners) for s in block.signoffs):
         return None, "bad-verifier-signature"
     # the entries' pair encodings, for the majority count and the content bytes both
     entry_records = pair_records(block.commitments, backend)
     content = block_content_bytes(block, backend, entry_records)
     tip_hash = sha256(block_to_bytes(block, backend, content))
-    if tip_hash not in state.successors:
-        state.successors[tip_hash] = _checked(state, block, entry_records, content, tip_hash)
-    return state.successors[tip_hash]
+    return state.once(("block", tip_hash), lambda: _checked(state, block, entry_records, content, tip_hash))
 
 
 def _checked(state: TipState, block: Block, entry_records, content: bytes, tip_hash: bytes):
@@ -564,13 +546,12 @@ def _checked(state: TipState, block: Block, entry_records, content: bytes, tip_h
     the proposer's signature, the commitment identity and the weights."""
     genesis = state.genesis
     backend = genesis.commit_pk.backend
-    verifiers, aggregators = state.committees(block.iteration)
-    checks = state.signoff_checks(block.iteration)
-    reason = endorsement_rejection(entry_records, block.signoffs, verifiers, checks)
+    reason = endorsement_rejection(entry_records, block.signoffs, state, block.iteration)
     if reason:
         return None, reason
 
     # only the proposer, aggregators[0], mints
+    verifiers, aggregators = state.committees(block.iteration)
     if not signatures.verify(backend, genesis.peer_pubkeys[aggregators[0]], sha256(content), block.signature):
         return None, "bad-aggregator-signature"
 

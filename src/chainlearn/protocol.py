@@ -205,17 +205,15 @@ class Timer:
 def submission_rejection(sub: UpdateSubmission, state) -> str:
     """'' if a verifier on the tip ``state`` may pool ``sub``, else the rule
     it breaks.  Past the sender and encoding gates, the verdict is worked out
-    once per signed payload and signature on a tip, in ``state.verdicts``."""
+    once per signed payload and signature on a tip (``TipState.once``)."""
     genesis = state.genesis
     backend = genesis.commit_pk.backend
     if sub.sender not in genesis.peer_pubkeys:
         return "unknown-sender"
     if not genesis.admits(sub.masked):
         return "inadmissible-update"
-    key = (sub.payload_bytes(backend), sub.signature)
-    if key not in state.verdicts:
-        state.verdicts[key] = _submission_verdict(sub, state, key[0])
-    return state.verdicts[key]
+    payload = sub.payload_bytes(backend)
+    return state.once(("submission", payload, sub.signature), lambda: _submission_verdict(sub, state, payload))
 
 
 def _submission_verdict(sub: UpdateSubmission, state, payload: bytes) -> str:
@@ -468,7 +466,7 @@ class PeerNode:
             return self._refuse("stray-grant", signoff.verifier)
         entry = CommitmentEntry(self.id, rs.commitment)
         mine = pair_records([entry], self.backend)[0]
-        if mine not in signoff.winners or not self.ledger.state.signoff_checks(rs.iteration)[signoff]:
+        if mine not in signoff.winners or not self.ledger.state.signoff_valid(rs.iteration, signoff):
             return self._refuse("bad-grant", signoff.verifier)
         rs.grants[signoff.verifier] = signoff
         if len(rs.grants) <= len(rs.verifiers) // 2:
@@ -492,8 +490,7 @@ class PeerNode:
             self._check_pooled([dealer])
         if dealer in rs.accepted_bundles:
             return self._refuse("duplicate-bundle", dealer)
-        genesis, checks = self.genesis, self.ledger.state.signoff_checks(rs.iteration)
-        if not accept_bundle(bundle, rs.verifiers, rs.aggregators, genesis.peer_pubkeys, genesis.commit_pk, checks):
+        if not accept_bundle(bundle, self.ledger.state, rs.iteration):
             return self._refuse("bundle-refused", dealer)
         rs.pooled_bundles[dealer] = bundle
         return []
@@ -526,9 +523,9 @@ class PeerNode:
             max(offered[vid].values(), key=lambda s: len(pairs.intersection(s.winners)))
             for vid in sorted(offered)
         )
-        checks = self.ledger.state.signoff_checks(rs.iteration)
+        state = self.ledger.state
         eligible = [
-            pid for pid, rec in held.items() if not endorsement_rejection([rec], rs.signoffs, rs.verifiers, checks)
+            pid for pid, rec in held.items() if not endorsement_rejection([rec], rs.signoffs, state, rs.iteration)
         ]
         if not eligible:
             return self._refuse("no-accepted-bundles", self.id)

@@ -32,6 +32,8 @@ class TrainConfig:
     batch_size: int = 256
 
     def __post_init__(self):
+        for name, value in vars(self).items():  # each a number, refused as such before any comparison
+            require(f"train.{name}", repr(value), isinstance(value, (int, float)), "be a number")
         for name in ("eta0", "batch_size"):
             require(f"train.{name}", getattr(self, name), getattr(self, name) > 0, "be positive")
         for name in ("eta_decay", "weight_decay"):  # the rate never grows

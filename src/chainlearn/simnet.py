@@ -14,11 +14,11 @@ another order, redraws every later latency; that can change which grants a
 dealer holds when it deals, and so the block, with no message byte changed.
 
 The replicas share one root ``TipState``, so all replicas on one tip hold
-one state and share its verdicts: each block is checked once per tip it is
-tried on, and each submission once per tip, not once per receiver.  That is
-what the simulator pays, not what a peer would: a real peer runs every check
-itself.  The simulation keeps no reference to the root, so a state lives
-only while some replica holds it or one of its ancestors.
+one state and share its memo (``TipState.once``): a round's committees are
+drawn, and each sign-off, block and submission checked, once per tip, not
+once per receiver.  That is what the simulator pays, not what a peer would:
+a real peer runs every check itself.  The simulation keeps no reference to
+the root, so a state lives only while some replica holds it or an ancestor.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ class Simulation:
         fail+join events per simulated minute; ``fresh_shard(peer,
         join_count)`` supplies a new local partition when a peer rejoins."""
         require("churn_per_minute", churn_per_minute, churn_per_minute >= 0, "be non-negative")
+        require("churn_per_minute", churn_per_minute, np.isfinite(churn_per_minute), "be finite")
         self.genesis = genesis
         self.churn_per_minute = churn_per_minute
         self.fresh_shard = fresh_shard

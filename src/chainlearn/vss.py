@@ -28,13 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .commitments import CommitPK, commit, create_witness, verify_share
-from .ledger import (
-    CommitmentEntry,
-    SignOffChecks,
-    contributor_rejection,
-    endorsement_rejection,
-    pair_records,
-)
+from .ledger import CommitmentEntry, TipState, contributor_rejection, endorsement_rejection, pair_records
 from .polynomials import interpolate
 from .quantize import QuantizedPoly
 
@@ -66,18 +60,15 @@ def deal_shares(
     }
 
 
-def accept_bundle(
-    bundle: ShareBundle, verifiers, aggregators, pubkeys, pk: CommitPK, checks: SignOffChecks
-) -> bool:
-    """True iff the dealer's entry and sign-offs pass the block rule
-    (``ledger.contributor_rejection`` and ``ledger.endorsement_rejection``
-    with the round's committees, the genesis keys ``pubkeys`` and the
-    round's shared sign-off ``checks``).  ``failing_dealers`` checks the
+def accept_bundle(bundle: ShareBundle, state: TipState, iteration: int) -> bool:
+    """True iff the dealer's entry and sign-offs pass the block rule for
+    round ``iteration`` on ``state``'s tip (``ledger.contributor_rejection``
+    and ``ledger.endorsement_rejection``).  ``failing_dealers`` checks the
     opening later, at the receiving aggregator's slot."""
-    if contributor_rejection([bundle.entry.peer], verifiers, aggregators, pubkeys):
+    if contributor_rejection([bundle.entry.peer], state, iteration):
         return False
-    entry_records = pair_records([bundle.entry], pk.backend)
-    return not endorsement_rejection(entry_records, bundle.signoffs, verifiers, checks)
+    entry_records = pair_records([bundle.entry], state.genesis.commit_pk.backend)
+    return not endorsement_rejection(entry_records, bundle.signoffs, state, iteration)
 
 
 def failing_dealers(bundles, pk: CommitPK, points) -> list:

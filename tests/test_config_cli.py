@@ -366,6 +366,13 @@ def test_cli_collusion_prob(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_spec_refuses_an_infinite_churn_rate():
+    """Each churn event fell due 60 / inf = 0 s after the last, so a run at
+    that rate never reached its time cap; the spec refuses it when made."""
+    with pytest.raises(ValueError, match=r"^churn_per_minute must be finite, got inf$"):
+        small_spec(churn_per_minute=float("inf"))
+
+
 @pytest.mark.parametrize(
     "name, sweep, message",
     [
@@ -414,6 +421,11 @@ def test_cli_invert(tmp_path, capsys):
         ("seed", 1.5, "seed must be an integer, got 1.5"),
         ("train.batch_size", 8.0, "train.batch_size must be an integer, got 8.0"),
         ("total_iterations", True, "total_iterations must be an integer, got True"),
+        # a JSON string where a number is expected
+        ("number_of_noisers", "2", "number_of_noisers must be an integer, got '2'"),
+        ("train.eta0", "0.1", "train.eta0 must be a number, got '0.1'"),
+        ("number_of_nodes", "10", "number_of_nodes must be an integer, got '10'"),
+        ("privacy_budget_epsilon", "2", "privacy_budget_epsilon must be a finite number, got '2'"),
     ],
 )
 def test_cli_config_value_no_run_can_carry_out_is_refused_by_its_key(tmp_path, capsys, key, value, message):
@@ -422,8 +434,11 @@ def test_cli_config_value_no_run_can_carry_out_is_refused_by_its_key(tmp_path, c
     block summed one update; both exited 0, as did churn NaN (no churn at
     all).  A float or bool written for an integer key ended in a
     ``struct.error`` or ``TypeError`` traceback, or, as a round count of
-    ``true``, ran one round.  Each is refused with one error line naming its
-    JSON key, and nothing is written."""
+    ``true``, ran one round.  A string for a number met a comparison first
+    and exited with a ``TypeError``'s text naming no key, or was printed
+    unquoted, reading as the number; the config's type check now refuses it
+    before any comparison and quotes it.  Each is refused with one error
+    line naming its JSON key, and nothing is written."""
     data = small_spec().to_dict()
     *outer, leaf = key.split(".")
     (data[outer[0]] if outer else data)[leaf] = value

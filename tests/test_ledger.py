@@ -92,6 +92,16 @@ def test_genesis_whose_key_or_model_misfits_its_config_is_refused(tiny_net):
         dataclasses.replace(genesis, initial_model=np.zeros(5))
 
 
+def test_genesis_whose_key_is_on_another_group_than_its_config_is_refused(tiny_net):
+    """A config naming the pairing group over an exponent-group commitment
+    key was admitted: its first noise commitment raised, and its bytes did
+    not decode.  It is refused naming both backends."""
+    genesis, _ = tiny_net
+    config = dataclasses.replace(genesis.config, backend_name="pairing")
+    with pytest.raises(ValueError, match=r"^config names the 'pairing' backend, commitment key the 'exponent'$"):
+        dataclasses.replace(genesis, config=config)
+
+
 @pytest.mark.parametrize(
     "over, message",
     [
@@ -661,6 +671,21 @@ def test_tip_caches_follow_append_rejection_and_catch_up(tiny_net):
     assert late.state.committees(5) == round_committees(
         genesis, build_ring(late.stake), late.tip_hash(), 5
     )
+
+
+def test_a_signoff_of_one_round_is_refused_for_the_next_on_one_tip(tiny_net):
+    """A voided round keeps the tip, so a sign-off of round t can be offered
+    again in round t + 1 on the same tip.  Its signed bytes name round t, so
+    it is refused for t + 1 though its round-t verdict is in the tip's memo,
+    and that verdict stands."""
+    genesis, secrets = tiny_net
+    state = TipState.root(genesis)
+    vid = state.committees(1)[0][0]
+    entry = CommitmentEntry(vid + 1, genesis.noise_table[vid][0])
+    signoff = sign_off(BACKEND, secrets[vid].keypair, 1, vid, [entry])
+    assert state.signoff_valid(1, signoff)
+    assert not state.signoff_valid(2, signoff)
+    assert state.signoff_valid(1, signoff)
 
 
 def test_genesis_prev_hash_constant():

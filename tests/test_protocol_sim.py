@@ -830,7 +830,7 @@ def test_a_peer_checks_each_signoff_once_per_tip(monkeypatch):
     """A peer's block rule reads the sign-off verdicts the peer reached on
     grants and bundles on the same tip, so in an honest run no peer works
     out one sign-off twice on one tip; the chain is the pinned one."""
-    handle, missing = PeerNode.handle, ledger.SignOffChecks.__missing__
+    handle, once = PeerNode.handle, TipState.once
     handling, checked = [], Counter()
 
     def tracked(peer, event, now):
@@ -840,13 +840,14 @@ def test_a_peer_checks_each_signoff_once_per_tip(monkeypatch):
         finally:
             handling.pop()
 
-    def counted(checks, signoff):
-        peer = handling[-1]
-        checked[peer.id, peer.ledger.tip_hash(), checks.iteration, signoff] += 1
-        return missing(checks, signoff)
+    def counted(state, key, work):  # counts the misses of ``TipState.signoff_valid`` on each tip
+        if key[0] == "signoff" and key not in state.memo:
+            peer = handling[-1]
+            checked[peer.id, peer.ledger.tip_hash(), *key[1:]] += 1
+        return once(state, key, work)
 
     monkeypatch.setattr(PeerNode, "handle", tracked)
-    monkeypatch.setattr(ledger.SignOffChecks, "__missing__", counted)
+    monkeypatch.setattr(TipState, "once", counted)
     result = make_sim().run()
     assert result.final_ledger.tip_hash().hex() == EXPONENT_TIP
     assert checked and max(checked.values()) == 1
@@ -1010,6 +1011,14 @@ def test_simulation_refuses_a_churn_rate_below_zero_or_nan(churn):
     churn at all; it is refused, like a negative one, naming the key."""
     with pytest.raises(ValueError, match=f"^churn_per_minute must be non-negative, got {churn}$"):
         make_sim(churn_per_minute=churn)
+
+
+def test_simulation_refuses_an_infinite_churn_rate():
+    """Each churn event fell due 60 / inf = 0 s after the last, so a run at
+    that rate never reached its time cap; the rate is refused when the
+    simulation is made, before any run."""
+    with pytest.raises(ValueError, match=r"^churn_per_minute must be finite, got inf$"):
+        make_sim(churn_per_minute=float("inf"))
 
 
 def test_churned_run_is_pinned():

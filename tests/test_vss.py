@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from chainlearn.commitments import Witness, combine, commit, create_witness, slots, trusted_setup, verify_share
 from chainlearn.groups import get_backend
 from chainlearn import signatures
-from chainlearn.ledger import CommitmentEntry, SignOff, SignOffChecks, pair_records, sign_off
+from chainlearn.ledger import CommitmentEntry, SignOff, TipState, pair_records, sign_off
 from chainlearn.polynomials import poly_eval
 from chainlearn.quantize import QuantizedPoly, decode, encode, sum_polys
-from chainlearn.signatures import keygen, sign
+from chainlearn.signatures import sign
 from chainlearn.vss import (
     ShareRecoveryError,
     accept_bundle,
@@ -74,19 +74,22 @@ def test_too_many_aggregators_rejected():
         slots(2, range(1 << 62))  # refused on its length, before any slot is built
 
 
-def test_accept_bundle_majority_and_shares(monkeypatch):
-    rng = np.random.default_rng(1)
-    pk = trusted_setup(BACKEND, 4, b"s")
+def test_accept_bundle_majority_and_shares(monkeypatch, tiny_net):
+    genesis, secrets = tiny_net
+    state, rng, iteration = TipState.root(genesis), np.random.default_rng(1), 1
+    pk, pubkeys = genesis.commit_pk, genesis.peer_pubkeys
     q = make_update(rng, 4)
-    verifiers, aggregators, dealer, iteration = (0, 1, 2), (3, 4), 7, 1
-    keys = {i: keygen(BACKEND, bytes([i])) for i in (0, 1, 2, 3, 4, dealer)}
-    pubkeys = {i: kp.public for i, kp in keys.items()}
-    # another winner beside the dealer: a sign-off names all of them
-    entry, other = CommitmentEntry(dealer, commit(pk, q)), CommitmentEntry(5, commit(pk, q))
+    verifiers, aggregators = state.committees(iteration)
+    verifiers = sorted(verifiers)  # a bundle's sign-offs go in ascending verifier id
+    # the dealer and the other winner beside it (a sign-off names all of
+    # them) are on neither committee; so is the outsider, who is no verifier
+    dealer, winner, outsider = sorted(set(range(12)) - set(verifiers) - set(aggregators))[-3:]
+    keys = {pid: s.keypair for pid, s in secrets.items()}
+    entry, other = CommitmentEntry(dealer, commit(pk, q)), CommitmentEntry(winner, commit(pk, q))
     signoffs = tuple(sign_off(BACKEND, keys[vid], iteration, vid, [other, entry]) for vid in verifiers)
     bundles = deal(q, pk, [0, 1], dealer, signoffs)
     bundle, points = bundles[0], slots(4, [0, 1])[0]
-    checks, checked = SignOffChecks(iteration, pubkeys, BACKEND), []
+    checked = []
     verify = signatures.verify
 
     def counted(backend, public, message, signature):
@@ -96,7 +99,7 @@ def test_accept_bundle_majority_and_shares(monkeypatch):
     monkeypatch.setattr(signatures, "verify", counted)
 
     def accepts(b):
-        return accept_bundle(b, verifiers, aggregators, pubkeys, pk, checks)
+        return accept_bundle(b, state, iteration)
 
     def with_entry(**changes):
         return dataclasses.replace(bundle, entry=dataclasses.replace(bundle.entry, **changes))
@@ -129,15 +132,13 @@ def test_accept_bundle_majority_and_shares(monkeypatch):
     assert failing_dealers([forged], pk, points) == [dealer] and failing_dealers([bundle], pk, points) == []
 
     # a sign-off from outside the committee does not count
-    outsider = keygen(BACKEND, b"outsider")
-    pubkeys[9] = outsider.public
-    assert not accepts(with_sigs([sign_off(BACKEND, outsider, iteration, 9, [entry])]))
+    assert not accepts(with_sigs([sign_off(BACKEND, keys[outsider], iteration, outsider, [entry])]))
 
     # a valid majority padded with one bad sign-off fails the block rule, so
     # the bundle is refused here rather than minted into a block replicas reject
     mine = tuple(pair_records([entry], BACKEND))
-    assert not accepts(with_sigs(signoffs + (SignOff(9, mine, b"\x00" * 16),)))
-    wrong = SignOff(2, mine, sign(BACKEND, keys[2], b"wrong message"))
+    assert not accepts(with_sigs(signoffs + (SignOff(outsider, mine, b"\x00" * 16),)))
+    wrong = SignOff(verifiers[2], mine, sign(BACKEND, keys[verifiers[2]], b"wrong message"))
     assert not accepts(with_sigs(signoffs[:2] + (wrong,)))
     assert not accepts(with_sigs(signoffs + signoffs[2:]))  # a verifier twice
     assert not accepts(with_sigs(signoffs[::-1]))  # not in ascending verifier order
@@ -145,20 +146,19 @@ def test_accept_bundle_majority_and_shares(monkeypatch):
     unsorted = dataclasses.replace(signoffs[0], winners=signoffs[0].winners[::-1])
     assert not accepts(with_sigs((unsorted,) + signoffs[1:]))
     # same signature, other winners: worked out on its own, and the original stands
-    assert not checks[unsorted] and checks[signoffs[0]]
+    assert not state.signoff_valid(iteration, unsorted) and state.signoff_valid(iteration, signoffs[0])
     # the signed bytes cut into records at other boundaries: the same message,
     # but records a block, which reads them back at pair size, cannot hold
     recut = dataclasses.replace(signoffs[0], winners=resplit(signoffs[0].winners))
     assert recut.winners is not None and b"".join(recut.winners) == b"".join(signoffs[0].winners)
     assert not accepts(with_sigs((recut,) + signoffs[1:]))
-    assert not checks[recut] and checks[signoffs[0]]
+    assert not state.signoff_valid(iteration, recut) and state.signoff_valid(iteration, signoffs[0])
 
     # a committee member may not contribute
-    assert not accepts(with_entry(peer=3))
+    assert not accepts(with_entry(peer=aggregators[0]))
 
     # a dealer outside genesis is refused, as the block rule refuses its entry
-    del pubkeys[dealer]
-    assert not accepts(bundle)
+    assert not accepts(with_entry(peer=max(pubkeys) + 1))
 
 
 def test_sum_shares_hand_example():
