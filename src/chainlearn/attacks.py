@@ -14,7 +14,7 @@ import numpy as np
 
 from .committees import draw_committee
 from .datasets import Dataset
-from .encoding import sha256, u64
+from .encoding import require, sha256, u64
 from .models import SoftmaxModel
 from .stake import build_ring
 
@@ -30,7 +30,10 @@ class AdversaryConfig:
     src_label: int = 1
     dst_label: int = 0
 
-    def __post_init__(self):
+    def __post_init__(self):  # a number before any comparison, refused by its JSON key
+        require("adversary.fraction", repr(self.fraction), isinstance(self.fraction, (int, float)), "be a number")
+        for name in ("src_label", "dst_label"):
+            require(f"adversary.{name}", repr(getattr(self, name)), type(getattr(self, name)) is int, "be an integer")
         if not 0 <= self.fraction < 1:
             raise ValueError("adversarial fraction must lie in [0, 1)")
         if self.strategy not in (STRATEGY_HONEST, STRATEGY_LABEL_FLIP, STRATEGY_ZERO_NOISE):

@@ -49,6 +49,13 @@ class DatasetSpec:
     validation_size: int = 2000
     params: dict = field(default_factory=dict)  # extra kind-specific params
 
+    def __post_init__(self):  # refused by its JSON key before any use; the config checks features and classes
+        for name in ("shard_size", "validation_size"):
+            require_int(f"dataset.{name}", getattr(self, name))
+        for name, kinds, rule in (("kind", str, "be a string"), ("separation", (int, float), "be a number"),
+                                  ("noise_std", (int, float), "be a number"), ("params", dict, "be an object")):
+            require(f"dataset.{name}", repr(getattr(self, name)), isinstance(getattr(self, name), kinds), rule)
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -78,8 +85,10 @@ class ExperimentSpec:
     def __post_init__(self):
         for key, least, most in (("number_of_nodes", 1, U32), ("initial_stake", 1, U64), ("seed", 0, U64)):
             require_int(key, getattr(self, key), least, most)  # genesis writes peer ids as u32, stake as u64
-        require("churn_per_minute", self.churn_per_minute, self.churn_per_minute >= 0, "be non-negative")
-        require("churn_per_minute", self.churn_per_minute, math.isfinite(self.churn_per_minute), "be finite")
+        churn = self.churn_per_minute  # a number before any comparison
+        require("churn_per_minute", repr(churn), isinstance(churn, (int, float)), "be a number")
+        require("churn_per_minute", churn, churn >= 0, "be non-negative")
+        require("churn_per_minute", churn, math.isfinite(churn), "be finite")
         n = self.number_of_nodes
         # a peer draws its noisers from the other peers, each committee from all
         for key, most in (("number_of_noisers", n - 1), ("number_of_verifiers", n), ("number_of_aggregators", n)):

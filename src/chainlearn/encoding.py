@@ -68,10 +68,8 @@ class ByteWriter:
         return self.u32(len(data)).raw(data)
 
     def f64_vector(self, values) -> "ByteWriter":
-        self.u32(len(values))
-        for v in values:
-            self.f64(float(v))
-        return self
+        """The count as u32, then each value as a little-endian double."""
+        return self.raw(struct.pack(f"<I{len(values)}d", len(values), *map(float, values)))
 
     def getvalue(self) -> bytes:
         return b"".join(self._parts)

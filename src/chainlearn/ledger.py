@@ -17,12 +17,14 @@ A replica is its block list plus one immutable ``TipState``, everything it
 derives from its tip; the block rule is the pure ``advance(state, block)``.
 Rejections carry a machine-readable reason string from REJECTION_REASONS.
 
-A state works out each verdict once, in one memo keyed by kind and content
+A state works out each verdict once, in one memo keyed by kind and value
 (``TipState.once``): a round's committees by round, a sign-off's verdict by
-round and value, the block rule's by block hash, the submission check's by
-signed payload and signature.
-Replicas built on one root reach the same state objects and share these; a
-``Ledger`` on a fresh root (``load_chain``, any audit) checks every block.
+round and sign-off, the block rule's by the block's fields, the submission
+check's by the submission and a share bundle's by round, entry and
+sign-offs.  A repeat check is one lookup; the gates, the encoding and the
+checks run on a miss.  Replicas built on one root reach the same state
+objects and share these; a ``Ledger`` on a fresh root (``load_chain``, any
+audit) checks every block.
 """
 
 from __future__ import annotations
@@ -293,10 +295,9 @@ class Block:
 def write_poly(w: ByteWriter, poly: QuantizedPoly, backend) -> None:
     """The fixed-point scale (u32, always ``SCALE_BITS``), the coefficient
     count, then each coefficient little-endian at the order's byte width."""
-    w.u32(SCALE_BITS)
-    w.u32(len(poly.coeffs))
-    for c in poly.coeffs:
-        w.raw(int(c).to_bytes(backend.scalar_size, "little"))
+    width = backend.scalar_size
+    w.u32(SCALE_BITS).u32(len(poly.coeffs))
+    w.raw(b"".join([int(c).to_bytes(width, "little") for c in poly.coeffs]))
 
 
 def read_poly(r: ByteReader, backend) -> QuantizedPoly:
@@ -453,16 +454,26 @@ class TipState:
     """Everything a replica derives from its tip: the tip's hash, round and
     weights (read-only), the stake after it and that stake's ring, and in
     ``memo`` each verdict worked out on the tip, once (``once``).  A new tip
-    is a new state.  A memo key is tagged by its kind and holds what the
-    verdict reads, never an object's identity, so an equal copy hits and one
-    that differs in any byte misses:
+    is a new state.  A memo key is tagged by its kind and holds the values
+    the verdict reads:
     - ``("committees", t)``: round t's (verifier, aggregator) committees;
-    - ``("signoff", t, signoff)``: whether the sign-off (by value) is valid
-      for round t, whose number its signed bytes hold;
-    - ``("block", hash)``: the block rule's ``(next state, reason)``;
-    - ``("submission", payload, signature)``: the submission check's reason.
-    Replicas that start from one ``root`` share every state they reach, and
-    a state stays alive while some replica holds it or one of its ancestors."""
+    - ``("signoff", t, signoff)``: whether the sign-off is valid for round t,
+      whose number its signed bytes hold;
+    - ``("block", prev_hash, iteration, aggregate_poly, weights shape,
+      weights as little-endian float64 bytes, commitments, signoffs,
+      signature)``: the block rule's ``(next state, reason)``;
+    - ``("submission", sub)``: the submission check's reason;
+    - ``("bundle", t, entry, signoffs)``: whether a share bundle passes the
+      block rule's entry and sign-off checks for round t.
+    A hit is sound because every key field compares by value, never by
+    identity, so a rewritten message misses; the decoders and the protocol
+    build only ints, bytes, tuples, frozen value dataclasses and float64
+    weights, and two such objects that compare equal encode to the same
+    bytes, so a hit returns the verdict those bytes get.  The weights are
+    read into the key at each call, so changing a block's array in place
+    changes its key.  Replicas that start from one ``root`` share every
+    state they reach, and a state stays alive while some replica holds it or
+    one of its ancestors."""
 
     genesis: GenesisBlock
     tip_hash: bytes
@@ -474,7 +485,7 @@ class TipState:
     @classmethod
     def root(cls, genesis: GenesisBlock) -> "TipState":
         """The state of ``genesis`` itself, before any block."""
-        return cls(genesis, genesis.hash(), 0, genesis.initial_model, dict(genesis.initial_stake))
+        return cls(genesis, genesis.hash(), 0, _frozen(genesis.initial_model), dict(genesis.initial_stake))
 
     @cached_property
     def ring(self) -> StakeRing:
@@ -510,9 +521,19 @@ class TipState:
 
 def advance(state: TipState, block: Block) -> tuple[TipState | None, str]:
     """The block rule: ``(next state, "")`` if ``block`` is valid as the next
-    block on ``state``'s tip, else ``(None, reason)``.  The gates run on
-    every call, and first, since the encoding raises on what they refuse; the
-    rest is worked out once per block hash on a state (``TipState.once``)."""
+    block on ``state``'s tip, else ``(None, reason)``, worked out once per
+    block value on a state (``TipState.once``): the key is built first, and
+    the gates, the encoding and the checks run only on a miss."""
+    w = block.model_weights
+    key = ("block", block.prev_hash, block.iteration, block.aggregate_poly, np.shape(w),
+           np.asarray(w, "<f8").tobytes(), block.commitments, block.signoffs, block.signature)
+    return state.once(key, lambda: _checked(state, block))
+
+
+def _checked(state: TipState, block: Block):
+    """``advance``'s verdict on a block: the gates, first, since the encoding
+    raises on what they refuse, then the sign-offs, the proposer's
+    signature, the commitment identity and the weights."""
     genesis = state.genesis
     backend = genesis.commit_pk.backend
     if block.prev_hash != state.tip_hash:
@@ -529,23 +550,9 @@ def advance(state: TipState, block: Block) -> tuple[TipState | None, str]:
     reason = contributor_rejection([e.peer for e in block.commitments], state, block.iteration)
     if reason:
         return None, reason
-    # a sign-off by a non-member or with a record not of pair size fails the
-    # endorsement anyway; refused first, so the block hash covers what it reads
-    size, verifiers = 4 + backend.element_size, state.committees(block.iteration)[0]
-    if any(s.verifier not in verifiers or any(len(rec) != size for rec in s.winners) for s in block.signoffs):
-        return None, "bad-verifier-signature"
     # the entries' pair encodings, for the majority count and the content bytes both
     entry_records = pair_records(block.commitments, backend)
     content = block_content_bytes(block, backend, entry_records)
-    tip_hash = sha256(block_to_bytes(block, backend, content))
-    return state.once(("block", tip_hash), lambda: _checked(state, block, entry_records, content, tip_hash))
-
-
-def _checked(state: TipState, block: Block, entry_records, content: bytes, tip_hash: bytes):
-    """``advance``'s verdict on a block that passed its gates: the sign-offs,
-    the proposer's signature, the commitment identity and the weights."""
-    genesis = state.genesis
-    backend = genesis.commit_pk.backend
     reason = endorsement_rejection(entry_records, block.signoffs, state, block.iteration)
     if reason:
         return None, reason
@@ -563,12 +570,17 @@ def _checked(state: TipState, block: Block, entry_records, content: bytes, tip_h
     if not np.array_equal(expected, block.model_weights):
         return None, "model-arithmetic-mismatch"
 
-    # the state keeps its own copy: the block's array stays the sender's
-    weights = np.array(block.model_weights, dtype=np.float64)
-    weights.flags.writeable = False
     rewarded = [*(e.peer for e in block.commitments), *verifiers, *aggregators]
     stake = update_stake(state.stake, rewarded, genesis.config.stake_reward)
-    return TipState(genesis, tip_hash, block.iteration, weights, stake), ""
+    tip_hash = sha256(block_to_bytes(block, backend, content))
+    return TipState(genesis, tip_hash, block.iteration, _frozen(block.model_weights), stake), ""
+
+
+def _frozen(weights) -> np.ndarray:
+    """A state's own read-only float64 copy of ``weights``; the array stays its owner's."""
+    out = np.array(weights, dtype=np.float64)
+    out.flags.writeable = False
+    return out
 
 
 class Ledger:

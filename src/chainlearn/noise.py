@@ -31,17 +31,16 @@ def gaussian_sigma(epsilon: float, delta: float) -> float:
     return math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
 
 
-def _rng_for(peer_seed: bytes, iteration: int):
-    digest = sha256(b"noise" + peer_seed + u64(iteration))
-    return np.random.default_rng(int.from_bytes(digest, "big"))
-
-
 def generate_noise(config, dim: int, secrets, iteration: int) -> QuantizedPoly:
     """The quantized noise a peer holding ``secrets`` (a
     ``bootstrap.PeerSecrets``) adds in round ``iteration`` of the network
     whose genesis ``ProtocolConfig`` is ``config``, for a ``dim``-entry
     model.  The genesis table commits it and the peer hands it out at run
-    time, so both call this one recipe.
+    time, so both call this one recipe: a ``PCG64`` stream seeded with the
+    hash of the peer's seed and the round draws a batch of Gaussians, whose
+    sum the learning rate scales, and then the blinding, the stream's next
+    5 raw 64-bit outputs written little-endian (the 40 bytes
+    ``Generator.bytes(40)`` would return there), reduced mod the order.
 
     A peer with ``secrets.zero_noise`` models an adversary that commits
     all-zero noise (blinding included) so that colluders can unmask a
@@ -52,10 +51,10 @@ def generate_noise(config, dim: int, secrets, iteration: int) -> QuantizedPoly:
     if secrets.zero_noise:
         return encode(np.zeros(dim), 0, modulus)
     sigma = gaussian_sigma(config.epsilon, config.delta)
-    rng = _rng_for(secrets.noise_seed, iteration)
-    draws = rng.normal(0.0, sigma, size=(train.batch_size, dim))
-    zeta = draws.sum(axis=0) * (train.eta_at(iteration) / train.batch_size)
-    blinding = int.from_bytes(rng.bytes(40), "little") % modulus
+    bits = np.random.PCG64(int.from_bytes(sha256(b"noise" + secrets.noise_seed + u64(iteration)), "big"))
+    zeta = np.random.Generator(bits).normal(0.0, sigma, size=(train.batch_size, dim)).sum(axis=0)
+    zeta *= train.eta_at(iteration) / train.batch_size
+    blinding = int.from_bytes(bits.random_raw(5).astype("<u8").tobytes(), "little") % modulus
     return encode(zeta, blinding, modulus)
 
 

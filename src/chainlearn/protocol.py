@@ -50,7 +50,7 @@ from .ledger import (
     sign_off,
     write_poly,
 )
-from .models import make_model
+from .models import ModelParams, make_model
 from .noise import generate_noise, mask_update
 from .quantize import decode, encode
 from .sgd import compute_local_update
@@ -204,25 +204,22 @@ class Timer:
 
 def submission_rejection(sub: UpdateSubmission, state) -> str:
     """'' if a verifier on the tip ``state`` may pool ``sub``, else the rule
-    it breaks.  Past the sender and encoding gates, the verdict is worked out
-    once per signed payload and signature on a tip (``TipState.once``)."""
+    it breaks, worked out once per submission value on a tip
+    (``TipState.once``): its gates and checks run only on a miss."""
+    return state.once(("submission", sub), lambda: _submission_verdict(sub, state))
+
+
+def _submission_verdict(sub: UpdateSubmission, state) -> str:
+    """``submission_rejection``'s verdict: the sender and encoding gates,
+    the signature, the noiser draw and the masking equality."""
     genesis = state.genesis
     backend = genesis.commit_pk.backend
     if sub.sender not in genesis.peer_pubkeys:
         return "unknown-sender"
     if not genesis.admits(sub.masked):
         return "inadmissible-update"
-    payload = sub.payload_bytes(backend)
-    return state.once(("submission", payload, sub.signature), lambda: _submission_verdict(sub, state, payload))
-
-
-def _submission_verdict(sub: UpdateSubmission, state, payload: bytes) -> str:
-    """``submission_rejection``'s verdict on a submission past its gates:
-    the signature, the noiser draw and the masking equality."""
-    genesis = state.genesis
-    backend = genesis.commit_pk.backend
     key = genesis.peer_pubkeys[sub.sender]
-    if not signatures.verify(backend, key, payload, sub.signature):
+    if not signatures.verify(backend, key, sub.payload_bytes(backend), sub.signature):
         return "bad-submission-signature"
     # the noisers are the walk from the sender's own proof, for this tip and round
     noisers = verify_vrf(
@@ -355,7 +352,8 @@ class PeerNode:
         t = self.round.iteration
         if len(self.dataset) == 0:
             return self._refuse("no-local-data", self.id)
-        params = self.ledger.current_model()
+        state = self.ledger.state
+        params = ModelParams(state.weights, state.iteration)  # the step only reads them
         seed = int.from_bytes(sha256(b"batch" + self.secrets.noise_seed + u64(t)), "big")
         try:
             delta = compute_local_update(self.model, params, self.dataset, cfg.train, seed)
@@ -365,7 +363,7 @@ class PeerNode:
         self.round.update_q = encode(delta, blinding % self.backend.order, self.backend.order)
         self.round.commitment = commit(self.genesis.commit_pk, self.round.update_q)
         self.round.noisers, self.round.noiser_proof = draw_noisers(
-            self.backend, self.secrets.keypair, self.id, self.ledger.state.ring, prev_hash, t, cfg.num_noisers
+            self.backend, self.secrets.keypair, self.id, state.ring, prev_hash, t, cfg.num_noisers
         )
         return [(nid, NoiseRequest(t, self.id), None) for nid in self.round.noisers]
 
@@ -417,10 +415,9 @@ class PeerNode:
         # all noise in hand: mask and submit to every verifier
         noises = [rs.noise_responses[nid] for nid in rs.noisers]
         masked = mask_update(rs.update_q, noises)
-        backend = self.backend
-        sub = UpdateSubmission(rs.iteration, self.id, masked, rs.commitment, rs.noiser_proof)
-        sig = signatures.sign(backend, self.secrets.keypair, sub.payload_bytes(backend))
-        sub = replace(sub, signature=sig)
+        fields = (rs.iteration, self.id, masked, rs.commitment, rs.noiser_proof)
+        payload = UpdateSubmission(*fields).payload_bytes(self.backend)
+        sub = UpdateSubmission(*fields, signatures.sign(self.backend, self.secrets.keypair, payload))
         rs.submitted = True
         return [(vid, sub, None) for vid in rs.verifiers]
 

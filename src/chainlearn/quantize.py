@@ -57,19 +57,17 @@ def encode(values, blinding: int, modulus: int) -> QuantizedPoly:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError("expected a 1-D vector")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("non-finite entries cannot be encoded")
     scale = 1 << SCALE_BITS
     limit = modulus // (2 * HEADROOM)
     fixed = np.rint(arr * scale)
-    if np.any(np.abs(fixed) >= limit):
+    if fixed.size and max(fixed.max(), -fixed.min()) >= limit:
         raise HeadroomError(
             f"entry magnitude {np.abs(arr).max():.6g} exceeds headroom bound "
             f"{limit / scale:.6g} at scale 2^{SCALE_BITS}, headroom={HEADROOM}"
         )
-    coeffs = [blinding % modulus]
-    coeffs.extend(int(c) % modulus for c in fixed)
-    return QuantizedPoly(tuple(coeffs), modulus)
+    return QuantizedPoly((blinding % modulus, *(int(c) % modulus for c in fixed.tolist())), modulus)
 
 
 def admissible(poly: QuantizedPoly, modulus: int, dim: int) -> bool:

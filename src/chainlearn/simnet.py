@@ -15,9 +15,10 @@ dealer holds when it deals, and so the block, with no message byte changed.
 
 The replicas share one root ``TipState``, so all replicas on one tip hold
 one state and share its memo (``TipState.once``): a round's committees are
-drawn, and each sign-off, block and submission checked, once per tip, not
-once per receiver.  That is what the simulator pays, not what a peer would:
-a real peer runs every check itself.  The simulation keeps no reference to
+drawn, and each sign-off, block, submission and share bundle checked, once
+per tip, not once per receiver; a repeat is one lookup by value.  That is
+what the simulator pays, not what a peer would: a real peer runs every
+check itself.  The simulation keeps no reference to
 the root, so a state lives only while some replica holds it or an ancestor.
 """
 

@@ -63,12 +63,14 @@ def deal_shares(
 def accept_bundle(bundle: ShareBundle, state: TipState, iteration: int) -> bool:
     """True iff the dealer's entry and sign-offs pass the block rule for
     round ``iteration`` on ``state``'s tip (``ledger.contributor_rejection``
-    and ``ledger.endorsement_rejection``).  ``failing_dealers`` checks the
-    opening later, at the receiving aggregator's slot."""
-    if contributor_rejection([bundle.entry.peer], state, iteration):
-        return False
-    entry_records = pair_records([bundle.entry], state.genesis.commit_pk.backend)
-    return not endorsement_rejection(entry_records, bundle.signoffs, state, iteration)
+    and ``ledger.endorsement_rejection``), worked out once per (round,
+    entry, sign-offs) on a tip (``TipState.once``).  ``failing_dealers``
+    checks the opening later, at the receiving aggregator's slot."""
+    entry, signoffs = bundle.entry, bundle.signoffs
+    return state.once(("bundle", iteration, entry, signoffs), lambda: not (
+        contributor_rejection([entry.peer], state, iteration)
+        or endorsement_rejection(pair_records([entry], state.genesis.commit_pk.backend), signoffs, state, iteration)
+    ))
 
 
 def failing_dealers(bundles, pk: CommitPK, points) -> list:

@@ -469,3 +469,33 @@ def test_cli_sweep_grid_point_the_spec_refuses_is_refused_before_any_runs(tmp_pa
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("dataset.shard_size", "60", "dataset.shard_size must be an integer, got '60'"),
+        ("dataset.validation_size", 300.0, "dataset.validation_size must be an integer, got 300.0"),
+        ("dataset.separation", "6", "dataset.separation must be a number, got '6'"),
+        ("dataset.kind", 3, "dataset.kind must be a string, got 3"),
+        ("churn_per_minute", "1", "churn_per_minute must be a number, got '1'"),
+        ("adversary.fraction", "0.3", "adversary.fraction must be a number, got '0.3'"),
+        ("adversary.src_label", "1", "adversary.src_label must be an integer, got '1'"),
+    ],
+)
+def test_cli_value_of_the_wrong_type_is_refused_by_its_key(tmp_path, capsys, key, value, message):
+    """A string for the shard size ended in a ``TypeError`` traceback from
+    ``build_environment`` and left the output directory behind; a string
+    for the churn rate or the adversarial fraction met a comparison and
+    exited with a ``TypeError``'s text naming no key; a string for the
+    separation was read as the number.  Each is refused by its type, with
+    one error line naming its JSON key, and nothing is written."""
+    data = small_spec().to_dict()
+    *outer, leaf = key.split(".")
+    (data[outer[0]] if outer else data)[leaf] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+    assert not out.exists()

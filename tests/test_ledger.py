@@ -714,6 +714,26 @@ def test_replicas_on_one_root_share_each_verdict(tiny_net, monkeypatch):
     assert_tip_state_fresh(replicas[0])
 
 
+def test_an_equal_block_read_back_from_bytes_is_one_lookup(tiny_net, monkeypatch):
+    """The block rule's verdict is keyed by the block's values: on one root,
+    a copy read back from the accepted block's bytes, all fresh objects,
+    reaches the state the first replica reached with no block encoded and
+    no commitment computed."""
+    genesis, secrets = tiny_net
+    root = TipState.root(genesis)
+    first, second = Ledger(genesis, root), Ledger(genesis, root)
+    block = honest_block(genesis, secrets, first)
+    assert first.append(block) == (True, "")
+    copy = block_from_bytes(block_to_bytes(block, BACKEND), BACKEND)
+    encoded, content_bytes = [], ledger_module.block_content_bytes
+    monkeypatch.setattr(ledger_module, "block_content_bytes", lambda *a: encoded.append(a) or content_bytes(*a))
+    calls = count_block_checks(monkeypatch)
+    assert copy.model_weights is not block.model_weights
+    assert second.append(copy) == (True, "")
+    assert second.state is first.state
+    assert encoded == [] and calls == []
+
+
 def test_a_changed_weight_is_not_the_cached_block(tiny_net):
     """A copy of an accepted block with one weight changed and re-signed has
     another hash, so on the same tip it is worked out on its own and refused.
@@ -743,7 +763,7 @@ def mutated(data, block, genesis, secrets, ledger):
         "prev-hash", "iteration", "coefficient", "weight", "weights-shape", "entry-peer",
         "entry-commitment", "entry-dropped", "entry-repeated", "entries-reordered",
         "signoff-dropped", "signoff-signature", "signoff-resplit", "signoff-verifier",
-        "signoffs-reordered", "signature",
+        "signoffs-reordered", "signature", "re-decoded",
     ]))
     entries, signoffs = list(block.commitments), list(block.signoffs)
     at = data.draw(st.integers(0, len(entries) - 1))
@@ -789,6 +809,9 @@ def mutated(data, block, genesis, secrets, ledger):
         signoffs[s_at] = dataclasses.replace(signoffs[s_at], verifier=data.draw(st.sampled_from(others)))
     elif kind == "signoffs-reordered":
         signoffs = data.draw(st.permutations(signoffs))
+    elif kind == "re-decoded":  # an equal copy read back from bytes, all fresh objects
+        block = block_from_bytes(block_to_bytes(block, backend), backend)
+        entries, signoffs = list(block.commitments), list(block.signoffs)
     else:
         block = dataclasses.replace(block, signature=data.draw(st.binary(max_size=64)))
     block = dataclasses.replace(block, commitments=tuple(entries), signoffs=tuple(signoffs))

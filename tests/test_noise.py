@@ -108,3 +108,17 @@ def test_mask_requires_noise():
     upd = encode([0.5], 0, MOD)
     with pytest.raises(ValueError):
         mask_update(upd, [])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**64 + 3, 2**255 - 19])
+def test_generator_bytes_are_the_next_raw_outputs_little_endian(seed):
+    """``generate_noise`` reads its blinding as the stream's next 5 raw
+    64-bit outputs, written little-endian: after a ``normal`` draw on a
+    fresh ``PCG64`` stream, those are the 40 bytes ``Generator.bytes(40)``
+    returns (10 ``uint32`` halves, low half first)."""
+    streams = []
+    for _ in range(2):
+        bits = np.random.PCG64(seed)
+        np.random.Generator(bits).normal(0.0, 2.0, size=(3, 5))
+        streams.append(bits)
+    assert np.random.Generator(streams[0]).bytes(40) == streams[1].random_raw(5).astype("<u8").tobytes()

@@ -1140,6 +1140,43 @@ def test_verifiers_on_one_tip_share_a_submission_verdict(monkeypatch):
     assert len(calls) == 3
 
 
+def test_an_equal_submission_is_one_lookup_on_a_tip(monkeypatch):
+    """The submission verdict is keyed by the submission's value: a copy
+    rebuilt from fresh objects hits it on the same tip with no payload
+    encoded, and a copy that differs only in its signature misses it."""
+    sim = make_sim(seed=6)
+    sub = make_submission(sim, eligible_peer(sim))
+    root = TipState.root(sim.genesis)
+    assert submission_rejection(sub, root) == ""
+    encoded, payload_bytes = [], UpdateSubmission.payload_bytes
+    monkeypatch.setattr(UpdateSubmission, "payload_bytes", lambda s, b: encoded.append(s) or payload_bytes(s, b))
+    masked = dataclasses.replace(sub.masked, coeffs=tuple(int(str(c)) for c in sub.masked.coeffs))
+    copy = UpdateSubmission(sub.iteration, sub.sender, masked, int(str(sub.commitment)),
+                            bytes(bytearray(sub.noiser_proof)), bytes(bytearray(sub.signature)))
+    assert copy == sub and copy is not sub
+    assert submission_rejection(copy, root) == "" and encoded == []
+    forged = dataclasses.replace(copy, signature=copy.signature[:-1] + bytes([copy.signature[-1] ^ 1]))
+    assert submission_rejection(forged, root) == "bad-submission-signature"
+    assert encoded == [forged]
+
+
+def test_aggregators_on_one_tip_share_a_bundle_verdict(monkeypatch):
+    """Each dealer sends its entry and sign-offs to every aggregator of the
+    round, and the aggregators are on one tip, so the entry and sign-off
+    check runs once per (round, entry, sign-offs) there; the chain is the
+    pinned one."""
+    calls, check = Counter(), vss.endorsement_rejection
+
+    def counted(records, signoffs, state, iteration):
+        calls[state.tip_hash, iteration, tuple(records), signoffs] += 1
+        return check(records, signoffs, state, iteration)
+
+    monkeypatch.setattr(vss, "endorsement_rejection", counted)
+    result = make_sim().run()
+    assert result.final_ledger.tip_hash().hex() == EXPONENT_TIP
+    assert calls and max(calls.values()) == 1
+
+
 def test_each_submission_is_checked_once_per_tip(monkeypatch):
     """In an honest run every verifier of a round checks each submission,
     and all of them are on one tip, so each submission's draw is walked once;
