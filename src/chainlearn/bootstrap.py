@@ -1,14 +1,15 @@
 """Genesis ceremony: the trusted one-time setup peers bootstrap from.
 
 Derives every peer's keypair and noise seed from a master seed, runs the
-commitment-key setup, pre-commits all noise for all iterations into the
-noise table and freezes the initial stake.  Everything a joining peer needs
-is in the returned genesis block; the per-peer secrets go to the peers.
+commitment-key setup, draws and pre-commits all noise for all iterations
+into the noise table and freezes the initial stake.  Everything a joining
+peer needs is in the returned genesis block; the per-peer secrets, each with
+its row of the drawn noise, go to the peers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from .encoding import sha256, u64
 from .commitments import trusted_setup
 from .groups import get_backend
 from .ledger import GenesisBlock, ProtocolConfig
-from .noise import build_noise_table
+from .noise import DrawnNoise, build_noise_table
 from .signatures import KeyPair, keygen
 
 
@@ -25,6 +26,12 @@ class PeerSecrets:
     keypair: KeyPair
     noise_seed: bytes
     zero_noise: bool = False  # a colluder that commits all-zero noise
+    drawn: DrawnNoise | None = field(default=None, repr=False)  # genesis's draws; this peer reads row ``row``
+    row: int = 0
+
+    def noise(self, iteration: int):
+        """The noise genesis drew and committed for this peer's round ``iteration``."""
+        return self.drawn.served(self.row, iteration)
 
 
 def build_genesis(
@@ -46,13 +53,16 @@ def build_genesis(
         noise_seed = sha256(b"noise-seed" + master_seed + u64(pid))
         secrets[pid] = PeerSecrets(kp, noise_seed, pid in zero_noise_peers)
 
+    shape = (len(peer_ids), config.total_iterations)
+    drawn = DrawnNoise(np.zeros((*shape, dim)), np.zeros((*shape, backend.scalar_size), np.uint8), backend.order)
+    noise_table = build_noise_table(pk, config, secrets, drawn)
     genesis = GenesisBlock(
         initial_model=np.zeros(dim),
         commit_pk=pk,
         peer_pubkeys={pid: s.keypair.public for pid, s in secrets.items()},
-        noise_table=build_noise_table(pk, config, secrets),
+        noise_table=noise_table,
         initial_stake={pid: initial_stake for pid in peer_ids},
         global_key=sha256(b"global-key" + master_seed),
         config=config,
     )
-    return genesis, secrets
+    return genesis, {pid: replace(s, drawn=drawn, row=row) for row, (pid, s) in enumerate(secrets.items())}

@@ -55,6 +55,9 @@ class DatasetSpec:
         for name, kinds, rule in (("kind", str, "be a string"), ("separation", (int, float), "be a number"),
                                   ("noise_std", (int, float), "be a number"), ("params", dict, "be an object")):
             require(f"dataset.{name}", repr(getattr(self, name)), isinstance(getattr(self, name), kinds), rule)
+        weights = self.class_weights  # None draws the classes uniformly
+        require("dataset.class_weights", repr(weights), weights is None or (
+            isinstance(weights, tuple) and all(isinstance(w, (int, float)) for w in weights)), "be a list of numbers")
 
 
 @dataclass(frozen=True)

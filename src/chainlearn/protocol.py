@@ -3,7 +3,8 @@
 Round shape (all peers derive the same committees from the chain tip):
 
   updaters        compute a local update, fetch noise from their VRF-drawn
-                  noisers, submit the masked update with its commitment and
+                  noisers (each serves the vector genesis drew into its
+                  row), submit the masked update with its commitment and
                   the noiser VRF proof to every verifier, then wait for
                   signatures;
   verifiers       pool masked submissions until their window closes, check
@@ -51,7 +52,7 @@ from .ledger import (
     write_poly,
 )
 from .models import ModelParams, make_model
-from .noise import generate_noise, mask_update
+from .noise import mask_update
 from .quantize import decode, encode
 from .sgd import compute_local_update
 from .vss import (
@@ -291,7 +292,6 @@ class PeerNode:
         cfg = genesis.config
         self.model = make_model(cfg.model_family, cfg.n_features, cfg.n_classes)
         self.round = RoundState()
-        self.noise = None  # (iteration, quantized noise) last handed out
         self.audit: list[tuple] = []  # (round, peer, reason), one per refusal
 
     # -- helpers ---------------------------------------------------------------
@@ -394,11 +394,8 @@ class PeerNode:
     def _on_NoiseRequest(self, msg: NoiseRequest, now: float) -> list:
         if not 1 <= msg.iteration <= self.config.total_iterations:
             return self._refuse("stray-noise-request", msg.sender)
-        # a pure function of (secrets, round): draw it once per round
-        if self.noise is None or self.noise[0] != msg.iteration:
-            dim = len(self.genesis.initial_model)
-            self.noise = (msg.iteration, generate_noise(self.config, dim, self.secrets, msg.iteration))
-        return [(msg.sender, NoiseResponse(msg.iteration, self.id, self.noise[1]), None)]
+        # genesis drew it once, into this peer's row
+        return [(msg.sender, NoiseResponse(msg.iteration, self.id, self.secrets.noise(msg.iteration)), None)]
 
     def _on_NoiseResponse(self, msg: NoiseResponse, now: float) -> list:
         rs = self.round

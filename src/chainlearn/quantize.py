@@ -51,9 +51,11 @@ class QuantizedPoly:
         return QuantizedPoly(tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)), p)
 
 
-def encode(values, blinding: int, modulus: int) -> QuantizedPoly:
+def encode(values, blinding: int, modulus: int, out=None) -> QuantizedPoly:
     """Encode a real vector; raises HeadroomError when an entry cannot be
-    summed ``HEADROOM`` times without leaving the centered residue range."""
+    summed ``HEADROOM`` times without leaving the centered residue range.
+    ``out``, if given, is a float64 array the fixed-point entries
+    (``np.rint(values * 2^SCALE_BITS)``) are written into."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError("expected a 1-D vector")
@@ -61,12 +63,18 @@ def encode(values, blinding: int, modulus: int) -> QuantizedPoly:
         raise ValueError("non-finite entries cannot be encoded")
     scale = 1 << SCALE_BITS
     limit = modulus // (2 * HEADROOM)
-    fixed = np.rint(arr * scale)
+    fixed = np.rint(arr * scale, out=out)
     if fixed.size and max(fixed.max(), -fixed.min()) >= limit:
         raise HeadroomError(
             f"entry magnitude {np.abs(arr).max():.6g} exceeds headroom bound "
             f"{limit / scale:.6g} at scale 2^{SCALE_BITS}, headroom={HEADROOM}"
         )
+    return fixed_poly(fixed, blinding, modulus)
+
+
+def fixed_poly(fixed: np.ndarray, blinding: int, modulus: int) -> QuantizedPoly:
+    """The polynomial whose data slots are the integral fixed-point entries
+    ``fixed`` (as ``encode`` rounds them) and whose blinding is ``blinding``."""
     return QuantizedPoly((blinding % modulus, *(int(c) % modulus for c in fixed.tolist())), modulus)
 
 

@@ -98,9 +98,9 @@ class Simulation:
         for dest, payload, delay in actions:
             if isinstance(payload, Timer):
                 self._push(self.now + delay, dest, payload)
-            elif dest == BROADCAST:
-                for pid in self.peers:
-                    self._push(self.now + self._latency(), pid, payload)
+            elif dest == BROADCAST:  # one sized draw: the same stream as one draw per peer
+                for pid, latency in zip(self.peers, self.rng.uniform(*LATENCY, size=len(self.peers)).tolist()):
+                    self._push(self.now + latency, pid, payload)
             else:
                 self._push(self.now + self._latency(), dest, payload)
 

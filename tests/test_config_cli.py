@@ -481,13 +481,15 @@ def test_cli_sweep_grid_point_the_spec_refuses_is_refused_before_any_runs(tmp_pa
         ("churn_per_minute", "1", "churn_per_minute must be a number, got '1'"),
         ("adversary.fraction", "0.3", "adversary.fraction must be a number, got '0.3'"),
         ("adversary.src_label", "1", "adversary.src_label must be an integer, got '1'"),
+        ("dataset.class_weights", ["a", "b"], "dataset.class_weights must be a list of numbers, got ('a', 'b')"),
     ],
 )
 def test_cli_value_of_the_wrong_type_is_refused_by_its_key(tmp_path, capsys, key, value, message):
     """A string for the shard size ended in a ``TypeError`` traceback from
     ``build_environment`` and left the output directory behind; a string
     for the churn rate or the adversarial fraction met a comparison and
-    exited with a ``TypeError``'s text naming no key; a string for the
+    exited with a ``TypeError``'s text naming no key, and strings for the
+    class weights with NumPy's conversion error; a string for the
     separation was read as the number.  Each is refused by its type, with
     one error line naming its JSON key, and nothing is written."""
     data = small_spec().to_dict()

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from chainlearn import ledger, protocol, signatures, vss
+from chainlearn import ledger, noise, protocol, signatures, vss
 from chainlearn.bootstrap import build_genesis
 from chainlearn.commitments import Witness, commit
 from chainlearn.committees import draw_committee, draw_noisers, noiser_seed, verify_vrf
@@ -23,11 +23,12 @@ from chainlearn.ledger import (
     save_chain,
     sign_off,
 )
-from chainlearn.noise import generate_noise, mask_update
+from chainlearn.noise import build_noise_table, generate_noise, mask_update
 from chainlearn.protocol import (
     REFUSAL_REASONS,
     AggAnnounce,
     AggShareMsg,
+    NoiseRequest,
     PeerNode,
     SignatureGrant,
     Timer,
@@ -481,7 +482,7 @@ def test_padded_noise_voids_the_update(monkeypatch):
     assert result.final_ledger.height >= 1
 
 
-def test_zero_noise_colluders_through_the_simulator():
+def test_zero_noise_colluders_through_the_simulator(monkeypatch):
     """Colluders flagged once at genesis commit all-zero noise for every
     round and hand out exactly that, so no updater refuses their noise as a
     genesis mismatch and every round seals."""
@@ -491,12 +492,43 @@ def test_zero_noise_colluders_through_the_simulator():
     for pid in sim.peers:
         zero = [c == identity for c in table[pid]]
         assert all(zero) if pid in colluders else not any(zero)
+    served = []  # every NoiseResponse a colluder sends
+    handler = PeerNode._on_NoiseRequest
+
+    def recorded(self, msg, now):
+        out = handler(self, msg, now)
+        served.extend(reply.quantized for _, reply, _ in out if self.id in colluders)
+        return out
+
+    monkeypatch.setattr(PeerNode, "_on_NoiseRequest", recorded)
     result = sim.run()
-    served = [sim.peers[c].noise for c in colluders if sim.peers[c].noise is not None]
-    assert served and all(set(q.coeffs) == {0} for _, q in served)
+    assert served and all(set(q.coeffs) == {0} for q in served)
     assert "noise-not-genesis" in REFUSAL_REASONS
     assert not [rec for p in sim.peers.values() for rec in p.audit if rec[2] == "noise-not-genesis"]
     assert [b.iteration for _, b in result.block_records] == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("backend", ["exponent", "pairing"])
+def test_noiser_serves_the_noise_genesis_drew(backend):
+    """Genesis draws each peer's noise once, into the peer's row, and the
+    noiser serves that row: for every peer and round, a zero-noise colluder
+    included, the noise served is ``generate_noise``'s coefficient for
+    coefficient and commits to the genesis table entry, and the genesis
+    bytes equal those of a build that keeps no draws."""
+    sim = make_sim(backend=backend, zero_noise_peers={2})
+    genesis = sim.genesis
+    cfg = genesis.config
+    for pid, peer in sim.peers.items():
+        asker = (pid + 1) % len(sim.peers)
+        for t in range(1, cfg.total_iterations + 1):
+            [(dest, reply, _)] = peer.handle(NoiseRequest(t, asker), 0.0)
+            assert (dest, reply.iteration, reply.sender) == (asker, t, pid)
+            assert reply.quantized == generate_noise(cfg, cfg.model_dim, peer.secrets, t)
+            assert commit(genesis.commit_pk, reply.quantized) == genesis.noise_table[pid][t - 1]
+            assert (set(reply.quantized.coeffs) == {0}) == (pid == 2)
+    secrets = {pid: peer.secrets for pid, peer in sim.peers.items()}
+    table_free = dataclasses.replace(genesis, noise_table=build_noise_table(genesis.commit_pk, cfg, secrets))
+    assert table_free.to_bytes() == genesis.to_bytes()
 
 
 def test_late_submission_never_signed():
@@ -968,31 +1000,27 @@ def test_block_every_replica_refuses_is_not_recorded(monkeypatch):
 
 
 def test_per_tip_values_are_derived_once(monkeypatch):
-    """Each replica builds one stake ring per tip, serialises each block about
-    once, and each noiser draws its noise once per round, however many peers
-    ask; the chain is the pinned one."""
+    """Each replica builds one stake ring per tip and serialises each block
+    about once, and no noiser draws noise at run time: genesis drew every
+    vector once, and a noiser serves its row, however many peers ask; the
+    chain is the pinned one."""
     counts = Counter()
-    draws = Counter()
 
-    def counted(module, name, record=None):
+    def counted(module, name):
         fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
-            if record:
-                record(*args, **kwargs)
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
-    def noise_key(config, dim, secrets, iteration):
-        draws[secrets.noise_seed, iteration] += 1
-
     counted(ledger, "build_ring")
     counted(ledger, "block_content_bytes")
     sim = make_sim()
-    # the name the peers call, patched after genesis has built its table
-    counted(protocol, "generate_noise", noise_key)
+    # patched after genesis has drawn its table: the run may draw nothing
+    counted(noise, "generate_noise")
+    assert not hasattr(protocol, "generate_noise")  # no other name reaches the recipe
     result = sim.run()
     assert result.final_ledger.tip_hash().hex() == EXPONENT_TIP
     height, peers = result.final_ledger.height, len(sim.peers)
@@ -1001,8 +1029,7 @@ def test_per_tip_values_are_derived_once(monkeypatch):
     # one validation per replica, plus the proposer's signature and the
     # simulator's record at mint time
     assert counts["block_content_bytes"] <= height * (peers + 2)
-    assert draws and max(draws.values()) == 1
-    assert counts["generate_noise"] == len(draws)
+    assert counts["generate_noise"] == 0
 
 
 @pytest.mark.parametrize("churn", [-1.0, float("nan")])
