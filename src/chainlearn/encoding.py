@@ -11,6 +11,8 @@ from __future__ import annotations
 import hashlib
 import struct
 
+import numpy as np
+
 
 U32, U64 = (1 << 32) - 1, (1 << 64) - 1
 
@@ -26,6 +28,18 @@ def require_int(name: str, value, least: int = 0, most: int = U32) -> None:
     require(name, repr(value), type(value) is int, "be an integer")  # repr: a string shows quoted
     require(name, value, value >= least, f"be at least {least}")
     require(name, value, value <= most, f"be at most {most}")
+
+
+def seed_words(seed: int) -> np.ndarray:
+    """``seed``'s uint32 words, least significant first, with no zero high
+    words: the words NumPy's ``SeedSequence`` makes of an int, so a generator
+    seeded with them starts in the state one seeded with ``seed`` does,
+    without NumPy's slower conversion.  A negative seed is refused, as
+    NumPy refuses it."""
+    if seed < 0:
+        raise ValueError(f"a seed must be non-negative, got {seed}")
+    n = max(1, (seed.bit_length() + 31) // 32)  # 0 is one zero word
+    return np.frombuffer(seed.to_bytes(4 * n, "little"), "<u4")
 
 
 def sha256(data: bytes) -> bytes:

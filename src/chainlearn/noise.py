@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .commitments import CommitPK, commit
-from .encoding import sha256, u64
+from .encoding import seed_words, sha256, u64
 from .groups import get_backend
 from .quantize import QuantizedPoly, encode, fixed_poly, sum_polys
 
@@ -83,7 +83,8 @@ def generate_noise(config, dim: int, secrets, iteration: int, out=None) -> Quant
         zeta, blinding = np.zeros(dim), 0
     else:
         sigma = gaussian_sigma(config.epsilon, config.delta)
-        bits = np.random.PCG64(int.from_bytes(sha256(b"noise" + secrets.noise_seed + u64(iteration)), "big"))
+        seed = int.from_bytes(sha256(b"noise" + secrets.noise_seed + u64(iteration)), "big")
+        bits = np.random.PCG64(seed_words(seed))
         zeta = np.random.Generator(bits).normal(0.0, sigma, size=(train.batch_size, dim)).sum(axis=0)
         zeta *= train.eta_at(iteration) / train.batch_size
         blinding = int.from_bytes(bits.random_raw(5).astype("<u8").tobytes(), "little")

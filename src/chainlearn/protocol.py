@@ -4,7 +4,8 @@ Round shape (all peers derive the same committees from the chain tip):
 
   updaters        compute a local update, fetch noise from their VRF-drawn
                   noisers (each serves the vector genesis drew into its
-                  row), submit the masked update with its commitment and
+                  row), check the noise's sum once against their genesis
+                  entries, submit the masked update with its commitment and
                   the noiser VRF proof to every verifier, then wait for
                   signatures;
   verifiers       pool masked submissions until their window closes, check
@@ -38,7 +39,7 @@ import numpy as np
 from . import signatures
 from .commitments import combine, commit, scalars, slots
 from .committees import draw_noisers, verify_vrf
-from .encoding import ByteWriter, sha256, u64
+from .encoding import ByteWriter, seed_words, sha256, u64
 from .krum import MIN_SAMPLE, KrumConfig, krum_sample_size, max_tolerable_f, multi_krum_select, updates_per_block
 from .ledger import (
     Block,
@@ -52,8 +53,7 @@ from .ledger import (
     write_poly,
 )
 from .models import ModelParams, make_model
-from .noise import mask_update
-from .quantize import decode, encode
+from .quantize import decode, encode, sum_polys
 from .sgd import compute_local_update
 from .vss import (
     ShareRecoveryError,
@@ -243,7 +243,7 @@ def tip_sample(ids, k: int, tag: bytes, prev_hash: bytes, iteration: int) -> tup
     if len(ordered) <= k:
         return tuple(ordered)
     seed = int.from_bytes(sha256(tag + prev_hash + u64(iteration)), "big")
-    picked = np.random.default_rng(seed).permutation(len(ordered))[:k]
+    picked = np.random.default_rng(seed_words(seed)).permutation(len(ordered))[:k]
     return tuple(sorted(ordered[i] for i in picked))
 
 
@@ -402,16 +402,24 @@ class PeerNode:
         if msg.iteration != rs.iteration or rs.submitted or msg.sender not in rs.noisers:
             return self._refuse("stray-noise-response", msg.sender)
         genesis = self.genesis
-        expected = genesis.noise_table[msg.sender][rs.iteration - 1]
-        if not genesis.admits(msg.quantized) or commit(genesis.commit_pk, msg.quantized) != expected:
+        if not genesis.admits(msg.quantized):
             rs.noisers = ()  # this round's update is void
             return self._refuse("noise-not-genesis", msg.sender)
         rs.noise_responses[msg.sender] = msg.quantized
         if len(rs.noise_responses) < len(rs.noisers):
             return []
-        # all noise in hand: mask and submit to every verifier
+        # all noise in hand: the sum must commit to the sum of the noisers'
+        # genesis entries, the one check the masking equality needs
         noises = [rs.noise_responses[nid] for nid in rs.noisers]
-        masked = mask_update(rs.update_q, noises)
+        noise = sum_polys(noises)
+        entries = [genesis.noise_table[nid][rs.iteration - 1] for nid in rs.noisers]
+        if commit(genesis.commit_pk, noise) != combine(self.backend, entries):
+            for nid, poly, entry in zip(rs.noisers, noises, entries):  # name the noisers at fault
+                if commit(genesis.commit_pk, poly) != entry:
+                    self._refuse("noise-not-genesis", nid)
+            rs.noisers = ()  # this round's update is void
+            return []
+        masked = rs.update_q.add(noise)
         fields = (rs.iteration, self.id, masked, rs.commitment, rs.noiser_proof)
         payload = UpdateSubmission(*fields).payload_bytes(self.backend)
         sub = UpdateSubmission(*fields, signatures.sign(self.backend, self.secrets.keypair, payload))

@@ -12,11 +12,12 @@ it.  The learning rate decays as eta_t = eta0 / (1 + decay * t).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import require
+from .encoding import require, seed_words
 from .models import ModelParams
 
 CLIP_NORM = 1.0
@@ -44,7 +45,9 @@ class TrainConfig:
 
 
 def clip_to_unit_norm(v: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(v))
+    """``v``, a flat float64 vector, scaled down to unit norm if longer;
+    the norm is what ``np.linalg.norm`` computes for it."""
+    norm = math.sqrt(v.dot(v))
     if norm > CLIP_NORM:
         return v * (CLIP_NORM / norm)
     return v
@@ -59,10 +62,10 @@ def compute_local_update(
         raise ValueError("cannot train on an empty dataset")
     if dataset.features.shape[1] != model.n_features:
         raise ValueError("dataset feature dimension does not match the model")
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(seed_words(rng_seed))
     batch = rng.integers(0, n, size=cfg.batch_size)
     grad = model.mean_grad(params.weights, dataset.features[batch], dataset.labels[batch])
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise ValueError("non-finite gradient")
     delta = -cfg.eta_at(params.iteration) * (cfg.weight_decay * params.weights + grad)
     return clip_to_unit_norm(delta)

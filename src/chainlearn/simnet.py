@@ -8,10 +8,13 @@ means coming back online, pulling the chain from a live peer and rejoining
 the round cadence.  Everything (latency, churn choices, tie order) derives
 from one seed, so a run is a pure function of its configuration.
 
-The latency stream is shared: each delivery draws the next latency from
-the one RNG, so a handler that sends one message more or fewer, or in
-another order, redraws every later latency; that can change which grants a
-dealer holds when it deals, and so the block, with no message byte changed.
+The latency stream is shared: each delivery reads the next latency of the
+one RNG, so a handler that sends one message more or fewer, or in another
+order, redraws every later latency; that can change which grants a dealer
+holds when it deals, and so the block, with no message byte changed.  The
+latencies are drawn in blocks, one sized call each, and any other draw (a
+churn choice) first syncs the RNG to where one draw per delivery would
+have left it, so the stream is the same as drawing them one at a time.
 
 The replicas share one root ``TipState``, so all replicas on one tip hold
 one state and share its memo (``TipState.once``): a round's committees are
@@ -31,11 +34,12 @@ import numpy as np
 
 from .encoding import require
 from .ledger import TipState, block_hash
-from .protocol import BROADCAST, BlockMsg, ChainRequest, PeerNode, StageTimeouts, Timer, UpdateSubmission
+from .protocol import BROADCAST, BlockMsg, ChainRequest, PeerNode, StageTimeouts, UpdateSubmission
 
 
 # one-way link delay, drawn uniformly per delivery, in simulated seconds
 LATENCY = (0.010, 0.100)
+_LATENCY_BLOCK = 512  # latencies drawn per sized call
 
 
 @dataclass
@@ -69,6 +73,7 @@ class Simulation:
         self.churn_per_minute = churn_per_minute
         self.fresh_shard = fresh_shard
         self.rng = np.random.default_rng(seed)
+        self._block, self._read, self._before_block = [], 0, None  # see _latency and _sync
         root = TipState.root(genesis)
         self.peers = {
             pid: PeerNode(pid, genesis, secrets[pid], datasets[pid], root) for pid in sorted(secrets)
@@ -92,17 +97,32 @@ class Simulation:
         self.seq += 1
 
     def _latency(self) -> float:
-        return float(self.rng.uniform(*LATENCY))
+        """The next latency of the stream, read from a block drawn in one call."""
+        if self._read == len(self._block):
+            self._before_block = self.rng.bit_generator.state
+            self._block, self._read = self.rng.uniform(*LATENCY, size=_LATENCY_BLOCK).tolist(), 0
+        self._read += 1
+        return self._block[self._read - 1]
+
+    def _sync(self) -> None:
+        """Leave the RNG where one draw per latency read would have: back to
+        the state before the block, then redraw the values read, in one call."""
+        if self._read < len(self._block):
+            self.rng.bit_generator.state = self._before_block
+            self.rng.uniform(*LATENCY, size=self._read)
+        self._block, self._read = [], 0
 
     def _dispatch_actions(self, actions) -> None:
+        push, events, now, seq = heapq.heappush, self.events, self.now, self.seq
         for dest, payload, delay in actions:
-            if isinstance(payload, Timer):
-                self._push(self.now + delay, dest, payload)
-            elif dest == BROADCAST:  # one sized draw: the same stream as one draw per peer
-                for pid, latency in zip(self.peers, self.rng.uniform(*LATENCY, size=len(self.peers)).tolist()):
-                    self._push(self.now + latency, pid, payload)
+            if delay is not None:  # a timer
+                push(events, (now + delay, seq, dest, payload))
+                seq += 1
             else:
-                self._push(self.now + self._latency(), dest, payload)
+                for pid in self.peers if dest == BROADCAST else (dest,):
+                    push(events, (now + self._latency(), seq, pid, payload))
+                    seq += 1
+        self.seq = seq
 
     # -- churn --------------------------------------------------------------------
 
@@ -113,6 +133,7 @@ class Simulation:
         candidates = sorted(p for p, up in self.online.items() if up)
         if len(candidates) <= 1:
             return
+        self._sync()
         victim = int(self.rng.choice(candidates))
         self.online[victim] = False
 
@@ -120,6 +141,7 @@ class Simulation:
         candidates = sorted(p for p, up in self.online.items() if not up)
         if not candidates:
             return
+        self._sync()  # no latency is read before the second choice
         peer = int(self.rng.choice(candidates))
         self.online[peer] = True
         self.join_counts[peer] += 1
@@ -184,12 +206,13 @@ class Simulation:
             if not self.online[target]:
                 continue  # messages and timers to offline peers are lost
             peer = self.peers[target]
-            height = peer.ledger.height
-            actions = peer.handle(payload, self.now)
-            if isinstance(payload, BlockMsg) and peer.ledger.height > height:
+            height = peer.ledger.height if type(payload) is BlockMsg else None
+            actions = peer.handle(payload, time)
+            if height is not None and peer.ledger.height > height:
                 self._note_append(payload.block, peer.ledger.tip_hash())
-            self._note_outbound(actions)
-            self._dispatch_actions(actions)
+            if actions:
+                self._note_outbound(actions)
+                self._dispatch_actions(actions)
             # only a peer that has just passed the last round can end the run
             if peer.round.iteration > cfg.total_iterations and self._all_done():
                 break

@@ -3,9 +3,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chainlearn.bootstrap import PeerSecrets
 from chainlearn.commitments import commit, trusted_setup
+from chainlearn.encoding import seed_words
 from chainlearn.groups import get_backend
 from chainlearn.noise import (
     build_noise_table,
@@ -122,3 +125,28 @@ def test_generator_bytes_are_the_next_raw_outputs_little_endian(seed):
         np.random.Generator(bits).normal(0.0, 2.0, size=(3, 5))
         streams.append(bits)
     assert np.random.Generator(streams[0]).bytes(40) == streams[1].random_raw(5).astype("<u8").tobytes()
+
+
+def _same_state(seed: int) -> None:
+    rng = np.random.default_rng
+    assert rng(seed_words(seed)).bit_generator.state == rng(seed).bit_generator.state
+    assert np.random.PCG64(seed_words(seed)).state == np.random.PCG64(seed).state
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**256 - 1])
+def test_seed_words_start_the_state_the_int_does(seed):
+    """A generator seeded with an int's words starts where one seeded with
+    the int does, at the word boundaries and at a hash's full width."""
+    _same_state(seed)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**300))
+def test_seed_words_property(seed):
+    _same_state(seed)
+
+
+def test_seed_words_refuse_a_negative_seed():
+    with pytest.raises(ValueError):
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError):
+        seed_words(-1)

@@ -1,10 +1,13 @@
 import dataclasses
+import functools
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from chainlearn import ledger, noise, protocol, signatures, vss
+from chainlearn import ledger, noise, protocol, signatures, simnet, vss
 from chainlearn.bootstrap import build_genesis
 from chainlearn.commitments import Witness, commit
 from chainlearn.committees import draw_committee, draw_noisers, noiser_seed, verify_vrf
@@ -482,6 +485,49 @@ def test_padded_noise_voids_the_update(monkeypatch):
     assert result.final_ledger.height >= 1
 
 
+def test_noise_off_its_genesis_entry_voids_the_update_at_the_last_response(monkeypatch):
+    """Round-1 noise with one coefficient +1 is admissible, so it passes the
+    gate on arrival, but not the updater's one check of the noise sum: the
+    updater names that noiser alone, once, submits nothing that round, and
+    the run still seals.  The rogue is the first peer asked for round-1 noise."""
+    respond, handle = PeerNode._on_NoiseRequest, PeerNode.handle
+    requests, submitted = [], set()  # round 1's (noiser, updater); (round, sender) a verifier got
+
+    def off_by_one(peer, msg, now):
+        out = respond(peer, msg, now)
+        if msg.iteration != 1:
+            return out
+        requests.append((peer.id, msg.sender))
+        if peer.id != requests[0][0]:
+            return out
+        poly = out[0][1].quantized
+        bad = (poly.coeffs[0], (poly.coeffs[1] + 1) % poly.modulus, *poly.coeffs[2:])
+        return [(dest, dataclasses.replace(reply, quantized=dataclasses.replace(poly, coeffs=bad)), extra)
+                for dest, reply, extra in out]
+
+    def recording(peer, event, now):
+        if isinstance(event, UpdateSubmission):
+            submitted.add((event.iteration, event.sender))
+        return handle(peer, event, now)
+
+    monkeypatch.setattr(PeerNode, "_on_NoiseRequest", off_by_one)
+    monkeypatch.setattr(PeerNode, "handle", recording)
+    sim = make_sim()
+    result = sim.run()
+    rogue = requests[0][0]
+    victims = {updater for noiser, updater in requests if noiser == rogue}
+    assert victims
+    for updater in victims:
+        assert {noiser for noiser, u in requests if u == updater} - {rogue}  # an honest noiser too
+        named = [rec for rec in sim.peers[updater].audit if rec[2] == "noise-not-genesis"]
+        assert named == [(1, rogue, "noise-not-genesis")]
+        assert (1, updater) not in submitted
+    # no one else is named, and no honest response is refused as stray
+    assert sum(rec[2] == "noise-not-genesis" for p in sim.peers.values() for rec in p.audit) == len(victims)
+    assert not [rec for p in sim.peers.values() for rec in p.audit if rec[2] == "stray-noise-response"]
+    assert [b.iteration for _, b in result.block_records] == [1, 2, 3, 4, 5]
+
+
 def test_zero_noise_colluders_through_the_simulator(monkeypatch):
     """Colluders flagged once at genesis commit all-zero noise for every
     round and hand out exactly that, so no updater refuses their noise as a
@@ -606,6 +652,53 @@ def test_churn_keeps_population_constant():
     assert result.final_ledger.height >= 4, "training must keep making progress"
     with pytest.raises(ValueError):
         make_sim(churn_per_minute=-1)
+
+
+@functools.cache
+def quiet_network():
+    """A genesis, secrets and data for Simulations that never run."""
+    sim = make_sim(iterations=1)
+    return sim.genesis, {p: n.secrets for p, n in sim.peers.items()}, {p: n.dataset for p, n in sim.peers.items()}
+
+
+BLOCK = simnet._LATENCY_BLOCK
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**64), steps=st.lists(
+    st.tuples(st.integers(0, BLOCK + 2), st.sampled_from(["fail", "join"])), max_size=6,
+))
+@example(seed=1, steps=[(BLOCK, "fail"), (5, "fail"), (0, "join"), (2 * BLOCK + 1, "join")])
+def test_latency_stream_property(seed, steps):
+    """Latencies read in blocks, with churn choices between them (each a
+    sync: mid-block, at a block's end or with no block drawn), give the
+    values and choices of a plain generator drawing one scalar per
+    delivery, and leave it in the same state."""
+    sim = simnet.Simulation(*quiet_network(), seed=seed)
+    plain = np.random.default_rng(seed)
+
+    def latency():
+        return float(plain.uniform(*simnet.LATENCY))
+
+    for reads, kind in steps:
+        assert [sim._latency() for _ in range(reads)] == [latency() for _ in range(reads)]
+        up = sorted(p for p, on in sim.online.items() if on)
+        down = sorted(p for p, on in sim.online.items() if not on)
+        if kind == "fail":
+            sim._churn_fail()
+            if len(up) > 1:
+                assert [p for p in up if not sim.online[p]] == [int(plain.choice(up))]
+        else:
+            sim._churn_join()
+            if down:
+                peer = int(plain.choice(down))
+                assert [p for p in down if sim.online[p]] == [peer]
+                time, _, helper, request = max(sim.events, key=lambda e: e[1])  # the last push
+                assert (helper, request.sender) == (int(plain.choice(up)), peer)
+                assert time == sim.now + latency()
+    assert sim._latency() == latency()
+    sim._sync()
+    assert sim.rng.bit_generator.state == plain.bit_generator.state
 
 
 @pytest.mark.parametrize("padding", ["outsider", "duplicate"])
