@@ -31,19 +31,35 @@ and canonical serialization.
 On the curve ``msm`` picks each term's table by whether its point is
 prepared, and runs one doubling chain for all of them.  A prepared point is
 the tuple (x, y) itself and carries two tables, each built at its first
-use, so preparing a point costs nothing: P's 8-tooth Lim-Lee comb (CRYPTO
-1994), in signed form (128 affine points, about 33 kB, whose negations
-cover the other half of the signed sums of the teeth 2^(32j) * P), and P's
-odd multiples P, 3P, ..., 15P.  A scalar whose centered residue is below
-2^31 in size is short: its width-5 NAF has at most 32 digits, so it is
-added from the odd multiples, one addition per nonzero digit (Moller, SAC
-2001, interleaves such wNAF terms); any other scalar takes one addition per
-comb column (Brickell, Gordon, McCurley and Wilson, EUROCRYPT 1992,
-precompute fixed-base powers the same way), in 32 doublings.  A prepared
-point that only ever takes full-size scalars never builds its odd
-multiples.  A plain point's odd multiples are built for each call, and its
-wNAF term is as long as its scalar.  On the debug group a prepared element
-is the element itself.
+use, so preparing a point costs nothing: P's signed Lim-Lee comb (CRYPTO
+1994), and P's odd multiples P, 3P, ..., 15P.  The comb's width belongs to
+the point.  Every prepared point has 8 teeth 2^(32j) * P: 128 affine
+points, about 33 kB, whose negations cover the other half of the signed
+tooth sums, read in 32 columns.  ``g1_base``, the one base of every
+commitment's blinding slot, every signature and every nonce, has 12 teeth
+2^(22j) * g1: 2,048 points, about 0.5 MB, read in 22 columns, built once
+per process.  A key's comb takes only a few full-size scalars per
+experiment, too few to pay back a 16 times larger table.  A scalar whose
+centered residue is below 2^31 in size is short: its width-5 NAF has at
+most 32 digits, so it is added from the odd multiples, one addition per
+nonzero digit (Moller, SAC 2001, interleaves such wNAF terms); any other
+scalar takes one addition per comb column (Brickell, Gordon, McCurley and
+Wilson, EUROCRYPT 1992, precompute fixed-base powers the same way), in 32
+doublings, or 22 on g1 alone.  A prepared point that only ever takes
+full-size scalars never builds its odd multiples.  A plain point's odd
+multiples are built for each call, and its wNAF term is as long as its
+scalar.  On the debug group a prepared element is the element itself.
+
+The kernel, Jacobian doubling and mixed addition (``dbl-2007-bl`` and
+``madd-2007-bl`` of Bernstein and Lange's Explicit-Formulas Database), is
+written for what CPython charges at 513 bits: squaring one object costs
+about 225 ns, a product of two 365 ns and a reduction mod p 780 ns.  So
+each square is one object times itself, and a value that only feeds a sum
+reduced next stays unreduced: a doubling makes 7 reductions, not 9.  A comb
+is built with one batched inversion for its teeth and one per level, as
+T - t and T + t share the denominator x_t - x_T.  The pairing backend
+builds g1's line table once, at the first ``prepare_pair(g1)``, and every
+commitment key's share check reads it.
 
 On the curve ``msm`` takes each scalar k as its centered residue mod r: for
 k > r/2 it multiplies -P by r - k, so a small negative number stored mod r
@@ -85,7 +101,8 @@ def _f2_mul(x, y, p=_P):
 
 def _f2_sqr(x, p=_P):
     a, b = x
-    return ((a + b) * (a - b) % p, 2 * a * b % p)
+    aa, bb, t = a * a, b * b, a + b
+    return ((aa - bb) % p, (t * t - aa - bb) % p)
 
 
 def _f2_pow(x, e, p=_P):
@@ -153,38 +170,36 @@ def _pt_neg(P, p=_P):
 
 
 def _jac_dbl(X, Y, Z, p=_P):
-    """Jacobian doubling on the a = 1 curve."""
-    A = X * X % p
-    B = Y * Y % p
-    C = B * B % p
+    """Jacobian doubling on the a = 1 curve (dbl-2007-bl)."""
+    XX = X * X
+    YY = Y * Y % p
+    YYYY = YY * YY
     ZZ = Z * Z % p
-    D = 2 * ((X + B) * (X + B) - A - C) % p
-    E = (3 * A + ZZ * ZZ) % p
-    X3 = (E * E - 2 * D) % p
-    return X3, (E * (D - X3) - 8 * C) % p, 2 * Y * Z % p
+    t = X + YY
+    S = 2 * (t * t - XX - YYYY) % p
+    M = (3 * XX + ZZ * ZZ) % p
+    X3 = (M * M - 2 * S) % p
+    t = Y + Z
+    return X3, (M * (S - X3) - 8 * YYYY) % p, (t * t - YY - ZZ) % p
 
 
 def _jac_madd(X1, Y1, Z1, x2, y2, p=_P):
-    """Mixed Jacobian + affine addition. Returns Jacobian (X, Y, Z)."""
+    """Mixed Jacobian + affine addition (madd-2007-bl). Returns Jacobian
+    (X, Y, Z)."""
     if Z1 == 0:
         return x2, y2, 1
     ZZ = Z1 * Z1 % p
-    U2 = x2 * ZZ % p
-    S2 = y2 * ZZ % p * Z1 % p
-    if U2 == X1:
-        if (S2 + Y1) % p == 0:
-            return 0, 1, 0
-        return _jac_dbl(X1, Y1, Z1, p)  # rare path
-    H = (U2 - X1) % p
+    H = (x2 * ZZ - X1) % p
+    r2 = 2 * (y2 * (Z1 * ZZ % p) - Y1) % p
+    if H == 0:  # the same x: Q = P doubles, Q = -P cancels
+        return _jac_dbl(X1, Y1, Z1, p) if r2 == 0 else (0, 1, 0)
     HH = H * H % p
-    I = 4 * HH % p
+    I = 4 * HH
     J = H * I % p
-    r2 = 2 * (S2 - Y1) % p
     V = X1 * I % p
     X3 = (r2 * r2 - J - 2 * V) % p
-    Y3 = (r2 * (V - X3) - 2 * Y1 * J) % p
-    Z3 = ((Z1 + H) * (Z1 + H) - ZZ - HH) % p
-    return X3, Y3, Z3
+    t = Z1 + H
+    return X3, (r2 * (V - X3) - 2 * Y1 * J) % p, (t * t - ZZ - HH) % p
 
 
 def _to_affine(X, Y, Z, p=_P):
@@ -246,64 +261,102 @@ def _chain(terms, p=_P):
     return _to_affine(X, Y, Z, p)
 
 
-_COMB_TEETH = 8
-_COMB_SPACING = -(-_R.bit_length() // _COMB_TEETH)  # 32 columns cover any scalar up to r
-_COMB_BITS = f"0{_COMB_TEETH * _COMB_SPACING}b"
-_COMB_ONES = (1 << (_COMB_TEETH * _COMB_SPACING)) - 1
-_COMB_TOP = 1 << (_COMB_TEETH - 1)  # a column's digit of the top tooth
-_SHORT = 1 << (_COMB_SPACING - 1)  # |k| below this: k's wNAF fits the comb's chain
+def _comb_spacing(teeth):
+    """Columns of a ``teeth``-tooth comb that covers any scalar up to r: 32
+    for 8 teeth, 22 for 12."""
+    return -(-_R.bit_length() // teeth)
 
 
-def _comb_table(P, p=_P):
-    """The signed Lim-Lee comb of P: entry m < 2^7 is 2^224 * P plus, for
-    each j < 7, 2^(32j) * P if bit j of m is set and minus it if not.  The
-    entries' negations are the other signed tooth sums.  A tooth that
-    vanishes (P of order 2) is None, which additions skip."""
+def _comb_level(table, t, p=_P):
+    """[T - t for T in table] + [T + t for T in table] in affine form.  T - t
+    and T + t share the slope denominator x_t - x_T, so one batched
+    inversion over the table serves both halves.  A None tooth or entry, or
+    an entry on t's x, takes ``_pt_add_many`` instead."""
+    if t is None or any(T is None or T[0] == t[0] for T in table):
+        return _pt_add_many([(T, _pt_neg(t)) for T in table] + [(T, t) for T in table], p)
+    xt, yt = t
+    minus, plus = [], []
+    for (x, y), inv in zip(table, _batch_inverse([xt - x for x, _ in table], p)):
+        for out, lam in ((minus, (-yt - y) * inv % p), (plus, (yt - y) * inv % p)):
+            x3 = (lam * lam - x - xt) % p
+            out.append((x3, (lam * (x - x3) - y) % p))
+    return minus + plus
+
+
+def _comb_table(P, teeth, p=_P):
+    """The signed Lim-Lee comb of P with ``teeth`` teeth 2^(s*j) * P, s its
+    column count: entry m < 2^(teeth-1) is the top tooth plus, for each lower
+    tooth j, that tooth if bit j of m is set and minus it if not.  The
+    entries' negations are the other signed tooth sums.  The teeth are made
+    affine with one batched inversion; a tooth that vanishes (P of order 2)
+    is None, which additions skip."""
+    spacing = _comb_spacing(teeth)
     X, Y, Z = P[0], P[1], 1
     chain = [(X, Y, Z)]
-    for _ in range(_COMB_TEETH - 1):
-        for _ in range(_COMB_SPACING):
+    for _ in range(teeth - 1):
+        for _ in range(spacing):
             X, Y, Z = _jac_dbl(X, Y, Z, p)
         chain.append((X, Y, Z))
-    teeth = [_to_affine(X, Y, Z, p) for X, Y, Z in chain]
-    table = [teeth.pop()]
-    for tooth in teeth:
-        table = _pt_add_many([(T, _pt_neg(tooth)) for T in table] + [(T, tooth) for T in table], p)
+    affine = []
+    for (X, Y, Z), zinv in zip(chain, _batch_inverse([Z or 1 for _, _, Z in chain], p)):
+        z2 = zinv * zinv % p
+        affine.append((X * z2 % p, Y * z2 % p * zinv % p) if Z else None)
+    table = [affine.pop()]
+    for tooth in affine:
+        table = _comb_level(table, tooth, p)
     return tuple(table)
 
 
 def _comb_adds(comb, k, p=_P):
-    """k * P for |k| <= r as the points the last 32 steps of a doubling
-    chain add, least significant first, read from P's ``comb``.
+    """k * P for |k| <= r as the points the last s steps of a doubling chain
+    add, least significant first, read from P's ``comb``, whose teeth and
+    column count s its size gives.
 
-    An odd k is the sum of (2 b_n - 1) * 2^n over n < 256, where b_n are the
-    bits of (k + 2^256 - 1) / 2; an even k is done as k + 1, and the caller
-    subtracts P.  For a negative k these bits are those of -k complemented:
-    its magnitude with every column's sign flipped, and k + 1 moves towards
-    zero, which flips the correction.  Column i, digits i, i + 32, ...,
-    i + 224, is a table entry or its negation, added i steps before the end.
+    With N = teeth * s, an odd k is the sum of (2 b_n - 1) * 2^n over n < N,
+    where b_n are the bits of (k + 2^N - 1) / 2; an even k is done as k + 1,
+    and the caller subtracts P.  For a negative k these bits are those of -k
+    complemented: its magnitude with every column's sign flipped, and k + 1
+    moves towards zero, which flips the correction.  Column i, digits i,
+    i + s, ..., is a table entry or its negation, added i steps before the
+    end.
     """
-    bits = format(((k | 1) + _COMB_ONES) >> 1, _COMB_BITS)  # column 31 - c is bits[c::32]
+    top = len(comb)  # 2^(teeth - 1): a column's digit of the top tooth
+    spacing = _comb_spacing(top.bit_length())
+    width = top.bit_length() * spacing
+    bits = format(((k | 1) + (1 << width) - 1) >> 1, f"0{width}b")  # column s - 1 - c is bits[c::s]
     adds = []
-    for c in range(_COMB_SPACING - 1, -1, -1):
-        m = int(bits[c::_COMB_SPACING], 2)  # top digit +1: entry m - 2^7, else the negation of entry 127 - m
-        Q = comb[(m if m & _COMB_TOP else ~m) & (_COMB_TOP - 1)]
-        adds.append(None if Q is None else (Q[0], Q[1] if m & _COMB_TOP else p - Q[1]))
+    for c in range(spacing - 1, -1, -1):
+        m = int(bits[c::spacing], 2)  # top digit +1: entry m - top, else the negation of entry top - 1 - m
+        Q = comb[(m if m & top else ~m) & (top - 1)]
+        adds.append(None if Q is None else (Q[0], Q[1] if m & top else p - Q[1]))
     return adds
 
 
 class _Base(tuple):
     """A prepared point: the affine point P = (x, y) itself, which also
-    carries its comb and its odd multiples P, 3P, ..., 15P, each table built
-    at its first use."""
+    carries its ``teeth``-tooth comb and its odd multiples P, 3P, ..., 15P,
+    each table built at its first use."""
+
+    teeth = 8
 
     @cached_property
     def comb(self):
-        return _comb_table(self)
+        return _comb_table(self, self.teeth)
 
     @cached_property
     def odd(self):
         return _odd_multiples([self])[0]
+
+
+class _WideBase(_Base):
+    """g1's prepared point: a 12-tooth comb of 2,048 entries and 22 columns,
+    built once per process, as every commitment, signature and nonce takes
+    a full-size scalar on g1."""
+
+    teeth = 12
+
+
+_SHORT = 1 << (_comb_spacing(_Base.teeth) - 1)  # |k| below this: k's wNAF fits an 8-tooth comb's chain
 
 
 def _msm(points, scalars, p=_P):
@@ -314,13 +367,14 @@ def _msm(points, scalars, p=_P):
     odd multiples and any other k_i from its comb, with -P_i added at the
     end for an even one.  A plain P_i's odd multiples are built for the
     call, all in one batch (Straus's interleaving), and it adds k_i by its
-    wNAF digits.  The chain is as long as the longest term: 32 doublings if
-    every point is prepared."""
+    wNAF digits.  The chain is as long as the longest term: at most 32
+    doublings if every point is prepared, 22 for full-size scalars on g1
+    alone."""
     terms, plain = [], []
     for P, k in zip(points, scalars):
         if P is None or k == 0:
             continue
-        if type(P) is not _Base:
+        if not isinstance(P, _Base):
             plain.append((P, k))
         elif -_SHORT < k < _SHORT:
             terms.append(_wnaf_adds(P.odd, k, p))
@@ -426,7 +480,8 @@ def _multi_tate(tables, points, p=_P):
     f0, f1 = 1, 0
     for k, square in enumerate(_MILLER_STEPS):
         if square:
-            f0, f1 = (f0 + f1) * (f0 - f1) % p, 2 * f0 * f1 % p
+            a, b, t = f0 * f0, f1 * f1, f0 + f1
+            f0, f1 = (a - b) % p, (t * t - a - b) % p
         for lines, xd, yq in terms:
             line = lines[k]
             if line:
@@ -451,7 +506,7 @@ class PairingGroup:
 
     def __init__(self) -> None:
         self.g1 = _point_from_seed_x(2)
-        self.g1_base = _Base(self.g1)
+        self.g1_base = _WideBase(self.g1)
         self.g1_identity = None
         self.gt_one = (1, 0)
 
@@ -473,11 +528,16 @@ class PairingGroup:
         """``P`` as a prepared point, which equals P and builds its tables
         at first use; a prepared point and the identity are returned as
         they are."""
-        return P if P is None or type(P) is _Base else _Base(P)
+        return P if P is None or isinstance(P, _Base) else _Base(P)
+
+    @cached_property
+    def _g1_lines(self):
+        return _miller_lines(self.g1)
 
     def prepare_pair(self, P):
-        """Line table of ``P`` as a fixed first pairing argument."""
-        return _miller_lines(P)
+        """Line table of ``P`` as a fixed first pairing argument; g1's is
+        built once, at its first use, and shared."""
+        return self._g1_lines if P == self.g1 else _miller_lines(P)
 
     def multi_pair(self, prepared, points):
         """Product of e(P_i, Q_i) over zip(prepared, points), where

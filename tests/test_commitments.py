@@ -57,6 +57,14 @@ def test_setup_deterministic():
     assert pk1.to_bytes() != pk3.to_bytes()
 
 
+def test_one_g1_line_table_per_process():
+    """Every key's share check pairs with the one g1 line table that the
+    pairing backend builds, once per process."""
+    backend, pk1 = make_pk("pairing", 4, b"one")
+    _, pk2 = make_pk("pairing", 6, b"two")
+    assert pk1.share_check_key is pk2.share_check_key is backend.prepare_pair(backend.g1)
+
+
 def test_setup_length_for_25_dim_updates():
     backend, pk = make_pk("exponent", 25)
     assert len(pk.powers) == 26

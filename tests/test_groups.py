@@ -4,7 +4,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainlearn.groups import _P, _R, _f2_mul, _f2_pow, _f2_sqr, _final_exp, get_backend
+from chainlearn.groups import (
+    _P,
+    _R,
+    _comb_adds,
+    _comb_level,
+    _f2_mul,
+    _f2_pow,
+    _f2_sqr,
+    _final_exp,
+    _jac_dbl,
+    _jac_madd,
+    _pt_add_many,
+    _pt_neg,
+    _to_affine,
+    get_backend,
+)
 from chainlearn.signatures import keygen
 
 BACKENDS = ["exponent", "pairing"]
@@ -244,9 +259,11 @@ def test_msm_matches_naive_fold(name, data):
 
 # g1, a keygen key (plain here), the identity and the 2-torsion point, which
 # a genesis read from a chain file can carry as a key: a comb built naively
-# on the last two would raise
+# on the last two would raise; g1 once more, prepared as ``g1_base`` with its
+# 12-tooth comb, where ``prepare_base`` gives the others 8 teeth
 FIXED_BASES = {
     "g1": get_backend("pairing").g1,
+    "g1_base": get_backend("pairing").g1,
     "key": tuple(keygen(get_backend("pairing"), b"fixed-base").public),
     "identity": None,
     "torsion": (0, 0),
@@ -256,7 +273,8 @@ FIXED_BASES = {
 @pytest.fixture(scope="module")
 def prepared_bases():
     backend = get_backend("pairing")
-    return {name: backend.prepare_base(P) for name, P in FIXED_BASES.items()}
+    prepared = {name: backend.prepare_base(P) for name, P in FIXED_BASES.items()}
+    return {**prepared, "g1_base": backend.g1_base}
 
 
 @settings(max_examples=max(40, settings.default.max_examples), deadline=None)
@@ -285,6 +303,64 @@ def test_fixed_base_product_matches_msm(prepared_bases, data):
     points = [prepared_bases[n] if prepared else FIXED_BASES[n] for n, prepared, _ in terms]
     scalars = [k for *_, k in terms]
     assert backend.msm(points, scalars) == backend.msm([FIXED_BASES[n] for n, *_ in terms], scalars)
+
+
+def test_g1_base_has_the_wide_comb():
+    """g1's prepared point holds a 12-tooth comb of 2^11 entries, read in 22
+    columns; any other prepared point, g1 under ``prepare_base`` included,
+    holds an 8-tooth comb of 2^7 entries, read in 32."""
+    backend = get_backend("pairing")
+    assert len(backend.g1_base.comb) == 2**11
+    assert len(_comb_adds(backend.g1_base.comb, _R - 2)) == 22
+    for P in (backend.g1, point_pool(backend)[1], (0, 0)):
+        comb = backend.prepare_base(P).comb
+        assert len(comb) == 2**7 and len(_comb_adds(comb, _R - 2)) == 32
+
+
+def jacobian(P, z, p=_P):
+    """P as the Jacobian triple (x z^2, y z^3, z); the identity has Z = 0."""
+    if P is None:
+        return 0, 1, 0
+    return P[0] * z * z % p, P[1] * z * z * z % p, z
+
+
+@settings(max_examples=max(40, settings.default.max_examples), deadline=None)
+@given(data=st.data())
+def test_jacobian_kernel_matches_affine_sums(data):
+    """``_jac_dbl`` and ``_jac_madd`` on a Jacobian P with a random Z give
+    ``_pt_add_many``'s affine sums, with P the identity (Z = 0) and Q = P,
+    Q = -P, the 2-torsion point T = (0, 0), whose y is 0, and W + T among
+    the inputs."""
+    backend = get_backend("pairing")
+    W = backend.g1_mul(backend.g1, data.draw(st.integers(1, _R - 1)))
+    T = (0, 0)
+    WT = _pt_add_many([(W, T)])[0]
+    P = data.draw(st.sampled_from([None, W, _pt_neg(W), T, WT, backend.g1]))
+    Q = data.draw(st.sampled_from([q for q in (P, _pt_neg(P), W, T, WT, backend.g1) if q is not None]))
+    X, Y, Z = jacobian(P, data.draw(st.integers(2, _P - 1)))
+    assert _to_affine(*_jac_dbl(X, Y, Z)) == _pt_add_many([(P, P)])[0]
+    assert _to_affine(*_jac_madd(X, Y, Z, *Q)) == _pt_add_many([(P, Q)])[0]
+
+
+@settings(max_examples=max(40, settings.default.max_examples), deadline=None)
+@given(data=st.data())
+def test_comb_level_matches_pairwise_sums(data):
+    """A comb level, T - t and T + t for every entry T over one batched
+    inversion, is the level ``_pt_add_many`` makes pair by pair: on random
+    tables, with a tooth on an entry's x, a None tooth and a None entry."""
+    backend = get_backend("pairing")
+    point = st.integers(1, _R - 1).map(lambda k: backend.g1_mul(backend.g1, k))
+    table = data.draw(st.lists(point, min_size=1, max_size=4))
+    table += data.draw(st.sampled_from([[], [None], [(0, 0)]]))
+    t = data.draw(st.one_of(st.none(), point, st.sampled_from(table)))
+    if data.draw(st.booleans()):
+        t = _pt_neg(t)
+    assert _comb_level(table, t) == _pt_add_many([(T, _pt_neg(t)) for T in table] + [(T, t) for T in table])
+
+
+@given(st.integers(0, _P - 1), st.integers(0, _P - 1))
+def test_f2_square_is_the_product(a, b):
+    assert _f2_sqr((a, b)) == _f2_mul((a, b), (a, b))
 
 
 @pytest.mark.parametrize("name", BACKENDS)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chainlearn import ledger, noise, protocol, signatures, simnet, vss
+from chainlearn import groups, ledger, noise, protocol, signatures, simnet, vss
 from chainlearn.bootstrap import build_genesis
 from chainlearn.commitments import Witness, commit
 from chainlearn.committees import draw_committee, draw_noisers, noiser_seed, verify_vrf
@@ -641,6 +641,19 @@ def test_full_protocol_on_pairing_backend():
     assert len(tips) == 1
     assert result.forks == 0
     assert result.final_ledger.tip_hash().hex() == PAIRING_TIP
+
+
+def test_second_pairing_run_builds_no_line_table(monkeypatch):
+    """At two aggregators every slot holds d + 1 points, so a pairing run's
+    share checks pair with g1 alone, whose line table the backend builds
+    once per process: a second run of that shape builds none."""
+    pairing_sim = functools.partial(make_sim, n_peers=8, iterations=2, backend="pairing", features=2, num_aggregators=2)
+    pairing_sim(seed=2).run()
+    built = []
+    miller_lines = groups._miller_lines
+    monkeypatch.setattr(groups, "_miller_lines", lambda P: built.append(P) or miller_lines(P))
+    assert pairing_sim(seed=5).run().final_ledger.height == 2
+    assert built == []
 
 
 def test_churn_keeps_population_constant():
