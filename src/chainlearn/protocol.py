@@ -26,8 +26,10 @@ Round shape (all peers derive the same committees from the chain tip):
                   product, mints the block and broadcasts it.
 
 Every stage runs against a deadline; a round that produces no block is
-voided and the peer moves on.  All transitions are deterministic given the
-message sequence, which the simulator makes reproducible.
+voided and the peer moves on.  A peer that pulled a chain and voids a round
+before any block appends asks the same helper once more: the helper may
+have appended a block after it answered.  All transitions are deterministic
+given the message sequence, which the simulator makes reproducible.
 """
 
 from __future__ import annotations
@@ -293,6 +295,7 @@ class PeerNode:
         self.model = make_model(cfg.model_family, cfg.n_features, cfg.n_classes)
         self.round = RoundState()
         self.audit: list[tuple] = []  # (round, peer, reason), one per refusal
+        self.helper = None  # sent the last ChainResponse, until a block appends or it is asked again
 
     # -- helpers ---------------------------------------------------------------
 
@@ -384,7 +387,11 @@ class PeerNode:
             return []  # stale timer from a voided round
         if timer.tag == "round-budget":
             # no block arrived: void the round, keep the model, move on
-            return self.start_round(self.round.iteration + 1, now)
+            out = self.start_round(self.round.iteration + 1, now)
+            if self.helper is not None:  # it may have appended one since it answered: ask once more
+                out.append((self.helper, ChainRequest(self.id), None))
+                self.helper = None
+            return out
         if timer.tag == "verify-deadline":
             return self._close_verification(now)
         return self._close_aggregation(now)
@@ -608,6 +615,7 @@ class PeerNode:
     def _on_BlockMsg(self, msg: BlockMsg, now: float) -> list:
         ok, reason = self.ledger.append(msg.block)
         if ok:
+            self.helper = None
             return self.start_round(msg.block.iteration + 1, now)
         if reason == "bad-prev-hash" and msg.block.iteration > self.ledger.tip_iteration():
             # this chain is ahead of ours: pull it and resync
@@ -622,6 +630,7 @@ class PeerNode:
 
     def _on_ChainResponse(self, msg: ChainResponse, now: float) -> list:
         adopted, reason = self.ledger.catch_up(msg.blocks)
+        self.helper = msg.sender
         if adopted:  # resync round tracking to the adopted tip
             return self.start_round(self.ledger.tip_iteration() + 1, now)
         return self._refuse(reason, msg.sender) if reason else []

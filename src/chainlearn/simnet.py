@@ -8,13 +8,12 @@ means coming back online, pulling the chain from a live peer and rejoining
 the round cadence.  Everything (latency, churn choices, tie order) derives
 from one seed, so a run is a pure function of its configuration.
 
-The latency stream is shared: each delivery reads the next latency of the
-one RNG, so a handler that sends one message more or fewer, or in another
-order, redraws every later latency; that can change which grants a dealer
-holds when it deals, and so the block, with no message byte changed.  The
-latencies are drawn in blocks, one sized call each, and any other draw (a
-churn choice) first syncs the RNG to where one draw per delivery would
-have left it, so the stream is the same as drawing them one at a time.
+The latency stream is shared: each delivery reads the next latency of one
+RNG, drawn in blocks of one sized call each, so a handler that sends one
+message more or fewer, or in another order, redraws every later latency;
+that can change which grants a dealer holds when it deals, and so the
+block, with no message byte changed.  Churn choices read a second RNG of
+their own, so a run without churn draws none, and nothing is rewound.
 
 The replicas share one root ``TipState``, so all replicas on one tip hold
 one state and share its memo (``TipState.once``): a round's committees are
@@ -34,7 +33,7 @@ import numpy as np
 
 from .encoding import require
 from .ledger import TipState, block_hash
-from .protocol import BROADCAST, BlockMsg, ChainRequest, PeerNode, StageTimeouts, UpdateSubmission
+from .protocol import BROADCAST, BlockMsg, ChainRequest, ChainResponse, PeerNode, StageTimeouts, UpdateSubmission
 
 
 # one-way link delay, drawn uniformly per delivery, in simulated seconds
@@ -72,8 +71,9 @@ class Simulation:
         self.genesis = genesis
         self.churn_per_minute = churn_per_minute
         self.fresh_shard = fresh_shard
-        self.rng = np.random.default_rng(seed)
-        self._block, self._read, self._before_block = [], 0, None  # see _latency and _sync
+        self.rng = np.random.default_rng(seed)  # latencies
+        self.churn_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+        self._block, self._read = [], 0  # see _latency
         root = TipState.root(genesis)
         self.peers = {
             pid: PeerNode(pid, genesis, secrets[pid], datasets[pid], root) for pid in sorted(secrets)
@@ -99,18 +99,9 @@ class Simulation:
     def _latency(self) -> float:
         """The next latency of the stream, read from a block drawn in one call."""
         if self._read == len(self._block):
-            self._before_block = self.rng.bit_generator.state
             self._block, self._read = self.rng.uniform(*LATENCY, size=_LATENCY_BLOCK).tolist(), 0
         self._read += 1
         return self._block[self._read - 1]
-
-    def _sync(self) -> None:
-        """Leave the RNG where one draw per latency read would have: back to
-        the state before the block, then redraw the values read, in one call."""
-        if self._read < len(self._block):
-            self.rng.bit_generator.state = self._before_block
-            self.rng.uniform(*LATENCY, size=self._read)
-        self._block, self._read = [], 0
 
     def _dispatch_actions(self, actions) -> None:
         push, events, now, seq = heapq.heappush, self.events, self.now, self.seq
@@ -126,31 +117,24 @@ class Simulation:
 
     # -- churn --------------------------------------------------------------------
 
-    def _schedule_churn(self, time: float, kind: str) -> None:
-        self._push(time, -1, ("churn", kind))
-
-    def _churn_fail(self) -> None:
-        candidates = sorted(p for p, up in self.online.items() if up)
-        if len(candidates) <= 1:
-            return
-        self._sync()
-        victim = int(self.rng.choice(candidates))
-        self.online[victim] = False
-
-    def _churn_join(self) -> None:
-        candidates = sorted(p for p, up in self.online.items() if not up)
-        if not candidates:
-            return
-        self._sync()  # no latency is read before the second choice
-        peer = int(self.rng.choice(candidates))
-        self.online[peer] = True
-        self.join_counts[peer] += 1
-        if self.fresh_shard is not None:
-            self.peers[peer].dataset = self.fresh_shard(peer, self.join_counts[peer])
-        live = sorted(p for p, up in self.online.items() if up and p != peer)
-        if live:
-            helper = int(self.rng.choice(live))
-            self._push(self.now + self._latency(), helper, ChainRequest(peer))
+    def _churn(self, kind: str) -> None:
+        """Take a random online peer down ("fail"), or bring a random offline
+        one back ("join") to pull the chain from a random live helper, each
+        choice read from the churn stream; then the other kind falls due."""
+        joining = kind == "join"
+        candidates = sorted(p for p, up in self.online.items() if up != joining)
+        if len(candidates) > (0 if joining else 1):  # the last online peer stays up
+            peer = int(self.churn_rng.choice(candidates))
+            self.online[peer] = joining
+            if joining:
+                self.join_counts[peer] += 1
+                if self.fresh_shard is not None:
+                    self.peers[peer].dataset = self.fresh_shard(peer, self.join_counts[peer])
+                live = sorted(p for p, up in self.online.items() if up and p != peer)
+                if live:
+                    helper = int(self.churn_rng.choice(live))
+                    self._push(self.now + self._latency(), helper, ChainRequest(peer))
+        self._push(self.now + 60.0 / self.churn_per_minute, -1, "fail" if joining else "join")
 
     # -- bookkeeping ----------------------------------------------------------------
 
@@ -184,9 +168,8 @@ class Simulation:
         time_cap = (cfg.total_iterations + 3) * budget
         for pid in sorted(self.peers):
             self._dispatch_actions(self.peers[pid].start_round(1, 0.0))
-        churn = self.churn_per_minute
-        if churn > 0:
-            self._schedule_churn(60.0 / churn, "fail")
+        if self.churn_per_minute > 0:
+            self._push(60.0 / self.churn_per_minute, -1, "fail")
         deadlocked = False
 
         while self.events:
@@ -195,13 +178,7 @@ class Simulation:
             if time > time_cap:
                 break
             if target == -1:
-                kind = payload[1]
-                if kind == "fail":
-                    self._churn_fail()
-                else:
-                    self._churn_join()
-                nxt = "join" if kind == "fail" else "fail"
-                self._schedule_churn(self.now + 60.0 / churn, nxt)
+                self._churn(payload)
                 continue
             if not self.online[target]:
                 continue  # messages and timers to offline peers are lost
@@ -240,7 +217,10 @@ class Simulation:
         )
 
     def _all_done(self) -> bool:
+        """Every online peer has passed the last round, and no block or chain
+        is on its way to one: a peer that voided the last round can still
+        take a block minted late, or a chain it asked for."""
         limit = self.genesis.config.total_iterations
         return all(
             self.peers[p].round.iteration > limit for p in self.peers if self.online[p]
-        )
+        ) and not any(type(e[3]) in (BlockMsg, ChainResponse, ChainRequest) for e in self.events)

@@ -31,6 +31,7 @@ from chainlearn.protocol import (
     REFUSAL_REASONS,
     AggAnnounce,
     AggShareMsg,
+    ChainRequest,
     NoiseRequest,
     PeerNode,
     SignatureGrant,
@@ -65,16 +66,20 @@ AGGSHARE_PAYLOADS = "a27faa0d60a91c6a865b47a1ba6325923a34baf80189704f7c28096c00e
 # The tip and the refusal records, (peer, (round, sender, reason)) in each
 # peer's order, of make_sim(seed=12, iterations=8, churn_per_minute=30.0): a
 # run whose rejoining peers catch up from other replicas' chains.
-CHURN_TIP = "af4c455ffdb2d3504ff95d18f69791e45fa81bf6af996cb680b3549e6526cbb7"
+CHURN_TIP = "85808f3de4636bedfda95251bc28492c6fdcd24081aa0ce734af71dca500c660"
 CHURN_RECORDS = [
-    (0, (3, 4, "stray-noise-response")), (0, (3, 8, "stray-noise-response")),
-    (1, (8, 2, "late-aggregate-share")), (3, (3, 9, "committee-submitter")),
-    (3, (4, 5, "late-aggregate-share")), (3, (6, 0, "stray-bundle")), (3, (6, 9, "stray-bundle")),
-    (3, (6, 1, "stray-bundle")), (3, (6, 4, "stray-announce")), (4, (3, 0, "stray-noise-response")),
-    (4, (3, 9, "stray-noise-response")), (5, (3, 9, "stray-submission")),
-    (6, (3, 9, "stray-submission")), (6, (5, 3, "late-aggregate-share")),
-    (8, (3, 4, "stray-noise-response")), (8, (3, 3, "stray-noise-response")),
-    (9, (6, 9, "no-accepted-bundles")),
+    (0, (4, 0, "no-quorum")), (0, (5, 0, "no-accepted-bundles")), (2, (4, 2, "no-quorum")),
+    (2, (4, 2, "no-accepted-bundles")), (3, (6, 3, "no-accepted-bundles")),
+    (3, (7, 3, "no-quorum")), (4, (5, 6, "stray-submission")), (4, (5, 1, "stray-submission")),
+    (4, (5, 9, "stray-submission")), (4, (6, 4, "no-quorum")), (4, (7, 4, "no-quorum")),
+    (5, (4, 4, "stray-bundle")), (5, (4, 3, "stray-bundle")), (5, (4, 6, "stray-bundle")),
+    (5, (4, 9, "stray-bundle")), (6, (2, 6, "late-aggregate-share")),
+    (6, (7, 6, "no-accepted-bundles")), (7, (5, 3, "stray-submission")),
+    (7, (5, 6, "stray-submission")), (7, (5, 9, "stray-submission")),
+    (7, (5, 4, "stray-submission")), (7, (5, 9, "stray-bundle")), (7, (5, 3, "stray-bundle")),
+    (7, (5, 4, "stray-bundle")), (7, (5, 6, "stray-bundle")), (8, (1, 6, "late-aggregate-share")),
+    (8, (4, 8, "no-quorum")), (8, (7, 9, "stray-bundle")), (8, (7, 3, "stray-bundle")),
+    (8, (7, 4, "stray-bundle")), (8, (7, 6, "stray-bundle")), (9, (7, 9, "no-quorum")),
 ]
 
 
@@ -683,12 +688,13 @@ BLOCK = simnet._LATENCY_BLOCK
 ))
 @example(seed=1, steps=[(BLOCK, "fail"), (5, "fail"), (0, "join"), (2 * BLOCK + 1, "join")])
 def test_latency_stream_property(seed, steps):
-    """Latencies read in blocks, with churn choices between them (each a
-    sync: mid-block, at a block's end or with no block drawn), give the
-    values and choices of a plain generator drawing one scalar per
-    delivery, and leave it in the same state."""
-    sim = simnet.Simulation(*quiet_network(), seed=seed)
+    """Latencies read in blocks, with churn events between them (mid-block,
+    at a block's end or with no block drawn), give the values of a plain
+    generator drawing one scalar per delivery; the churn choices give those
+    of a plain generator on the churn stream, whatever latencies were read."""
+    sim = simnet.Simulation(*quiet_network(), churn_per_minute=1.0, seed=seed)
     plain = np.random.default_rng(seed)
+    churn = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
 
     def latency():
         return float(plain.uniform(*simnet.LATENCY))
@@ -697,21 +703,108 @@ def test_latency_stream_property(seed, steps):
         assert [sim._latency() for _ in range(reads)] == [latency() for _ in range(reads)]
         up = sorted(p for p, on in sim.online.items() if on)
         down = sorted(p for p, on in sim.online.items() if not on)
+        seq = sim.seq
+        sim._churn(kind)
+        pushed = {type(e[3]): e for e in sim.events if e[1] >= seq}
         if kind == "fail":
-            sim._churn_fail()
             if len(up) > 1:
-                assert [p for p in up if not sim.online[p]] == [int(plain.choice(up))]
-        else:
-            sim._churn_join()
-            if down:
-                peer = int(plain.choice(down))
-                assert [p for p in down if sim.online[p]] == [peer]
-                time, _, helper, request = max(sim.events, key=lambda e: e[1])  # the last push
-                assert (helper, request.sender) == (int(plain.choice(up)), peer)
-                assert time == sim.now + latency()
+                assert [p for p in up if not sim.online[p]] == [int(churn.choice(up))]
+        elif down:
+            peer = int(churn.choice(down))
+            assert [p for p in down if sim.online[p]] == [peer]
+            time, _, helper, request = pushed[ChainRequest]
+            assert (helper, request.sender) == (int(churn.choice(up)), peer)
+            assert time == sim.now + latency()
+        assert pushed[str][2:] == (-1, "join" if kind == "fail" else "fail")  # the next churn event
     assert sim._latency() == latency()
-    sim._sync()
-    assert sim.rng.bit_generator.state == plain.bit_generator.state
+
+
+def record_arrivals(sim, kind):
+    """peer -> [(time, message)] of each ``kind`` message it handles in ``sim``."""
+    arrivals = {pid: [] for pid in sim.peers}
+    for peer in sim.peers.values():
+        def handle(event, now, inner=peer.handle, seen=arrivals[peer.id]):
+            if type(event) is kind:
+                seen.append((now, event))
+            return inner(event, now)
+
+        peer.handle = handle
+    return arrivals
+
+
+# Three rounds at seed 1: a rejoin's ChainRequest, the first delivery after
+# the last block's broadcast, reads a short latency (12 ms), so for about a
+# third of the (rejoining peer, helper) pairs it beats the block to the helper.
+race_sim = functools.partial(make_sim, seed=1, iterations=3)
+
+
+@functools.cache
+def calm_last_block():
+    """The mint time of race_sim's last block, with no churn, and the time
+    it reached each replica."""
+    sim = race_sim()
+    arrivals = record_arrivals(sim, protocol.BlockMsg)
+    mint, block = sim.run().block_records[-1]
+    assert block.iteration == 3
+    return mint, {p: min(t for t, m in seen if m.block.iteration == 3) for p, seen in arrivals.items()}
+
+
+def churned_beside_last_mint(fail_at, join_at, peer, helper):
+    """race_sim's run in which ``peer`` goes offline at ``fail_at`` and comes
+    back at ``join_at``, asking ``helper`` for the chain as a rejoining peer
+    does.  The two events are delivered to the helper, which stays online.
+    Returns the simulation, its result and the ChainResponses each peer
+    handled."""
+    sim = race_sim()
+
+    def churn(event, now, inner=sim.peers[helper].handle):
+        if event in ("fail", "join"):
+            sim.online[peer] = event == "join"
+            return [(helper, ChainRequest(peer), None)] if event == "join" else []
+        return inner(event, now)
+
+    sim.peers[helper].handle = churn
+    sim._push(fail_at, helper, "fail")
+    sim._push(join_at, helper, "join")
+    responses = record_arrivals(sim, protocol.ChainResponse)
+    return sim, sim.run(), responses
+
+
+def online_tips(sim):
+    return {peer.ledger.tip_hash() for pid, peer in sim.peers.items() if sim.online[pid]}
+
+
+def test_rejoin_beside_the_last_mint_ends_on_one_tip():
+    """A peer fails as the last block is minted, so its copy is lost, and
+    rejoins just after that copy was due.  Its helper answers before the
+    block reaches the helper, so the pulled chain is one block short, and no
+    later block comes to show it.  When the round's budget runs out the peer
+    asks the same helper again, once, and ends on the common tip."""
+    mint, arrivals = calm_last_block()
+    first, *_, last = sorted(arrivals, key=arrivals.get)
+    sim, result, responses = churned_beside_last_mint(mint + 0.001, arrivals[first] + 0.001, first, last)
+    pulled = [(m.sender, len(m.blocks)) for _, m in responses[first]]
+    assert pulled[0] == (last, 2)  # the race: the pulled chain lacks the last block
+    assert online_tips(sim) == {result.final_ledger.tip_hash()}
+    assert result.final_ledger.height == 3 and not result.deadlocked
+    assert pulled == [(last, 2), (last, 3)]  # asked again once, at the round's budget
+
+
+@settings(deadline=None)
+@given(
+    fail=st.floats(-0.5, 0.1), rejoin=st.floats(0.0, 0.1),
+    peer=st.integers(0, 9), helper_offset=st.integers(1, 9),
+)
+def test_churn_beside_the_last_mint_ends_on_one_tip_property(fail, rejoin, peer, helper_offset):
+    """A peer that fails near the last block's mint (``fail`` seconds after
+    it) and rejoins ``rejoin`` seconds after its copy of the block was due,
+    or after failing if that is later, pulling the chain from any helper,
+    ends on the one tip every online replica holds."""
+    mint, arrivals = calm_last_block()
+    join_at = max(mint + fail, arrivals[peer]) + rejoin
+    sim, result, _ = churned_beside_last_mint(mint + fail, join_at, peer, (peer + helper_offset) % 10)
+    assert online_tips(sim) == {result.final_ledger.tip_hash()}
+    assert not result.deadlocked
 
 
 @pytest.mark.parametrize("padding", ["outsider", "duplicate"])
