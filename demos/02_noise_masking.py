@@ -6,9 +6,10 @@ the masked update against commitments made long before the update existed."""
 import numpy as np
 
 from chainlearn import (
-    ExperimentSpec, TrainConfig, commit, decode, encode, gaussian_sigma, generate_noise, mask_update,
+    ExperimentSpec, TrainConfig, commit, decode, encode, gaussian_sigma, generate_noise,
 )
 from chainlearn.bootstrap import build_genesis
+from chainlearn.quantize import sum_polys
 
 for eps in (0.5, 1.0, 2.0, 10.0):
     print(f"epsilon={eps:5.1f}  per-example sigma={gaussian_sigma(eps, 1e-5):7.3f}")
@@ -26,7 +27,7 @@ print(f"\nnoise table: {len(table)} peers x {config.total_iterations} rounds com
 rng = np.random.default_rng(1)
 update = encode(rng.normal(size=dim) * 0.05, 424242, backend.order)
 noises = {k: generate_noise(config, dim, secrets[k], 2) for k in (1, 2)}
-masked = mask_update(update, noises.values())
+masked = sum_polys([update, *noises.values()])
 print("masked - update decodes to the pure noise sum:",
       np.allclose(decode(masked) - decode(update), sum(decode(n) for n in noises.values())))
 

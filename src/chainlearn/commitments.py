@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import polynomials
 from .encoding import ByteReader, ByteWriter, sha256, u32, u64
@@ -106,12 +105,6 @@ class CommitPK:
             raise ValueError("the first power of a commitment key must be g1")
         self.powers = [backend.g1_base, *map(backend.prepare_base, powers[1:])]
         self._slots = {}
-
-    @cached_property
-    def share_check_key(self):
-        """g1 prepared as the fixed first pairing argument of every share
-        check, built at the first one."""
-        return self.backend.prepare_pair(self.powers[0])
 
     def slot(self, points) -> Slot:
         """The memo of the point set ``points``, reduced mod the order and
@@ -252,7 +245,7 @@ def verify_share(pk: CommitPK, points, openings) -> bool:
     interpolant = polynomials.interpolate(slot.basis, weighted, backend.order)
     commitments = [c for c, _ in openings]
     folded = backend.msm([*commitments, *pk.powers], [*rho, *(-c for c in interpolant)])
-    prepared, terms = [pk.share_check_key], [folded]
+    prepared, terms = [backend.prepare_pair(backend.g1)], [folded]
     if slot.prepared is not None:
         prepared.append(slot.prepared)
         terms.append(backend.g1_neg(backend.msm([w.value for _, w in openings], rho)))

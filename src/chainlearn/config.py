@@ -160,9 +160,3 @@ def load_spec(path) -> ExperimentSpec:
         return spec_from_dict(data)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def save_spec(path, spec: ExperimentSpec) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

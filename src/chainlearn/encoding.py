@@ -97,7 +97,7 @@ class ByteReader:
         self._data = data
         self._pos = 0
 
-    def _take(self, n: int) -> bytes:
+    def raw(self, n: int) -> bytes:
         if self._pos + n > len(self._data):
             raise ValueError(
                 f"truncated input: wanted {n} bytes at offset {self._pos}, "
@@ -107,20 +107,17 @@ class ByteReader:
         self._pos += n
         return out
 
-    def raw(self, n: int) -> bytes:
-        return self._take(n)
-
     def u32(self) -> int:
-        return struct.unpack("<I", self._take(4))[0]
+        return struct.unpack("<I", self.raw(4))[0]
 
     def u64(self) -> int:
-        return struct.unpack("<Q", self._take(8))[0]
+        return struct.unpack("<Q", self.raw(8))[0]
 
     def f64(self) -> float:
-        return struct.unpack("<d", self._take(8))[0]
+        return struct.unpack("<d", self.raw(8))[0]
 
     def bytes_lp(self) -> bytes:
-        return self._take(self.u32())
+        return self.raw(self.u32())
 
     def f64_vector(self) -> list[float]:
         n = self.u32()

@@ -581,10 +581,7 @@ class PairingGroup:
             y = _P - y
         return (x, y)
 
-    @property
-    def element_size(self) -> int:
-        return _G1_BYTES
-
+    element_size = _G1_BYTES  # bytes of an encoded element
     scalar_size = (order.bit_length() + 7) // 8  # bytes of a scalar below the order
 
 
@@ -643,10 +640,7 @@ class ExponentGroup:
             raise ValueError("element out of range")
         return value
 
-    @property
-    def element_size(self) -> int:
-        return 8
-
+    element_size = 8
     scalar_size = (order.bit_length() + 7) // 8
 
 

@@ -42,8 +42,8 @@ from .commitments import CommitPK, combine, commit, slots
 from .committees import ROLE_AGGREGATE, ROLE_VERIFY, committee_seed, draw_committee
 from .encoding import ByteReader, ByteWriter, require, require_int, sha256, u32
 from .groups import BACKENDS
-from .models import ModelParams, make_model
-from .quantize import SCALE_BITS, QuantizedPoly, admissible, decode
+from .models import make_model
+from .quantize import SCALE_BITS, QuantizedPoly, decode
 from .sgd import TrainConfig
 from .stake import StakeRing, build_ring, update_stake
 
@@ -258,8 +258,12 @@ class GenesisBlock:
         return digest
 
     def admits(self, poly: QuantizedPoly) -> bool:
-        """``quantize.admissible`` in this network's field, at model size."""
-        return admissible(poly, self.commit_pk.backend.order, len(self.initial_model))
+        """Whether a polynomial received from another peer is a canonical
+        encoding in this network: its field, one data slot per model entry
+        and every coefficient a residue in [0, order).  Commitments reduce
+        coefficients mod the order, so nothing else catches these."""
+        order, dim = self.commit_pk.backend.order, len(self.initial_model)
+        return poly.modulus == order and poly.dim == dim and all(0 <= c < order for c in poly.coeffs)
 
 
 @dataclass(frozen=True)
@@ -609,9 +613,6 @@ class Ledger:
 
     def tip_iteration(self) -> int:
         return self.state.iteration
-
-    def current_model(self) -> ModelParams:
-        return ModelParams(self.state.weights.copy(), self.state.iteration)
 
     # -- validation and mutation ---------------------------------------------
 

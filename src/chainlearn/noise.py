@@ -30,7 +30,7 @@ import numpy as np
 from .commitments import CommitPK, commit
 from .encoding import seed_words, sha256, u64
 from .groups import get_backend
-from .quantize import QuantizedPoly, encode, fixed_poly, sum_polys
+from .quantize import QuantizedPoly, encode, fixed_poly
 
 
 def gaussian_sigma(epsilon: float, delta: float) -> float:
@@ -109,12 +109,3 @@ def build_noise_table(pk: CommitPK, config, secrets: dict, drawn: DrawnNoise | N
         )
         for row, (peer, s) in enumerate(secrets.items())
     }
-
-
-def mask_update(update_q: QuantizedPoly, noises) -> QuantizedPoly:
-    """Field-domain sum of the update with its noise vectors (blinding slots
-    included), the only form of the update a verifier ever sees."""
-    noises = list(noises)
-    if not noises:
-        raise ValueError("at least one noise vector is required")
-    return sum_polys([update_q] + noises)

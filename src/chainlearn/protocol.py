@@ -595,13 +595,11 @@ class PeerNode:
             aggregate = recover_aggregate(all_shares, pk, combined)
         except ShareRecoveryError:
             return self._refuse("recovery-failed", self.id)
-        prev = self.ledger.current_model()
-        weights = prev.weights + decode(aggregate)
         block = Block(
             prev_hash=self.ledger.tip_hash(),
             iteration=rs.iteration,
             aggregate_poly=aggregate,
-            model_weights=weights,
+            model_weights=self.ledger.state.weights + decode(aggregate),
             commitments=entries,
             signoffs=rs.signoffs,
             signature=b"",

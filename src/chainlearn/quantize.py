@@ -78,18 +78,6 @@ def fixed_poly(fixed: np.ndarray, blinding: int, modulus: int) -> QuantizedPoly:
     return QuantizedPoly((blinding % modulus, *(int(c) % modulus for c in fixed.tolist())), modulus)
 
 
-def admissible(poly: QuantizedPoly, modulus: int, dim: int) -> bool:
-    """Whether a polynomial received from another peer is a canonical
-    encoding here: field ``modulus``, ``dim`` data slots and every
-    coefficient a residue in [0, modulus).  Commitments reduce coefficients
-    mod p, so nothing else catches these."""
-    return (
-        poly.modulus == modulus
-        and poly.dim == dim
-        and all(0 <= c < modulus for c in poly.coeffs)
-    )
-
-
 def decode(poly: QuantizedPoly) -> np.ndarray:
     """Centered-residue decode of the data slots; the blinding slot is dropped."""
     p = poly.modulus

@@ -4,9 +4,9 @@ Single event loop over a (time, seq) heap: message deliveries with seeded
 uniform latency, per-peer stage timers, and optional churn that alternates
 failing a random online peer with reviving a random offline one so the
 population stays constant.  Peers are pre-registered at genesis; "joining"
-means coming back online, pulling the chain from a live peer and rejoining
-the round cadence.  Everything (latency, churn choices, tie order) derives
-from one seed, so a run is a pure function of its configuration.
+means coming back online with a fresh round-budget timer and pulling the
+chain from a live peer.  Everything (latency, churn choices, tie order)
+derives from one seed, so a run is a pure function of its configuration.
 
 The latency stream is shared: each delivery reads the next latency of one
 RNG, drawn in blocks of one sized call each, so a handler that sends one
@@ -33,7 +33,7 @@ import numpy as np
 
 from .encoding import require
 from .ledger import TipState, block_hash
-from .protocol import BROADCAST, BlockMsg, ChainRequest, ChainResponse, PeerNode, StageTimeouts, UpdateSubmission
+from .protocol import BROADCAST, BlockMsg, ChainRequest, ChainResponse, PeerNode, StageTimeouts, Timer, UpdateSubmission
 
 
 # one-way link delay, drawn uniformly per delivery, in simulated seconds
@@ -128,6 +128,8 @@ class Simulation:
             self.online[peer] = joining
             if joining:
                 self.join_counts[peer] += 1
+                timer = Timer(self.peers[peer].round.iteration, "round-budget")  # the ones due offline were lost
+                self._push(self.now + self.timeouts.round_budget, peer, timer)
                 if self.fresh_shard is not None:
                     self.peers[peer].dataset = self.fresh_shard(peer, self.join_counts[peer])
                 live = sorted(p for p, up in self.online.items() if up and p != peer)

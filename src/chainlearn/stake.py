@@ -15,13 +15,6 @@ from functools import cached_property
 KEYSPACE = 1 << 256
 
 
-def validate_stake(stake: dict) -> None:
-    if any(v < 0 for v in stake.values()):
-        raise ValueError("stake units must be non-negative")
-    if sum(stake.values()) <= 0:
-        raise ValueError("total stake must be positive")
-
-
 @dataclass(frozen=True)
 class StakeRing:
     peers: tuple  # peer ids in layout order
@@ -38,9 +31,13 @@ class StakeRing:
 
 
 def build_ring(stake: dict) -> StakeRing:
-    """Deterministic interval layout ordered by peer id."""
-    validate_stake(stake)
+    """Deterministic interval layout ordered by peer id; refuses a negative
+    stake and a total of zero."""
+    if any(v < 0 for v in stake.values()):
+        raise ValueError("stake units must be non-negative")
     total = sum(stake.values())
+    if total <= 0:
+        raise ValueError("total stake must be positive")
     peers = sorted(stake)
     ends = []
     cum = 0

@@ -92,12 +92,11 @@ def honest_block(genesis, secrets, ledger, seed=0, contributor_count=4):
     )
 
     aggregate = sum_polys([polys[p] for p in contributors])
-    prev_weights = ledger.current_model().weights
     block = Block(
         prev_hash=prev,
         iteration=t,
         aggregate_poly=aggregate,
-        model_weights=prev_weights + decode(aggregate),
+        model_weights=ledger.state.weights + decode(aggregate),
         commitments=tuple(entries),
         signoffs=signoffs,
         signature=b"",

@@ -416,9 +416,7 @@ def test_criterion_8_ledger_integrity(poisoning_runs, churn_runs):
             replays.append(replay)
         assert replays[0].stake == replays[1].stake == source.stake
         assert replays[0].tip_hash() == source.tip_hash()
-        np.testing.assert_array_equal(
-            replays[0].current_model().weights, source.current_model().weights
-        )
+        np.testing.assert_array_equal(replays[0].state.weights, source.state.weights)
 
     # stake-proportional selection on the final (non-uniform) stake map
     stake = defended.result.final_ledger.stake

@@ -58,11 +58,12 @@ def test_setup_deterministic():
 
 
 def test_one_g1_line_table_per_process():
-    """Every key's share check pairs with the one g1 line table that the
-    pairing backend builds, once per process."""
+    """Every key's share check pairs with its first power, g1, and the
+    pairing backend prepares g1 as one line table, once per process."""
     backend, pk1 = make_pk("pairing", 4, b"one")
     _, pk2 = make_pk("pairing", 6, b"two")
-    assert pk1.share_check_key is pk2.share_check_key is backend.prepare_pair(backend.g1)
+    table = backend.prepare_pair(backend.g1)
+    assert backend.prepare_pair(pk1.powers[0]) is backend.prepare_pair(pk2.powers[0]) is table
 
 
 def test_setup_length_for_25_dim_updates():

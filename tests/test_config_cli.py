@@ -6,7 +6,7 @@ from operator import attrgetter
 import pytest
 
 from chainlearn.cli import main
-from chainlearn.config import DatasetSpec, ExperimentSpec, load_spec, save_spec, spec_from_dict
+from chainlearn.config import DatasetSpec, ExperimentSpec, load_spec, spec_from_dict
 from chainlearn.experiments import build_environment, run_named_experiment
 from chainlearn.sgd import TrainConfig
 
@@ -22,6 +22,11 @@ def small_spec(**over):
     )
     defaults.update(over)
     return ExperimentSpec(**defaults)
+
+
+def save_spec(path, spec: ExperimentSpec) -> None:
+    """Write ``spec`` as the JSON config file ``load_spec`` reads."""
+    path.write_text(json.dumps(spec.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def test_spec_roundtrip(tmp_path):

@@ -228,7 +228,7 @@ def test_tampered_aggregate_rejected(tiny_net):
     tampered = dataclasses.replace(
         block,
         aggregate_poly=poly,
-        model_weights=ledger.current_model().weights + decode(poly),
+        model_weights=ledger.state.weights + decode(poly),
     )
     tampered = resign_as_proposer(tampered, genesis, secrets, ledger)
     ok, reason = ledger.validate_block(tampered)
@@ -588,7 +588,7 @@ def test_replay_determinism(tiny_net):
     for blk in a.blocks:
         assert b.append(blk)[0]
     assert b.stake == a.stake
-    assert np.array_equal(b.current_model().weights, a.current_model().weights)
+    assert np.array_equal(b.state.weights, a.state.weights)
 
 
 def test_chain_file_roundtrip_and_tamper(tiny_net, tmp_path):

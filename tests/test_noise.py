@@ -14,9 +14,8 @@ from chainlearn.noise import (
     build_noise_table,
     gaussian_sigma,
     generate_noise,
-    mask_update,
 )
-from chainlearn.quantize import decode, encode
+from chainlearn.quantize import decode, encode, sum_polys
 from chainlearn.sgd import TrainConfig
 
 from conftest import tiny_config
@@ -87,7 +86,7 @@ def test_mask_update_is_field_sum():
     rng = np.random.default_rng(0)
     upd = encode(rng.normal(size=6), 17, MOD)
     noises = [noise(bytes([i])) for i in range(2)]
-    masked = mask_update(upd, noises)
+    masked = sum_polys([upd, *noises])
     expect = decode(upd) + sum(decode(n) for n in noises)
     np.testing.assert_array_equal(decode(masked), expect)
     assert masked.coeffs[0] == (upd.coeffs[0] + sum(n.coeffs[0] for n in noises)) % MOD
@@ -99,18 +98,12 @@ def test_mask_commitment_equality():
     rng = np.random.default_rng(1)
     upd = encode(rng.normal(size=6) * 0.1, 12345, MOD)
     noises = [noise(bytes([i])) for i in range(3)]
-    masked = mask_update(upd, noises)
+    masked = sum_polys([upd, *noises])
     lhs = commit(pk, masked)
     rhs = commit(pk, upd)
     for n in noises:
         rhs = BACKEND.g1_add(rhs, commit(pk, n))
     assert lhs == rhs
-
-
-def test_mask_requires_noise():
-    upd = encode([0.5], 0, MOD)
-    with pytest.raises(ValueError):
-        mask_update(upd, [])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**64 + 3, 2**255 - 19])

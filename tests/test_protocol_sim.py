@@ -26,7 +26,8 @@ from chainlearn.ledger import (
     save_chain,
     sign_off,
 )
-from chainlearn.noise import build_noise_table, generate_noise, mask_update
+from chainlearn.models import ModelParams
+from chainlearn.noise import build_noise_table, generate_noise
 from chainlearn.protocol import (
     REFUSAL_REASONS,
     AggAnnounce,
@@ -39,7 +40,7 @@ from chainlearn.protocol import (
     UpdateSubmission,
     submission_rejection,
 )
-from chainlearn.quantize import encode
+from chainlearn.quantize import encode, sum_polys
 from chainlearn.sgd import compute_local_update
 from chainlearn.signatures import sign
 from chainlearn.simnet import Simulation
@@ -65,21 +66,30 @@ SUBMISSION_PAYLOADS = "1c1410010306a398cb06e680f391716e1e5b6d159d628918c79eb7f31
 AGGSHARE_PAYLOADS = "a27faa0d60a91c6a865b47a1ba6325923a34baf80189704f7c28096c00eb830a"
 # The tip and the refusal records, (peer, (round, sender, reason)) in each
 # peer's order, of make_sim(seed=12, iterations=8, churn_per_minute=30.0): a
-# run whose rejoining peers catch up from other replicas' chains.
+# run whose rejoining peers catch up from other replicas' chains, and whose
+# rejoined peers each hold a fresh round-budget timer.
 CHURN_TIP = "85808f3de4636bedfda95251bc28492c6fdcd24081aa0ce734af71dca500c660"
 CHURN_RECORDS = [
-    (0, (4, 0, "no-quorum")), (0, (5, 0, "no-accepted-bundles")), (2, (4, 2, "no-quorum")),
-    (2, (4, 2, "no-accepted-bundles")), (3, (6, 3, "no-accepted-bundles")),
-    (3, (7, 3, "no-quorum")), (4, (5, 6, "stray-submission")), (4, (5, 1, "stray-submission")),
-    (4, (5, 9, "stray-submission")), (4, (6, 4, "no-quorum")), (4, (7, 4, "no-quorum")),
-    (5, (4, 4, "stray-bundle")), (5, (4, 3, "stray-bundle")), (5, (4, 6, "stray-bundle")),
-    (5, (4, 9, "stray-bundle")), (6, (2, 6, "late-aggregate-share")),
-    (6, (7, 6, "no-accepted-bundles")), (7, (5, 3, "stray-submission")),
-    (7, (5, 6, "stray-submission")), (7, (5, 9, "stray-submission")),
-    (7, (5, 4, "stray-submission")), (7, (5, 9, "stray-bundle")), (7, (5, 3, "stray-bundle")),
-    (7, (5, 4, "stray-bundle")), (7, (5, 6, "stray-bundle")), (8, (1, 6, "late-aggregate-share")),
-    (8, (4, 8, "no-quorum")), (8, (7, 9, "stray-bundle")), (8, (7, 3, "stray-bundle")),
-    (8, (7, 4, "stray-bundle")), (8, (7, 6, "stray-bundle")), (9, (7, 9, "no-quorum")),
+    (0, (4, 0, "no-quorum")), (0, (5, 0, "no-accepted-bundles")), (0, (7, 5, "late-submission")),
+    (0, (7, 7, "late-submission")), (0, (9, 2, "late-submission")), (1, (6, 5, "late-submission")),
+    (1, (9, 2, "late-submission")), (2, (4, 2, "no-quorum")), (2, (4, 2, "no-accepted-bundles")),
+    (2, (6, 5, "late-submission")), (3, (6, 3, "no-accepted-bundles")),
+    (3, (7, 5, "late-submission")), (3, (7, 7, "late-submission")), (3, (7, 3, "no-quorum")),
+    (3, (8, 7, "late-submission")), (3, (8, 5, "late-submission")),
+    (4, (5, 6, "stray-submission")), (4, (5, 1, "stray-submission")),
+    (4, (5, 9, "stray-submission")), (4, (6, 4, "no-quorum")), (4, (6, 7, "late-submission")),
+    (4, (6, 5, "late-submission")), (4, (7, 4, "no-quorum")), (4, (8, 7, "late-submission")),
+    (4, (8, 5, "late-submission")), (5, (7, 4, "stray-bundle")), (5, (7, 9, "stray-bundle")),
+    (5, (7, 3, "stray-bundle")), (5, (7, 6, "stray-bundle")), (6, (2, 6, "late-aggregate-share")),
+    (6, (7, 6, "no-accepted-bundles")), (7, (6, 6, "stray-submission")),
+    (7, (6, 3, "stray-submission")), (7, (6, 9, "stray-submission")),
+    (7, (7, 4, "stray-submission")), (7, (7, 4, "stray-bundle")), (7, (7, 6, "stray-bundle")),
+    (7, (7, 9, "stray-bundle")), (7, (7, 3, "stray-bundle")), (7, (7, 2, "stray-submission")),
+    (7, (8, 7, "no-quorum")), (8, (1, 6, "late-aggregate-share")), (8, (4, 8, "no-quorum")),
+    (8, (7, 6, "stray-bundle")), (8, (7, 4, "stray-bundle")), (8, (7, 3, "stray-bundle")),
+    (8, (7, 9, "stray-bundle")), (8, (8, 8, "no-accepted-bundles")),
+    (9, (6, 5, "late-submission")), (9, (7, 9, "no-quorum")), (9, (8, 5, "late-submission")),
+    (9, (8, 7, "late-submission")),
 ]
 
 
@@ -367,7 +377,7 @@ def make_submission(sim, peer_id, iteration=1, tamper=None):
     backend = peer.backend
     cfg = genesis.config
     prev_hash = genesis.hash()
-    params = peer.ledger.current_model()
+    params = ModelParams(peer.ledger.state.weights, peer.ledger.state.iteration)
     seed = int.from_bytes(sha256(b"batch" + peer.secrets.noise_seed + u64(iteration)), "big")
     delta = compute_local_update(peer.model, params, peer.dataset, cfg.train, seed)
     blinding = int.from_bytes(sha256(b"blind" + peer.secrets.noise_seed + u64(iteration)), "big")
@@ -389,7 +399,7 @@ def make_submission(sim, peer_id, iteration=1, tamper=None):
         # fresh noise that is NOT what was committed: try to unpoison the update
         rogue = dataclasses.replace(sim.peers[noiser_ids[0]].secrets, noise_seed=b"rogue")
         noises[0] = generate_noise(cfg, update_q.dim, rogue, iteration)
-    masked = mask_update(update_q, noises)
+    masked = sum_polys([update_q, *noises])
     if tamper == "padded":
         # one data slot more than the model has, and than the commitment key takes
         masked = dataclasses.replace(masked, coeffs=masked.coeffs + (0,))
@@ -715,6 +725,11 @@ def test_latency_stream_property(seed, steps):
             time, _, helper, request = pushed[ChainRequest]
             assert (helper, request.sender) == (int(churn.choice(up)), peer)
             assert time == sim.now + latency()
+            # a fresh round clock, for the timers it lost offline; it reads no latency
+            time, _, target, timer = pushed[Timer]
+            assert (time, target, timer) == (
+                sim.now + sim.timeouts.round_budget, peer, Timer(sim.peers[peer].round.iteration, "round-budget")
+            )
         assert pushed[str][2:] == (-1, "join" if kind == "fail" else "fail")  # the next churn event
     assert sim._latency() == latency()
 
@@ -1154,7 +1169,7 @@ def test_protocol_trains_softmax_family():
     result = sim.run()
     assert result.final_ledger.height == 3
     dim = 3 * (4 + 1)
-    assert len(result.final_ledger.current_model().weights) == dim
+    assert len(result.final_ledger.state.weights) == dim
 
 
 def test_block_every_replica_refuses_is_not_recorded(monkeypatch):
@@ -1247,13 +1262,31 @@ def test_simulation_refuses_an_infinite_churn_rate():
         make_sim(churn_per_minute=float("inf"))
 
 
+@functools.cache
+def pinned_churn_run():
+    sim = make_sim(seed=12, iterations=8, churn_per_minute=30.0)
+    return sim, sim.run()
+
+
 def test_churned_run_is_pinned():
     """Peers that fail and rejoin catch up through the states other replicas
     reached first; the tip and every refusal record are the pinned ones."""
-    sim = make_sim(seed=12, iterations=8, churn_per_minute=30.0)
-    result = sim.run()
+    sim, result = pinned_churn_run()
     assert result.final_ledger.tip_hash().hex() == CHURN_TIP
     assert [(pid, rec) for pid, peer in sorted(sim.peers.items()) for rec in peer.audit] == CHURN_RECORDS
+
+
+def test_rejoined_peers_pass_the_last_round():
+    """A peer loses the timers that fall due while it is offline, and a
+    rejoin whose helper's chain is no longer than its own starts no round.
+    Each rejoin gives the peer a fresh round-budget timer, so the pinned
+    churn run ends, within its time cap, with every online peer past the
+    last round: a rejoined peer with no timer would sit in its round until
+    the cap cut the run."""
+    sim, result = pinned_churn_run()
+    last = sim.genesis.config.total_iterations
+    assert [pid for pid, peer in sim.peers.items() if sim.online[pid] and peer.round.iteration <= last] == []
+    assert result.final_time <= (last + 3) * sim.timeouts.round_budget and not result.deadlocked
 
 
 def test_fresh_replicas_check_every_block(monkeypatch, tmp_path):

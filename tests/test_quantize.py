@@ -51,6 +51,12 @@ def test_sum_of_35_unit_norm_vectors():
     assert np.abs(decode(total) - direct).max() <= 35 * 2.0 ** (-SCALE_BITS - 1)
 
 
+def test_empty_sum_is_refused():
+    """A sum of no polynomials has no field and no size to give: refused."""
+    with pytest.raises(ValueError, match="^nothing to sum$"):
+        sum_polys([])
+
+
 def test_additivity_is_exact_on_grid():
     rng = np.random.default_rng(2)
     a = rng.normal(size=10)
