@@ -6,7 +6,7 @@ catch-up by a fresh replica."""
 from chainlearn import Ledger, combine, commit, decode, get_backend
 from chainlearn.bootstrap import build_genesis
 from chainlearn.datasets import make_dataset, partition
-from chainlearn.ledger import ProtocolConfig, record_peer
+from chainlearn.ledger import ProtocolConfig
 from chainlearn.sgd import TrainConfig
 from chainlearn.simnet import Simulation
 
@@ -32,7 +32,7 @@ print(f"\nblock 1 (minted at t={when:.2f}s):")
 print("  contributors:", [e.peer for e in block.commitments])
 # a sign-off holds its winners' pair encodings, each starting with the peer id
 print("  sign-offs, verifier -> peers it names:",
-      {s.verifier: [record_peer(rec) for rec in s.winners] for s in block.signoffs})
+      {s.verifier: [int.from_bytes(rec[:4], "little") for rec in s.winners] for s in block.signoffs})
 print("  aggregate step norm: %.4f" % float((decode(block.aggregate_poly) ** 2).sum() ** 0.5))
 
 product = combine(backend, [e.commitment for e in block.commitments])

@@ -25,7 +25,7 @@ from .datasets import Dataset, make_dataset, partition
 from .groups import get_backend
 from .krum import KrumConfig, krum_sample_size, krum_scores, max_tolerable_f, multi_krum_select
 from .ledger import Block, GenesisBlock, Ledger, ProtocolConfig, load_chain, save_chain
-from .models import LogisticModel, ModelParams, SoftmaxModel, make_model, validation_error
+from .models import LogisticModel, SoftmaxModel, make_model, validation_error
 from .noise import build_noise_table, gaussian_sigma, generate_noise
 from .quantize import QuantizedPoly, decode, encode
 from .sgd import TrainConfig, compute_local_update

@@ -74,7 +74,7 @@ def _cmd_verify_chain(args) -> int:
             )
     print(
         f"{args.chain}: OK, {ledger.height} blocks, tip iteration "
-        f"{ledger.tip_iteration()}, tip {ledger.tip_hash().hex()[:16]}"
+        f"{ledger.state.iteration}, tip {ledger.tip_hash().hex()[:16]}"
     )
     return 0
 

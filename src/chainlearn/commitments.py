@@ -248,5 +248,5 @@ def verify_share(pk: CommitPK, points, openings) -> bool:
     prepared, terms = [backend.prepare_pair(backend.g1)], [folded]
     if slot.prepared is not None:
         prepared.append(slot.prepared)
-        terms.append(backend.g1_neg(backend.msm([w.value for _, w in openings], rho)))
+        terms.append(backend.msm([w.value for _, w in openings], [-r for r in rho]))
     return backend.multi_pair(prepared, terms) == backend.gt_one

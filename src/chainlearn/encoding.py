@@ -54,10 +54,6 @@ def u64(value: int) -> bytes:
     return struct.pack("<Q", value)
 
 
-def f64(value: float) -> bytes:
-    return struct.pack("<d", value)
-
-
 class ByteWriter:
     """Accumulates a canonical byte string."""
 
@@ -75,7 +71,7 @@ class ByteWriter:
         return self.raw(u64(value))
 
     def f64(self, value: float) -> "ByteWriter":
-        return self.raw(f64(value))
+        return self.raw(struct.pack("<d", value))
 
     def bytes_lp(self, data: bytes) -> "ByteWriter":
         """Length-prefixed byte string."""

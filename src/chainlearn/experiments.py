@@ -38,7 +38,7 @@ from .config import ExperimentSpec
 from .datasets import Dataset, make_dataset, partition
 from .encoding import sha256, u64
 from .ledger import Ledger, save_chain
-from .models import ModelParams, make_model, validation_error
+from .models import make_model, validation_error
 from .sgd import compute_local_update
 from .simnet import Simulation
 from .stake import honest_stake_fraction
@@ -81,11 +81,7 @@ class MetricsLog:
         return [r[field] for r in self.rows]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=self.FIELDS)
-            writer.writeheader()
-            for row in self.rows:
-                writer.writerow(row)
+        _write_summary(path, self.FIELDS, [[row[f] for f in self.FIELDS] for row in self.rows])
 
 
 RESERVE_SHARDS = 24  # spare same-distribution shards handed to rejoining peers
@@ -211,7 +207,7 @@ def run_fl_baseline(spec: ExperimentSpec, env: Environment | None = None) -> Exp
     submits one local update each and the sum is applied, no checks at all."""
     env = env or build_environment(spec)
     model = env.model
-    params = ModelParams(np.zeros(model.dim), 0)
+    weights = np.zeros(model.dim)
     rng = np.random.default_rng(spec.seed + 13)
     peer_ids = sorted(env.datasets)
     u = spec.updates_per_block_u
@@ -222,9 +218,9 @@ def run_fl_baseline(spec: ExperimentSpec, env: Environment | None = None) -> Exp
         total = np.zeros(model.dim)
         for pid in sorted(int(p) for p in picked):
             seed = int.from_bytes(sha256(b"fl-batch" + u64(spec.seed) + u64(pid) + u64(t)), "big")
-            total += compute_local_update(model, params, env.datasets[pid], spec.train, seed)
-        params = ModelParams(params.weights + total, t)
-        rows.append(_score(env, spec, t, float(t), params.weights, len(honest) / len(peer_ids), t, 0, 0))
+            total += compute_local_update(model, weights, t - 1, env.datasets[pid], spec.train, seed)
+        weights = weights + total
+        rows.append(_score(env, spec, t, float(t), weights, len(honest) / len(peer_ids), t, 0, 0))
     return ExperimentRun(None, MetricsLog(rows))
 
 
@@ -270,12 +266,11 @@ def inversion_batching_experiment(
         order.append(by_class[(label + i) % n_classes][i // n_classes])
 
     model = make_model("softmax", side * side, n_classes)
-    params = ModelParams(np.zeros(model.dim), 0)
     cfg = TrainConfig(eta0=0.1, eta_decay=0.0, weight_decay=0.0, batch_size=1)
     updates = []
     for idx in order:
         single = data.subset([idx])
-        updates.append(compute_local_update(model, params, single, cfg, rng_seed=idx))
+        updates.append(compute_local_update(model, np.zeros(model.dim), 0, single, cfg, rng_seed=idx))
 
     results = []
     images = {}

@@ -513,9 +513,6 @@ class PairingGroup:
     def g1_add(self, a, b):
         return _pt_add_many([(a, b)])[0]
 
-    def g1_neg(self, a):
-        return _pt_neg(a)
-
     def g1_mul(self, P, k: int):
         return self.msm((P,), (k,))
 
@@ -600,9 +597,6 @@ class ExponentGroup:
 
     def g1_add(self, a, b):
         return (a + b) % self.order
-
-    def g1_neg(self, a):
-        return (-a) % self.order
 
     def g1_mul(self, a, k: int):
         return a * (k % self.order) % self.order

@@ -322,11 +322,6 @@ def pair_records(pairs, backend) -> list[bytes]:
     return [u32(p.peer) + backend.g1_to_bytes(p.commitment) for p in pairs]
 
 
-def record_peer(rec: bytes) -> int:
-    """The peer id a pair encoding starts with."""
-    return int.from_bytes(rec[:4], "little")
-
-
 def signoff_message(iteration: int, verifier: int, records) -> bytes:
     """The bytes a verifier signs: round, verifier id, and its winners' pair
     encodings; a block writes the sign-off as these bytes after the round."""
@@ -385,7 +380,7 @@ def block_from_bytes(data: bytes, backend) -> Block:
         rec = r.raw(size)
         if rec <= last_rec:
             raise ValueError("entries must strictly ascend")
-        entries.append(CommitmentEntry(record_peer(rec), backend.g1_from_bytes(rec[4:])))
+        entries.append(CommitmentEntry(int.from_bytes(rec[:4], "little"), backend.g1_from_bytes(rec[4:])))
         last_rec = rec
     signoffs, last = [], -1
     for _ in range(r.u32()):
@@ -610,9 +605,6 @@ class Ledger:
 
     def tip_hash(self) -> bytes:
         return self.state.tip_hash
-
-    def tip_iteration(self) -> int:
-        return self.state.iteration
 
     # -- validation and mutation ---------------------------------------------
 

@@ -8,21 +8,7 @@ classes with the bias as the last column, so the weight block of class c is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    weights: np.ndarray
-    iteration: int = 0
-
-    def __post_init__(self):
-        if self.weights.ndim != 1:
-            raise ValueError("weights must be a flat vector")
-        if not np.all(np.isfinite(self.weights)):
-            raise ValueError("weights must be finite")
 
 
 def _augment(X: np.ndarray) -> np.ndarray:

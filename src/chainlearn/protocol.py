@@ -54,7 +54,7 @@ from .ledger import (
     sign_off,
     write_poly,
 )
-from .models import ModelParams, make_model
+from .models import make_model
 from .quantize import decode, encode, sum_polys
 from .sgd import compute_local_update
 from .vss import (
@@ -282,9 +282,9 @@ class RoundState:
 class PeerNode:
     """One peer: ledger replica, local data, per-round protocol state."""
 
-    def __init__(self, peer_id: int, genesis, secrets, dataset, root=None):
-        """``root``, if given, is the ``TipState.root(genesis)`` the peer's
-        ledger starts from and shares with other replicas."""
+    def __init__(self, peer_id: int, genesis, secrets, dataset, root):
+        """``root`` is the ``TipState.root(genesis)`` the peer's ledger
+        starts from and shares with other replicas."""
         self.id = peer_id
         self.genesis = genesis
         self.backend = genesis.commit_pk.backend
@@ -356,10 +356,9 @@ class PeerNode:
         if len(self.dataset) == 0:
             return self._refuse("no-local-data", self.id)
         state = self.ledger.state
-        params = ModelParams(state.weights, state.iteration)  # the step only reads them
         seed = int.from_bytes(sha256(b"batch" + self.secrets.noise_seed + u64(t)), "big")
         try:
-            delta = compute_local_update(self.model, params, self.dataset, cfg.train, seed)
+            delta = compute_local_update(self.model, state.weights, state.iteration, self.dataset, cfg.train, seed)
         except ValueError:
             return self._refuse("local-update-failed", self.id)
         blinding = int.from_bytes(sha256(b"blind" + self.secrets.noise_seed + u64(t)), "big")
@@ -615,7 +614,7 @@ class PeerNode:
         if ok:
             self.helper = None
             return self.start_round(msg.block.iteration + 1, now)
-        if reason == "bad-prev-hash" and msg.block.iteration > self.ledger.tip_iteration():
+        if reason == "bad-prev-hash" and msg.block.iteration > self.ledger.state.iteration:
             # this chain is ahead of ours: pull it and resync
             self._refuse("ahead-of-tip", msg.sender)
             return [(msg.sender, ChainRequest(self.id), None)]
@@ -630,5 +629,5 @@ class PeerNode:
         adopted, reason = self.ledger.catch_up(msg.blocks)
         self.helper = msg.sender
         if adopted:  # resync round tracking to the adopted tip
-            return self.start_round(self.ledger.tip_iteration() + 1, now)
+            return self.start_round(self.ledger.state.iteration + 1, now)
         return self._refuse(reason, msg.sender) if reason else []

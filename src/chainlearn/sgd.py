@@ -1,7 +1,7 @@
 """The per-peer update rule.
 
-A local update is one regularized SGD step against the shared model,
-computed on a uniformly sampled (with replacement) batch of local data and
+A local update is one regularized SGD step from the tip's weights w_t and
+round t, on a uniformly sampled (with replacement) batch of local data,
 carried as a delta that the ledger later adds to the model:
 
     delta = -eta_t * (lambda * w + mean_batch grad)
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import require, seed_words
-from .models import ModelParams
 
 CLIP_NORM = 1.0
 
@@ -54,9 +53,9 @@ def clip_to_unit_norm(v: np.ndarray) -> np.ndarray:
 
 
 def compute_local_update(
-    model, params: ModelParams, dataset, cfg: TrainConfig, rng_seed: int
+    model, weights: np.ndarray, iteration: int, dataset, cfg: TrainConfig, rng_seed: int
 ) -> np.ndarray:
-    """The clipped delta of one deterministic local step; same seed, same bits."""
+    """The clipped delta of one step from the tip's ``weights`` and round ``iteration``; same seed, same bits."""
     n = len(dataset.labels)
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -64,9 +63,9 @@ def compute_local_update(
         raise ValueError("dataset feature dimension does not match the model")
     rng = np.random.default_rng(seed_words(rng_seed))
     batch = rng.integers(0, n, size=cfg.batch_size)
-    grad = model.mean_grad(params.weights, dataset.features[batch], dataset.labels[batch])
+    grad = model.mean_grad(weights, dataset.features[batch], dataset.labels[batch])
     if not np.isfinite(grad).all():
         raise ValueError("non-finite gradient")
-    delta = -cfg.eta_at(params.iteration) * (cfg.weight_decay * params.weights + grad)
+    delta = -cfg.eta_at(iteration) * (cfg.weight_decay * weights + grad)
     return clip_to_unit_norm(delta)
 

@@ -4,8 +4,11 @@ Single event loop over a (time, seq) heap: message deliveries with seeded
 uniform latency, per-peer stage timers, and optional churn that alternates
 failing a random online peer with reviving a random offline one so the
 population stays constant.  Peers are pre-registered at genesis; "joining"
-means coming back online with a fresh round-budget timer and pulling the
-chain from a live peer.  Everything (latency, churn choices, tie order)
+means coming back online, with a fresh round-budget timer if a round is
+left, and pulling the chain from a live peer.  A run ends once every online
+peer has passed the last round with no block or chain on its way to one;
+``SimResult.deadlocked`` says the time cap, ``total_iterations + 3`` round
+budgets, cut it off first.  Everything (latency, churn choices, tie order)
 derives from one seed, so a run is a pure function of its configuration.
 
 The latency stream is shared: each delivery reads the next latency of one
@@ -48,7 +51,7 @@ class SimResult:
     dropped_updates: dict  # round -> submissions that made no block
     final_ledger: object
     final_time: float
-    deadlocked: bool = False
+    deadlocked: bool  # the time cap cut the run off: see the module docstring
 
 
 class Simulation:
@@ -128,8 +131,9 @@ class Simulation:
             self.online[peer] = joining
             if joining:
                 self.join_counts[peer] += 1
-                timer = Timer(self.peers[peer].round.iteration, "round-budget")  # the ones due offline were lost
-                self._push(self.now + self.timeouts.round_budget, peer, timer)
+                t = self.peers[peer].round.iteration
+                if t <= self.genesis.config.total_iterations:  # the ones due offline were lost
+                    self._push(self.now + self.timeouts.round_budget, peer, Timer(t, "round-budget"))
                 if self.fresh_shard is not None:
                     self.peers[peer].dataset = self.fresh_shard(peer, self.join_counts[peer])
                 live = sorted(p for p, up in self.online.items() if up and p != peer)
@@ -172,7 +176,6 @@ class Simulation:
             self._dispatch_actions(self.peers[pid].start_round(1, 0.0))
         if self.churn_per_minute > 0:
             self._push(60.0 / self.churn_per_minute, -1, "fail")
-        deadlocked = False
 
         while self.events:
             time, _, target, payload = heapq.heappop(self.events)
@@ -195,8 +198,6 @@ class Simulation:
             # only a peer that has just passed the last round can end the run
             if peer.round.iteration > cfg.total_iterations and self._all_done():
                 break
-        else:
-            deadlocked = not self._all_done()
 
         observer = max(
             (p for p in self.peers if self.online[p]),
@@ -215,7 +216,7 @@ class Simulation:
             dropped_updates=dropped,
             final_ledger=self.peers[observer].ledger,
             final_time=self.now,
-            deadlocked=deadlocked,
+            deadlocked=not self._all_done(),
         )
 
     def _all_done(self) -> bool:

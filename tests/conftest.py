@@ -67,7 +67,7 @@ def deal(q, pk, aggregators, dealer=0, signoffs=()):
 def honest_block(genesis, secrets, ledger, seed=0, contributor_count=4):
     """Build a fully valid block for the next round without running the network."""
     backend = genesis.commit_pk.backend
-    t = ledger.tip_iteration() + 1
+    t = ledger.state.iteration + 1
     prev = ledger.tip_hash()
     verifiers, aggregators = round_committees(genesis, build_ring(ledger.stake), prev, t)
     committee = set(verifiers) | set(aggregators)

@@ -12,7 +12,7 @@ from chainlearn.attacks import (
 )
 from chainlearn.datasets import Dataset, make_dataset
 from chainlearn.experiments import inversion_batching_experiment, synthetic_image_task
-from chainlearn.models import ModelParams, make_model
+from chainlearn.models import make_model
 
 
 def blobs(seed=0, n=400):
@@ -22,11 +22,10 @@ def blobs(seed=0, n=400):
 
 
 def train_full_batch(model, data, steps=300, eta=0.3):
-    params = ModelParams(np.zeros(model.dim))
+    weights = np.zeros(model.dim)
     for _ in range(steps):
-        grad = model.mean_grad(params.weights, data.features, data.labels)
-        params = ModelParams(params.weights - eta * grad, params.iteration + 1)
-    return params.weights
+        weights = weights - eta * model.mean_grad(weights, data.features, data.labels)
+    return weights
 
 
 def test_poison_dataset_flips_labels_only():

@@ -7,7 +7,6 @@ import pytest
 from chainlearn.datasets import Dataset, make_dataset
 from chainlearn.models import (
     LogisticModel,
-    ModelParams,
     SoftmaxModel,
     make_model,
     validation_error,
@@ -60,7 +59,7 @@ def test_hand_computed_single_example_step():
     data = Dataset(np.array([[1.0]]), np.array([1]), 2)
     model = LogisticModel(1)
     cfg = TrainConfig(eta0=0.5, eta_decay=0.0, weight_decay=0.0, batch_size=1)
-    upd = compute_local_update(model, ModelParams(np.zeros(model.dim)), data, cfg, rng_seed=0)
+    upd = compute_local_update(model, np.zeros(model.dim), 0, data, cfg, rng_seed=0)
     np.testing.assert_allclose(upd, [0.25, 0.25])
 
 
@@ -68,9 +67,9 @@ def test_update_norm_clipped():
     rng = np.random.default_rng(0)
     data = small_dataset()
     model = make_model("logreg", data.n_features, 2)
-    params = ModelParams(rng.normal(0, 10, size=model.dim), 0)
+    weights = rng.normal(0, 10, size=model.dim)
     cfg = TrainConfig(eta0=50.0, eta_decay=0.0, weight_decay=0.1, batch_size=8)
-    upd = compute_local_update(model, params, data, cfg, rng_seed=5)
+    upd = compute_local_update(model, weights, 0, data, cfg, rng_seed=5)
     assert np.linalg.norm(upd) <= 1.0 + 1e-12
 
 
@@ -78,9 +77,9 @@ def test_update_deterministic():
     data = small_dataset()
     model = make_model("logreg", data.n_features, 2)
     cfg = TrainConfig(batch_size=8)
-    a = compute_local_update(model, ModelParams(np.zeros(model.dim)), data, cfg, rng_seed=7)
-    b = compute_local_update(model, ModelParams(np.zeros(model.dim)), data, cfg, rng_seed=7)
-    c = compute_local_update(model, ModelParams(np.zeros(model.dim)), data, cfg, rng_seed=8)
+    a = compute_local_update(model, np.zeros(model.dim), 0, data, cfg, rng_seed=7)
+    b = compute_local_update(model, np.zeros(model.dim), 0, data, cfg, rng_seed=7)
+    c = compute_local_update(model, np.zeros(model.dim), 0, data, cfg, rng_seed=8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -89,7 +88,7 @@ def test_empty_dataset_rejected():
     data = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 2)
     model = LogisticModel(2)
     with pytest.raises(ValueError):
-        compute_local_update(model, ModelParams(np.zeros(model.dim)), data, TrainConfig(), 0)
+        compute_local_update(model, np.zeros(model.dim), 0, data, TrainConfig(), 0)
 
 
 @pytest.mark.parametrize(
@@ -121,11 +120,10 @@ def test_validation_error_perfect_and_constant():
     data = small_dataset(seed=9, n=60)
     model = make_model("logreg", data.n_features, 2)
     # train a few full-batch steps: blobs are separable, error goes to 0
-    params = ModelParams(np.zeros(model.dim))
+    weights = np.zeros(model.dim)
     for _ in range(200):
-        grad = model.mean_grad(params.weights, data.features, data.labels)
-        params = ModelParams(params.weights - 0.5 * grad, params.iteration + 1)
-    assert validation_error(model, params.weights, data) == 0.0
+        weights = weights - 0.5 * model.mean_grad(weights, data.features, data.labels)
+    assert validation_error(model, weights, data) == 0.0
 
     # constant classifier on an exactly balanced set errs half the time
     X = np.vstack([np.ones((10, 2)), np.ones((10, 2))])

@@ -21,12 +21,10 @@ from chainlearn.ledger import (
     block_content_hash,
     load_chain,
     pair_records,
-    record_peer,
     round_committees,
     save_chain,
     sign_off,
 )
-from chainlearn.models import ModelParams
 from chainlearn.noise import build_noise_table, generate_noise
 from chainlearn.protocol import (
     REFUSAL_REASONS,
@@ -377,9 +375,9 @@ def make_submission(sim, peer_id, iteration=1, tamper=None):
     backend = peer.backend
     cfg = genesis.config
     prev_hash = genesis.hash()
-    params = ModelParams(peer.ledger.state.weights, peer.ledger.state.iteration)
+    state = peer.ledger.state
     seed = int.from_bytes(sha256(b"batch" + peer.secrets.noise_seed + u64(iteration)), "big")
-    delta = compute_local_update(peer.model, params, peer.dataset, cfg.train, seed)
+    delta = compute_local_update(peer.model, state.weights, state.iteration, peer.dataset, cfg.train, seed)
     blinding = int.from_bytes(sha256(b"blind" + peer.secrets.noise_seed + u64(iteration)), "big")
     update_q = encode(delta, blinding % backend.order, backend.order)
     commitment = commit(genesis.commit_pk, update_q)
@@ -872,7 +870,7 @@ def test_equivocating_verifier_cannot_void_honest_rounds(monkeypatch, silent_par
         if peer.id != rs.verifiers[0] or len(actions) < 2:
             return actions
         # the winners, from the pool by the peer ids their encodings start with
-        named = [record_peer(rec) for rec in actions[0][1].signoff.winners]
+        named = [int.from_bytes(rec[:4], "little") for rec in actions[0][1].signoff.winners]
         winners = [CommitmentEntry(pid, rs.pool[pid].commitment) for pid in named]
         out = []
         for part in (winners[: len(winners) // 2], winners[len(winners) // 2 :]):
@@ -1287,6 +1285,29 @@ def test_rejoined_peers_pass_the_last_round():
     last = sim.genesis.config.total_iterations
     assert [pid for pid, peer in sim.peers.items() if sim.online[pid] and peer.round.iteration <= last] == []
     assert result.final_time <= (last + 3) * sim.timeouts.round_budget and not result.deadlocked
+
+
+def test_a_finished_peer_takes_no_rejoin_timer():
+    """A peer that rejoins after passing the last round gets no round-budget
+    timer: one would match its finished round, so the peer would void it,
+    start a round past the run and ask its helper for the chain again."""
+    sim, _ = pinned_churn_run()
+    last = sim.genesis.config.total_iterations
+    assert [pid for pid, peer in sim.peers.items() if peer.round.iteration > last + 1] == []
+
+
+def test_a_run_cut_off_by_its_time_cap_is_deadlocked():
+    """A peer that ignores blocks, timers and chains stays in round 1, so the
+    time cap ends the run, with events still queued, short of every online
+    peer passing the last round: the result says so."""
+    sim = make_sim(iterations=3, churn_per_minute=2.0)
+    stuck = sim.peers[0]
+    for kind in ("BlockMsg", "Timer", "ChainResponse"):
+        setattr(stuck, "_on_" + kind, lambda msg, now: [])
+    result = sim.run()
+    assert sim.online[0] and stuck.round.iteration == 1
+    assert result.final_time > (3 + 3) * sim.timeouts.round_budget
+    assert result.deadlocked
 
 
 def test_fresh_replicas_check_every_block(monkeypatch, tmp_path):
